@@ -4,9 +4,6 @@
 
 #![deny(missing_docs)]
 
-pub mod gate;
-pub mod trend;
-
 use serde::Serialize;
 use std::fs;
 use std::path::PathBuf;

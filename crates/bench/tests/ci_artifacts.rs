@@ -1,22 +1,18 @@
 //! Schema validation for the JSON artifacts CI emits.
 //!
-//! Several artifact families cross process boundaries in this repo: the
-//! bench gate's `BENCH_PR*.json` ([`GateReport`], the only one with a typed
-//! deserializer and a back-compat story), detlint's per-mode
-//! `results/{taint,concur,accum}_report.json` plus the combined-run
+//! Two artifact families cross process boundaries in this repo: detlint's
+//! per-mode `results/{taint,concur,accum}_report.json` plus the combined-run
 //! `results/detlint_modes.json` and `results/detlint.sarif` (SARIF 2.1.0,
 //! the interchange format external viewers consume), and the pipeline's own
-//! `results/ci_report.json`. Nothing used to check that the
-//! shapes the writers emit are the shapes the readers (bench_trend, the
-//! gate, EXPERIMENTS tooling, humans with `jq`) assume — a renamed field
-//! would surface as a confusing downstream failure PRs later. These tests
-//! pin every schema against committed fixtures (`tests/fixtures/`),
-//! including the frozen legacy `GateReport` shapes from before PR 6
-//! (no `improvements`) and PR 7 (no `host`) that the manual `Deserialize`
-//! must keep parsing, and validate the live `results/` artifacts when
-//! present with the same checkers.
+//! `results/ci_report.json`. Nothing used to check that the shapes the
+//! writers emit are the shapes the readers (the per-mode gates in
+//! `scripts/ci.sh`, EXPERIMENTS tooling, humans with `jq`) assume — a
+//! renamed field would surface as a confusing downstream failure PRs later.
+//! These tests pin every schema against committed fixtures
+//! (`tests/fixtures/`) and validate the live `results/` artifacts when
+//! present with the same checkers. (The benchmark's own result files are
+//! checked by `benchmark/tests/`.)
 
-use bench::gate::{load_baseline, GateReport, HostFingerprint};
 use serde::Value;
 use std::path::{Path, PathBuf};
 
@@ -59,66 +55,6 @@ fn expect_number(v: &Value, name: &str, what: &str) {
         matches!(field(v, name, what), Value::F64(_) | Value::U64(_) | Value::I64(_)),
         "{what}: field `{name}` must be a number"
     );
-}
-
-// ---------------------------------------------------------------- GateReport
-
-#[test]
-fn pre_pr6_gate_report_fixture_parses_with_defaults() {
-    // The frozen pre-PR6 shape (what BENCH_PR3..5.json look like): no
-    // `improvements`, no `host`. The manual Deserialize must default both.
-    let rep = load_baseline(&fixture("gate_report_pre_pr6.json"))
-        .expect("parses")
-        .expect("fixture exists");
-    assert_eq!(rep.suite, "easyscale-bench-gate");
-    assert_eq!(rep.benches.len(), 2);
-    assert_eq!(rep.benches[0].name, "companion_plan_16_ests_16_gpus");
-    assert!(rep.benches.iter().all(|b| b.median_ns_per_iter > 0.0));
-    assert!(rep.improvements.is_empty(), "missing improvements defaults to empty");
-    assert_eq!(rep.host, HostFingerprint::unknown(), "missing host defaults to unknown");
-}
-
-#[test]
-fn pre_pr7_gate_report_fixture_parses_with_unknown_host() {
-    // The frozen pre-PR7 shape (BENCH_PR6.json): improvements present,
-    // host absent.
-    let rep = load_baseline(&fixture("gate_report_pre_pr7.json"))
-        .expect("parses")
-        .expect("fixture exists");
-    assert_eq!(rep.improvements.len(), 1);
-    assert_eq!(rep.improvements[0].name, "engine_step_pool_w8");
-    assert_eq!(rep.host, HostFingerprint::unknown());
-}
-
-#[test]
-fn current_gate_report_fixture_parses_in_full() {
-    let rep = load_baseline(&fixture("gate_report_current.json"))
-        .expect("parses")
-        .expect("fixture exists");
-    assert_eq!(rep.host.hostname, "vm");
-    assert_eq!(rep.host.cores, 1);
-    assert_eq!(rep.improvements.len(), 1);
-    assert!(rep.improvements[0].ratio < 1.0);
-    assert!(rep.benches[0].name.starts_with("kernel_"), "per-kernel benches are in-schema");
-}
-
-#[test]
-fn gate_report_roundtrips_through_serde() {
-    let rep = load_baseline(&fixture("gate_report_current.json"))
-        .expect("parses")
-        .expect("fixture exists");
-    let text = serde_json::to_string(&rep).expect("serializes");
-    let back: GateReport = serde_json::from_str(&text).expect("reparses");
-    assert_eq!(back.suite, rep.suite);
-    assert_eq!(back.host, rep.host);
-    assert_eq!(back.benches.len(), rep.benches.len());
-    for (a, b) in back.benches.iter().zip(&rep.benches) {
-        assert_eq!(a.name, b.name);
-        assert_eq!(a.median_ns_per_iter.to_bits(), b.median_ns_per_iter.to_bits());
-        assert_eq!(a.samples, b.samples);
-        assert_eq!(a.iters_per_sample, b.iters_per_sample);
-    }
-    assert_eq!(back.improvements.len(), rep.improvements.len());
 }
 
 // ------------------------------------------------- script/detlint artifacts
@@ -402,22 +338,4 @@ fn live_results_artifacts_are_in_schema_when_present() {
             check(&read_value(&path), &format!("results/{name}"));
         }
     }
-    // Every committed BENCH_PR*.json must keep parsing through the typed
-    // back-compat deserializer, whatever era's schema it carries.
-    let mut root = results.clone();
-    root.pop();
-    let mut seen = 0;
-    if let Ok(entries) = std::fs::read_dir(&root) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if bench::trend::pr_number(&name).is_some() {
-                let rep = load_baseline(&entry.path())
-                    .unwrap_or_else(|e| panic!("{name}: {e}"))
-                    .expect("exists");
-                assert!(!rep.benches.is_empty(), "{name}: no benches recorded");
-                seen += 1;
-            }
-        }
-    }
-    assert!(seen >= 1, "repo root must carry at least one committed BENCH_PR*.json");
 }

@@ -13,13 +13,13 @@
 //!
 //! Two drain variants share that contract:
 //!
-//! - [`Exchange::drain_sorted`] blocks indefinitely — the original
-//!   fault-oblivious drain, still the right call when the publishers are on
-//!   the calling thread (tests, inline backends).
+//! - [`Exchange::drain_sorted`] blocks indefinitely — the blocking
+//!   reference the deadline drain is tested byte-identical against, and the
+//!   right call only when every publisher is known to deliver (tests).
 //! - [`Exchange::drain_deadline`] blocks for at most the backoff budget of
 //!   a [`RetryPolicy`](crate::RetryPolicy) and returns a typed
 //!   [`DrainError`] naming the keys that *did* arrive — the supervised
-//!   pool's fault boundary. Messages received by a failed drain are
+//!   pool's fault boundary, and the only drain `core::pool` calls. Messages received by a failed drain are
 //!   buffered and handed to the next drain call, so a recovery retry never
 //!   loses a survivor's result.
 //!
@@ -315,8 +315,7 @@ mod tests {
 
     #[test]
     fn dead_publisher_times_out_the_deadline_drain() {
-        // The PR 9 contract replacing the old drain panic: a publisher that
-        // dies without publishing turns into a typed timeout naming the
+        // A publisher that dies without publishing turns into a typed timeout naming the
         // survivors, never a hang and never a panic.
         let mut ex: Exchange<u8> = Exchange::new();
         let alive = ex.handle();

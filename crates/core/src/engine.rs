@@ -62,14 +62,15 @@ pub struct EvalResult {
     pub per_class: Vec<f64>,
 }
 
-/// How the engine executes workers: persistent pool (default), everything
-/// inline on the caller's thread, or the legacy per-step scoped threads
-/// (kept as a bench baseline).
+/// How the engine executes workers: the supervised persistent pool
+/// (default), or everything on the caller's thread — the N≡1 reference.
 enum Backend {
-    /// Workers owned by the engine, stepped on the caller's thread
-    /// (sequentially, or via per-step scoped threads when `scoped`).
-    Inline { workers: Vec<EasyScaleWorker>, scoped: bool },
-    /// Workers moved onto persistent pool threads.
+    /// Workers owned by the engine, stepped sequentially on the caller's
+    /// thread. Cannot fault independently: every error list is empty.
+    SingleThread(Vec<EasyScaleWorker>),
+    /// Workers moved onto persistent pool threads. A faulted worker is
+    /// replaced via `respawn` and the interaction replayed, reported in the
+    /// error list.
     Pool(Box<WorkerPool>),
 }
 
@@ -79,15 +80,11 @@ impl Backend {
             ExecMode::Pool => {
                 Backend::Pool(Box::new(WorkerPool::spawn(workers, &exec.device_ids, exec.drain)))
             }
-            ExecMode::SingleThread => Backend::Inline { workers, scoped: false },
-            ExecMode::Scoped => Backend::Inline { workers, scoped: true },
+            ExecMode::SingleThread => Backend::SingleThread(workers),
         }
     }
 
     /// One concurrent (or sequential) local-step round, in worker order.
-    /// Pool execution is supervised: a faulted worker is replaced via
-    /// `respawn` and the round replayed, reported in the error list (inline
-    /// backends cannot fault independently; their list is always empty).
     fn run_steps(
         &mut self,
         epoch: u64,
@@ -95,33 +92,16 @@ impl Backend {
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<LocalStep>, Vec<PoolError>) {
         match self {
-            Backend::Inline { workers, scoped } => {
-                let steps = if *scoped && workers.len() > 1 {
-                    let handles: Vec<Vec<LocalStep>> = crossbeam::thread::scope(|s| {
-                        let joins: Vec<_> = workers
-                            .iter_mut()
-                            .map(|w| s.spawn(move |_| w.run_local_steps()))
-                            .collect();
-                        joins
-                            .into_iter()
-                            .map(|j| j.join().expect("worker thread panicked"))
-                            .collect()
-                    })
-                    .expect("crossbeam scope failed");
-                    handles.into_iter().flatten().collect()
-                } else {
-                    workers.iter_mut().flat_map(|w| w.run_local_steps()).collect()
-                };
-                (steps, Vec::new())
+            Backend::SingleThread(workers) => {
+                (workers.iter_mut().flat_map(|w| w.run_local_steps()).collect(), Vec::new())
             }
             Backend::Pool(pool) => pool.run_steps_supervised(epoch, lr, respawn),
         }
     }
 
     /// The averaged flat gradient over virtual ranks. Monolithic on the
-    /// caller's thread for inline backends; partitioned across the pool
-    /// otherwise — bitwise identical either way, supervised like
-    /// [`Backend::run_steps`].
+    /// caller's thread, or partitioned across the pool — bitwise identical
+    /// either way.
     fn reduce(
         &mut self,
         ddp: &Arc<ElasticDdp>,
@@ -129,7 +109,7 @@ impl Backend {
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<f32>, Vec<PoolError>) {
         match self {
-            Backend::Inline { .. } => (ddp.allreduce_avg(grads), Vec::new()),
+            Backend::SingleThread(_) => (ddp.allreduce_avg(grads), Vec::new()),
             Backend::Pool(pool) => pool.reduce_supervised(ddp, grads, respawn),
         }
     }
@@ -137,7 +117,7 @@ impl Backend {
     /// Apply the optimizer delta to every replica.
     fn apply(&mut self, delta: &Arc<Vec<f32>>) {
         match self {
-            Backend::Inline { workers, .. } => {
+            Backend::SingleThread(workers) => {
                 for w in workers.iter_mut() {
                     w.apply_update(delta);
                 }
@@ -146,11 +126,10 @@ impl Backend {
         }
     }
 
-    /// Checkpoint-relevant state of every worker, in worker order —
-    /// supervised like [`Backend::run_steps`].
+    /// Checkpoint-relevant state of every worker, in worker order.
     fn snapshots(&mut self, respawn: &mut RespawnFn<'_>) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
         match self {
-            Backend::Inline { workers, .. } => {
+            Backend::SingleThread(workers) => {
                 (workers.iter().map(WorkerSnapshot::capture).collect(), Vec::new())
             }
             Backend::Pool(pool) => pool.snapshots_supervised(respawn),
@@ -159,14 +138,19 @@ impl Backend {
 
     /// Run `f` with mutable access to worker `index` on the calling thread
     /// (pool workers are lent across and restored afterwards).
-    fn with_worker_mut<R>(&mut self, index: usize, f: impl FnOnce(&mut EasyScaleWorker) -> R) -> R {
+    fn with_worker_mut<R>(
+        &mut self,
+        index: usize,
+        f: impl FnOnce(&mut EasyScaleWorker) -> R,
+        respawn: &mut RespawnFn<'_>,
+    ) -> (R, Vec<PoolError>) {
         match self {
-            Backend::Inline { workers, .. } => f(&mut workers[index]),
+            Backend::SingleThread(workers) => (f(&mut workers[index]), Vec::new()),
             Backend::Pool(pool) => {
-                let mut w = pool.lend(index);
+                let (mut w, faults) = pool.lend(index, respawn);
                 let r = f(&mut w);
                 pool.restore(index, w);
-                r
+                (r, faults)
             }
         }
     }
@@ -195,7 +179,7 @@ pub struct PoolRecovery {
     /// policy's total backoff budget ([`RetryPolicy::total_backoff_us`]).
     pub virtual_latency_us: u64,
     /// Which pool interaction detected the fault (`step` / `reduce` /
-    /// `checkpoint`).
+    /// `checkpoint` / `evaluate`).
     pub phase: &'static str,
 }
 
@@ -220,7 +204,7 @@ impl PoolRecovery {
 /// the [`Engine::from_checkpoint`] restore recipe scoped to a single slot,
 /// which is why replaying the interrupted command lands on the fault-free
 /// bits.
-fn build_replacement(
+pub(crate) fn build_replacement(
     config: &JobConfig,
     placement: &Placement,
     params: &[f32],
@@ -406,14 +390,36 @@ impl Engine {
         self.placement.slots.iter().map(|s| s.vranks.len() as u32).collect()
     }
 
-    /// Counters of the persistent worker pool, `None` for inline execution
-    /// modes. Tests use this (plus the pool's per-drain thread-id
-    /// assertions) to prove worker threads survive across global steps.
+    /// Counters of the persistent worker pool, `None` for single-thread
+    /// execution. Tests use this (plus an empty recovery log) to prove
+    /// worker threads survive across global steps.
     pub fn pool_stats(&self) -> Option<PoolStats> {
         match &self.backend {
             Backend::Pool(pool) => Some(pool.stats()),
-            Backend::Inline { .. } => None,
+            Backend::SingleThread(_) => None,
         }
+    }
+
+    /// Run one supervised backend interaction: `op` gets the backend and the
+    /// respawn recipe (a bitwise-identical rebuild from the param mirror and
+    /// the slot's last recovery snapshot — see [`build_replacement`]), and
+    /// every fault it recovered from is logged as a [`PoolRecovery`] of
+    /// `phase` at the current step.
+    fn supervised<R>(
+        &mut self,
+        phase: &'static str,
+        op: impl FnOnce(&mut Backend, &mut RespawnFn<'_>) -> (R, Vec<PoolError>),
+    ) -> R {
+        let Engine { config, placement, params, backend, .. } = self;
+        let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
+            build_replacement(config, placement, params, err.worker(), snap)
+        };
+        let (out, faults) = op(backend, &mut respawn);
+        let step = self.global_step;
+        let latency_us = self.exec.drain.total_backoff_us();
+        self.pool_recoveries
+            .extend(faults.iter().map(|e| PoolRecovery::record(step, e, latency_us, phase)));
+        out
     }
 
     /// Arm transient comm faults for upcoming all-reduces (fault injection;
@@ -451,26 +457,15 @@ impl Engine {
         let epoch = self.epoch();
         let lr = self.config.lr.lr(epoch);
         let step = self.global_step;
-        let latency_us = self.exec.drain.total_backoff_us();
 
         // Local steps. Workers run in parallel (persistent pool threads by
         // default); each owns its model replica, pool, and contexts, so no
         // synchronization is needed until merge. Pool execution is
-        // supervised: a worker that dies or goes silent is replaced with a
-        // bitwise-identical rebuild from the param mirror and its last
-        // recovery snapshot, and the round is replayed — so `locals` is the
-        // same set of bits whether or not a fault happened.
-        let (mut locals, step_faults) = {
-            let config = &self.config;
-            let placement = &self.placement;
-            let params = &self.params;
-            let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
-                build_replacement(config, placement, params, err.worker(), snap)
-            };
-            self.backend.run_steps(epoch, lr, &mut respawn)
-        };
-        self.pool_recoveries
-            .extend(step_faults.iter().map(|e| PoolRecovery::record(step, e, latency_us, "step")));
+        // supervised: a worker that dies or goes silent is replaced and the
+        // round is replayed — so `locals` is the same set of bits whether or
+        // not a fault happened.
+        let mut locals =
+            self.supervised("step", |backend, respawn| backend.run_steps(epoch, lr, respawn));
         // Deterministic merge: virtual-rank order, independent of thread
         // completion order.
         let merge_span = obs::span("merge");
@@ -487,26 +482,18 @@ impl Engine {
         // across the worker pool (fixed bucket partition — same bits) and
         // supervised the same way as the step round.
         let policy = self.comm_retry;
-        let mut reduce_faults: Vec<PoolError> = Vec::new();
-        let (avg, _retry_stats) = {
-            let config = &self.config;
-            let placement = &self.placement;
-            let params = &self.params;
-            let ddp = &self.ddp;
-            let backend = &mut self.backend;
-            let reduce_faults = &mut reduce_faults;
-            let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
-                build_replacement(config, placement, params, err.worker(), snap)
-            };
-            comm::retry_reduce(&policy, &mut self.comm_faults, || {
-                let (avg, faults) = backend.reduce(ddp, &grads, &mut respawn);
-                reduce_faults.extend(faults);
-                avg
-            })?
+        // The closure borrows the whole engine, so the (`Copy`) fault script
+        // is threaded through a local, and the layout handle is scoped so it
+        // is gone before the bucket rebuild below wants `ddp` unshared.
+        let mut comm_faults = self.comm_faults;
+        let reduced = {
+            let ddp = Arc::clone(&self.ddp);
+            comm::retry_reduce(&policy, &mut comm_faults, || {
+                self.supervised("reduce", |backend, respawn| backend.reduce(&ddp, &grads, respawn))
+            })
         };
-        self.pool_recoveries.extend(
-            reduce_faults.iter().map(|e| PoolRecovery::record(step, e, latency_us, "reduce")),
-        );
+        self.comm_faults = comm_faults;
+        let (avg, _retry_stats) = reduced?;
 
         // One optimizer update, applied identically to every replica (and
         // to the engine-side mirror — elementwise, so bitwise equal).
@@ -548,19 +535,7 @@ impl Engine {
     /// panicking the engine.
     pub fn checkpoint(&mut self) -> JobCheckpoint {
         let _ckpt_span = obs::span("engine.checkpoint");
-        let step = self.global_step;
-        let latency_us = self.exec.drain.total_backoff_us();
-        let (snaps, faults) = {
-            let config = &self.config;
-            let placement = &self.placement;
-            let params = &self.params;
-            let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
-                build_replacement(config, placement, params, err.worker(), snap)
-            };
-            self.backend.snapshots(&mut respawn)
-        };
-        self.pool_recoveries
-            .extend(faults.iter().map(|e| PoolRecovery::record(step, e, latency_us, "checkpoint")));
+        let snaps = self.supervised("checkpoint", |backend, respawn| backend.snapshots(respawn));
         // EST contexts gathered from their current owners, in vrank order.
         let mut contexts: Vec<Option<EstContext>> = vec![None; self.config.n_ests as usize];
         for s in &snaps {
@@ -613,12 +588,12 @@ impl Engine {
 
     /// Arm a real [`ThreadFault`] on pool worker `worker % n` (faultsim
     /// chaos), consumed at that worker's next step command. Returns the
-    /// armed slot index, or `None` for inline execution modes (no worker
+    /// armed slot index, or `None` for single-thread execution (no worker
     /// threads exist to fault).
     pub fn inject_thread_fault(&mut self, worker: usize, fault: ThreadFault) -> Option<usize> {
         match &self.backend {
             Backend::Pool(pool) => Some(pool.arm_fault(worker, fault)),
-            Backend::Inline { .. } => None,
+            Backend::SingleThread(_) => None,
         }
     }
 
@@ -640,8 +615,9 @@ impl Engine {
             .enumerate()
             .find_map(|(wi, s)| s.vranks.iter().position(|&r| r == 0).map(|ci| (wi, ci)))
             .expect("rank 0 is always placed");
-        let (overall, per_class) =
-            self.backend.with_worker_mut(wi, |w| w.evaluate(dataset, batch_size, ci));
+        let (overall, per_class) = self.supervised("evaluate", |backend, respawn| {
+            backend.with_worker_mut(wi, |w| w.evaluate(dataset, batch_size, ci), respawn)
+        });
         EvalResult { overall, per_class }
     }
 
@@ -820,44 +796,39 @@ mod tests {
     #[test]
     fn all_exec_modes_are_bitwise_identical() {
         // The tentpole invariant at engine level: pool (N persistent
-        // threads), single-thread, and legacy scoped execution produce the
-        // same bits — including across a mid-run rescale.
+        // threads) and single-thread execution produce the same bits —
+        // including across a mid-run rescale.
         let exec = |mode| ExecOptions { mode, ..ExecOptions::default() };
         let p = || Placement::one_est_per_gpu(4, GpuType::V100);
         let mut pool = Engine::new_opts(config(), p(), exec(ExecMode::Pool));
         let mut single = Engine::new_opts(config(), p(), exec(ExecMode::SingleThread));
-        let mut scoped = Engine::new_opts(config(), p(), exec(ExecMode::Scoped));
         for _ in 0..2 {
             pool.step();
             single.step();
-            scoped.step();
         }
         let shrink = Placement::homogeneous(4, 2, GpuType::V100);
         let mut pool = pool.rescale(shrink.clone());
-        let mut single = single.rescale(shrink.clone());
-        let mut scoped = scoped.rescale(shrink);
+        let mut single = single.rescale(shrink);
         for _ in 0..2 {
             pool.step();
             single.step();
-            scoped.step();
         }
         assert_eq!(params_bits(&pool), params_bits(&single));
-        assert_eq!(params_bits(&pool), params_bits(&scoped));
     }
 
     #[test]
     fn pool_threads_survive_across_steps() {
         // The no-respawn guarantee: three global steps served by the same
-        // four threads. `WorkerPool::run_steps` asserts every drained batch
-        // came from the spawn-time thread id, so reaching steps_served == 3
-        // proves no respawn happened.
+        // four threads. Every respawn is logged as a recovery, so an empty
+        // log at steps_served == 3 proves no respawn happened.
         let mut e = Engine::new(config(), Placement::one_est_per_gpu(4, GpuType::V100));
         assert_eq!(e.pool_stats(), Some(crate::pool::PoolStats { workers: 4, steps_served: 0 }));
         for _ in 0..3 {
             e.step();
         }
         assert_eq!(e.pool_stats(), Some(crate::pool::PoolStats { workers: 4, steps_served: 3 }));
-        // Inline modes have no pool.
+        assert!(e.take_pool_recoveries().is_empty());
+        // Single-thread execution has no pool.
         let inline = Engine::new_opts(
             config(),
             Placement::one_est_per_gpu(4, GpuType::V100),

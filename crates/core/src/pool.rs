@@ -1,51 +1,43 @@
 //! Persistent worker-thread pool: each physical worker lives on one OS
-//! thread for the engine's lifetime — now supervised against real faults.
+//! thread for the engine's lifetime, supervised against real faults.
 //!
-//! The old engine *borrowed* threads — a `crossbeam::thread::scope` spawned
-//! and tore down one thread per worker inside every global step. This module
-//! replaces that with the real elastic-training shape (ROADMAP item 1): the
-//! engine spawns one named thread per physical worker when it is built,
-//! drives the threads over per-worker command channels, and only ever
-//! respawns them on `rescale` (where the worker set itself changes) — or,
-//! since PR 9, when a worker *faults* and the supervisor replaces it.
+//! The engine spawns one named thread per physical worker when it is built,
+//! drives the threads over per-worker command channels, and respawns them
+//! only on `rescale` (where the worker set itself changes) or when a worker
+//! *faults* and the supervisor replaces it.
 //!
 //! Determinism story (docs/PARALLELISM.md): worker threads run local steps
 //! and merge-side bucket reductions concurrently, so *completion* order is
-//! up to the OS scheduler — classic D1 entropy. Every result crosses back to
-//! the engine through one of two fences:
-//!
-//! - an [`Exchange`] keyed by worker index, drained with
-//!   [`Exchange::drain_sorted`] / [`Exchange::drain_deadline`] (declared
-//!   detlint taint barriers) so the engine consumes results in canonical
-//!   worker order, or
-//! - [`WorkerPool::recv_ordered`] and its deadline twin, which read
-//!   per-worker reply channels in explicit index order (also declared
-//!   barriers).
-//!
-//! Past those fences no bit depends on scheduling, which is what the
+//! up to the OS scheduler — classic D1 entropy. Every worker→engine message
+//! (step batches, reduce partials, snapshot and lend replies) crosses back
+//! through one kind of fence: an [`Exchange`] keyed by worker index, drained
+//! with [`Exchange::drain_deadline`] (a declared detlint taint barrier) so
+//! the engine consumes results in canonical worker order, each stamped with
+//! the round's `seq` and the publisher's `ThreadId` so a late message from
+//! an earlier round or a reaped thread is discarded, never consumed. Past
+//! that fence no bit depends on scheduling, which is what the
 //! `nthread_eq_single` proptest checks end to end.
 //!
-//! Supervision story (docs/HEALTH.md): the `*_supervised` entry points
-//! replace the old panic-on-death protocol. A worker that panics, stalls
-//! past the drain deadline, or silently drops its reply surfaces as a typed
+//! Supervision story (docs/HEALTH.md): step, reduce, snapshot and lend are
+//! four callers of one supervised round. A worker that panics, stalls past
+//! the drain deadline, or silently drops its reply surfaces as a typed
 //! [`PoolError`] naming the `esw-dev<id>` thread. The supervisor then reaps
 //! the thread (joining it if dead, quarantining it if merely unresponsive),
 //! asks the engine for a replacement worker seeded from the engine-held
 //! param mirror (proven bitwise-equal to every replica), reinstalls it on a
 //! fresh thread, and replays the interrupted command. Because replacements
 //! are rebuilt from pre-step state and results still cross the canonical
-//! fences, recovery is invisible in the deterministic outputs: post-recovery
+//! fence, recovery is invisible in the deterministic outputs: post-recovery
 //! params are byte-identical to a fault-free run.
 
 use crate::est::EstContext;
 use crate::worker::{EasyScaleWorker, LocalStep};
-use comm::exchange::{channel, Receiver, RecvTimeoutError, Sender};
+use comm::exchange::{channel, Receiver, Sender};
 use comm::{ElasticDdp, Exchange, ExchangeTx, RetryPolicy};
 use data::LoaderCheckpoint;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::thread::{JoinHandle, ThreadId};
-use std::time::Duration;
 
 /// How the engine executes its physical workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -57,9 +49,6 @@ pub enum ExecMode {
     /// Everything on the caller's thread, workers stepped sequentially.
     /// The reference for the N-thread ≡ 1-thread equivalence tests.
     SingleThread,
-    /// The pre-pool model: scoped threads spawned inside every global step.
-    /// Kept as a bench/regression baseline for the spawn overhead.
-    Scoped,
 }
 
 /// Execution options for an [`Engine`](crate::Engine).
@@ -230,12 +219,12 @@ pub type RespawnFn<'a> = dyn FnMut(&PoolError, &WorkerSnapshot) -> Box<EasyScale
 
 /// One engine→worker command. Per-worker channels are FIFO, so a worker
 /// observes commands in exactly the engine's program order — `Apply` always
-/// lands before the next `Step`, no acknowledgement needed.
+/// lands before the next `Step`, no acknowledgement needed. Every command
+/// that owes an answer carries its round's `seq`, echoed back in the
+/// [`Fenced`] envelope for stale-result filtering after a recovery.
 enum Cmd {
     /// Run one local step per hosted EST and publish the batch.
     Step {
-        /// Round sequence number, echoed back for protocol assertions and
-        /// stale-result filtering after a recovery.
         seq: u64,
         /// Epoch of this global step.
         epoch: u64,
@@ -243,15 +232,15 @@ enum Cmd {
         lr: f32,
     },
     /// Ring-reduce this worker's bucket partition of `grads` and publish
-    /// the partial sums under round `seq`.
+    /// the partial sums.
     Reduce { seq: u64, ddp: Arc<ElasticDdp>, grads: Arc<Vec<Vec<f32>>>, parts: usize },
     /// Apply the (identical-everywhere) optimizer delta to the replica.
     Apply(Arc<Vec<f32>>),
-    /// Reply with a [`WorkerSnapshot`].
-    Snapshot,
-    /// Reply with the owned worker itself (evaluation runs on the engine
+    /// Publish a [`WorkerSnapshot`].
+    Snapshot { seq: u64 },
+    /// Publish the owned worker itself (evaluation runs on the engine
     /// thread because eval datasets are borrowed, not `'static`).
-    Lend,
+    Lend { seq: u64 },
     /// Return a previously lent worker.
     Restore(Box<EasyScaleWorker>),
     /// Arm a [`ThreadFault`], consumed at the next `Step` (faultsim chaos).
@@ -260,50 +249,65 @@ enum Cmd {
     Exit,
 }
 
-/// One worker→engine reply (for request/response commands; step and reduce
-/// results travel through the keyed exchanges instead).
+/// The envelope every worker→engine message travels in: the commanding
+/// round's `seq` and the publishing thread's id. The supervised round
+/// consumes a message only if both match the slot's current round and
+/// thread — a publish from an earlier round or a reaped thread is stale.
+struct Fenced<T> {
+    seq: u64,
+    thread: ThreadId,
+    body: T,
+}
+
+impl<T> Fenced<T> {
+    /// Stamp `body` as the calling thread's answer to round `seq`.
+    fn new(seq: u64, body: T) -> Self {
+        Fenced { seq, thread: std::thread::current().id(), body }
+    }
+}
+
+/// What a worker publishes after a `Step` command: its local steps plus the
+/// command echo and a post-step snapshot the supervisor holds as the slot's
+/// recovery seed for the *next* step.
+struct StepBatch {
+    epoch: u64,
+    lr: f32,
+    steps: Vec<LocalStep>,
+    recovery: WorkerSnapshot,
+}
+
+/// What a worker publishes after a `Reduce` command: its partial bucket
+/// sums, as `(bucket index, reduced values)`.
+type PartialBatch = Vec<(usize, Vec<f32>)>;
+
+/// What a worker publishes after a `Snapshot` or `Lend` command.
 enum Reply {
     Snapshot(Box<WorkerSnapshot>),
     Worker(Box<EasyScaleWorker>),
 }
 
-/// What a worker publishes after a `Step` command: its local steps plus the
-/// command echo, its thread id (stale-result fence: a batch from a reaped
-/// thread never matches the slot's current id), and a post-step snapshot the
-/// supervisor holds as the slot's recovery seed for the *next* step.
-struct StepBatch {
-    seq: u64,
-    epoch: u64,
-    lr: f32,
-    thread: ThreadId,
-    steps: Vec<LocalStep>,
-    recovery: WorkerSnapshot,
+/// The publish handles one worker thread holds, one per exchange.
+struct Publishers {
+    steps: ExchangeTx<Fenced<StepBatch>>,
+    partials: ExchangeTx<Fenced<PartialBatch>>,
+    replies: ExchangeTx<Fenced<Reply>>,
 }
 
-/// What a worker publishes after a `Reduce` command: the partial bucket
-/// sums plus the same stale-result fence fields as [`StepBatch`].
-struct PartialBatch {
-    seq: u64,
-    thread: ThreadId,
-    parts: Vec<(usize, Vec<f32>)>,
-}
-
-/// The persistent pool: command senders, reply receivers, and the two keyed
-/// exchanges the worker threads publish into.
+/// The persistent pool: command senders and the three keyed exchanges the
+/// worker threads publish into.
 pub struct WorkerPool {
     cmds: Vec<Sender<Cmd>>,
-    replies: Vec<Receiver<Reply>>,
-    steps: Exchange<StepBatch>,
-    partials: Exchange<PartialBatch>,
-    /// Live thread handles; `None` only transiently inside a recovery.
+    steps: Exchange<Fenced<StepBatch>>,
+    partials: Exchange<Fenced<PartialBatch>>,
+    replies: Exchange<Fenced<Reply>>,
+    /// Live thread handles; `None` only transiently inside a recovery. A
+    /// slot's current `ThreadId` is read off its handle: every drained
+    /// message must match it or it is a stale publish from a reaped thread.
     threads: Vec<Option<JoinHandle<()>>>,
     /// Unresponsive threads the supervisor gave up on: unparked and written
     /// off, joined best-effort at shutdown (they exit once their old command
     /// channel drops, so the join cannot hang).
     quarantined: Vec<JoinHandle<()>>,
-    /// Thread id recorded at (re)spawn, per worker; every drained batch
-    /// must match it or it is a stale publish from a reaped thread.
-    ids: Vec<ThreadId>,
     /// Device id per slot (thread naming + fault attribution).
     devices: Vec<u32>,
     /// Per-slot recovery seed: the snapshot a replacement worker replays
@@ -316,41 +320,50 @@ pub struct WorkerPool {
     steps_served: u64,
 }
 
+/// Start slot `key`'s `esw-dev<dev>` thread around `worker`, returning its
+/// command sender and join handle.
+// Audited fence: the per-worker command channel is raw mpsc by design
+// (single-producer FIFO), hence the workspace-ban allow.
+#[allow(clippy::disallowed_methods)]
+fn launch(
+    key: usize,
+    dev: u32,
+    worker: Box<EasyScaleWorker>,
+    out: Publishers,
+) -> (Sender<Cmd>, JoinHandle<()>) {
+    let (cmd_tx, cmd_rx) = channel();
+    let handle = std::thread::Builder::new()
+        .name(format!("esw-dev{dev}"))
+        .spawn(move || worker_main(key as u64, worker, cmd_rx, out))
+        .expect("failed to spawn worker thread");
+    (cmd_tx, handle)
+}
+
 impl WorkerPool {
     /// Spawn one named persistent thread per worker, moving each worker onto
     /// its thread. `device_ids` (slot order) name the threads `esw-dev{id}`;
     /// missing entries fall back to the slot index. `drain` bounds how long
     /// the supervised drains wait for a silent worker.
-    // Audited fence: the per-worker command/reply channels are raw mpsc by
-    // design (single-producer FIFO), hence the workspace-ban allow.
-    #[allow(clippy::disallowed_methods)]
     pub fn spawn(workers: Vec<EasyScaleWorker>, device_ids: &[u32], drain: RetryPolicy) -> Self {
         let n = workers.len();
         assert!(n > 0, "pool needs at least one worker");
         let recovery: Vec<WorkerSnapshot> = workers.iter().map(WorkerSnapshot::capture).collect();
-        let mut steps: Exchange<StepBatch> = Exchange::new();
-        let mut partials: Exchange<PartialBatch> = Exchange::new();
+        let mut steps = Exchange::new();
+        let mut partials = Exchange::new();
+        let mut replies = Exchange::new();
         let mut cmds = Vec::with_capacity(n);
-        let mut replies = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
-        let mut ids = Vec::with_capacity(n);
         let mut devices = Vec::with_capacity(n);
         for (i, worker) in workers.into_iter().enumerate() {
             let dev = device_ids.get(i).copied().unwrap_or(i as u32);
-            let (cmd_tx, cmd_rx) = channel();
-            let (reply_tx, reply_rx) = channel();
-            let step_tx = steps.handle();
-            let partial_tx = partials.handle();
-            let handle = std::thread::Builder::new()
-                .name(format!("esw-dev{dev}"))
-                .spawn(move || {
-                    worker_main(i as u64, Box::new(worker), cmd_rx, reply_tx, step_tx, partial_tx)
-                })
-                .expect("failed to spawn worker thread");
-            ids.push(handle.thread().id());
+            let out = Publishers {
+                steps: steps.handle(),
+                partials: partials.handle(),
+                replies: replies.handle(),
+            };
+            let (cmd_tx, handle) = launch(i, dev, Box::new(worker), out);
             threads.push(Some(handle));
             cmds.push(cmd_tx);
-            replies.push(reply_rx);
             devices.push(dev);
         }
         // Seal: ordinary handle minting is closed. The supervisor mints
@@ -358,15 +371,15 @@ impl WorkerPool {
         // respawns a faulted worker.
         steps.seal();
         partials.seal();
+        replies.seal();
         obs::counter_add("engine.pool.spawns_total", n as u64);
         WorkerPool {
             cmds,
-            replies,
             steps,
             partials,
+            replies,
             threads,
             quarantined: Vec::new(),
-            ids,
             devices,
             recovery,
             drain,
@@ -400,47 +413,76 @@ impl WorkerPool {
         i
     }
 
-    /// One concurrent local-step round: command every worker, then drain the
-    /// step exchange in canonical worker order. The returned list is in
-    /// worker order (callers still sort by vrank, as the sequential engine
-    /// always did).
-    ///
-    /// This is the fault-*oblivious* drain — a dead worker hangs it. The
-    /// engine's pool path uses [`WorkerPool::run_steps_supervised`]; this
-    /// stays as the minimal protocol reference and unit-test surface.
-    pub fn run_steps(&mut self, epoch: u64, lr: f32) -> Vec<LocalStep> {
-        let n = self.len();
+    /// The one supervised round every request/response interaction runs:
+    /// send `cmd(seq)` to each of `slots`, drain `exchange` under the
+    /// deadline until every slot holds a message that passes the
+    /// `seq`+`ThreadId` fence, and return the bodies in slot order. A slot
+    /// that cannot take its command, or has nothing in flight when the
+    /// deadline expires, is reaped, replaced via `respawn`, and re-commanded
+    /// with the *same* round — so the bodies are bitwise identical to a
+    /// fault-free round. Every recovery is reported in the second tuple
+    /// element (empty when clean).
+    fn round<T>(
+        &mut self,
+        exchange: fn(&mut WorkerPool) -> &mut Exchange<Fenced<T>>,
+        slots: std::ops::Range<usize>,
+        cmd: &dyn Fn(u64) -> Cmd,
+        respawn: &mut RespawnFn<'_>,
+    ) -> (Vec<T>, Vec<PoolError>) {
         self.seq += 1;
         let seq = self.seq;
-        for tx in &self.cmds {
-            tx.send(Cmd::Step { seq, epoch, lr }).expect("worker thread died");
+        let policy = self.drain;
+        let mut errors: Vec<PoolError> = Vec::new();
+        for i in slots.clone() {
+            if self.cmds[i].send(cmd(seq)).is_err() {
+                // Dead before the round even started: recover eagerly so the
+                // drain below only waits on workers that might answer.
+                errors.push(self.recover(i, cmd(seq), respawn));
+            }
         }
-        // Each round the scoped-thread engine would have paid n spawns.
-        obs::counter_add("engine.pool.spawns_avoided_total", n as u64);
-        let drain_span = obs::span("engine.drain_wait");
-        let batches = self.steps.drain_sorted(n);
-        drop(drain_span);
-        self.steps_served += 1;
-        let mut out = Vec::new();
-        for (key, batch) in batches {
-            debug_assert_eq!(batch.seq, seq, "stale step batch");
-            debug_assert_eq!(batch.epoch, epoch, "epoch echo mismatch");
-            debug_assert_eq!(batch.lr.to_bits(), lr.to_bits(), "lr echo mismatch");
-            assert_eq!(
-                batch.thread, self.ids[key as usize],
-                "worker thread was respawned mid-lifetime"
-            );
-            self.recovery[key as usize] = batch.recovery;
-            out.extend(batch.steps);
+        let mut got: BTreeMap<u64, T> = BTreeMap::new();
+        let mut drains = 0usize;
+        while got.len() < slots.len() {
+            drains += 1;
+            assert!(drains <= 8 * slots.len() + 8, "supervised drain did not converge");
+            let need = slots.len() - got.len();
+            let drained = {
+                let _drain_span = obs::span("engine.drain_wait");
+                exchange(self).drain_deadline(need, &policy)
+            };
+            match drained {
+                Ok(batch) => {
+                    for (key, msg) in batch {
+                        // Stale fence: publishes from reaped threads or
+                        // earlier rounds are discarded, never consumed.
+                        let current = self.threads[key as usize].as_ref().map(|h| h.thread().id());
+                        if msg.seq == seq && Some(msg.thread) == current {
+                            got.insert(key, msg.body);
+                        }
+                    }
+                }
+                Err(err) => {
+                    obs::counter_add("engine.drain_timeout", 1);
+                    // Keys the drain did receive sit buffered in the
+                    // exchange; only workers with nothing in flight at all
+                    // are faulted. (Buffered stale messages can mask a dead
+                    // worker for one drain; the next drain unmasks it.)
+                    for i in slots.clone() {
+                        let key = i as u64;
+                        if !got.contains_key(&key) && !err.received().contains(&key) {
+                            errors.push(self.recover(i, cmd(seq), respawn));
+                        }
+                    }
+                }
+            }
         }
-        out
+        (got.into_values().collect(), errors)
     }
 
-    /// [`WorkerPool::run_steps`] under supervision: workers that die, stall,
-    /// or drop their publish are detected by the drain deadline, reaped,
-    /// replaced via `respawn`, and re-commanded with the *same* round — so
-    /// the returned steps are bitwise identical to a fault-free round. Every
-    /// recovery is reported in the second tuple element (empty when clean).
+    /// One concurrent local-step round, supervised (see the module docs):
+    /// the returned steps are in worker order (callers still sort by vrank)
+    /// and bitwise identical whether or not a worker faulted. `epoch` and
+    /// `lr` are echoed by the workers, not used by the local steps.
     pub fn run_steps_supervised(
         &mut self,
         epoch: u64,
@@ -448,102 +490,29 @@ impl WorkerPool {
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<LocalStep>, Vec<PoolError>) {
         let n = self.len();
-        self.seq += 1;
-        let seq = self.seq;
-        let mut errors: Vec<PoolError> = Vec::new();
-        for i in 0..n {
-            if self.cmds[i].send(Cmd::Step { seq, epoch, lr }).is_err() {
-                // Dead before the round even started: recover eagerly so the
-                // drain below only waits on workers that might answer.
-                let err = self.recover(i, respawn);
-                self.cmds[i].send(Cmd::Step { seq, epoch, lr }).expect("respawned worker died");
-                errors.push(err);
-            }
-        }
+        let (batches, errors) =
+            self.round(|p| &mut p.steps, 0..n, &|seq| Cmd::Step { seq, epoch, lr }, respawn);
+        // Each round a spawn-per-step engine would have paid n spawns.
         obs::counter_add("engine.pool.spawns_avoided_total", n as u64);
-        let mut got: BTreeMap<u64, StepBatch> = BTreeMap::new();
-        let mut rounds = 0usize;
-        while got.len() < n {
-            rounds += 1;
-            assert!(rounds <= 8 * n + 8, "supervised step drain did not converge");
-            let need = n - got.len();
-            let drain_span = obs::span("engine.drain_wait");
-            let drained = self.steps.drain_deadline(need, &self.drain);
-            drop(drain_span);
-            match drained {
-                Ok(batches) => {
-                    for (key, batch) in batches {
-                        // Stale fence: publishes from reaped threads or
-                        // earlier rounds are discarded, never consumed.
-                        if batch.seq != seq || batch.thread != self.ids[key as usize] {
-                            continue;
-                        }
-                        got.insert(key, batch);
-                    }
-                }
-                Err(err) => {
-                    obs::counter_add("engine.drain_timeout", 1);
-                    // Keys the drain did receive sit buffered in the
-                    // exchange; only workers with nothing in flight at all
-                    // are faulted. (Buffered stale batches can mask a dead
-                    // worker for one round; the next round unmasks it.)
-                    let missing: Vec<usize> = (0..n)
-                        .filter(|&i| {
-                            !got.contains_key(&(i as u64)) && !err.received().contains(&(i as u64))
-                        })
-                        .collect();
-                    for i in missing {
-                        let perr = self.recover(i, respawn);
-                        self.cmds[i]
-                            .send(Cmd::Step { seq, epoch, lr })
-                            .expect("respawned worker died");
-                        errors.push(perr);
-                    }
-                }
-            }
-        }
         self.steps_served += 1;
         let mut out = Vec::new();
-        for (key, batch) in got {
+        for (slot, batch) in batches.into_iter().enumerate() {
             debug_assert_eq!(batch.epoch, epoch, "epoch echo mismatch");
             debug_assert_eq!(batch.lr.to_bits(), lr.to_bits(), "lr echo mismatch");
-            self.recovery[key as usize] = batch.recovery;
+            self.recovery[slot] = batch.recovery;
             out.extend(batch.steps);
         }
         (out, errors)
     }
 
-    /// One parallel merge-side reduction: every worker ring-reduces its
-    /// fixed bucket partition, the engine drains the partials in canonical
-    /// order and assembles the averaged flat gradient. Bitwise identical to
-    /// [`ElasticDdp::allreduce_avg`] — see `comm`'s
-    /// `partitioned_reduce_matches_monolithic_bitwise` test.
-    ///
-    /// Fault-oblivious, like [`WorkerPool::run_steps`]; the engine uses
-    /// [`WorkerPool::reduce_supervised`].
-    pub fn reduce(&mut self, ddp: &Arc<ElasticDdp>, grads: &Arc<Vec<Vec<f32>>>) -> Vec<f32> {
-        let n = self.len();
-        self.seq += 1;
-        let seq = self.seq;
-        for tx in &self.cmds {
-            tx.send(Cmd::Reduce { seq, ddp: Arc::clone(ddp), grads: Arc::clone(grads), parts: n })
-                .expect("worker thread died");
-        }
-        let drained = {
-            let _drain_span = obs::span("engine.drain_wait");
-            self.partials.drain_sorted(n)
-        };
-        let parts: Vec<(usize, Vec<f32>)> =
-            drained.into_iter().flat_map(|(_, p)| p.parts).collect();
-        ddp.assemble_avg(&parts)
-    }
-
-    /// [`WorkerPool::reduce`] under supervision, mirroring
-    /// [`WorkerPool::run_steps_supervised`]: faulted workers are reaped,
-    /// replaced, and re-commanded with the same round, and the assembled
-    /// gradient is bitwise identical to a fault-free reduction (partial
-    /// reductions are pure functions of `ddp`/`grads`/slot, so a replacement
-    /// recomputes exactly the lost partials).
+    /// One parallel merge-side reduction, supervised: every worker
+    /// ring-reduces its fixed bucket partition, the engine drains the
+    /// partials in canonical order and assembles the averaged flat gradient.
+    /// Bitwise identical to [`ElasticDdp::allreduce_avg`] — see `comm`'s
+    /// `partitioned_reduce_matches_monolithic_bitwise` test — with or
+    /// without a fault: partial reductions are pure functions of
+    /// `ddp`/`grads`/slot, so a replacement recomputes exactly the lost
+    /// partials.
     pub fn reduce_supervised(
         &mut self,
         ddp: &Arc<ElasticDdp>,
@@ -551,141 +520,60 @@ impl WorkerPool {
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<f32>, Vec<PoolError>) {
         let n = self.len();
-        self.seq += 1;
-        let seq = self.seq;
-        let send = |cmds: &[Sender<Cmd>], i: usize| {
-            cmds[i].send(Cmd::Reduce {
-                seq,
-                ddp: Arc::clone(ddp),
-                grads: Arc::clone(grads),
-                parts: n,
-            })
-        };
-        let mut errors: Vec<PoolError> = Vec::new();
-        for i in 0..n {
-            if send(&self.cmds, i).is_err() {
-                let err = self.recover(i, respawn);
-                send(&self.cmds, i).expect("respawned worker died");
-                errors.push(err);
-            }
-        }
-        let mut got: BTreeMap<u64, PartialBatch> = BTreeMap::new();
-        let mut rounds = 0usize;
-        while got.len() < n {
-            rounds += 1;
-            assert!(rounds <= 8 * n + 8, "supervised reduce drain did not converge");
-            let need = n - got.len();
-            let drained = {
-                let _drain_span = obs::span("engine.drain_wait");
-                self.partials.drain_deadline(need, &self.drain)
-            };
-            match drained {
-                Ok(batches) => {
-                    for (key, batch) in batches {
-                        if batch.seq != seq || batch.thread != self.ids[key as usize] {
-                            continue;
-                        }
-                        got.insert(key, batch);
-                    }
-                }
-                Err(err) => {
-                    obs::counter_add("engine.drain_timeout", 1);
-                    let missing: Vec<usize> = (0..n)
-                        .filter(|&i| {
-                            !got.contains_key(&(i as u64)) && !err.received().contains(&(i as u64))
-                        })
-                        .collect();
-                    for i in missing {
-                        let perr = self.recover(i, respawn);
-                        send(&self.cmds, i).expect("respawned worker died");
-                        errors.push(perr);
-                    }
-                }
-            }
-        }
-        let parts: Vec<(usize, Vec<f32>)> = got.into_values().flat_map(|p| p.parts).collect();
+        let cmd =
+            |seq| Cmd::Reduce { seq, ddp: Arc::clone(ddp), grads: Arc::clone(grads), parts: n };
+        let (partials, errors) = self.round(|p| &mut p.partials, 0..n, &cmd, respawn);
+        let parts: PartialBatch = partials.into_iter().flatten().collect();
         (ddp.assemble_avg(&parts), errors)
     }
 
     /// Broadcast the optimizer delta. Fire-and-forget: per-worker FIFO
     /// ordering guarantees it is applied before any later command. A dead
     /// worker misses the send harmlessly — its replacement is reseeded from
-    /// the engine's post-apply mirror at the next supervised drain.
+    /// the engine's post-apply mirror at the next supervised round.
     pub fn apply(&self, delta: &Arc<Vec<f32>>) {
         for tx in &self.cmds {
             let _ = tx.send(Cmd::Apply(Arc::clone(delta)));
         }
     }
 
-    /// Snapshot every worker's checkpoint-relevant state, in worker order.
-    /// Fault-oblivious; the engine uses
-    /// [`WorkerPool::snapshots_supervised`].
-    pub fn snapshots(&self) -> Vec<WorkerSnapshot> {
-        for tx in &self.cmds {
-            tx.send(Cmd::Snapshot).expect("worker thread died");
-        }
-        let order: Vec<usize> = (0..self.len()).collect();
-        self.recv_ordered(&order)
-            .into_iter()
-            .map(|r| match r {
-                Reply::Snapshot(s) => *s,
-                Reply::Worker(_) => unreachable!("snapshot round returned a lent worker"),
-            })
-            .collect()
-    }
-
-    /// [`WorkerPool::snapshots`] under supervision: a worker that cannot
-    /// answer is reaped, replaced, and re-asked — and because replacements
-    /// are rebuilt from exactly the state a snapshot reports, the recovered
-    /// snapshot is bitwise identical to what the faulty worker owed.
+    /// Snapshot every worker's checkpoint-relevant state, in worker order,
+    /// supervised: a worker that cannot answer is reaped, replaced, and
+    /// re-asked — and because replacements are rebuilt from exactly the
+    /// state a snapshot reports, the recovered snapshot is bitwise identical
+    /// to what the faulty worker owed.
     pub fn snapshots_supervised(
         &mut self,
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
         let n = self.len();
-        let mut errors: Vec<PoolError> = Vec::new();
-        for i in 0..n {
-            if self.cmds[i].send(Cmd::Snapshot).is_err() {
-                let err = self.recover(i, respawn);
-                self.cmds[i].send(Cmd::Snapshot).expect("respawned worker died");
-                errors.push(err);
-            }
-        }
-        let mut out = Vec::with_capacity(n);
-        for i in 0..n {
-            let mut attempts = 0usize;
-            loop {
-                attempts += 1;
-                assert!(attempts <= 9, "supervised snapshot did not converge");
-                match self.recv_ordered_deadline(&[i]) {
-                    Ok(mut replies) => match replies.pop().expect("one reply") {
-                        Reply::Snapshot(s) => {
-                            out.push(*s);
-                            break;
-                        }
-                        Reply::Worker(_) => unreachable!("snapshot round returned a lent worker"),
-                    },
-                    Err(_) => {
-                        obs::counter_add("engine.drain_timeout", 1);
-                        let perr = self.recover(i, respawn);
-                        self.cmds[i].send(Cmd::Snapshot).expect("respawned worker died");
-                        errors.push(perr);
-                    }
-                }
-            }
-        }
-        (out, errors)
+        let (replies, errors) =
+            self.round(|p| &mut p.replies, 0..n, &|seq| Cmd::Snapshot { seq }, respawn);
+        let snaps = replies
+            .into_iter()
+            .map(|r| match r {
+                Reply::Snapshot(s) => *s,
+                Reply::Worker(_) => unreachable!("snapshot round returned a lent worker"),
+            })
+            .collect();
+        (snaps, errors)
     }
 
     /// Borrow worker `index` onto the calling thread (for evaluation, which
     /// takes non-`'static` datasets). Must be paired with
-    /// [`WorkerPool::restore`]. Unsupervised by design: lend/restore runs
-    /// only on the (fault-free) evaluation path, and a lent worker lives on
-    /// the engine thread where it cannot fault independently.
-    pub fn lend(&self, index: usize) -> Box<EasyScaleWorker> {
-        self.cmds[index].send(Cmd::Lend).expect("worker thread died");
-        match self.recv_ordered(&[index]).pop().expect("one reply") {
-            Reply::Worker(w) => w,
+    /// [`WorkerPool::restore`]. Supervised like every other round: a slot
+    /// whose thread died (say, inside a fire-and-forget `Apply`) lends its
+    /// replacement instead of panicking the engine. Once lent, the worker
+    /// lives on the engine thread where it cannot fault independently.
+    pub fn lend(
+        &mut self,
+        index: usize,
+        respawn: &mut RespawnFn<'_>,
+    ) -> (Box<EasyScaleWorker>, Vec<PoolError>) {
+        let (mut replies, errors) =
+            self.round(|p| &mut p.replies, index..index + 1, &|seq| Cmd::Lend { seq }, respawn);
+        match replies.pop().expect("one reply") {
+            Reply::Worker(w) => (w, errors),
             Reply::Snapshot(_) => unreachable!("lend round returned a snapshot"),
         }
     }
@@ -695,12 +583,12 @@ impl WorkerPool {
         self.cmds[index].send(Cmd::Restore(worker)).expect("worker thread died");
     }
 
-    /// Reap a faulty worker slot and install the replacement `respawn`
-    /// builds from the slot's recovery seed: classify the fault (a finished
-    /// thread is joined and its panic payload harvested; an unresponsive
-    /// one is unparked and quarantined — joining it could hang forever),
-    /// then respawn the slot on a fresh thread with fresh channels.
-    fn recover(&mut self, i: usize, respawn: &mut RespawnFn<'_>) -> PoolError {
+    /// Reap faulty worker slot `i`, install the replacement `respawn` builds
+    /// from the slot's recovery seed on a fresh thread, and hand it `replay`
+    /// (the interrupted command). Classifies the fault first: a finished
+    /// thread is joined and its panic payload harvested; an unresponsive one
+    /// is unparked and quarantined — joining it could hang forever.
+    fn recover(&mut self, i: usize, replay: Cmd, respawn: &mut RespawnFn<'_>) -> PoolError {
         let device = self.devices[i];
         let handle = self.threads[i].take().expect("slot already under recovery");
         obs::counter_add("engine.pool.quarantines_total", 1);
@@ -720,82 +608,20 @@ impl WorkerPool {
             PoolError::DrainTimeout { worker: i, device }
         };
         let replacement = respawn(&err, &self.recovery[i]);
-        self.reinstall(i, replacement);
-        err
-    }
-
-    /// Spawn `worker` as slot `i`'s replacement thread: fresh command and
-    /// reply channels (dropping the old sender tells a quarantined thread to
-    /// exit), replacement publish handles on the sealed exchanges, and a new
-    /// `esw-dev<id>` thread under the slot's stable device id.
-    // Audited fence, same as `spawn`: raw mpsc per-worker channels.
-    #[allow(clippy::disallowed_methods)]
-    fn reinstall(&mut self, i: usize, worker: Box<EasyScaleWorker>) {
-        let dev = self.devices[i];
-        let (cmd_tx, cmd_rx) = channel();
-        let (reply_tx, reply_rx) = channel();
-        let step_tx = self.steps.replacement_handle();
-        let partial_tx = self.partials.replacement_handle();
-        let handle = std::thread::Builder::new()
-            .name(format!("esw-dev{dev}"))
-            .spawn(move || worker_main(i as u64, worker, cmd_rx, reply_tx, step_tx, partial_tx))
-            .expect("failed to respawn worker thread");
-        self.ids[i] = handle.thread().id();
+        // Replacement publish handles on the sealed exchanges, a fresh
+        // command channel (dropping the old sender tells a quarantined
+        // thread to exit), a new thread under the slot's stable device id.
+        let out = Publishers {
+            steps: self.steps.replacement_handle(),
+            partials: self.partials.replacement_handle(),
+            replies: self.replies.replacement_handle(),
+        };
+        let (cmd_tx, handle) = launch(i, device, replacement, out);
         self.threads[i] = Some(handle);
         self.cmds[i] = cmd_tx;
-        self.replies[i] = reply_rx;
         obs::counter_add("engine.pool.respawns_total", 1);
-    }
-
-    /// Drain per-worker reply channels in the explicit index order given —
-    /// a canonical order, independent of which worker answered first.
-    /// Declared as a detlint taint barrier (docs/DETLINT.md).
-    fn recv_ordered(&self, from: &[usize]) -> Vec<Reply> {
-        from.iter()
-            .map(|&i| {
-                // Reply channels are read in the caller-fixed index order,
-                // never in arrival order.
-                // detlint::allow(no-thread-order): fixed per-worker order
-                self.replies[i].recv().expect("worker thread died")
-            })
-            .collect()
-    }
-
-    /// [`WorkerPool::recv_ordered`] with the drain deadline: same canonical
-    /// per-index order, but a worker silent past the whole backoff budget
-    /// (or disconnected) yields a provisional [`PoolError::DrainTimeout`]
-    /// naming it — [`WorkerPool::recover`] refines the classification when
-    /// it inspects the thread. Also a declared detlint taint barrier.
-    fn recv_ordered_deadline(&self, from: &[usize]) -> Result<Vec<Reply>, PoolError> {
-        let mut out = Vec::with_capacity(from.len());
-        for &i in from {
-            let mut empty_windows = 0u32;
-            loop {
-                let window = Duration::from_micros(self.drain.backoff_us(empty_windows + 1));
-                // Caller-fixed index order, like recv_ordered; real-time
-                // deadline, never a deterministic input.
-                // detlint::allow(no-thread-order): fixed per-worker order
-                match self.replies[i].recv_timeout(window) {
-                    Ok(reply) => {
-                        out.push(reply);
-                        break;
-                    }
-                    Err(RecvTimeoutError::Timeout) => {
-                        empty_windows += 1;
-                        if empty_windows >= self.drain.max_attempts {
-                            return Err(PoolError::DrainTimeout {
-                                worker: i,
-                                device: self.devices[i],
-                            });
-                        }
-                    }
-                    Err(RecvTimeoutError::Disconnected) => {
-                        return Err(PoolError::DrainTimeout { worker: i, device: self.devices[i] })
-                    }
-                }
-            }
-        }
-        Ok(out)
+        self.cmds[i].send(replay).expect("respawned worker died");
+        err
     }
 }
 
@@ -810,6 +636,7 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
+        let name_of = |h: &JoinHandle<()>| h.thread().name().unwrap_or("esw-?").to_owned();
         for tx in &self.cmds {
             // A worker that already died can't receive Exit; join below
             // still reaps it.
@@ -820,8 +647,7 @@ impl Drop for WorkerPool {
         // first (double-fault shutdown reports every dying esw-dev<id>).
         let mut failures: Vec<String> = Vec::new();
         for handle in self.threads.drain(..).flatten() {
-            let name =
-                handle.thread().name().map(str::to_owned).unwrap_or_else(|| "esw-?".to_string());
+            let name = name_of(&handle);
             if let Err(payload) = handle.join() {
                 let msg = payload_to_string(payload.as_ref());
                 eprintln!("WorkerPool: worker thread {name} panicked during shutdown: {msg}");
@@ -833,8 +659,7 @@ impl Drop for WorkerPool {
         // stall-park was unparked at quarantine, so these joins terminate.
         // Report their payloads but never re-panic over them.
         for handle in self.quarantined.drain(..) {
-            let name =
-                handle.thread().name().map(str::to_owned).unwrap_or_else(|| "esw-?".to_string());
+            let name = name_of(&handle);
             handle.thread().unpark();
             if let Err(payload) = handle.join() {
                 eprintln!(
@@ -874,14 +699,7 @@ fn stall_forever() {
 /// The conformance pass cannot see that from this body alone (the sort
 /// lives in the engine-side drains), hence the audited demotion below.
 // detlint::allow(barrier-unverified): FIFO single-producer command loop; results leave under fixed keys via canonical engine-side drains
-fn worker_main(
-    key: u64,
-    worker: Box<EasyScaleWorker>,
-    cmds: Receiver<Cmd>,
-    replies: Sender<Reply>,
-    steps: ExchangeTx<StepBatch>,
-    partials: ExchangeTx<PartialBatch>,
-) {
+fn worker_main(key: u64, worker: Box<EasyScaleWorker>, cmds: Receiver<Cmd>, out: Publishers) {
     // `None` while the worker is lent to the engine thread for evaluation.
     let mut slot: Option<Box<EasyScaleWorker>> = Some(worker);
     // Injected fault waiting for the next Step (faultsim chaos).
@@ -920,43 +738,26 @@ fn worker_main(
                 let local = w.run_local_steps();
                 drop(step_span);
                 let recovery = WorkerSnapshot::capture(w);
-                steps.publish(
-                    key,
-                    StepBatch {
-                        seq,
-                        epoch,
-                        lr,
-                        thread: std::thread::current().id(),
-                        steps: local,
-                        recovery,
-                    },
-                );
+                let batch = StepBatch { epoch, lr, steps: local, recovery };
+                out.steps.publish(key, Fenced::new(seq, batch));
             }
             Cmd::Reduce { seq, ddp, grads, parts } => {
                 let mine = ddp.partition_buckets(key as usize, parts);
-                partials.publish(
-                    key,
-                    PartialBatch {
-                        seq,
-                        thread: std::thread::current().id(),
-                        parts: ddp.reduce_buckets(&grads, &mine),
-                    },
-                );
+                out.partials.publish(key, Fenced::new(seq, ddp.reduce_buckets(&grads, &mine)));
             }
             Cmd::Apply(delta) => {
                 slot.as_mut()
                     .expect("apply commanded while worker is lent out")
                     .apply_update(&delta);
             }
-            Cmd::Snapshot => {
+            Cmd::Snapshot { seq } => {
                 let w = slot.as_ref().expect("snapshot commanded while worker is lent out");
-                replies
-                    .send(Reply::Snapshot(Box::new(WorkerSnapshot::capture(w))))
-                    .expect("engine dropped its reply channel");
+                let snap = Box::new(WorkerSnapshot::capture(w));
+                out.replies.publish(key, Fenced::new(seq, Reply::Snapshot(snap)));
             }
-            Cmd::Lend => {
+            Cmd::Lend { seq } => {
                 let w = slot.take().expect("worker lent twice");
-                replies.send(Reply::Worker(w)).expect("engine dropped its reply channel");
+                out.replies.publish(key, Fenced::new(seq, Reply::Worker(w)));
             }
             Cmd::Restore(w) => {
                 assert!(slot.is_none(), "restore without a lend");
@@ -976,11 +777,11 @@ mod tests {
     use device::GpuType;
     use models::Workload;
 
-    fn make_workers(n_ests: u32, gpus: u32) -> (JobConfig, Vec<EasyScaleWorker>) {
+    fn make_workers(n_ests: u32, gpus: u32) -> (JobConfig, Placement, Vec<EasyScaleWorker>) {
         let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
         let placement = Placement::homogeneous(n_ests, gpus, GpuType::V100);
         let workers = placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
-        (cfg, workers)
+        (cfg, placement, workers)
     }
 
     /// A fast drain policy for fault tests: 6 windows of 25ms..800ms ≈ 1.6s
@@ -992,9 +793,8 @@ mod tests {
         RetryPolicy { max_attempts: 6, base_backoff_us: 25_000, backoff_multiplier: 2 }
     }
 
-    /// A pool-test respawn callback: rebuild the slot's worker from the
-    /// job config, its placement slot, a param mirror, and the recovery
-    /// snapshot — the same recipe the engine uses, minus the engine.
+    /// A pool-test respawn callback: the engine's own recipe, fed a job
+    /// config, placement and param mirror the test holds, logging each call.
     fn respawner<'a>(
         cfg: &'a JobConfig,
         placement: &'a Placement,
@@ -1003,90 +803,168 @@ mod tests {
     ) -> impl FnMut(&PoolError, &WorkerSnapshot) -> Box<EasyScaleWorker> + 'a {
         move |err, snap| {
             log.push(err.clone());
-            let slot = &placement.slots[err.worker()];
-            let mut w = EasyScaleWorker::new(cfg, slot);
-            w.load_flat_params(mirror);
-            w.restore_pool(&snap.loader);
-            w.set_contexts(snap.contexts.clone());
-            Box::new(w)
+            crate::engine::build_replacement(cfg, placement, mirror, err.worker(), snap)
         }
+    }
+
+    /// A pool plus what [`respawner`] needs to rebuild any of its slots, so
+    /// every test drives the pool through the supervised entry points.
+    struct Rig {
+        cfg: JobConfig,
+        placement: Placement,
+        mirror: Vec<f32>,
+        sizes: Vec<usize>,
+        pool: WorkerPool,
+        log: Vec<PoolError>,
+    }
+
+    impl Rig {
+        fn new(n_ests: u32, gpus: u32, device_ids: &[u32], drain: RetryPolicy) -> Self {
+            let (cfg, placement, workers) = make_workers(n_ests, gpus);
+            let mirror = workers[0].flat_params();
+            let sizes = workers[0].model().param_sizes();
+            let pool = WorkerPool::spawn(workers, device_ids, drain);
+            Rig { cfg, placement, mirror, sizes, pool, log: Vec::new() }
+        }
+
+        fn step_round(&mut self) -> (Vec<LocalStep>, Vec<PoolError>) {
+            let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
+            self.pool.run_steps_supervised(0, 0.05, &mut respawn)
+        }
+
+        /// A fault-free step round, in vrank order.
+        fn clean_steps(&mut self) -> Vec<LocalStep> {
+            let (mut steps, errors) = self.step_round();
+            assert!(errors.is_empty(), "fault-free round reported {errors:?}");
+            steps.sort_by_key(|l| l.vrank);
+            steps
+        }
+
+        fn reduce_round(
+            &mut self,
+            ddp: &Arc<ElasticDdp>,
+            grads: &Arc<Vec<Vec<f32>>>,
+        ) -> (Vec<f32>, Vec<PoolError>) {
+            let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
+            self.pool.reduce_supervised(ddp, grads, &mut respawn)
+        }
+
+        fn snapshot_round(&mut self) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
+            let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
+            self.pool.snapshots_supervised(&mut respawn)
+        }
+
+        fn lend_round(&mut self, index: usize) -> (Box<EasyScaleWorker>, Vec<PoolError>) {
+            let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
+            self.pool.lend(index, &mut respawn)
+        }
+
+        /// The bucket layout, and the gradients of vrank-ordered `locals`.
+        fn reduce_inputs(&self, locals: Vec<LocalStep>) -> (Arc<ElasticDdp>, Arc<Vec<Vec<f32>>>) {
+            let ddp = ElasticDdp::new(&self.sizes, self.cfg.n_ests, self.cfg.bucket_cap_bytes);
+            (Arc::new(ddp), Arc::new(locals.into_iter().map(|l| l.grad).collect()))
+        }
+    }
+
+    fn assert_steps_bitwise_eq(a: &[LocalStep], b: &[LocalStep], what: &str) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!(x.vrank, y.vrank);
+            assert_eq!(x.loss.to_bits(), y.loss.to_bits(), "{what}");
+            assert!(x.grad.iter().zip(&y.grad).all(|(p, q)| p.to_bits() == q.to_bits()));
+        }
+    }
+
+    fn sequential_steps(workers: &mut [EasyScaleWorker]) -> Vec<LocalStep> {
+        let mut steps: Vec<LocalStep> =
+            workers.iter_mut().flat_map(|w| w.run_local_steps()).collect();
+        steps.sort_by_key(|l| l.vrank);
+        steps
     }
 
     #[test]
     fn pool_steps_match_sequential_workers_bitwise() {
-        let (_, pooled) = make_workers(4, 2);
-        let (_, mut seq) = make_workers(4, 2);
-        let mut pool = WorkerPool::spawn(pooled, &[], RetryPolicy::default());
+        let mut rig = Rig::new(4, 2, &[], ExecOptions::default().drain);
+        let (_, _, mut seq) = make_workers(4, 2);
         for _ in 0..3 {
-            let mut a = pool.run_steps(0, 0.05);
-            let mut b: Vec<LocalStep> = seq.iter_mut().flat_map(|w| w.run_local_steps()).collect();
-            a.sort_by_key(|l| l.vrank);
-            b.sort_by_key(|l| l.vrank);
-            assert_eq!(a.len(), b.len());
-            for (x, y) in a.iter().zip(&b) {
-                assert_eq!(x.vrank, y.vrank);
-                assert_eq!(x.loss.to_bits(), y.loss.to_bits());
-                assert!(x.grad.iter().zip(&y.grad).all(|(p, q)| p.to_bits() == q.to_bits()));
-            }
+            assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "clean");
         }
     }
 
     #[test]
     fn threads_persist_across_rounds() {
-        let (_, workers) = make_workers(4, 4);
-        let mut pool = WorkerPool::spawn(workers, &[10, 11, 12, 13], RetryPolicy::default());
-        assert_eq!(pool.stats(), PoolStats { workers: 4, steps_served: 0 });
+        let mut rig = Rig::new(4, 4, &[10, 11, 12, 13], ExecOptions::default().drain);
+        assert_eq!(rig.pool.stats(), PoolStats { workers: 4, steps_served: 0 });
         for _ in 0..3 {
-            // run_steps itself asserts each batch's thread id equals the
-            // spawn-time id, so passing three rounds proves no respawn.
-            pool.run_steps(0, 0.05);
+            // A respawn is the only way a slot changes thread, and every
+            // respawn is reported: three clean rounds prove there was none.
+            rig.clean_steps();
         }
-        assert_eq!(pool.stats(), PoolStats { workers: 4, steps_served: 3 });
+        assert!(rig.log.is_empty());
+        assert_eq!(rig.pool.stats(), PoolStats { workers: 4, steps_served: 3 });
     }
 
     #[test]
     fn pooled_reduce_matches_monolithic_bitwise() {
-        let (cfg, workers) = make_workers(4, 4);
-        let sizes = workers[0].model().param_sizes();
-        let mut pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
-        let mut locals = pool.run_steps(0, 0.05);
-        locals.sort_by_key(|l| l.vrank);
-        let grads: Arc<Vec<Vec<f32>>> = Arc::new(locals.into_iter().map(|l| l.grad).collect());
-        let ddp = Arc::new(ElasticDdp::new(&sizes, cfg.n_ests, cfg.bucket_cap_bytes));
+        let mut rig = Rig::new(4, 4, &[], ExecOptions::default().drain);
+        let locals = rig.clean_steps();
+        let (ddp, grads) = rig.reduce_inputs(locals);
         let plain = ddp.allreduce_avg(&grads);
-        let pooled = pool.reduce(&ddp, &grads);
+        let (pooled, errors) = rig.reduce_round(&ddp, &grads);
+        assert!(errors.is_empty());
         assert!(plain.iter().zip(&pooled).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]
     fn lend_and_restore_round_trip() {
-        let (_, workers) = make_workers(2, 2);
-        let mut pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
-        let w = pool.lend(1);
+        let mut rig = Rig::new(2, 2, &[], ExecOptions::default().drain);
+        let (w, errors) = rig.lend_round(1);
+        assert!(errors.is_empty());
         assert!(!w.flat_params().is_empty());
-        pool.restore(1, w);
+        rig.pool.restore(1, w);
         // The restored worker still steps: the next round must include its
         // ESTs.
-        let locals = pool.run_steps(0, 0.05);
-        assert_eq!(locals.len(), 2);
-        let snaps = pool.snapshots();
+        assert_eq!(rig.clean_steps().len(), 2);
+        let (snaps, errors) = rig.snapshot_round();
+        assert!(errors.is_empty());
         assert_eq!(snaps.len(), 2);
         assert_eq!(snaps[1].contexts.len(), 1);
     }
 
     #[test]
     fn apply_lands_before_later_commands() {
-        let (_, workers) = make_workers(2, 1);
-        let pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
-        let w = pool.lend(0);
+        let mut rig = Rig::new(2, 1, &[], ExecOptions::default().drain);
+        let (w, errors) = rig.lend_round(0);
+        assert!(errors.is_empty());
         let before = w.flat_params();
-        pool.restore(0, w);
+        rig.pool.restore(0, w);
         let delta = Arc::new(vec![0.5f32; before.len()]);
-        pool.apply(&delta);
+        rig.pool.apply(&delta);
         // FIFO command ordering: the lend behind the apply must observe it.
-        let after = pool.lend(0);
+        let (after, errors) = rig.lend_round(0);
+        assert!(errors.is_empty());
         assert!(after.flat_params().iter().zip(&before).all(|(a, b)| (a - b - 0.5).abs() < 1e-6));
-        pool.restore(0, after);
+        rig.pool.restore(0, after);
+    }
+
+    /// A worker that died inside fire-and-forget `Apply` is replaced by the
+    /// lend that finds it, instead of panicking the engine thread.
+    #[test]
+    fn lend_recovers_a_worker_killed_by_apply() {
+        let mut rig = Rig::new(2, 1, &[], fast_drain());
+        // An empty delta slices out of bounds in `apply_flat_delta`: the
+        // worker thread dies with nobody waiting on it.
+        rig.pool.apply(&Arc::new(Vec::new()));
+        let (w, errors) = rig.lend_round(0);
+        assert_eq!(errors.len(), 1, "exactly one recovery: {errors:?}");
+        assert!(matches!(errors[0], PoolError::WorkerDead { worker: 0, .. }), "{:?}", errors[0]);
+        assert_eq!(rig.log, errors);
+        let params = w.flat_params();
+        assert_eq!(params.len(), rig.mirror.len());
+        assert!(params.iter().zip(&rig.mirror).all(|(a, b)| a.to_bits() == b.to_bits()));
+        rig.pool.restore(0, w);
+        // The replacement is in service.
+        assert_eq!(rig.clean_steps().len(), 2);
     }
 
     /// Every injected [`ThreadFault`] is detected, the worker is replaced,
@@ -1098,24 +976,11 @@ mod tests {
             (ThreadFault::Stall, "drain-timeout"),
             (ThreadFault::ReplyDrop, "drain-timeout"),
         ] {
-            let n_ests = 4u32;
-            let gpus = 2u32;
-            let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
-            let placement = Placement::homogeneous(n_ests, gpus, GpuType::V100);
-            let workers: Vec<EasyScaleWorker> =
-                placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
-            let mirror = workers[0].flat_params();
-            let (_, reference) = make_workers(n_ests, gpus);
-            let mut seq = reference;
-
-            let mut pool = WorkerPool::spawn(workers, &[], fast_drain());
-            let mut log = Vec::new();
-            let armed = pool.arm_fault(1, fault);
+            let mut rig = Rig::new(4, 2, &[], fast_drain());
+            let (_, _, mut seq) = make_workers(4, 2);
+            let armed = rig.pool.arm_fault(1, fault);
             assert_eq!(armed, 1);
-            let (steps, errors) = {
-                let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-                pool.run_steps_supervised(0, 0.05, &mut respawn)
-            };
+            let (mut steps, errors) = rig.step_round();
             assert_eq!(errors.len(), 1, "{fault:?}: exactly one recovery");
             assert_eq!(errors[0].worker(), 1);
             assert_eq!(errors[0].kind(), want_kind, "{fault:?}");
@@ -1126,26 +991,10 @@ mod tests {
 
             // Bitwise identity with the sequential reference, this round
             // and (replacement in service) the next.
-            for round in 0..2 {
-                let mut a = if round == 0 {
-                    steps.clone()
-                } else {
-                    let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-                    let (s, e) = pool.run_steps_supervised(0, 0.05, &mut respawn);
-                    assert!(e.is_empty(), "round 1 must be clean");
-                    s
-                };
-                let mut b: Vec<LocalStep> =
-                    seq.iter_mut().flat_map(|w| w.run_local_steps()).collect();
-                a.sort_by_key(|l| l.vrank);
-                b.sort_by_key(|l| l.vrank);
-                assert_eq!(a.len(), b.len());
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.vrank, y.vrank);
-                    assert_eq!(x.loss.to_bits(), y.loss.to_bits(), "{fault:?} round {round}");
-                    assert!(x.grad.iter().zip(&y.grad).all(|(p, q)| p.to_bits() == q.to_bits()));
-                }
-            }
+            steps.sort_by_key(|l| l.vrank);
+            assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), &format!("{fault:?}"));
+            let next = rig.clean_steps();
+            assert_steps_bitwise_eq(&next, &sequential_steps(&mut seq), &format!("{fault:?}"));
         }
     }
 
@@ -1153,32 +1002,16 @@ mod tests {
     /// assembles the monolithic-bitwise gradient.
     #[test]
     fn supervised_reduce_recovers_a_panicked_worker_bitwise() {
-        let n_ests = 4u32;
-        let gpus = 4u32;
-        let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
-        let placement = Placement::homogeneous(n_ests, gpus, GpuType::V100);
-        let workers: Vec<EasyScaleWorker> =
-            placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
-        let sizes = workers[0].model().param_sizes();
-        let mirror = workers[0].flat_params();
-        let mut pool = WorkerPool::spawn(workers, &[], fast_drain());
-        let mut log = Vec::new();
+        let mut rig = Rig::new(4, 4, &[], fast_drain());
 
         // Kill worker 2 via an armed panic consumed during a step round.
-        pool.arm_fault(2, ThreadFault::Panic);
-        let (mut locals, errors) = {
-            let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-            pool.run_steps_supervised(0, 0.05, &mut respawn)
-        };
+        rig.pool.arm_fault(2, ThreadFault::Panic);
+        let (mut locals, errors) = rig.step_round();
         assert_eq!(errors.len(), 1);
         locals.sort_by_key(|l| l.vrank);
-        let grads: Arc<Vec<Vec<f32>>> = Arc::new(locals.into_iter().map(|l| l.grad).collect());
-        let ddp = Arc::new(ElasticDdp::new(&sizes, cfg.n_ests, cfg.bucket_cap_bytes));
+        let (ddp, grads) = rig.reduce_inputs(locals);
         let plain = ddp.allreduce_avg(&grads);
-        let (pooled, reduce_errors) = {
-            let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-            pool.reduce_supervised(&ddp, &grads, &mut respawn)
-        };
+        let (pooled, reduce_errors) = rig.reduce_round(&ddp, &grads);
         assert!(reduce_errors.is_empty(), "replacement serves the reduce cleanly");
         assert!(plain.iter().zip(&pooled).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
@@ -1187,31 +1020,18 @@ mod tests {
     /// state it owed.
     #[test]
     fn supervised_snapshots_recover_a_stalled_worker() {
-        let n_ests = 2u32;
-        let gpus = 2u32;
-        let cfg = JobConfig::new(Workload::ResNet18, 7, n_ests).with_dataset_len(128);
-        let placement = Placement::homogeneous(n_ests, gpus, GpuType::V100);
-        let workers: Vec<EasyScaleWorker> =
-            placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
-        let mirror = workers[0].flat_params();
-        let mut pool = WorkerPool::spawn(workers, &[], fast_drain());
-        let mut log = Vec::new();
+        let mut rig = Rig::new(2, 2, &[], fast_drain());
 
         // Reference snapshots from a clean round.
-        let clean = pool.snapshots();
+        let (clean, clean_errors) = rig.snapshot_round();
+        assert!(clean_errors.is_empty());
 
         // Stall worker 0 (consumed at the next Step), then snapshot through
         // the supervisor: the Step round recovers it, snapshots are clean.
-        pool.arm_fault(0, ThreadFault::Stall);
-        let (_, step_errors) = {
-            let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-            pool.run_steps_supervised(0, 0.05, &mut respawn)
-        };
+        rig.pool.arm_fault(0, ThreadFault::Stall);
+        let (_, step_errors) = rig.step_round();
         assert_eq!(step_errors.len(), 1);
-        let (snaps, snap_errors) = {
-            let mut respawn = respawner(&cfg, &placement, &mirror, &mut log);
-            pool.snapshots_supervised(&mut respawn)
-        };
+        let (snaps, snap_errors) = rig.snapshot_round();
         assert!(snap_errors.is_empty());
         assert_eq!(snaps.len(), clean.len());
         for (s, c) in snaps.iter().zip(&clean) {

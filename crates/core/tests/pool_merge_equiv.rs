@@ -1,7 +1,7 @@
 //! The Pool merge path is bitwise unchanged by the kernel vectorization.
 //!
 //! `nthread_eq_single`-style check, one level deeper: the persistent
-//! worker-pool's partitioned merge (`WorkerPool::reduce`, which fans
+//! worker-pool's partitioned merge (`WorkerPool::reduce_supervised`, which fans
 //! `reduce_buckets` out across worker threads and drains partials in
 //! canonical order) must still reproduce — bit for bit — a from-scratch
 //! oracle built on the *scalar* ring kernel, proving the vectorized
@@ -10,9 +10,11 @@
 
 use std::sync::Arc;
 
-use comm::{ring_allreduce_scalar, ElasticDdp, RetryPolicy, RingSpec};
+use comm::{ring_allreduce_scalar, ElasticDdp, RingSpec};
 use device::GpuType;
-use easyscale::{EasyScaleWorker, JobConfig, Placement, WorkerPool};
+use easyscale::{
+    EasyScaleWorker, ExecOptions, JobConfig, Placement, PoolError, WorkerPool, WorkerSnapshot,
+};
 use models::Workload;
 
 /// Scalar-oracle allreduce-average: per bucket, the element-outer /
@@ -43,15 +45,20 @@ fn pool_reduce_matches_scalar_oracle_bitwise() {
         let workers: Vec<EasyScaleWorker> =
             placement.slots.iter().map(|s| EasyScaleWorker::new(&cfg, s)).collect();
         let sizes = workers[0].model().param_sizes();
-        let mut pool = WorkerPool::spawn(workers, &[], RetryPolicy::default());
+        let mut pool = WorkerPool::spawn(workers, &[], ExecOptions::default().drain);
+        let mut respawn = |err: &PoolError, _: &WorkerSnapshot| -> Box<EasyScaleWorker> {
+            panic!("fault-free run asked for a respawn: {err}")
+        };
 
-        let mut locals = pool.run_steps(0, 0.05);
+        let (mut locals, step_errors) = pool.run_steps_supervised(0, 0.05, &mut respawn);
+        assert!(step_errors.is_empty(), "fault-free step round reported {step_errors:?}");
         locals.sort_by_key(|l| l.vrank);
         let grads: Arc<Vec<Vec<f32>>> = Arc::new(locals.into_iter().map(|l| l.grad).collect());
         let ddp = Arc::new(ElasticDdp::new(&sizes, cfg.n_ests, cfg.bucket_cap_bytes));
 
         let oracle = scalar_oracle_avg(&ddp, &grads);
-        let pooled = pool.reduce(&ddp, &grads);
+        let (pooled, reduce_errors) = pool.reduce_supervised(&ddp, &grads, &mut respawn);
+        assert!(reduce_errors.is_empty(), "fault-free reduce reported {reduce_errors:?}");
         assert_eq!(pooled.len(), oracle.len());
         assert!(
             pooled.iter().zip(&oracle).all(|(a, b)| a.to_bits() == b.to_bits()),

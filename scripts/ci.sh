@@ -6,17 +6,18 @@
 #                           + accum, SARIF + per-mode reports under
 #                           results/) → per-mode gates → detlint_warm
 #                           (cache-hit re-run; cold vs warm timing lands in
-#                           ci_report.json) → build → test → kernels →
-#                           faultsim chaos matrix → silent-fault detection
-#                           matrix → bench gate (records + gates the full
-#                           suite, per-kernel benches included)
+#                           ci_report.json) → build → test →
+#                           benchmark_smoke (builds every paper binary under
+#                           crates/bench/src/bin/, then runs the repo
+#                           benchmark's `smoke` pass: every workload once,
+#                           correctness checked, nothing gated — see
+#                           benchmark/README.md) → faultsim chaos matrix →
+#                           silent-fault detection matrix
 #   scripts/ci.sh --quick   quick stages only (what scripts/check.sh runs):
 #                           fmt → clippy → detlint (combined run, warm: the
 #                           analysis cache under results/detlint_cache
 #                           persists across quick runs) → per-mode gates →
-#                           build → test → kernels (builds every
-#                           crates/bench/src/bin/* and smoke-runs the
-#                           per-kernel benches; no gating) → thread_faults
+#                           build → test → benchmark_smoke → thread_faults
 #                           (hand-authored supervised-pool schedules only)
 #
 # Per-stage wall-clock timings are written to results/ci_report.json whether
@@ -116,18 +117,19 @@ if [ "$MODE" = full ]; then
 fi
 stage build      cargo build --release --offline
 stage test       cargo test -q --offline --workspace --exclude faultsim
-# The kernels stage keeps bench code honest between full runs: build every
-# bench binary (cargo's default `build` skips src/bin/* of non-default
-# targets only when filtered, so --bins is explicit), then smoke-run the
-# per-kernel microbench family (reduce_block × algo_id × length grid plus
-# dot/axpy/raw-ring) with minimal iterations — a compile+run check, no
-# timings recorded, no gate. The full pipeline's bench_gate stage records
-# and gates the same benches at full sample counts.
-kernels_smoke() {
+# benchmark_smoke keeps the measured surfaces honest: compile every paper
+# binary (cargo's default `build` skips src/bin/* of non-default targets
+# only when filtered, so --bins is explicit), then run the repo benchmark's
+# smoke pass — each workload once with its correctness checks (params hash
+# vs the SingleThread reference, one PoolRecovery per injected panic,
+# decomposed step == Engine::step). A compile+run check: no timings are
+# gated here; performance is judged by paired runs of the benchmark itself
+# (benchmark/README.md).
+benchmark_smoke() {
   cargo build --release --offline -q -p bench --bins
-  ./target/release/bench_gate --smoke --only kernel_
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- smoke
 }
-stage kernels    kernels_smoke
+stage benchmark_smoke benchmark_smoke
 
 if [ "$MODE" = quick ]; then
   # Thread-fault smoke: the hand-authored schedules of the supervised-pool
@@ -148,10 +150,6 @@ if [ "$MODE" = full ]; then
   # results/detect_report.json.
   stage detect     cargo run --release --offline -q -p faultsim -- \
                      --detect-matrix --out results/detect_report.json
-  # Two-sided bench gate: fails on medians >15% over the prior PR's
-  # BENCH_PR*.json, prints a wins/regressions table, and records wins in
-  # the new report's `improvements` array (scripts/bench_gate.sh).
-  stage bench_gate scripts/bench_gate.sh
 fi
 
 write_report
