@@ -40,8 +40,12 @@ impl JobCheckpoint {
         self.est_contexts.len() as u32
     }
 
-    /// Approximate serialized size in bytes — the quantity on-demand
-    /// checkpointing keeps small by sharing params across ESTs.
+    /// Approximate size of the state in bytes — the quantity on-demand
+    /// checkpointing keeps small by sharing params across ESTs. The file
+    /// [`crate::CheckpointStore`] writes is this plus field names and
+    /// lengths (about 60 bytes per BatchNorm tensor, a few hundred per EST): 1.03 ×
+    /// for the Bert and NeuMF proxies, 1.2 × for ResNet18 at 4 ESTs
+    /// (`tests/store_format.rs` holds all three under 1.25 ×).
     pub fn approx_bytes(&self) -> usize {
         let contexts: usize = self.est_contexts.iter().map(|c| c.approx_bytes()).sum();
         contexts + (self.params.len() + self.opt_velocity.len()) * 4 + 64

@@ -35,6 +35,7 @@
 #![deny(missing_docs)]
 
 pub mod checkpoint;
+mod codec;
 pub mod determinism;
 pub mod engine;
 pub mod est;

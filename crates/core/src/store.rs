@@ -6,32 +6,63 @@
 //! (write-to-temp + rename) checkpoint files, with a keep-last-N retention
 //! policy so a crashed write never destroys the previous good checkpoint.
 //!
+//! # File format
+//!
+//! One binary container per checkpoint, `<job>.step<000000000042>.ckpt`,
+//! every integer little-endian:
+//!
+//! ```text
+//! offset  size  field
+//!      0     8  magic     "ESCKPT\r\n"
+//!      8     4  version   u32, FORMAT_VERSION
+//!     12     8  checksum  FNV-1a-64 of every byte from offset 20 to the end
+//!     20     8  n         u64, length of the job name
+//!     28     n  job name  UTF-8
+//!   28+n     …  payload   the checkpoint's serde `Value` tree (see `codec`)
+//! ```
+//!
+//! The payload is the tree `#[derive(Serialize)]` makes of a
+//! [`JobCheckpoint`], written by [`crate::codec`]; `f32` buffers are raw
+//! bytes, so a file is 1.03–1.2 × [`JobCheckpoint::approx_bytes`]. A save
+//! is one encode pass and one checksum pass over the encoded bytes; a load
+//! reads, verifies the bytes as stored, then decodes. On-demand checkpoints
+//! are transient (keep-last-N), so there is one format and no reader for
+//! older ones: a file of another version fails to load like any damaged one.
+//!
 //! # Torn-write detection
 //!
 //! Atomic rename protects against most interruption patterns, but shared
 //! filesystems (and machines dying between write and fsync) can still leave
-//! a truncated or bit-damaged file at the final path. Every envelope
-//! therefore carries an FNV-1a checksum of the serialized checkpoint
-//! payload; [`CheckpointStore::load`] verifies it, and
+//! a truncated or bit-damaged file at the final path. The checksum is taken
+//! over the stored bytes and the magic and version are compared exactly, so
+//! truncation and *every* single-bit flip fail [`CheckpointStore::load`];
 //! [`CheckpointStore::load_latest_valid`] walks backwards past corrupt
 //! files to the newest checkpoint that verifies — the last-good fallback
 //! the fault-injection harness (`faultsim`) exercises. Because on-demand
 //! checkpoints restore bitwise (D1), resuming from an older good
-//! checkpoint replays to exactly the same parameters.
+//! checkpoint replays to exactly the same parameters. A writer that dies
+//! before its rename leaves a `*.tmp` file; the next save removes it.
 
 use crate::checkpoint::JobCheckpoint;
+use crate::codec::{self, invalid, Reader};
 use serde::{Deserialize, Serialize};
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// On-disk format version (bump on incompatible `JobCheckpoint` changes).
-/// v2 added the payload checksum.
-pub const FORMAT_VERSION: u32 = 2;
+/// On-disk format version (bump on any change to the file layout, the
+/// codec's tags, or an incompatible `JobCheckpoint` change). v2 was a JSON
+/// envelope; v3 is the binary container described in the module docs.
+pub const FORMAT_VERSION: u32 = 3;
 
-/// FNV-1a 64-bit over the serialized checkpoint payload. Chosen for being
-/// dependency-free and deterministic; this guards against torn writes and
-/// bit rot, not adversaries.
+const MAGIC: [u8; 8] = *b"ESCKPT\r\n";
+/// Magic, version and checksum; the checksum covers everything after them.
+const HEADER_LEN: usize = 20;
+const SUFFIX: &str = ".ckpt";
+
+/// FNV-1a 64-bit over the stored bytes of a checkpoint file's body. Chosen
+/// for being dependency-free and deterministic; this guards against torn
+/// writes and bit rot, not adversaries.
 pub fn payload_checksum(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -39,14 +70,6 @@ pub fn payload_checksum(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-#[derive(Serialize, Deserialize)]
-struct Envelope {
-    version: u32,
-    job_name: String,
-    checksum: u64,
-    checkpoint: JobCheckpoint,
 }
 
 /// A directory of checkpoints for one job.
@@ -71,26 +94,34 @@ impl CheckpointStore {
     }
 
     fn path_for(&self, step: u64) -> PathBuf {
-        self.dir.join(format!("{}.step{step:012}.ckpt.json", self.job_name))
+        self.dir.join(format!("{}.step{step:012}{SUFFIX}", self.job_name))
     }
 
-    fn envelope_bytes(&self, ckpt: &JobCheckpoint) -> io::Result<Vec<u8>> {
-        let payload =
-            serde_json::to_vec(ckpt).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        let envelope = Envelope {
-            version: FORMAT_VERSION,
-            job_name: self.job_name.clone(),
-            checksum: payload_checksum(&payload),
-            checkpoint: ckpt.clone(),
-        };
-        serde_json::to_vec(&envelope).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    /// The step of a file of this job named `<job>.step<digits><suffix>`.
+    fn step_of(&self, file_name: &str, suffix: &str) -> Option<u64> {
+        let rest = file_name.strip_prefix(self.job_name.as_str())?.strip_prefix(".step")?;
+        rest.strip_suffix(suffix)?.parse().ok()
+    }
+
+    /// The bytes of the checkpoint file: one encode pass, then the checksum
+    /// of what was encoded stamped into the header.
+    fn encode_file(&self, ckpt: &JobCheckpoint) -> Vec<u8> {
+        let mut bytes = Vec::with_capacity(ckpt.approx_bytes() * 5 / 4);
+        bytes.extend_from_slice(&MAGIC);
+        bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
+        bytes.extend_from_slice(&[0; 8]);
+        codec::put_str(&self.job_name, &mut bytes);
+        codec::put_value(&ckpt.to_value(), &mut bytes);
+        let checksum = payload_checksum(&bytes[HEADER_LEN..]);
+        bytes[HEADER_LEN - 8..HEADER_LEN].copy_from_slice(&checksum.to_le_bytes());
+        bytes
     }
 
     /// Persist a checkpoint atomically; prunes old checkpoints beyond the
     /// retention count.
     pub fn save(&self, ckpt: &JobCheckpoint) -> io::Result<PathBuf> {
         let _t = obs::span("store.save");
-        let bytes = self.envelope_bytes(ckpt)?;
+        let bytes = self.encode_file(ckpt);
         obs::gauge_set("store.snapshot_bytes", bytes.len() as f64);
         let final_path = self.path_for(ckpt.global_step);
         let tmp_path = final_path.with_extension("tmp");
@@ -107,7 +138,7 @@ impl CheckpointStore {
     /// load — this is the injection point for faultsim's torn-checkpoint
     /// events and the torn-write recovery tests.
     pub fn save_torn(&self, ckpt: &JobCheckpoint, keep_frac_milli: u32) -> io::Result<PathBuf> {
-        let bytes = self.envelope_bytes(ckpt)?;
+        let bytes = self.encode_file(ckpt);
         let keep = (bytes.len() as u64 * keep_frac_milli.min(999) as u64 / 1000) as usize;
         let final_path = self.path_for(ckpt.global_step);
         fs::write(&final_path, &bytes[..keep])?;
@@ -133,17 +164,10 @@ impl CheckpointStore {
 
     /// List available checkpoint steps, ascending.
     pub fn list_steps(&self) -> io::Result<Vec<u64>> {
-        let prefix = format!("{}.step", self.job_name);
         let mut steps = Vec::new();
         for entry in fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            let name = name.to_string_lossy();
-            if let Some(rest) = name.strip_prefix(&prefix) {
-                if let Some(step_str) = rest.strip_suffix(".ckpt.json") {
-                    if let Ok(step) = step_str.parse::<u64>() {
-                        steps.push(step);
-                    }
-                }
+            if let Some(step) = self.step_of(&entry?.file_name().to_string_lossy(), SUFFIX) {
+                steps.push(step);
             }
         }
         steps.sort_unstable();
@@ -151,41 +175,44 @@ impl CheckpointStore {
     }
 
     /// Load and verify the checkpoint at a specific step. Fails with
-    /// `InvalidData` on truncation, bit damage (checksum mismatch), format
-    /// or job mismatch.
+    /// `InvalidData` on truncation, bit damage (magic, version or checksum
+    /// mismatch), a malformed payload, or a job mismatch.
     pub fn load(&self, step: u64) -> io::Result<JobCheckpoint> {
         let _t = obs::span("store.load");
         let bytes = fs::read(self.path_for(step))?;
-        let envelope: Envelope = serde_json::from_slice(&bytes).map_err(|e| {
+        self.decode_file(&bytes).map_err(|e| {
             obs::counter_add("store.corrupt_detected", 1);
-            io::Error::new(io::ErrorKind::InvalidData, format!("torn or unparsable envelope: {e}"))
-        })?;
-        if envelope.version != FORMAT_VERSION {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint version {} != {}", envelope.version, FORMAT_VERSION),
-            ));
+            invalid(format!("checkpoint step {step}: {e}"))
+        })
+    }
+
+    /// Verify the bytes as stored, then decode them.
+    fn decode_file(&self, bytes: &[u8]) -> io::Result<JobCheckpoint> {
+        if bytes.len() < HEADER_LEN {
+            return Err(invalid("torn inside the header"));
         }
-        if envelope.job_name != self.job_name {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checkpoint belongs to job `{}`", envelope.job_name),
-            ));
+        let (header, body) = bytes.split_at(HEADER_LEN);
+        if header[..8] != MAGIC {
+            return Err(invalid("not a checkpoint file"));
         }
-        // Re-serialize the parsed payload and verify against the recorded
-        // checksum. Serialization is a pure function of the value and the
-        // f32 JSON round trip is bit-exact (shims/serde), so any byte that
-        // changed the parsed value changes the re-serialization.
-        let payload = serde_json::to_vec(&envelope.checkpoint)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        if payload_checksum(&payload) != envelope.checksum {
-            obs::counter_add("store.corrupt_detected", 1);
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("checksum mismatch for step {step}: checkpoint is corrupt"),
-            ));
+        let version = u32::from_le_bytes(header[8..12].try_into().expect("4-byte slice"));
+        if version != FORMAT_VERSION {
+            return Err(invalid(format!("format version {version} != {FORMAT_VERSION}")));
         }
-        Ok(envelope.checkpoint)
+        let checksum = u64::from_le_bytes(header[12..].try_into().expect("8-byte slice"));
+        if payload_checksum(body) != checksum {
+            return Err(invalid("checksum mismatch: the file is torn or bit-damaged"));
+        }
+        let mut body = Reader::new(body);
+        let job_name = body.str()?;
+        if job_name != self.job_name {
+            return Err(invalid(format!("belongs to job `{job_name}`")));
+        }
+        let value = body.value()?;
+        if body.remaining() != 0 {
+            return Err(invalid(format!("{} bytes after the payload", body.remaining())));
+        }
+        JobCheckpoint::from_value(&value).map_err(|e| invalid(e.to_string()))
     }
 
     /// Load the most recent checkpoint, if any. Fails if the newest file is
@@ -221,11 +248,19 @@ impl CheckpointStore {
         Ok(None)
     }
 
+    /// Enforce the retention count, and remove the `*.tmp` files of writers
+    /// of this job that died between their write and their rename.
     fn prune(&self) -> io::Result<()> {
         let steps = self.list_steps()?;
         if steps.len() > self.keep_last {
             for &step in &steps[..steps.len() - self.keep_last] {
                 fs::remove_file(self.path_for(step))?;
+            }
+        }
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            if self.step_of(&entry.file_name().to_string_lossy(), ".tmp").is_some() {
+                fs::remove_file(entry.path())?;
             }
         }
         Ok(())
@@ -293,6 +328,25 @@ mod tests {
     }
 
     #[test]
+    fn next_save_removes_a_dead_writers_temp_file() {
+        let dir = tmpdir("staletmp");
+        let store = CheckpointStore::open(&dir, "job-s").unwrap();
+        let mut e = engine();
+        e.step();
+        // A writer died between `fs::write(tmp)` and `rename`; another job's
+        // writer is mid-save in the same directory.
+        let stale = store.path_for(7).with_extension("tmp");
+        let other = dir.join("job-other.step000000000007.tmp");
+        fs::write(&stale, b"half a checkpoint").unwrap();
+        fs::write(&other, b"not ours").unwrap();
+        store.save(&e.checkpoint()).unwrap();
+        assert!(!stale.exists(), "this job's stale temp file is pruned");
+        assert!(other.exists(), "another job's temp file is left alone");
+        assert_eq!(store.list_steps().unwrap(), vec![1]);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn wrong_job_name_rejected() {
         let dir = tmpdir("wrongname");
         let store_a = CheckpointStore::open(&dir, "job-a").unwrap();
@@ -336,8 +390,7 @@ mod tests {
         let mut e = engine();
         e.step();
         store.save(&e.checkpoint()).unwrap();
-        // Flip a bit deep in the payload region (past the envelope header):
-        // either the JSON no longer parses or the checksum disagrees.
+        // A bit deep in the payload: only the checksum can notice.
         store.inject_bitflip(1, 4321).unwrap();
         let err = store.load(1).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);

@@ -86,6 +86,7 @@ impl TaintConfig {
                 sink("comm", "allreduce_avg", "allreduce-merge"),
                 sink("comm", "allreduce_avg_with_retry", "allreduce-merge"),
                 sink("core", "save", "checkpoint-serialize"),
+                sink("core", "encode_file", "checkpoint-serialize"),
                 sink("core", "checkpoint", "checkpoint-serialize"),
                 sink("sched", "proposals", "sched-proposal"),
                 sink("sched", "decide", "sched-proposal"),

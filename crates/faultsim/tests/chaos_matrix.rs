@@ -48,11 +48,9 @@ fn chaos_crash_and_checkpoint_damage() {
         FaultSchedule::from_events(vec![
             FaultEvent { step: 2, kind: FaultKind::WorkerCrash },
             FaultEvent { step: 5, kind: FaultKind::TornCheckpoint { keep_frac_milli: 400 } },
-            // Bit 100 lands in the envelope header (`version`/`job_name`
-            // region), where any flip is detectably corrupt. A flip deep in
-            // a float's low-significance digits can parse back to the same
-            // value — genuinely harmless, but useless for this assertion.
-            FaultEvent { step: 8, kind: FaultKind::BitFlippedCheckpoint { bit_index: 100 } },
+            // Any bit: the checksum covers the stored bytes, so every flip
+            // forces the last-good fallback. This one is deep in the payload.
+            FaultEvent { step: 8, kind: FaultKind::BitFlippedCheckpoint { bit_index: 54_321 } },
         ]),
     );
     assert_eq!(report.crashes, 3);
