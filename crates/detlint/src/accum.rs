@@ -33,78 +33,21 @@
 //! of [`crate::suppress`].
 
 use crate::items;
-use crate::lexer::{Tok, TokKind};
-use crate::suppress::{phrase, AllowSet, Domain};
-use crate::{Model, SourceFile};
-use std::path::Path;
+use crate::lexer::{
+    in_regions, match_delim, statement_bounds, Tok, TokKind, FLOAT_TYPES, INT_TYPES,
+};
+use crate::suppress::Emitter;
+use crate::{Model, ModelFile, Policy, Related};
 
-/// Suppression tokens this pass owns.
-pub const ALLOW_KINDS: [&str; 2] = ["float-reassoc", "oracle-unpaired"];
-
-/// Policy for one accumulation run.
-#[derive(Debug, Clone)]
-pub struct AccumConfig {
-    /// Crates whose float math is numeric-contract-bearing; loops outside
-    /// them are not classified (same scope as `no-raw-float-accum`).
-    pub accum_crates: Vec<String>,
-    /// Vectorized-kernel name set for oracle pairing. A trailing `*` is a
-    /// prefix glob (`matmul*`); names ending `_scalar` are never subjects.
-    pub oracle_kernels: Vec<String>,
-}
-
-impl AccumConfig {
-    /// The policy for this workspace (docs/DETLINT.md).
-    pub fn workspace_default() -> Self {
-        let strs = |v: &[&str]| v.iter().map(|s| s.to_string()).collect();
-        AccumConfig {
-            accum_crates: strs(&["tensor", "comm", "models"]),
-            oracle_kernels: strs(&[
-                "blocked_sum",
-                "leaf_partials",
-                "dot",
-                "matmul*",
-                "axpy_",
-                "ring_allreduce",
-            ]),
-        }
+/// Is `name` in the policy's vectorized-kernel set (oracle-pairing subject)?
+fn kernel_matches(policy: &Policy, name: &str) -> bool {
+    if name.ends_with("_scalar") {
+        return false;
     }
-
-    fn kernel_matches(&self, name: &str) -> bool {
-        if name.ends_with("_scalar") {
-            return false;
-        }
-        self.oracle_kernels.iter().any(|p| match p.strip_suffix('*') {
-            Some(prefix) => name.starts_with(prefix),
-            None => p == name,
-        })
-    }
-}
-
-/// One witness location attached to a finding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Span {
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based line.
-    pub line: u32,
-    /// What this location witnesses (`write`, `merge`, `loop`).
-    pub label: String,
-}
-
-/// One accumulation finding (`float-reassoc` or `oracle-unpaired`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AccumFinding {
-    /// Finding kind.
-    pub kind: &'static str,
-    /// Workspace-relative file.
-    pub file: String,
-    /// 1-based anchor line (loop header / fold / fn keyword) — the line an
-    /// allow must cover.
-    pub line: u32,
-    /// What is wrong and what shape to use instead.
-    pub message: String,
-    /// Witness spans (write sites, merge sites).
-    pub spans: Vec<Span>,
+    policy.oracle_kernels.iter().any(|p| match p.strip_suffix('*') {
+        Some(prefix) => name.starts_with(prefix),
+        None => *p == name,
+    })
 }
 
 /// Inventory entry: one classified loop (only loops that carry at least
@@ -138,26 +81,10 @@ pub struct OracleCheck {
     pub tested_together: bool,
 }
 
-/// Everything one accumulation run produced.
-#[derive(Debug, Default)]
-pub struct AccumReport {
-    /// Unsuppressed findings, sorted by `(file, line, kind, message)`.
-    pub findings: Vec<AccumFinding>,
-    /// Classified-loop inventory, sorted by `(file, line)`.
-    pub loops: Vec<LoopInfo>,
-    /// Oracle-pairing inventory, sorted by `(file, line, kernel)`.
-    pub oracles: Vec<OracleCheck>,
-    /// Accum-level allows that demoted nothing.
-    pub unused_suppressions: Vec<crate::Finding>,
-}
-
 // ---------------------------------------------------------------------------
 // Token utilities
 // ---------------------------------------------------------------------------
 
-const FLOAT_TYPES: &[&str] = &["f32", "f64"];
-const INT_TYPES: &[&str] =
-    &["usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8", "i16", "i32", "i64", "i128"];
 /// Iterator adapters that reshape iteration order/grouping: a float fold
 /// over any of these no longer matches the element-order chain.
 const RESHAPE_ADAPTERS: &[&str] =
@@ -176,78 +103,6 @@ fn slice_has_float(toks: &[Tok], a: usize, b: usize) -> bool {
         t.kind == TokKind::Float
             || (t.kind == TokKind::Ident && FLOAT_TYPES.contains(&t.text.as_str()))
     })
-}
-
-/// Index of the token matching the opener at `open` (`{`/`(`/`[`), or the
-/// last token on EOF.
-fn match_delim(toks: &[Tok], open: usize) -> usize {
-    let (o, c) = match toks[open].text.as_str() {
-        "{" => ("{", "}"),
-        "(" => ("(", ")"),
-        "[" => ("[", "]"),
-        _ => return open,
-    };
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < toks.len() {
-        if toks[j].text == o {
-            depth += 1;
-        } else if toks[j].text == c {
-            depth -= 1;
-            if depth == 0 {
-                return j;
-            }
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Walk back from the closer at `close` to its opener.
-fn match_delim_back(toks: &[Tok], close: usize) -> usize {
-    let (o, c) = match toks[close].text.as_str() {
-        "}" => ("{", "}"),
-        ")" => ("(", ")"),
-        "]" => ("[", "]"),
-        _ => return close,
-    };
-    let mut depth = 0i32;
-    let mut j = close as i64;
-    while j >= 0 {
-        let t = &toks[j as usize].text;
-        if t == c {
-            depth += 1;
-        } else if t == o {
-            depth -= 1;
-            if depth == 0 {
-                return j as usize;
-            }
-        }
-        j -= 1;
-    }
-    0
-}
-
-/// Statement bounds around token `i` (end exclusive), delimited by
-/// `;`/`{`/`}` at the statement's own nesting level.
-fn statement_bounds(toks: &[Tok], i: usize) -> (usize, usize) {
-    let mut a = i;
-    while a > 0 {
-        let t = &toks[a - 1].text;
-        if t == ";" || t == "{" || t == "}" {
-            break;
-        }
-        a -= 1;
-    }
-    let mut b = i;
-    while b < toks.len() {
-        let t = &toks[b].text;
-        if t == ";" || t == "{" || t == "}" {
-            break;
-        }
-        b += 1;
-    }
-    (a, b)
 }
 
 /// End (exclusive) of the statement starting at `a`, skipping nested
@@ -457,7 +312,7 @@ fn resolve_target(toks: &[Tok], k: usize) -> Option<(usize, bool)> {
     let mut idx = k.checked_sub(1)?;
     let mut indexed = false;
     if toks[idx].text == "]" {
-        idx = match_delim_back(toks, idx).checked_sub(1)?;
+        idx = match_delim(toks, idx).checked_sub(1)?;
         indexed = true;
     }
     if toks[idx].kind != TokKind::Ident {
@@ -544,40 +399,22 @@ fn carrier(
 // The classifier
 // ---------------------------------------------------------------------------
 
-struct FileCtx<'a> {
-    file: &'a str,
-    toks: &'a [Tok],
-    test_regions: &'a [(u32, u32)],
-}
-
-impl FileCtx<'_> {
-    fn in_test(&self, line: u32) -> bool {
-        self.test_regions.iter().any(|&(a, b)| (a..=b).contains(&line))
-    }
-}
-
 /// One classified loop: header line, class, accumulator names.
 type LoopClass = (u32, &'static str, Vec<String>);
+/// One raw (pre-suppression) `float-reassoc` hit: anchor line, message,
+/// witness spans.
+type Reassoc = (u32, String, Vec<Related>);
 
-/// Raw (pre-suppression) analysis of one file: loop classes + findings.
-fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
-    let toks = ctx.toks;
+/// Raw analysis of one file: loop classes + `float-reassoc` hits.
+fn classify_file(mf: &ModelFile) -> (Vec<LoopClass>, Vec<Reassoc>) {
+    let toks = &mf.lexed.toks;
+    let in_test = |line: u32| in_regions(&mf.test_regions, line);
     let loops = find_loops(toks);
     let decls = find_decls(toks);
-    let mut findings: Vec<AccumFinding> = Vec::new();
+    let mut findings: Vec<Reassoc> = Vec::new();
 
-    let finding = |line: u32, message: String, spans: Vec<Span>| AccumFinding {
-        kind: "float-reassoc",
-        file: ctx.file.to_string(),
-        line,
-        message,
-        spans,
-    };
-    let span = |line: u32, label: &str| Span {
-        file: ctx.file.to_string(),
-        line,
-        label: label.to_string(),
-    };
+    let span =
+        |line: u32, label: &str| Related { file: mf.file.clone(), line, label: label.to_string() };
 
     // Collect loop-carried accumulation writes.
     let mut writes: Vec<Write> = Vec::new();
@@ -586,7 +423,7 @@ fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
         if !(op.kind == TokKind::Punct && (op.text == "+=" || op.text == "*=")) {
             continue;
         }
-        if ctx.in_test(op.line) {
+        if in_test(op.line) {
             continue;
         }
         let rhs = (k + 1, statement_end(toks, k + 1));
@@ -629,7 +466,7 @@ fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
     carried.dedup();
     for li in carried {
         let lp = &loops[li];
-        if ctx.in_test(lp.line) {
+        if in_test(lp.line) {
             continue;
         }
         let ws: Vec<&Write> = writes.iter().filter(|w| w.carried_by == li).collect();
@@ -647,7 +484,7 @@ fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
             });
             if let Some(o) = other {
                 class = "reassoc";
-                findings.push(finding(
+                findings.push((
                     lp.line,
                     format!(
                         "loop merges float accumulators `{}` and `{}` inside its body; keep \
@@ -681,7 +518,7 @@ fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
                     .any(|t| t.kind == TokKind::Ident && FOLD_METHODS.contains(&t.text.as_str()))
                 {
                     class = "reassoc";
-                    findings.push(finding(
+                    findings.push((
                         lp.line,
                         format!(
                             "lockstep accumulator `{arr}` is reduced inside its own loop; \
@@ -707,7 +544,7 @@ fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
                             )
                     }) {
                         class = "reassoc";
-                        findings.push(finding(
+                        findings.push((
                             lp.line,
                             format!(
                                 "lockstep accumulator `{arr}` merges its lanes in reverse \
@@ -740,7 +577,7 @@ fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
                     .any(|t| t.kind == TokKind::Ident && FOLD_METHODS.contains(&t.text.as_str()))
                 {
                     class = "reassoc";
-                    findings.push(finding(
+                    findings.push((
                         lp.line,
                         format!(
                             "chunked loop folds each chunk into `{}` with an iterator \
@@ -769,7 +606,7 @@ fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
         {
             continue;
         }
-        if ctx.in_test(t.line) {
+        if in_test(t.line) {
             continue;
         }
         let (a, b) = statement_bounds(toks, i);
@@ -791,7 +628,7 @@ fn classify_file(ctx: &FileCtx) -> (Vec<LoopClass>, Vec<AccumFinding>) {
         } else {
             format!("reshaped by `{}`", reshaped.join("`, `"))
         };
-        findings.push(finding(
+        findings.push((
             t.line,
             format!(
                 "order-dependent float `.{}()` over an iterator {what}; the reduction \
@@ -821,7 +658,7 @@ fn receiver_chain(toks: &[Tok], i: usize) -> Vec<usize> {
         loop {
             match toks[q].text.as_str() {
                 ")" | "]" => {
-                    let open = match_delim_back(toks, q);
+                    let open = match_delim(toks, q);
                     if open == 0 {
                         return out;
                     }
@@ -829,23 +666,7 @@ fn receiver_chain(toks: &[Tok], i: usize) -> Vec<usize> {
                 }
                 ">" => {
                     // `::<T>` — walk back to the matching `<`.
-                    let mut depth = 0i32;
-                    loop {
-                        match toks[q].text.as_str() {
-                            ">" => depth += 1,
-                            "<" => {
-                                depth -= 1;
-                                if depth == 0 {
-                                    break;
-                                }
-                            }
-                            _ => {}
-                        }
-                        if q == 0 {
-                            return out;
-                        }
-                        q -= 1;
-                    }
+                    q = match_delim(toks, q);
                     if q < 2 || toks[q - 1].text != "::" {
                         return out;
                     }
@@ -882,7 +703,7 @@ fn fn_is_pub(toks: &[Tok], line: u32, name: &str) -> bool {
         }
         let mut p = i - 1;
         if toks[p].text == ")" {
-            let open = match_delim_back(toks, p);
+            let open = match_delim(toks, p);
             if open == 0 {
                 return false;
             }
@@ -915,28 +736,26 @@ fn called_names(toks: &[Tok], region: Option<&[(u32, u32)]>, out: &mut Vec<Strin
 // Entry points
 // ---------------------------------------------------------------------------
 
-/// Run the accumulation analysis over a pre-built model, recording allow
-/// consumption in `allows`. Stale accounting is the caller's job (the
-/// single-mode wrapper scopes it to [`Domain::Accum`]; `--all` unifies it).
-pub fn analyze_model(model: &Model, acfg: &AccumConfig, allows: &mut AllowSet) -> AccumReport {
-    let mut findings: Vec<AccumFinding> = Vec::new();
+/// Run the accumulation analysis over the shared model, reporting through
+/// `em`. Returns the classified-loop inventory sorted by `(file, line)` and
+/// the oracle-pairing inventory sorted by `(file, line, kernel)`.
+pub fn analyze(
+    model: &Model,
+    policy: &Policy,
+    em: &mut Emitter,
+) -> (Vec<LoopInfo>, Vec<OracleCheck>) {
     let mut loop_infos: Vec<LoopInfo> = Vec::new();
 
-    for mf in &model.files {
-        if !acfg.accum_crates.contains(&mf.crate_name) {
-            continue;
-        }
-        let ctx = FileCtx { file: &mf.file, toks: &mf.lexed.toks, test_regions: &mf.test_regions };
-        let (classes, raw) = classify_file(&ctx);
+    for mf in model.files.iter().filter(|mf| policy.float_crates.contains(&mf.crate_name.as_str()))
+    {
+        let (classes, raw) = classify_file(mf);
         for (line, class, accumulators) in classes {
             let func = items::innermost_fn_at(&model.graph.fns, &mf.file, line)
                 .map_or_else(|| "<module>".to_string(), |f| model.graph.fns[f].qualified());
             loop_infos.push(LoopInfo { file: mf.file.clone(), line, func, class, accumulators });
         }
-        for f in raw {
-            if !allows.consume(&f.file, f.line, "float-reassoc") {
-                findings.push(f);
-            }
+        for (line, message, spans) in raw {
+            em.emit("float-reassoc", &mf.file, line, message, spans);
         }
     }
 
@@ -971,7 +790,9 @@ pub fn analyze_model(model: &Model, acfg: &AccumConfig, allows: &mut AllowSet) -
 
     let mut oracles: Vec<OracleCheck> = Vec::new();
     for f in &model.graph.fns {
-        if f.in_test || !acfg.accum_crates.contains(&f.crate_name) || !acfg.kernel_matches(&f.name)
+        if f.in_test
+            || !policy.float_crates.contains(&f.crate_name.as_str())
+            || !kernel_matches(policy, &f.name)
         {
             continue;
         }
@@ -996,9 +817,6 @@ pub fn analyze_model(model: &Model, acfg: &AccumConfig, allows: &mut AllowSet) -
         if scalar_found && tested_together {
             continue;
         }
-        if allows.consume(&f.file, f.line, "oracle-unpaired") {
-            continue;
-        }
         let message = if !scalar_found {
             format!(
                 "vectorized kernel `{}` has no `{sib}` oracle in the workspace; keep the \
@@ -1013,72 +831,30 @@ pub fn analyze_model(model: &Model, acfg: &AccumConfig, allows: &mut AllowSet) -
                 f.name
             )
         };
-        findings.push(AccumFinding {
-            kind: "oracle-unpaired",
-            file: f.file.clone(),
-            line: f.line,
-            message,
-            spans: vec![Span { file: f.file.clone(), line: f.line, label: "kernel".to_string() }],
-        });
+        let kernel = Related { file: f.file.clone(), line: f.line, label: "kernel".to_string() };
+        em.emit("oracle-unpaired", &f.file, f.line, message, vec![kernel]);
     }
 
-    findings.sort_by(|a, b| {
-        (&a.file, a.line, a.kind, &a.message).cmp(&(&b.file, b.line, b.kind, &b.message))
-    });
     loop_infos.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     oracles.sort_by(|a, b| (&a.file, a.line, &a.kernel).cmp(&(&b.file, b.line, &b.kernel)));
-    AccumReport { findings, loops: loop_infos, oracles, unused_suppressions: Vec::new() }
-}
-
-/// [`analyze_model`] with a private suppression ledger: scan every file's
-/// allows, run the pass, and report accum-only stale allows.
-pub fn analyze_model_standalone(model: &Model, acfg: &AccumConfig) -> AccumReport {
-    let mut allows = AllowSet::new();
-    for mf in &model.files {
-        allows.scan_file(&mf.lexed, &mf.file, &mf.test_regions);
-    }
-    let mut rep = analyze_model(model, acfg, &mut allows);
-    rep.unused_suppressions = allows.stale(&[Domain::Accum], false, phrase::ACCUM);
-    rep
-}
-
-/// Run over explicit source + test files (fixture entry point). Input
-/// order does not matter — the model sorts internally, so the result is
-/// byte-identical under any permutation (pinned by a proptest).
-pub fn analyze_files(
-    files: &[SourceFile],
-    test_files: &[SourceFile],
-    acfg: &AccumConfig,
-) -> AccumReport {
-    analyze_model_standalone(&crate::build_model(files, test_files), acfg)
-}
-
-/// [`analyze_files`] over every `crates/*/src/**/*.rs` (analysis) and
-/// `crates/*/tests/**/*.rs` + `tests/*.rs` (oracle evidence) under `root`.
-pub fn analyze_workspace_accum(root: &Path, acfg: &AccumConfig) -> std::io::Result<AccumReport> {
-    let files = crate::workspace_sources(root)?;
-    let test_files = crate::workspace_test_sources(root)?;
-    Ok(analyze_files(&files, &test_files, acfg))
+    (loop_infos, oracles)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::testutil::{file, findings, stale};
+    use crate::{Diagnostic, Mode, Report};
 
-    fn file(crate_name: &str, name: &str, src: &str) -> SourceFile {
-        SourceFile {
-            crate_name: crate_name.to_string(),
-            file: format!("crates/{crate_name}/src/{name}"),
-            src: src.to_string(),
-        }
+    fn run(src: &str) -> Report {
+        crate::testutil::run(&[file("tensor", "lib.rs", src)], &[])
     }
 
-    fn run(src: &str) -> AccumReport {
-        analyze_files(&[file("tensor", "lib.rs", src)], &[], &AccumConfig::workspace_default())
+    fn accum(r: &Report) -> Vec<&Diagnostic> {
+        findings(r, Mode::Accum)
     }
 
-    fn reassoc_count(r: &AccumReport) -> usize {
-        r.findings.iter().filter(|f| f.kind == "float-reassoc").count()
+    fn reassoc_count(r: &Report) -> usize {
+        accum(r).iter().filter(|f| f.rule == "float-reassoc").count()
     }
 
     #[test]
@@ -1108,7 +884,7 @@ mod tests {
                  b += 64;\n\
              }\n\
              out[0]\n}\n");
-        assert_eq!(reassoc_count(&r), 0, "{:?}", r.findings);
+        assert_eq!(reassoc_count(&r), 0, "{:?}", accum(&r));
         assert!(r.loops.iter().any(|l| l.class == "lockstep"), "{:?}", r.loops);
     }
 
@@ -1123,9 +899,9 @@ mod tests {
              }\n\
              acc.iter().rev().sum::<f32>()\n}\n");
         assert!(
-            r.findings.iter().any(|f| f.message.contains("reverse index order")),
+            accum(&r).iter().any(|f| f.message.contains("reverse index order")),
             "{:?}",
-            r.findings
+            accum(&r)
         );
     }
 
@@ -1139,11 +915,7 @@ mod tests {
                  b += a;\n\
              }\n\
              b\n}\n");
-        assert!(
-            r.findings.iter().any(|f| f.message.contains("inside its body")),
-            "{:?}",
-            r.findings
-        );
+        assert!(accum(&r).iter().any(|f| f.message.contains("inside its body")), "{:?}", accum(&r));
     }
 
     #[test]
@@ -1154,30 +926,27 @@ mod tests {
                  total += c.iter().sum::<f32>();\n\
              }\n\
              total\n}\n");
-        assert!(
-            r.findings.iter().any(|f| f.message.contains("remainder chunk")),
-            "{:?}",
-            r.findings
-        );
+        assert!(accum(&r).iter().any(|f| f.message.contains("remainder chunk")), "{:?}", accum(&r));
     }
 
     #[test]
     fn reshaped_iterator_fold_is_caught_and_allows_demote_it() {
         let src = "fn s(xs: &[f32]) -> f32 { xs.chunks(8).map(|c| c.iter().sum::<f32>()).sum::<f32>() }\n";
         let r = run(src);
-        assert_eq!(reassoc_count(&r), 1, "{:?}", r.findings);
+        assert_eq!(reassoc_count(&r), 1, "{:?}", accum(&r));
         let allowed =
             format!("// detlint::allow(float-reassoc): audited fixed-length input\n{src}");
         let r = run(&allowed);
         assert_eq!(reassoc_count(&r), 0);
-        assert!(r.unused_suppressions.is_empty());
+        assert!(stale(&r, Mode::Accum).is_empty());
     }
 
     #[test]
     fn stale_accum_allow_is_reported() {
         let r = run("// detlint::allow(float-reassoc): nothing here\nfn s() {}\n");
-        assert_eq!(r.unused_suppressions.len(), 1);
-        assert!(r.unused_suppressions[0].message.contains("blocked no accumulation finding"));
+        let unused = stale(&r, Mode::Accum);
+        assert_eq!(unused.len(), 1);
+        assert!(unused[0].message.contains("`detlint::allow(float-reassoc)` matched no finding"));
     }
 
     #[test]
@@ -1188,7 +957,7 @@ mod tests {
              let mut n = 0usize;\n\
              for v in out.iter_mut() { *v *= s; n += 1; }\n\
              let _ = n;\n}\n");
-        assert_eq!(reassoc_count(&r), 0, "{:?}", r.findings);
+        assert_eq!(reassoc_count(&r), 0, "{:?}", accum(&r));
         assert!(r.loops.is_empty(), "{:?}", r.loops);
     }
 
@@ -1198,25 +967,21 @@ mod tests {
                       for i in 0..a.len() { s += a[i] * b[i]; } s }\n";
         // No sibling at all → unpaired.
         let r = run(kernel);
-        assert!(r.findings.iter().any(|f| f.kind == "oracle-unpaired"), "{:?}", r.findings);
+        assert!(accum(&r).iter().any(|f| f.rule == "oracle-unpaired"), "{:?}", accum(&r));
         // Sibling exists but nothing calls both → still unpaired.
         let with_sib =
             format!("{kernel}pub fn dot_scalar(a: &[f32], b: &[f32]) -> f32 {{ 0.0 }}\n");
         let r = run(&with_sib);
-        assert!(r.findings.iter().any(|f| f.message.contains("never exercised together")));
+        assert!(accum(&r).iter().any(|f| f.message.contains("never exercised together")));
         // A test file calling both closes the pair.
-        let tf = SourceFile {
+        let tf = crate::SourceFile {
             crate_name: "tensor".to_string(),
             file: "crates/tensor/tests/pair.rs".to_string(),
             src: "#[test]\nfn pair() { assert_eq!(dot(&[1.0], &[1.0]), dot_scalar(&[1.0], &[1.0])); }\n"
                 .to_string(),
         };
-        let r = analyze_files(
-            &[file("tensor", "lib.rs", &with_sib)],
-            &[tf],
-            &AccumConfig::workspace_default(),
-        );
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        let r = crate::testutil::run(&[file("tensor", "lib.rs", &with_sib)], &[tf]);
+        assert!(accum(&r).is_empty(), "{:?}", accum(&r));
         let o = r.oracles.iter().find(|o| o.kernel == "dot").unwrap();
         assert!(o.scalar_found && o.tested_together);
     }
@@ -1224,12 +989,11 @@ mod tests {
     #[test]
     fn private_fns_and_other_crates_are_not_oracle_subjects() {
         let r = run("fn matmul_rows_into(o: &mut [f32]) { o[0] = 0.0; }\n");
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
-        let r = analyze_files(
+        assert!(accum(&r).is_empty(), "{:?}", accum(&r));
+        let r = crate::testutil::run(
             &[file("sched", "lib.rs", "pub fn dot(a: &[f32]) -> f32 { a[0] }\n")],
             &[],
-            &AccumConfig::workspace_default(),
         );
-        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        assert!(accum(&r).is_empty(), "{:?}", accum(&r));
     }
 }

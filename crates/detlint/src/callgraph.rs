@@ -217,15 +217,11 @@ fn resolve(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::parse_file;
+    use crate::testutil::file;
 
     fn graph(files: &[(&str, &str)]) -> Graph {
-        Graph::build(
-            files
-                .iter()
-                .map(|(c, src)| parse_file(src, c, &format!("crates/{c}/src/lib.rs")))
-                .collect(),
-        )
+        let files: Vec<_> = files.iter().map(|(c, src)| file(c, "lib.rs", src)).collect();
+        crate::build_model(&files, &[]).graph
     }
 
     #[test]

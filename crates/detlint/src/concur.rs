@@ -38,115 +38,17 @@
 //!    `barrier-unverified` finding, demotable to a warning by an audited
 //!    `detlint::allow(barrier-unverified): reason` on the fn definition.
 //!
-//! Suppressions use the same comment form as the other modes with the kind
-//! tokens in [`ALLOW_KINDS`]; stale allows are reported, mirroring the
-//! taint pass's accounting. The whole analysis is deterministic under file
-//! visit order (pinned by a proptest).
+//! Suppressions use the same comment form as the other analyses with the
+//! finding's rule id as the token; stale allows are settled by the shared
+//! ledger. The whole analysis is deterministic under file visit order
+//! (pinned by a proptest).
 
 use crate::callgraph::Graph;
 use crate::items;
-use crate::lexer::{Tok, TokKind};
-use crate::suppress::{phrase, AllowSet, Domain};
-use crate::taint::Hop;
-use crate::{Finding, Model, SourceFile};
+use crate::lexer::{in_regions, match_delim, Tok, TokKind};
+use crate::suppress::Emitter;
+use crate::{Model, Policy, Related, Severity};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::Path;
-
-/// Every suppression kind the concurrency mode owns. The leaf rule pass
-/// exempts these tokens from its own stale-allow reporting (this pass does
-/// the accounting), exactly like the `taint`/`taint-*` tokens.
-pub const ALLOW_KINDS: &[&str] = &[
-    "unsealed-drain",
-    "send-after-seal",
-    "raw-channel",
-    "order-leak",
-    "blocking-cycle",
-    "lock-inversion",
-    "barrier-unverified",
-];
-
-/// Policy for one concurrency run: which files may construct raw channels,
-/// which fn names are drains/thread entries, and which methods root the
-/// engine role.
-#[derive(Debug, Clone)]
-pub struct ConcurConfig {
-    /// File-path suffixes allowed to construct raw channels (the audited
-    /// fence modules).
-    pub audited_channel_files: Vec<String>,
-    /// Fn names that are declared canonical drains. This list is the
-    /// barrier-conformance subject set, the order-leak exemption, and the
-    /// blocking-op attribution boundary — and it must stay equal to
-    /// `TaintConfig::workspace_default().barrier_fns` (pinned by a test):
-    /// a fn trusted to absorb taint must be exactly a fn this pass
-    /// verifies.
-    pub drain_fns: Vec<String>,
-    /// Fn names that are thread bodies: forward reachability from them
-    /// defines the worker role, and their own blocking receive is the idle
-    /// wait, not a deadlock edge.
-    pub thread_entry_fns: Vec<String>,
-    /// `(impl type, method)` pairs that root the engine role.
-    pub engine_roots: Vec<(String, String)>,
-}
-
-fn strs(v: &[&str]) -> Vec<String> {
-    v.iter().map(|s| s.to_string()).collect()
-}
-
-impl ConcurConfig {
-    /// The policy for this workspace (docs/DETLINT.md).
-    pub fn workspace_default() -> Self {
-        let engine = [
-            "new",
-            "new_opts",
-            "from_checkpoint",
-            "from_checkpoint_opts",
-            "step",
-            "try_step",
-            "run",
-            "checkpoint",
-            "rescale",
-            "rescale_opts",
-            "evaluate",
-            "eval_dataset",
-        ];
-        let mut engine_roots: Vec<(String, String)> =
-            engine.iter().map(|m| ("Engine".to_string(), m.to_string())).collect();
-        engine_roots.push(("WorkerPool".to_string(), "spawn".to_string()));
-        engine_roots.push(("WorkerPool".to_string(), "drop".to_string()));
-        ConcurConfig {
-            audited_channel_files: strs(&["comm/src/exchange.rs", "core/src/pool.rs"]),
-            drain_fns: strs(&[
-                "drain_sorted",
-                "drain_deadline",
-                "worker_main",
-                // Not in the live tree any more; the planted `concur_fixtures`
-                // workspace keys on it.
-                "recv_ordered",
-            ]),
-            thread_entry_fns: strs(&["worker_main"]),
-            engine_roots,
-        }
-    }
-}
-
-/// One concurrency finding (or warning): the kind token doubles as the
-/// suppression name.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ConcurFinding {
-    /// Finding kind (one of [`ALLOW_KINDS`]).
-    pub kind: &'static str,
-    /// Workspace-relative file the finding anchors to.
-    pub file: String,
-    /// 1-based anchor line.
-    pub line: u32,
-    /// Human explanation with the witness sites inline.
-    pub message: String,
-    /// Call-path witnesses (for `blocking-cycle`: the engine wait path,
-    /// then the worker wait path). Each path starts at a role root; every
-    /// hop's line is where that fn calls the next hop (or performs the op,
-    /// for the last hop).
-    pub paths: Vec<Vec<Hop>>,
-}
 
 /// One blocking operation in the role-tagged inventory.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -165,33 +67,6 @@ pub struct BlockingOp {
     /// A thread entry's command-channel wait (the worker's normal parked
     /// state, never a deadlock edge).
     pub idle: bool,
-}
-
-/// Everything one concurrency run produced.
-#[derive(Debug, Default)]
-pub struct ConcurReport {
-    /// Gate-failing findings, sorted by `(file, line, kind)`.
-    pub findings: Vec<ConcurFinding>,
-    /// Demoted findings (audited `barrier-unverified` allows). Reported,
-    /// never gate.
-    pub warnings: Vec<ConcurFinding>,
-    /// Concurrency-level `detlint::allow` comments that blocked nothing.
-    pub unused_suppressions: Vec<Finding>,
-    /// Qualified names of every worker-role fn (reachable from a thread
-    /// entry).
-    pub worker_fns: Vec<String>,
-    /// Qualified names of every engine-role fn (reachable from an engine
-    /// root, minus the worker set — the roles are disjoint by
-    /// construction).
-    pub engine_fns: Vec<String>,
-    /// The role-tagged blocking-op inventory, sorted by `(file, line, op)`.
-    pub blocking: Vec<BlockingOp>,
-}
-
-/// Mark-and-test against the shared suppression ledger: does an allow
-/// cover `(file, line)` for `kind`?
-fn allow_blocks(allows: &mut AllowSet, file: &str, line: u32, kind: &str) -> bool {
-    allows.consume(file, line, kind)
 }
 
 /// Sort-family methods that count as canonical-order evidence inside a
@@ -259,22 +134,7 @@ fn exchange_bindings(toks: &[Tok]) -> BTreeSet<String> {
         // Optional turbofish: `Exchange::<T>::new(`.
         let mut j = i + 1;
         if txt(j + 1) == "<" {
-            let mut depth = 0i32;
-            let mut k = j + 1;
-            while k < toks.len() {
-                match toks[k].text.as_str() {
-                    "<" => depth += 1,
-                    ">" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                k += 1;
-            }
-            j = k + 1;
+            j = match_delim(toks, j + 1) + 1;
             if txt(j) != "::" {
                 continue;
             }
@@ -316,20 +176,15 @@ fn scan_events(
     toks: &[Tok],
     file: &str,
     audited: bool,
-    ccfg: &ConcurConfig,
+    policy: &Policy,
     test_regions: &[(u32, u32)],
 ) -> Vec<Event> {
-    let in_test = |line: u32| test_regions.iter().any(|&(a, b)| (a..=b).contains(&line));
     let bindings = exchange_bindings(toks);
-    let drain_calls: Vec<&str> = ccfg
-        .drain_fns
-        .iter()
-        .filter(|f| !ccfg.thread_entry_fns.contains(f))
-        .map(|s| s.as_str())
-        .collect();
+    let drain_calls: Vec<&str> =
+        policy.drain_fns.iter().copied().filter(|f| !policy.thread_entry_fns.contains(f)).collect();
     let mut out = Vec::new();
     for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || in_test(t.line) {
+        if t.kind != TokKind::Ident || in_regions(test_regions, t.line) {
             continue;
         }
         let txt = |j: usize| toks.get(j).map_or("", |t: &Tok| t.text.as_str());
@@ -389,40 +244,41 @@ fn scan_events(
 /// Witness path from a role root down to the fn holding a blocking op,
 /// using the forward-BFS parents. Every hop's line is in that hop's own
 /// file: where it calls the next hop, or (last hop) where the op is.
-fn witness(g: &Graph, parent: &[Option<(usize, u32)>], fn_id: usize, op_line: u32) -> Vec<Hop> {
-    let mut rev = vec![Hop {
-        func: g.fns[fn_id].qualified(),
-        file: g.fns[fn_id].file.clone(),
-        line: op_line,
-    }];
+fn witness(g: &Graph, parent: &[Option<(usize, u32)>], fn_id: usize, op_line: u32) -> Vec<Related> {
+    let hop =
+        |f: usize, line| Related { file: g.fns[f].file.clone(), line, label: g.fns[f].qualified() };
+    let mut rev = vec![hop(fn_id, op_line)];
     let mut f = fn_id;
     while let Some((caller, line)) = parent[f] {
-        rev.push(Hop { func: g.fns[caller].qualified(), file: g.fns[caller].file.clone(), line });
+        rev.push(hop(caller, line));
         f = caller;
     }
     rev.reverse();
     rev
 }
 
-/// Run the concurrency analysis over a prebuilt [`Model`], consuming
-/// suppressions from the shared ledger `allows` (already scanned by the
-/// caller). Stale accounting is the caller's job — the returned report's
-/// `unused_suppressions` is empty.
-pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) -> ConcurReport {
+/// Run the concurrency analysis over the shared model, reporting through
+/// `em`. Returns the role inventory: worker-role fns, engine-role fns
+/// (disjoint — worker wins a fn both roles reach), and the role-tagged
+/// blocking ops sorted by `(file, line, op)`.
+pub fn analyze(
+    model: &Model,
+    policy: &Policy,
+    em: &mut Emitter,
+) -> (Vec<String>, Vec<String>, Vec<BlockingOp>) {
     // Per file: reuse the model's shared token stream for the event scan.
     let mut events: Vec<Event> = Vec::new();
     for mf in &model.files {
-        let audited = ccfg.audited_channel_files.iter().any(|s| mf.file.ends_with(s.as_str()));
-        events.extend(scan_events(&mf.lexed.toks, &mf.file, audited, ccfg, &mf.test_regions));
+        let audited = policy.audited_channel_files.iter().any(|s| mf.file.ends_with(s));
+        events.extend(scan_events(&mf.lexed.toks, &mf.file, audited, policy, &mf.test_regions));
     }
 
     let g = &model.graph;
     let n = g.fns.len();
     let fn_of: Vec<Option<usize>> =
         events.iter().map(|e| items::innermost_fn_at(&g.fns, &e.file, e.line)).collect();
-
-    let mut findings: Vec<ConcurFinding> = Vec::new();
-    let mut warnings: Vec<ConcurFinding> = Vec::new();
+    let is_drain = |f: usize| policy.drain_fns.contains(&g.fns[f].name.as_str());
+    let is_entry = |f: usize| policy.thread_entry_fns.contains(&g.fns[f].name.as_str());
 
     // -- Pass 1: channel lifecycle ---------------------------------------
     let sealed: BTreeSet<(&str, &str)> = events
@@ -434,20 +290,18 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
         .collect();
     for e in &events {
         if let EventKind::Drain { binding } = &e.kind {
-            if !sealed.contains(&(e.file.as_str(), binding.as_str()))
-                && !allow_blocks(allows, &e.file, e.line, "unsealed-drain")
-            {
-                findings.push(ConcurFinding {
-                    kind: "unsealed-drain",
-                    file: e.file.clone(),
-                    line: e.line,
-                    message: format!(
+            if !sealed.contains(&(e.file.as_str(), binding.as_str())) {
+                em.emit(
+                    "unsealed-drain",
+                    &e.file,
+                    e.line,
+                    format!(
                         "`{binding}` is drained but nothing in this file ever seals it; a \
                          publisher that dies before publishing hangs this drain forever — \
                          call `{binding}.seal()` once every handle is minted"
                     ),
-                    paths: Vec::new(),
-                });
+                    Vec::new(),
+                );
             }
         }
     }
@@ -461,74 +315,65 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
                 && s.tok < e.tok
         });
         if let Some((_, s)) = seal {
-            if !allow_blocks(allows, &e.file, e.line, "send-after-seal") {
-                findings.push(ConcurFinding {
-                    kind: "send-after-seal",
-                    file: e.file.clone(),
-                    line: e.line,
-                    message: format!(
-                        "publisher handle minted on `{binding}` after `seal()` (sealed at \
-                         {}:{}); `handle()` panics once the exchange is sealed",
-                        s.file, s.line
-                    ),
-                    paths: Vec::new(),
-                });
-            }
+            em.emit(
+                "send-after-seal",
+                &e.file,
+                e.line,
+                format!(
+                    "publisher handle minted on `{binding}` after `seal()` (sealed at \
+                     {}:{}); `handle()` panics once the exchange is sealed",
+                    s.file, s.line
+                ),
+                Vec::new(),
+            );
         }
     }
     for (ei, e) in events.iter().enumerate() {
         match &e.kind {
-            EventKind::Recv { .. } => {
-                let in_drain = fn_of[ei].is_some_and(|f| ccfg.drain_fns.contains(&g.fns[f].name));
-                if !in_drain && !allow_blocks(allows, &e.file, e.line, "order-leak") {
-                    findings.push(ConcurFinding {
-                        kind: "order-leak",
-                        file: e.file.clone(),
-                        line: e.line,
-                        message: "receive outside a declared drain fn consumes messages in \
-                                  thread-completion order; route it through a canonical drain \
-                                  (drain_sorted / recv_ordered)"
-                            .to_string(),
-                        paths: Vec::new(),
-                    });
-                }
+            EventKind::Recv { .. } if !fn_of[ei].is_some_and(is_drain) => {
+                em.emit(
+                    "order-leak",
+                    &e.file,
+                    e.line,
+                    "receive outside a declared drain fn consumes messages in \
+                     thread-completion order; route it through a canonical drain \
+                     (drain_sorted / drain_deadline)"
+                        .to_string(),
+                    Vec::new(),
+                );
             }
-            EventKind::RawChannel { what }
-                if !allow_blocks(allows, &e.file, e.line, "raw-channel") =>
-            {
-                findings.push(ConcurFinding {
-                    kind: "raw-channel",
-                    file: e.file.clone(),
-                    line: e.line,
-                    message: format!(
+            EventKind::RawChannel { what } => {
+                em.emit(
+                    "raw-channel",
+                    &e.file,
+                    e.line,
+                    format!(
                         "raw channel construction (`{what}`) outside the audited \
                          comm::exchange / core::pool modules; publish through \
                          comm::exchange::Exchange so arrival order stays fenced"
                     ),
-                    paths: Vec::new(),
-                });
+                    Vec::new(),
+                );
             }
             _ => {}
         }
     }
 
     // -- Pass 2: roles and blocking cycles -------------------------------
-    let worker_roots: Vec<usize> = (0..n)
-        .filter(|&i| !g.fns[i].in_test && ccfg.thread_entry_fns.contains(&g.fns[i].name))
-        .collect();
+    let worker_roots: Vec<usize> = (0..n).filter(|&i| !g.fns[i].in_test && is_entry(i)).collect();
     let (worker_vis, worker_par) = g.reachable_from(&worker_roots, &|f| f.in_test);
     let engine_root_ids: Vec<usize> = (0..n)
         .filter(|&i| {
             let f = &g.fns[i];
             !f.in_test
-                && ccfg
+                && policy
                     .engine_roots
                     .iter()
-                    .any(|(ty, m)| f.self_ty.as_deref() == Some(ty.as_str()) && &f.name == m)
+                    .any(|(ty, m)| f.self_ty.as_deref() == Some(ty) && f.name == *m)
         })
         .collect();
     let (engine_vis, engine_par) = g.reachable_from(&engine_root_ids, &|f| {
-        f.in_test || ccfg.thread_entry_fns.contains(&f.name)
+        f.in_test || policy.thread_entry_fns.contains(&f.name.as_str())
     });
 
     struct OpRef {
@@ -553,9 +398,8 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
         };
         let Some((op, waits)) = kind else { continue };
         let Some(f) = fn_of[ei] else { continue };
-        let name = &g.fns[f].name;
-        let idle = ccfg.thread_entry_fns.contains(name);
-        if !idle && ccfg.drain_fns.contains(name) {
+        let idle = is_entry(f);
+        if !idle && is_drain(f) {
             // A drain's own internals are the audited wait — callers see it
             // as a DrainCall op instead, so nothing is lost.
             continue;
@@ -576,21 +420,19 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
     // worker→engine edges are waits in worker-exclusive fns that are not
     // the idle command receive (the engine must act for them to resolve).
     // Both edge sets non-empty ⇒ a cycle.
-    let engine_waits: Vec<&OpRef> = ops.iter().filter(|o| o.role == "engine" && o.waits).collect();
-    let worker_waits: Vec<&OpRef> = ops
-        .iter()
-        .filter(|o| o.role == "worker" && o.waits && !o.idle && !engine_vis[o.fn_id])
-        .collect();
-    if let Some(ew) = engine_waits.first() {
-        for w in &worker_waits {
-            if allow_blocks(allows, &w.file, w.line, "blocking-cycle") {
-                continue;
-            }
-            findings.push(ConcurFinding {
-                kind: "blocking-cycle",
-                file: w.file.clone(),
-                line: w.line,
-                message: format!(
+    let engine_wait = ops.iter().find(|o| o.role == "engine" && o.waits);
+    let worker_waits =
+        ops.iter().filter(|o| o.role == "worker" && o.waits && !o.idle && !engine_vis[o.fn_id]);
+    if let Some(ew) = engine_wait {
+        for w in worker_waits {
+            // Witnesses: the engine wait path, then the worker wait path.
+            let mut paths = witness(g, &engine_par, ew.fn_id, ew.line);
+            paths.extend(witness(g, &worker_par, w.fn_id, w.line));
+            em.emit(
+                "blocking-cycle",
+                &w.file,
+                w.line,
+                format!(
                     "engine<->worker wait cycle: worker-side `{}` in `{}` blocks while the \
                      engine blocks in `{}` ({}:{}); if the engine's wait is on this worker, \
                      neither side makes progress",
@@ -600,20 +442,17 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
                     ew.file,
                     ew.line
                 ),
-                paths: vec![
-                    witness(g, &engine_par, ew.fn_id, ew.line),
-                    witness(g, &worker_par, w.fn_id, w.line),
-                ],
-            });
+                paths,
+            );
         }
     }
 
     // -- Pass 3a: interprocedural lock order -----------------------------
-    let mut direct: BTreeMap<usize, Vec<(String, u32, usize)>> = BTreeMap::new();
+    let mut direct: BTreeMap<usize, Vec<(String, u32)>> = BTreeMap::new();
     for (ei, e) in events.iter().enumerate() {
         if let EventKind::Lock { lock } = &e.kind {
             if let Some(f) = fn_of[ei] {
-                direct.entry(f).or_default().push((lock.clone(), e.line, e.tok));
+                direct.entry(f).or_default().push((lock.clone(), e.line));
             }
         }
     }
@@ -621,7 +460,7 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
     // with one deterministic representative site each.
     let mut summary: Vec<BTreeMap<String, (String, u32)>> = vec![BTreeMap::new(); n];
     for (f, locks) in &direct {
-        for (name, line, _) in locks {
+        for (name, line) in locks {
             summary[*f].entry(name.clone()).or_insert((g.fns[*f].file.clone(), *line));
         }
     }
@@ -630,12 +469,7 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
         for f in 0..n {
             let inherited: Vec<(String, (String, u32))> = g.edges[f]
                 .iter()
-                .flat_map(|e| {
-                    summary[e.callee]
-                        .iter()
-                        .map(|(k, v)| (k.clone(), v.clone()))
-                        .collect::<Vec<_>>()
-                })
+                .flat_map(|e| summary[e.callee].iter().map(|(k, v)| (k.clone(), v.clone())))
                 .collect();
             for (k, v) in inherited {
                 if let std::collections::btree_map::Entry::Vacant(slot) = summary[f].entry(k) {
@@ -648,78 +482,50 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
             break;
         }
     }
-    struct PairWitness {
-        file_a: String,
-        line_a: u32,
-        file_b: String,
-        line_b: u32,
-    }
+    /// `(file, line)` of the first and of the second acquisition.
+    type PairWitness = ((String, u32), (String, u32));
     let mut pairs: BTreeMap<(String, String), PairWitness> = BTreeMap::new();
     for (f, locks) in &direct {
-        let file = g.fns[*f].file.clone();
-        for (i, (na, la, _)) in locks.iter().enumerate() {
+        let file = &g.fns[*f].file;
+        for (i, (na, la)) in locks.iter().enumerate() {
+            let first = (file.clone(), *la);
             // Later acquisitions in the same fn (the guard is assumed live —
             // over-approximate on purpose; suppress drop-scoped pairs).
-            for (nb, lb, _) in locks.iter().skip(i + 1) {
-                if na != nb {
-                    pairs.entry((na.clone(), nb.clone())).or_insert(PairWitness {
-                        file_a: file.clone(),
-                        line_a: *la,
-                        file_b: file.clone(),
-                        line_b: *lb,
-                    });
-                }
+            for (nb, lb) in locks.iter().skip(i + 1).filter(|(nb, _)| nb != na) {
+                pairs
+                    .entry((na.clone(), nb.clone()))
+                    .or_insert_with(|| (first.clone(), (file.clone(), *lb)));
             }
             // Locks any callee invoked at/after the acquisition can take.
-            for e in &g.edges[*f] {
-                if e.line < *la {
-                    continue;
-                }
-                for (nb, (fb, lb)) in &summary[e.callee] {
-                    if nb != na {
-                        pairs.entry((na.clone(), nb.clone())).or_insert(PairWitness {
-                            file_a: file.clone(),
-                            line_a: *la,
-                            file_b: fb.clone(),
-                            line_b: *lb,
-                        });
-                    }
+            for e in g.edges[*f].iter().filter(|e| e.line >= *la) {
+                for (nb, second) in summary[e.callee].iter().filter(|(nb, _)| *nb != na) {
+                    pairs
+                        .entry((na.clone(), nb.clone()))
+                        .or_insert_with(|| (first.clone(), second.clone()));
                 }
             }
         }
     }
-    for ((a, b), w) in &pairs {
+    for ((a, b), ((fa, la), (fb, lb))) in &pairs {
         if a >= b {
             continue; // one finding per unordered pair
         }
-        let Some(rev) = pairs.get(&(b.clone(), a.clone())) else { continue };
-        if allow_blocks(allows, &w.file_a, w.line_a, "lock-inversion") {
-            continue;
-        }
-        findings.push(ConcurFinding {
-            kind: "lock-inversion",
-            file: w.file_a.clone(),
-            line: w.line_a,
-            message: format!(
-                "lock order inversion between `{a}` and `{b}`: `{a}` -> `{b}` ({}:{} then \
-                 {}:{}) but `{b}` -> `{a}` ({}:{} then {}:{}); two threads interleaving \
-                 these paths deadlock",
-                w.file_a,
-                w.line_a,
-                w.file_b,
-                w.line_b,
-                rev.file_a,
-                rev.line_a,
-                rev.file_b,
-                rev.line_b
+        let Some(((rfa, rla), (rfb, rlb))) = pairs.get(&(b.clone(), a.clone())) else { continue };
+        em.emit(
+            "lock-inversion",
+            fa,
+            *la,
+            format!(
+                "lock order inversion between `{a}` and `{b}`: `{a}` -> `{b}` ({fa}:{la} then \
+                 {fb}:{lb}) but `{b}` -> `{a}` ({rfa}:{rla} then {rfb}:{rlb}); two threads \
+                 interleaving these paths deadlock"
             ),
-            paths: Vec::new(),
-        });
+            Vec::new(),
+        );
     }
 
     // -- Pass 3b: barrier conformance ------------------------------------
-    let subjects: Vec<usize> =
-        (0..n).filter(|&i| !g.fns[i].in_test && ccfg.drain_fns.contains(&g.fns[i].name)).collect();
+    let subjects: Vec<usize> = (0..n).filter(|&i| !g.fns[i].in_test && is_drain(i)).collect();
     let mut verified = vec![false; n];
     for &s in &subjects {
         verified[s] = events.iter().enumerate().any(|(ei, e)| {
@@ -732,11 +538,7 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
     loop {
         let mut changed = false;
         for &s in &subjects {
-            if !verified[s]
-                && g.edges[s]
-                    .iter()
-                    .any(|e| verified[e.callee] && ccfg.drain_fns.contains(&g.fns[e.callee].name))
-            {
+            if !verified[s] && g.edges[s].iter().any(|e| verified[e.callee] && is_drain(e.callee)) {
                 verified[s] = true;
                 changed = true;
             }
@@ -745,119 +547,83 @@ pub fn analyze_model(model: &Model, ccfg: &ConcurConfig, allows: &mut AllowSet) 
             break;
         }
     }
-    for &s in &subjects {
-        if verified[s] {
-            continue;
-        }
+    for &s in subjects.iter().filter(|&&s| !verified[s]) {
         let f = &g.fns[s];
-        if allow_blocks(allows, &f.file, f.line, "barrier-unverified") {
-            warnings.push(ConcurFinding {
-                kind: "barrier-unverified",
-                file: f.file.clone(),
-                line: f.line,
-                message: format!(
+        let unaudited = em.emit(
+            "barrier-unverified",
+            &f.file,
+            f.line,
+            format!(
+                "declared barrier `{}` shows no canonical-order evidence (no sort-family \
+                 call, no indexed `recv`, no delegation to a verified drain); make the \
+                 drain canonical or audit it with `detlint::allow(barrier-unverified)`",
+                f.qualified()
+            ),
+            Vec::new(),
+        );
+        if !unaudited {
+            em.push(
+                "barrier-unverified",
+                Severity::Warning,
+                &f.file,
+                f.line,
+                format!(
                     "declared barrier `{}` shows no canonical-order evidence; demoted to a \
                      warning by an audited `barrier-unverified` allow",
                     f.qualified()
                 ),
-                paths: Vec::new(),
-            });
-        } else {
-            findings.push(ConcurFinding {
-                kind: "barrier-unverified",
-                file: f.file.clone(),
-                line: f.line,
-                message: format!(
-                    "declared barrier `{}` shows no canonical-order evidence (no sort-family \
-                     call, no indexed `recv`, no delegation to a verified drain); make the \
-                     drain canonical or audit it with `detlint::allow(barrier-unverified)`",
-                    f.qualified()
-                ),
-                paths: Vec::new(),
-            });
+                Vec::new(),
+            );
         }
     }
 
-    findings.sort_by(|a, b| (&a.file, a.line, a.kind).cmp(&(&b.file, b.line, b.kind)));
-    warnings.sort_by(|a, b| (&a.file, a.line, a.kind).cmp(&(&b.file, b.line, b.kind)));
-
-    ConcurReport {
-        findings,
-        warnings,
-        unused_suppressions: Vec::new(),
-        worker_fns: (0..n).filter(|&i| worker_vis[i]).map(|i| g.fns[i].qualified()).collect(),
-        engine_fns: (0..n)
-            .filter(|&i| engine_vis[i] && !worker_vis[i])
-            .map(|i| g.fns[i].qualified())
-            .collect(),
-        blocking: ops
-            .iter()
-            .map(|o| BlockingOp {
-                role: o.role,
-                op: o.op.clone(),
-                func: g.fns[o.fn_id].qualified(),
-                file: o.file.clone(),
-                line: o.line,
-                idle: o.idle,
-            })
-            .collect(),
-    }
-}
-
-/// [`analyze_model`] with a private suppression ledger: scan every file's
-/// allows, run the passes, and report concurrency-only stale allows.
-pub fn analyze_model_standalone(model: &Model, ccfg: &ConcurConfig) -> ConcurReport {
-    let mut allows = AllowSet::new();
-    for mf in &model.files {
-        allows.scan_file(&mf.lexed, &mf.file, &mf.test_regions);
-    }
-    let mut rep = analyze_model(model, ccfg, &mut allows);
-    rep.unused_suppressions = allows.stale(&[Domain::Concur], false, phrase::CONCUR);
-    rep
-}
-
-/// Run the concurrency analysis over a set of source files with a private
-/// suppression ledger. Input order does not matter — files are sorted
-/// internally and the report is byte-identical under any permutation
-/// (pinned by a proptest).
-pub fn analyze_files(files: &[SourceFile], ccfg: &ConcurConfig) -> ConcurReport {
-    analyze_model_standalone(&crate::build_model(files, &[]), ccfg)
-}
-
-/// [`analyze_files`] over every `crates/*/src/**/*.rs` under `root`.
-pub fn analyze_workspace_concur(root: &Path, ccfg: &ConcurConfig) -> std::io::Result<ConcurReport> {
-    let files = crate::workspace_sources(root)?;
-    Ok(analyze_files(&files, ccfg))
+    let qualified = |i: usize| g.fns[i].qualified();
+    let worker_fns = (0..n).filter(|&i| worker_vis[i]).map(qualified).collect();
+    let engine_fns = (0..n).filter(|&i| engine_vis[i] && !worker_vis[i]).map(qualified).collect();
+    let blocking = ops
+        .iter()
+        .map(|o| BlockingOp {
+            role: o.role,
+            op: o.op.clone(),
+            func: qualified(o.fn_id),
+            file: o.file.clone(),
+            line: o.line,
+            idle: o.idle,
+        })
+        .collect();
+    (worker_fns, engine_fns, blocking)
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::taint::TaintConfig;
+    use crate::testutil::{file, findings, stale};
+    use crate::{Diagnostic, Mode, Report, Severity, SourceFile};
 
-    fn file(crate_name: &str, name: &str, src: &str) -> SourceFile {
-        SourceFile {
-            crate_name: crate_name.to_string(),
-            file: format!("crates/{crate_name}/src/{name}"),
-            src: src.to_string(),
-        }
+    fn run(files: &[SourceFile]) -> Report {
+        crate::testutil::run(files, &[])
     }
 
-    fn run(files: &[SourceFile]) -> ConcurReport {
-        analyze_files(files, &ConcurConfig::workspace_default())
+    fn concur(r: &Report) -> Vec<&Diagnostic> {
+        findings(r, Mode::Concur)
     }
 
-    fn kinds(r: &ConcurReport) -> Vec<&'static str> {
-        r.findings.iter().map(|f| f.kind).collect()
+    fn kinds(r: &Report) -> Vec<&'static str> {
+        concur(r).iter().map(|f| f.rule).collect()
     }
 
     #[test]
-    fn drain_set_equals_the_declared_taint_barrier_fns() {
-        // The conformance pass verifies exactly the fns taint trusts.
-        assert_eq!(
-            ConcurConfig::workspace_default().drain_fns,
-            TaintConfig::workspace_default().barrier_fns
-        );
+    fn a_declared_drain_is_both_a_taint_barrier_and_a_conformance_subject() {
+        // One `drain_fns` list: the fn taint trusts to absorb arrival order
+        // is exactly the fn the conformance pass demands evidence from.
+        let r = run(&[file(
+            "comm",
+            "lib.rs",
+            "fn collect() -> u64 { let (tx, rx) = channel(); rx.try_recv().unwrap() }\n\
+             pub fn drain_deadline() -> u64 { collect() }\n\
+             pub fn allreduce_avg(x: u64) -> u64 { drain_deadline() }\n",
+        )]);
+        assert!(r.flows.is_empty(), "the drain absorbs the thread-order source: {:?}", r.flows);
+        assert!(kinds(&r).contains(&"barrier-unverified"), "…and must earn it: {:?}", kinds(&r));
     }
 
     #[test]
@@ -874,7 +640,7 @@ mod tests {
             "fn collect() { let mut ex = Exchange::new(); ex.handle(); ex.seal(); \
              ex.drain_sorted(1); }\n",
         )]);
-        assert!(kinds(&good).is_empty(), "{:?}", good.findings);
+        assert!(kinds(&good).is_empty(), "{:?}", concur(&good));
     }
 
     #[test]
@@ -890,7 +656,7 @@ mod tests {
             "lib.rs",
             "fn mint() { let mut ex = Exchange::new(); ex.handle(); ex.seal(); }\n",
         )]);
-        assert!(kinds(&good).is_empty(), "{:?}", good.findings);
+        assert!(kinds(&good).is_empty(), "{:?}", concur(&good));
     }
 
     #[test]
@@ -907,7 +673,7 @@ mod tests {
             file: "crates/comm/src/exchange.rs".to_string(),
             src: "fn inside() { let (tx, rx) = std::sync::mpsc::channel(); }\n".to_string(),
         }]);
-        assert!(kinds(&good).is_empty(), "{:?}", good.findings);
+        assert!(kinds(&good).is_empty(), "{:?}", concur(&good));
     }
 
     #[test]
@@ -920,7 +686,7 @@ mod tests {
             "lib.rs",
             "fn drain_sorted(rx: R) -> Vec<u32> { let mut o = vec![rx.recv()]; o.sort(); o }\n",
         )]);
-        assert!(kinds(&good).is_empty(), "{:?}", good.findings);
+        assert!(kinds(&good).is_empty(), "{:?}", concur(&good));
     }
 
     #[test]
@@ -948,7 +714,7 @@ mod tests {
             "fn drain_deadline(rx: R) -> V { let mut o = vec![rx.recv_timeout(w)]; \
              o.sort_by_key(|x| *x); o }\n",
         )]);
-        assert!(kinds(&good).is_empty(), "{:?}", good.findings);
+        assert!(kinds(&good).is_empty(), "{:?}", concur(&good));
     }
 
     #[test]
@@ -962,18 +728,22 @@ mod tests {
             file(
                 "core",
                 "b.rs",
-                "struct Engine;\nimpl Engine { pub fn step(&self) { self.recv_ordered(); }\n\
-                 fn recv_ordered(&self) { self.replies[0].recv(); } }\n",
+                "struct Engine;\nimpl Engine { pub fn step(&self) { self.drain_deadline(); }\n\
+                 fn drain_deadline(&self) { self.replies[0].recv(); } }\n",
             ),
         ]);
-        let cycles: Vec<_> = both.findings.iter().filter(|f| f.kind == "blocking-cycle").collect();
-        assert_eq!(cycles.len(), 1, "{:?}", both.findings);
-        assert_eq!(cycles[0].paths.len(), 2, "engine witness + worker witness");
-        let worker_path: Vec<&str> = cycles[0].paths[1].iter().map(|h| h.func.as_str()).collect();
-        assert_eq!(worker_path, vec!["core::worker_main", "core::handle_cmd", "core::wait_ack"]);
+        let found = concur(&both);
+        let cycles: Vec<_> = found.iter().filter(|f| f.rule == "blocking-cycle").collect();
+        assert_eq!(cycles.len(), 1, "{found:?}");
+        // Engine witness, then worker witness.
+        let hops: Vec<&str> = cycles[0].related.iter().map(|h| h.label.as_str()).collect();
+        assert_eq!(
+            hops,
+            vec!["core::Engine::step", "core::worker_main", "core::handle_cmd", "core::wait_ack"]
+        );
         // Worker side alone (no engine wait anywhere): only the order leak.
         let alone = run(&[file("core", "a.rs", worker_side)]);
-        assert!(!alone.findings.iter().any(|f| f.kind == "blocking-cycle"), "{:?}", alone.findings);
+        assert!(!kinds(&alone).contains(&"blocking-cycle"), "{:?}", concur(&alone));
     }
 
     #[test]
@@ -987,16 +757,16 @@ mod tests {
             ),
         ]);
         assert!(
-            !r.findings.iter().any(|f| f.kind == "blocking-cycle"),
+            !kinds(&r).contains(&"blocking-cycle"),
             "idle command wait must not close a cycle: {:?}",
-            r.findings
+            concur(&r)
         );
         let idle: Vec<_> = r.blocking.iter().filter(|o| o.idle).collect();
         assert_eq!(idle.len(), 1);
         assert_eq!(idle[0].role, "worker");
         // The engine-side indexed recv sits in `step`, which is not a
         // declared drain: that is a real order leak.
-        assert!(r.findings.iter().any(|f| f.kind == "order-leak"));
+        assert!(kinds(&r).contains(&"order-leak"));
     }
 
     #[test]
@@ -1031,8 +801,8 @@ mod tests {
              fn lock_alpha(s: &Store) { s.alpha.lock(); }\n",
         )]);
         assert_eq!(kinds(&r), vec!["lock-inversion"]);
-        assert!(r.findings[0].message.contains("`alpha` -> `beta`"));
-        assert!(r.findings[0].message.contains("`beta` -> `alpha`"));
+        assert!(concur(&r)[0].message.contains("`alpha` -> `beta`"));
+        assert!(concur(&r)[0].message.contains("`beta` -> `alpha`"));
         // One direction only: clean.
         let clean = run(&[file(
             "obs",
@@ -1041,7 +811,7 @@ mod tests {
              fn refresh_a(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); }\n\
              }\n",
         )]);
-        assert!(kinds(&clean).is_empty(), "{:?}", clean.findings);
+        assert!(kinds(&clean).is_empty(), "{:?}", concur(&clean));
     }
 
     #[test]
@@ -1052,22 +822,22 @@ mod tests {
             "a.rs",
             "fn drain_sorted(rx: R) -> V { let mut o = vec![rx.recv()]; o.sort_by_key(|x| *x); o }\n",
         )]);
-        assert!(kinds(&sorted).is_empty(), "{:?}", sorted.findings);
+        assert!(kinds(&sorted).is_empty(), "{:?}", concur(&sorted));
         // Indexed-recv evidence.
         let indexed = run(&[file(
             "core",
             "b.rs",
-            "impl P { fn recv_ordered(&self) { self.replies[0].recv(); } }\n",
+            "impl P { fn drain_deadline(&self) { self.replies[0].recv(); } }\n",
         )]);
-        assert!(kinds(&indexed).is_empty(), "{:?}", indexed.findings);
+        assert!(kinds(&indexed).is_empty(), "{:?}", concur(&indexed));
         // Delegation to a verified drain.
         let delegated = run(&[file(
             "comm",
             "c.rs",
             "fn drain_sorted(rx: R) -> V { let mut o = vec![rx.recv()]; o.sort(); o }\n\
-             fn recv_ordered(rx: R) -> V { drain_sorted(rx) }\n",
+             fn drain_deadline(rx: R) -> V { drain_sorted(rx) }\n",
         )]);
-        assert!(kinds(&delegated).is_empty(), "{:?}", delegated.findings);
+        assert!(kinds(&delegated).is_empty(), "{:?}", concur(&delegated));
         // No evidence at all: finding.
         let fake =
             run(&[file("comm", "d.rs", "fn drain_sorted(rx: R) -> V { vec![rx.recv()] }\n")]);
@@ -1082,10 +852,12 @@ mod tests {
             "// detlint::allow(barrier-unverified): audited fixture\n\
              fn drain_sorted(rx: R) -> V { vec![rx.recv()] }\n",
         )]);
-        assert!(kinds(&r).is_empty(), "{:?}", r.findings);
-        assert_eq!(r.warnings.len(), 1);
-        assert_eq!(r.warnings[0].kind, "barrier-unverified");
-        assert!(r.unused_suppressions.is_empty(), "the allow was used");
+        assert!(kinds(&r).is_empty(), "{:?}", concur(&r));
+        let warnings: Vec<_> =
+            r.mode(Mode::Concur).filter(|d| d.severity == Severity::Warning).collect();
+        assert_eq!(warnings.len(), 1);
+        assert_eq!(warnings[0].rule, "barrier-unverified");
+        assert!(stale(&r, Mode::Concur).is_empty(), "the allow was used");
     }
 
     #[test]
@@ -1096,9 +868,8 @@ mod tests {
             "// detlint::allow(unsealed-drain): nothing here drains\n\
              fn tidy() {}\n",
         )]);
-        assert!(r.findings.is_empty());
-        assert_eq!(r.unused_suppressions.len(), 1);
-        assert_eq!(r.unused_suppressions[0].rule, "unused-suppression");
+        assert!(kinds(&r).is_empty());
+        assert_eq!(stale(&r, Mode::Concur).len(), 1);
     }
 
     #[test]
@@ -1107,8 +878,6 @@ mod tests {
         let b = file("core", "b.rs", "pub fn leak(rx: R) { rx.recv(); }\n");
         let fwd = run(&[a.clone(), b.clone()]);
         let rev = run(&[b, a]);
-        assert_eq!(fwd.findings, rev.findings);
-        assert_eq!(fwd.blocking, rev.blocking);
-        assert_eq!(fwd.worker_fns, rev.worker_fns);
+        assert_eq!(fwd, rev);
     }
 }

@@ -9,7 +9,7 @@
 //! index. Closures contribute their tokens to the enclosing fn; nested fns
 //! are items of their own.
 
-use crate::lexer::{lex, Lexed, Tok, TokKind};
+use crate::lexer::{in_regions, match_delim, Lexed, Tok, TokKind};
 
 /// One fn definition with everything taint propagation needs.
 #[derive(Debug, Clone)]
@@ -85,18 +85,15 @@ const NON_CALL_KEYWORDS: &[&str] = &[
     "const", "static", "unsafe", "extern", "crate", "super", "self", "Self", "box", "await",
 ];
 
-/// Parse one file's source into its item model.
-pub fn parse_file(src: &str, crate_name: &str, file: &str) -> FileItems {
-    parse_lexed(&lex(src), crate_name, file)
-}
-
-/// [`parse_file`] over an already-lexed token stream (the taint pass lexes
-/// once and shares the stream with the rule detectors).
-pub fn parse_lexed(lexed: &Lexed, crate_name: &str, file: &str) -> FileItems {
+/// Parse one lexed file into its item model. `test_regions` are the file's
+/// `#[cfg(test)]` line ranges (the model computes them once per file).
+pub fn parse_lexed(
+    lexed: &Lexed,
+    test_regions: &[(u32, u32)],
+    crate_name: &str,
+    file: &str,
+) -> FileItems {
     let toks = &lexed.toks;
-    let test_regions = crate::rules::test_regions_pub(toks);
-    let in_test = |line: u32| test_regions.iter().any(|&(a, b)| (a..=b).contains(&line));
-
     let impls = impl_regions(toks);
     let uses = parse_uses(toks);
 
@@ -138,7 +135,7 @@ pub fn parse_lexed(lexed: &Lexed, crate_name: &str, file: &str) -> FileItems {
             continue; // declaration without a body
         }
         let body_open = j;
-        let body_close = match_brace(toks, body_open);
+        let body_close = match_delim(toks, body_open);
         let self_ty = impls
             .iter()
             .find(|r| r.open < body_open && body_close <= r.close)
@@ -152,7 +149,7 @@ pub fn parse_lexed(lexed: &Lexed, crate_name: &str, file: &str) -> FileItems {
             has_self,
             body_lines: (toks[body_open].line, toks[body_close.min(toks.len() - 1)].line),
             calls: collect_calls(toks, body_open + 1, body_close),
-            in_test: in_test(toks[i].line),
+            in_test: in_regions(test_regions, toks[i].line),
         });
         // Continue scanning *inside* the body too: nested fns become their
         // own defs (their calls are collected twice, once for the outer fn —
@@ -224,7 +221,7 @@ fn impl_regions(toks: &[Tok]) -> Vec<ImplRegion> {
         }
         if j < toks.len() && toks[j].text == "{" {
             if let Some(ty) = after_for.or(last_ident) {
-                out.push(ImplRegion { ty, open: j, close: match_brace(toks, j) });
+                out.push(ImplRegion { ty, open: j, close: match_delim(toks, j) });
             }
             i = j + 1;
         } else {
@@ -232,26 +229,6 @@ fn impl_regions(toks: &[Tok]) -> Vec<ImplRegion> {
         }
     }
     out
-}
-
-/// Index of the `}` matching the `{` at `open` (or last token on EOF).
-fn match_brace(toks: &[Tok], open: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = open;
-    while j < toks.len() {
-        match toks[j].text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                if depth == 0 {
-                    return j;
-                }
-            }
-            _ => {}
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
 }
 
 /// Collect call expressions in `toks[a..b]`.
@@ -357,7 +334,8 @@ mod tests {
     use super::*;
 
     fn parse(src: &str) -> FileItems {
-        parse_file(src, "demo", "demo/src/lib.rs")
+        let lexed = crate::lexer::lex(src);
+        parse_lexed(&lexed, &crate::lexer::test_regions(&lexed.toks), "demo", "demo/src/lib.rs")
     }
 
     #[test]

@@ -7,6 +7,10 @@
 //! The scanner is intentionally lossless about *lines*: every token and
 //! every line comment carries its 1-based line number, which is what the
 //! suppression mechanism and the report spans key on.
+//!
+//! The token-walking helpers every analysis shares (statement bounds, the
+//! delimiter matcher, `#[cfg(test)]` regions) live here too, next to the
+//! token type they walk.
 
 /// What kind of lexeme a token is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -271,6 +275,102 @@ fn is_raw_string_start(b: &[char], i: usize) -> bool {
         j += 1;
     }
     j < b.len() && b[j] == '"'
+}
+
+/// Primitive integer type names (a statement naming one is integer math).
+pub const INT_TYPES: &[&str] =
+    &["usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8", "i16", "i32", "i64", "i128"];
+/// Primitive float type names.
+pub const FLOAT_TYPES: &[&str] = &["f32", "f64"];
+
+/// Do tokens at `start` match `pat` textually?
+pub fn matches(toks: &[Tok], start: usize, pat: &[&str]) -> bool {
+    pat.iter().enumerate().all(|(k, p)| toks.get(start + k).is_some_and(|t| t.text == *p))
+}
+
+/// Does `line` fall inside one of the inclusive line `regions`?
+pub fn in_regions(regions: &[(u32, u32)], line: u32) -> bool {
+    regions.iter().any(|&(a, b)| (a..=b).contains(&line))
+}
+
+/// Statement bounds around token `i`: `(start, end)` token indices between
+/// the nearest `;`/`{`/`}` on each side (end exclusive).
+pub fn statement_bounds(toks: &[Tok], i: usize) -> (usize, usize) {
+    let boundary = |t: &Tok| matches!(t.text.as_str(), ";" | "{" | "}");
+    let mut a = i;
+    while a > 0 && !boundary(&toks[a - 1]) {
+        a -= 1;
+    }
+    let mut b = i;
+    while b < toks.len() && !boundary(&toks[b]) {
+        b += 1;
+    }
+    (a, b)
+}
+
+/// Index of the delimiter matching the one at `at`: forward from an opener
+/// (`{`/`(`/`[`/`<`), backward from a closer. Any other token matches
+/// itself; an unbalanced opener yields the last token, an unbalanced closer
+/// the first.
+pub fn match_delim(toks: &[Tok], at: usize) -> usize {
+    const PAIRS: [(&str, &str); 4] = [("{", "}"), ("(", ")"), ("[", "]"), ("<", ">")];
+    let here = toks[at].text.as_str();
+    let Some(&(open, close)) = PAIRS.iter().find(|(o, c)| *o == here || *c == here) else {
+        return at;
+    };
+    let forward = here == open;
+    let (same, other) = if forward { (open, close) } else { (close, open) };
+    let mut depth = 0i32;
+    let mut j = at;
+    loop {
+        let t = toks[j].text.as_str();
+        if t == same {
+            depth += 1;
+        } else if t == other {
+            depth -= 1;
+            if depth == 0 {
+                return j;
+            }
+        }
+        if forward && j + 1 < toks.len() {
+            j += 1;
+        } else if !forward && j > 0 {
+            j -= 1;
+        } else {
+            return j;
+        }
+    }
+}
+
+/// `#[cfg(test)] mod … { … }` line ranges. Findings and suppressions inside
+/// them are skipped by every analysis.
+pub fn test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
+    let mut out = Vec::new();
+    let mut i = 0;
+    while i < toks.len() {
+        if !(toks[i].text == "#" && matches(toks, i + 1, &["[", "cfg", "(", "test", ")", "]"])) {
+            i += 1;
+            continue;
+        }
+        let mut j = i + 7;
+        // Skip further attributes between the cfg and the item.
+        while j + 1 < toks.len() && toks[j].text == "#" {
+            j = match_delim(toks, j + 1) + 1;
+        }
+        if j < toks.len() && toks[j].text == "mod" {
+            while j < toks.len() && toks[j].text != "{" {
+                j += 1;
+            }
+            if j < toks.len() {
+                let close = match_delim(toks, j);
+                out.push((toks[i].line, toks[close].line));
+                i = close;
+                continue;
+            }
+        }
+        i += 1;
+    }
+    out
 }
 
 #[cfg(test)]

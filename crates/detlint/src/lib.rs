@@ -9,13 +9,15 @@
 //! lint failure before it is a flaky bitwise diff.
 //!
 //! Design constraints mirror the shims philosophy: fully offline, no
-//! external parser — a hand-rolled token scanner ([`lexer`]) feeds a small
-//! rule catalog ([`rules`]). Findings carry `file:line` spans, can be
-//! rendered as human text or JSON ([`report`]), and are suppressed per-site
-//! with `// detlint::allow(rule): reason` comments.
+//! external parser — a hand-rolled token scanner ([`lexer`]) feeds four
+//! analyses that share one lex, one item model ([`items`]) and one call
+//! graph ([`callgraph`]): the leaf [`rules`], interprocedural [`taint`]
+//! flows, the [`concur`] protocol checks and the float-[`accum`] dataflow.
+//! [`analyze`] runs all four against one [`Policy`] and one suppression
+//! ledger ([`suppress`]) and returns one [`Report`] of [`Diagnostic`]s,
+//! rendered as human text ([`report`]) or SARIF 2.1.0 ([`sarif`]).
 
 pub mod accum;
-pub mod cache;
 pub mod callgraph;
 pub mod concur;
 pub mod items;
@@ -26,100 +28,190 @@ pub mod sarif;
 pub mod suppress;
 pub mod taint;
 
-use std::path::Path;
+use std::io;
+use std::path::{Path, PathBuf};
 
-/// Workspace policy: which crates each rule is load-bearing for.
+/// Workspace policy: which crates, fns and types each analysis keys on.
+/// There is one value, [`Policy::workspace_default`] (docs/DETLINT.md).
 ///
 /// Crate names here are the directory names under `crates/` (which for this
 /// workspace equal the package names, except `core` whose package is
 /// `easyscale`).
 #[derive(Debug, Clone)]
-pub struct Config {
+pub struct Policy {
     /// Crates on the deterministic path — everything a training step's
-    /// bitwise result flows through. `no-hash-iter`, `no-adhoc-rng`, and
-    /// `no-thread-order` apply here.
-    pub deterministic_path: Vec<String>,
+    /// bitwise result flows through. `no-hash-iter`, `no-adhoc-rng`,
+    /// `no-thread-order` and `no-float-key-sort` apply here, and only fns
+    /// here count as taint witnesses when a *tainted caller* invokes a
+    /// sink (keeps bench/test harness timing from fabricating flows).
+    pub deterministic_path: &'static [&'static str],
     /// Crates allowed to read wall clocks (`no-wall-clock` applies
     /// everywhere else — observability and benches own the clock).
-    pub wall_clock_exempt: Vec<String>,
-    /// Crates whose float math is numeric-contract-bearing
-    /// (`no-raw-float-accum` applies here).
-    pub float_accum_crates: Vec<String>,
+    pub wall_clock_exempt: &'static [&'static str],
+    /// Crates whose float math is numeric-contract-bearing:
+    /// `no-raw-float-accum`, loop classification and oracle pairing apply
+    /// here.
+    pub float_crates: &'static [&'static str],
     /// Type names that, appearing in a fn signature, mark the fn as an
     /// order-parameterized kernel: its accumulation order is explicit
     /// state, so `no-raw-float-accum` does not fire inside it.
-    pub order_param_types: Vec<String>,
+    pub order_param_types: &'static [&'static str],
     /// Identifiers that bless a float ordering as total (`no-float-key-sort`
     /// stands down when one appears in the comparator/statement).
-    pub total_order_helpers: Vec<String>,
-    /// Skip findings inside `#[cfg(test)] mod … { … }` regions.
-    pub skip_test_code: bool,
-    /// Report `detlint::allow` comments that suppressed nothing as
-    /// `unused-suppression` findings. The taint pass runs the rules with a
-    /// permissive scope purely to harvest sources and turns this off there.
-    pub report_unused_suppressions: bool,
+    pub total_order_helpers: &'static [&'static str],
+    /// Crates that are taint barriers wholesale: every fn inside absorbs
+    /// taint.
+    pub barrier_crates: &'static [&'static str],
+    /// Fn names that are declared canonical drains, wherever they live.
+    /// One list with four readers: taint absorbs at these fns, and the
+    /// concurrency pass verifies exactly these fns show canonical-order
+    /// evidence, exempts receives inside them from `order-leak`, and
+    /// attributes their blocking to the caller — a fn trusted to absorb
+    /// taint is by construction a fn the conformance pass verifies.
+    pub drain_fns: &'static [&'static str],
+    /// Taint sinks as `(crate, fn name, sink kind)`; the fn matches under
+    /// any impl type. A flow is a source reaching one of these.
+    pub sinks: &'static [(&'static str, &'static str, &'static str)],
+    /// File-path suffixes allowed to construct raw channels (the audited
+    /// fence modules).
+    pub audited_channel_files: &'static [&'static str],
+    /// Fn names that are thread bodies: forward reachability from them
+    /// defines the worker role, and their own blocking receive is the idle
+    /// wait, not a deadlock edge.
+    pub thread_entry_fns: &'static [&'static str],
+    /// `(impl type, method)` pairs that root the engine role.
+    pub engine_roots: &'static [(&'static str, &'static str)],
+    /// Vectorized-kernel name set for oracle pairing. A trailing `*` is a
+    /// prefix glob (`matmul*`); names ending `_scalar` are never subjects.
+    pub oracle_kernels: &'static [&'static str],
 }
 
-fn strs(v: &[&str]) -> Vec<String> {
-    v.iter().map(|s| s.to_string()).collect()
-}
-
-impl Config {
+impl Policy {
     /// The policy for this workspace, matching docs/DETLINT.md.
     pub fn workspace_default() -> Self {
-        Config {
-            deterministic_path: strs(&[
+        Policy {
+            deterministic_path: &[
                 "core", "comm", "tensor", "sched", "data", "esrng", "models", "optim", "faultsim",
-            ]),
-            wall_clock_exempt: strs(&["obs", "bench"]),
-            float_accum_crates: strs(&["tensor", "comm", "models"]),
-            order_param_types: strs(&["KernelProfile", "ExecCtx", "RingSpec"]),
-            total_order_helpers: strs(&["total_cmp"]),
-            skip_test_code: true,
-            report_unused_suppressions: true,
-        }
-    }
-
-    /// The scope the taint pass harvests sources with: the order/entropy
-    /// rules active in every listed crate, so a source is visible wherever
-    /// it lives — the barrier/sink policy, not rule scoping, decides what
-    /// matters. Float accumulation stays scoped to the numeric-contract
-    /// crates: a sequential `+=` in single-threaded bookkeeping code is
-    /// order-explicit by construction, and seeding taint from it would
-    /// drown the report in deterministic accumulators.
-    pub fn permissive(crate_names: &[String]) -> Self {
-        Config {
-            deterministic_path: crate_names.to_vec(),
-            wall_clock_exempt: Vec::new(),
-            float_accum_crates: strs(&["tensor", "comm", "models"]),
-            order_param_types: strs(&["KernelProfile", "ExecCtx", "RingSpec"]),
-            total_order_helpers: strs(&["total_cmp"]),
-            skip_test_code: true,
-            report_unused_suppressions: false,
+            ],
+            wall_clock_exempt: &["obs", "bench"],
+            float_crates: &["tensor", "comm", "models"],
+            order_param_types: &["KernelProfile", "ExecCtx", "RingSpec"],
+            total_order_helpers: &["total_cmp"],
+            barrier_crates: &["obs", "esrng"],
+            drain_fns: &["drain_sorted", "drain_deadline", "worker_main"],
+            sinks: &[
+                ("optim", "step", "param-update"),
+                ("models", "apply_flat_delta", "param-update"),
+                ("models", "load_flat_params", "param-update"),
+                ("comm", "ring_allreduce", "allreduce-merge"),
+                ("comm", "allreduce_avg", "allreduce-merge"),
+                ("comm", "allreduce_avg_with_retry", "allreduce-merge"),
+                ("core", "save", "checkpoint-serialize"),
+                ("core", "encode_file", "checkpoint-serialize"),
+                ("core", "checkpoint", "checkpoint-serialize"),
+                ("sched", "proposals", "sched-proposal"),
+                ("sched", "decide", "sched-proposal"),
+            ],
+            audited_channel_files: &["comm/src/exchange.rs", "core/src/pool.rs"],
+            thread_entry_fns: &["worker_main"],
+            engine_roots: &[
+                ("Engine", "new"),
+                ("Engine", "new_opts"),
+                ("Engine", "from_checkpoint"),
+                ("Engine", "from_checkpoint_opts"),
+                ("Engine", "step"),
+                ("Engine", "try_step"),
+                ("Engine", "run"),
+                ("Engine", "checkpoint"),
+                ("Engine", "rescale"),
+                ("Engine", "rescale_opts"),
+                ("Engine", "evaluate"),
+                ("Engine", "eval_dataset"),
+                ("WorkerPool", "spawn"),
+                ("WorkerPool", "drop"),
+            ],
+            oracle_kernels: &[
+                "blocked_sum",
+                "leaf_partials",
+                "dot",
+                "matmul*",
+                "axpy_",
+                "ring_allreduce",
+            ],
         }
     }
 }
 
-/// One rule violation at a source location.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Finding {
-    /// Rule id (`no-hash-iter`, …).
-    pub rule: &'static str,
-    /// Determinism level the rule protects (`D0`/`D1`/`D2`).
-    pub level: &'static str,
-    /// Path as reported (workspace-relative when walking a workspace).
+/// The analysis a diagnostic comes from. Declaration order is report order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Mode {
+    /// The token-level rule catalog ([`rules`]).
+    Leaf,
+    /// Interprocedural source→sink flows ([`taint`]).
+    Taint,
+    /// Channel lifecycle, blocking cycles, lock order, barrier conformance
+    /// ([`concur`]).
+    Concur,
+    /// Float-accumulation dataflow and oracle pairing ([`accum`]).
+    Accum,
+}
+
+impl Mode {
+    /// Every analysis, in report order.
+    pub const ALL: [Mode; 4] = [Mode::Leaf, Mode::Taint, Mode::Concur, Mode::Accum];
+
+    /// The short name used in summaries and SARIF `properties.mode`.
+    pub fn name(self) -> &'static str {
+        match self {
+            Mode::Leaf => "leaf",
+            Mode::Taint => "taint",
+            Mode::Concur => "concur",
+            Mode::Accum => "accum",
+        }
+    }
+}
+
+/// Whether a diagnostic gates.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum Severity {
+    /// Blocking: the run exits non-zero.
+    Error,
+    /// Reported, never gates (an audited demotion).
+    Warning,
+}
+
+/// One witness location attached to a diagnostic: a call-path hop (the
+/// label is the qualified fn) or a labelled span (`loop`, `merge-write`).
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Related {
+    /// Workspace-relative file.
     pub file: String,
     /// 1-based line.
     pub line: u32,
-    /// What is wrong and what to use instead.
-    pub message: String,
+    /// What this location witnesses.
+    pub label: String,
 }
 
-/// Lint one source text as if it lived in crate `crate_name` at path
-/// `file`. This is the unit the fixture tests drive directly.
-pub fn analyze_source(src: &str, crate_name: &str, file: &str, cfg: &Config) -> Vec<Finding> {
-    let lexed = lexer::lex(src);
-    rules::check_file(&lexed, crate_name, file, cfg)
+/// One finding of any analysis at a source location. Field order is sort
+/// order: by analysis, then location, then rule.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Diagnostic {
+    /// The analysis that produced it.
+    pub mode: Mode,
+    /// Path as reported (workspace-relative when walking a workspace).
+    pub file: String,
+    /// 1-based anchor line — the line an allow must cover.
+    pub line: u32,
+    /// Rule id from [`rules::CATALOG`]; doubles as the suppression token.
+    pub rule: &'static str,
+    /// Does it gate?
+    pub severity: Severity,
+    /// Determinism level the rule protects (`D0`/`D1`/`D2`, or `meta`).
+    pub level: &'static str,
+    /// What is wrong and what to use instead.
+    pub message: String,
+    /// Witness locations: call-path hops or labelled spans.
+    pub related: Vec<Related>,
 }
 
 /// One source file fed to analysis: the crate directory name it belongs
@@ -128,115 +220,94 @@ pub fn analyze_source(src: &str, crate_name: &str, file: &str, cfg: &Config) -> 
 pub struct SourceFile {
     /// Directory name under `crates/`.
     pub crate_name: String,
-    /// Workspace-relative path, as reported in findings.
+    /// Workspace-relative path, as reported in diagnostics.
     pub file: String,
     /// File contents.
     pub src: String,
 }
 
-/// Read every `crates/*/src/**/*.rs` under `root`, in sorted order. IO
-/// errors on the crates directory itself are returned; unreadable
-/// individual files are skipped (generated artifacts, broken symlinks).
-pub fn workspace_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
-    let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<std::path::PathBuf> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
-    crate_dirs.sort();
-
-    let mut out = Vec::new();
-    for dir in crate_dirs {
-        let crate_name = match dir.file_name().and_then(|n| n.to_str()) {
-            Some(n) => n.to_string(),
-            None => continue,
-        };
-        let src_dir = dir.join("src");
-        if !src_dir.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        collect_rs(&src_dir, &mut files);
-        files.sort();
-        for path in files {
-            let Ok(src) = std::fs::read_to_string(&path) else { continue };
-            let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
-            out.push(SourceFile { crate_name: crate_name.clone(), file: rel, src });
-        }
-    }
-    Ok(out)
+/// An IO error that names the path it happened on.
+fn at(path: &Path) -> impl Fn(io::Error) -> io::Error + '_ {
+    move |e| io::Error::new(e.kind(), format!("{}: {e}", path.display()))
 }
 
-/// Lint every `crates/*/src/**/*.rs` under `root`, in sorted order, and
-/// return all findings sorted by `(file, line, rule)`.
-pub fn analyze_workspace(root: &Path, cfg: &Config) -> std::io::Result<Vec<Finding>> {
-    let mut findings = Vec::new();
-    for sf in workspace_sources(root)? {
-        findings.extend(analyze_source(&sf.src, &sf.crate_name, &sf.file, cfg));
+/// Append every `.rs` under `dir` (recursively, sorted by path) to `out`
+/// as a file of `crate_name`. A missing `dir` contributes nothing.
+fn read_tree(
+    root: &Path,
+    dir: PathBuf,
+    crate_name: &str,
+    out: &mut Vec<SourceFile>,
+) -> io::Result<()> {
+    if !dir.is_dir() {
+        return Ok(());
     }
-    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    Ok(findings)
+    let mut pending = vec![dir];
+    let mut files = Vec::new();
+    while let Some(d) = pending.pop() {
+        for entry in std::fs::read_dir(&d).map_err(at(&d))? {
+            let p = entry.map_err(at(&d))?.path();
+            if p.is_dir() {
+                pending.push(p);
+            } else if p.extension().is_some_and(|e| e == "rs") {
+                files.push(p);
+            }
+        }
+    }
+    files.sort();
+    for path in files {
+        let src = std::fs::read_to_string(&path).map_err(at(&path))?;
+        let file = path.strip_prefix(root).unwrap_or(&path).display().to_string();
+        out.push(SourceFile { crate_name: crate_name.to_string(), file, src });
+    }
+    Ok(())
 }
 
-/// Read every integration-test file — `crates/*/tests/**/*.rs` plus the
-/// workspace-level `tests/*.rs` — in sorted order. Test files are not
-/// linted; they are *evidence* for the oracle-pairing pass (a kernel and
-/// its `_scalar` sibling must be exercised together by at least one test)
-/// and part of the cache's inputs fingerprint.
-pub fn workspace_test_sources(root: &Path) -> std::io::Result<Vec<SourceFile>> {
+/// Read the workspace under `root`, in sorted order: every
+/// `crates/*/src/**/*.rs` (the analyzed sources) and every integration-test
+/// file — `crates/*/tests/**/*.rs` plus the workspace-level `tests/*.rs`.
+/// Test files are not linted; they are *evidence* for the oracle-pairing
+/// pass (a kernel and its `_scalar` sibling must be exercised together by
+/// at least one test). Any directory or file that cannot be read —
+/// including a `.rs` that is not UTF-8 — is an error naming the path: a
+/// file the lint could not see must never count as clean.
+pub fn workspace_sources(root: &Path) -> io::Result<(Vec<SourceFile>, Vec<SourceFile>)> {
     let crates_dir = root.join("crates");
-    let mut crate_dirs: Vec<std::path::PathBuf> = std::fs::read_dir(&crates_dir)?
-        .filter_map(|e| e.ok())
-        .map(|e| e.path())
-        .filter(|p| p.is_dir())
-        .collect();
+    let mut crate_dirs = Vec::new();
+    for entry in std::fs::read_dir(&crates_dir).map_err(at(&crates_dir))? {
+        let p = entry.map_err(at(&crates_dir))?.path();
+        if p.is_dir() {
+            crate_dirs.push(p);
+        }
+    }
     crate_dirs.sort();
 
-    let mut out = Vec::new();
-    let push_dir = |dir: &Path, crate_name: &str, out: &mut Vec<SourceFile>| {
-        if !dir.is_dir() {
-            return;
-        }
-        let mut files = Vec::new();
-        collect_rs(dir, &mut files);
-        files.sort();
-        for path in files {
-            let Ok(src) = std::fs::read_to_string(&path) else { continue };
-            let rel = path.strip_prefix(root).unwrap_or(&path).display().to_string();
-            out.push(SourceFile { crate_name: crate_name.to_string(), file: rel, src });
-        }
-    };
+    let (mut sources, mut tests) = (Vec::new(), Vec::new());
     for dir in crate_dirs {
-        let crate_name = match dir.file_name().and_then(|n| n.to_str()) {
-            Some(n) => n.to_string(),
-            None => continue,
-        };
-        push_dir(&dir.join("tests"), &crate_name, &mut out);
+        let Some(crate_name) = dir.file_name().and_then(|n| n.to_str()) else { continue };
+        read_tree(root, dir.join("src"), crate_name, &mut sources)?;
+        read_tree(root, dir.join("tests"), crate_name, &mut tests)?;
     }
-    push_dir(&root.join("tests"), "tests", &mut out);
-    Ok(out)
+    read_tree(root, root.join("tests"), "tests", &mut tests)?;
+    Ok((sources, tests))
 }
 
 /// One analyzed file inside a [`Model`]: lexed exactly once, with its
-/// `#[cfg(test)]` regions precomputed, shared by every mode.
+/// `#[cfg(test)]` regions precomputed, shared by every analysis.
 #[derive(Debug)]
 pub struct ModelFile {
     /// Directory name under `crates/`.
     pub crate_name: String,
     /// Workspace-relative path.
     pub file: String,
-    /// File contents (cache fingerprinting).
-    pub src: String,
     /// The token stream + comments.
     pub lexed: lexer::Lexed,
     /// `#[cfg(test)] mod … { … }` line ranges.
     pub test_regions: Vec<(u32, u32)>,
 }
 
-/// The shared analysis model: every mode (leaf/taint/concur/accum) runs
-/// off one lex + one item parse + one call graph, instead of each
-/// rebuilding its own. Files are sorted at build time, so downstream
+/// The shared analysis model: every analysis runs off one lex + one item
+/// parse + one call graph. Files are sorted at build time, so downstream
 /// output never depends on the caller's visit order.
 #[derive(Debug)]
 pub struct Model {
@@ -250,136 +321,152 @@ pub struct Model {
 
 /// Build the shared model: one lex, one item parse, one graph.
 pub fn build_model(files: &[SourceFile], test_files: &[SourceFile]) -> Model {
-    let mut sorted: Vec<SourceFile> = files.to_vec();
-    sorted.sort_by(|a, b| (&a.crate_name, &a.file).cmp(&(&b.crate_name, &b.file)));
+    let by_path =
+        |a: &SourceFile, b: &SourceFile| (&a.crate_name, &a.file).cmp(&(&b.crate_name, &b.file));
+    let mut sorted: Vec<&SourceFile> = files.iter().collect();
+    sorted.sort_by(|a, b| by_path(a, b));
     let mut model_files = Vec::with_capacity(sorted.len());
     let mut file_items = Vec::with_capacity(sorted.len());
     for sf in sorted {
         let lexed = lexer::lex(&sf.src);
-        let test_regions = rules::test_regions_pub(&lexed.toks);
-        file_items.push(items::parse_lexed(&lexed, &sf.crate_name, &sf.file));
+        let test_regions = lexer::test_regions(&lexed.toks);
+        file_items.push(items::parse_lexed(&lexed, &test_regions, &sf.crate_name, &sf.file));
         model_files.push(ModelFile {
-            crate_name: sf.crate_name,
-            file: sf.file,
-            src: sf.src,
+            crate_name: sf.crate_name.clone(),
+            file: sf.file.clone(),
             lexed,
             test_regions,
         });
     }
     let mut tests: Vec<SourceFile> = test_files.to_vec();
-    tests.sort_by(|a, b| (&a.crate_name, &a.file).cmp(&(&b.crate_name, &b.file)));
+    tests.sort_by(by_path);
     Model { files: model_files, test_files: tests, graph: callgraph::Graph::build(file_items) }
 }
 
-/// Every mode's report off one model build (`--all`).
-#[derive(Debug)]
-pub struct AllReport {
-    /// Leaf findings, with the *unified* stale-allow accounting appended:
-    /// in `--all` an allow is judged against every mode at once, so the
-    /// per-mode reports carry empty `unused_suppressions` and the single
-    /// ledger's verdict lands here.
-    pub leaf: Vec<Finding>,
-    /// Taint flows.
-    pub taint: taint::TaintReport,
-    /// Concurrency findings/warnings.
-    pub concur: concur::ConcurReport,
-    /// Accumulation findings + loop/oracle inventories.
-    pub accum: accum::AccumReport,
+/// Everything one run produced: the diagnostics of all four analyses, plus
+/// the typed inventories that make a zero-finding result meaningful (what
+/// was classified, which roles were inferred, what flowed where).
+#[derive(Debug, PartialEq, Eq)]
+pub struct Report {
+    /// Every diagnostic, sorted (see [`Diagnostic`]): leaf findings, lowered
+    /// taint flows, concurrency findings and audited warnings, accumulation
+    /// findings, and stale suppressions under the analysis that owns them.
+    pub diagnostics: Vec<Diagnostic>,
+    /// Taint flows with their typed source/sink/witness path, sorted by
+    /// `(source_file, source_line, source_kind, sink_fn)`.
+    pub flows: Vec<taint::Flow>,
+    /// Qualified names of every worker-role fn (reachable from a thread
+    /// entry).
+    pub worker_fns: Vec<String>,
+    /// Qualified names of every engine-role fn (reachable from an engine
+    /// root, minus the worker set — the roles are disjoint by
+    /// construction).
+    pub engine_fns: Vec<String>,
+    /// The role-tagged blocking-op inventory, sorted by `(file, line, op)`.
+    pub blocking: Vec<concur::BlockingOp>,
+    /// Classified-loop inventory, sorted by `(file, line)`.
+    pub loops: Vec<accum::LoopInfo>,
+    /// Oracle-pairing inventory, sorted by `(file, line, kernel)`.
+    pub oracles: Vec<accum::OracleCheck>,
 }
 
-impl AllReport {
-    /// Does any mode carry a blocking finding?
+impl Report {
+    /// The diagnostics of one analysis.
+    pub fn mode(&self, mode: Mode) -> impl Iterator<Item = &Diagnostic> {
+        self.diagnostics.iter().filter(move |d| d.mode == mode)
+    }
+
+    /// No blocking diagnostic in any analysis?
     pub fn is_clean(&self) -> bool {
-        self.leaf.is_empty()
-            && self.taint.flows.is_empty()
-            && self.concur.findings.is_empty()
-            && self.concur.unused_suppressions.is_empty()
-            && self.taint.unused_suppressions.is_empty()
-            && self.accum.findings.is_empty()
-            && self.accum.unused_suppressions.is_empty()
+        self.diagnostics.iter().all(|d| d.severity != Severity::Error)
     }
 }
 
-/// Run all four modes over one shared model and one shared allow ledger.
-pub fn analyze_model_all(
-    model: &Model,
-    cfg: &Config,
-    tcfg: &taint::TaintConfig,
-    ccfg: &concur::ConcurConfig,
-    acfg: &accum::AccumConfig,
-) -> AllReport {
-    let mut allows = suppress::AllowSet::new();
+/// Run all four analyses over one shared model against one suppression
+/// ledger: scan every allow once, let each pass report through the shared
+/// [`suppress::Emitter`], then settle stale allows once — an allow is stale
+/// only when no analysis consumed it.
+pub fn analyze(model: &Model, policy: &Policy) -> Report {
+    let mut em = suppress::Emitter::default();
     for mf in &model.files {
-        let regions: &[(u32, u32)] = if cfg.skip_test_code { &mf.test_regions } else { &[] };
-        allows.scan_file(&mf.lexed, &mf.file, regions);
+        em.allows.scan_file(&mf.lexed, &mf.file, &mf.test_regions);
     }
-    let mut leaf = Vec::new();
     for mf in &model.files {
-        leaf.extend(rules::check_file_with(&mf.lexed, &mf.crate_name, &mf.file, cfg, &mut allows));
-    }
-    let taint = taint::analyze_model(model, tcfg, &mut allows);
-    let concur = concur::analyze_model(model, ccfg, &mut allows);
-    let accum = accum::analyze_model(model, acfg, &mut allows);
-    // One ledger, one verdict: a token consumed by *any* mode is used; an
-    // allow is stale only when no mode consumed it.
-    use suppress::Domain;
-    leaf.extend(allows.stale(
-        &[Domain::Leaf, Domain::Taint, Domain::Concur, Domain::Accum],
-        true,
-        suppress::phrase::ALL,
-    ));
-    leaf.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-    AllReport { leaf, taint, concur, accum }
-}
-
-/// [`analyze_model_all`] over the workspace at `root`.
-pub fn analyze_workspace_all(
-    root: &Path,
-    cfg: &Config,
-    tcfg: &taint::TaintConfig,
-    ccfg: &concur::ConcurConfig,
-    acfg: &accum::AccumConfig,
-) -> std::io::Result<AllReport> {
-    let files = workspace_sources(root)?;
-    let test_files = workspace_test_sources(root)?;
-    let model = build_model(&files, &test_files);
-    Ok(analyze_model_all(&model, cfg, tcfg, ccfg, acfg))
-}
-
-/// Recursively collect `.rs` files under `dir`.
-fn collect_rs(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return };
-    for entry in entries.filter_map(|e| e.ok()) {
-        let p = entry.path();
-        if p.is_dir() {
-            collect_rs(&p, out);
-        } else if p.extension().is_some_and(|e| e == "rs") {
-            out.push(p);
+        for (rule, line, message) in rules::detect(mf, policy, false) {
+            em.emit(rule, &mf.file, line, message, Vec::new());
         }
+    }
+    let flows = taint::analyze(model, policy, &mut em);
+    let (worker_fns, engine_fns, blocking) = concur::analyze(model, policy, &mut em);
+    let (loops, oracles) = accum::analyze(model, policy, &mut em);
+    em.settle_stale();
+    let mut diagnostics = em.out;
+    diagnostics.sort();
+    Report { diagnostics, flows, worker_fns, engine_fns, blocking, loops, oracles }
+}
+
+/// [`analyze`] over the workspace at `root` with the workspace policy.
+pub fn analyze_workspace(root: &Path) -> io::Result<Report> {
+    let (files, test_files) = workspace_sources(root)?;
+    Ok(analyze(&build_model(&files, &test_files), &Policy::workspace_default()))
+}
+
+/// Unit-test support shared by every module: analyze in-memory sources.
+#[cfg(test)]
+pub(crate) mod testutil {
+    use super::*;
+
+    /// A source file at `crates/<crate_name>/src/<name>`.
+    pub fn file(crate_name: &str, name: &str, src: &str) -> SourceFile {
+        SourceFile {
+            crate_name: crate_name.to_string(),
+            file: format!("crates/{crate_name}/src/{name}"),
+            src: src.to_string(),
+        }
+    }
+
+    /// All four analyses over `files` (+ `test_files` as oracle evidence).
+    pub fn run(files: &[SourceFile], test_files: &[SourceFile]) -> Report {
+        analyze(&build_model(files, test_files), &Policy::workspace_default())
+    }
+
+    /// `report`'s blocking diagnostics in `mode`, stale allows excluded.
+    pub fn findings(report: &Report, mode: Mode) -> Vec<&Diagnostic> {
+        report
+            .mode(mode)
+            .filter(|d| d.severity == Severity::Error && d.rule != "unused-suppression")
+            .collect()
+    }
+
+    /// `report`'s stale-allow diagnostics in `mode`.
+    pub fn stale(report: &Report, mode: Mode) -> Vec<&Diagnostic> {
+        report.mode(mode).filter(|d| d.rule == "unused-suppression").collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::testutil::{file, run};
     use super::*;
 
-    fn cfg() -> Config {
-        Config::workspace_default()
+    /// Leaf diagnostics for one source text living in crate `crate_name`.
+    fn leaf(src: &str, crate_name: &str) -> Vec<Diagnostic> {
+        run(&[file(crate_name, "x.rs", src)], &[]).mode(Mode::Leaf).cloned().collect()
     }
 
     #[test]
     fn clean_source_has_no_findings() {
         let src = "pub fn add(a: u32, b: u32) -> u32 { a + b }\n";
-        assert!(analyze_source(src, "sched", "x.rs", &cfg()).is_empty());
+        assert!(leaf(src, "sched").is_empty());
     }
 
     #[test]
     fn suppression_covers_same_and_next_line() {
         let src = "// detlint::allow(no-wall-clock): measured for logs only\n\
                    fn f() { let t = std::time::Instant::now(); }\n";
-        assert!(analyze_source(src, "sched", "x.rs", &cfg()).is_empty());
+        assert!(leaf(src, "sched").is_empty());
         let unsuppressed = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert_eq!(analyze_source(unsuppressed, "sched", "x.rs", &cfg()).len(), 1);
+        assert_eq!(leaf(unsuppressed, "sched").len(), 1);
     }
 
     #[test]
@@ -388,45 +475,37 @@ mod tests {
         // since it masks nothing, it is itself flagged as stale.
         let src = "// detlint::allow(no-hash-iter): wrong rule\n\
                    fn f() { let t = std::time::Instant::now(); }\n";
-        let found = analyze_source(src, "sched", "x.rs", &cfg());
-        let rules: Vec<&str> = found.iter().map(|f| f.rule).collect();
+        let rules: Vec<&str> = leaf(src, "sched").iter().map(|f| f.rule).collect();
         assert_eq!(rules, vec!["unused-suppression", "no-wall-clock"]);
-    }
-
-    #[test]
-    fn used_suppressions_are_not_reported_stale() {
-        let src = "// detlint::allow(no-wall-clock): measured for logs only\n\
-                   fn f() { let t = std::time::Instant::now(); }\n";
-        assert!(analyze_source(src, "sched", "x.rs", &cfg()).is_empty());
     }
 
     #[test]
     fn float_key_sort_scopes_to_deterministic_path() {
         let src = "fn f(v: &mut Vec<(u32, f64)>) { v.sort_by(|a, b| \
                    a.1.partial_cmp(&b.1).unwrap()); }\n";
-        let found = analyze_source(src, "sched", "x.rs", &cfg());
+        let found = leaf(src, "sched");
         assert_eq!(found.len(), 1);
         assert_eq!(found[0].rule, "no-float-key-sort");
         // Same code off the deterministic path is out of scope.
-        assert!(analyze_source(src, "trace", "x.rs", &cfg()).is_empty());
+        assert!(leaf(src, "trace").is_empty());
         // total_cmp is the blessed total order.
         let fixed = "fn f(v: &mut Vec<(u32, f64)>) { v.sort_by(|a, b| a.1.total_cmp(&b.1)); }\n";
-        assert!(analyze_source(fixed, "sched", "x.rs", &cfg()).is_empty());
+        assert!(leaf(fixed, "sched").is_empty());
     }
 
     #[test]
     fn test_modules_are_skipped() {
         let src =
             "#[cfg(test)]\nmod tests {\n    fn f() { let t = std::time::Instant::now(); }\n}\n";
-        assert!(analyze_source(src, "sched", "x.rs", &cfg()).is_empty());
+        assert!(leaf(src, "sched").is_empty());
     }
 
     #[test]
     fn rules_scope_to_configured_crates() {
         let src = "fn f(m: std::collections::HashMap<u32, u32>) -> u32 { m.values().sum() }\n";
         // `sched` is deterministic-path: hash iteration fires.
-        assert!(!analyze_source(src, "sched", "x.rs", &cfg()).is_empty());
+        assert!(!leaf(src, "sched").is_empty());
         // `trace` is not: same code is fine there.
-        assert!(analyze_source(src, "trace", "x.rs", &cfg()).is_empty());
+        assert!(leaf(src, "trace").is_empty());
     }
 }

@@ -1,340 +1,88 @@
-//! `cargo run -p detlint [-- --taint | --concurrency | --accum | --all]
-//! [--json] [--quiet] [--out PATH] [--out-dir DIR] [--sarif PATH]
-//! [--cache-dir DIR] [--root PATH]`
+//! `cargo run -p detlint [-- [--root PATH] [--sarif PATH] [--quiet]]`
 //!
-//! Lints every `crates/*/src/**/*.rs` in the workspace against the
-//! determinism rule catalog and exits non-zero on findings, so it can gate
-//! CI (scripts/ci.sh) exactly like clippy does. `--out` writes the JSON
-//! report to a file (the CI artifact) independently of what is printed.
-//! `--taint` runs the interprocedural source→sink flow analysis instead of
-//! the leaf rules; `--concurrency` runs the channel-lifecycle /
-//! blocking-cycle / barrier-conformance passes; `--accum` runs the
-//! float-accumulation dataflow + oracle-pairing passes; `--all` runs all
-//! four off one shared model with unified stale-suppression accounting.
-//!
-//! `--sarif PATH` additionally writes a SARIF 2.1.0 document (one run per
-//! executed mode). `--cache-dir DIR` enables the incremental cache: when
-//! no source or test file changed, the previous run's bytes and exit
-//! status are replayed without re-analyzing anything.
+//! Runs all four determinism analyses over every `crates/*/src/**/*.rs` in
+//! the workspace and exits 1 on any blocking diagnostic, so it can gate CI
+//! (scripts/ci.sh) exactly like clippy does. Exit 2 is a usage or IO error:
+//! an argument the tool does not know is never silently ignored.
 
-use detlint::{accum, cache, concur, report, sarif, taint, Config};
-use serde::Value;
+use detlint::{report, sarif};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-const HELP: &str = "detlint: static determinism lint for the EasyScale workspace
+const USAGE: &str = "USAGE: detlint [--root PATH] [--sarif PATH] [--quiet]";
 
-USAGE: detlint [--taint | --concurrency | --accum | --all] [--json] [--quiet]
-               [--out PATH] [--out-dir DIR] [--sarif PATH] [--cache-dir DIR]
-               [--root PATH]
+const HELP: &str = "Runs the leaf rules, the interprocedural taint analysis, the concurrency
+passes and the float-accumulation passes off one shared workspace model,
+prints every diagnostic with its witnesses, and ends with one
+`leaf|taint|concur|accum: clean / N finding(s)` line per analysis.
 
---taint       run the interprocedural taint analysis (source
-               -> sink flows over the workspace call graph)
---concurrency run the concurrency passes: channel lifecycle,
-               role-level blocking cycles, lock-order
-               inversions, and barrier conformance
---accum       run the float-accumulation dataflow pass (loop
-               classification + reassociation findings) and the
-               kernel/_scalar oracle-pairing conformance check
---all         run every mode off one shared workspace model,
-               with stale suppressions accounted across modes
---json        emit the JSON report instead of human text
---quiet       print nothing (pair with --out for CI gating)
---out PATH    also write the JSON report to PATH
---out-dir DIR (--all) write per-mode JSON reports plus
-               detlint_modes.json into DIR
---sarif PATH  also write a SARIF 2.1.0 document (one run per
-               executed mode)
---cache-dir DIR reuse cached results when no input changed; the
-               replayed bytes are the previous run's, verbatim
 --root PATH   workspace root (default: the enclosing workspace)
+--sarif PATH  also write the diagnostics as a SARIF 2.1.0 document (one
+              run per analysis)
+--quiet       print only the per-analysis summary lines
 
-Exits 1 when findings exist. Suppress a site with
-`// detlint::allow(rule): reason` on the line or the line above;
-taint flows use `detlint::allow(taint)` / `taint-<kind>`,
-concurrency findings use their kind token (e.g.
-`detlint::allow(barrier-unverified): reason`), accumulation
-findings use `float-reassoc` / `oracle-unpaired`.";
-
-/// Artifact names inside the cache/emission set. Fixed short tokens — the
-/// cache stores them under `<mode>.<name>`.
-const ART_HUMAN: &str = "human";
-const ART_REPORT: &str = "report.json";
-const ART_SARIF: &str = "sarif";
-
-/// `(artifact name, file name under --out-dir)` for the `--all` mode.
-const ALL_DIR_ARTIFACTS: &[(&str, &str)] = &[
-    ("leaf.json", "detlint_report.json"),
-    ("taint.json", "taint_report.json"),
-    ("concur.json", "concur_report.json"),
-    ("accum.json", "accum_report.json"),
-    ("modes.json", "detlint_modes.json"),
-];
+Exits 1 when a blocking diagnostic exists, 2 on a usage or IO error.
+Suppress a site with `// detlint::allow(rule): reason` on the line or the
+line above; the token is the diagnostic's rule id (`no-wall-clock`,
+`order-leak`, `float-reassoc`, …), or `taint` / `taint-<kind>` to block
+taint propagation through the site.";
 
 struct Opts {
-    json: bool,
+    root: Option<PathBuf>,
+    sarif: Option<PathBuf>,
     quiet: bool,
-    out: Option<PathBuf>,
-    out_dir: Option<PathBuf>,
-    sarif_path: Option<PathBuf>,
 }
 
-/// Write/print one run's artifact set. Both the cold path and the cache
-/// replay go through here with the same bytes, so a warm run's outputs are
-/// bitwise-identical to the cold run that seeded it.
-fn emit(artifacts: &[(String, Vec<u8>)], exit: u8, opts: &Opts) -> ExitCode {
-    let get = |name: &str| {
-        artifacts.iter().find(|(n, _)| n == name).map(|(_, b)| b.as_slice()).unwrap_or(b"")
-    };
-    if let Some(dir) = &opts.out_dir {
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("detlint: cannot create {}: {e}", dir.display());
-            return ExitCode::FAILURE;
-        }
-        for (art, file) in ALL_DIR_ARTIFACTS {
-            if artifacts.iter().any(|(n, _)| n == art) {
-                if let Err(e) = std::fs::write(dir.join(file), get(art)) {
-                    eprintln!("detlint: cannot write {}: {e}", dir.join(file).display());
-                    return ExitCode::FAILURE;
-                }
-            }
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Opts, String> {
+    let mut opts = Opts { root: None, sarif: None, quiet: false };
+    while let Some(arg) = args.next() {
+        let mut path =
+            || args.next().map(PathBuf::from).ok_or_else(|| format!("{arg} needs a PATH"));
+        match arg.as_str() {
+            "--root" => opts.root = Some(path()?),
+            "--sarif" => opts.sarif = Some(path()?),
+            "--quiet" => opts.quiet = true,
+            _ => return Err(format!("unrecognised argument `{arg}`")),
         }
     }
-    if let Some(path) = &opts.out {
-        if let Err(e) = std::fs::write(path, get(ART_REPORT)) {
-            eprintln!("detlint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if let Some(path) = &opts.sarif_path {
-        if let Err(e) = std::fs::write(path, get(ART_SARIF)) {
-            eprintln!("detlint: cannot write {}: {e}", path.display());
-            return ExitCode::FAILURE;
-        }
-    }
-    if !opts.quiet {
-        let name = if opts.json { ART_REPORT } else { ART_HUMAN };
-        print!("{}", String::from_utf8_lossy(get(name)));
-        if opts.json {
-            println!();
-        }
-    }
-    ExitCode::from(exit)
-}
-
-/// The `--all` per-mode gate summary (`results/detlint_modes.json` in CI):
-/// per-stage granularity survives the collapse into one invocation.
-fn modes_json(rep: &detlint::AllReport) -> String {
-    let entry = |mode: &str, findings: usize| {
-        Value::Map(vec![
-            ("mode".to_string(), Value::Str(mode.to_string())),
-            (
-                "status".to_string(),
-                Value::Str(if findings == 0 { "clean" } else { "dirty" }.to_string()),
-            ),
-            ("findings".to_string(), Value::U64(findings as u64)),
-        ])
-    };
-    let taint_n = rep.taint.flows.len() + rep.taint.unused_suppressions.len();
-    let concur_n = rep.concur.findings.len() + rep.concur.unused_suppressions.len();
-    let accum_n = rep.accum.findings.len() + rep.accum.unused_suppressions.len();
-    let root = Value::Map(vec![
-        (
-            "modes".to_string(),
-            Value::Seq(vec![
-                entry("leaf", rep.leaf.len()),
-                entry("taint", taint_n),
-                entry("concur", concur_n),
-                entry("accum", accum_n),
-            ]),
-        ),
-        (
-            "status".to_string(),
-            Value::Str(if rep.is_clean() { "clean" } else { "dirty" }.to_string()),
-        ),
-    ]);
-    serde_json::to_string_pretty(&root).expect("value tree serializes")
-}
-
-fn art(name: &str, text: String) -> (String, Vec<u8>) {
-    (name.to_string(), text.into_bytes())
+    Ok(opts)
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help" || a == "-h") {
-        println!("{HELP}");
+        println!(
+            "detlint: static determinism lint for the EasyScale workspace\n\n{USAGE}\n\n{HELP}"
+        );
         return ExitCode::SUCCESS;
     }
-    let flag = |name: &str| args.iter().any(|a| a == name);
-    let path_arg = |flag: &str| {
-        args.iter().position(|a| a == flag).and_then(|i| args.get(i + 1)).map(PathBuf::from)
+    let opts = match parse_args(args.into_iter()) {
+        Ok(o) => o,
+        Err(e) => {
+            eprintln!("detlint: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
     };
-    let mode = if flag("--all") {
-        "all"
-    } else if flag("--accum") {
-        "accum"
-    } else if flag("--concurrency") {
-        "concur"
-    } else if flag("--taint") {
-        "taint"
-    } else {
-        "leaf"
-    };
-    let opts = Opts {
-        json: flag("--json"),
-        quiet: flag("--quiet"),
-        out: path_arg("--out"),
-        out_dir: path_arg("--out-dir"),
-        sarif_path: path_arg("--sarif"),
-    };
-    let cache_dir = path_arg("--cache-dir");
-    let root = path_arg("--root")
-        .or_else(|| {
-            // Under `cargo run -p detlint` the manifest dir is
-            // crates/detlint; the workspace root is two levels up.
-            std::env::var_os("CARGO_MANIFEST_DIR").map(|d| PathBuf::from(d).join("../.."))
-        })
+    // Under `cargo run -p detlint` the manifest dir is crates/detlint; the
+    // workspace root is two levels up.
+    let root = opts
+        .root
+        .or_else(|| std::env::var_os("CARGO_MANIFEST_DIR").map(|d| PathBuf::from(d).join("../..")))
         .unwrap_or_else(|| PathBuf::from("."));
 
-    // Read the workspace once: the same file set feeds the analysis and
-    // the cache fingerprint, so a hit can never replay against different
-    // inputs than the analysis would see.
-    let files = match detlint::workspace_sources(&root) {
-        Ok(f) => f,
+    let rep = match detlint::analyze_workspace(&root) {
+        Ok(r) => r,
         Err(e) => {
-            eprintln!("detlint: cannot walk {}: {e}", root.display());
-            return ExitCode::FAILURE;
+            eprintln!("detlint: cannot read workspace {}: {e}", root.display());
+            return ExitCode::from(2);
         }
     };
-    let test_files = match detlint::workspace_test_sources(&root) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("detlint: cannot walk {}: {e}", root.display());
-            return ExitCode::FAILURE;
-        }
-    };
-
-    let config_fp = format!("detlint-v{};mode={mode}", cache::CACHE_VERSION);
-    let inputs = cache::inputs_fingerprint(&files, &test_files, &config_fp);
-    let cache_handle = cache_dir.as_ref().and_then(|d| match cache::Cache::open(d) {
-        Ok(c) => Some(c),
-        Err(e) => {
-            eprintln!("detlint: cannot open cache {}: {e} (running uncached)", d.display());
-            None
-        }
-    });
-    if let Some(c) = &cache_handle {
-        if let Some(hit) = c.load_run(mode, inputs) {
-            return emit(&hit.artifacts, hit.exit, &opts);
+    if let Some(path) = &opts.sarif {
+        if let Err(e) = std::fs::write(path, sarif::document(&rep.diagnostics)) {
+            eprintln!("detlint: cannot write {}: {e}", path.display());
+            return ExitCode::from(2);
         }
     }
-
-    // Cold path: run the mode, assemble the artifact set, store, emit.
-    let mut edges: u64 = 0;
-    let mut artifacts: Vec<(String, Vec<u8>)> = Vec::new();
-    let exit: u8;
-    match mode {
-        "all" => {
-            let model = detlint::build_model(&files, &test_files);
-            edges = cache::edge_fingerprint(&model.graph);
-            let rep = detlint::analyze_model_all(
-                &model,
-                &Config::workspace_default(),
-                &taint::TaintConfig::workspace_default(),
-                &concur::ConcurConfig::workspace_default(),
-                &accum::AccumConfig::workspace_default(),
-            );
-            exit = u8::from(!rep.is_clean());
-            let modes = modes_json(&rep);
-            let human = format!(
-                "{}{}{}{}",
-                report::human(&rep.leaf),
-                report::taint_human(&rep.taint),
-                report::concur_human(&rep.concur),
-                report::accum_human(&rep.accum)
-            );
-            let doc = sarif::document(vec![
-                sarif::leaf_run(&rep.leaf),
-                sarif::taint_run(&rep.taint),
-                sarif::concur_run(&rep.concur),
-                sarif::accum_run(&rep.accum),
-            ]);
-            artifacts.push(art("leaf.json", report::json(&rep.leaf)));
-            artifacts.push(art("taint.json", report::taint_json(&rep.taint)));
-            artifacts.push(art("concur.json", report::concur_json(&rep.concur)));
-            artifacts.push(art("accum.json", report::accum_json(&rep.accum)));
-            artifacts.push(art("modes.json", modes.clone()));
-            artifacts.push(art(ART_REPORT, modes));
-            artifacts.push(art(ART_HUMAN, human));
-            artifacts.push(art(ART_SARIF, doc));
-        }
-        "accum" => {
-            let model = detlint::build_model(&files, &test_files);
-            edges = cache::edge_fingerprint(&model.graph);
-            let rep =
-                accum::analyze_model_standalone(&model, &accum::AccumConfig::workspace_default());
-            exit = u8::from(!(rep.findings.is_empty() && rep.unused_suppressions.is_empty()));
-            artifacts.push(art(ART_REPORT, report::accum_json(&rep)));
-            artifacts.push(art(ART_HUMAN, report::accum_human(&rep)));
-            artifacts.push(art(ART_SARIF, sarif::document(vec![sarif::accum_run(&rep)])));
-        }
-        "concur" => {
-            let model = detlint::build_model(&files, &[]);
-            edges = cache::edge_fingerprint(&model.graph);
-            let rep = concur::analyze_model_standalone(
-                &model,
-                &concur::ConcurConfig::workspace_default(),
-            );
-            exit = u8::from(!(rep.findings.is_empty() && rep.unused_suppressions.is_empty()));
-            artifacts.push(art(ART_REPORT, report::concur_json(&rep)));
-            artifacts.push(art(ART_HUMAN, report::concur_human(&rep)));
-            artifacts.push(art(ART_SARIF, sarif::document(vec![sarif::concur_run(&rep)])));
-        }
-        "taint" => {
-            let model = detlint::build_model(&files, &[]);
-            edges = cache::edge_fingerprint(&model.graph);
-            let rep =
-                taint::analyze_model_standalone(&model, &taint::TaintConfig::workspace_default());
-            exit = u8::from(!(rep.flows.is_empty() && rep.unused_suppressions.is_empty()));
-            artifacts.push(art(ART_REPORT, report::taint_json(&rep)));
-            artifacts.push(art(ART_HUMAN, report::taint_human(&rep)));
-            artifacts.push(art(ART_SARIF, sarif::document(vec![sarif::taint_run(&rep)])));
-        }
-        _ => {
-            // Leaf mode additionally uses the per-file cache: leaf findings
-            // are file-local, so unchanged files skip re-analysis even when
-            // the whole-run fingerprint misses.
-            let cfg = Config::workspace_default();
-            let mut findings = Vec::new();
-            for sf in &files {
-                let cached = cache_handle
-                    .as_ref()
-                    .and_then(|c| c.load_file_findings(&config_fp, &sf.file, &sf.src));
-                let file_findings = match cached {
-                    Some(f) => f,
-                    None => {
-                        let f = detlint::analyze_source(&sf.src, &sf.crate_name, &sf.file, &cfg);
-                        if let Some(c) = &cache_handle {
-                            let _ = c.store_file_findings(&config_fp, &sf.file, &sf.src, &f);
-                        }
-                        f
-                    }
-                };
-                findings.extend(file_findings);
-            }
-            findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-            exit = u8::from(!findings.is_empty());
-            artifacts.push(art(ART_REPORT, report::json(&findings)));
-            artifacts.push(art(ART_HUMAN, report::human(&findings)));
-            artifacts.push(art(ART_SARIF, sarif::document(vec![sarif::leaf_run(&findings)])));
-        }
-    }
-
-    if let Some(c) = &cache_handle {
-        if let Err(e) = c.store_run(mode, inputs, edges, exit, &artifacts) {
-            eprintln!("detlint: cannot write cache entry: {e}");
-        }
-    }
-    emit(&artifacts, exit, &opts)
+    print!("{}", if opts.quiet { report::summary(&rep) } else { report::human(&rep) });
+    ExitCode::from(u8::from(!rep.is_clean()))
 }

@@ -4,60 +4,131 @@
 //!
 //! Detectors are deliberately heuristic — a token scanner cannot type-check
 //! — so every rule errs toward firing and relies on two escape valves:
-//! the workspace [`Config`](crate::Config) scoping rules to the crates
+//! the workspace [`Policy`](crate::Policy) scoping rules to the crates
 //! where they are load-bearing, and per-line
 //! `// detlint::allow(rule): reason` suppressions for the (rare, audited)
 //! sites that are deterministic for reasons the scanner cannot see.
 
-use crate::lexer::{Lexed, Tok, TokKind};
-use crate::{Config, Finding};
+use crate::lexer::{match_delim, matches, statement_bounds, Tok, TokKind, INT_TYPES};
+use crate::{Mode, ModelFile, Policy};
 
-/// Static description of one rule.
+/// Static description of one rule: the id doubles as the suppression token
+/// (`// detlint::allow(<name>): reason`).
 pub struct Rule {
-    /// Rule id, as used in suppression comments (`no-hash-iter`).
+    /// Rule id (`no-hash-iter`, `order-leak`, …).
     pub name: &'static str,
-    /// Paper determinism level the rule protects (D0/D1/D2).
+    /// The analysis that emits it (and owns its suppression token).
+    pub mode: Mode,
+    /// Paper determinism level the rule protects (D0/D1/D2, or `meta`).
     pub level: &'static str,
     /// One-line rationale shown in reports.
     pub summary: &'static str,
 }
 
-/// Every rule detlint knows, in catalog order.
+/// Every rule detlint knows, grouped by analysis, in catalog order.
 pub const CATALOG: &[Rule] = &[
     Rule {
         name: "no-hash-iter",
+        mode: Mode::Leaf,
         level: "D0",
         summary: "iteration over HashMap/HashSet lets hasher state pick the order",
     },
     Rule {
         name: "no-wall-clock",
+        mode: Mode::Leaf,
         level: "D0",
         summary: "raw Instant/SystemTime reads outside obs leak wall time into behavior",
     },
     Rule {
         name: "no-raw-float-accum",
+        mode: Mode::Leaf,
         level: "D1",
         summary: "float accumulation outside order-parameterized kernels hides reduction order",
     },
     Rule {
         name: "no-adhoc-rng",
+        mode: Mode::Leaf,
         level: "D0",
         summary: "randomness not drawn from esrng Philox streams is unreplayable",
     },
     Rule {
         name: "no-thread-order",
+        mode: Mode::Leaf,
         level: "D0",
         summary: "spawn/channel patterns can leak thread completion order into results",
     },
     Rule {
         name: "no-float-key-sort",
+        mode: Mode::Leaf,
         level: "D1",
         summary: "ordering by an f32/f64 key via partial_cmp is not a total order (NaN, -0.0)",
     },
     Rule {
         name: "unused-suppression",
+        mode: Mode::Leaf,
         level: "meta",
         summary: "a detlint::allow comment that matches no finding is a stale audit record",
+    },
+    Rule {
+        name: "taint-flow",
+        mode: Mode::Taint,
+        level: "D0",
+        summary: "a nondeterministic source value reaches a decision or output sink",
+    },
+    Rule {
+        name: "unsealed-drain",
+        mode: Mode::Concur,
+        level: "D0",
+        summary: "a drain on an exchange nothing seals hangs forever when a publisher dies",
+    },
+    Rule {
+        name: "send-after-seal",
+        mode: Mode::Concur,
+        level: "D0",
+        summary: "a publisher handle minted after seal() panics at runtime",
+    },
+    Rule {
+        name: "raw-channel",
+        mode: Mode::Concur,
+        level: "D0",
+        summary: "raw channel construction outside the audited fence modules",
+    },
+    Rule {
+        name: "order-leak",
+        mode: Mode::Concur,
+        level: "D0",
+        summary: "a receive outside a declared drain consumes in thread-completion order",
+    },
+    Rule {
+        name: "blocking-cycle",
+        mode: Mode::Concur,
+        level: "D0",
+        summary: "engine and worker roles can each block waiting on the other",
+    },
+    Rule {
+        name: "lock-inversion",
+        mode: Mode::Concur,
+        level: "D0",
+        summary: "two locks are acquired in both orders on different paths",
+    },
+    Rule {
+        name: "barrier-unverified",
+        mode: Mode::Concur,
+        level: "D0",
+        summary: "a declared taint barrier shows no canonical-order evidence",
+    },
+    Rule {
+        name: "float-reassoc",
+        mode: Mode::Accum,
+        level: "D1",
+        summary:
+            "a loop-carried float accumulation whose reduction tree depends on iteration shape",
+    },
+    Rule {
+        name: "oracle-unpaired",
+        mode: Mode::Accum,
+        level: "D1",
+        summary: "a vectorized kernel without a tested _scalar bit-equality oracle",
     },
 ];
 
@@ -66,12 +137,14 @@ pub fn rule(name: &str) -> Option<&'static Rule> {
     CATALOG.iter().find(|r| r.name == name)
 }
 
+/// One raw leaf hit before suppression handling: `(rule, line, message)`.
+pub type Hit = (&'static str, u32, String);
+
 /// Per-file analysis context shared by all detectors.
 struct Ctx<'a> {
     toks: &'a [Tok],
-    file: &'a str,
     /// `(start_line, end_line)` of `#[cfg(test)] mod … { … }` regions.
-    test_regions: Vec<(u32, u32)>,
+    test_regions: &'a [(u32, u32)],
     /// For each token index: index into `fns` of the innermost enclosing
     /// fn, or usize::MAX at module level.
     fn_of: Vec<usize>,
@@ -82,177 +155,53 @@ struct Ctx<'a> {
 
 impl Ctx<'_> {
     fn in_test(&self, line: u32) -> bool {
-        self.test_regions.iter().any(|&(a, b)| (a..=b).contains(&line))
+        crate::lexer::in_regions(self.test_regions, line)
     }
 
     fn exempt_fn(&self, tok_idx: usize) -> bool {
         let f = self.fn_of[tok_idx];
         f != usize::MAX && self.fn_exempt[f]
     }
-
-    fn finding(&self, rule_name: &'static str, line: u32, message: String) -> Finding {
-        let r = rule(rule_name).expect("catalog rule");
-        Finding { rule: r.name, level: r.level, file: self.file.to_string(), line, message }
-    }
 }
 
-/// Run the detectors only — no suppression handling. Both ledgered entry
-/// points layer allow-consumption on top of this.
-fn detect(lexed: &Lexed, crate_name: &str, file: &str, cfg: &Config) -> Vec<Finding> {
-    let toks = &lexed.toks;
-    let ctx = Ctx {
-        toks,
-        file,
-        test_regions: if cfg.skip_test_code { test_regions(toks) } else { Vec::new() },
-        fn_of: Vec::new(),
-        fn_exempt: Vec::new(),
-    };
-    let ctx = with_fn_scopes(ctx, cfg);
+/// Run the leaf detectors over one file — no suppression handling; the
+/// driver emits each hit through the shared allow ledger. `everywhere`
+/// lifts the crate scoping of the order/entropy rules: the taint pass
+/// harvests its sources that way, so a source is visible wherever it lives
+/// and the barrier/sink policy, not rule scoping, decides what matters.
+/// Float accumulation stays scoped to the numeric-contract crates even
+/// then: a sequential `+=` in single-threaded bookkeeping code is
+/// order-explicit by construction, and seeding taint from it would drown
+/// the report in deterministic accumulators.
+pub fn detect(mf: &ModelFile, policy: &Policy, everywhere: bool) -> Vec<Hit> {
+    let toks = &mf.lexed.toks;
+    let (fn_of, fn_exempt) = fn_scopes(toks, policy);
+    let ctx = Ctx { toks, test_regions: &mf.test_regions, fn_of, fn_exempt };
 
-    let deterministic = cfg.deterministic_path.iter().any(|c| c == crate_name);
-    let mut findings = Vec::new();
+    let krate = mf.crate_name.as_str();
+    let deterministic = everywhere || policy.deterministic_path.contains(&krate);
+    let mut hits = Vec::new();
     if deterministic {
-        no_hash_iter(&ctx, &mut findings);
-        no_adhoc_rng(&ctx, &mut findings);
-        no_thread_order(&ctx, &mut findings);
+        no_hash_iter(&ctx, &mut hits);
+        no_adhoc_rng(&ctx, &mut hits);
+        no_thread_order(&ctx, &mut hits);
     }
-    if !cfg.wall_clock_exempt.iter().any(|c| c == crate_name) {
-        no_wall_clock(&ctx, &mut findings);
+    if everywhere || !policy.wall_clock_exempt.contains(&krate) {
+        no_wall_clock(&ctx, &mut hits);
     }
-    if cfg.float_accum_crates.iter().any(|c| c == crate_name) {
-        no_raw_float_accum(&ctx, &mut findings);
+    if policy.float_crates.contains(&krate) {
+        no_raw_float_accum(&ctx, &mut hits);
     }
     if deterministic {
-        no_float_key_sort(&ctx, cfg, &mut findings);
+        no_float_key_sort(&ctx, policy, &mut hits);
     }
-    findings
-}
-
-/// Run every applicable rule over one lexed file. `crate_name` is the
-/// directory name under `crates/` (e.g. `core`, `sched`).
-///
-/// Suppressions go through a file-local [`crate::suppress::AllowSet`]
-/// ledger: `// detlint::allow(rule[, rule…]): reason` on the finding's own
-/// line or the line directly above suppresses exactly the named rules, and
-/// an allow that suppressed nothing is itself a finding (stale-audit
-/// hygiene). Allows owned by other passes (taint/concur/accum tokens) are
-/// excluded by the domain scoping inside [`crate::suppress::AllowSet::stale`];
-/// a shared-ledger caller uses [`check_file_with`] instead and does the
-/// accounting across every mode at once.
-pub fn check_file(lexed: &Lexed, crate_name: &str, file: &str, cfg: &Config) -> Vec<Finding> {
-    let mut findings = detect(lexed, crate_name, file, cfg);
-    let mut allows = crate::suppress::AllowSet::new();
-    let regions = if cfg.skip_test_code { test_regions(&lexed.toks) } else { Vec::new() };
-    allows.scan_file(lexed, file, &regions);
-    findings.retain(|f| !allows.consume(file, f.line, f.rule));
-    if cfg.report_unused_suppressions {
-        findings.extend(allows.stale(
-            &[crate::suppress::Domain::Leaf],
-            true,
-            crate::suppress::phrase::LEAF,
-        ));
-    }
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
-}
-
-/// [`check_file`] against a *shared* allow ledger (`--all`): detectors run
-/// and consume from `allows` — including for the findings they suppress,
-/// so the unified accounting sees the usage — while the caller owns both
-/// the per-file scans and the cross-mode stale verdict.
-pub fn check_file_with(
-    lexed: &Lexed,
-    crate_name: &str,
-    file: &str,
-    cfg: &Config,
-    allows: &mut crate::suppress::AllowSet,
-) -> Vec<Finding> {
-    let mut findings: Vec<Finding> = detect(lexed, crate_name, file, cfg)
-        .into_iter()
-        .filter(|f| !allows.consume(file, f.line, f.rule))
-        .collect();
-    findings.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
-    findings
-}
-
-/// [`test_regions`] for sibling modules (the item model marks test fns).
-pub(crate) fn test_regions_pub(toks: &[Tok]) -> Vec<(u32, u32)> {
-    test_regions(toks)
-}
-
-/// Find `#[cfg(test)] mod … { … }` line ranges by brace matching.
-fn test_regions(toks: &[Tok]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < toks.len() {
-        // Match `# [ cfg ( test ) ]`.
-        let is_cfg_test =
-            toks[i].text == "#" && matches(toks, i + 1, &["[", "cfg", "(", "test", ")", "]"]);
-        if !is_cfg_test {
-            i += 1;
-            continue;
-        }
-        let mut j = i + 7;
-        // Skip further attributes between the cfg and the item.
-        while j < toks.len() && toks[j].text == "#" {
-            j += 1; // '['
-            let mut depth = 0;
-            while j < toks.len() {
-                match toks[j].text.as_str() {
-                    "[" => depth += 1,
-                    "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            j += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                j += 1;
-            }
-        }
-        if j < toks.len() && toks[j].text == "mod" {
-            // Find the opening brace, then its match.
-            while j < toks.len() && toks[j].text != "{" {
-                j += 1;
-            }
-            if j < toks.len() {
-                let start_line = toks[i].line;
-                let mut depth = 0;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "{" => depth += 1,
-                        "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                out.push((start_line, toks[j].line));
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    j += 1;
-                }
-                i = j;
-                continue;
-            }
-        }
-        i += 1;
-    }
-    out
-}
-
-/// Do tokens at `start` match `pat` textually?
-fn matches(toks: &[Tok], start: usize, pat: &[&str]) -> bool {
-    pat.iter().enumerate().all(|(k, p)| toks.get(start + k).is_some_and(|t| t.text == *p))
+    hits
 }
 
 /// Annotate every token with its enclosing fn and whether that fn's
 /// signature names an order-parameter type (making ordered accumulation
 /// explicit and exempt from `no-raw-float-accum`).
-fn with_fn_scopes<'a>(mut ctx: Ctx<'a>, cfg: &Config) -> Ctx<'a> {
-    let toks = ctx.toks;
+fn fn_scopes(toks: &[Tok], policy: &Policy) -> (Vec<usize>, Vec<bool>) {
     let mut fn_of = vec![usize::MAX; toks.len()];
     let mut fn_exempt: Vec<bool> = Vec::new();
     // Stack of (fn index, brace depth at body open).
@@ -287,7 +236,7 @@ fn with_fn_scopes<'a>(mut ctx: Ctx<'a>, cfg: &Config) -> Ctx<'a> {
                         "{" if parens == 0 => break,
                         _ => {
                             if toks[j].kind == TokKind::Ident
-                                && cfg.order_param_types.iter().any(|o| o == &toks[j].text)
+                                && policy.order_param_types.contains(&toks[j].text.as_str())
                             {
                                 exempt = true;
                             }
@@ -319,35 +268,8 @@ fn with_fn_scopes<'a>(mut ctx: Ctx<'a>, cfg: &Config) -> Ctx<'a> {
         }
         i += 1;
     }
-    ctx.fn_of = fn_of;
-    ctx.fn_exempt = fn_exempt;
-    ctx
+    (fn_of, fn_exempt)
 }
-
-/// Statement bounds around token `i`: `(start, end)` token indices between
-/// the nearest `;`/`{`/`}` on each side (end exclusive).
-fn statement_bounds(toks: &[Tok], i: usize) -> (usize, usize) {
-    let mut a = i;
-    while a > 0 {
-        let t = &toks[a - 1].text;
-        if t == ";" || t == "{" || t == "}" {
-            break;
-        }
-        a -= 1;
-    }
-    let mut b = i;
-    while b < toks.len() {
-        let t = &toks[b].text;
-        if t == ";" || t == "{" || t == "}" {
-            break;
-        }
-        b += 1;
-    }
-    (a, b)
-}
-
-const INT_TYPES: &[&str] =
-    &["usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8", "i16", "i32", "i64", "i128"];
 
 fn slice_has(toks: &[Tok], a: usize, b: usize, words: &[&str]) -> bool {
     toks[a..b].iter().any(|t| t.kind == TokKind::Ident && words.contains(&t.text.as_str()))
@@ -392,7 +314,7 @@ const ITER_METHODS: &[&str] = &[
     "retain",
 ];
 
-fn no_hash_iter(ctx: &Ctx, out: &mut Vec<Finding>) {
+fn no_hash_iter(ctx: &Ctx, out: &mut Vec<Hit>) {
     let toks = ctx.toks;
     // Pass 1: collect identifiers declared with a hash-table type, file-wide
     // (fields, params, lets). Coarse on purpose: a shadowing non-hash
@@ -446,7 +368,7 @@ fn no_hash_iter(ctx: &Ctx, out: &mut Vec<Finding>) {
             && toks.get(i + 2).is_some_and(|m| ITER_METHODS.contains(&m.text.as_str()))
             && toks.get(i + 3).is_some_and(|p| p.text == "(")
         {
-            out.push(ctx.finding(
+            out.push((
                 "no-hash-iter",
                 t.line,
                 format!(
@@ -474,7 +396,7 @@ fn no_hash_iter(ctx: &Ctx, out: &mut Vec<Finding>) {
                     && hash_idents.binary_search(&tk.text.as_str()).is_ok()
                     && toks.get(k + 1).is_none_or(|nx| nx.text != ".")
                 {
-                    out.push(ctx.finding(
+                    out.push((
                         "no-hash-iter",
                         tk.line,
                         format!(
@@ -495,24 +417,22 @@ fn no_hash_iter(ctx: &Ctx, out: &mut Vec<Finding>) {
 // Rule: no-wall-clock (D0)
 // ---------------------------------------------------------------------------
 
-fn no_wall_clock(ctx: &Ctx, out: &mut Vec<Finding>) {
+fn no_wall_clock(ctx: &Ctx, out: &mut Vec<Hit>) {
     let toks = ctx.toks;
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident || ctx.in_test(t.line) {
             continue;
         }
         if t.text == "Instant" && matches(toks, i + 1, &["::", "now"]) {
-            out.push(
-                ctx.finding(
-                    "no-wall-clock",
-                    t.line,
-                    "`Instant::now()` outside obs/bench; time through `obs::span` or \
+            out.push((
+                "no-wall-clock",
+                t.line,
+                "`Instant::now()` outside obs/bench; time through `obs::span` or \
                  `obs::Stopwatch` so the clock stays off the deterministic path"
-                        .to_string(),
-                ),
-            );
+                    .to_string(),
+            ));
         } else if t.text == "SystemTime" {
-            out.push(ctx.finding(
+            out.push((
                 "no-wall-clock",
                 t.line,
                 "`SystemTime` outside obs/bench; wall-clock reads belong behind obs".to_string(),
@@ -525,7 +445,7 @@ fn no_wall_clock(ctx: &Ctx, out: &mut Vec<Finding>) {
 // Rule: no-raw-float-accum (D1)
 // ---------------------------------------------------------------------------
 
-fn no_raw_float_accum(ctx: &Ctx, out: &mut Vec<Finding>) {
+fn no_raw_float_accum(ctx: &Ctx, out: &mut Vec<Hit>) {
     let toks = ctx.toks;
     for (i, t) in toks.iter().enumerate() {
         if ctx.in_test(t.line) || ctx.exempt_fn(i) {
@@ -551,16 +471,14 @@ fn no_raw_float_accum(ctx: &Ctx, out: &mut Vec<Finding>) {
                 continue;
             }
             if stmt_float || fn_sig_has_float(toks, i, &ctx.fn_of) {
-                out.push(
-                    ctx.finding(
-                        "no-raw-float-accum",
-                        t.line,
-                        "float `+=` accumulation outside an order-parameterized kernel; route \
+                out.push((
+                    "no-raw-float-accum",
+                    t.line,
+                    "float `+=` accumulation outside an order-parameterized kernel; route \
                      through KernelProfile-driven reduction (or suppress with the traversal \
                      order documented)"
-                            .to_string(),
-                    ),
-                );
+                        .to_string(),
+                ));
             }
         } else if t.kind == TokKind::Ident
             && (t.text == "sum" || t.text == "product")
@@ -576,7 +494,7 @@ fn no_raw_float_accum(ctx: &Ctx, out: &mut Vec<Finding>) {
                     && !stmt_int
                     && (stmt_float || fn_sig_has_float(toks, i, &ctx.fn_of)))
             {
-                out.push(ctx.finding(
+                out.push((
                     "no-raw-float-accum",
                     t.line,
                     format!(
@@ -606,7 +524,7 @@ const RNG_IDENTS: &[&str] = &[
     "DefaultHasher",
 ];
 
-fn no_adhoc_rng(ctx: &Ctx, out: &mut Vec<Finding>) {
+fn no_adhoc_rng(ctx: &Ctx, out: &mut Vec<Hit>) {
     let toks = ctx.toks;
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident || ctx.in_test(t.line) {
@@ -615,7 +533,7 @@ fn no_adhoc_rng(ctx: &Ctx, out: &mut Vec<Finding>) {
         let hit = RNG_IDENTS.contains(&t.text.as_str())
             || (t.text == "rand" && matches(toks, i + 1, &["::"]));
         if hit {
-            out.push(ctx.finding(
+            out.push((
                 "no-adhoc-rng",
                 t.line,
                 format!(
@@ -635,14 +553,14 @@ fn no_adhoc_rng(ctx: &Ctx, out: &mut Vec<Finding>) {
 const CHANNEL_IDENTS: &[&str] =
     &["mpsc", "try_recv", "recv_timeout", "recv_deadline", "par_iter", "into_par_iter", "rayon"];
 
-fn no_thread_order(ctx: &Ctx, out: &mut Vec<Finding>) {
+fn no_thread_order(ctx: &Ctx, out: &mut Vec<Hit>) {
     let toks = ctx.toks;
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident || ctx.in_test(t.line) {
             continue;
         }
         if CHANNEL_IDENTS.contains(&t.text.as_str()) {
-            out.push(ctx.finding(
+            out.push((
                 "no-thread-order",
                 t.line,
                 format!(
@@ -652,29 +570,25 @@ fn no_thread_order(ctx: &Ctx, out: &mut Vec<Finding>) {
                 ),
             ));
         } else if t.text == "thread" && matches(toks, i + 1, &["::", "spawn"]) {
-            out.push(
-                ctx.finding(
-                    "no-thread-order",
-                    t.line,
-                    "detached `thread::spawn`; use a scoped spawn joined in spawn order so \
+            out.push((
+                "no-thread-order",
+                t.line,
+                "detached `thread::spawn`; use a scoped spawn joined in spawn order so \
                  completion order cannot leak into results"
-                        .to_string(),
-                ),
-            );
+                    .to_string(),
+            ));
         } else if t.text == "recv"
             && i > 0
             && toks[i - 1].text == "."
             && matches(toks, i + 1, &["("])
         {
-            out.push(
-                ctx.finding(
-                    "no-thread-order",
-                    t.line,
-                    "`.recv()` consumes messages in completion order; join workers in spawn \
+            out.push((
+                "no-thread-order",
+                t.line,
+                "`.recv()` consumes messages in completion order; join workers in spawn \
                  order instead"
-                        .to_string(),
-                ),
-            );
+                    .to_string(),
+            ));
         }
     }
 }
@@ -698,10 +612,11 @@ const SORT_LIKE: &[&str] = &[
     "binary_search_by_key",
 ];
 
-fn no_float_key_sort(ctx: &Ctx, cfg: &Config, out: &mut Vec<Finding>) {
+fn no_float_key_sort(ctx: &Ctx, policy: &Policy, out: &mut Vec<Hit>) {
     let toks = ctx.toks;
-    let blessed =
-        |a: usize, b: usize| toks[a..b].iter().any(|t| cfg.total_order_helpers.contains(&t.text));
+    let blessed = |a: usize, b: usize| {
+        toks[a..b].iter().any(|t| policy.total_order_helpers.contains(&t.text.as_str()))
+    };
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident || ctx.in_test(t.line) || ctx.exempt_fn(i) {
             continue;
@@ -712,15 +627,13 @@ fn no_float_key_sort(ctx: &Ctx, cfg: &Config, out: &mut Vec<Finding>) {
         if t.text == "partial_cmp" && method_call {
             let (a, b) = statement_bounds(toks, i);
             if !blessed(a, b) {
-                out.push(
-                    ctx.finding(
-                        "no-float-key-sort",
-                        t.line,
-                        "`.partial_cmp()` comparator in a deterministic-path crate; use \
+                out.push((
+                    "no-float-key-sort",
+                    t.line,
+                    "`.partial_cmp()` comparator in a deterministic-path crate; use \
                      `total_cmp` (a total order over all bit patterns) or an integer key"
-                            .to_string(),
-                    ),
-                );
+                        .to_string(),
+                ));
             }
             continue;
         }
@@ -729,27 +642,13 @@ fn no_float_key_sort(ctx: &Ctx, cfg: &Config, out: &mut Vec<Finding>) {
         if SORT_LIKE.contains(&t.text.as_str()) && method_call {
             // Argument span: tokens to the matching close paren.
             let open = i + 1;
-            let mut depth = 0i32;
-            let mut close = open;
-            while close < toks.len() {
-                match toks[close].text.as_str() {
-                    "(" => depth += 1,
-                    ")" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                close += 1;
-            }
+            let close = match_delim(toks, open);
             let span_has_partial = slice_has(toks, open, close, &["partial_cmp"]);
             if span_has_partial || blessed(open, close) {
                 continue; // partial_cmp branch reports it / helper blesses it
             }
             if slice_has(toks, open, close, &["f32", "f64"]) {
-                out.push(ctx.finding(
+                out.push((
                     "no-float-key-sort",
                     t.line,
                     format!(

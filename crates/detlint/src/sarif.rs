@@ -1,20 +1,15 @@
-//! SARIF 2.1.0 serialization for every detlint mode, built on the
-//! vendored serde shims (no external schema crates — the document is a
-//! hand-assembled [`Value`] tree, which also makes the byte layout
-//! deterministic: maps serialize in insertion order, and every input
-//! report is already sorted, so repeated and shuffled-order runs emit
-//! identical bytes; pinned by a proptest).
+//! SARIF 2.1.0 — the one machine format. Built on the vendored serde shims
+//! (no external schema crates — the document is a hand-assembled [`Value`]
+//! tree, which also makes the byte layout deterministic: maps serialize in
+//! insertion order and the diagnostics arrive sorted, so repeated and
+//! shuffled-order runs emit identical bytes; pinned by a proptest).
 //!
-//! Layout: one `run` per mode (`leaf`, `taint`, `concur`, `accum`), each
-//! with the mode's rule catalog under `tool.driver.rules`, results with
-//! physical-location regions, and witness paths/spans as
-//! `relatedLocations`. `--sarif PATH` in single-mode runs writes a
-//! one-run document; `--all` writes all four.
+//! Layout: one `run` per analysis (`properties.mode` = `leaf` / `taint` /
+//! `concur` / `accum`), always all four, each declaring its slice of the
+//! rule catalog under `tool.driver.rules`; results carry a
+//! physical-location region, and witness paths/spans as `relatedLocations`.
 
-use crate::accum::AccumReport;
-use crate::concur::{ConcurFinding, ConcurReport};
-use crate::taint::TaintReport;
-use crate::Finding;
+use crate::{Diagnostic, Mode, Severity};
 use serde::Value;
 
 const SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
@@ -28,195 +23,76 @@ fn map(entries: Vec<(&str, Value)>) -> Value {
     Value::Map(entries.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
-fn location(file: &str, line: u32) -> Value {
-    map(vec![(
+fn physical_location(file: &str, line: u32) -> (&'static str, Value) {
+    (
         "physicalLocation",
         map(vec![
             ("artifactLocation", map(vec![("uri", s(file))])),
             ("region", map(vec![("startLine", Value::U64(u64::from(line)))])),
         ]),
-    )])
+    )
 }
 
-/// A `message`-carrying related location (witness span / path hop).
-fn related(file: &str, line: u32, text: &str) -> Value {
-    map(vec![
-        (
-            "physicalLocation",
-            map(vec![
-                ("artifactLocation", map(vec![("uri", s(file))])),
-                ("region", map(vec![("startLine", Value::U64(u64::from(line)))])),
-            ]),
-        ),
-        ("message", map(vec![("text", s(text))])),
-    ])
+/// Blocking diagnostics are `error`s — except stale allows, which are
+/// `note`s (hygiene, not a determinism leak); audited demotions are
+/// `warning`s.
+fn sarif_level(d: &Diagnostic) -> &'static str {
+    match d.severity {
+        Severity::Warning => "warning",
+        Severity::Error if d.level == "meta" => "note",
+        Severity::Error => "error",
+    }
 }
 
-fn rule_meta(id: &str, description: &str, level: &str) -> Value {
-    map(vec![
-        ("id", s(id)),
-        ("shortDescription", map(vec![("text", s(description))])),
-        ("properties", map(vec![("detlintLevel", s(level))])),
-    ])
-}
-
-fn result(
-    rule_id: &str,
-    level: &str,
-    message: &str,
-    file: &str,
-    line: u32,
-    related_locations: Vec<Value>,
-) -> Value {
+fn result(d: &Diagnostic) -> Value {
     let mut entries = vec![
-        ("ruleId", s(rule_id)),
-        ("level", s(level)),
-        ("message", map(vec![("text", s(message))])),
-        ("locations", Value::Seq(vec![location(file, line)])),
+        ("ruleId", s(d.rule)),
+        ("level", s(sarif_level(d))),
+        ("message", map(vec![("text", s(&d.message))])),
+        ("locations", Value::Seq(vec![map(vec![physical_location(&d.file, d.line)])])),
     ];
-    if !related_locations.is_empty() {
-        entries.push(("relatedLocations", Value::Seq(related_locations)));
+    if !d.related.is_empty() {
+        let related = d.related.iter().map(|r| {
+            map(vec![
+                physical_location(&r.file, r.line),
+                ("message", map(vec![("text", s(&r.label))])),
+            ])
+        });
+        entries.push(("relatedLocations", Value::Seq(related.collect())));
     }
     map(entries)
 }
 
-fn run(mode: &str, rules: Vec<Value>, results: Vec<Value>) -> Value {
+/// One analysis's run: its catalog rules (stale allows can surface under
+/// any analysis, so every run declares `unused-suppression`) and results.
+fn run(mode: Mode, diagnostics: &[Diagnostic]) -> Value {
+    let rules = crate::rules::CATALOG
+        .iter()
+        .filter(|r| r.mode == mode || r.name == "unused-suppression")
+        .map(|r| {
+            map(vec![
+                ("id", s(r.name)),
+                ("shortDescription", map(vec![("text", s(r.summary))])),
+                ("properties", map(vec![("detlintLevel", s(r.level))])),
+            ])
+        });
+    let driver = map(vec![
+        ("name", s("detlint")),
+        ("version", s(env!("CARGO_PKG_VERSION"))),
+        ("rules", Value::Seq(rules.collect())),
+    ]);
+    let results = diagnostics.iter().filter(|d| d.mode == mode).map(result);
     map(vec![
-        (
-            "tool",
-            map(vec![(
-                "driver",
-                map(vec![
-                    ("name", s("detlint")),
-                    ("version", s(env!("CARGO_PKG_VERSION"))),
-                    ("rules", Value::Seq(rules)),
-                ]),
-            )]),
-        ),
-        ("results", Value::Seq(results)),
-        ("properties", map(vec![("mode", s(mode))])),
+        ("tool", map(vec![("driver", driver)])),
+        ("results", Value::Seq(results.collect())),
+        ("properties", map(vec![("mode", s(mode.name()))])),
     ])
 }
 
-/// Map a detlint determinism level to a SARIF result level.
-fn sarif_level(detlint_level: &str) -> &'static str {
-    match detlint_level {
-        "meta" => "note",
-        "D1" | "D2" => "warning",
-        _ => "error",
-    }
-}
-
-fn stale_results(stale: &[Finding]) -> Vec<Value> {
-    stale
-        .iter()
-        .map(|f| result("unused-suppression", "note", &f.message, &f.file, f.line, Vec::new()))
-        .collect()
-}
-
-const UNUSED_SUPPRESSION_DESC: &str =
-    "a detlint::allow comment that matches no finding is a stale audit record";
-
-/// The leaf-mode run: one result per finding, catalog rules verbatim.
-pub fn leaf_run(findings: &[Finding]) -> Value {
-    let rules =
-        crate::rules::CATALOG.iter().map(|r| rule_meta(r.name, r.summary, r.level)).collect();
-    let results = findings
-        .iter()
-        .map(|f| {
-            let level = if f.rule == "unused-suppression" { "note" } else { sarif_level(f.level) };
-            result(f.rule, level, &f.message, &f.file, f.line, Vec::new())
-        })
-        .collect();
-    run("leaf", rules, results)
-}
-
-/// The taint-mode run: one result per flow anchored at the source, the
-/// call-path witness as related locations; stale allows as notes.
-pub fn taint_run(r: &TaintReport) -> Value {
-    let rules = vec![
-        rule_meta(
-            "taint-flow",
-            "a nondeterministic source value reaches a decision or output sink",
-            "D0",
-        ),
-        rule_meta("unused-suppression", UNUSED_SUPPRESSION_DESC, "meta"),
-    ];
-    let mut results: Vec<Value> = r
-        .flows
-        .iter()
-        .map(|f| {
-            let mut rel: Vec<Value> =
-                f.path.iter().map(|h| related(&h.file, h.line, &h.func)).collect();
-            rel.push(related(&f.sink_file, f.sink_line, &format!("sink: {}", f.sink_fn)));
-            result(
-                "taint-flow",
-                "error",
-                &format!("{} -> {} ({})", f.source_kind, f.sink_kind, f.sink_fn),
-                &f.source_file,
-                f.source_line,
-                rel,
-            )
-        })
-        .collect();
-    results.extend(stale_results(&r.unused_suppressions));
-    run("taint", rules, results)
-}
-
-/// The concurrency-mode run: findings as errors, warnings as warnings,
-/// witness call paths as related locations.
-pub fn concur_run(r: &ConcurReport) -> Value {
-    let rules = crate::concur::ALLOW_KINDS
-        .iter()
-        .map(|k| rule_meta(k, "deterministic worker-pool protocol conformance", "D0"))
-        .chain(std::iter::once(rule_meta("unused-suppression", UNUSED_SUPPRESSION_DESC, "meta")))
-        .collect();
-    let render = |f: &ConcurFinding, level: &str| {
-        let rel: Vec<Value> = f
-            .paths
-            .iter()
-            .flat_map(|p| p.iter())
-            .map(|h| related(&h.file, h.line, &h.func))
-            .collect();
-        result(f.kind, level, &f.message, &f.file, f.line, rel)
-    };
-    let mut results: Vec<Value> = r.findings.iter().map(|f| render(f, "error")).collect();
-    results.extend(r.warnings.iter().map(|f| render(f, "warning")));
-    results.extend(stale_results(&r.unused_suppressions));
-    run("concur", rules, results)
-}
-
-/// The accumulation-mode run: `float-reassoc` / `oracle-unpaired` results
-/// with their span witnesses as related locations.
-pub fn accum_run(r: &AccumReport) -> Value {
-    let rules = vec![
-        rule_meta(
-            "float-reassoc",
-            "a loop-carried float accumulation whose reduction tree depends on iteration shape",
-            "D1",
-        ),
-        rule_meta(
-            "oracle-unpaired",
-            "a vectorized kernel without a tested _scalar bit-equality oracle",
-            "D1",
-        ),
-        rule_meta("unused-suppression", UNUSED_SUPPRESSION_DESC, "meta"),
-    ];
-    let mut results: Vec<Value> = r
-        .findings
-        .iter()
-        .map(|f| {
-            let rel: Vec<Value> =
-                f.spans.iter().map(|sp| related(&sp.file, sp.line, &sp.label)).collect();
-            result(f.kind, "error", &f.message, &f.file, f.line, rel)
-        })
-        .collect();
-    results.extend(stale_results(&r.unused_suppressions));
-    run("accum", rules, results)
-}
-
-/// Assemble runs into a complete SARIF 2.1.0 document.
-pub fn document(runs: Vec<Value>) -> String {
+/// Render `diagnostics` as a complete SARIF 2.1.0 document, one run per
+/// analysis.
+pub fn document(diagnostics: &[Diagnostic]) -> String {
+    let runs = Mode::ALL.iter().map(|&mode| run(mode, diagnostics)).collect();
     let root =
         map(vec![("$schema", s(SCHEMA)), ("version", s(VERSION)), ("runs", Value::Seq(runs))]);
     let mut out = serde_json::to_string_pretty(&root).expect("value tree serializes");
@@ -227,67 +103,77 @@ pub fn document(runs: Vec<Value>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{file, run as analyze};
 
-    fn sample_leaf() -> Vec<Finding> {
-        vec![Finding {
-            rule: "no-wall-clock",
-            level: "D0",
-            file: "crates/x/src/lib.rs".to_string(),
-            line: 7,
-            message: "raw Instant::now".to_string(),
-        }]
-    }
-
-    #[test]
-    fn document_has_schema_version_and_runs() {
-        let text = document(vec![leaf_run(&sample_leaf())]);
-        let v: Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(v.get_field("version"), Some(&Value::Str(VERSION.to_string())));
-        assert_eq!(v.get_field("$schema"), Some(&Value::Str(SCHEMA.to_string())));
+    fn parsed(diagnostics: &[Diagnostic]) -> Vec<Value> {
+        let v: Value = serde_json::from_str(&document(diagnostics)).unwrap();
+        assert_eq!(v.get_field("version"), Some(&s(VERSION)));
+        assert_eq!(v.get_field("$schema"), Some(&s(SCHEMA)));
         let Some(Value::Seq(runs)) = v.get_field("runs") else { panic!("runs array") };
-        assert_eq!(runs.len(), 1);
-        let driver = runs[0].get_field("tool").unwrap().get_field("driver").unwrap();
-        assert_eq!(driver.get_field("name"), Some(&Value::Str("detlint".to_string())));
+        runs.clone()
+    }
+
+    fn seq<'v>(v: &'v Value, field: &str) -> &'v [Value] {
+        match v.get_field(field) {
+            Some(Value::Seq(items)) => items,
+            other => panic!("`{field}` must be an array, found {other:?}"),
+        }
     }
 
     #[test]
-    fn leaf_results_carry_rule_and_region() {
-        let text = document(vec![leaf_run(&sample_leaf())]);
-        let v: Value = serde_json::from_str(&text).unwrap();
-        let Some(Value::Seq(runs)) = v.get_field("runs") else { panic!() };
-        let Some(Value::Seq(results)) = runs[0].get_field("results") else { panic!() };
-        assert_eq!(results[0].get_field("ruleId"), Some(&Value::Str("no-wall-clock".to_string())));
-        let loc = &match results[0].get_field("locations") {
-            Some(Value::Seq(l)) => l.clone(),
-            _ => panic!("locations"),
-        }[0];
-        let region = loc.get_field("physicalLocation").unwrap().get_field("region").unwrap();
-        assert_eq!(region.get_field("startLine"), Some(&Value::U64(7)));
-    }
-
-    #[test]
-    fn every_mode_produces_a_run_with_its_rule_catalog() {
-        let doc = document(vec![
-            leaf_run(&[]),
-            taint_run(&TaintReport::default()),
-            concur_run(&ConcurReport::default()),
-            accum_run(&AccumReport::default()),
-        ]);
-        let v: Value = serde_json::from_str(&doc).unwrap();
-        let Some(Value::Seq(runs)) = v.get_field("runs") else { panic!() };
+    fn every_analysis_has_a_run_with_its_rule_catalog_even_when_clean() {
+        let runs = parsed(&[]);
         let modes: Vec<_> = runs
             .iter()
             .map(|r| r.get_field("properties").unwrap().get_field("mode").unwrap().clone())
             .collect();
-        assert_eq!(
-            modes,
-            vec![s("leaf"), s("taint"), s("concur"), s("accum")],
-            "one run per mode, in mode order"
-        );
-        for r in runs {
-            let rules = r.get_field("tool").unwrap().get_field("driver").unwrap();
-            let Some(Value::Seq(rs)) = rules.get_field("rules") else { panic!("rules array") };
-            assert!(!rs.is_empty());
+        assert_eq!(modes, vec![s("leaf"), s("taint"), s("concur"), s("accum")]);
+        for r in &runs {
+            let driver = r.get_field("tool").unwrap().get_field("driver").unwrap();
+            assert_eq!(driver.get_field("name"), Some(&s("detlint")));
+            let ids: Vec<_> = seq(driver, "rules").iter().map(|r| r.get_field("id")).collect();
+            assert!(ids.contains(&Some(&s("unused-suppression"))), "{ids:?}");
+            assert!(ids.len() > 1, "a run declares its own rules too: {ids:?}");
+            assert!(seq(r, "results").is_empty());
         }
+    }
+
+    #[test]
+    fn results_carry_rule_level_region_and_witnesses() {
+        let report = analyze(
+            &[file(
+                "sched",
+                "lib.rs",
+                "// detlint::allow(no-hash-iter): stale\n\
+                 fn leak() -> u64 { let t = std::time::Instant::now(); 0 }\n\
+                 pub fn decide() -> u64 { leak() }\n",
+            )],
+            &[],
+        );
+        let runs = parsed(&report.diagnostics);
+        let leaf = seq(&runs[0], "results");
+        let got: Vec<_> =
+            leaf.iter().map(|r| (r.get_field("ruleId"), r.get_field("level"))).collect();
+        assert_eq!(
+            got,
+            vec![
+                (Some(&s("unused-suppression")), Some(&s("note"))),
+                (Some(&s("no-wall-clock")), Some(&s("error"))),
+            ]
+        );
+        let region = seq(&leaf[1], "locations")[0]
+            .get_field("physicalLocation")
+            .and_then(|p| p.get_field("region"))
+            .expect("region");
+        assert_eq!(region.get_field("startLine"), Some(&Value::U64(2)));
+        assert!(leaf[1].get_field("relatedLocations").is_none(), "no witnesses, no field");
+
+        let flow = &seq(&runs[1], "results")[0];
+        assert_eq!(flow.get_field("ruleId"), Some(&s("taint-flow")));
+        let hops: Vec<_> = seq(flow, "relatedLocations")
+            .iter()
+            .map(|l| l.get_field("message").unwrap().get_field("text").unwrap().clone())
+            .collect();
+        assert_eq!(hops, vec![s("sched::leak"), s("sched::decide"), s("sink: sched::decide")]);
     }
 }

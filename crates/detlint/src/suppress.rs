@@ -1,46 +1,21 @@
-//! One grammar, one ledger: every detlint mode reads
+//! One grammar, one ledger: every analysis reads
 //! `// detlint::allow(token[, token…]): reason` comments through this
-//! module. Before it existed, the leaf rules, the taint pass, and the
-//! concurrency pass each re-scanned comments with slightly different
-//! parsers and kept *separate* usage books — an allow consumed by one mode
-//! could still be reported stale by another. Now a single [`AllowSet`] is
-//! scanned once per file, consumption is recorded in place, and staleness
-//! is computed per domain (single-mode runs) or across all domains at once
-//! (`--all` runs), so a token is only ever judged by the pass that owns it.
+//! module. A single [`AllowSet`] is scanned once per file, consumption is
+//! recorded in place by whichever analysis a finding belongs to, and
+//! staleness is settled once, after all four have run — so an allow
+//! consumed by one analysis can never be reported stale by another.
+//! [`Emitter`] is the one place a finding meets the ledger.
 
-use crate::lexer::Lexed;
-use crate::Finding;
+use crate::lexer::{in_regions, Lexed};
+use crate::{Diagnostic, Mode, Related, Severity};
 
-/// Which pass owns a suppression token.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Domain {
-    /// A leaf-rule name from [`crate::rules::CATALOG`] (`no-wall-clock`, …).
-    Leaf,
-    /// `taint` or `taint-<kind>`.
-    Taint,
-    /// A concurrency kind from [`crate::concur::ALLOW_KINDS`].
-    Concur,
-    /// An accumulation kind from [`crate::accum::ALLOW_KINDS`].
-    Accum,
-    /// A token no pass recognizes (typo'd rule, future kind).
-    Unknown,
-}
-
-/// Classify one suppression token by the pass that owns it.
-pub fn domain_of(token: &str) -> Domain {
+/// The analysis that owns a suppression token, or `None` for a token no
+/// analysis recognizes (typo'd rule, future kind).
+pub fn domain_of(token: &str) -> Option<Mode> {
     if token == "taint" || token.starts_with("taint-") {
-        return Domain::Taint;
+        return Some(Mode::Taint);
     }
-    if crate::concur::ALLOW_KINDS.contains(&token) {
-        return Domain::Concur;
-    }
-    if crate::accum::ALLOW_KINDS.contains(&token) {
-        return Domain::Accum;
-    }
-    if crate::rules::CATALOG.iter().any(|r| r.name == token) {
-        return Domain::Leaf;
-    }
-    Domain::Unknown
+    crate::rules::rule(token).map(|r| r.mode)
 }
 
 /// Extract `(line, [token…])` suppressions from line comments. Only a
@@ -50,11 +25,7 @@ pub fn domain_of(token: &str) -> Domain {
 pub fn parse(lexed: &Lexed) -> Vec<(u32, Vec<String>)> {
     let mut out = Vec::new();
     for (line, text) in &lexed.comments {
-        let trimmed = text.trim_start();
-        if !trimmed.starts_with("detlint::allow(") {
-            continue;
-        }
-        let rest = &trimmed["detlint::allow(".len()..];
+        let Some(rest) = text.trim_start().strip_prefix("detlint::allow(") else { continue };
         let Some(close) = rest.find(')') else { continue };
         let rules: Vec<String> = rest[..close]
             .split(',')
@@ -75,19 +46,19 @@ pub struct Allow {
     pub file: String,
     /// 1-based comment line. Covers findings on this line or the next.
     pub line: u32,
-    /// Every token listed, in source order (all domains mixed).
+    /// Every token listed, in source order (all analyses mixed).
     pub rules: Vec<String>,
     /// Inside a skipped `#[cfg(test)] mod … { … }` region (inert).
     pub in_test: bool,
-    /// Did any pass consume any of this allow's tokens?
+    /// Did any analysis consume any of this allow's tokens?
     pub used: bool,
 }
 
 impl Allow {
-    /// Does this allow sit on a finding at `line` (same line or directly
-    /// above)?
-    pub fn covers_line(&self, line: u32) -> bool {
-        self.line == line || self.line + 1 == line
+    /// Does this allow sit on a finding at `(file, line)` — the same line
+    /// or the one directly above?
+    fn covers(&self, file: &str, line: u32) -> bool {
+        self.file == file && (self.line == line || self.line + 1 == line)
     }
 }
 
@@ -99,33 +70,33 @@ pub struct AllowSet {
 }
 
 impl AllowSet {
-    /// An empty set; populate with [`AllowSet::scan_file`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Scan one lexed file's comments into the set. `test_regions` marks
-    /// allows that sit inside skipped test modules (pass an empty slice to
-    /// treat everything as live code).
+    /// allows that sit inside skipped test modules.
     pub fn scan_file(&mut self, lexed: &Lexed, file: &str, test_regions: &[(u32, u32)]) {
         for (line, rules) in parse(lexed) {
             self.allows.push(Allow {
                 file: file.to_string(),
                 line,
-                in_test: test_regions.iter().any(|&(a, b)| (a..=b).contains(&line)),
+                in_test: in_regions(test_regions, line),
                 rules,
                 used: false,
             });
         }
     }
 
-    /// Consume any allow covering `(file, line)` that lists `token`
-    /// verbatim. Every matching allow is marked used; returns whether any
-    /// matched.
-    pub fn consume(&mut self, file: &str, line: u32, token: &str) -> bool {
+    /// Does an allow covering `(file, line)` list `token`? Read-only: the
+    /// taint pass honors leaf-rule allows when harvesting sources, but
+    /// their usage is the leaf pass's to record.
+    pub fn lists(&self, file: &str, line: u32, token: &str) -> bool {
+        self.allows.iter().any(|a| a.covers(file, line) && a.rules.iter().any(|r| r == token))
+    }
+
+    /// Mark every allow covering `(file, line)` that lists a token `wanted`
+    /// accepts as used; returns whether any matched.
+    fn mark(&mut self, file: &str, line: u32, wanted: impl Fn(&str) -> bool) -> bool {
         let mut hit = false;
         for a in self.allows.iter_mut() {
-            if a.file == file && a.covers_line(line) && a.rules.iter().any(|r| r == token) {
+            if a.covers(file, line) && a.rules.iter().any(|r| wanted(r)) {
                 a.used = true;
                 hit = true;
             }
@@ -133,136 +104,168 @@ impl AllowSet {
         hit
     }
 
-    /// Taint-domain consumption: `taint` blocks every kind, `taint-<kind>`
+    /// Consume any allow covering `(file, line)` that lists `token`
+    /// verbatim.
+    pub fn consume(&mut self, file: &str, line: u32, token: &str) -> bool {
+        self.mark(file, line, |r| r == token)
+    }
+
+    /// Taint consumption: `taint` blocks every source kind, `taint-<kind>`
     /// blocks exactly one.
     pub fn consume_taint(&mut self, file: &str, line: u32, kind: &str) -> bool {
-        let mut hit = false;
-        for a in self.allows.iter_mut() {
-            if a.file == file
-                && a.covers_line(line)
-                && a.rules.iter().any(|r| r == "taint" || r == &format!("taint-{kind}"))
-            {
-                a.used = true;
-                hit = true;
-            }
-        }
-        hit
-    }
-
-    /// Stale-allow accounting for the pass(es) that ran. An allow is stale
-    /// when nothing consumed it, it is live code, and *every* token it
-    /// lists belongs to `domains` (plus [`Domain::Unknown`] when
-    /// `unknown_ok` — the leaf pass owns typo'd tokens so they surface
-    /// somewhere). Mixed allows whose other tokens belong to passes that
-    /// did not run are skipped: their staleness cannot be judged here.
-    /// `phrase` is the per-mode message tail after the backticked allow.
-    pub fn stale(&self, domains: &[Domain], unknown_ok: bool, phrase: &str) -> Vec<Finding> {
-        let in_scope = |t: &str| {
-            let d = domain_of(t);
-            domains.contains(&d) || (unknown_ok && d == Domain::Unknown)
-        };
-        self.allows
-            .iter()
-            .filter(|a| !a.used && !a.in_test)
-            .filter(|a| (unknown_ok || !a.rules.is_empty()) && a.rules.iter().all(|r| in_scope(r)))
-            .map(|a| Finding {
-                rule: "unused-suppression",
-                level: "meta",
-                file: a.file.clone(),
-                line: a.line,
-                message: format!("`detlint::allow({})` {}", a.rules.join(", "), phrase),
-            })
-            .collect()
+        let scoped = format!("taint-{kind}");
+        self.mark(file, line, |r| r == "taint" || r == scoped)
     }
 }
 
-/// The exact per-mode stale-message tails, kept here so every caller (and
-/// the report fixtures) agree byte-for-byte.
-pub mod phrase {
-    /// Leaf rules.
-    pub const LEAF: &str = "matches no finding on this or the next line; delete the stale \
-                            suppression or fix its rule list";
-    /// Taint pass.
-    pub const TAINT: &str = "blocked no taint propagation; delete the stale suppression or \
-                             fix its kind list";
-    /// Concurrency pass.
-    pub const CONCUR: &str = "blocked no concurrency finding; delete the stale suppression \
-                              or fix its kind list";
-    /// Accumulation pass.
-    pub const ACCUM: &str = "blocked no accumulation finding; delete the stale suppression \
-                             or fix its kind list";
-    /// Unified `--all` accounting.
-    pub const ALL: &str = "matched no finding in any mode; delete the stale suppression or \
-                           fix its rule list";
+/// Where every analysis reports: a finding goes through [`Emitter::emit`],
+/// which checks it against the shared allow ledger before recording it.
+#[derive(Debug, Default)]
+pub struct Emitter {
+    /// The run's suppression ledger.
+    pub allows: AllowSet,
+    /// Everything reported so far, unsorted.
+    pub out: Vec<Diagnostic>,
+}
+
+impl Emitter {
+    /// Report a blocking finding of catalog rule `rule` at `(file, line)`
+    /// unless an allow naming the rule covers the site (the allow is then
+    /// marked used). Returns whether the finding was recorded.
+    pub fn emit(
+        &mut self,
+        rule: &'static str,
+        file: &str,
+        line: u32,
+        message: String,
+        related: Vec<Related>,
+    ) -> bool {
+        if self.allows.consume(file, line, rule) {
+            return false;
+        }
+        self.push(rule, Severity::Error, file, line, message, related);
+        true
+    }
+
+    /// Record a diagnostic without consulting the ledger (audited
+    /// demotions, lowered taint flows, stale allows).
+    pub fn push(
+        &mut self,
+        rule: &'static str,
+        severity: Severity,
+        file: &str,
+        line: u32,
+        message: String,
+        related: Vec<Related>,
+    ) {
+        let r = crate::rules::rule(rule).expect("catalog rule");
+        self.out.push(Diagnostic {
+            mode: r.mode,
+            file: file.to_string(),
+            line,
+            rule: r.name,
+            severity,
+            level: r.level,
+            message,
+            related,
+        });
+    }
+
+    /// Settle the ledger: every live allow nothing consumed becomes an
+    /// `unused-suppression` diagnostic, attributed to the analysis that
+    /// owns its first token (unknown tokens surface under the leaf rules).
+    pub fn settle_stale(&mut self) {
+        let stale: Vec<Diagnostic> = self
+            .allows
+            .allows
+            .iter()
+            .filter(|a| !a.used && !a.in_test)
+            .map(|a| Diagnostic {
+                mode: domain_of(&a.rules[0]).unwrap_or(Mode::Leaf),
+                file: a.file.clone(),
+                line: a.line,
+                rule: "unused-suppression",
+                severity: Severity::Error,
+                level: "meta",
+                message: format!(
+                    "`detlint::allow({})` matched no finding in any mode; delete the stale \
+                     suppression or fix its rule list",
+                    a.rules.join(", ")
+                ),
+                related: Vec::new(),
+            })
+            .collect();
+        self.out.extend(stale);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
+    use crate::lexer::{lex, test_regions};
+
+    fn scanned(src: &str) -> Emitter {
+        let lexed = lex(src);
+        let mut em = Emitter::default();
+        em.allows.scan_file(&lexed, "x.rs", &test_regions(&lexed.toks));
+        em
+    }
 
     #[test]
     fn domains_classify_every_token_family() {
-        assert_eq!(domain_of("no-wall-clock"), Domain::Leaf);
-        assert_eq!(domain_of("taint"), Domain::Taint);
-        assert_eq!(domain_of("taint-hash-iter"), Domain::Taint);
-        assert_eq!(domain_of("raw-channel"), Domain::Concur);
-        assert_eq!(domain_of("float-reassoc"), Domain::Accum);
-        assert_eq!(domain_of("oracle-unpaired"), Domain::Accum);
-        assert_eq!(domain_of("no-such-rule"), Domain::Unknown);
+        assert_eq!(domain_of("no-wall-clock"), Some(Mode::Leaf));
+        assert_eq!(domain_of("taint"), Some(Mode::Taint));
+        assert_eq!(domain_of("taint-hash-iter"), Some(Mode::Taint));
+        assert_eq!(domain_of("raw-channel"), Some(Mode::Concur));
+        assert_eq!(domain_of("float-reassoc"), Some(Mode::Accum));
+        assert_eq!(domain_of("oracle-unpaired"), Some(Mode::Accum));
+        assert_eq!(domain_of("no-such-rule"), None);
     }
 
     #[test]
-    fn consumption_in_one_domain_silences_cross_domain_staleness() {
-        // The quirk this module fixes: a mixed allow consumed by the leaf
-        // pass must not be stale in any other pass, and the unified
-        // accounting sees one ledger.
-        let lexed = lex("// detlint::allow(no-wall-clock, float-reassoc): both audited\nfn f(){}");
-        let mut set = AllowSet::new();
-        set.scan_file(&lexed, "x.rs", &[]);
-        assert!(set.consume("x.rs", 2, "no-wall-clock"));
-        assert!(set.stale(&[Domain::Leaf], true, phrase::LEAF).is_empty());
-        assert!(set
-            .stale(&[Domain::Leaf, Domain::Taint, Domain::Concur, Domain::Accum], true, phrase::ALL)
-            .is_empty());
+    fn consumption_by_one_analysis_silences_staleness_for_all() {
+        // A mixed allow consumed by the leaf pass is used, full stop: the
+        // one ledger never reports it stale on the accum token's behalf.
+        let mut em =
+            scanned("// detlint::allow(no-wall-clock, float-reassoc): both audited\nfn f(){}");
+        assert!(!em.emit("no-wall-clock", "x.rs", 2, "clock".to_string(), Vec::new()));
+        em.settle_stale();
+        assert!(em.out.is_empty(), "{:?}", em.out);
     }
 
     #[test]
-    fn mixed_unused_allows_are_only_judged_when_every_owner_ran() {
-        let lexed = lex("// detlint::allow(no-wall-clock, taint): nothing here\nfn f(){}");
-        let mut set = AllowSet::new();
-        set.scan_file(&lexed, "x.rs", &[]);
-        // Single-mode runs cannot judge the other token's usage…
-        assert!(set.stale(&[Domain::Leaf], true, phrase::LEAF).is_empty());
-        assert!(set.stale(&[Domain::Taint], false, phrase::TAINT).is_empty());
-        // …the unified run can, and reports exactly one stale finding.
-        let all = set.stale(
-            &[Domain::Leaf, Domain::Taint, Domain::Concur, Domain::Accum],
-            true,
-            phrase::ALL,
-        );
-        assert_eq!(all.len(), 1);
-        assert!(all[0].message.contains("no-wall-clock, taint"));
+    fn an_unused_mixed_allow_is_one_stale_diagnostic_under_its_first_token() {
+        let mut em = scanned("// detlint::allow(taint, no-wall-clock): nothing here\nfn f(){}");
+        em.settle_stale();
+        assert_eq!(em.out.len(), 1);
+        assert_eq!((em.out[0].mode, em.out[0].rule), (Mode::Taint, "unused-suppression"));
+        assert!(em.out[0].message.contains("taint, no-wall-clock"));
     }
 
     #[test]
     fn taint_consumption_accepts_kind_scoped_tokens() {
-        let lexed = lex("// detlint::allow(taint-wall-clock): audited\nfn f(){}");
-        let mut set = AllowSet::new();
-        set.scan_file(&lexed, "x.rs", &[]);
-        assert!(!set.consume_taint("x.rs", 2, "hash-iter"));
-        assert!(set.consume_taint("x.rs", 2, "wall-clock"));
-        assert!(set.stale(&[Domain::Taint], false, phrase::TAINT).is_empty());
+        let mut em = scanned("// detlint::allow(taint-wall-clock): audited\nfn f(){}");
+        assert!(!em.allows.consume_taint("x.rs", 2, "hash-iter"));
+        assert!(em.allows.consume_taint("x.rs", 2, "wall-clock"));
+        em.settle_stale();
+        assert!(em.out.is_empty());
+    }
+
+    #[test]
+    fn listing_an_allow_does_not_consume_it() {
+        let mut em = scanned("// detlint::allow(no-wall-clock): audited\nfn f(){}");
+        assert!(em.allows.lists("x.rs", 2, "no-wall-clock"));
+        assert!(!em.allows.lists("x.rs", 3, "no-wall-clock"));
+        em.settle_stale();
+        assert_eq!(em.out.len(), 1, "read-only lookups leave the allow unused");
     }
 
     #[test]
     fn test_region_allows_are_inert() {
-        let lexed = lex(
+        let mut em = scanned(
             "#[cfg(test)]\nmod tests {\n    // detlint::allow(no-wall-clock): x\n    fn f(){}\n}\n",
         );
-        let mut set = AllowSet::new();
-        let regions = crate::rules::test_regions_pub(&lexed.toks);
-        set.scan_file(&lexed, "x.rs", &regions);
-        assert!(set.stale(&[Domain::Leaf], true, phrase::LEAF).is_empty());
+        em.settle_stale();
+        assert!(em.out.is_empty());
     }
 }

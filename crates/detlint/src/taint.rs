@@ -15,88 +15,19 @@
 //! (the `obs` boundary keeps clocks observational, `esrng` turns entropy
 //! into replayable Philox streams, `drain_sorted`-style drains impose a
 //! total order on arrival-ordered data). Barriers are *declared* in
-//! [`TaintConfig`], never inferred — see docs/DESIGN.md for why.
+//! [`Policy`], never inferred — see docs/DESIGN.md for why.
 //!
 //! Escape valve: `// detlint::allow(taint): reason` (or
 //! `taint-<kind>` for one source kind) on a source line or call site
 //! blocks propagation through exactly that site. Allows that block
-//! nothing are reported as `unused-suppression` findings, same as the
+//! nothing are reported as `unused-suppression` diagnostics, same as the
 //! rule-level stale-audit hygiene.
 
 use crate::items;
 use crate::rules;
-use crate::suppress::{phrase, AllowSet, Domain};
-use crate::{Config, Finding, Model, SourceFile};
+use crate::suppress::Emitter;
+use crate::{Model, Policy, Related, Severity};
 use std::collections::VecDeque;
-use std::path::Path;
-
-/// A declared sink: `(crate, fn name)` plus the kind of state it commits.
-#[derive(Debug, Clone)]
-pub struct SinkSpec {
-    /// Directory name under `crates/`.
-    pub crate_name: String,
-    /// Fn name (any impl type).
-    pub fn_name: String,
-    /// Sink kind shown in reports (`param-update`, …).
-    pub kind: String,
-}
-
-/// Policy for one taint run: where taint is absorbed and where it matters.
-#[derive(Debug, Clone)]
-pub struct TaintConfig {
-    /// Crates that are barriers wholesale: every fn inside absorbs taint.
-    pub barrier_crates: Vec<String>,
-    /// Fn names that are barriers wherever they live (`drain_sorted`).
-    pub barrier_fns: Vec<String>,
-    /// The sinks. A flow is a source reaching one of these.
-    pub sinks: Vec<SinkSpec>,
-    /// Crates whose fns count as flow witnesses when a *tainted caller*
-    /// invokes a sink (case 2). Restricting this to the deterministic path
-    /// keeps bench/test harness timing from fabricating flows.
-    pub caller_flow_crates: Vec<String>,
-}
-
-fn strs(v: &[&str]) -> Vec<String> {
-    v.iter().map(|s| s.to_string()).collect()
-}
-
-impl TaintConfig {
-    /// The sink/barrier policy for this workspace (docs/DETLINT.md).
-    pub fn workspace_default() -> Self {
-        let sink = |c: &str, f: &str, k: &str| SinkSpec {
-            crate_name: c.to_string(),
-            fn_name: f.to_string(),
-            kind: k.to_string(),
-        };
-        TaintConfig {
-            barrier_crates: strs(&["obs", "esrng"]),
-            barrier_fns: strs(&[
-                "drain_sorted",
-                "drain_deadline",
-                "worker_main",
-                // Not in the live tree any more; the planted `concur_fixtures`
-                // workspace keys on it.
-                "recv_ordered",
-            ]),
-            sinks: vec![
-                sink("optim", "step", "param-update"),
-                sink("models", "apply_flat_delta", "param-update"),
-                sink("models", "load_flat_params", "param-update"),
-                sink("comm", "ring_allreduce", "allreduce-merge"),
-                sink("comm", "allreduce_avg", "allreduce-merge"),
-                sink("comm", "allreduce_avg_with_retry", "allreduce-merge"),
-                sink("core", "save", "checkpoint-serialize"),
-                sink("core", "encode_file", "checkpoint-serialize"),
-                sink("core", "checkpoint", "checkpoint-serialize"),
-                sink("sched", "proposals", "sched-proposal"),
-                sink("sched", "decide", "sched-proposal"),
-            ],
-            caller_flow_crates: strs(&[
-                "core", "comm", "tensor", "sched", "data", "models", "optim", "faultsim",
-            ]),
-        }
-    }
-}
 
 /// Which leaf rules seed taint, and the source kind each maps to.
 /// (`no-float-key-sort` is a comparator-contract rule, not an entropy
@@ -147,40 +78,39 @@ pub struct Flow {
     pub path: Vec<Hop>,
 }
 
-/// Everything one taint run produced.
-#[derive(Debug, Default)]
-pub struct TaintReport {
-    /// Unsuppressed source→sink flows, sorted by
-    /// `(source_file, source_line, source_kind, sink_fn)`.
-    pub flows: Vec<Flow>,
-    /// Taint-level `detlint::allow` comments that blocked nothing.
-    pub unused_suppressions: Vec<Finding>,
+impl Flow {
+    /// Lower to a `taint-flow` diagnostic anchored at the source, with the
+    /// call-path witness (then the sink definition) as related locations.
+    fn lower(&self, em: &mut Emitter) {
+        let hop = |file: &str, line, label: String| Related { file: file.to_string(), line, label };
+        let mut related: Vec<Related> =
+            self.path.iter().map(|h| hop(&h.file, h.line, h.func.clone())).collect();
+        related.push(hop(&self.sink_file, self.sink_line, format!("sink: {}", self.sink_fn)));
+        em.push(
+            "taint-flow",
+            Severity::Error,
+            &self.source_file,
+            self.source_line,
+            format!("{} -> {} ({})", self.source_kind, self.sink_kind, self.sink_fn),
+            related,
+        );
+    }
 }
 
-/// Block propagation at `(file, line)` for `kind` if an allow covers it,
-/// marking the allow used in the shared ledger.
-fn allow_blocks(allows: &mut AllowSet, file: &str, line: u32, kind: &str) -> bool {
-    allows.consume_taint(file, line, kind)
-}
-
-/// Run the taint analysis over a pre-built model, recording allow
-/// consumption in `allows`. Stale accounting is the caller's job (the
-/// single-mode wrapper scopes it to [`Domain::Taint`]; `--all` unifies it).
-pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -> TaintReport {
-    let mut crate_names: Vec<String> = model.files.iter().map(|f| f.crate_name.clone()).collect();
-    crate_names.sort();
-    crate_names.dedup();
-    let permissive = Config::permissive(&crate_names);
-
-    // Harvest sources by running the leaf detectors with a permissive
-    // scope. Leaf-level suppressions are honored by `check_file` through a
-    // *local* throwaway ledger — their usage belongs to the leaf pass, not
-    // this one, so the shared ledger stays untouched here.
+/// Run the taint analysis over the shared model: taint allows are consumed
+/// from `em`'s ledger, every flow is lowered into `em`, and the typed flows
+/// are returned sorted by `(source_file, source_line, source_kind, sink_fn)`.
+pub fn analyze(model: &Model, policy: &Policy, em: &mut Emitter) -> Vec<Flow> {
+    // Harvest sources by running the leaf detectors with the crate scoping
+    // lifted. A site audited with a leaf-rule allow is not a source — but
+    // that allow's usage belongs to the leaf pass, so it is only read here.
     let mut raw_sources: Vec<(String, u32, &'static str)> = Vec::new();
     for mf in &model.files {
-        for f in rules::check_file(&mf.lexed, &mf.crate_name, &mf.file, &permissive) {
-            if let Some(kind) = source_kind(f.rule) {
-                raw_sources.push((mf.file.clone(), f.line, kind));
+        for (rule, line, _) in rules::detect(mf, policy, true) {
+            if let Some(kind) = source_kind(rule) {
+                if !em.allows.lists(&mf.file, line, rule) {
+                    raw_sources.push((mf.file.clone(), line, kind));
+                }
             }
         }
     }
@@ -193,16 +123,21 @@ pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -
     let is_barrier: Vec<bool> = g
         .fns
         .iter()
-        .map(|f| tcfg.barrier_crates.contains(&f.crate_name) || tcfg.barrier_fns.contains(&f.name))
+        .map(|f| {
+            policy.barrier_crates.contains(&f.crate_name.as_str())
+                || policy.drain_fns.contains(&f.name.as_str())
+        })
         .collect();
-    let sink_of: Vec<Option<&SinkSpec>> = g
+    // Per fn: the kind of state it commits, when it is a declared sink.
+    let sink_kind: Vec<Option<&str>> = g
         .fns
         .iter()
         .map(|f| {
             if f.in_test {
                 return None;
             }
-            tcfg.sinks.iter().find(|s| s.crate_name == f.crate_name && s.fn_name == f.name)
+            let hit = policy.sinks.iter().find(|(c, n, _)| *c == f.crate_name && *n == f.name);
+            hit.map(|&(_, _, kind)| kind)
         })
         .collect();
 
@@ -220,7 +155,7 @@ pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -
         if g.fns[fn_id].in_test || is_barrier[fn_id] {
             continue; // barrier fns absorb even their own internals
         }
-        if allow_blocks(allows, &file, line, kind) {
+        if em.allows.consume_taint(&file, line, kind) {
             continue;
         }
         sources.push(Source { kind, file, line, fn_id });
@@ -239,7 +174,7 @@ pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -
                 if visited[c] || is_barrier[c] || g.fns[c].in_test {
                     continue;
                 }
-                if allow_blocks(allows, &g.fns[c].file, e.line, src.kind) {
+                if em.allows.consume_taint(&g.fns[c].file, e.line, src.kind) {
                     continue;
                 }
                 visited[c] = true;
@@ -266,8 +201,8 @@ pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -
             rev
         };
 
-        for (s, spec) in sink_of.iter().enumerate() {
-            let Some(spec) = spec else { continue };
+        for (s, kind) in sink_kind.iter().enumerate() {
+            let Some(kind) = kind else { continue };
             let mut candidates: Vec<Vec<Hop>> = Vec::new();
             // Case 1: the sink fn itself is tainted.
             if visited[s] {
@@ -276,10 +211,11 @@ pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -
             // Case 2: a tainted deterministic-path fn calls the sink.
             for e in &g.callers[s] {
                 let c = e.caller;
-                if !visited[c] || !tcfg.caller_flow_crates.contains(&g.fns[c].crate_name) {
+                if !visited[c] || !policy.deterministic_path.contains(&g.fns[c].crate_name.as_str())
+                {
                     continue;
                 }
-                if allow_blocks(allows, &g.fns[c].file, e.line, src.kind) {
+                if em.allows.consume_taint(&g.fns[c].file, e.line, src.kind) {
                     continue;
                 }
                 let mut p = path_to(c);
@@ -297,7 +233,7 @@ pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -
                     source_file: src.file.clone(),
                     source_line: src.line,
                     source_fn: g.fns[src.fn_id].qualified(),
-                    sink_kind: spec.kind.clone(),
+                    sink_kind: kind.to_string(),
                     sink_fn: g.fns[s].qualified(),
                     sink_file: g.fns[s].file.clone(),
                     sink_line: g.fns[s].line,
@@ -315,48 +251,19 @@ pub fn analyze_model(model: &Model, tcfg: &TaintConfig, allows: &mut AllowSet) -
         ))
     });
 
-    TaintReport { flows, unused_suppressions: Vec::new() }
-}
-
-/// [`analyze_model`] with a private suppression ledger: scan every file's
-/// allows, run the pass, and report taint-only stale allows.
-pub fn analyze_model_standalone(model: &Model, tcfg: &TaintConfig) -> TaintReport {
-    let mut allows = AllowSet::new();
-    for mf in &model.files {
-        allows.scan_file(&mf.lexed, &mf.file, &mf.test_regions);
+    for f in &flows {
+        f.lower(em);
     }
-    let mut rep = analyze_model(model, tcfg, &mut allows);
-    rep.unused_suppressions = allows.stale(&[Domain::Taint], false, phrase::TAINT);
-    rep
-}
-
-/// Run the taint analysis over a set of source files. Input order does not
-/// matter — files are sorted internally, and the result is byte-identical
-/// under any permutation (pinned by a proptest).
-pub fn analyze_files(files: &[SourceFile], tcfg: &TaintConfig) -> TaintReport {
-    analyze_model_standalone(&crate::build_model(files, &[]), tcfg)
-}
-
-/// [`analyze_files`] over every `crates/*/src/**/*.rs` under `root`.
-pub fn analyze_workspace_taint(root: &Path, tcfg: &TaintConfig) -> std::io::Result<TaintReport> {
-    let files = crate::workspace_sources(root)?;
-    Ok(analyze_files(&files, tcfg))
+    flows
 }
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::testutil::{file, stale};
+    use crate::{Mode, Report, SourceFile};
 
-    fn file(crate_name: &str, name: &str, src: &str) -> SourceFile {
-        SourceFile {
-            crate_name: crate_name.to_string(),
-            file: format!("crates/{crate_name}/src/{name}"),
-            src: src.to_string(),
-        }
-    }
-
-    fn run(files: &[SourceFile]) -> TaintReport {
-        analyze_files(files, &TaintConfig::workspace_default())
+    fn run(files: &[SourceFile]) -> Report {
+        crate::testutil::run(files, &[])
     }
 
     #[test]
@@ -426,18 +333,17 @@ mod tests {
              pub fn step(lr: f64) { let t = std::time::Instant::now(); }\n",
         )]);
         assert!(suppressed.flows.is_empty());
-        assert!(suppressed.unused_suppressions.is_empty());
+        assert!(stale(&suppressed, Mode::Taint).is_empty());
 
         // …a wrong-kind allow blocks nothing and is itself flagged.
-        let stale = run(&[file(
+        let wrong = run(&[file(
             "optim",
             "lib.rs",
             "// detlint::allow(taint-hash-iter): wrong kind\n\
              pub fn step(lr: f64) { let t = std::time::Instant::now(); }\n",
         )]);
-        assert_eq!(stale.flows.len(), 1);
-        assert_eq!(stale.unused_suppressions.len(), 1);
-        assert_eq!(stale.unused_suppressions[0].rule, "unused-suppression");
+        assert_eq!(wrong.flows.len(), 1);
+        assert_eq!(stale(&wrong, Mode::Taint).len(), 1);
     }
 
     #[test]

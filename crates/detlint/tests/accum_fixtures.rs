@@ -6,18 +6,21 @@
 //! allow, and a stale allow. The report must match the planted set
 //! *exactly* — kind, file, line — with nothing extra.
 //!
-//! The scratch-copy test then takes the *live* `tensor::kernels` source,
-//! deliberately reassociates `leaf_partials`' lane merge, and checks the
-//! pass catches the edit: the analysis guards the real kernel, not just
-//! fixtures shaped like it.
+//! (That the pass guards the *live* `tensor::kernels`, not just fixtures
+//! shaped like it, is the mutation harness's job:
+//! `tests/detlint_mutations.rs`.)
 
-use detlint::accum::{analyze_files, analyze_workspace_accum, AccumConfig, AccumReport};
-use detlint::SourceFile;
+use detlint::{analyze_workspace, Diagnostic, Mode, Report};
 use std::path::Path;
 
-fn run() -> AccumReport {
+fn run() -> Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/accum_fixtures");
-    analyze_workspace_accum(&root, &AccumConfig::workspace_default()).expect("fixture tree walks")
+    analyze_workspace(&root).expect("fixture tree walks")
+}
+
+/// The accumulation analysis's findings (stale allows aside).
+fn findings(rep: &Report) -> Vec<&Diagnostic> {
+    rep.mode(Mode::Accum).filter(|d| d.rule != "unused-suppression").collect()
 }
 
 const LIB: &str = "crates/tensor/src/lib.rs";
@@ -26,7 +29,7 @@ const LIB: &str = "crates/tensor/src/lib.rs";
 fn planted_findings_are_reported_exactly() {
     let rep = run();
     let got: Vec<(&str, &str, u32)> =
-        rep.findings.iter().map(|f| (f.kind, f.file.as_str(), f.line)).collect();
+        findings(&rep).iter().map(|f| (f.rule, f.file.as_str(), f.line)).collect();
     // `reversed_merge` fires twice on purpose: the post-loop reversed lane
     // merge (anchored at the loop) and the order-dependent `.rev().sum()`
     // fold itself (anchored at the fold line) are two independent lenses on
@@ -40,28 +43,29 @@ fn planted_findings_are_reported_exactly() {
         ("oracle-unpaired", LIB, 88),
         ("oracle-unpaired", LIB, 98),
     ];
-    assert_eq!(got, expected, "full report:\n{}", detlint::report::accum_human(&rep));
+    assert_eq!(got, expected, "full report:\n{}", detlint::report::human(&rep));
 }
 
 #[test]
 fn messages_and_spans_witness_each_shape() {
     let rep = run();
+    let found = findings(&rep);
     let find = |line: u32| {
-        rep.findings.iter().find(|f| f.line == line).unwrap_or_else(|| panic!("finding at {line}"))
+        *found.iter().find(|f| f.line == line).unwrap_or_else(|| panic!("finding at {line}"))
     };
     let reversed = find(37);
     assert!(reversed.message.contains("reverse index order"), "{}", reversed.message);
     assert!(
-        reversed.spans.iter().any(|s| s.label == "reversed-merge" && s.line == 42),
+        reversed.related.iter().any(|s| s.label == "reversed-merge" && s.line == 42),
         "{:?}",
-        reversed.spans
+        reversed.related
     );
     let entangled = find(50);
     assert!(entangled.message.contains("`a` and `b`"), "{}", entangled.message);
     assert!(
-        entangled.spans.iter().any(|s| s.label == "merge-write" && s.line == 52),
+        entangled.related.iter().any(|s| s.label == "merge-write" && s.line == 52),
         "{:?}",
-        entangled.spans
+        entangled.related
     );
     let chunked = find(61);
     assert!(chunked.message.contains("remainder chunk"), "{}", chunked.message);
@@ -95,35 +99,7 @@ fn oracle_inventory_and_suppression_accounting_are_exact() {
     assert!(by_kernel("dot_scalar").is_none() && by_kernel("matmul_scalar").is_none());
     // Exactly one stale allow (`inert`); the audited one at the fold counted
     // as used.
-    assert_eq!(rep.unused_suppressions.len(), 1, "{:?}", rep.unused_suppressions);
-    assert_eq!(rep.unused_suppressions[0].line, 82);
-}
-
-#[test]
-fn deliberately_reassociating_leaf_partials_is_caught() {
-    // Scratch copy of the live kernel source: the unmodified file is clean,
-    // and reversing the lane merge in `leaf_partials` is caught.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
-    let src = std::fs::read_to_string(root.join("crates/tensor/src/kernels.rs"))
-        .expect("live kernels.rs readable");
-    let file = |text: &str| SourceFile {
-        crate_name: "tensor".to_string(),
-        file: "crates/tensor/src/kernels.rs".to_string(),
-        src: text.to_string(),
-    };
-    let acfg = AccumConfig::workspace_default();
-
-    let clean = analyze_files(&[file(&src)], &[], &acfg);
-    let reassoc: Vec<_> = clean.findings.iter().filter(|f| f.kind == "float-reassoc").collect();
-    assert!(reassoc.is_empty(), "live kernels.rs must be reassoc-clean: {reassoc:?}");
-
-    let marker = "partials.extend_from_slice(&acc);";
-    assert_eq!(src.matches(marker).count(), 1, "lane-merge marker must stay unique");
-    let broken = src.replace(marker, "partials.push(acc.iter().rev().sum::<f32>());");
-    let rep = analyze_files(&[file(&broken)], &[], &acfg);
-    assert!(
-        rep.findings.iter().any(|f| f.kind == "float-reassoc"),
-        "reassociated lane merge must be caught:\n{}",
-        detlint::report::accum_human(&rep)
-    );
+    let unused: Vec<_> = rep.mode(Mode::Accum).filter(|d| d.rule == "unused-suppression").collect();
+    assert_eq!(unused.len(), 1, "{unused:?}");
+    assert_eq!(unused[0].line, 82);
 }

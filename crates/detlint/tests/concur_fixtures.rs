@@ -7,19 +7,36 @@
 //! the planted set *exactly*: every finding, its anchor, its witness
 //! paths, and nothing else.
 
-use detlint::concur::{analyze_workspace_concur, ConcurConfig, ConcurReport};
+use detlint::{analyze_workspace, Diagnostic, Mode, Report, Severity};
 use std::path::Path;
 
-fn run() -> ConcurReport {
+fn run() -> Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/concur_fixtures");
-    analyze_workspace_concur(&root, &ConcurConfig::workspace_default()).expect("fixture tree walks")
+    analyze_workspace(&root).expect("fixture tree walks")
+}
+
+/// The concurrency analysis's gate-failing findings (stale allows aside).
+fn findings(rep: &Report) -> Vec<&Diagnostic> {
+    rep.mode(Mode::Concur)
+        .filter(|d| d.severity == Severity::Error && d.rule != "unused-suppression")
+        .collect()
+}
+
+/// Its audited, non-gating warnings.
+fn warnings(rep: &Report) -> Vec<&Diagnostic> {
+    rep.mode(Mode::Concur).filter(|d| d.severity == Severity::Warning).collect()
+}
+
+/// Its stale-allow diagnostics.
+fn unused_suppressions(rep: &Report) -> Vec<&Diagnostic> {
+    rep.mode(Mode::Concur).filter(|d| d.rule == "unused-suppression").collect()
 }
 
 #[test]
 fn planted_findings_are_reported_exactly() {
     let rep = run();
     let got: Vec<(&str, String, u32)> =
-        rep.findings.iter().map(|f| (f.kind, f.file.clone(), f.line)).collect();
+        findings(&rep).iter().map(|f| (f.rule, f.file.clone(), f.line)).collect();
     let s = |x: &str| x.to_string();
     let expected = vec![
         ("barrier-unverified", s("crates/comm/src/lib.rs"), 18),
@@ -30,31 +47,29 @@ fn planted_findings_are_reported_exactly() {
         ("raw-channel", s("crates/core/src/lib.rs"), 42),
         ("lock-inversion", s("crates/core/src/lib.rs"), 50),
     ];
-    assert_eq!(got, expected, "planted findings must be reported exactly: {:#?}", rep.findings);
+    assert_eq!(got, expected, "planted findings must be reported exactly: {:#?}", findings(&rep));
 }
 
 #[test]
 fn blocking_cycle_carries_both_witness_paths() {
     let rep = run();
-    let cycle =
-        rep.findings.iter().find(|f| f.kind == "blocking-cycle").expect("planted cycle is found");
-    assert_eq!(cycle.paths.len(), 2, "engine witness then worker witness");
-    let engine: Vec<&str> = cycle.paths[0].iter().map(|h| h.func.as_str()).collect();
-    let worker: Vec<&str> = cycle.paths[1].iter().map(|h| h.func.as_str()).collect();
-    assert_eq!(engine, vec!["core::Engine::step"]);
-    assert_eq!(worker, vec!["core::worker_main", "core::handle_cmd", "core::wait_for_ack"]);
+    let found = findings(&rep);
+    let cycle = found.iter().find(|f| f.rule == "blocking-cycle").expect("planted cycle is found");
+    // Engine witness, then worker witness.
+    let hops: Vec<&str> = cycle.related.iter().map(|h| h.label.as_str()).collect();
+    let (engine, worker) = hops.split_at(1);
+    assert_eq!(engine, ["core::Engine::step"]);
+    assert_eq!(worker, ["core::worker_main", "core::handle_cmd", "core::wait_for_ack"]);
     // Last hop of the worker path anchors at the blocking op itself.
-    assert_eq!(cycle.paths[1].last().unwrap().line, 37);
+    assert_eq!(cycle.related.last().unwrap().line, 37);
 }
 
 #[test]
 fn lock_inversion_message_cites_both_orders() {
     let rep = run();
-    let inv = rep
-        .findings
-        .iter()
-        .find(|f| f.kind == "lock-inversion")
-        .expect("planted inversion is found");
+    let found = findings(&rep);
+    let inv =
+        found.iter().find(|f| f.rule == "lock-inversion").expect("planted inversion is found");
     assert!(inv.message.contains("`alpha` -> `beta`"), "{}", inv.message);
     assert!(inv.message.contains("`beta` -> `alpha`"), "{}", inv.message);
 }
@@ -62,27 +77,27 @@ fn lock_inversion_message_cites_both_orders() {
 #[test]
 fn audited_barrier_allow_demotes_to_warning() {
     let rep = run();
-    assert_eq!(rep.warnings.len(), 1, "{:?}", rep.warnings);
-    assert_eq!(rep.warnings[0].kind, "barrier-unverified");
-    assert_eq!(rep.warnings[0].file, "crates/core/src/lib.rs");
-    assert_eq!(rep.warnings[0].line, 23);
+    let warnings = warnings(&rep);
+    assert_eq!(warnings.len(), 1, "{warnings:?}");
+    assert_eq!(warnings[0].rule, "barrier-unverified");
+    assert_eq!(warnings[0].file, "crates/core/src/lib.rs");
+    assert_eq!(warnings[0].line, 23);
     // The audited fn must not also appear as a gate-failing finding.
-    assert!(!rep
-        .findings
+    assert!(!findings(&rep)
         .iter()
-        .any(|f| f.kind == "barrier-unverified" && f.file == "crates/core/src/lib.rs"));
+        .any(|f| f.rule == "barrier-unverified" && f.file == "crates/core/src/lib.rs"));
 }
 
 #[test]
 fn stale_concur_allow_is_reported_and_used_one_is_not() {
     let rep = run();
-    assert_eq!(rep.unused_suppressions.len(), 1, "{:?}", rep.unused_suppressions);
-    let stale = &rep.unused_suppressions[0];
-    assert_eq!(stale.rule, "unused-suppression");
+    let unused = unused_suppressions(&rep);
+    assert_eq!(unused.len(), 1, "{unused:?}");
+    let stale = unused[0];
     assert_eq!(stale.file, "crates/core/src/lib.rs");
     assert_eq!(stale.line, 67);
     // The used barrier allow (line 22) must not be flagged stale.
-    assert!(!rep.unused_suppressions.iter().any(|f| f.line == 22));
+    assert!(!rep.diagnostics.iter().any(|f| f.rule == "unused-suppression" && f.line == 22));
 }
 
 #[test]
@@ -103,5 +118,5 @@ fn roles_and_blocking_inventory_cover_the_fixture() {
     assert!(rep
         .blocking
         .iter()
-        .any(|o| o.role == "engine" && o.op == "drain:recv_ordered" && !o.idle));
+        .any(|o| o.role == "engine" && o.op == "drain:drain_deadline" && !o.idle));
 }

@@ -7,12 +7,12 @@ pub struct Engine;
 impl Engine {
     /// Engine role root: blocks in a drain call waiting on worker replies.
     pub fn step(&mut self) {
-        self.recv_ordered(&[0, 1]);
+        self.drain_deadline(&[0, 1]);
     }
 
     /// A genuine canonical drain: per-slot channels read in caller-fixed
     /// index order (verified by the indexed-recv evidence).
-    fn recv_ordered(&self, from: &[usize]) -> Vec<u32> {
+    fn drain_deadline(&self, from: &[usize]) -> Vec<u32> {
         from.iter().map(|&i| self.replies[i].recv()).collect()
     }
 }
@@ -32,7 +32,7 @@ fn handle_cmd() {
 }
 
 // PLANTED blocking-cycle + order-leak: a worker-exclusive blocking receive
-// outside any drain, while the engine blocks in recv_ordered.
+// outside any drain, while the engine blocks in drain_deadline.
 fn wait_for_ack() {
     let _ = acks.recv();
 }

@@ -1,37 +1,17 @@
-//! Property-based tests for the taint, concurrency, and accumulation
-//! analyses (and the SARIF serialization over all of them): each report is
-//! a pure function of the file *set*, never the file *visit order*. The walker feeds files in sorted order, but nothing may depend
-//! on that — graph node ids, BFS frontiers, and witness selection all have
-//! explicit tie-breaks, and these properties pin them byte-for-byte.
+//! Property-based tests: the report — diagnostics, typed flows, role /
+//! blocking / loop / oracle inventories — and the SARIF bytes rendered from
+//! it are a pure function of the file *set*, never the file *visit order*.
+//! The walker feeds files in sorted order, but nothing may depend on that —
+//! graph node ids, BFS frontiers, and witness selection all have explicit
+//! tie-breaks, and these properties pin them byte-for-byte.
 
-use detlint::accum::AccumConfig;
-use detlint::concur::ConcurConfig;
-use detlint::report;
-use detlint::taint::{analyze_files, TaintConfig};
-use detlint::{sarif, SourceFile};
+use detlint::{analyze, build_model, sarif, Policy, Report, SourceFile};
 use proptest::prelude::*;
 
-/// The planted fixture mini-workspace: five crates, six flows, one stale
-/// suppression — enough structure for an order bug to change the bytes.
-fn corpus() -> Vec<SourceFile> {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/taint_fixtures");
+/// One planted fixture mini-workspace: `(sources, test files)`.
+fn corpus(tree: &str) -> (Vec<SourceFile>, Vec<SourceFile>) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests").join(tree);
     detlint::workspace_sources(&root).expect("fixture tree walks")
-}
-
-/// The concurrency fixture mini-workspace: all seven finding classes, a
-/// warning, a stale allow, witness paths, and the blocking inventory.
-fn concur_corpus() -> Vec<SourceFile> {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/concur_fixtures");
-    detlint::workspace_sources(&root).expect("fixture tree walks")
-}
-
-/// The accumulation fixture mini-workspace: every reassociation shape,
-/// both oracle-pairing failures, a used allow, and a stale allow.
-fn accum_corpus() -> (Vec<SourceFile>, Vec<SourceFile>) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/accum_fixtures");
-    let files = detlint::workspace_sources(&root).expect("fixture tree walks");
-    let test_files = detlint::workspace_test_sources(&root).expect("fixture tests walk");
-    (files, test_files)
 }
 
 /// Fisher–Yates with an xorshift generator seeded by the property case.
@@ -45,76 +25,41 @@ fn shuffle(files: &mut [SourceFile], seed: u64) {
     }
 }
 
+fn run(files: &[SourceFile], test_files: &[SourceFile]) -> (Report, String) {
+    let report = analyze(&build_model(files, test_files), &Policy::workspace_default());
+    let bytes = sarif::document(&report.diagnostics);
+    (report, bytes)
+}
+
+/// Any permutation of `tree`'s source *and* test files yields an equal
+/// report and byte-identical SARIF.
+fn assert_order_invariant(tree: &str, seed: u64) {
+    let (mut files, mut test_files) = corpus(tree);
+    let baseline = run(&files, &test_files);
+    shuffle(&mut files, seed);
+    shuffle(&mut test_files, seed.rotate_left(17));
+    assert_eq!(baseline, run(&files, &test_files));
+}
+
 proptest! {
-    /// Any permutation of the input files yields a byte-identical JSON
-    /// taint report.
+    /// Five crates, six flows with witness paths, one stale suppression —
+    /// enough structure for an order bug to change the bytes.
     #[test]
-    fn taint_report_is_byte_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
-        let cfg = TaintConfig::workspace_default();
-        let baseline = report::taint_json(&analyze_files(&corpus(), &cfg));
-        let mut files = corpus();
-        shuffle(&mut files, seed);
-        let shuffled = report::taint_json(&analyze_files(&files, &cfg));
-        prop_assert_eq!(baseline, shuffled);
+    fn taint_fixture_report_is_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
+        assert_order_invariant("taint_fixtures", seed);
     }
 
-    /// Any permutation of the input files yields a byte-identical JSON
-    /// concurrency report — findings, witness paths, role counts, and the
-    /// blocking inventory included.
+    /// All seven concurrency finding classes, a warning, a stale allow,
+    /// witness paths, role sets, and the blocking inventory.
     #[test]
-    fn concur_report_is_byte_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
-        let cfg = ConcurConfig::workspace_default();
-        let baseline =
-            report::concur_json(&detlint::concur::analyze_files(&concur_corpus(), &cfg));
-        let mut files = concur_corpus();
-        shuffle(&mut files, seed);
-        let shuffled = report::concur_json(&detlint::concur::analyze_files(&files, &cfg));
-        prop_assert_eq!(baseline, shuffled);
+    fn concur_fixture_report_is_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
+        assert_order_invariant("concur_fixtures", seed);
     }
 
-    /// Any permutation of the source *and* test files yields a
-    /// byte-identical JSON accumulation report — loop inventory, oracle
-    /// checks, and suppression accounting included.
+    /// Every reassociation shape, both oracle-pairing failures, a used and
+    /// a stale allow, the loop inventory and the oracle checks.
     #[test]
-    fn accum_report_is_byte_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
-        let cfg = AccumConfig::workspace_default();
-        let (files, test_files) = accum_corpus();
-        let baseline =
-            report::accum_json(&detlint::accum::analyze_files(&files, &test_files, &cfg));
-        let (mut files, mut test_files) = accum_corpus();
-        shuffle(&mut files, seed);
-        shuffle(&mut test_files, seed.rotate_left(17));
-        let shuffled =
-            report::accum_json(&detlint::accum::analyze_files(&files, &test_files, &cfg));
-        prop_assert_eq!(baseline, shuffled);
-    }
-
-    /// The full four-run SARIF document is byte-identical under shuffled
-    /// file order: the serializer has no map-ordering freedom (insertion
-    /// order only) and every input report is already canonically sorted.
-    #[test]
-    fn sarif_document_is_byte_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
-        let tcfg = TaintConfig::workspace_default();
-        let ccfg = ConcurConfig::workspace_default();
-        let acfg = AccumConfig::workspace_default();
-        let document = |taint_files: &[SourceFile],
-                        concur_files: &[SourceFile],
-                        accum: &(Vec<SourceFile>, Vec<SourceFile>)| {
-            sarif::document(vec![
-                sarif::taint_run(&analyze_files(taint_files, &tcfg)),
-                sarif::concur_run(&detlint::concur::analyze_files(concur_files, &ccfg)),
-                sarif::accum_run(&detlint::accum::analyze_files(&accum.0, &accum.1, &acfg)),
-            ])
-        };
-        let baseline = document(&corpus(), &concur_corpus(), &accum_corpus());
-        let mut taint_files = corpus();
-        let mut concur_files = concur_corpus();
-        let (mut accum_files, mut accum_tests) = accum_corpus();
-        shuffle(&mut taint_files, seed);
-        shuffle(&mut concur_files, seed.rotate_left(7));
-        shuffle(&mut accum_files, seed.rotate_left(29));
-        shuffle(&mut accum_tests, seed.rotate_left(41));
-        let shuffled = document(&taint_files, &concur_files, &(accum_files, accum_tests));
-        prop_assert_eq!(baseline, shuffled);
+    fn accum_fixture_report_is_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
+        assert_order_invariant("accum_fixtures", seed);
     }
 }

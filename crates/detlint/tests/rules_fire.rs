@@ -8,10 +8,16 @@
 //! types that do not exist) and analyzed as if they lived in a crate that
 //! activates the rule under test.
 
-use detlint::{analyze_source, Config, Finding};
+use detlint::{analyze, build_model, Diagnostic, Mode, Policy, SourceFile};
 
-fn findings(fixture: &str, crate_name: &str) -> Vec<Finding> {
-    analyze_source(fixture, crate_name, "fixture.rs", &Config::workspace_default())
+fn findings(fixture: &str, crate_name: &str) -> Vec<Diagnostic> {
+    let file = SourceFile {
+        crate_name: crate_name.to_string(),
+        file: "fixture.rs".to_string(),
+        src: fixture.to_string(),
+    };
+    let report = analyze(&build_model(&[file], &[]), &Policy::workspace_default());
+    report.mode(Mode::Leaf).cloned().collect()
 }
 
 /// Lines (1-based) carrying a `VIOLATION` marker comment.
@@ -25,7 +31,7 @@ fn marked_lines(fixture: &str) -> Vec<u32> {
 }
 
 /// Distinct finding lines, sorted.
-fn finding_lines(findings: &[Finding]) -> Vec<u32> {
+fn finding_lines(findings: &[Diagnostic]) -> Vec<u32> {
     let mut lines: Vec<u32> = findings.iter().map(|f| f.line).collect();
     lines.sort_unstable();
     lines.dedup();
@@ -91,15 +97,8 @@ fn clean_fixture_stays_clean_under_the_harshest_crate() {
 }
 
 #[test]
-fn test_modules_are_exempt_by_default() {
-    let fixture = include_str!("fixtures/test_mod.rs");
-    assert!(findings(fixture, "core").is_empty());
-
-    // …but only because the config says so.
-    let mut strict = Config::workspace_default();
-    strict.skip_test_code = false;
-    let found = analyze_source(fixture, "core", "fixture.rs", &strict);
-    assert!(!found.is_empty(), "with skip_test_code=false the seeded test-mod violations surface");
+fn test_modules_are_exempt() {
+    assert!(findings(include_str!("fixtures/test_mod.rs"), "core").is_empty());
 }
 
 #[test]
@@ -133,6 +132,6 @@ fn every_catalog_rule_has_a_fixture_exercising_it() {
     .map(|f| f.rule)
     .collect();
     let catalog: std::collections::BTreeSet<&str> =
-        detlint::rules::CATALOG.iter().map(|r| r.name).collect();
+        detlint::rules::CATALOG.iter().filter(|r| r.mode == Mode::Leaf).map(|r| r.name).collect();
     assert_eq!(all, catalog, "catalog coverage");
 }

@@ -7,12 +7,17 @@
 //! must match the planted set *exactly*: every flow, with its full
 //! witness path, and nothing else.
 
-use detlint::taint::{analyze_workspace_taint, TaintConfig};
+use detlint::{analyze_workspace, Diagnostic, Mode, Report};
 use std::path::Path;
 
-fn run() -> detlint::taint::TaintReport {
+fn run() -> Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/taint_fixtures");
-    analyze_workspace_taint(&root, &TaintConfig::workspace_default()).expect("fixture tree walks")
+    analyze_workspace(&root).expect("fixture tree walks")
+}
+
+/// The taint analysis's stale-allow diagnostics.
+fn unused_suppressions(rep: &Report) -> Vec<&Diagnostic> {
+    rep.mode(Mode::Taint).filter(|d| d.rule == "unused-suppression").collect()
 }
 
 #[test]
@@ -83,13 +88,13 @@ fn planted_flows_are_reported_exactly() {
 #[test]
 fn stale_taint_allow_is_reported_and_used_one_is_not() {
     let rep = run();
-    assert_eq!(rep.unused_suppressions.len(), 1, "{:?}", rep.unused_suppressions);
-    let stale = &rep.unused_suppressions[0];
-    assert_eq!(stale.rule, "unused-suppression");
+    let unused = unused_suppressions(&rep);
+    assert_eq!(unused.len(), 1, "{unused:?}");
+    let stale = unused[0];
     assert_eq!(stale.file, "crates/sched/src/lib.rs");
     assert_eq!(stale.line, 34);
     // The used allow (sched::stamped, taint-wall-clock) must NOT appear —
     // and the source it covers must produce no flow (checked above by the
     // exact-match assertion, which has no sched::proposals flow).
-    assert!(!rep.unused_suppressions.iter().any(|f| f.line == 25));
+    assert!(!rep.diagnostics.iter().any(|f| f.rule == "unused-suppression" && f.line == 25));
 }

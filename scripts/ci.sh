@@ -1,24 +1,19 @@
 #!/usr/bin/env bash
 # Staged CI pipeline (see docs/CI.md). Runs entirely offline.
 #
-#   scripts/ci.sh           full pipeline: fmt → clippy → detlint (one
-#                           combined `--all` run: leaf + taint + concurrency
-#                           + accum, SARIF + per-mode reports under
-#                           results/) → per-mode gates → detlint_warm
-#                           (cache-hit re-run; cold vs warm timing lands in
-#                           ci_report.json) → build → test →
-#                           benchmark_smoke (builds every paper binary under
-#                           crates/bench/src/bin/, then runs the repo
-#                           benchmark's `smoke` pass: every workload once,
-#                           correctness checked, nothing gated — see
-#                           benchmark/README.md) → faultsim chaos matrix →
-#                           silent-fault detection matrix
+#   scripts/ci.sh           full pipeline: fmt → clippy → detlint (one run of
+#                           all four analyses; its exit status is the gate,
+#                           SARIF lands in results/detlint.sarif) → build →
+#                           test → benchmark_smoke (builds every paper
+#                           binary under crates/bench/src/bin/, then runs
+#                           the repo benchmark's `smoke` pass: every
+#                           workload once, correctness checked, nothing
+#                           gated — see benchmark/README.md) → faultsim
+#                           chaos matrix → silent-fault detection matrix
 #   scripts/ci.sh --quick   quick stages only (what scripts/check.sh runs):
-#                           fmt → clippy → detlint (combined run, warm: the
-#                           analysis cache under results/detlint_cache
-#                           persists across quick runs) → per-mode gates →
-#                           build → test → benchmark_smoke → thread_faults
-#                           (hand-authored supervised-pool schedules only)
+#                           fmt → clippy → detlint → build → test →
+#                           benchmark_smoke → thread_faults (hand-authored
+#                           supervised-pool schedules only)
 #
 # Per-stage wall-clock timings are written to results/ci_report.json whether
 # the pipeline passes or fails; the script exits non-zero on the first
@@ -69,52 +64,13 @@ stage() {
 stage fmt        cargo fmt --all --check
 stage clippy     cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# One combined detlint run replaces the former detlint / taint / concurrency
-# stages: `--all` shares one lex + one call graph across the leaf rules, the
-# interprocedural taint flows, the static concurrency checks, and the
-# float-accumulation dataflow pass (docs/DETLINT.md). It writes the same
-# per-mode reports the three stages used to (results/{detlint,taint,concur,
-# accum}_report.json), plus the SARIF 2.1.0 interchange document and the
-# per-mode status breakdown the gate stages below read. The content-hashed
-# analysis cache under results/detlint_cache makes repeat runs near-free;
-# full mode clears it first so the `detlint` stage times a cold run and
-# `detlint_warm` times the cache hit.
-detlint_all() {
-  local rc=0
-  cargo run --offline -q -p detlint -- --all --quiet \
-    --out-dir results --sarif results/detlint.sarif \
-    --cache-dir results/detlint_cache || rc=$?
-  # rc=1 means findings somewhere: let the per-mode gate stages report
-  # *which* analysis is dirty. Anything else is a real failure.
-  [ "$rc" -le 1 ] && [ -f results/detlint_modes.json ]
-}
-
-# Per-mode gate: fails iff results/detlint_modes.json marks the mode dirty,
-# so ci_report.json keeps the per-analysis granularity the separate stages
-# used to provide — without re-running anything.
-mode_gate() {
-  local mode="$1"
-  awk -v m="$mode" '
-    index($0, "\"mode\": \"" m "\"") { inmode = 1; next }
-    inmode && /"status"/ { found = 1; exit ($0 ~ /"clean"/) ? 0 : 1 }
-    END { if (!found) exit 2 }
-  ' results/detlint_modes.json && return 0
-  echo "detlint: '$mode' analysis is dirty — see results/detlint.sarif and" \
-    "the per-mode reports under results/" >&2
-  return 1
-}
-
-if [ "$MODE" = full ]; then
-  rm -rf results/detlint_cache
-fi
-stage detlint     detlint_all
-stage leaf_rules  mode_gate leaf
-stage taint       mode_gate taint
-stage concurrency mode_gate concur
-stage accum       mode_gate accum
-if [ "$MODE" = full ]; then
-  stage detlint_warm detlint_all
-fi
+# detlint always runs all four analyses — leaf rules, taint flows,
+# concurrency checks, accumulation dataflow — off one lex + one call graph
+# (docs/DETLINT.md) and exits 1 on any blocking diagnostic. `--quiet` keeps
+# the log to one `leaf|taint|concur|accum: clean / N finding(s)` line per
+# analysis, so a red stage still says which one is dirty; the diagnostics
+# themselves are in the SARIF document.
+stage detlint    cargo run --offline -q -p detlint -- --quiet --sarif results/detlint.sarif
 stage build      cargo build --release --offline
 stage test       cargo test -q --offline --workspace --exclude faultsim
 # benchmark_smoke keeps the measured surfaces honest: compile every paper

@@ -4,22 +4,21 @@
 //! `_scalar` oracle (or an audited allow), and no accum-level suppression
 //! is stale.
 
-use detlint::accum::{analyze_workspace_accum, AccumConfig, AccumReport};
-use detlint::report;
+use detlint::{analyze_workspace, report, Mode, Report};
 use std::path::Path;
 
-fn run() -> AccumReport {
+fn run() -> Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    analyze_workspace_accum(root, &AccumConfig::workspace_default()).expect("workspace walks")
+    analyze_workspace(root).expect("workspace walks")
 }
 
 #[test]
 fn workspace_has_no_accumulation_findings() {
     let rep = run();
     assert!(
-        rep.findings.is_empty() && rep.unused_suppressions.is_empty(),
+        rep.mode(Mode::Accum).next().is_none(),
         "accumulation findings in the live workspace:\n{}",
-        report::accum_human(&rep)
+        report::human(&rep)
     );
 }
 

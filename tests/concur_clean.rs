@@ -5,22 +5,21 @@
 //! declared taint barrier is either verified canonical by the conformance
 //! pass or carries an audited `barrier-unverified` allow.
 
-use detlint::concur::{analyze_workspace_concur, ConcurConfig, ConcurReport};
-use detlint::report;
+use detlint::{analyze_workspace, report, Mode, Report, Severity};
 use std::path::Path;
 
-fn run() -> ConcurReport {
+fn run() -> Report {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    analyze_workspace_concur(root, &ConcurConfig::workspace_default()).expect("workspace walks")
+    analyze_workspace(root).expect("workspace walks")
 }
 
 #[test]
 fn workspace_has_no_concurrency_findings() {
     let rep = run();
     assert!(
-        rep.findings.is_empty() && rep.unused_suppressions.is_empty(),
+        rep.mode(Mode::Concur).all(|d| d.severity == Severity::Warning),
         "concurrency findings in the live workspace:\n{}",
-        report::concur_human(&rep)
+        report::human(&rep)
     );
 }
 
@@ -32,14 +31,11 @@ fn every_declared_barrier_is_verified_or_audited() {
     let rep = run();
     // Match structurally (kind + file + the fn the message names), not by
     // line number: the pool is allowed to grow without rebaselining this.
-    assert_eq!(
-        rep.warnings.len(),
-        1,
-        "audited-barrier set drifted:\n{}",
-        report::concur_human(&rep)
-    );
-    let w = &rep.warnings[0];
-    assert_eq!(w.kind, "barrier-unverified");
+    let warnings: Vec<_> =
+        rep.mode(Mode::Concur).filter(|d| d.severity == Severity::Warning).collect();
+    assert_eq!(warnings.len(), 1, "audited-barrier set drifted:\n{}", report::human(&rep));
+    let w = warnings[0];
+    assert_eq!(w.rule, "barrier-unverified");
     assert_eq!(w.file, "crates/core/src/pool.rs");
     assert!(w.message.contains("worker_main"), "warning names the audited barrier: {}", w.message);
 }

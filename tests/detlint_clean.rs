@@ -4,15 +4,15 @@
 //! `file:line` span — the determinism contract is enforced at the source
 //! level, not just observed at the bitwise-comparison level.
 
-use detlint::{analyze_workspace, report, Config};
+use detlint::{analyze_workspace, report, Mode};
 use std::path::Path;
 
 #[test]
 fn workspace_is_detlint_clean() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let cfg = Config::workspace_default();
-    let findings = analyze_workspace(root, &cfg).expect("workspace walks");
-    assert!(findings.is_empty(), "determinism lint violations:\n{}", report::human(&findings));
+    let rep = analyze_workspace(root).expect("workspace walks");
+    let findings: Vec<_> = rep.mode(Mode::Leaf).collect();
+    assert!(findings.is_empty(), "determinism lint violations:\n{}", report::human(&rep));
 }
 
 #[test]

@@ -5,19 +5,17 @@
 //! scheduler proposal except through a declared barrier — and every
 //! taint-level suppression in the tree is still earning its keep.
 
-use detlint::report;
-use detlint::taint::{analyze_workspace_taint, TaintConfig};
+use detlint::{analyze_workspace, report, Mode};
 use std::path::Path;
 
 #[test]
 fn workspace_has_no_taint_flows() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let rep =
-        analyze_workspace_taint(root, &TaintConfig::workspace_default()).expect("workspace walks");
+    let rep = analyze_workspace(root).expect("workspace walks");
     assert!(
-        rep.flows.is_empty() && rep.unused_suppressions.is_empty(),
+        rep.flows.is_empty() && rep.mode(Mode::Taint).next().is_none(),
         "determinism taint flows reached state sinks:\n{}",
-        report::taint_human(&rep)
+        report::human(&rep)
     );
 }
 
@@ -26,12 +24,8 @@ fn taint_machinery_sees_the_live_call_graph() {
     // A zero-flow result is only meaningful if the graph really connects
     // the workspace: spot-check that known hot paths resolved to edges.
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let files = detlint::workspace_sources(root).expect("workspace walks");
-    let items: Vec<_> = files
-        .iter()
-        .map(|sf| detlint::items::parse_file(&sf.src, &sf.crate_name, &sf.file))
-        .collect();
-    let g = detlint::callgraph::Graph::build(items);
+    let (files, _) = detlint::workspace_sources(root).expect("workspace walks");
+    let g = detlint::build_model(&files, &[]).graph;
     assert!(g.fns.len() > 300, "item model collapsed: only {} fns", g.fns.len());
     let step_sinks = g.named("step");
     assert!(!step_sinks.is_empty(), "optimizer step fns must be modeled");
