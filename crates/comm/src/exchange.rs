@@ -179,7 +179,7 @@ impl<T> Exchange<T> {
     /// the canonical order. Thread completion order is invisible past this
     /// point, which is what lets the merge path consume concurrent workers
     /// without ever observing their scheduling. Declared as a detlint taint
-    /// barrier (`TaintConfig::workspace_default`, docs/DETLINT.md).
+    /// barrier (`Policy::workspace_default`, docs/DETLINT.md).
     ///
     /// Blocks indefinitely if a publisher never delivers; supervised
     /// callers use [`Exchange::drain_deadline`] instead.

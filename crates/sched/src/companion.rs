@@ -1,4 +1,4 @@
-//! The companion module: plan database + the Eq 1 analytical model.
+//! The companion module: the plan database + the Eq 1 analytical model.
 //!
 //! Equation 1 of the paper, as implemented (the per-type waste term carries
 //! the GPU count `N_i`, which makes the algebra close — see
@@ -22,6 +22,7 @@ use device::GpuType;
 use easyscale::{Placement, Slot};
 use models::WorkloadSpec;
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 
 /// An allocation: GPU count per type (types with zero count omitted).
@@ -45,8 +46,18 @@ pub struct Plan {
     pub throughput: f64,
 }
 
-/// The per-job companion module: capabilities, maxP, and the plan DB with
-/// observed-throughput corrections.
+/// The per-job companion module (§3.4): capabilities, maxP, the
+/// observed-throughput corrections, and the plan database the intra-job
+/// scheduler queries.
+///
+/// The database remembers `allocation → estimated throughput` for every
+/// allocation scored so far ([`Companion::throughput`]). Its key is the
+/// allocation *in entry order*, zero-count entries included: Eq 1's sums
+/// run in that order, so two orderings of one multiset may differ in the
+/// last bit and are two entries. It is emptied whenever [`Companion::observe`]
+/// installs a correction and when the job finishes
+/// ([`crate::IntraJobScheduler::retire`]); otherwise it lives as long as the
+/// companion, bounded by the allocations the job was ever scored on.
 #[derive(Debug, Clone)]
 pub struct Companion {
     caps: BTreeMap<GpuType, f64>,
@@ -54,6 +65,28 @@ pub struct Companion {
     /// Multiplicative correction per allocation, updated from observed
     /// throughput reports (starts at 1.0).
     corrections: BTreeMap<Alloc, f64>,
+    /// The plan database. Ordered map (this is the deterministic path), and
+    /// behind a `RefCell` because a query through `&self` may add a row;
+    /// what a query returns never depends on what is remembered.
+    plans: RefCell<BTreeMap<PlanKey, f64>>,
+}
+
+/// A plan-database key: the allocation in entry order, its first
+/// [`PACKED_ENTRIES`] entries packed into one integer and the rest verbatim.
+/// A scheduler lists each GPU type once, so the rest is empty (no heap) and
+/// a lookup compares words instead of chasing one vector per tree level —
+/// the database is queried a few hundred times per simulated event.
+type PlanKey = (u128, Alloc);
+
+/// How many entries a `u128` holds at 40 bits each: 8 for the type, stored
+/// one-based so that an absent entry differs from every present one, and
+/// 32 for the count.
+const PACKED_ENTRIES: usize = 3;
+
+fn plan_key(alloc: &Alloc) -> PlanKey {
+    let (head, rest) = alloc.split_at(alloc.len().min(PACKED_ENTRIES));
+    let pack = |key, &(ty, n): &(GpuType, u32)| (key << 40) | ((ty as u128 + 1) << 32) | n as u128;
+    (head.iter().fold(0, pack), rest.to_vec())
 }
 
 impl Companion {
@@ -62,12 +95,12 @@ impl Companion {
     /// when the job will mix GPU types.
     pub fn for_workload(spec: &WorkloadSpec, max_p: u32, hetero_d2: bool) -> Self {
         let caps = GpuType::ALL.iter().map(|&g| (g, spec.capability(g, hetero_d2))).collect();
-        Companion { caps, max_p, corrections: BTreeMap::new() }
+        Self::from_caps(caps, max_p)
     }
 
     /// Companion from explicit capabilities.
     pub fn from_caps(caps: BTreeMap<GpuType, f64>, max_p: u32) -> Self {
-        Companion { caps, max_p, corrections: BTreeMap::new() }
+        Companion { caps, max_p, corrections: BTreeMap::new(), plans: RefCell::default() }
     }
 
     /// The job's maxP.
@@ -80,21 +113,36 @@ impl Companion {
         self.caps.get(&ty).copied().unwrap_or(0.0)
     }
 
-    /// The greedy balanced per-GPU assignment both [`Companion::plan`] and
+    /// The greedy balance both [`Companion::plan`] and
     /// [`Companion::placement_for`] derive from: each of the maxP virtual
-    /// ranks goes to the GPU whose resulting load/capability is smallest.
-    /// One implementation, so scored plans and executed placements can
-    /// never drift apart.
-    fn balanced_gpu_assignment(&self, alloc: &Alloc) -> Option<Vec<(GpuType, Vec<u32>)>> {
-        let total_gpus: u32 = alloc.iter().map(|&(_, n)| n).sum();
+    /// ranks goes to the GPU whose resulting load/capability is smallest,
+    /// the first such GPU on a tie. One implementation, so scored plans and
+    /// executed placements can never drift apart.
+    ///
+    /// GPUs are numbered in entry order, and only *loads* are tracked: the
+    /// GPUs of one entry fill round-robin (they share a capability, and the
+    /// first minimum wins), so an entry's state is the load every GPU of it
+    /// has reached and how many are one above. `place(gpu, rank)` sees every
+    /// choice in order — a placement builds its rank lists from it, a plan
+    /// passes a no-op. Returns the largest per-GPU load of each entry, or
+    /// `None` for an allocation without GPUs.
+    fn balance(&self, alloc: &Alloc, mut place: impl FnMut(usize, u32)) -> Option<Vec<u32>> {
+        struct Entry {
+            cap: f64,
+            gpus: u32,
+            first_gpu: usize,
+            load: u32,
+            above: u32,
+        }
+        let mut total_gpus = 0usize;
+        let mut entries: Vec<Entry> = Vec::with_capacity(alloc.len());
+        for &(ty, gpus) in alloc {
+            let cap = self.capability(ty).max(1e-12);
+            entries.push(Entry { cap, gpus, first_gpu: total_gpus, load: 0, above: 0 });
+            total_gpus += gpus as usize;
+        }
         if total_gpus == 0 {
             return None;
-        }
-        let mut gpus: Vec<(GpuType, Vec<u32>)> = Vec::new();
-        for &(ty, n) in alloc {
-            for _ in 0..n {
-                gpus.push((ty, Vec::new()));
-            }
         }
         for r in 0..self.max_p {
             // Argmin by strict `<`: costs are strictly positive, so this
@@ -102,31 +150,55 @@ impl Companion {
             // would, without per-pair comparator overhead on the hot path.
             let mut best = 0;
             let mut best_cost = f64::INFINITY;
-            for (i, (ty, v)) in gpus.iter().enumerate() {
-                let cost = (v.len() + 1) as f64 / self.capability(*ty).max(1e-12);
-                if cost < best_cost {
+            for (i, e) in entries.iter().enumerate() {
+                let cost = (e.load + 1) as f64 / e.cap;
+                if e.gpus > 0 && cost < best_cost {
                     best = i;
                     best_cost = cost;
                 }
             }
-            gpus[best].1.push(r);
+            let e = &mut entries[best];
+            place(e.first_gpu + e.above as usize, r);
+            e.above += 1;
+            if e.above == e.gpus {
+                e.load += 1;
+                e.above = 0;
+            }
         }
-        Some(gpus)
+        Some(entries.iter().map(|e| e.load + u32::from(e.above > 0)).collect())
     }
 
     /// The load-balanced plan for an allocation: ESTs distributed greedily
     /// to equalize per-GPU load, then evaluated with Eq 1. Returns `None`
-    /// for an empty allocation.
+    /// for an empty allocation. Always computes; [`Companion::throughput`]
+    /// is the remembered form.
     pub fn plan(&self, alloc: &Alloc) -> Option<Plan> {
-        let gpus = self.balanced_gpu_assignment(alloc)?;
-        // A_i = max assignment over GPUs of type i.
-        let mut a = Vec::with_capacity(alloc.len());
-        for &(ty, _) in alloc {
-            let max_a =
-                gpus.iter().filter(|g| g.0 == ty).map(|g| g.1.len() as u32).max().unwrap_or(0);
-            a.push(max_a);
-        }
+        let loads = self.balance(alloc, |_, _| {})?;
+        // A_i = max assignment over GPUs of type i (a type may be listed in
+        // more than one entry).
+        let a: Vec<u32> = alloc
+            .iter()
+            .map(|&(ty, _)| {
+                let of_type = alloc.iter().zip(&loads).filter(|(&(t, _), _)| t == ty);
+                of_type.map(|(_, &load)| load).max().unwrap_or(0)
+            })
+            .collect();
         Some(self.evaluate(alloc, &a))
+    }
+
+    /// `plan(alloc).throughput`, bit for bit, through the plan database:
+    /// computed on the first query of an allocation, remembered after.
+    pub fn throughput(&self, alloc: &Alloc) -> Option<f64> {
+        if alloc.is_empty() {
+            return None;
+        }
+        let key = plan_key(alloc);
+        if let Some(&known) = self.plans.borrow().get(&key) {
+            return Some(known);
+        }
+        let throughput = self.plan(alloc)?.throughput;
+        self.plans.borrow_mut().insert(key, throughput);
+        Some(throughput)
     }
 
     /// Evaluate Eq 1 for an explicit per-type assignment `a`.
@@ -175,21 +247,30 @@ impl Companion {
                 if (bias - 1.0).abs() > 0.10 {
                     let c = self.corrections.entry(alloc.clone()).or_insert(1.0);
                     *c *= bias;
+                    // Remembered throughputs were scored without it.
+                    self.forget_plans();
                 }
             }
         }
     }
 
+    /// Empty the plan database (and free it: a finished job's companion
+    /// may outlive the job by a whole simulation).
+    pub(crate) fn forget_plans(&mut self) {
+        self.plans.get_mut().clear();
+    }
+
     /// Materialize a plan as an engine [`Placement`]: virtual ranks 0..maxP
     /// distributed with the exact greedy balance the plan was scored with
-    /// (both derive from [`Companion::balanced_gpu_assignment`]).
+    /// (both derive from [`Companion::balance`]; the rank lists exist only
+    /// here).
     pub fn placement_for(&self, alloc: &Alloc) -> Option<Placement> {
-        let gpus = self.balanced_gpu_assignment(alloc)?;
-        let slots: Vec<Slot> = gpus
-            .into_iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(gpu, vranks)| Slot { gpu, vranks })
+        let mut slots: Vec<Slot> = alloc
+            .iter()
+            .flat_map(|&(gpu, n)| (0..n).map(move |_| Slot { gpu, vranks: Vec::new() }))
             .collect();
+        self.balance(alloc, |gpu, rank| slots[gpu].vranks.push(rank))?;
+        slots.retain(|s| !s.vranks.is_empty());
         Some(Placement { slots })
     }
 }
@@ -302,6 +383,32 @@ mod tests {
         let b2 = c.plan(&alloc2).unwrap().throughput;
         c.observe(&alloc2, b2 * 1.05);
         assert_eq!(c.plan(&alloc2).unwrap().throughput, b2);
+    }
+
+    #[test]
+    fn plan_database_keys_are_the_allocation_in_entry_order() {
+        let (v, p, t) = (GpuType::V100, GpuType::P100, GpuType::T4);
+        let allocs = [
+            vec![(v, 1), (p, 2)],
+            vec![(p, 2), (v, 1)],         // permuted
+            vec![(v, 1), (p, 2), (t, 0)], // a zero-count entry is an entry
+            vec![(v, 1), (p, 2), (t, 1)],
+            vec![(v, 1), (p, 2), (t, 1), (v, 1)], // beyond the packed prefix
+            vec![(v, 1), (p, 2), (t, 1), (v, 3)],
+            vec![(v, 0)],
+            vec![(v, 0), (v, 0)],
+        ];
+        for (i, a) in allocs.iter().enumerate() {
+            for b in &allocs[i + 1..] {
+                assert_ne!(plan_key(a), plan_key(b), "{a:?} and {b:?} share a row");
+            }
+        }
+        // Each row answers for its own allocation, cold and warm.
+        let c = Companion::from_caps(caps(), 8);
+        for a in allocs.iter().chain(&allocs) {
+            let planned = c.plan(a).map(|plan| plan.throughput.to_bits());
+            assert_eq!(c.throughput(a).map(f64::to_bits), planned, "{a:?}");
+        }
     }
 
     #[test]

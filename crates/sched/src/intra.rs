@@ -106,6 +106,13 @@ impl IntraJobScheduler {
         self.companion.plan(&self.current)
     }
 
+    /// Role 1: the estimated throughput of the current allocation, read
+    /// through the companion's plan database (`None` while the job holds no
+    /// GPU).
+    pub fn current_throughput(&self) -> Option<f64> {
+        self.companion.throughput(&self.current)
+    }
+
     /// Role 1: the EST-to-GPU mapping for the current allocation.
     pub fn current_placement(&self) -> Option<Placement> {
         self.companion.placement_for(&self.current)
@@ -114,44 +121,44 @@ impl IntraJobScheduler {
     /// Role 2: form up to `top_k` scale-out proposals against the free
     /// resources, trying incremental counts (1, 2, 4, …) of each type.
     pub fn proposals(&self, free: &FreePool, top_k: usize) -> Vec<ResourceProposal> {
-        let current_thr = self.current_plan().map(|p| p.throughput).unwrap_or(0.0);
+        let current_thr = self.current_throughput().unwrap_or(0.0);
+        // Homogeneous constraint: once the job has ever run on a type, only
+        // that type may be proposed — vendor kernels differ bitwise across
+        // types and this job has no D2.
+        let only = if self.hetero_allowed {
+            None
+        } else {
+            self.pinned_type.or_else(|| self.current.iter().find(|&&(_, n)| n > 0).map(|&(t, _)| t))
+        };
+        // Never propose more GPUs than maxP: beyond one EST per GPU extra
+        // devices add nothing (Eq 1a).
+        let useful = self.companion.max_p();
         let mut out: Vec<ResourceProposal> = Vec::new();
+        // Every candidate is the current allocation with one count raised (a
+        // type not held yet goes last): one scratch copy, edited in place.
+        let mut candidate = Alloc::new();
         for &ty in &GpuType::ALL {
             let avail = free.get(&ty).copied().unwrap_or(0);
-            if avail == 0 {
+            if avail == 0 || only.is_some_and(|t| t != ty) {
                 continue;
             }
-            if !self.hetero_allowed {
-                // Homogeneous constraint: once the job has ever run on a
-                // type, only that type may be proposed — vendor kernels
-                // differ bitwise across types and this job has no D2.
-                let constraint = self
-                    .pinned_type
-                    .or_else(|| self.current.iter().find(|&&(_, n)| n > 0).map(|&(t, _)| t));
-                if let Some(t) = constraint {
-                    if t != ty {
-                        continue;
-                    }
-                }
+            candidate.clone_from(&self.current);
+            let at = candidate.iter().position(|&(t, _)| t == ty).unwrap_or(candidate.len());
+            if at == candidate.len() {
+                candidate.push((ty, 0));
             }
-            // Never propose more GPUs than maxP: beyond one EST per GPU
-            // extra devices add nothing (Eq 1a).
-            let useful = self.companion.max_p();
+            let held = candidate[at].1;
             let mut add = 1u32;
             while add <= avail.min(useful) {
-                let mut candidate = self.current.clone();
-                match candidate.iter_mut().find(|(t, _)| *t == ty) {
-                    Some(slot) => slot.1 += add,
-                    None => candidate.push((ty, add)),
-                }
-                if let Some(plan) = self.companion.plan(&candidate) {
-                    let speedup = plan.throughput - current_thr;
+                candidate[at].1 = held + add;
+                if let Some(new_throughput) = self.companion.throughput(&candidate) {
+                    let speedup = new_throughput - current_thr;
                     if speedup > 1e-9 {
                         out.push(ResourceProposal {
                             job: self.job,
                             add_type: ty,
                             add_count: add,
-                            new_throughput: plan.throughput,
+                            new_throughput,
                             speedup_total: speedup,
                             speedup_per_gpu: speedup / add as f64,
                         });
@@ -183,7 +190,7 @@ impl IntraJobScheduler {
                 );
             }
         }
-        let prev_thr = self.current_plan().map(|p| p.throughput).unwrap_or(0.0);
+        let prev_thr = self.current_throughput().unwrap_or(0.0);
         self.previous = Some((std::mem::take(&mut self.current), prev_thr));
         // Allocation churn (Fig 16's reconfiguration activity): count only
         // real changes, not the simulator's re-apply of the same allocation.
@@ -191,6 +198,23 @@ impl IntraJobScheduler {
             obs::counter_add("sched.allocation_changes", 1);
         }
         self.current = alloc;
+    }
+
+    /// Role 3, scale to zero: give back every GPU held and return what that
+    /// was. Holding nothing, this is not an allocation change.
+    pub fn release(&mut self) -> Alloc {
+        let held = self.current.clone();
+        if !held.is_empty() {
+            self.apply_allocation(Vec::new());
+        }
+        held
+    }
+
+    /// The job is over: release its GPUs and the companion's remembered
+    /// plans, which nothing will query again.
+    pub fn retire(&mut self) {
+        self.release();
+        self.companion.forget_plans();
     }
 
     /// Override the throughput recorded for the previous allocation with a

@@ -33,4 +33,4 @@ pub use companion::{Companion, Plan};
 pub use health::{HealthEvent, HealthPolicy, HealthState, HealthTracker, TransitionCause};
 pub use inter::{Decision, InterJobScheduler};
 pub use intra::{FreePool, IntraJobScheduler, ResourceProposal};
-pub use sim::{ClusterSim, JobRecord, JobSpec, Policy, SimOutcome};
+pub use sim::{ClusterSim, JobRecord, JobSpec, Policy, SimError, SimOutcome};

@@ -11,7 +11,7 @@
 //! GPUs, which EasyScale jobs release by scaling in (paying a restart
 //! penalty, never failing).
 
-use crate::companion::Companion;
+use crate::companion::{Alloc, Companion};
 use crate::inter::InterJobScheduler;
 use crate::intra::{FreePool, IntraJobScheduler};
 use device::{ClusterSpec, GpuType};
@@ -149,13 +149,61 @@ pub struct ClusterSim {
     pub serving_tick: f64,
 }
 
-struct JobState {
-    spec: JobSpec,
+/// Events one run may take before it is declared not to converge.
+const EVENT_BUDGET: u64 = 2_000_000;
+
+/// Why a simulation could not run to completion.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SimError {
+    /// No job can progress and none will arrive, yet some are unfinished.
+    NoProgress {
+        /// Jobs that can never finish.
+        unfinished: usize,
+    },
+    /// The event loop did not converge within its budget.
+    EventBudget {
+        /// Events simulated when it gave up.
+        events: u64,
+    },
+    /// The inter-job scheduler granted GPUs to a job the trace does not hold.
+    UnknownJob {
+        /// The granted id.
+        id: u64,
+    },
+    /// A job holds, or was seeded with, a GPU type the cluster does not have.
+    UnknownGpuType {
+        /// The type.
+        ty: GpuType,
+    },
+}
+
+impl std::fmt::Display for SimError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {
+            Self::NoProgress { unfinished } => {
+                write!(f, "{unfinished} jobs can never finish (cluster too small?)")
+            }
+            Self::EventBudget { events } => write!(f, "no convergence after {events} events"),
+            Self::UnknownJob { id } => write!(f, "grant for unknown job {id}"),
+            Self::UnknownGpuType { ty } => write!(f, "the cluster has no {ty} GPUs"),
+        }
+    }
+}
+
+impl std::error::Error for SimError {}
+
+struct JobState<'a> {
+    spec: &'a JobSpec,
     intra: IntraJobScheduler,
     remaining: f64,
     stall_until: f64,
     first_run: Option<f64>,
     finish: Option<f64>,
+}
+
+/// The free count of `ty`, to take from.
+fn take_from(free: &mut FreePool, ty: GpuType) -> Result<&mut u32, SimError> {
+    free.get_mut(&ty).ok_or(SimError::UnknownGpuType { ty })
 }
 
 impl ClusterSim {
@@ -181,46 +229,67 @@ impl ClusterSim {
         self
     }
 
-    fn hetero_allowed(&self, w: Workload) -> bool {
-        match self.policy {
-            Policy::EasyScaleHeter => w.spec().hetero_friendly(),
-            _ => false,
-        }
+    /// Run to completion; panics where [`ClusterSim::try_run`] is an error.
+    pub fn run(&self) -> SimOutcome {
+        self.try_run().unwrap_or_else(|e| panic!("cluster simulation failed: {e}"))
     }
 
-    /// Run to completion.
-    pub fn run(&self) -> SimOutcome {
+    /// Run to completion, or say why this trace cannot on this cluster.
+    pub fn try_run(&self) -> Result<SimOutcome, SimError> {
         let mut states: Vec<JobState> = self
             .jobs
             .iter()
             .map(|spec| {
-                let hetero = self.hetero_allowed(spec.workload);
+                let workload = spec.workload.spec();
+                let hetero = self.policy == Policy::EasyScaleHeter && workload.hetero_friendly();
                 // Heterogeneous mixing implies D2 kernels; homogeneous jobs
                 // use vendor kernels. (For hetero-friendly workloads the D2
                 // overhead is ≈1 anyway.)
-                let companion = Companion::for_workload(&spec.workload.spec(), spec.max_p, hetero);
+                let companion = Companion::for_workload(&workload, spec.max_p, hetero);
                 JobState {
                     intra: IntraJobScheduler::new(spec.id, companion, hetero),
                     remaining: spec.work,
                     stall_until: 0.0,
                     first_run: None,
                     finish: None,
-                    spec: spec.clone(),
+                    spec,
                 }
             })
             .collect();
         states.sort_by(|a, b| a.spec.arrival.total_cmp(&b.spec.arrival));
-
-        let inter = InterJobScheduler;
+        // Job id → index into `states`, for grants (collected latest first,
+        // so an id two jobs share stays with the earlier arrival).
+        let by_id: BTreeMap<u64, usize> =
+            states.iter().enumerate().rev().map(|(i, s)| (s.spec.id, i)).collect();
+        // `states[..arrived]` have arrived; `active` lists, in arrival order,
+        // those of them not yet retired. Only they can be touched by an
+        // event, so every pass below walks `active`, never `states`.
+        let mut arrived = 0usize;
+        let mut active: Vec<usize> = Vec::new();
         let mut t = 0.0f64;
         let mut timeline: Vec<TimePoint> = Vec::new();
         let mut preemptions: Vec<(f64, u32)> = Vec::new();
         let mut prev_serving_total = 0u32;
-        let mut guard = 0u64;
+        // Training GPUs held per type after the previous event's allocation.
+        let mut prev_held = FreePool::new();
 
-        loop {
-            guard += 1;
-            assert!(guard < 2_000_000, "simulation failed to converge");
+        for events in 1u64.. {
+            if events >= EVENT_BUDGET {
+                return Err(SimError::EventBudget { events });
+            }
+            while states.get(arrived).is_some_and(|s| s.spec.arrival <= t) {
+                active.push(arrived);
+                arrived += 1;
+            }
+            // Retire what the last event finished: its GPUs go back (a
+            // counted allocation change) and its plan database is dropped.
+            active.retain(|&i| {
+                let s = &mut states[i];
+                if s.finish.is_some() {
+                    s.intra.retire();
+                }
+                s.finish.is_none()
+            });
             let serving_now = self.serving.as_ref().map(|f| f(t)).unwrap_or_default();
             let serving_total: u32 = serving_now.values().sum();
 
@@ -231,23 +300,17 @@ impl ClusterSim {
                 .map(|(&ty, &n)| (ty, n.saturating_sub(serving_now.get(&ty).copied().unwrap_or(0))))
                 .collect();
 
-            // Allocate to arrived, unfinished jobs.
             match self.policy {
                 Policy::YarnCapacity => {
                     // Subtract current gang holdings; preempt where serving
                     // pushed capacity below the held amount.
                     let mut released_now = 0u32;
-                    for s in states.iter_mut() {
-                        if s.finish.is_some() {
-                            if !s.intra.current().is_empty() {
-                                s.intra.apply_allocation(Vec::new());
-                            }
-                            continue;
-                        }
+                    for &i in &active {
+                        let s = &mut states[i];
                         let mut alloc = s.intra.current().clone();
                         let mut changed = false;
                         for (ty, n) in alloc.iter_mut() {
-                            let avail = free.get_mut(ty).expect("known type");
+                            let avail = take_from(&mut free, *ty)?;
                             if *n > *avail {
                                 released_now += *n - *avail;
                                 *n = *avail;
@@ -265,24 +328,18 @@ impl ClusterSim {
                         preemptions.push((t, released_now));
                     }
                     // FIFO gang scheduling with head-of-line blocking.
-                    for s in states.iter_mut() {
-                        if s.finish.is_some() || s.spec.arrival > t {
-                            continue;
-                        }
+                    for &i in &active {
+                        let s = &mut states[i];
                         if !s.intra.current().is_empty() {
                             continue; // running with its gang
                         }
-                        let need = s.spec.requested_gpus;
-                        let ty = s.spec.requested_type;
-                        let avail = free.get(&ty).copied().unwrap_or(0);
-                        if avail >= need {
-                            *free.get_mut(&ty).unwrap() -= need;
-                            s.intra.apply_allocation(vec![(ty, need)]);
-                            s.stall_until = t; // gang jobs start immediately
-                            s.first_run.get_or_insert(t);
-                        } else {
+                        let (ty, need) = (s.spec.requested_type, s.spec.requested_gpus);
+                        let Some(avail) = free.get_mut(&ty).filter(|avail| **avail >= need) else {
                             break; // strict FIFO: head of line blocks
-                        }
+                        };
+                        *avail -= need;
+                        s.intra.apply_allocation(vec![(ty, need)]);
+                        s.stall_until = t; // gang jobs start immediately
                     }
                 }
                 Policy::EasyScaleHomo | Policy::EasyScaleHeter => {
@@ -293,63 +350,39 @@ impl ClusterSim {
                     // scheduler grants greedily. Jobs whose allocation comes
                     // out unchanged keep running; changed jobs pay the
                     // restart penalty (checkpoint + reschedule, seconds).
-                    let prev: Vec<crate::companion::Alloc> =
-                        states.iter().map(|s| s.intra.current().clone()).collect();
-                    let mut prev_by_type: BTreeMap<GpuType, u32> = BTreeMap::new();
-                    for a in &prev {
-                        for &(ty, n) in a {
-                            *prev_by_type.entry(ty).or_insert(0) += n;
-                        }
-                    }
-                    for s in states.iter_mut() {
-                        if !s.intra.current().is_empty() {
-                            s.intra.apply_allocation(Vec::new());
-                        }
-                    }
-
+                    let prev: Vec<Alloc> =
+                        active.iter().map(|&i| states[i].intra.release()).collect();
                     // Seed every arrived job with one GPU (arrival order):
                     // a job's first GPU outranks anyone's marginal growth —
                     // this is why EasyScale queueing is ~zero.
-                    for s in states.iter_mut() {
-                        if s.finish.is_some() || s.spec.arrival > t {
-                            continue;
-                        }
+                    for &i in &active {
+                        let s = &mut states[i];
+                        let cap = |ty: &GpuType| s.intra.companion().capability(*ty);
                         let best_ty = GpuType::ALL
-                            .iter()
-                            .filter(|&&ty| free.get(&ty).copied().unwrap_or(0) > 0)
+                            .into_iter()
+                            .filter(|ty| free.get(ty).is_some_and(|&n| n > 0))
                             // A non-D2 job that has ever run is pinned to its
                             // type; seeding must respect that or bits change.
-                            .filter(|&&ty| s.intra.pinned_type().is_none_or(|p| p == ty))
-                            .max_by(|a, b| {
-                                s.intra
-                                    .companion()
-                                    .capability(**a)
-                                    .total_cmp(&s.intra.companion().capability(**b))
-                            })
-                            .copied();
+                            .filter(|&ty| s.intra.pinned_type().is_none_or(|p| p == ty))
+                            .max_by(|a, b| cap(a).total_cmp(&cap(b)));
                         if let Some(ty) = best_ty {
-                            *free.get_mut(&ty).unwrap() -= 1;
+                            *take_from(&mut free, ty)? -= 1;
                             s.intra.apply_allocation(vec![(ty, 1)]);
                         }
                     }
-                    // Proposal/grant rounds until a fixpoint.
+                    // Proposal/grant rounds until a fixpoint. Proposals reach
+                    // the inter-job scheduler in arrival order: its sort is
+                    // stable, so that order is a tie-break.
                     for _round in 0..64 {
-                        let mut proposals = Vec::new();
-                        for s in states.iter() {
-                            if s.finish.is_some() || s.spec.arrival > t {
-                                continue;
-                            }
-                            proposals.extend(s.intra.proposals(&free, 3));
-                        }
-                        let grants = inter.decide(proposals, &mut free);
+                        let proposals =
+                            active.iter().flat_map(|&i| states[i].intra.proposals(&free, 3));
+                        let grants = InterJobScheduler.decide(proposals.collect(), &mut free);
                         if grants.is_empty() {
                             break;
                         }
                         for g in grants {
-                            let s = states
-                                .iter_mut()
-                                .find(|s| s.spec.id == g.job)
-                                .expect("granted job exists");
+                            let i = *by_id.get(&g.job).ok_or(SimError::UnknownJob { id: g.job })?;
+                            let s = &mut states[i];
                             let mut alloc = s.intra.current().clone();
                             match alloc.iter_mut().find(|(ty, _)| *ty == g.gpu) {
                                 Some(slot) => slot.1 += g.count,
@@ -358,121 +391,90 @@ impl ClusterSim {
                             s.intra.apply_allocation(alloc);
                         }
                     }
-                    // Charge the scale penalty only to jobs whose allocation
-                    // actually changed; stamp first_run.
-                    let mut new_training = 0u32;
-                    for (s, old) in states.iter_mut().zip(&prev) {
-                        let new = s.intra.current().clone();
-                        new_training += new.iter().map(|&(_, n)| n).sum::<u32>();
-                        if !new.is_empty() {
-                            s.first_run.get_or_insert(t);
-                        }
-                        if new != *old && !(new.is_empty() && old.is_empty()) {
+                    // Only jobs whose allocation actually changed pay the penalty.
+                    for (&i, old) in active.iter().zip(&prev) {
+                        let s = &mut states[i];
+                        if s.intra.current() != old {
                             s.stall_until = s.stall_until.max(t + self.restart_penalty);
                         }
                     }
-                    let _ = new_training;
-                    // A serving spike that pushed training off a GPU type is
-                    // a preemption (GPUs released to serving within one
-                    // tick) — even if the jobs migrated to other types.
-                    if serving_total > prev_serving_total {
-                        let mut new_by_type: BTreeMap<GpuType, u32> = BTreeMap::new();
-                        for st in states.iter() {
-                            for &(ty, n) in st.intra.current() {
-                                *new_by_type.entry(ty).or_insert(0) += n;
-                            }
-                        }
-                        let released: u32 = prev_by_type
-                            .iter()
-                            .map(|(ty, &p)| {
-                                p.saturating_sub(new_by_type.get(ty).copied().unwrap_or(0))
-                            })
-                            .sum();
-                        if released > 0 {
-                            preemptions.push((t, released));
-                        }
-                    }
+                }
+            }
+            // Stamp first runs and count the training GPUs now held per type.
+            let mut held = FreePool::new();
+            for &i in &active {
+                let s = &mut states[i];
+                if !s.intra.current().is_empty() {
+                    s.first_run.get_or_insert(t);
+                }
+                for &(ty, n) in s.intra.current() {
+                    *held.entry(ty).or_insert(0) += n;
+                }
+            }
+            // A serving spike that pushed elastic training off a GPU type is
+            // a preemption (GPUs released to serving within one tick) — even
+            // if the jobs migrated to other types. What the last event's
+            // finishers held counts as held before.
+            if self.policy != Policy::YarnCapacity && serving_total > prev_serving_total {
+                let released: u32 = prev_held
+                    .iter()
+                    .map(|(ty, &p)| p.saturating_sub(held.get(ty).copied().unwrap_or(0)))
+                    .sum();
+                if released > 0 {
+                    preemptions.push((t, released));
                 }
             }
             prev_serving_total = serving_total;
 
-            // Record the timeline point.
-            let training_gpus: u32 = states
-                .iter()
-                .filter(|s| s.finish.is_none())
-                .flat_map(|s| s.intra.current().iter().map(|&(_, n)| n))
-                .sum();
+            let training_gpus = held.values().sum();
             timeline.push(TimePoint { t, training_gpus, serving_gpus: serving_total });
+            prev_held = held;
 
-            // Compute rates and the next event horizon.
-            let mut next = f64::INFINITY;
-            // Next arrival.
-            for s in &states {
-                if s.spec.arrival > t {
-                    next = next.min(s.spec.arrival);
-                }
-            }
-            // Serving curve tick.
+            // The next event: the next arrival, ...
+            let mut next = states.get(arrived).map_or(f64::INFINITY, |s| s.spec.arrival);
+            // ... the serving curve's tick, ...
             if self.serving.is_some() {
                 let tick = (t / self.serving_tick).floor() * self.serving_tick + self.serving_tick;
                 next = next.min(tick);
             }
-            // Stall expiry and completions.
-            for s in &states {
-                if s.finish.is_some() || s.spec.arrival > t {
-                    continue;
-                }
+            // ... a stall expiry or a completion.
+            for &i in &active {
+                let s = &states[i];
                 if s.stall_until > t {
                     next = next.min(s.stall_until);
-                    continue;
-                }
-                if let Some(plan) = s.intra.current_plan() {
-                    if plan.throughput > 0.0 {
-                        next = next.min(t + s.remaining / plan.throughput);
-                    }
+                } else if let Some(thr) = s.intra.current_throughput().filter(|&thr| thr > 0.0) {
+                    next = next.min(t + s.remaining / thr);
                 }
             }
 
             if next.is_infinite() {
-                // Nothing can make progress and nothing will arrive: done
-                // (or deadlocked, which the assert below catches).
-                let unfinished = states.iter().filter(|s| s.finish.is_none()).count();
-                assert_eq!(
-                    unfinished, 0,
-                    "{unfinished} jobs can never finish (cluster too small?)"
-                );
-                break;
+                // Nothing can progress and nothing will arrive: done, or deadlocked.
+                match active.len() + (states.len() - arrived) {
+                    0 => break,
+                    unfinished => return Err(SimError::NoProgress { unfinished }),
+                }
             }
 
             // Integrate progress to `next`.
-            let dt_total = next - t;
-            for s in states.iter_mut() {
-                if s.finish.is_some() || s.spec.arrival > t {
-                    continue;
-                }
+            for &i in &active {
+                let s = &mut states[i];
                 let run_start = s.stall_until.max(t);
                 if run_start >= next {
                     continue;
                 }
-                let dt = next - run_start;
-                if let Some(plan) = s.intra.current_plan() {
-                    s.remaining -= plan.throughput * dt;
+                if let Some(thr) = s.intra.current_throughput() {
+                    s.remaining -= thr * (next - run_start);
                     if s.remaining <= 1e-6 {
-                        s.remaining = 0.0;
                         s.finish = Some(next);
                     }
                 }
             }
-            let _ = dt_total;
             t = next;
 
-            if states.iter().all(|s| s.finish.is_some()) {
+            if arrived == states.len() && active.iter().all(|&i| states[i].finish.is_some()) {
                 // Final timeline point with everything released.
-                timeline.push(TimePoint {
-                    t,
-                    training_gpus: 0,
-                    serving_gpus: self.serving.as_ref().map(|f| f(t).values().sum()).unwrap_or(0),
-                });
+                let serving_gpus = self.serving.as_ref().map_or(0, |f| f(t).values().sum());
+                timeline.push(TimePoint { t, training_gpus: 0, serving_gpus });
                 break;
             }
         }
@@ -498,12 +500,10 @@ impl ClusterSim {
         obs::counter_add("sched.preemptions_total", outcome.preemptions.len() as u64);
         let total_capacity: u32 = self.capacity.values().sum();
         if total_capacity > 0 {
-            obs::gauge_set(
-                "sched.utilization",
-                outcome.avg_training_gpus() / total_capacity as f64,
-            );
+            let utilization = outcome.avg_training_gpus() / total_capacity as f64;
+            obs::gauge_set("sched.utilization", utilization);
         }
-        outcome
+        Ok(outcome)
     }
 }
 
@@ -589,6 +589,28 @@ mod tests {
         assert!(!out.preemptions.is_empty(), "serving spike must preempt training");
         assert_eq!(out.failures, 0, "EasyScale jobs never fail on preemption");
         assert_eq!(out.records.len(), 1);
+    }
+
+    #[test]
+    fn a_gang_larger_than_the_cluster_is_a_typed_error() {
+        // 64 V100s requested, 32 in the cluster: the head of the FIFO queue
+        // blocks forever, and the job queued behind it with it.
+        let jobs = vec![job(1, 0.0, 1_000.0, 64), job(2, 5.0, 1_000.0, 1)];
+        let yarn = ClusterSim::new(&cluster(), jobs[..1].to_vec(), Policy::YarnCapacity);
+        assert_eq!(yarn.try_run().unwrap_err(), SimError::NoProgress { unfinished: 1 });
+        let yarn = ClusterSim::new(&cluster(), jobs.clone(), Policy::YarnCapacity);
+        assert_eq!(yarn.try_run().unwrap_err(), SimError::NoProgress { unfinished: 2 });
+        // Elastic jobs run on whatever exists.
+        assert!(ClusterSim::new(&cluster(), jobs, Policy::EasyScaleHomo).try_run().is_ok());
+    }
+
+    #[test]
+    fn a_blocked_queue_beside_a_serving_curve_exhausts_the_event_budget() {
+        // The gang can never start, but the serving tick is always a next
+        // event: no deadlock to report, only a loop that will not end.
+        let sim = ClusterSim::new(&cluster(), vec![job(1, 0.0, 1_000.0, 64)], Policy::YarnCapacity)
+            .with_serving(|_| BTreeMap::new());
+        assert_eq!(sim.try_run().unwrap_err(), SimError::EventBudget { events: EVENT_BUDGET });
     }
 
     #[test]

@@ -9,7 +9,10 @@
 #                           the repo benchmark's `smoke` pass: every
 #                           workload once, correctness checked, nothing
 #                           gated — see benchmark/README.md) → faultsim
-#                           chaos matrix → silent-fault detection matrix
+#                           chaos matrix → silent-fault detection matrix →
+#                           figs (regenerate the Fig 14/15/16 trace
+#                           simulations; the committed JSON must come out
+#                           byte for byte)
 #   scripts/ci.sh --quick   quick stages only (what scripts/check.sh runs):
 #                           fmt → clippy → detlint → build → test →
 #                           benchmark_smoke → thread_faults (hand-authored
@@ -106,6 +109,19 @@ if [ "$MODE" = full ]; then
   # results/detect_report.json.
   stage detect     cargo run --release --offline -q -p faultsim -- \
                      --detect-matrix --out results/detect_report.json
+  # The committed trace figures are what the code produces: the scheduler
+  # simulations are deterministic, so regenerating them must leave the
+  # tracked JSON untouched. A diff here is a scheduling decision that moved
+  # (crates/sched/tests/sim_golden.rs says which trace), not noise.
+  figs() {
+    local fig
+    for fig in fig14_trace_jct fig15_alloc_timeline fig16_colocation; do
+      cargo run --release --offline -q -p bench --bin "$fig" >/dev/null || return
+    done
+    git diff --exit-code -- results/fig14_trace_jct.json \
+      results/fig15_alloc_timeline.json results/fig16_colocation.json
+  }
+  stage figs       figs
 fi
 
 write_report
