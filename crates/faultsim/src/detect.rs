@@ -18,12 +18,16 @@ use std::path::Path;
 
 use serde::Serialize;
 
-use crate::harness::{run_fault_free, DetectionRecord, FaultHarness, HarnessConfig};
+use crate::harness::{run_judged, HarnessConfig, RunSummary};
 use crate::schedule::{FaultEvent, FaultKind, FaultSchedule};
-use sched::HealthEvent;
 
 /// Seeds for the generated half of the matrix.
 pub const DETECT_SEEDS: [u64; 3] = [70, 71, 72];
+
+/// Steps a detection case runs: the chaos default's cluster, but long
+/// enough that a creeping straggler injected in the first half always has
+/// the timed rounds left for its score to converge.
+pub const DETECT_STEPS: u64 = 14;
 
 /// One matrix case: a named silent-fault schedule.
 #[derive(Debug, Clone)]
@@ -38,81 +42,44 @@ pub struct DetectCase {
 /// each silent kind in isolation, plus one generated schedule per seed in
 /// [`DETECT_SEEDS`].
 pub fn silent_matrix() -> Vec<DetectCase> {
-    let mut cases = vec![
-        DetectCase {
-            name: "silent-crash".to_string(),
-            schedule: FaultSchedule::from_events(vec![FaultEvent {
-                step: 3,
-                kind: FaultKind::SilentCrash { worker: 1 },
-            }]),
-        },
-        DetectCase {
-            name: "creeping-straggler".to_string(),
-            schedule: FaultSchedule::from_events(vec![FaultEvent {
-                step: 2,
-                kind: FaultKind::CreepingStraggler {
-                    worker: 0,
-                    start_milli: 1200,
-                    ramp_milli: 400,
-                },
-            }]),
-        },
-        DetectCase {
-            name: "heartbeat-drop".to_string(),
-            schedule: FaultSchedule::from_events(vec![
-                FaultEvent { step: 0, kind: FaultKind::HeartbeatDrop { worker: 1, beats: 12 } },
+    let ev = |step, kind| FaultEvent { step, kind };
+    let hand = [
+        ("silent-crash", vec![ev(3, FaultKind::SilentCrash { worker: 1 })]),
+        (
+            "creeping-straggler",
+            vec![ev(
+                2,
+                FaultKind::CreepingStraggler { worker: 0, start_milli: 1200, ramp_milli: 400 },
+            )],
+        ),
+        (
+            "heartbeat-drop",
+            vec![
+                ev(0, FaultKind::HeartbeatDrop { worker: 1, beats: 12 }),
                 // A benign-length drop on the other device: short enough
                 // that the lease may survive it — the detector must not be
                 // required to flag it, and the run must stay byte-identical
                 // either way.
-                FaultEvent { step: 8, kind: FaultKind::HeartbeatDrop { worker: 0, beats: 2 } },
-            ]),
-        },
+                ev(8, FaultKind::HeartbeatDrop { worker: 0, beats: 2 }),
+            ],
+        ),
     ];
-    for seed in DETECT_SEEDS {
-        cases.push(DetectCase {
-            name: format!("seeded-{seed}"),
-            schedule: FaultSchedule::generate_silent(seed, 14, 2),
-        });
-    }
-    cases
-}
-
-/// One case's full outcome, serializable for `results/detect_report.json`.
-#[derive(Debug, Clone, Serialize)]
-pub struct CaseOutcome {
-    /// Case name from [`DetectCase`].
-    pub name: String,
-    /// Schedule seed (0 for hand-authored cases).
-    pub seed: u64,
-    /// Final params byte-identical to the fault-free reference.
-    pub bitwise_identical: bool,
-    /// Every non-superseded silent fault detected within its bound.
-    pub all_detected_within_bound: bool,
-    /// Per-fault detection records.
-    pub detections: Vec<DetectionRecord>,
-    /// The deterministic health-event log.
-    pub health_events: Vec<HealthEvent>,
-    /// Supervisor evictions taken.
-    pub evictions: u32,
-    /// Supervisor readmissions taken.
-    pub readmissions: u32,
-    /// Simulated run duration.
-    pub sim_elapsed_us: u64,
-}
-
-impl CaseOutcome {
-    /// Both halves of the invariant held.
-    pub fn passed(&self) -> bool {
-        self.bitwise_identical && self.all_detected_within_bound
-    }
+    let hand = hand.into_iter().map(|(name, events)| DetectCase {
+        name: name.to_string(),
+        schedule: FaultSchedule::from_events(events),
+    });
+    let seeded = DETECT_SEEDS.into_iter().map(|seed| DetectCase {
+        name: format!("seeded-{seed}"),
+        schedule: FaultSchedule::generate_silent(seed, DETECT_STEPS, 2),
+    });
+    hand.chain(seeded).collect()
 }
 
 /// The matrix report `scripts/ci.sh detect` gates on.
 #[derive(Debug, Clone, Serialize)]
 pub struct DetectReport {
     /// Every case outcome, in matrix order.
-    pub cases: Vec<CaseOutcome>,
+    pub cases: Vec<RunSummary>,
     /// `"pass"` when every case passed, `"fail"` otherwise.
     pub status: String,
 }
@@ -120,27 +87,17 @@ pub struct DetectReport {
 impl DetectReport {
     /// Whether every case passed.
     pub fn passed(&self) -> bool {
-        self.cases.iter().all(CaseOutcome::passed)
+        self.cases.iter().all(RunSummary::passed)
     }
 }
 
-/// Run one case against the detection default config, comparing against
-/// the fault-free reference. `store_dir` must be unique per case.
-pub fn run_case(case: &DetectCase, store_dir: &Path) -> CaseOutcome {
-    let cfg = HarnessConfig::default_detect(store_dir.to_path_buf());
-    let reference = run_fault_free(&cfg);
-    let report = FaultHarness::new(cfg, case.schedule.clone()).run();
-    CaseOutcome {
-        name: case.name.clone(),
-        seed: case.schedule.seed,
-        bitwise_identical: report.final_params == reference,
-        all_detected_within_bound: report.all_detected_within_bound(),
-        detections: report.detections,
-        health_events: report.health_events,
-        evictions: report.evictions,
-        readmissions: report.readmissions,
-        sim_elapsed_us: report.sim_elapsed_us,
-    }
+/// Run one case on the chaos default stretched to [`DETECT_STEPS`],
+/// judged against the fault-free reference. `store_dir` must be unique per
+/// case.
+pub fn run_case(case: &DetectCase, store_dir: &Path) -> RunSummary {
+    let mut cfg = HarnessConfig::default_chaos(store_dir.to_path_buf());
+    cfg.total_steps = DETECT_STEPS;
+    run_judged(&case.name, cfg, &case.schedule).1
 }
 
 /// Run the whole matrix under `base_dir` (one store subdirectory per case).
@@ -157,6 +114,6 @@ pub fn run_matrix(base_dir: &Path) -> DetectReport {
         cases.push(outcome);
         let _ = std::fs::remove_dir_all(&dir);
     }
-    let status = if cases.iter().all(CaseOutcome::passed) { "pass" } else { "fail" };
+    let status = if cases.iter().all(RunSummary::passed) { "pass" } else { "fail" };
     DetectReport { cases, status: status.to_string() }
 }

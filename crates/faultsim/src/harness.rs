@@ -4,27 +4,13 @@
 //! The invariant under test is the paper's headline claim pushed through
 //! every failure mode this repo models: **for any fault schedule, the final
 //! model parameters at D2 are byte-identical to the fault-free run.** Each
-//! fault maps to the subsystem mechanism that absorbs it:
-//!
-//! | fault                | absorbed by                                      |
-//! |----------------------|--------------------------------------------------|
-//! | worker crash         | durable checkpoints + bitwise D1 restore         |
-//! | comm failure         | `comm::retry` (bitwise-identical recomputation); |
-//! |                      | exhaustion falls through to the crash path       |
-//! | torn / bit-flipped   | `core::store` checksum + last-good fallback,     |
-//! | checkpoint           | then deterministic replay                        |
-//! | preemption           | `sched::apply_preemption` + `Engine::rescale`    |
-//! | scale-out / scale-in | proposal → grant → `Engine::rescale`             |
-//! | straggler            | nothing to absorb: slowdown dilates simulated    |
-//! |                      | time only, never bits                            |
-//! | **silent** crash /   | nothing announces these: the AIMaster            |
-//! | creeping straggler / | supervisor ([`sched::Supervisor`]) must discover |
-//! | heartbeat drop       | them from heartbeat leases and straggler scores, |
-//! |                      | then evict / roll back / readmit on its own      |
-//! | **thread** panic /   | the supervised pool drains (`core::pool`): a     |
-//! | stall / reply drop   | deadline drain reaps the faulted OS thread,      |
-//! |                      | respawns it from the engine's param mirror, and  |
-//! |                      | replays the interrupted round in-place           |
+//! fault is absorbed by the subsystem that owns it: durable checkpoints,
+//! the `core::store` checksum and bitwise D1 restore (crashes, torn or
+//! bit-flipped checkpoints, exhausted comm retries); `comm::retry`
+//! (transient comm failures); `sched` proposals, grants, `apply_preemption`
+//! and `Engine::rescale` (elasticity); nothing at all (an announced
+//! straggler dilates simulated time only). docs/HEALTH.md tabulates every
+//! fault × phase: detected by, within, recovered by, test.
 //!
 //! Unlike the announced faults, the silent kinds close the paper's §4
 //! detection loop: each physical device gets a *stable id* (it survives
@@ -36,31 +22,38 @@
 //! health policy and the schedule itself) and records whether detection
 //! met it.
 //!
-//! The thread faults are *real* faults on real OS threads, so their
-//! wall-clock detection instant is not simulated. To keep the report a pure
-//! function of `(config, schedule)`, the harness feeds a *dedicated*
-//! thread-health [`sched::HealthTracker`] a synthetic virtual-time cascade
-//! per recovery (injection instant + the drain policy's worst-case
-//! deadline, then one missed lease per detection round) and asserts the
-//! latency bound on that timeline. The deterministic outputs — final
-//! params, the MAIN supervisor's health log, simulated time — never see a
-//! thread fault at all: that is the tentpole invariant.
+//! The thread faults are *real* faults on real OS threads (panic, stall,
+//! dropped reply): the supervised pool drains (`core::pool`) reap the
+//! thread on a deadline, respawn it from the engine's param mirror and
+//! replay the interrupted round in place. Their wall-clock detection
+//! instant is not simulated; what the harness holds them to is the one
+//! thing that can fail — every armed fault a step round consumed must come
+//! back as an [`easyscale::PoolRecovery`] on its slot — and it charges the
+//! engine's own deterministic latency for it. Final params, the
+//! supervisor's health log and simulated time never see a thread fault at
+//! all: that is the tentpole invariant.
+//!
+//! Each fact has one owner: one device table (where every stable id is and
+//! what silently ails it; the scheduler's GPU count and the free pool are
+//! computed from it), one detection ledger for both fault families, one
+//! engine-building function.
 //!
 //! Time is simulated ([`device::SimClock`]): the harness never reads a wall
 //! clock, so a chaos run is a pure function of `(config, schedule)` — the
 //! health-event log included, byte for byte.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::path::PathBuf;
 
 use comm::{Heartbeat, HeartbeatBus, RetryPolicy};
 use device::{GpuType, PerfModel, SimClock, DILATION_ONE};
 use easyscale::{
-    CheckpointStore, Engine, ExecMode, ExecOptions, JobConfig, Placement, ThreadFault,
+    CheckpointStore, Engine, ExecMode, ExecOptions, JobCheckpoint, JobConfig, Placement,
+    ThreadFault,
 };
 use models::Workload;
 use sched::{
-    Companion, FreePool, HealthEvent, HealthPolicy, HealthState, HealthTracker, InterJobScheduler,
+    Companion, FreePool, HealthEvent, HealthPolicy, HealthState, InterJobScheduler,
     IntraJobScheduler, Supervisor, SupervisorAction,
 };
 use serde::Serialize;
@@ -74,29 +67,38 @@ use crate::schedule::{FaultEvent, FaultKind, FaultSchedule};
 /// stragglers count ramp rounds until this ratio is reached.
 const STRAGGLER_FIRE_RATIO_MILLI: u64 = 1500;
 
-/// Harness configuration: the job under test plus its simulated cluster.
+/// GPU type of the (homogeneous) simulated cluster.
+const GPU: GpuType = GpuType::V100;
+
+/// Durable-checkpoint cadence (every N completed global steps).
+const CHECKPOINT_EVERY: u64 = 2;
+
+/// Deadline policy for the pool's supervised drains (real wall-clock
+/// windows, since thread faults are real). Sized far past a worker's actual
+/// step latency so fault-free rounds never time out, yet small enough that
+/// injected-thread-fault tests stay quick: 6 windows of 10ms..320ms = 630ms
+/// worst case per reap, ~100× a NeuMF step round.
+const DRAIN: RetryPolicy =
+    RetryPolicy { max_attempts: 6, base_backoff_us: 10_000, backoff_multiplier: 2 };
+
+/// Harness configuration: the job under test plus its simulated cluster
+/// (homogeneous V100s). Everything else — the checkpoint cadence, the drain
+/// deadlines, the health policy — is fixed or derived from `job`.
 #[derive(Debug, Clone)]
 pub struct HarnessConfig {
     /// The training job (workload, seed, nEST, determinism level).
     pub job: JobConfig,
     /// Global steps the run must complete.
     pub total_steps: u64,
-    /// Durable-checkpoint cadence (every N completed global steps).
-    pub checkpoint_every: u64,
-    /// GPU type of the (homogeneous) simulated cluster.
-    pub gpu: GpuType,
-    /// GPUs the job starts on.
+    /// GPUs the job starts on (stable device ids `0..initial_gpus`).
     pub initial_gpus: u32,
-    /// Total GPUs of that type in the cluster (the rest start free).
+    /// Total GPUs in the cluster (the rest start free).
     pub cluster_gpus: u32,
     /// Directory for durable checkpoints (unique per run).
     pub store_dir: PathBuf,
-    /// Failure-detection policy for the AIMaster supervisor. The lease is
-    /// sized to twice the worst-case step (all ESTs time-slicing one GPU),
-    /// so a healthy-but-overloaded worker can never miss it.
-    pub health: HealthPolicy,
-    /// Order the initial devices announce themselves in. Detection must be
-    /// byte-identical under any permutation (the heartbeat bus
+    /// Order the initial devices announce themselves in; ids it leaves out
+    /// follow in id order, so empty means canonical order. Detection must
+    /// be byte-identical under any permutation (the heartbeat bus
     /// canonicalizes) — the shuffled-start-order determinism test drives
     /// this knob.
     pub start_order: Vec<u32>,
@@ -104,58 +106,66 @@ pub struct HarnessConfig {
     /// production shape) by default; the `nthread_eq_single` equivalence
     /// tests sweep this against `SingleThread`.
     pub exec_mode: ExecMode,
-    /// Deadline policy for the pool's supervised drains (real wall-clock
-    /// windows, since thread faults are real). Sized far past a worker's
-    /// actual step latency so fault-free rounds never time out, yet small
-    /// enough that injected-thread-fault tests stay quick.
-    pub drain: RetryPolicy,
 }
 
 impl HarnessConfig {
     /// The chaos-matrix default: a cheap NeuMF job at full determinism
     /// (D1+D2) on a 4×V100 cluster, starting on 2 GPUs.
     pub fn default_chaos(store_dir: PathBuf) -> Self {
-        let job = JobConfig::new(Workload::NeuMF, 4242, 4)
-            .with_dataset_len(128)
-            .with_determinism(easyscale::Determinism::d1_d2());
-        let lease_us = 2 * Self::worst_step_us(&job, GpuType::V100);
         HarnessConfig {
-            job,
+            job: JobConfig::new(Workload::NeuMF, 4242, 4)
+                .with_dataset_len(128)
+                .with_determinism(easyscale::Determinism::d1_d2()),
             total_steps: 10,
-            checkpoint_every: 2,
-            gpu: GpuType::V100,
             initial_gpus: 2,
             cluster_gpus: 4,
             store_dir,
-            health: HealthPolicy::with_lease(lease_us),
-            start_order: (0..2).collect(),
+            start_order: Vec::new(),
             exec_mode: ExecMode::Pool,
-            // 6 windows of 10ms..320ms = 630ms worst case per reap: ~100×
-            // a NeuMF step round, ~0.6s per injected thread fault.
-            drain: RetryPolicy { max_attempts: 6, base_backoff_us: 10_000, backoff_multiplier: 2 },
         }
     }
+}
 
-    /// The silent-fault detection-matrix default: same cluster as
-    /// [`HarnessConfig::default_chaos`] but a longer run (14 steps), so a
-    /// creeping straggler injected in the first half always has enough
-    /// timed rounds left for its score to converge.
-    pub fn default_detect(store_dir: PathBuf) -> Self {
-        let mut cfg = Self::default_chaos(store_dir);
-        cfg.total_steps = 14;
-        cfg
-    }
+/// Deterministic simulated duration of one local step on one GPU carrying
+/// `load` ESTs (D2 kernels pay the catalog's overhead factor). With
+/// `load == job.n_ests` — all ESTs time-slicing a single device — this is
+/// the worst-case global step the heartbeat lease is sized from.
+fn step_us(job: &JobConfig, load: u32) -> u64 {
+    let spec = job.workload.spec();
+    let overhead = if job.determinism.hardware_agnostic { spec.d2_overhead } else { 1.0 };
+    let perf = PerfModel::default();
+    let mb = perf.minibatch_time(spec.base_v100_secs, GPU, overhead);
+    (perf.easyscale_global_step(mb, load.max(1)) * 1e6) as u64
+}
 
-    /// Worst-case simulated duration of one global step for this job on
-    /// one GPU of type `gpu`: all ESTs time-slice a single device. The
-    /// heartbeat lease is sized from this.
-    pub fn worst_step_us(job: &JobConfig, gpu: GpuType) -> u64 {
-        let spec = job.workload.spec();
-        let overhead = if job.determinism.hardware_agnostic { spec.d2_overhead } else { 1.0 };
-        let perf = PerfModel::default();
-        let mb = perf.minibatch_time(spec.base_v100_secs, gpu, overhead);
-        (perf.easyscale_global_step(mb, job.n_ests) * 1e6) as u64
+/// Simulated process-restart latency (data-worker respawn dominates, paper
+/// §5.1.2).
+fn restart_us(job: &JobConfig) -> u64 {
+    let spec = job.workload.spec();
+    (PerfModel::default().first_minibatch_latency(spec.base_v100_secs, job.data_workers) * 1e6)
+        as u64
+}
+
+/// The one place an engine is built: cold at step 0, or restored from
+/// `from`, on a homogeneous placement over `devices`. GPUs beyond nEST host
+/// no EST and are dropped by `Placement::homogeneous`, so the cap keeps the
+/// worker count meaningful. Pool threads are named after the stable device
+/// ids (`esw-dev{id}`, slot order), so a thread keeps its identity across
+/// rescale/evict cycles — purely diagnostic, ids never feed the math.
+fn build_engine(cfg: &HarnessConfig, devices: Vec<u32>, from: Option<&JobCheckpoint>) -> Engine {
+    let (placement, exec) = engine_shape(cfg, devices);
+    match from {
+        Some(ckpt) => Engine::from_checkpoint_opts(cfg.job.clone(), placement, ckpt, exec),
+        None => Engine::new_opts(cfg.job.clone(), placement, exec),
     }
+}
+
+/// The placement and execution options [`build_engine`] uses — split out
+/// because `Engine::rescale_opts` takes the pair and a live engine.
+fn engine_shape(cfg: &HarnessConfig, devices: Vec<u32>) -> (Placement, ExecOptions) {
+    let gpus = (devices.len() as u32).min(cfg.job.n_ests).max(1);
+    let placement = Placement::homogeneous(cfg.job.n_ests, gpus, GPU);
+    (placement, ExecOptions { mode: cfg.exec_mode, device_ids: devices, drain: DRAIN })
 }
 
 /// One injected fault and what the harness observed happen.
@@ -169,9 +179,11 @@ pub struct InjectedEvent {
     pub outcome: String,
 }
 
-/// One silent fault's detection outcome: when it was injected, when (and
-/// whether) the supervisor noticed, and whether the latency bound held.
-#[derive(Debug, Clone, Serialize)]
+/// One armed fault's detection outcome — silent or pool-thread: when it was
+/// injected, when (and whether) it was noticed, and whether the latency
+/// bound held. While the run is live this is also the pending entry in the
+/// harness's ledger.
+#[derive(Debug, Clone, Default, Serialize)]
 pub struct DetectionRecord {
     /// Device the fault targeted.
     pub device: u32,
@@ -181,29 +193,40 @@ pub struct DetectionRecord {
     pub injected_at_us: u64,
     /// Latency bound computed at injection (µs of SimClock time), from the
     /// health policy, the perf model, and the schedule's own event count —
-    /// never from the detector's behaviour.
+    /// never from the detector's behaviour. For a thread fault: the drain
+    /// policy's whole backoff budget, which is also what the engine charges
+    /// for the recovery, so the bound holds exactly when a recovery arrives.
     pub bound_us: u64,
-    /// Virtual time of the first Suspect-or-worse transition for the
-    /// device at or after injection, if any.
+    /// Silent fault: virtual time of the first Suspect-or-worse transition
+    /// for the device at or after injection, if any. Thread fault:
+    /// injection plus the charged latency, once its recovery arrived.
     pub detected_at_us: Option<u64>,
     /// `detected_at_us - injected_at_us`, when detected.
     pub latency_us: Option<u64>,
     /// Detected within the bound.
     pub within_bound: bool,
     /// The fault mutated before detection could be attributed (a later
-    /// silent fault hit the same device, or the device left through a
-    /// planned path). Superseded records are exempt from the bound
+    /// fault hit the same device or pool slot, the device left through a
+    /// planned path, or the pool was torn down before the armed thread
+    /// fault was consumed). Superseded records are exempt from the bound
     /// assertion; the byte-identity invariant still applies in full.
     pub superseded: bool,
 }
 
+impl DetectionRecord {
+    /// Detected at `at_us`; the latency is observed as `metric`.
+    fn resolve(&mut self, at_us: u64, metric: &str) {
+        let latency = at_us - self.injected_at_us;
+        self.detected_at_us = Some(at_us);
+        self.latency_us = Some(latency);
+        self.within_bound = latency <= self.bound_us;
+        obs::observe(metric, latency as f64);
+    }
+}
+
 /// Everything a chaos run reports.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
-    /// Schedule seed (0 for hand-authored schedules).
-    pub seed: u64,
-    /// Global steps completed.
-    pub total_steps: u64,
     /// Every injected fault, in firing order, with its outcome.
     pub injected: Vec<InjectedEvent>,
     /// Process deaths taken (crashes, comm exhaustion, checkpoint faults).
@@ -222,6 +245,7 @@ pub struct RunReport {
     pub final_params: Vec<f32>,
     /// The supervisor's full health-event log, in firing order — the
     /// deterministic detection record (byte-identical across repeat runs).
+    /// It never contains a thread fault.
     pub health_events: Vec<HealthEvent>,
     /// Detection outcome of every armed silent fault.
     pub detections: Vec<DetectionRecord>,
@@ -236,13 +260,8 @@ pub struct RunReport {
     /// Respawns whose old thread was quarantined alive (stall / reply
     /// drop) rather than joined dead (panic).
     pub pool_quarantines: u64,
-    /// Detection outcome of every armed pool-thread fault, on the
-    /// dedicated thread-health tracker's virtual timeline.
+    /// Detection outcome of every armed pool-thread fault.
     pub thread_detections: Vec<DetectionRecord>,
-    /// The dedicated thread-health tracker's event log (synthetic
-    /// virtual-time cascade; the MAIN `health_events` log never contains a
-    /// thread fault).
-    pub thread_health_events: Vec<HealthEvent>,
 }
 
 impl RunReport {
@@ -258,37 +277,94 @@ impl RunReport {
         self.detections.iter().all(|d| d.superseded || d.within_bound)
     }
 
-    /// Whether every non-superseded pool-thread fault was detected within
-    /// its latency bound (on the dedicated tracker's virtual timeline).
+    /// Whether every non-superseded pool-thread fault got its recovery
+    /// (which is charged exactly its bound).
     pub fn all_thread_faults_detected_within_bound(&self) -> bool {
         self.thread_detections.iter().all(|d| d.superseded || d.within_bound)
     }
 }
 
-/// A silent fault awaiting attribution to a health transition.
-#[derive(Debug, Clone)]
-struct PendingDetection {
-    device: u32,
-    kind: &'static str,
-    injected_at_us: u64,
-    bound_us: u64,
-    detected_at_us: Option<u64>,
-    superseded: bool,
+/// What leaves the process as JSON: `faultsim --json` prints one, and
+/// `results/detect_report.json` holds one per matrix case.
+#[derive(Debug, Clone, Serialize)]
+pub struct RunSummary {
+    /// Case name (matrix case, or how the CLI was asked).
+    pub name: String,
+    /// Schedule seed (0 for hand-authored schedules).
+    pub seed: u64,
+    /// Global steps the run completed.
+    pub steps: u64,
+    /// Scheduled events.
+    pub events: usize,
+    /// Distinct fault-kind names in the schedule.
+    pub kinds: Vec<String>,
+    /// See [`RunReport::crashes`].
+    pub crashes: u32,
+    /// See [`RunReport::recoveries`].
+    pub recoveries: u32,
+    /// See [`RunReport::replayed_steps`].
+    pub replayed_steps: u64,
+    /// See [`RunReport::torn_files_skipped`].
+    pub torn_files_skipped: u32,
+    /// See [`RunReport::sim_elapsed_us`].
+    pub sim_elapsed_us: u64,
+    /// See [`RunReport::final_gpus`].
+    pub final_gpus: u32,
+    /// Final params byte-identical to the fault-free reference.
+    pub bitwise_identical: bool,
+    /// Every non-superseded silent fault detected within its bound.
+    pub all_detected_within_bound: bool,
+    /// Per-fault silent detection records.
+    pub detections: Vec<DetectionRecord>,
+    /// The deterministic health-event log.
+    pub health_events: Vec<HealthEvent>,
+    /// See [`RunReport::evictions`].
+    pub evictions: u32,
+    /// See [`RunReport::readmissions`].
+    pub readmissions: u32,
 }
 
-/// An armed pool-thread fault awaiting its recovery record from the
-/// engine's supervised drains.
-#[derive(Debug, Clone)]
-struct PendingThread {
-    /// Pool slot index the fault was armed on.
-    worker: u32,
-    /// Stable device id whose thread carries the fault (reporting only).
-    device: u32,
-    kind: &'static str,
-    injected_at_us: u64,
-    bound_us: u64,
-    detected_at_us: Option<u64>,
-    superseded: bool,
+impl RunSummary {
+    /// Both halves of the invariant held.
+    pub fn passed(&self) -> bool {
+        self.bitwise_identical && self.all_detected_within_bound
+    }
+}
+
+/// Where a physical device currently is.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Place {
+    /// In the job's allocation.
+    Active,
+    /// In the elastic free pool: never allocated, or released by a scale-in.
+    Free,
+    /// Evicted by the supervisor and sitting out a quarantine. It still
+    /// pings: its path back is probation.
+    Parked,
+    /// Taken by a preemption: it went to the reclaimer (serving side), not
+    /// back to the elastic free pool.
+    Revoked,
+}
+
+/// What silently ails a device; the default is "nothing". Not an enum: a
+/// crash excludes the other two, but a mute and a creep overlap on one
+/// device (its beats are lost *while* it degrades), and each then costs the
+/// other its latency bound.
+#[derive(Debug, Clone, Copy, Default)]
+struct Silent {
+    /// Died silently (no beats ever again).
+    crashed: bool,
+    /// Heartbeats still to be swallowed.
+    muted_beats: u32,
+    /// Creeping straggler: (current dilation milli, ramp milli per step).
+    creep: Option<(u64, u64)>,
+}
+
+/// One row of the device table, keyed by stable device id.
+#[derive(Debug, Clone, Copy)]
+struct Device {
+    place: Place,
+    silent: Silent,
 }
 
 /// The harness itself. Build with [`FaultHarness::new`], run with
@@ -299,41 +375,28 @@ pub struct FaultHarness {
     /// `None` only transiently, while the process is "dead" or rescaling.
     engine: Option<Engine>,
     intra: IntraJobScheduler,
-    inter: InterJobScheduler,
-    free: FreePool,
     store: CheckpointStore,
     clock: SimClock,
-    perf: PerfModel,
     /// Next unfired schedule entry. Monotone: a crash rewinds the engine's
     /// step counter but never this index, so each event fires exactly once.
     next_event: usize,
     /// Active slowdown: (target device, dilation milli, steps remaining).
     straggler: Option<(u32, u64, u32)>,
-    /// The AIMaster's self-healing loop (detector + action mapping).
+    /// The AIMaster's self-healing loop (detector + action mapping). Its
+    /// lease is twice the worst-case step (all ESTs time-slicing one GPU),
+    /// so a healthy-but-overloaded worker can never miss it.
     supervisor: Supervisor,
     /// Heartbeat transport (canonicalizing drain order).
     bus: HeartbeatBus,
-    /// Stable ids of the devices currently in the allocation.
-    active: BTreeSet<u32>,
-    /// Stable ids of free (never-allocated or released) devices. Mirrors
-    /// the free-pool *count* the scheduler sees.
-    free_ids: BTreeSet<u32>,
-    /// Evicted-but-tracked devices sitting out a quarantine.
-    parked_sick: BTreeSet<u32>,
-    /// Devices that died silently (no beats ever again).
-    silent_crashed: BTreeSet<u32>,
-    /// Remaining heartbeats to swallow, per muted device.
-    hb_drop: BTreeMap<u32, u32>,
-    /// Creeping stragglers: device → (current dilation milli, ramp milli).
-    creeping: BTreeMap<u32, (u64, u64)>,
-    /// Armed silent faults awaiting detection.
-    pending: Vec<PendingDetection>,
-    /// Dedicated tracker for pool-thread faults, fed a synthetic
-    /// virtual-time cascade per recovery. Never mixed into `supervisor`:
-    /// the MAIN health log must stay byte-identical to the fault-free run.
-    thread_health: HealthTracker,
-    /// Armed pool-thread faults awaiting their recovery records.
-    pending_threads: Vec<PendingThread>,
+    /// Every device of the cluster, by stable id: where it is and what
+    /// silently ails it. The only record of either — the GPU count the
+    /// scheduler holds and the free pool it is offered are computed from
+    /// this table ([`FaultHarness::sync_allocation`]).
+    devices: BTreeMap<u32, Device>,
+    /// Armed faults awaiting attribution, in arming order: silent faults
+    /// are keyed by their device (`None`), pool-thread faults by the pool
+    /// slot they were armed on — the key a `PoolRecovery` comes back with.
+    ledger: Vec<(Option<u32>, DetectionRecord)>,
     report: RunReport,
 }
 
@@ -342,139 +405,121 @@ impl FaultHarness {
     /// enough history that a torn newest file always has a good predecessor.
     pub fn new(cfg: HarnessConfig, schedule: FaultSchedule) -> Self {
         assert!(cfg.initial_gpus >= 1 && cfg.initial_gpus <= cfg.cluster_gpus);
-        assert!(cfg.checkpoint_every >= 1);
-        // Pool threads are named after the stable device ids (esw-dev{id}),
-        // so a thread keeps its identity across rescale/evict cycles.
-        let engine = Engine::new_opts(
-            cfg.job.clone(),
-            Self::placement(&cfg.job, cfg.gpu, cfg.initial_gpus),
-            ExecOptions {
-                mode: cfg.exec_mode,
-                device_ids: (0..cfg.initial_gpus).collect(),
-                drain: cfg.drain,
-            },
-        );
+        let initial = 0..cfg.initial_gpus;
+        let engine = build_engine(&cfg, initial.clone().collect(), None);
         // The companion's maxP is the job's nEST: placements must cover
         // exactly the engine's virtual ranks.
         let companion = Companion::for_workload(&cfg.job.workload.spec(), cfg.job.n_ests, false);
-        let mut intra = IntraJobScheduler::new(1, companion, false);
-        intra.apply_allocation(vec![(cfg.gpu, cfg.initial_gpus)]);
-        let free: FreePool = [(cfg.gpu, cfg.cluster_gpus - cfg.initial_gpus)].into_iter().collect();
         let store = CheckpointStore::open(&cfg.store_dir, "chaos-job")
             .expect("store dir")
             .with_keep_last(16);
-        let report = RunReport {
-            seed: schedule.seed,
-            total_steps: cfg.total_steps,
-            injected: Vec::new(),
-            crashes: 0,
-            recoveries: 0,
-            replayed_steps: 0,
-            torn_files_skipped: 0,
-            sim_elapsed_us: 0,
-            final_gpus: cfg.initial_gpus,
-            final_params: Vec::new(),
-            health_events: Vec::new(),
-            detections: Vec::new(),
-            evictions: 0,
-            readmissions: 0,
-            pool_respawns: 0,
-            pool_quarantines: 0,
-            thread_detections: Vec::new(),
-            thread_health_events: Vec::new(),
-        };
-        let thread_health = HealthTracker::new(cfg.health);
-        let mut supervisor = Supervisor::new(cfg.health);
-        let active: BTreeSet<u32> = (0..cfg.initial_gpus).collect();
-        let free_ids: BTreeSet<u32> = (cfg.initial_gpus..cfg.cluster_gpus).collect();
+        let lease_us = 2 * step_us(&cfg.job, cfg.job.n_ests);
+        let mut supervisor = Supervisor::new(HealthPolicy::with_lease(lease_us));
         let mut bus = HeartbeatBus::new();
         // Devices announce themselves in `start_order` — a permutation that
         // MUST be invisible to detection (the bus canonicalizes, the
         // tracker is BTreeMap-keyed). Unknown ids in the order are ignored.
-        for &d in &cfg.start_order {
-            if active.contains(&d) {
-                supervisor.register(d, 0);
-                bus.publish(Heartbeat { device: d, step: 0, sent_at_us: 0, step_time_us: None });
-            }
+        let listed = cfg.start_order.iter().copied().filter(|d| initial.contains(d));
+        let unlisted = initial.clone().filter(|d| !cfg.start_order.contains(d));
+        for d in listed.chain(unlisted) {
+            supervisor.register(d, 0);
+            bus.publish(Heartbeat { device: d, step: 0, sent_at_us: 0, step_time_us: None });
         }
-        for &d in &active {
-            if !cfg.start_order.contains(&d) {
-                supervisor.register(d, 0);
-                bus.publish(Heartbeat { device: d, step: 0, sent_at_us: 0, step_time_us: None });
-            }
-        }
-        FaultHarness {
+        let devices = (0..cfg.cluster_gpus)
+            .map(|id| {
+                let place = if initial.contains(&id) { Place::Active } else { Place::Free };
+                (id, Device { place, silent: Silent::default() })
+            })
+            .collect();
+        let mut harness = FaultHarness {
+            intra: IntraJobScheduler::new(1, companion, false),
             cfg,
             schedule,
             engine: Some(engine),
-            intra,
-            inter: InterJobScheduler,
-            free,
             store,
             clock: SimClock::new(),
-            perf: PerfModel::default(),
             next_event: 0,
             straggler: None,
             supervisor,
             bus,
-            active,
-            free_ids,
-            parked_sick: BTreeSet::new(),
-            silent_crashed: BTreeSet::new(),
-            hb_drop: BTreeMap::new(),
-            creeping: BTreeMap::new(),
-            pending: Vec::new(),
-            thread_health,
-            pending_threads: Vec::new(),
-            report,
-        }
+            devices,
+            ledger: Vec::new(),
+            report: RunReport::default(),
+        };
+        harness.sync_allocation();
+        harness
     }
 
-    /// A placement for `gpus` GPUs of one type. GPUs beyond nEST host no
-    /// EST and are dropped by `Placement::homogeneous`, so the cap keeps
-    /// worker count meaningful.
-    fn placement(job: &JobConfig, gpu: GpuType, gpus: u32) -> Placement {
-        Placement::homogeneous(job.n_ests, gpus.min(job.n_ests).max(1), gpu)
+    /// The live engine.
+    fn engine(&mut self) -> &mut Engine {
+        self.engine.as_mut().expect("an engine is live except inside crash_and_recover/rescale")
+    }
+
+    // ---- the device table ---------------------------------------------
+
+    /// Stable ids of the devices currently in `place`, ascending.
+    fn ids(&self, place: Place) -> impl DoubleEndedIterator<Item = u32> + '_ {
+        self.devices.iter().filter(move |(_, d)| d.place == place).map(|(&id, _)| id)
+    }
+
+    fn device(&mut self, id: u32) -> &mut Device {
+        self.devices.get_mut(&id).expect("device ids are only ever read out of the table")
     }
 
     fn current_gpus(&self) -> u32 {
-        self.intra.current().iter().map(|&(_, n)| n).sum()
+        self.ids(Place::Active).count() as u32
     }
 
-    /// Deterministic per-device duration of one local step carrying `load`
-    /// ESTs (D2 kernels pay the catalog's overhead factor).
-    fn device_step_us(&self, load: u32) -> u64 {
-        let spec = self.cfg.job.workload.spec();
-        let overhead =
-            if self.cfg.job.determinism.hardware_agnostic { spec.d2_overhead } else { 1.0 };
-        let mb = self.perf.minibatch_time(spec.base_v100_secs, self.cfg.gpu, overhead);
-        (self.perf.easyscale_global_step(mb, load.max(1)) * 1e6) as u64
-    }
-
-    /// Simulated duration of one global step on the current allocation:
-    /// the busiest GPU time-slices `ceil(nEST / gpus)` ESTs.
-    fn step_time_us(&self) -> u64 {
-        let gpus = self.current_gpus().max(1);
-        self.device_step_us(self.cfg.job.n_ests.div_ceil(gpus))
-    }
-
-    /// Execution options for an engine built *now*: the configured mode,
-    /// with the currently-active stable device ids naming the pool threads
-    /// (slot order). Purely diagnostic — ids never feed the math.
-    fn exec_options(&self) -> ExecOptions {
-        ExecOptions {
-            mode: self.cfg.exec_mode,
-            device_ids: self.active.iter().copied().collect(),
-            drain: self.cfg.drain,
-        }
+    /// Tell the scheduler what the table says the job holds. Every change
+    /// of a device's `place` is followed by this call, so the scheduler's
+    /// count is never edited on its own.
+    fn sync_allocation(&mut self) {
+        let active = self.current_gpus();
+        self.intra.apply_allocation(vec![(GPU, active)]);
+        // Conservation: no device is ever added to or dropped from the
+        // table (active + free + parked + revoked == cluster), and the
+        // scheduler agrees with it.
+        debug_assert_eq!(self.devices.len() as u32, self.cfg.cluster_gpus);
+        debug_assert_eq!(self.intra.current().iter().map(|&(_, n)| n).sum::<u32>(), active);
     }
 
     /// Map a schedule's worker index onto a live device id (n-th active,
     /// modulo the live count) — schedules address *positions*, devices
     /// have stable ids.
     fn nth_active(&self, worker: u32) -> u32 {
-        let devices: Vec<u32> = self.active.iter().copied().collect();
+        let devices: Vec<u32> = self.ids(Place::Active).collect();
         devices[worker as usize % devices.len()]
+    }
+
+    /// The `count` highest active device ids (the deterministic choice for
+    /// releases/revocations).
+    fn highest_active(&self, count: u32) -> Vec<u32> {
+        self.ids(Place::Active).rev().take(count as usize).collect()
+    }
+
+    /// A device joins the allocation. Reprovisioning repairs silent fault
+    /// state: a fresh process on a fresh (or restarted) device neither
+    /// creeps nor drops beats.
+    fn activate_device(&mut self, id: u32) {
+        *self.device(id) = Device { place: Place::Active, silent: Silent::default() };
+        self.supervisor.register(id, self.clock.now_us());
+    }
+
+    /// A device leaves through a *planned* path (scale-in → `Free`,
+    /// preemption → `Revoked`): the detector forgets it and any armed
+    /// detection on it is superseded.
+    fn deactivate_planned(&mut self, id: u32, to: Place) {
+        *self.device(id) = Device { place: to, silent: Silent::default() };
+        self.supervisor.deregister(id);
+        self.supersede(|slot, rec| slot.is_none() && rec.device == id);
+    }
+
+    /// Whether stepping is impossible: a silently-dead device is still in
+    /// the allocation, so the all-reduce would hang on it. The harness
+    /// models the hang as blocked rounds — the clock advances, survivors
+    /// ping, the detector works — until the supervisor evicts the corpse.
+    fn blocked(&self) -> bool {
+        self.devices.values().any(|d| d.place == Place::Active && d.silent.crashed)
     }
 
     fn record(&mut self, step: u64, kind: &'static str, outcome: String) {
@@ -483,12 +528,14 @@ impl FaultHarness {
         self.report.injected.push(InjectedEvent { step, kind, outcome });
     }
 
-    /// Simulated process-restart latency (data-worker respawn dominates,
-    /// paper §5.1.2).
-    fn restart_us(&self) -> u64 {
-        let spec = self.cfg.job.workload.spec();
-        (self.perf.first_minibatch_latency(spec.base_v100_secs, self.cfg.job.data_workers) * 1e6)
-            as u64
+    // ---- the engine lifecycle -----------------------------------------
+
+    /// The pool is about to be torn down (crash or rescale): recoveries
+    /// the dying engine's drains already took still resolve; thread faults
+    /// armed but never consumed die with it and can no longer be attributed.
+    fn retire_pool(&mut self) {
+        self.absorb_pool_recoveries();
+        self.supersede(|slot, _| slot.is_some());
     }
 
     /// Kill the process and recover from the newest *valid* durable
@@ -496,82 +543,80 @@ impl FaultHarness {
     /// allocation. Replayed steps are counted; bitwise D1 restore makes the
     /// replay converge to exactly the lost bits.
     fn crash_and_recover(&mut self, why: &str) -> String {
-        // Recoveries already taken by the dying engine's drains still
-        // resolve; armed-but-unconsumed thread faults die with the pool.
-        self.absorb_pool_recoveries();
-        self.supersede_pending_threads();
-        let step_at_death = self.engine.as_ref().map(|e| e.global_step()).unwrap_or(0);
+        self.retire_pool();
+        let step_at_death = self.engine().global_step();
         self.engine = None; // the process is dead; all in-memory state is gone
         self.report.crashes += 1;
         obs::counter_add("faultsim.crashes", 1);
 
-        let gpus = self.current_gpus();
-        let placement = Self::placement(&self.cfg.job, self.cfg.gpu, gpus);
-        let exec = self.exec_options();
-        let (engine, resumed_from, skipped) =
-            match self.store.load_latest_valid().expect("store io") {
-                Some((ckpt, skipped)) => {
-                    let step = ckpt.global_step;
-                    let e =
-                        Engine::from_checkpoint_opts(self.cfg.job.clone(), placement, &ckpt, exec);
-                    (e, step, skipped)
-                }
-                // No durable state at all: cold restart, full replay.
-                None => (Engine::new_opts(self.cfg.job.clone(), placement, exec), 0, 0),
-            };
+        // No durable state at all means a cold restart and a full replay.
+        let found = self.store.load_latest_valid().expect("store io");
+        let (resumed_from, skipped) = found.as_ref().map_or((0, 0), |(c, s)| (c.global_step, *s));
+        let devices = self.ids(Place::Active).collect();
+        self.engine = Some(build_engine(&self.cfg, devices, found.as_ref().map(|(c, _)| c)));
+        let replayed = step_at_death.saturating_sub(resumed_from);
         self.report.torn_files_skipped += skipped;
-        self.report.replayed_steps += step_at_death.saturating_sub(resumed_from);
+        self.report.replayed_steps += replayed;
         self.report.recoveries += 1;
         obs::counter_add("faultsim.recoveries", 1);
-        obs::counter_add("faultsim.replayed_steps", step_at_death.saturating_sub(resumed_from));
+        obs::counter_add("faultsim.replayed_steps", replayed);
 
-        self.clock.advance_us(self.restart_us());
-        self.engine = Some(engine);
+        self.clock.advance_us(restart_us(&self.cfg.job));
         format!("{why}: recovered from checkpoint step {resumed_from} (skipped {skipped} corrupt)")
     }
 
-    /// Rescale the live engine onto the scheduler's current allocation
+    /// Rescale the live engine onto the table's current allocation
     /// (checkpoint + restore under the hood — Figure 5's path).
     fn rescale_to_current(&mut self) {
-        // The rescale rebuilds every pool thread: resolve what the old pool
-        // already caught, supersede what it never got to consume.
-        self.absorb_pool_recoveries();
-        self.supersede_pending_threads();
-        let gpus = self.current_gpus();
-        let placement = Self::placement(&self.cfg.job, self.cfg.gpu, gpus);
-        let engine = self.engine.take().expect("live engine");
-        self.engine = Some(engine.rescale_opts(placement, self.exec_options()));
+        self.retire_pool();
+        let (placement, exec) = engine_shape(&self.cfg, self.ids(Place::Active).collect());
+        let engine = self.engine.take().expect("rescale starts from a live engine");
+        self.engine = Some(engine.rescale_opts(placement, exec));
         obs::counter_add("faultsim.rescales", 1);
         // Reconfiguration also pays the restart latency.
-        self.clock.advance_us(self.restart_us());
+        self.clock.advance_us(restart_us(&self.cfg.job));
     }
 
-    // ---- silent-fault bookkeeping -------------------------------------
+    // ---- the detection ledger -----------------------------------------
 
-    /// Arm a detection expectation for a silent fault on `device`. With
-    /// `assert_bound == false` the record is born superseded: detection is
-    /// still tracked, but the latency bound is not asserted (used when an
-    /// overlapping fault makes attribution ambiguous).
-    fn arm_detection(&mut self, device: u32, kind: &'static str, assert_bound: bool) {
-        let bound_us = self.detection_bound_us(kind, device);
-        self.pending.push(PendingDetection {
+    /// Arm a detection expectation. With `assert_bound == false` the record
+    /// is born superseded: detection is still tracked, but the latency
+    /// bound is not asserted (used when an overlapping fault makes
+    /// attribution ambiguous).
+    fn arm(
+        &mut self,
+        slot: Option<u32>,
+        device: u32,
+        kind: &'static str,
+        bound_us: u64,
+        assert_bound: bool,
+    ) {
+        let record = DetectionRecord {
             device,
-            kind,
+            kind: kind.to_string(),
             injected_at_us: self.clock.now_us(),
             bound_us,
-            detected_at_us: None,
             superseded: !assert_bound,
-        });
+            ..DetectionRecord::default()
+        };
+        self.ledger.push((slot, record));
     }
 
-    /// Mark every unresolved pending on `device` superseded (a later fault
-    /// or a planned removal changed the device's failure mode).
-    fn supersede_pending(&mut self, device: u32) {
-        for p in &mut self.pending {
-            if p.device == device && p.detected_at_us.is_none() {
-                p.superseded = true;
+    /// Mark every unresolved entry `stale` picks as superseded: a later
+    /// fault, a planned removal or a pool teardown changed the failure
+    /// mode before the armed one was attributed.
+    fn supersede(&mut self, stale: impl Fn(Option<u32>, &DetectionRecord) -> bool) {
+        for (slot, rec) in &mut self.ledger {
+            if rec.detected_at_us.is_none() && stale(*slot, rec) {
+                rec.superseded = true;
             }
         }
+    }
+
+    /// Arm a silent fault on `device` with the bound computed for it *now*.
+    fn arm_silent(&mut self, device: u32, kind: &FaultKind, assert_bound: bool) {
+        let bound_us = self.detection_bound_us(kind);
+        self.arm(None, device, kind.name(), bound_us, assert_bound);
     }
 
     /// The detection-latency bound for a silent fault injected *now*.
@@ -593,30 +638,24 @@ impl FaultHarness {
     ///   simulated time — blocked rounds, checkpoint rollbacks, restart
     ///   latencies — that delays attribution without being this fault's
     ///   doing.
-    fn detection_bound_us(&self, kind: &'static str, device: u32) -> u64 {
-        let p = &self.cfg.health;
-        let worst = self.device_step_us(self.cfg.job.n_ests);
-        let restart = self.restart_us();
+    fn detection_bound_us(&self, kind: &FaultKind) -> u64 {
+        let p = self.supervisor.tracker().policy();
+        let worst = step_us(&self.cfg.job, self.cfg.job.n_ests);
+        let restart = restart_us(&self.cfg.job);
         let per_event = p
             .quarantine_misses
             .saturating_mul(p.lease_us)
             .saturating_add(worst.saturating_mul(4))
             .saturating_add(restart.saturating_mul(8));
         let interference = per_event.saturating_mul(self.schedule.events.len() as u64);
-        let own = match kind {
-            "silent_crash" => {
-                p.quarantine_misses.saturating_mul(p.lease_us).saturating_add(worst * 4)
-            }
-            "heartbeat_drop" => p.lease_us.saturating_add(worst * 4),
-            "creeping_straggler" => {
-                let (start, ramp) = self.creeping.get(&device).copied().unwrap_or((1500, 300));
-                let cross_rounds = if start >= STRAGGLER_FIRE_RATIO_MILLI {
-                    0
-                } else {
-                    (STRAGGLER_FIRE_RATIO_MILLI - start).div_ceil(ramp.max(1))
-                };
+        let own = match *kind {
+            FaultKind::HeartbeatDrop { .. } => p.lease_us.saturating_add(worst * 4),
+            FaultKind::CreepingStraggler { start_milli, ramp_milli, .. } => {
+                let start = start_milli.max(DILATION_ONE);
+                let cross_rounds =
+                    STRAGGLER_FIRE_RATIO_MILLI.saturating_sub(start).div_ceil(ramp_milli.max(1));
                 let rounds = cross_rounds + p.suspect_windows as u64 + 2;
-                let final_factor = start.saturating_add(ramp.saturating_mul(rounds));
+                let final_factor = start.saturating_add(ramp_milli.saturating_mul(rounds));
                 rounds
                     .saturating_mul(worst.saturating_mul(final_factor) / DILATION_ONE)
                     .saturating_add(p.lease_us)
@@ -626,232 +665,108 @@ impl FaultHarness {
         own.saturating_add(interference)
     }
 
-    // ---- pool-thread fault bookkeeping --------------------------------
+    /// Whether a heartbeat drop of `beats` is guaranteed to lapse a lease
+    /// even at the fastest possible round cadence (every device hosting a
+    /// single EST). Shorter drops are benign — the detector may or may not
+    /// flag them, so no bound is asserted.
+    fn drop_is_detectable(&self, beats: u32) -> bool {
+        let min_round = step_us(&self.cfg.job, 1);
+        let lease_us = self.supervisor.tracker().policy().lease_us;
+        (beats as u64).saturating_mul(min_round) >= lease_us.saturating_add(2 * min_round)
+    }
 
     /// Arm a real fault on a pool worker thread and record the detection
     /// expectation. Single-thread engines have no pool threads: the event
     /// is a logged no-op, which keeps thread-fault schedules runnable (and
     /// byte-comparable) in every exec mode.
     fn inject_thread(&mut self, worker: u32, fault: ThreadFault, kind: &'static str) -> String {
-        let armed = match self.engine.as_mut() {
-            Some(e) => e.inject_thread_fault(worker as usize, fault),
-            None => None,
+        let Some(slot) = self.engine().inject_thread_fault(worker as usize, fault) else {
+            return format!("single-thread engine: no pool thread to fault; {kind} is a no-op");
         };
-        match armed {
-            Some(idx) => {
-                let idx = idx as u32;
-                let device = self.nth_active(idx);
-                // A second fault on the same slot changes its failure mode
-                // before the first was attributed: supersede the older arm.
-                for p in &mut self.pending_threads {
-                    if p.worker == idx && p.detected_at_us.is_none() {
-                        p.superseded = true;
-                    }
-                }
-                let bound_us = self.thread_bound_us();
-                self.pending_threads.push(PendingThread {
-                    worker: idx,
-                    device,
-                    kind,
-                    injected_at_us: self.clock.now_us(),
-                    bound_us,
-                    detected_at_us: None,
-                    superseded: false,
-                });
-                format!("pool thread esw-dev{device} armed with a real {kind}")
-            }
-            None => format!("single-thread engine: no pool thread to fault; {kind} is a no-op"),
-        }
-    }
-
-    /// The detection-latency bound for a pool-thread fault injected *now*,
-    /// on the dedicated tracker's virtual timeline: the supervised drain's
-    /// full deadline (worst case before the pool reaps the thread), plus
-    /// the lease periods the health policy needs to quarantine, plus one
-    /// lease of slack. Computed from policy alone — never from what the
-    /// drains actually did — so it is a legitimate test oracle.
-    fn thread_bound_us(&self) -> u64 {
-        let p = &self.cfg.health;
-        self.cfg
-            .drain
-            .total_backoff_us()
-            .saturating_add((p.quarantine_misses + 1).saturating_mul(p.lease_us + 1))
-    }
-
-    /// Supersede every unresolved pool-thread expectation (the pool is
-    /// being torn down — crash or rescale — so an armed fault may never be
-    /// consumed and a detection can no longer be attributed).
-    fn supersede_pending_threads(&mut self) {
-        for p in &mut self.pending_threads {
-            if p.detected_at_us.is_none() {
-                p.superseded = true;
-            }
-        }
+        let slot = slot as u32;
+        let device = self.nth_active(slot);
+        // A second fault on the same slot overwrites the worker's single
+        // armed-fault slot, so the older arm never fires.
+        self.supersede(|s, _| s == Some(slot));
+        // The bound is what the engine charges per recovery (see
+        // `PoolRecovery::virtual_latency_us`): a pure function of the drain
+        // policy, so what can fail is the recovery not arriving at all.
+        self.arm(Some(slot), device, kind, DRAIN.total_backoff_us(), true);
+        format!("pool thread esw-dev{device} armed with a real {kind}")
     }
 
     /// Fold the engine's pool-recovery records (real thread faults its
-    /// supervised drains caught) into the report, and resolve pending
-    /// expectations through the dedicated thread-health tracker.
-    ///
-    /// The tracker is fed a *synthetic, fully deterministic* cascade: the
-    /// faulted device registers at `injected_at + drain.total_backoff_us()`
-    /// (the drain's worst-case reap instant, from policy, not from the
-    /// wall clock) and then misses one lease per detection round until the
-    /// policy quarantines it. Real time never enters, so the thread-health
-    /// log is byte-identical across runs and machines; real detections can
-    /// only be *earlier* than this model, never later.
+    /// supervised drains caught) into the report, and resolve the ledger
+    /// entry armed on each recovered slot at the deterministic latency the
+    /// engine charged — real time never enters.
     fn absorb_pool_recoveries(&mut self) {
-        let recoveries = match self.engine.as_mut() {
-            Some(e) => e.take_pool_recoveries(),
-            None => return,
-        };
-        for rec in recoveries {
+        for rec in self.engine().take_pool_recoveries() {
             self.report.pool_respawns += 1;
             if rec.kind == "drain-timeout" {
                 self.report.pool_quarantines += 1;
             }
-            // Only live expectations attract recoveries: a superseded arm
-            // was overwritten in the worker's single armed-fault slot (or
-            // its pool was torn down), so it never fires.
-            let Some(p) = self.pending_threads.iter_mut().find(|p| {
-                p.worker == rec.worker as u32 && p.detected_at_us.is_none() && !p.superseded
-            }) else {
-                // Spurious deadline hit (no armed fault): counters only —
-                // the replacement replayed from the mirror, so nothing
-                // deterministic moved.
-                continue;
-            };
-            let policy = self.thread_health.policy();
-            let lease_round = policy.lease_us + 1;
-            let quarantine_misses = policy.quarantine_misses;
-            let base = p.injected_at_us.saturating_add(rec.virtual_latency_us);
-            self.thread_health.register(p.device, base);
-            let mut detected = None;
-            for r in 1..=quarantine_misses {
-                let now = base.saturating_add(r.saturating_mul(lease_round));
-                for ev in self.thread_health.end_of_round(now) {
-                    if ev.device == p.device && ev.to == HealthState::Quarantined {
-                        detected = Some(ev.at_us);
-                    }
-                }
-            }
-            self.thread_health.deregister(p.device);
-            p.detected_at_us = detected;
-            if let Some(d) = detected {
-                obs::observe(
-                    "health.thread_detection_latency_us",
-                    d.saturating_sub(p.injected_at_us) as f64,
-                );
+            // Only live expectations attract recoveries. Anything else is a
+            // spurious deadline hit (no armed fault): counters only — the
+            // replacement replayed from the mirror, so nothing
+            // deterministic moved.
+            let live = self.ledger.iter_mut().find(|(slot, r)| {
+                *slot == Some(rec.worker as u32) && r.detected_at_us.is_none() && !r.superseded
+            });
+            if let Some((_, armed)) = live {
+                let at_us = armed.injected_at_us.saturating_add(rec.virtual_latency_us);
+                armed.resolve(at_us, "health.thread_detection_latency_us");
             }
         }
-    }
-
-    /// Whether a heartbeat drop of `beats` is guaranteed to lapse a lease
-    /// even at the fastest possible round cadence (every device hosting a
-    /// single EST). Shorter drops are benign — the detector may or may not
-    /// flag them, so no bound is asserted.
-    fn drop_is_detectable(&self, beats: u32) -> bool {
-        let min_round = self.device_step_us(1);
-        (beats as u64).saturating_mul(min_round)
-            >= self.cfg.health.lease_us.saturating_add(2 * min_round)
-    }
-
-    /// Whether stepping is impossible: a silently-dead device is still in
-    /// the allocation, so the all-reduce would hang on it. The harness
-    /// models the hang as blocked rounds — the clock advances, survivors
-    /// ping, the detector works — until the supervisor evicts the corpse.
-    fn blocked(&self) -> bool {
-        self.active.iter().any(|d| self.silent_crashed.contains(d))
-    }
-
-    /// A device joins the allocation. Reprovisioning repairs silent fault
-    /// state: a fresh process on a fresh (or restarted) device neither
-    /// creeps nor drops beats.
-    fn activate_device(&mut self, id: u32) {
-        self.active.insert(id);
-        self.silent_crashed.remove(&id);
-        self.creeping.remove(&id);
-        self.hb_drop.remove(&id);
-        self.supervisor.register(id, self.clock.now_us());
-    }
-
-    /// A device leaves through a *planned* path (scale-in, preemption): the
-    /// detector forgets it and any armed detection on it is superseded.
-    fn deactivate_planned(&mut self, id: u32) {
-        self.active.remove(&id);
-        self.supervisor.deregister(id);
-        self.supersede_pending(id);
-        self.silent_crashed.remove(&id);
-        self.creeping.remove(&id);
-        self.hb_drop.remove(&id);
-    }
-
-    /// The `count` highest active device ids (the deterministic choice for
-    /// releases/revocations).
-    fn highest_active(&self, count: u32) -> Vec<u32> {
-        self.active.iter().rev().take(count as usize).copied().collect()
     }
 
     // ---- heartbeats + detection rounds --------------------------------
 
     /// Emit this round's heartbeats: every live device in the allocation
     /// (with its step timing if it stepped), plus liveness pings from
-    /// parked-sick devices (their path back is probation). Silently
-    /// crashed devices never beat; muted devices consume their drop
-    /// budget instead of beating.
+    /// parked devices (their path back is probation). Silently crashed
+    /// devices never beat; muted devices consume their drop budget instead
+    /// of beating.
     fn emit_beats(&mut self, step: u64, times: Option<&BTreeMap<u32, u64>>) {
         let now = self.clock.now_us();
-        let devices: Vec<u32> =
-            self.active.iter().chain(self.parked_sick.iter()).copied().collect();
-        for d in devices {
-            if self.silent_crashed.contains(&d) {
+        for (&id, d) in &mut self.devices {
+            if !matches!(d.place, Place::Active | Place::Parked) || d.silent.crashed {
                 continue;
             }
-            if let Some(left) = self.hb_drop.get_mut(&d) {
-                *left -= 1;
-                if *left == 0 {
-                    self.hb_drop.remove(&d);
-                }
+            if d.silent.muted_beats > 0 {
+                d.silent.muted_beats -= 1;
                 obs::counter_add("health.heartbeats_dropped", 1);
                 continue;
             }
-            let step_time_us = times.and_then(|m| m.get(&d).copied()).filter(|&t| t > 0);
-            self.bus.publish(Heartbeat { device: d, step, sent_at_us: now, step_time_us });
+            let step_time_us = times.and_then(|m| m.get(&id).copied()).filter(|&t| t > 0);
+            self.bus.publish(Heartbeat { device: id, step, sent_at_us: now, step_time_us });
         }
     }
 
     /// One detection round: drain the bus into the supervisor, tick it,
-    /// attribute new transitions to pending silent faults, and apply the
-    /// allocation actions it ordered.
+    /// attribute the new transitions (Suspect or worse) to the pending
+    /// silent faults on the same device, and apply the allocation actions
+    /// it ordered.
     fn health_round(&mut self) {
         for beat in self.bus.drain_sorted() {
             self.supervisor.observe(&beat);
         }
         let before = self.supervisor.events().len();
         let actions = self.supervisor.tick(self.clock.now_us());
-        self.resolve_detections(before);
-        self.apply_actions(actions);
-    }
-
-    /// Attribute transitions (Suspect or worse) appended since `from` to
-    /// the pending silent faults on the same device.
-    fn resolve_detections(&mut self, from: usize) {
-        let new_events: Vec<HealthEvent> = self.supervisor.events()[from..].to_vec();
-        for ev in new_events {
+        for ev in &self.supervisor.events()[before..] {
             if !matches!(ev.to, HealthState::Suspect | HealthState::Quarantined) {
                 continue;
             }
-            for p in &mut self.pending {
-                if p.device == ev.device
-                    && p.detected_at_us.is_none()
-                    && ev.at_us >= p.injected_at_us
+            for (slot, rec) in &mut self.ledger {
+                if slot.is_none()
+                    && rec.device == ev.device
+                    && rec.detected_at_us.is_none()
+                    && ev.at_us >= rec.injected_at_us
                 {
-                    p.detected_at_us = Some(ev.at_us);
-                    let latency = ev.at_us - p.injected_at_us;
-                    obs::observe("health.detection_latency_us", latency as f64);
+                    rec.resolve(ev.at_us, "health.detection_latency_us");
                 }
             }
         }
+        self.apply_actions(actions);
     }
 
     /// Apply the supervisor's allocation actions. Everything here goes
@@ -861,12 +776,13 @@ impl FaultHarness {
         for action in actions {
             match action {
                 SupervisorAction::Evict { device, assume_crash } => {
-                    if !self.active.contains(&device) {
+                    if self.device(device).place != Place::Active {
                         continue; // already out (e.g. planned removal raced)
                     }
                     obs::counter_add("health.evictions", 1);
                     self.report.evictions += 1;
-                    if self.active.len() == 1 && self.free_ids.is_empty() {
+                    let spare = self.ids(Place::Free).next();
+                    if self.current_gpus() == 1 && spare.is_none() {
                         // Nothing to fail over to: restart the worker
                         // process in place on the last device. The restart
                         // reprovisions it (clears silent fault state) and
@@ -876,17 +792,12 @@ impl FaultHarness {
                         self.crash_and_recover("supervisor: restarted last device in place");
                         continue;
                     }
-                    self.active.remove(&device);
-                    self.parked_sick.insert(device);
+                    self.device(device).place = Place::Parked;
                     // Claim a spare as a replacement when one is free.
-                    if let Some(&spare) = self.free_ids.iter().next() {
-                        self.free_ids.remove(&spare);
-                        if let Some(n) = self.free.get_mut(&self.cfg.gpu) {
-                            *n = n.saturating_sub(1);
-                        }
+                    if let Some(spare) = spare {
                         self.activate_device(spare);
                     }
-                    self.intra.apply_allocation(vec![(self.cfg.gpu, self.active.len() as u32)]);
+                    self.sync_allocation();
                     if assume_crash {
                         // Lost lease ⇒ presumed dead ⇒ in-memory state on
                         // that device is gone: fall back to the last-good
@@ -898,18 +809,17 @@ impl FaultHarness {
                     }
                 }
                 SupervisorAction::Readmit { device } => {
-                    if !self.parked_sick.contains(&device) || self.silent_crashed.contains(&device)
-                    {
+                    let d = self.device(device);
+                    if d.place != Place::Parked || d.silent.crashed {
                         continue;
                     }
-                    obs::counter_add("health.readmissions", 1);
-                    self.report.readmissions += 1;
-                    self.parked_sick.remove(&device);
                     // NOT activate_device: the device is on probation, its
                     // fault state (e.g. a creeping slowdown) persists — the
                     // detector must re-confirm or re-quarantine it.
-                    self.active.insert(device);
-                    self.intra.apply_allocation(vec![(self.cfg.gpu, self.active.len() as u32)]);
+                    d.place = Place::Active;
+                    obs::counter_add("health.readmissions", 1);
+                    self.report.readmissions += 1;
+                    self.sync_allocation();
                     self.rescale_to_current();
                 }
             }
@@ -921,14 +831,16 @@ impl FaultHarness {
     /// and the detector still runs — this is exactly the window the
     /// detection-latency bound measures.
     fn blocked_tick(&mut self) {
-        let step = self.engine.as_ref().map(|e| e.global_step()).unwrap_or(0);
-        self.clock.advance_us(self.step_time_us().max(1));
+        let step = self.engine().global_step();
+        // One global step on the current allocation: the busiest GPU
+        // time-slices `ceil(nEST / gpus)` ESTs.
+        let busiest = self.cfg.job.n_ests.div_ceil(self.current_gpus().max(1));
+        self.clock.advance_us(step_us(&self.cfg.job, busiest).max(1));
         self.emit_beats(step, None);
         self.health_round();
     }
 
     fn apply_event(&mut self, ev: FaultEvent) {
-        let step = ev.step;
         let kind = ev.kind.name();
         let outcome = match ev.kind {
             FaultKind::WorkerCrash => self.crash_and_recover("crash"),
@@ -939,37 +851,35 @@ impl FaultHarness {
             }
             FaultKind::Preemption { gpus } => {
                 let before = self.current_gpus();
-                let alloc = self.intra.apply_preemption(self.cfg.gpu, gpus);
+                // The scheduler decides how far the allocation degrades
+                // (never below one survivor); the table follows it.
+                let alloc = self.intra.apply_preemption(GPU, gpus);
                 let after: u32 = alloc.iter().map(|&(_, n)| n).sum();
-                // Revoked GPUs go to the reclaimer (serving side), not back
-                // to the elastic free pool.
                 for id in self.highest_active(before - after) {
-                    self.deactivate_planned(id);
+                    self.deactivate_planned(id, Place::Revoked);
                 }
+                self.sync_allocation();
                 self.rescale_to_current();
                 format!("revoked {gpus}: {before} → {after} GPUs")
             }
+            // `gpus` is how many proposals the job may submit (`top_k`),
+            // not a GPU count: the grant is whatever proposal wins.
             FaultKind::ScaleOut { gpus } => {
                 let before = self.current_gpus();
-                let proposals = self.intra.proposals(&self.free, gpus as usize);
-                let decisions = self.inter.decide(proposals, &mut self.free);
+                let mut free: FreePool =
+                    [(GPU, self.ids(Place::Free).count() as u32)].into_iter().collect();
+                let proposals = self.intra.proposals(&free, gpus as usize);
+                let decisions = InterJobScheduler.decide(proposals, &mut free);
                 match decisions.iter().find(|d| d.job == self.intra.job()) {
-                    Some(d) => {
-                        let mut alloc = self.intra.current().clone();
-                        match alloc.iter_mut().find(|(t, _)| *t == d.gpu) {
-                            Some(slot) => slot.1 += d.count,
-                            None => alloc.push((d.gpu, d.count)),
+                    Some(grant) => {
+                        let spares: Vec<u32> =
+                            self.ids(Place::Free).take(grant.count as usize).collect();
+                        for spare in spares {
+                            self.activate_device(spare);
                         }
-                        let granted = d.count;
-                        for _ in 0..granted {
-                            if let Some(&spare) = self.free_ids.iter().next() {
-                                self.free_ids.remove(&spare);
-                                self.activate_device(spare);
-                            }
-                        }
-                        self.intra.apply_allocation(alloc);
+                        self.sync_allocation();
                         self.rescale_to_current();
-                        format!("granted {granted}: {before} → {} GPUs", self.current_gpus())
+                        format!("granted {}: {before} → {} GPUs", grant.count, self.current_gpus())
                     }
                     None => "grant denied (no beneficial proposal or no free GPUs)".to_string(),
                 }
@@ -980,26 +890,23 @@ impl FaultHarness {
                 if after == before {
                     "already at one GPU; nothing to release".to_string()
                 } else {
-                    *self.free.entry(self.cfg.gpu).or_insert(0) += before - after;
                     for id in self.highest_active(before - after) {
-                        self.deactivate_planned(id);
-                        self.free_ids.insert(id);
+                        self.deactivate_planned(id, Place::Free);
                     }
-                    self.intra.apply_allocation(vec![(self.cfg.gpu, after)]);
+                    self.sync_allocation();
                     self.rescale_to_current();
                     format!("released {}: {before} → {after} GPUs", before - after)
                 }
             }
             FaultKind::CommFailure { failures } => {
-                let engine = self.engine.as_mut().expect("live engine");
-                engine.inject_comm_faults(comm::FaultScript::failures(failures));
+                self.engine().inject_comm_faults(comm::FaultScript::failures(failures));
                 format!("armed {failures} transient allreduce failures")
             }
             FaultKind::TornCheckpoint { keep_frac_milli } => {
                 // The checkpoint write is interrupted partway and the
                 // process dies with it: the newest file on disk is torn.
-                let engine = self.engine.as_mut().expect("live engine");
-                self.store.save_torn(&engine.checkpoint(), keep_frac_milli).expect("store io");
+                let ckpt = self.engine().checkpoint();
+                self.store.save_torn(&ckpt, keep_frac_milli).expect("store io");
                 self.crash_and_recover("torn checkpoint write")
             }
             FaultKind::BitFlippedCheckpoint { bit_index } => {
@@ -1010,65 +917,62 @@ impl FaultHarness {
             }
             FaultKind::SilentCrash { worker } => {
                 let dev = self.nth_active(worker);
-                if self.silent_crashed.contains(&dev) {
+                if self.device(dev).silent.crashed {
                     format!("device {dev} is already silently dead; no-op")
                 } else {
                     // The crash changes the device's failure mode: earlier
                     // armed faults on it can no longer be attributed.
-                    self.supersede_pending(dev);
-                    self.silent_crashed.insert(dev);
-                    self.creeping.remove(&dev);
-                    self.hb_drop.remove(&dev);
-                    self.arm_detection(dev, "silent_crash", true);
+                    self.supersede(|slot, rec| slot.is_none() && rec.device == dev);
+                    self.device(dev).silent = Silent { crashed: true, ..Silent::default() };
+                    self.arm_silent(dev, &ev.kind, true);
                     format!("device {dev} died silently — nobody was told")
                 }
             }
             FaultKind::CreepingStraggler { worker, start_milli, ramp_milli } => {
                 let dev = self.nth_active(worker);
                 let start = start_milli.max(DILATION_ONE);
-                if self.silent_crashed.contains(&dev) {
+                let ailing = self.device(dev).silent;
+                if ailing.crashed {
                     format!("device {dev} is silently dead; creep is moot")
-                } else if let std::collections::btree_map::Entry::Vacant(slot) =
-                    self.creeping.entry(dev)
-                {
-                    slot.insert((start, ramp_milli));
+                } else if ailing.creep.is_some() {
+                    format!("device {dev} is already creeping; no-op")
+                } else {
+                    self.device(dev).silent.creep = Some((start, ramp_milli));
                     // A concurrent beat mute makes score-based attribution
                     // unbounded (no timings arrive) — track, don't assert.
-                    let bounded = !self.hb_drop.contains_key(&dev);
-                    self.arm_detection(dev, "creeping_straggler", bounded);
+                    self.arm_silent(dev, &ev.kind, ailing.muted_beats == 0);
                     format!(
                         "device {dev} creeping from {start}/1000, +{ramp_milli}/step — silently"
                     )
-                } else {
-                    format!("device {dev} is already creeping; no-op")
                 }
             }
             FaultKind::ThreadPanic { worker } => {
-                self.inject_thread(worker, ThreadFault::Panic, "thread_panic")
+                self.inject_thread(worker, ThreadFault::Panic, kind)
             }
             FaultKind::ThreadStall { worker } => {
-                self.inject_thread(worker, ThreadFault::Stall, "thread_stall")
+                self.inject_thread(worker, ThreadFault::Stall, kind)
             }
             FaultKind::ReplyDrop { worker } => {
-                self.inject_thread(worker, ThreadFault::ReplyDrop, "reply_drop")
+                self.inject_thread(worker, ThreadFault::ReplyDrop, kind)
             }
             FaultKind::HeartbeatDrop { worker, beats } => {
                 let dev = self.nth_active(worker);
-                if self.silent_crashed.contains(&dev) {
+                let ailing = self.device(dev).silent;
+                if ailing.crashed {
                     format!("device {dev} is silently dead; nothing to mute")
-                } else if self.hb_drop.contains_key(&dev) {
+                } else if ailing.muted_beats > 0 {
                     format!("device {dev} is already muted; no-op")
                 } else if beats == 0 {
                     "zero-beat drop; no-op".to_string()
                 } else {
                     // Muting a creeping device stalls its score — any armed
                     // creep detection on it loses its bound.
-                    if self.creeping.contains_key(&dev) {
-                        self.supersede_pending(dev);
+                    if ailing.creep.is_some() {
+                        self.supersede(|slot, rec| slot.is_none() && rec.device == dev);
                     }
-                    self.hb_drop.insert(dev, beats);
+                    self.device(dev).silent.muted_beats = beats;
                     let detectable = self.drop_is_detectable(beats);
-                    self.arm_detection(dev, "heartbeat_drop", detectable);
+                    self.arm_silent(dev, &ev.kind, detectable);
                     format!(
                         "device {dev} mutes its next {beats} heartbeats ({})",
                         if detectable { "must be detected" } else { "benign-length drop" }
@@ -1076,28 +980,27 @@ impl FaultHarness {
                 }
             }
         };
-        self.record(step, kind, outcome);
+        self.record(ev.step, kind, outcome);
     }
 
     /// Drive the run to completion and return the report.
     pub fn run(mut self) -> RunReport {
         // Step-0 durable checkpoint: even a crash on the very first step
         // has something to recover from.
-        self.store
-            .save(&self.engine.as_mut().expect("live engine").checkpoint())
-            .expect("store io");
+        let ckpt = self.engine().checkpoint();
+        self.store.save(&ckpt).expect("store io");
 
         loop {
-            let step = self.engine.as_ref().expect("live engine").global_step();
+            let step = self.engine().global_step();
             if step >= self.cfg.total_steps {
                 break;
             }
             // Fire every event due at this step. The index only advances,
             // so post-crash replays never re-fire an event.
-            while self.next_event < self.schedule.events.len()
-                && self.schedule.events[self.next_event].step <= step
+            while let Some(ev) =
+                self.schedule.events.get(self.next_event).filter(|e| e.step <= step)
             {
-                let ev = self.schedule.events[self.next_event].clone();
+                let ev = ev.clone();
                 self.next_event += 1;
                 self.apply_event(ev);
             }
@@ -1108,14 +1011,12 @@ impl FaultHarness {
                 continue;
             }
             // A fired event may have rewound the step counter (crash) —
-            // re-read before stepping.
-            let engine = self.engine.as_mut().expect("live engine");
-            let comm_pending = engine.pending_comm_faults();
-            match engine.try_step() {
+            // the engine is asked again rather than trusting `step`.
+            let comm_pending = self.engine().pending_comm_faults();
+            match self.engine().try_step() {
                 Ok(result) => {
                     // Real thread faults the step's supervised drains caught
-                    // (and recovered, bitwise-invisibly): fold them into the
-                    // dedicated thread-health timeline.
+                    // (and recovered, bitwise-invisibly).
                     self.absorb_pool_recoveries();
                     // Armed comm faults below the retry budget were absorbed
                     // in-step; account their backoff in simulated time.
@@ -1130,38 +1031,34 @@ impl FaultHarness {
                     // through the perf model, dilated per-device by any
                     // straggler fault. The round lasts as long as the
                     // slowest device (synchronous training).
-                    let devices: Vec<u32> = self.active.iter().copied().collect();
-                    let loads = &result.per_worker_load;
                     let mut times: BTreeMap<u32, u64> = BTreeMap::new();
-                    for (i, &d) in devices.iter().enumerate() {
-                        let load = loads.get(i).copied().unwrap_or(0);
-                        let mut t = if load == 0 { 0 } else { self.device_step_us(load) };
-                        if let Some((sdev, factor, _)) = self.straggler {
-                            if sdev == d {
-                                t = t.saturating_mul(factor) / DILATION_ONE;
-                            }
-                        }
-                        if let Some(&(factor, _)) = self.creeping.get(&d) {
+                    for (i, id) in self.ids(Place::Active).enumerate() {
+                        let load = result.per_worker_load.get(i).copied().unwrap_or(0);
+                        let mut t = if load == 0 { 0 } else { step_us(&self.cfg.job, load) };
+                        if let Some((_, factor, _)) = self.straggler.filter(|s| s.0 == id) {
                             t = t.saturating_mul(factor) / DILATION_ONE;
                         }
-                        times.insert(d, t);
+                        if let Some((factor, _)) = self.devices[&id].silent.creep {
+                            t = t.saturating_mul(factor) / DILATION_ONE;
+                        }
+                        times.insert(id, t);
                     }
                     let round = times.values().copied().max().unwrap_or(0).max(1);
                     self.clock.advance_us(round);
                     if let Some((sdev, factor, left)) = self.straggler {
                         self.straggler = (left > 1).then_some((sdev, factor, left - 1));
                     }
-                    let done = self.engine.as_ref().expect("live engine").global_step();
+                    let done = self.engine().global_step();
                     self.emit_beats(done, Some(&times));
                     // The creep creeps: active creepers degrade further
                     // with every completed step.
-                    for (d, f) in self.creeping.iter_mut() {
-                        if self.active.contains(d) {
-                            f.0 = f.0.saturating_add(f.1);
+                    for d in self.devices.values_mut().filter(|d| d.place == Place::Active) {
+                        if let Some((factor, ramp)) = &mut d.silent.creep {
+                            *factor = factor.saturating_add(*ramp);
                         }
                     }
-                    if done.is_multiple_of(self.cfg.checkpoint_every) {
-                        let ckpt = self.engine.as_mut().expect("live engine").checkpoint();
+                    if done.is_multiple_of(CHECKPOINT_EVERY) {
+                        let ckpt = self.engine().checkpoint();
                         self.store.save(&ckpt).expect("store io");
                     }
                     self.health_round();
@@ -1178,40 +1075,17 @@ impl FaultHarness {
 
         // Recoveries from the final round's checkpoint drain, if any.
         self.absorb_pool_recoveries();
-        let engine = self.engine.take().expect("live engine");
         self.report.final_gpus = self.current_gpus();
         self.report.sim_elapsed_us = self.clock.now_us();
-        self.report.final_params = engine.flat_params();
+        self.report.final_params = self.engine().flat_params();
         self.report.health_events = self.supervisor.events().to_vec();
-        self.report.thread_health_events = self.thread_health.events().to_vec();
-        self.report.thread_detections = self
-            .pending_threads
-            .iter()
-            .map(|p| DetectionRecord {
-                device: p.device,
-                kind: p.kind.to_string(),
-                injected_at_us: p.injected_at_us,
-                bound_us: p.bound_us,
-                detected_at_us: p.detected_at_us,
-                latency_us: p.detected_at_us.map(|d| d - p.injected_at_us),
-                within_bound: p.detected_at_us.is_some_and(|d| d - p.injected_at_us <= p.bound_us),
-                superseded: p.superseded,
-            })
-            .collect();
-        self.report.detections = self
-            .pending
-            .iter()
-            .map(|p| DetectionRecord {
-                device: p.device,
-                kind: p.kind.to_string(),
-                injected_at_us: p.injected_at_us,
-                bound_us: p.bound_us,
-                detected_at_us: p.detected_at_us,
-                latency_us: p.detected_at_us.map(|d| d - p.injected_at_us),
-                within_bound: p.detected_at_us.is_some_and(|d| d - p.injected_at_us <= p.bound_us),
-                superseded: p.superseded,
-            })
-            .collect();
+        for (slot, record) in std::mem::take(&mut self.ledger) {
+            let family = match slot {
+                Some(_) => &mut self.report.thread_detections,
+                None => &mut self.report.detections,
+            };
+            family.push(record);
+        }
         obs::gauge_set("faultsim.sim_elapsed_us", self.report.sim_elapsed_us as f64);
         self.report
     }
@@ -1221,17 +1095,41 @@ impl FaultHarness {
 /// faults. Its final parameters are the byte-identity target every chaos
 /// run is compared against.
 pub fn run_fault_free(cfg: &HarnessConfig) -> Vec<f32> {
-    let mut engine = Engine::new_opts(
-        cfg.job.clone(),
-        Placement::homogeneous(cfg.job.n_ests, cfg.initial_gpus.min(cfg.job.n_ests), cfg.gpu),
-        ExecOptions {
-            mode: cfg.exec_mode,
-            device_ids: (0..cfg.initial_gpus).collect(),
-            drain: cfg.drain,
-        },
-    );
+    let mut engine = build_engine(cfg, (0..cfg.initial_gpus).collect(), None);
     engine.run(cfg.total_steps);
     engine.flat_params()
+}
+
+/// Run `schedule` on `cfg` and judge it against the fault-free reference:
+/// the full report, and its serialisable view under `name`.
+pub fn run_judged(
+    name: &str,
+    cfg: HarnessConfig,
+    schedule: &FaultSchedule,
+) -> (RunReport, RunSummary) {
+    let steps = cfg.total_steps;
+    let reference = run_fault_free(&cfg);
+    let report = FaultHarness::new(cfg, schedule.clone()).run();
+    let summary = RunSummary {
+        name: name.to_string(),
+        seed: schedule.seed,
+        steps,
+        events: schedule.events.len(),
+        kinds: schedule.kinds().into_iter().map(str::to_string).collect(),
+        crashes: report.crashes,
+        recoveries: report.recoveries,
+        replayed_steps: report.replayed_steps,
+        torn_files_skipped: report.torn_files_skipped,
+        sim_elapsed_us: report.sim_elapsed_us,
+        final_gpus: report.final_gpus,
+        bitwise_identical: report.final_params == reference,
+        all_detected_within_bound: report.all_detected_within_bound(),
+        detections: report.detections.clone(),
+        health_events: report.health_events.clone(),
+        evictions: report.evictions,
+        readmissions: report.readmissions,
+    };
+    (report, summary)
 }
 
 #[cfg(test)]
@@ -1318,7 +1216,8 @@ mod tests {
     #[test]
     fn silent_crash_blocks_until_detected_then_recovers() {
         let dir = tmp("silent-crash");
-        let cfg = HarnessConfig::default_detect(dir.clone());
+        let mut cfg = HarnessConfig::default_chaos(dir.clone());
+        cfg.total_steps = crate::DETECT_STEPS;
         let reference = run_fault_free(&cfg);
         let schedule = FaultSchedule::from_events(vec![FaultEvent {
             step: 3,

@@ -15,7 +15,17 @@
 //! the AIMaster's self-healing loop ([`sched::Supervisor`]) must discover
 //! them from heartbeat leases and straggler scores alone, and the
 //! [`detect`] matrix additionally asserts **bounded detection latency** on
-//! SimClock time.
+//! SimClock time. The *thread* fault kinds ([`FaultKind::is_thread_fault`])
+//! are real panics, stalls and dropped replies on pool worker threads; each
+//! must come back as one supervised pool recovery, invisible to every
+//! deterministic output.
+//!
+//! One driver, one of each: [`FaultHarness`] keeps one device table, one
+//! detection ledger and one engine-building function; a run yields one
+//! [`RunReport`], and [`run_judged`] adds its one serialisable view
+//! ([`RunSummary`]: what `--json` prints and `detect_report.json` holds).
+//! [`FaultSchedule::from_json`] is the one way a schedule enters from
+//! outside: sorted, validated, a typed [`ScheduleError`] otherwise.
 //!
 //! Everything is a pure function of `(config, schedule)`: schedules come
 //! from `esrng` Philox streams or JSON, time is simulated
@@ -42,8 +52,9 @@ pub mod detect;
 pub mod harness;
 pub mod schedule;
 
-pub use detect::{run_case, run_matrix, silent_matrix, CaseOutcome, DetectCase, DetectReport};
+pub use detect::{run_case, run_matrix, silent_matrix, DetectCase, DetectReport, DETECT_STEPS};
 pub use harness::{
-    run_fault_free, DetectionRecord, FaultHarness, HarnessConfig, InjectedEvent, RunReport,
+    run_fault_free, run_judged, DetectionRecord, FaultHarness, HarnessConfig, InjectedEvent,
+    RunReport, RunSummary,
 };
-pub use schedule::{FaultEvent, FaultKind, FaultSchedule};
+pub use schedule::{FaultEvent, FaultKind, FaultSchedule, ScheduleError};

@@ -4,65 +4,61 @@
 //! ```text
 //! faultsim [--seed N] [--steps N] [--events N]
 //!          [--schedule PATH] [--emit-schedule PATH] [--json]
-//! faultsim --detect [--seed N]
+//! faultsim --detect [--seed N] [--json]
 //! faultsim --detect-matrix [--out PATH]
 //! ```
 //!
 //! `--schedule` replays a JSON schedule (e.g. a CI artifact) instead of
 //! generating one from the seed; `--emit-schedule` writes the schedule used
 //! so a failure is replayable. `--detect` runs one seeded *silent* fault
-//! schedule and prints the supervisor's health-event log. `--detect-matrix`
-//! runs the full silent-fault detection matrix (optionally writing the
-//! JSON report to `--out`). Exit status 1 means an invariant broke: byte
-//! divergence, or (detect modes) a missed detection-latency bound.
+//! schedule on the detection matrix's configuration. Either way the run
+//! prints every injected event, the supervisor's health-event log and the
+//! detection outcomes (or, with `--json`, the run's summary).
+//! `--detect-matrix` runs the full silent-fault detection matrix
+//! (optionally writing the JSON report to `--out`). Exit status 1 means an
+//! invariant broke: byte divergence, or (detect modes) a missed
+//! detection-latency bound; 2 means the command line or the schedule file
+//! was bad.
 
-use faultsim::{run_fault_free, FaultHarness, FaultSchedule, HarnessConfig};
-use serde::Serialize;
-
-#[derive(Serialize)]
-struct Summary {
-    seed: u64,
-    steps: u64,
-    events: usize,
-    kinds: Vec<String>,
-    crashes: u32,
-    recoveries: u32,
-    replayed_steps: u64,
-    torn_files_skipped: u32,
-    sim_elapsed_us: u64,
-    final_gpus: u32,
-    bitwise_identical: bool,
-}
+use faultsim::{run_judged, FaultSchedule, HarnessConfig, RunReport, RunSummary, DETECT_STEPS};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: faultsim [--seed N] [--steps N] [--events N] \
+        "usage: faultsim [--seed N] [--steps N>=2] [--events N] \
          [--schedule PATH] [--emit-schedule PATH] [--json]\n\
-         \x20      faultsim --detect [--seed N]\n\
+         \x20      faultsim --detect [--seed N] [--json]\n\
          \x20      faultsim --detect-matrix [--out PATH]"
     );
     std::process::exit(2)
 }
 
-/// `--detect`: run one seeded silent-fault schedule and print the
-/// supervisor's deterministic health-event log plus detection outcomes.
-fn run_detect(seed: u64) -> ! {
-    let schedule = FaultSchedule::generate_silent(seed, 14, 2);
-    let case = faultsim::DetectCase { name: format!("cli-seed-{seed}"), schedule };
-    let dir = std::env::temp_dir()
-        .join(format!("easyscale-faultsim-detect-{seed}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let outcome = faultsim::run_case(&case, &dir);
-    let _ = std::fs::remove_dir_all(&dir);
-
+/// The human-readable account of one run: what was injected, what the
+/// supervisor saw and did, which armed detections resolved, the verdict.
+fn print_run(report: &RunReport, s: &RunSummary) {
     println!(
-        "detect seed={seed} events={} evictions={} readmissions={}",
-        case.schedule.events.len(),
-        outcome.evictions,
-        outcome.readmissions
+        "faultsim {} seed={} steps={} events={} kinds=[{}]",
+        s.name,
+        s.seed,
+        s.steps,
+        s.events,
+        s.kinds.join(", ")
     );
-    println!("health events:");
-    for ev in &outcome.health_events {
+    for ev in &report.injected {
+        println!("  step {:>3}  {:<18} {}", ev.step, ev.kind, ev.outcome);
+    }
+    println!(
+        "  crashes={} recoveries={} replayed={} torn_skipped={} sim_elapsed={}us final_gpus={} \
+         evictions={} readmissions={}",
+        s.crashes,
+        s.recoveries,
+        s.replayed_steps,
+        s.torn_files_skipped,
+        s.sim_elapsed_us,
+        s.final_gpus,
+        s.evictions,
+        s.readmissions
+    );
+    for ev in &s.health_events {
         println!(
             "  t={:>12}us  device {}  {} -> {}  ({})",
             ev.at_us,
@@ -72,8 +68,7 @@ fn run_detect(seed: u64) -> ! {
             ev.cause.name()
         );
     }
-    println!("detections:");
-    for d in &outcome.detections {
+    for d in &s.detections {
         let latency = d.latency_us.map(|l| format!("{l}us")).unwrap_or_else(|| "never".to_string());
         println!(
             "  device {}  {:<18} injected={}us latency={} bound={}us {}",
@@ -92,11 +87,10 @@ fn run_detect(seed: u64) -> ! {
         );
     }
     println!(
-        "invariant: final params {} the fault-free run; bounds {}",
-        if outcome.bitwise_identical { "BYTE-IDENTICAL to" } else { "DIVERGED from" },
-        if outcome.all_detected_within_bound { "held" } else { "VIOLATED" }
+        "  invariant: final params {} the fault-free run; detection bounds {}",
+        if s.bitwise_identical { "BYTE-IDENTICAL to" } else { "DIVERGED from" },
+        if s.all_detected_within_bound { "held" } else { "VIOLATED" }
     );
-    std::process::exit(if outcome.passed() { 0 } else { 1 })
 }
 
 /// `--detect-matrix`: run the full silent-fault matrix, optionally writing
@@ -131,27 +125,18 @@ fn run_detect_matrix(out: Option<&str>) -> ! {
     std::process::exit(if report.passed() { 0 } else { 1 })
 }
 
-/// Load and validate a `--schedule` JSON artifact. Any problem — missing
-/// file, unknown fault kind, out-of-range field — is a clear one-line error
-/// and exit 2, never a panic: a malformed CI artifact should read as "your
-/// input is bad", not as a faultsim crash.
+/// Load a `--schedule` JSON artifact. Any problem — missing file, unknown
+/// fault kind, out-of-range field — is a clear one-line error and exit 2,
+/// never a panic: a malformed CI artifact should read as "your input is
+/// bad", not as a faultsim crash.
 fn load_schedule(path: &str) -> FaultSchedule {
-    let fail = |msg: String| -> ! {
+    let loaded = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read: {e}"))
+        .and_then(|text| FaultSchedule::from_json(&text).map_err(|e| e.to_string()));
+    loaded.unwrap_or_else(|msg| {
         eprintln!("faultsim: invalid schedule {path}: {msg}");
         std::process::exit(2)
-    };
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => fail(format!("cannot read: {e}")),
-    };
-    let schedule = match FaultSchedule::from_json(&text) {
-        Ok(s) => s,
-        Err(e) => fail(format!("cannot parse: {e}")),
-    };
-    if let Err(e) = schedule.validate() {
-        fail(e);
-    }
-    schedule
+    })
 }
 
 fn main() {
@@ -194,78 +179,40 @@ fn main() {
     if detect_matrix {
         run_detect_matrix(out_path.as_deref());
     }
-    if detect {
-        run_detect(seed);
-    }
 
-    let schedule = match &schedule_path {
-        Some(path) => load_schedule(path),
-        None => FaultSchedule::generate(seed, steps, events),
+    let (name, schedule) = if detect {
+        steps = DETECT_STEPS;
+        (format!("detect-{seed}"), FaultSchedule::generate_silent(seed, steps, 2))
+    } else if let Some(path) = &schedule_path {
+        ("replay".to_string(), load_schedule(path))
+    } else if steps < 2 {
+        // The generator needs a step to schedule a fault before.
+        eprintln!("--steps must be at least 2 to generate a schedule, got {steps}");
+        usage()
+    } else {
+        (format!("chaos-{seed}"), FaultSchedule::generate(seed, steps, events))
     };
     if let Some(path) = &emit_path {
         std::fs::write(path, schedule.to_json())
             .unwrap_or_else(|e| panic!("cannot write schedule {path}: {e}"));
     }
 
-    // Unique per-invocation store dir: seed + pid (no wall clock).
-    let dir = std::env::temp_dir().join(format!(
-        "easyscale-faultsim-cli-{}-{}",
-        schedule.seed,
-        std::process::id()
-    ));
+    // Unique per-invocation store dir: run name + pid (no wall clock).
+    let dir =
+        std::env::temp_dir().join(format!("easyscale-faultsim-{name}-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-
     let mut cfg = HarnessConfig::default_chaos(dir.clone());
     cfg.total_steps = steps;
-
-    let reference = run_fault_free(&cfg);
-    let report = FaultHarness::new(cfg, schedule.clone()).run();
+    let (report, summary) = run_judged(&name, cfg, &schedule);
     let _ = std::fs::remove_dir_all(&dir);
-
-    let identical = report.final_params == reference;
-    let summary = Summary {
-        seed: schedule.seed,
-        steps,
-        events: schedule.events.len(),
-        kinds: schedule.kinds().into_iter().map(str::to_string).collect(),
-        crashes: report.crashes,
-        recoveries: report.recoveries,
-        replayed_steps: report.replayed_steps,
-        torn_files_skipped: report.torn_files_skipped,
-        sim_elapsed_us: report.sim_elapsed_us,
-        final_gpus: report.final_gpus,
-        bitwise_identical: identical,
-    };
 
     if json {
         println!("{}", serde_json::to_string_pretty(&summary).expect("summary json"));
     } else {
-        println!(
-            "faultsim seed={} steps={} events={} kinds=[{}]",
-            summary.seed,
-            summary.steps,
-            summary.events,
-            summary.kinds.join(", ")
-        );
-        for ev in &report.injected {
-            println!("  step {:>3}  {:<18} {}", ev.step, ev.kind, ev.outcome);
-        }
-        println!(
-            "  crashes={} recoveries={} replayed={} torn_skipped={} sim_elapsed={}us final_gpus={}",
-            summary.crashes,
-            summary.recoveries,
-            summary.replayed_steps,
-            summary.torn_files_skipped,
-            summary.sim_elapsed_us,
-            summary.final_gpus
-        );
-        println!(
-            "  invariant: final params {} the fault-free run",
-            if identical { "BYTE-IDENTICAL to" } else { "DIVERGED from" }
-        );
+        print_run(&report, &summary);
     }
-
-    if !identical {
+    // A chaos run answers for its bits; a detect run for its bounds too.
+    if !summary.bitwise_identical || (detect && !summary.all_detected_within_bound) {
         std::process::exit(1);
     }
 }

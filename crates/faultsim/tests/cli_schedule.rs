@@ -1,7 +1,9 @@
-//! CLI contract for `faultsim --schedule`: a malformed artifact — unknown
-//! fault kind, out-of-range field, unreadable file — must fail with a
-//! one-line error on stderr and exit status 2, never a panic. A valid
-//! artifact must load, replay, and report the byte-identity verdict.
+//! CLI contract for outside input: a malformed `--schedule` artifact —
+//! unknown fault kind, out-of-range field, unreadable file, nesting deep
+//! enough to exhaust the stack — or a `--steps` the generator cannot use
+//! must fail with a one-line error on stderr and exit status 2, never a
+//! panic or an abort. A valid artifact must load, replay, and report the
+//! byte-identity verdict.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -60,6 +62,25 @@ fn missing_schedule_file_is_a_clear_error_not_a_panic() {
     let (code, stderr) = run_with_schedule(&path);
     assert_eq!(code, 2, "unreadable schedule must exit 2, stderr: {stderr}");
     assert!(stderr.contains("cannot read"), "stderr says why: {stderr}");
+    assert!(!stderr.contains("panicked"), "never a panic: {stderr}");
+}
+
+#[test]
+fn absurdly_nested_file_is_a_clear_error_not_a_stack_overflow() {
+    let path = tmp_file("nested", &"[".repeat(200_000));
+    let (code, stderr) = run_with_schedule(&path);
+    let _ = std::fs::remove_file(&path);
+    assert_eq!(code, 2, "must exit 2 (an abort has no exit code), stderr: {stderr}");
+    assert!(stderr.contains("cannot parse"), "parse failures say so: {stderr}");
+    assert!(!stderr.contains("overflow"), "never a stack overflow: {stderr}");
+}
+
+#[test]
+fn too_few_steps_to_generate_a_schedule_is_a_usage_error_not_a_panic() {
+    let out = faultsim_bin().args(["--steps", "1"]).output().expect("faultsim binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "usage errors exit 2, stderr: {stderr}");
+    assert!(stderr.contains("--steps"), "stderr names the flag: {stderr}");
     assert!(!stderr.contains("panicked"), "never a panic: {stderr}");
 }
 

@@ -10,9 +10,11 @@
 //! byte-for-byte equal across repeat runs and across shuffled worker
 //! start orders.
 
+mod common;
+
+use common::detect_cfg;
 use faultsim::{
     run_case, run_fault_free, silent_matrix, FaultEvent, FaultHarness, FaultKind, FaultSchedule,
-    HarnessConfig,
 };
 use sched::{HealthState, TransitionCause};
 use std::path::PathBuf;
@@ -72,7 +74,7 @@ fn silent_fault_matrix_detects_within_bounds_and_stays_bitwise() {
 #[test]
 fn silent_crash_is_quarantined_on_lease_miss_and_rolled_back() {
     let dir = tmp("crash-cause");
-    let cfg = HarnessConfig::default_detect(dir.clone());
+    let cfg = detect_cfg(dir.clone());
     let reference = run_fault_free(&cfg);
     let schedule = FaultSchedule::from_events(vec![FaultEvent {
         step: 3,
@@ -103,7 +105,7 @@ fn silent_crash_is_quarantined_on_lease_miss_and_rolled_back() {
 #[test]
 fn creeping_straggler_is_scored_out_and_flap_damped() {
     let dir = tmp("creep-cause");
-    let cfg = HarnessConfig::default_detect(dir.clone());
+    let cfg = detect_cfg(dir.clone());
     let reference = run_fault_free(&cfg);
     let schedule = FaultSchedule::from_events(vec![FaultEvent {
         step: 2,
@@ -141,7 +143,7 @@ fn creeping_straggler_is_scored_out_and_flap_damped() {
 #[test]
 fn heartbeat_drop_goes_suspect_then_recovers() {
     let dir = tmp("drop-cause");
-    let cfg = HarnessConfig::default_detect(dir.clone());
+    let cfg = detect_cfg(dir.clone());
     let reference = run_fault_free(&cfg);
     // Injected at step 0 so the mute ends with rounds to spare: the beats
     // must actually resume for the recovery transition to exist.
@@ -215,7 +217,7 @@ fn health_event_log_is_invariant_under_shuffled_start_order() {
     let mut logs = Vec::new();
     for (tag, order) in [("fwd", vec![0, 1]), ("rev", vec![1, 0])] {
         let dir = tmp(&format!("order-{tag}"));
-        let mut cfg = HarnessConfig::default_detect(dir.clone());
+        let mut cfg = detect_cfg(dir.clone());
         cfg.start_order = order;
         let report = FaultHarness::new(cfg, schedule.clone()).run();
         logs.push((serde_json::to_vec(&report.health_events).unwrap(), report.params_bits()));

@@ -12,70 +12,12 @@
 //! which nothing here measures. If any bit of thread-completion order ever
 //! leaked into the math, these comparisons would catch it.
 
-use std::path::PathBuf;
+mod common;
 
-use device::GpuType;
-use easyscale::{Determinism, ExecMode, JobConfig};
-use faultsim::{
-    run_fault_free, FaultEvent, FaultHarness, FaultKind, FaultSchedule, HarnessConfig, RunReport,
-};
-use models::Workload;
+use common::{assert_pool_eq_single, store_dir, wide_cfg};
+use easyscale::ExecMode;
+use faultsim::{run_fault_free, FaultEvent, FaultHarness, FaultKind, FaultSchedule, HarnessConfig};
 use proptest::proptest;
-use sched::HealthPolicy;
-
-fn store_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("easyscale-nthread-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-/// Run `schedule` twice — once on the persistent N-thread pool, once
-/// single-threaded — and assert the runs are byte-identical in every
-/// deterministic output: final params, the supervisor's health-event log,
-/// and simulated elapsed time.
-fn assert_pool_eq_single(
-    tag: &str,
-    make_cfg: impl Fn(PathBuf) -> HarnessConfig,
-    schedule: FaultSchedule,
-) {
-    let dir_pool = store_dir(&format!("{tag}-pool"));
-    let dir_single = store_dir(&format!("{tag}-single"));
-    let mut cfg_pool = make_cfg(dir_pool.clone());
-    cfg_pool.exec_mode = ExecMode::Pool;
-    let mut cfg_single = make_cfg(dir_single.clone());
-    cfg_single.exec_mode = ExecMode::SingleThread;
-
-    let pool = FaultHarness::new(cfg_pool, schedule.clone()).run();
-    let single = FaultHarness::new(cfg_single, schedule.clone()).run();
-    assert_identical(tag, &schedule, &pool, &single);
-
-    let _ = std::fs::remove_dir_all(&dir_pool);
-    let _ = std::fs::remove_dir_all(&dir_single);
-}
-
-fn assert_identical(tag: &str, schedule: &FaultSchedule, pool: &RunReport, single: &RunReport) {
-    assert_eq!(
-        pool.params_bits(),
-        single.params_bits(),
-        "[{tag}] N-thread params must be byte-identical to 1-thread \
-         (seed {}, kinds {:?})",
-        schedule.seed,
-        schedule.kinds()
-    );
-    // The health log is the detection record; Debug shows every field of
-    // every event, so string equality is byte-identity of the log.
-    assert_eq!(
-        format!("{:?}", pool.health_events),
-        format!("{:?}", single.health_events),
-        "[{tag}] health logs must match"
-    );
-    assert_eq!(
-        pool.sim_elapsed_us, single.sim_elapsed_us,
-        "[{tag}] simulated time must match (it derives from EST loads, not threads)"
-    );
-    assert_eq!(pool.crashes, single.crashes, "[{tag}] crash counts must match");
-    assert_eq!(pool.replayed_steps, single.replayed_steps, "[{tag}] replay counts must match");
-}
 
 // ---- the chaos matrix, swept across thread counts ----------------------
 
@@ -114,7 +56,7 @@ fn nthread_eq_single_on_hand_authored_schedules() {
         assert_pool_eq_single(
             tag,
             HarnessConfig::default_chaos,
-            FaultSchedule::from_events(events),
+            &FaultSchedule::from_events(events),
         );
     }
 }
@@ -125,7 +67,7 @@ fn nthread_eq_single_on_seeded_schedules() {
         assert_pool_eq_single(
             &format!("seed{seed}"),
             HarnessConfig::default_chaos,
-            FaultSchedule::generate(seed, 10, 6),
+            &FaultSchedule::generate(seed, 10, 6),
         );
     }
 }
@@ -134,7 +76,7 @@ fn nthread_eq_single_on_seeded_schedules() {
 fn nthread_pool_also_converges_to_fault_free_reference() {
     // Belt and braces: the pool run doesn't just match the single-thread
     // run — both match the fault-free reference (itself run on the pool).
-    let dir = store_dir("pool-vs-reference");
+    let dir = store_dir("nthread", "pool-vs-reference");
     let cfg = HarnessConfig::default_chaos(dir.clone());
     assert_eq!(cfg.exec_mode, ExecMode::Pool, "the pool is the production default");
     let reference: Vec<u32> = run_fault_free(&cfg).iter().map(|p| p.to_bits()).collect();
@@ -144,25 +86,6 @@ fn nthread_pool_also_converges_to_fault_free_reference() {
 }
 
 // ---- randomized worker counts, fault schedules, rescale points ---------
-
-/// A small 8-EST job on an 8-GPU cluster: every worker count from 1 to 8
-/// is a legal placement, and a ±1 rescale is always schedulable.
-fn wide_cfg(gpus: u32) -> impl Fn(PathBuf) -> HarnessConfig {
-    move |store_dir| {
-        let job = JobConfig::new(Workload::NeuMF, 4242, 8)
-            .with_dataset_len(64)
-            .with_determinism(Determinism::d1_d2());
-        let lease_us = 2 * HarnessConfig::worst_step_us(&job, GpuType::V100);
-        let mut cfg = HarnessConfig::default_chaos(store_dir);
-        cfg.job = job;
-        cfg.total_steps = 5;
-        cfg.initial_gpus = gpus;
-        cfg.cluster_gpus = 8;
-        cfg.health = HealthPolicy::with_lease(lease_us);
-        cfg.start_order = (0..gpus).collect();
-        cfg
-    }
-}
 
 proptest! {
     #[test]
@@ -185,6 +108,6 @@ proptest! {
         events.push(FaultEvent { step: rescale_step, kind });
         events.sort_by_key(|e| e.step);
         let tag = format!("rand-g{gpus}-s{fault_seed}-f{n_faults}-r{rescale_step}");
-        assert_pool_eq_single(&tag, wide_cfg(gpus), FaultSchedule::from_events(events));
+        assert_pool_eq_single(&tag, wide_cfg(gpus), &FaultSchedule::from_events(events));
     }
 }

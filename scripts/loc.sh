@@ -1,13 +1,25 @@
 #!/usr/bin/env bash
-# Lines of Rust, tracked like a bench (ROADMAP "Lines of Rust"): `wc -l` of
-# *.rs per crate, plus tests/, shims/ and benchmark/src, then the five
-# largest files. Build output (target/) is never counted.
+# Lines of Rust, tracked like a bench (ROADMAP "Lines of Rust"). Two columns
+# per crate, plus tests/, shims/ and benchmark/src, and for the five largest
+# files: `wc -l` of every *.rs, then the non-test lines — what precedes the
+# first `#[cfg(test)]` of each file, files under a tests/ directory not
+# counted at all. Build output (target/) is never counted.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 rs() { find "$@" -name '*.rs' -not -path '*/target/*'; }
-for d in crates/*/ tests shims benchmark/src; do
-  printf '%6d  %s\n' "$(rs "$d" | xargs cat | wc -l)" "${d%/}"
-done | sort -rn
-printf '%6d  total\n' "$(rs crates tests shims benchmark/src examples src | xargs cat | wc -l)"
+all() { rs "$@" | xargs cat | wc -l; }
+nontest() {
+  rs "$@" | { grep -Ev '(^|/)tests/' || true; } |
+    xargs -r awk 'FNR==1{t=0} /^[[:space:]]*#\[cfg\(test\)\]/{t=1} !t{n++} END{print n+0}'
+}
+row() { # NAME PATH...
+  local name="$1"
+  shift
+  printf '%6d %6d  %s\n' "$(all "$@")" "$(nontest "$@")" "$name"
+}
+echo "   all nontest"
+for d in crates/*/ tests shims benchmark/src; do row "${d%/}" "$d"; done | sort -rn
+row total crates tests shims benchmark/src examples src
 echo "largest files:"
-rs crates tests shims benchmark/src | xargs wc -l | grep -v ' total$' | sort -rn | head -5
+rs crates tests shims benchmark/src | xargs wc -l | grep -v ' total$' | sort -rn | head -5 |
+  while read -r _ f; do row "$f" "$f"; done

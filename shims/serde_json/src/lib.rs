@@ -56,7 +56,7 @@ pub fn to_vec<T: Serialize + ?Sized>(value: &T) -> Result<Vec<u8>, Error> {
 
 /// Parse JSON text into a value.
 pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
-    let mut p = Parser { bytes: s.as_bytes(), pos: 0 };
+    let mut p = Parser { bytes: s.as_bytes(), pos: 0, depth: 0 };
     let v = p.parse_value()?;
     p.skip_ws();
     if p.pos != p.bytes.len() {
@@ -162,9 +162,14 @@ fn write_escaped(s: &str, out: &mut String) {
 
 // ---------------------------------------------------------------- parser
 
+/// Arrays and objects may nest this deep, as in upstream serde_json: the
+/// parser recurses per level, so hostile input must not pick the depth.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -204,11 +209,21 @@ impl<'a> Parser<'a> {
             b't' => self.literal("true", Value::Bool(true)),
             b'f' => self.literal("false", Value::Bool(false)),
             b'"' => self.parse_string().map(Value::Str),
-            b'[' => self.parse_array(),
-            b'{' => self.parse_object(),
+            b'[' => self.nested(Self::parse_array),
+            b'{' => self.nested(Self::parse_object),
             b'-' | b'0'..=b'9' => self.parse_number(),
             b => Err(Error::new(format!("unexpected byte `{}` at {}", b as char, self.pos))),
         }
+    }
+
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(Error::new(format!("recursion limit exceeded at offset {}", self.pos)));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
@@ -412,6 +427,17 @@ mod tests {
         let json = to_string(&v).unwrap();
         let back: Vec<(u32, f32)> = from_str(&json).unwrap();
         assert_eq!(back, v);
+    }
+
+    #[test]
+    fn nesting_is_bounded_like_upstream() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(from_str::<Value>(&nest(MAX_DEPTH)).is_ok());
+        let err = from_str::<Value>(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.to_string().contains("recursion limit"), "{err}");
+        // Deep enough to overflow the stack if the parser recursed into it.
+        assert!(from_str::<Value>(&"[".repeat(200_000)).is_err());
+        assert!(from_str::<Value>(&"{\"a\":".repeat(200_000)).is_err());
     }
 
     #[test]
