@@ -91,43 +91,6 @@ pub fn ring_allreduce_scalar(
     }
 }
 
-/// Ring-reduce `positions` into a freshly allocated *bucket-ordered* vector:
-/// `result[i]` is the reduced value of `positions[i]`. Same per-element
-/// accumulation tree as [`ring_allreduce`] (chunking by bucket-relative
-/// index, ring order rotated by chunk), but the output is dense — the shape
-/// the bucketed reduce path wants, without a full-gradient-width scratch
-/// buffer between reduction and gather.
-pub fn ring_allreduce_gather(grads: &[&[f32]], positions: &[usize], spec: &RingSpec) -> Vec<f32> {
-    let n = spec.nranks;
-    assert!(n > 0, "empty ring");
-    assert_eq!(grads.len(), n, "one gradient slice per rank");
-    let mut out = vec![0.0f32; positions.len()];
-    if positions.is_empty() {
-        return out;
-    }
-    let chunk_len = positions.len().div_ceil(n);
-    let mut runs: Vec<(usize, usize)> = Vec::new();
-    for (chunk, cp) in positions.chunks(chunk_len).enumerate() {
-        let dst_base = chunk * chunk_len;
-        collect_runs(cp, &mut runs);
-        debug_assert_eq!(runs.iter().map(|r| r.1).sum::<usize>(), cp.len());
-        for k in 1..=n {
-            let rank = (chunk + k) % n;
-            let g = grads[rank];
-            let mut dst = dst_base;
-            for &(start, len) in &runs {
-                let o = &mut out[dst..dst + len];
-                let s = &g[start..start + len];
-                for (x, &v) in o.iter_mut().zip(s) {
-                    *x += v;
-                }
-                dst += len;
-            }
-        }
-    }
-    out
-}
-
 /// Split `positions` into maximal runs of consecutive indices, as
 /// `(start_position, length)` pairs appended to `runs` (cleared first).
 fn collect_runs(positions: &[usize], runs: &mut Vec<(usize, usize)>) {
@@ -245,12 +208,6 @@ mod tests {
                     "nranks={nranks} positions len={}",
                     positions.len()
                 );
-                // The gather variant agrees element-for-element too.
-                let gathered = ring_allreduce_gather(&views, &positions, &spec);
-                assert!(gathered
-                    .iter()
-                    .zip(positions.iter())
-                    .all(|(v, &p)| v.to_bits() == slow[p].to_bits()));
             }
         }
     }

@@ -126,9 +126,8 @@ pub struct RetryStats {
 /// fault injection. The closure runs only on a clean attempt, so a retried
 /// reduction is recomputed from scratch — for a pure reduction (everything
 /// in this workspace) the retried result is bitwise identical to a
-/// first-try success. This is the engine-agnostic core behind
-/// [`ElasticDdp::allreduce_avg_with_retry`]; the parallel engine hands it a
-/// closure that fans the reduction out across the worker pool instead.
+/// first-try success. This is the reduction-agnostic core behind
+/// [`ElasticDdp::allreduce_avg_with_retry`], which is what the engine calls.
 pub fn retry_reduce<T>(
     policy: &RetryPolicy,
     faults: &mut FaultScript,

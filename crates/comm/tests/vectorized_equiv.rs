@@ -1,18 +1,16 @@
-//! Randomized `scalar ≡ vectorized` bit-equality sweep for the ring kernels.
+//! Randomized `scalar ≡ vectorized` bit-equality sweep for the ring kernel.
 //!
-//! `ring_allreduce` (chunk-outer / rank-middle / contiguous-run-inner) and
-//! `ring_allreduce_gather` (same tree, bucket-ordered dense output) claim to
-//! reproduce the scalar oracle `ring_allreduce_scalar` — element-outer,
-//! rank-inner — bit for bit: every element keeps its chunk's ring order
-//! starting from 0.0, only the interleaving across independent element
-//! chains differs. These proptests sweep that claim across random rank
-//! counts, gradient widths, and position shapes (contiguous prefixes,
+//! `ring_allreduce` (chunk-outer / rank-middle / contiguous-run-inner)
+//! claims to reproduce the scalar oracle `ring_allreduce_scalar` —
+//! element-outer, rank-inner — bit for bit: every element keeps its chunk's
+//! ring order starting from 0.0, only the interleaving across independent
+//! element chains differs. These proptests sweep that claim across random
+//! rank counts, gradient widths, and position shapes (contiguous prefixes,
 //! shuffled run boundaries, sparse subsets, singletons, empty), and push it
-//! up one level: the bucketed reduce path (`reduce_buckets` +
-//! `assemble_avg`) against the monolithic `allreduce_avg`, both against a
+//! up one level: `allreduce_avg` over a whole bucket layout against a
 //! from-scratch scalar oracle.
 
-use comm::{ring_allreduce, ring_allreduce_gather, ring_allreduce_scalar, ElasticDdp, RingSpec};
+use comm::{ring_allreduce, ring_allreduce_scalar, ElasticDdp, RingSpec};
 use proptest::prelude::*;
 
 /// Mixed-magnitude per-rank gradients (deterministic in `seed`): regrouping
@@ -49,8 +47,8 @@ fn positions_strategy(n: usize) -> impl Strategy<Value = Vec<usize>> {
 }
 
 proptest! {
-    /// ring_allreduce and ring_allreduce_gather ≡ ring_allreduce_scalar,
-    /// bitwise, for random distinct positions.
+    /// ring_allreduce ≡ ring_allreduce_scalar, bitwise, for random distinct
+    /// positions.
     #[test]
     fn ring_vectorized_eq_scalar(
         (n, positions) in (1usize..500).prop_flat_map(|n| (Just(n), positions_strategy(n))),
@@ -66,17 +64,11 @@ proptest! {
         ring_allreduce_scalar(&views, &positions, &spec, &mut slow);
         prop_assert_eq!(bits(&fast), bits(&slow), "nranks={} n={} plen={}",
             nranks, n, positions.len());
-        let gathered = ring_allreduce_gather(&views, &positions, &spec);
-        prop_assert_eq!(gathered.len(), positions.len());
-        for (v, &p) in gathered.iter().zip(&positions) {
-            prop_assert_eq!(v.to_bits(), slow[p].to_bits(), "gather diverged at position {}", p);
-        }
     }
 
     /// The bucketed reduce path end to end: `allreduce_avg` (vectorized ring
-    /// per bucket) and every partitioning of `reduce_buckets` +
-    /// `assemble_avg` must all reproduce a from-scratch oracle built on the
-    /// scalar ring kernel, bit for bit, across random layouts.
+    /// per bucket) must reproduce a from-scratch oracle built on the scalar
+    /// ring kernel, bit for bit, across random layouts.
     #[test]
     fn bucketed_reduce_eq_scalar_oracle(
         param_sizes in prop::collection::vec(1usize..150, 1..8),
@@ -102,13 +94,5 @@ proptest! {
 
         let monolithic = ddp.allreduce_avg(&g);
         prop_assert_eq!(bits(&monolithic), bits(&oracle), "monolithic path diverged");
-
-        for parts in 1..=3usize {
-            let partials: Vec<(usize, Vec<f32>)> = (0..parts)
-                .flat_map(|p| ddp.reduce_buckets(&g, &ddp.partition_buckets(p, parts)))
-                .collect();
-            let assembled = ddp.assemble_avg(&partials);
-            prop_assert_eq!(bits(&assembled), bits(&oracle), "parts={} diverged", parts);
-        }
     }
 }

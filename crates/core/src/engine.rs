@@ -9,9 +9,10 @@
 //! only on rescale; the engine drives them over per-worker command channels
 //! and consumes their results through canonical-order exchange drains, so
 //! thread interleaving cannot influence a single output bit (the N-thread
-//! ≡ 1-thread invariant — docs/PARALLELISM.md). The merge-side ring
-//! reduction is itself parallelized across workers over a fixed bucket
-//! partition, bitwise identical to the monolithic all-reduce.
+//! ≡ 1-thread invariant — docs/PARALLELISM.md). The merge — all-reduce and
+//! optimizer — runs once, on the engine thread, where the drained gradients
+//! already are: no proxy here has a gradient large enough for a second
+//! cross-thread round trip to pay for itself.
 
 use crate::checkpoint::JobCheckpoint;
 use crate::determinism::{fresh_ready_order, restart_ready_order};
@@ -99,21 +100,6 @@ impl Backend {
         }
     }
 
-    /// The averaged flat gradient over virtual ranks. Monolithic on the
-    /// caller's thread, or partitioned across the pool — bitwise identical
-    /// either way.
-    fn reduce(
-        &mut self,
-        ddp: &Arc<ElasticDdp>,
-        grads: &Arc<Vec<Vec<f32>>>,
-        respawn: &mut RespawnFn<'_>,
-    ) -> (Vec<f32>, Vec<PoolError>) {
-        match self {
-            Backend::SingleThread(_) => (ddp.allreduce_avg(grads), Vec::new()),
-            Backend::Pool(pool) => pool.reduce_supervised(ddp, grads, respawn),
-        }
-    }
-
     /// Apply the optimizer delta to every replica.
     fn apply(&mut self, delta: &Arc<Vec<f32>>) {
         match self {
@@ -178,8 +164,8 @@ pub struct PoolRecovery {
     /// Deterministic detection latency in virtual microseconds: the drain
     /// policy's total backoff budget ([`RetryPolicy::total_backoff_us`]).
     pub virtual_latency_us: u64,
-    /// Which pool interaction detected the fault (`step` / `reduce` /
-    /// `checkpoint` / `evaluate`).
+    /// Which pool interaction detected the fault (`step` / `checkpoint` /
+    /// `evaluate`).
     pub phase: &'static str,
 }
 
@@ -230,15 +216,13 @@ pub struct Engine {
     params: Vec<f32>,
     /// Number of parameter tensors (for bucket rebuild orders).
     n_param_tensors: usize,
-    ddp: Arc<ElasticDdp>,
+    ddp: ElasticDdp,
     opt: Sgd,
     global_step: u64,
     steps_per_epoch: u64,
     /// True when the engine was restored without the D1 layout — the next
     /// bucket rebuild will observe a fresh (timing-perturbed) ready order.
     restarted_without_layout: bool,
-    /// Bounded-retry policy for the gradient all-reduce.
-    comm_retry: RetryPolicy,
     /// Armed transient comm faults (empty in production; the faultsim
     /// harness arms scripts from its seeded schedule).
     comm_faults: FaultScript,
@@ -264,7 +248,7 @@ impl Engine {
         let param_sizes = workers[0].model().param_sizes();
         let n_params: usize = param_sizes.iter().sum();
         let params = workers[0].flat_params();
-        let ddp = Arc::new(ElasticDdp::new(&param_sizes, config.n_ests, config.bucket_cap_bytes));
+        let ddp = ElasticDdp::new(&param_sizes, config.n_ests, config.bucket_cap_bytes);
         let opt = Sgd::new(n_params, config.momentum, config.weight_decay);
         let steps_per_epoch = Self::compute_steps_per_epoch(&config);
         let backend = Backend::build(workers, &exec);
@@ -279,7 +263,6 @@ impl Engine {
             global_step: 0,
             steps_per_epoch,
             restarted_without_layout: false,
-            comm_retry: RetryPolicy::default(),
             comm_faults: FaultScript::none(),
             exec,
             pool_recoveries: Vec::new(),
@@ -331,12 +314,11 @@ impl Engine {
             backend,
             params: ckpt.params.clone(),
             n_param_tensors,
-            ddp: Arc::new(ddp),
+            ddp,
             opt,
             global_step: ckpt.global_step,
             steps_per_epoch,
             restarted_without_layout,
-            comm_retry: RetryPolicy::default(),
             comm_faults: FaultScript::none(),
             exec,
             pool_recoveries: Vec::new(),
@@ -428,11 +410,6 @@ impl Engine {
         self.comm_faults = script;
     }
 
-    /// Override the all-reduce retry policy (default: `RetryPolicy::default`).
-    pub fn set_retry_policy(&mut self, policy: RetryPolicy) {
-        self.comm_retry = policy;
-    }
-
     /// Injected comm faults not yet consumed.
     pub fn pending_comm_faults(&self) -> u32 {
         self.comm_faults.pending()
@@ -473,27 +450,17 @@ impl Engine {
         debug_assert_eq!(locals.len(), self.config.n_ests as usize);
 
         let losses: Vec<f32> = locals.iter().map(|l| l.loss).collect();
-        let grads: Arc<Vec<Vec<f32>>> = Arc::new(locals.into_iter().map(|l| l.grad).collect());
+        let grads: Vec<Vec<f32>> = locals.into_iter().map(|l| l.grad).collect();
 
-        // Gradient synchronization over virtual ranks, under the bounded
-        // retry policy. A successful retried all-reduce is bitwise
-        // identical to an unfaulted one (comm::retry), so transient faults
-        // never reach the parameters. The reduction itself is partitioned
-        // across the worker pool (fixed bucket partition — same bits) and
-        // supervised the same way as the step round.
-        let policy = self.comm_retry;
-        // The closure borrows the whole engine, so the (`Copy`) fault script
-        // is threaded through a local, and the layout handle is scoped so it
-        // is gone before the bucket rebuild below wants `ddp` unshared.
-        let mut comm_faults = self.comm_faults;
-        let reduced = {
-            let ddp = Arc::clone(&self.ddp);
-            comm::retry_reduce(&policy, &mut comm_faults, || {
-                self.supervised("reduce", |backend, respawn| backend.reduce(&ddp, &grads, respawn))
-            })
-        };
-        self.comm_faults = comm_faults;
-        let (avg, _retry_stats) = reduced?;
+        // Gradient synchronization over virtual ranks, on this thread, under
+        // the bounded retry policy. A successful retried all-reduce is
+        // bitwise identical to an unfaulted one (comm::retry), so transient
+        // faults never reach the parameters.
+        let (avg, _retry_stats) = self.ddp.allreduce_avg_with_retry(
+            &grads,
+            &RetryPolicy::default(),
+            &mut self.comm_faults,
+        )?;
 
         // One optimizer update, applied identically to every replica (and
         // to the engine-side mirror — elementwise, so bitwise equal).
@@ -512,8 +479,7 @@ impl Engine {
             } else {
                 fresh_ready_order(self.n_param_tensors)
             };
-            Arc::make_mut(&mut self.ddp)
-                .rebuild_from_ready_order(&order, self.config.bucket_cap_bytes);
+            self.ddp.rebuild_from_ready_order(&order, self.config.bucket_cap_bytes);
         }
         drop(merge_span);
         obs::counter_add("engine.steps_total", 1);

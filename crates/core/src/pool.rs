@@ -7,20 +7,22 @@
 //! *faults* and the supervisor replaces it.
 //!
 //! Determinism story (docs/PARALLELISM.md): worker threads run local steps
-//! and merge-side bucket reductions concurrently, so *completion* order is
-//! up to the OS scheduler — classic D1 entropy. Every worker→engine message
-//! (step batches, reduce partials, snapshot and lend replies) crosses back
-//! through one kind of fence: an [`Exchange`] keyed by worker index, drained
-//! with [`Exchange::drain_deadline`] (a declared detlint taint barrier) so
-//! the engine consumes results in canonical worker order, each stamped with
-//! the round's `seq` and the publisher's `ThreadId` so a late message from
-//! an earlier round or a reaped thread is discarded, never consumed. Past
-//! that fence no bit depends on scheduling, which is what the
-//! `nthread_eq_single` proptest checks end to end.
+//! concurrently, so *completion* order is up to the OS scheduler — classic
+//! D1 entropy. Every worker→engine message (step batches, snapshot and lend
+//! replies) crosses back through one kind of fence: an [`Exchange`] keyed by
+//! worker index, drained with [`Exchange::drain_deadline`] (a declared
+//! detlint taint barrier) so the engine consumes results in canonical worker
+//! order, each stamped with the round's `seq` and the publisher's `ThreadId`
+//! so a late message from an earlier round or a reaped thread is discarded,
+//! never consumed. Past that fence no bit depends on scheduling, which is
+//! what the `nthread_eq_single` proptest checks end to end. The merge (sort
+//! by virtual rank, all-reduce, optimizer) runs on the engine thread behind
+//! that fence, so a global step is one fan-out (`Step`), one drain and one
+//! fire-and-forget (`Apply`).
 //!
-//! Supervision story (docs/HEALTH.md): step, reduce, snapshot and lend are
-//! four callers of one supervised round. A worker that panics, stalls past
-//! the drain deadline, or silently drops its reply surfaces as a typed
+//! Supervision story (docs/HEALTH.md): step, snapshot and lend are three
+//! callers of one supervised round. A worker that panics, stalls past the
+//! drain deadline, or silently drops its reply surfaces as a typed
 //! [`PoolError`] naming the `esw-dev<id>` thread. The supervisor then reaps
 //! the thread (joining it if dead, quarantining it if merely unresponsive),
 //! asks the engine for a replacement worker seeded from the engine-held
@@ -224,16 +226,7 @@ pub type RespawnFn<'a> = dyn FnMut(&PoolError, &WorkerSnapshot) -> Box<EasyScale
 /// [`Fenced`] envelope for stale-result filtering after a recovery.
 enum Cmd {
     /// Run one local step per hosted EST and publish the batch.
-    Step {
-        seq: u64,
-        /// Epoch of this global step.
-        epoch: u64,
-        /// Learning rate of this global step (echoed; local steps don't use it).
-        lr: f32,
-    },
-    /// Ring-reduce this worker's bucket partition of `grads` and publish
-    /// the partial sums.
-    Reduce { seq: u64, ddp: Arc<ElasticDdp>, grads: Arc<Vec<Vec<f32>>>, parts: usize },
+    Step { seq: u64 },
     /// Apply the (identical-everywhere) optimizer delta to the replica.
     Apply(Arc<Vec<f32>>),
     /// Publish a [`WorkerSnapshot`].
@@ -266,19 +259,13 @@ impl<T> Fenced<T> {
     }
 }
 
-/// What a worker publishes after a `Step` command: its local steps plus the
-/// command echo and a post-step snapshot the supervisor holds as the slot's
-/// recovery seed for the *next* step.
+/// What a worker publishes after a `Step` command: its local steps plus a
+/// post-step snapshot the supervisor holds as the slot's recovery seed for
+/// the *next* step.
 struct StepBatch {
-    epoch: u64,
-    lr: f32,
     steps: Vec<LocalStep>,
     recovery: WorkerSnapshot,
 }
-
-/// What a worker publishes after a `Reduce` command: its partial bucket
-/// sums, as `(bucket index, reduced values)`.
-type PartialBatch = Vec<(usize, Vec<f32>)>;
 
 /// What a worker publishes after a `Snapshot` or `Lend` command.
 enum Reply {
@@ -289,16 +276,14 @@ enum Reply {
 /// The publish handles one worker thread holds, one per exchange.
 struct Publishers {
     steps: ExchangeTx<Fenced<StepBatch>>,
-    partials: ExchangeTx<Fenced<PartialBatch>>,
     replies: ExchangeTx<Fenced<Reply>>,
 }
 
-/// The persistent pool: command senders and the three keyed exchanges the
+/// The persistent pool: command senders and the two keyed exchanges the
 /// worker threads publish into.
 pub struct WorkerPool {
     cmds: Vec<Sender<Cmd>>,
     steps: Exchange<Fenced<StepBatch>>,
-    partials: Exchange<Fenced<PartialBatch>>,
     replies: Exchange<Fenced<Reply>>,
     /// Live thread handles; `None` only transiently inside a recovery. A
     /// slot's current `ThreadId` is read off its handle: every drained
@@ -349,18 +334,13 @@ impl WorkerPool {
         assert!(n > 0, "pool needs at least one worker");
         let recovery: Vec<WorkerSnapshot> = workers.iter().map(WorkerSnapshot::capture).collect();
         let mut steps = Exchange::new();
-        let mut partials = Exchange::new();
         let mut replies = Exchange::new();
         let mut cmds = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
         let mut devices = Vec::with_capacity(n);
         for (i, worker) in workers.into_iter().enumerate() {
             let dev = device_ids.get(i).copied().unwrap_or(i as u32);
-            let out = Publishers {
-                steps: steps.handle(),
-                partials: partials.handle(),
-                replies: replies.handle(),
-            };
+            let out = Publishers { steps: steps.handle(), replies: replies.handle() };
             let (cmd_tx, handle) = launch(i, dev, Box::new(worker), out);
             threads.push(Some(handle));
             cmds.push(cmd_tx);
@@ -370,13 +350,11 @@ impl WorkerPool {
         // replacement handles through the post-seal recovery door when it
         // respawns a faulted worker.
         steps.seal();
-        partials.seal();
         replies.seal();
         obs::counter_add("engine.pool.spawns_total", n as u64);
         WorkerPool {
             cmds,
             steps,
-            partials,
             replies,
             threads,
             quarantined: Vec::new(),
@@ -481,50 +459,40 @@ impl WorkerPool {
 
     /// One concurrent local-step round, supervised (see the module docs):
     /// the returned steps are in worker order (callers still sort by vrank)
-    /// and bitwise identical whether or not a worker faulted. `epoch` and
-    /// `lr` are echoed by the workers, not used by the local steps.
+    /// and bitwise identical whether or not a worker faulted. Local steps
+    /// use neither `_epoch` nor `_lr`: the two parameters are kept only
+    /// because `benchmark/` passes them (ROADMAP item 7 deletes them).
     pub fn run_steps_supervised(
         &mut self,
-        epoch: u64,
-        lr: f32,
+        _epoch: u64,
+        _lr: f32,
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<LocalStep>, Vec<PoolError>) {
         let n = self.len();
         let (batches, errors) =
-            self.round(|p| &mut p.steps, 0..n, &|seq| Cmd::Step { seq, epoch, lr }, respawn);
-        // Each round a spawn-per-step engine would have paid n spawns.
-        obs::counter_add("engine.pool.spawns_avoided_total", n as u64);
+            self.round(|p| &mut p.steps, 0..n, &|seq| Cmd::Step { seq }, respawn);
         self.steps_served += 1;
         let mut out = Vec::new();
         for (slot, batch) in batches.into_iter().enumerate() {
-            debug_assert_eq!(batch.epoch, epoch, "epoch echo mismatch");
-            debug_assert_eq!(batch.lr.to_bits(), lr.to_bits(), "lr echo mismatch");
             self.recovery[slot] = batch.recovery;
             out.extend(batch.steps);
         }
         (out, errors)
     }
 
-    /// One parallel merge-side reduction, supervised: every worker
-    /// ring-reduces its fixed bucket partition, the engine drains the
-    /// partials in canonical order and assembles the averaged flat gradient.
-    /// Bitwise identical to [`ElasticDdp::allreduce_avg`] — see `comm`'s
-    /// `partitioned_reduce_matches_monolithic_bitwise` test — with or
-    /// without a fault: partial reductions are pure functions of
-    /// `ddp`/`grads`/slot, so a replacement recomputes exactly the lost
-    /// partials.
+    /// The all-reduce on the calling thread: exactly
+    /// [`ElasticDdp::allreduce_avg`], with no worker involved and therefore
+    /// never a recovery to report. The engine does not call this — it
+    /// reduces directly (docs/PARALLELISM.md, "Cost model"); the name and
+    /// signature are kept only because `benchmark/`'s decomposed step calls
+    /// them (ROADMAP item 7 deletes the method).
     pub fn reduce_supervised(
         &mut self,
         ddp: &Arc<ElasticDdp>,
         grads: &Arc<Vec<Vec<f32>>>,
-        respawn: &mut RespawnFn<'_>,
+        _respawn: &mut RespawnFn<'_>,
     ) -> (Vec<f32>, Vec<PoolError>) {
-        let n = self.len();
-        let cmd =
-            |seq| Cmd::Reduce { seq, ddp: Arc::clone(ddp), grads: Arc::clone(grads), parts: n };
-        let (partials, errors) = self.round(|p| &mut p.partials, 0..n, &cmd, respawn);
-        let parts: PartialBatch = partials.into_iter().flatten().collect();
-        (ddp.assemble_avg(&parts), errors)
+        (ddp.allreduce_avg(grads), Vec::new())
     }
 
     /// Broadcast the optimizer delta. Fire-and-forget: per-worker FIFO
@@ -613,7 +581,6 @@ impl WorkerPool {
         // thread to exit), a new thread under the slot's stable device id.
         let out = Publishers {
             steps: self.steps.replacement_handle(),
-            partials: self.partials.replacement_handle(),
             replies: self.replies.replacement_handle(),
         };
         let (cmd_tx, handle) = launch(i, device, replacement, out);
@@ -715,7 +682,7 @@ fn worker_main(key: u64, worker: Box<EasyScaleWorker>, cmds: Receiver<Cmd>, out:
             Err(_) => return,
         };
         match cmd {
-            Cmd::Step { seq, epoch, lr } => {
+            Cmd::Step { seq } => {
                 match armed.take() {
                     Some(ThreadFault::Panic) => {
                         panic!("injected ThreadPanic fault (faultsim chaos)")
@@ -738,12 +705,8 @@ fn worker_main(key: u64, worker: Box<EasyScaleWorker>, cmds: Receiver<Cmd>, out:
                 let local = w.run_local_steps();
                 drop(step_span);
                 let recovery = WorkerSnapshot::capture(w);
-                let batch = StepBatch { epoch, lr, steps: local, recovery };
+                let batch = StepBatch { steps: local, recovery };
                 out.steps.publish(key, Fenced::new(seq, batch));
-            }
-            Cmd::Reduce { seq, ddp, grads, parts } => {
-                let mine = ddp.partition_buckets(key as usize, parts);
-                out.partials.publish(key, Fenced::new(seq, ddp.reduce_buckets(&grads, &mine)));
             }
             Cmd::Apply(delta) => {
                 slot.as_mut()
@@ -813,7 +776,6 @@ mod tests {
         cfg: JobConfig,
         placement: Placement,
         mirror: Vec<f32>,
-        sizes: Vec<usize>,
         pool: WorkerPool,
         log: Vec<PoolError>,
     }
@@ -822,9 +784,8 @@ mod tests {
         fn new(n_ests: u32, gpus: u32, device_ids: &[u32], drain: RetryPolicy) -> Self {
             let (cfg, placement, workers) = make_workers(n_ests, gpus);
             let mirror = workers[0].flat_params();
-            let sizes = workers[0].model().param_sizes();
             let pool = WorkerPool::spawn(workers, device_ids, drain);
-            Rig { cfg, placement, mirror, sizes, pool, log: Vec::new() }
+            Rig { cfg, placement, mirror, pool, log: Vec::new() }
         }
 
         fn step_round(&mut self) -> (Vec<LocalStep>, Vec<PoolError>) {
@@ -840,15 +801,6 @@ mod tests {
             steps
         }
 
-        fn reduce_round(
-            &mut self,
-            ddp: &Arc<ElasticDdp>,
-            grads: &Arc<Vec<Vec<f32>>>,
-        ) -> (Vec<f32>, Vec<PoolError>) {
-            let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
-            self.pool.reduce_supervised(ddp, grads, &mut respawn)
-        }
-
         fn snapshot_round(&mut self) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
             let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
             self.pool.snapshots_supervised(&mut respawn)
@@ -857,12 +809,6 @@ mod tests {
         fn lend_round(&mut self, index: usize) -> (Box<EasyScaleWorker>, Vec<PoolError>) {
             let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
             self.pool.lend(index, &mut respawn)
-        }
-
-        /// The bucket layout, and the gradients of vrank-ordered `locals`.
-        fn reduce_inputs(&self, locals: Vec<LocalStep>) -> (Arc<ElasticDdp>, Arc<Vec<Vec<f32>>>) {
-            let ddp = ElasticDdp::new(&self.sizes, self.cfg.n_ests, self.cfg.bucket_cap_bytes);
-            (Arc::new(ddp), Arc::new(locals.into_iter().map(|l| l.grad).collect()))
         }
     }
 
@@ -902,17 +848,6 @@ mod tests {
         }
         assert!(rig.log.is_empty());
         assert_eq!(rig.pool.stats(), PoolStats { workers: 4, steps_served: 3 });
-    }
-
-    #[test]
-    fn pooled_reduce_matches_monolithic_bitwise() {
-        let mut rig = Rig::new(4, 4, &[], ExecOptions::default().drain);
-        let locals = rig.clean_steps();
-        let (ddp, grads) = rig.reduce_inputs(locals);
-        let plain = ddp.allreduce_avg(&grads);
-        let (pooled, errors) = rig.reduce_round(&ddp, &grads);
-        assert!(errors.is_empty());
-        assert!(plain.iter().zip(&pooled).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]
@@ -967,6 +902,37 @@ mod tests {
         assert_eq!(rig.clean_steps().len(), 2);
     }
 
+    /// Workers that die inside fire-and-forget `Apply` are found by the next
+    /// `Step`, and their replacements are seeded from a mirror that already
+    /// holds the delta the dead workers never applied (docs/HEALTH.md, the
+    /// `Apply` then `Step` row).
+    #[test]
+    fn step_after_a_fatal_apply_respawns_from_the_post_apply_mirror() {
+        let mut rig = Rig::new(4, 2, &[], fast_drain());
+        let (_, _, mut seq) = make_workers(4, 2);
+        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "before");
+
+        // The engine's order: update the mirror, then broadcast.
+        let delta: Vec<f32> = (0..rig.mirror.len()).map(|i| (i % 7) as f32 * 1e-3 - 3e-3).collect();
+        for (p, d) in rig.mirror.iter_mut().zip(&delta) {
+            *p += d;
+        }
+        for w in &mut seq {
+            w.apply_update(&delta);
+        }
+        // What reaches the pool is an empty delta: both workers die slicing
+        // it, having applied nothing, with nobody waiting on them.
+        rig.pool.apply(&Arc::new(Vec::new()));
+
+        let (mut steps, errors) = rig.step_round();
+        assert_eq!(errors.len(), 2, "one recovery per worker: {errors:?}");
+        assert!(errors.iter().all(|e| matches!(e, PoolError::WorkerDead { .. })), "{errors:?}");
+        assert_eq!(rig.log, errors);
+        steps.sort_by_key(|l| l.vrank);
+        assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), "respawned");
+        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "after");
+    }
+
     /// Every injected [`ThreadFault`] is detected, the worker is replaced,
     /// and the recovered round is bitwise identical to a fault-free one.
     #[test]
@@ -996,24 +962,6 @@ mod tests {
             let next = rig.clean_steps();
             assert_steps_bitwise_eq(&next, &sequential_steps(&mut seq), &format!("{fault:?}"));
         }
-    }
-
-    /// Supervised reduce survives a worker killed mid-protocol and still
-    /// assembles the monolithic-bitwise gradient.
-    #[test]
-    fn supervised_reduce_recovers_a_panicked_worker_bitwise() {
-        let mut rig = Rig::new(4, 4, &[], fast_drain());
-
-        // Kill worker 2 via an armed panic consumed during a step round.
-        rig.pool.arm_fault(2, ThreadFault::Panic);
-        let (mut locals, errors) = rig.step_round();
-        assert_eq!(errors.len(), 1);
-        locals.sort_by_key(|l| l.vrank);
-        let (ddp, grads) = rig.reduce_inputs(locals);
-        let plain = ddp.allreduce_avg(&grads);
-        let (pooled, reduce_errors) = rig.reduce_round(&ddp, &grads);
-        assert!(reduce_errors.is_empty(), "replacement serves the reduce cleanly");
-        assert!(plain.iter().zip(&pooled).all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     /// Supervised snapshots replace a stalled worker and return the exact

@@ -8,7 +8,9 @@
 #                           binary under crates/bench/src/bin/, then runs
 #                           the repo benchmark's `smoke` pass: every
 #                           workload once, correctness checked, nothing
-#                           gated — see benchmark/README.md) → faultsim
+#                           gated — see benchmark/README.md — and must
+#                           leave every tracked file under benchmark/ and
+#                           BENCHMARK.json as the index has it) → faultsim
 #                           chaos matrix → silent-fault detection matrix →
 #                           figs (regenerate the Fig 14/15/16 trace
 #                           simulations; the committed JSON must come out
@@ -83,10 +85,15 @@ stage test       cargo test -q --offline --workspace --exclude faultsim
 # vs the SingleThread reference, one PoolRecovery per injected panic,
 # decomposed step == Engine::step). A compile+run check: no timings are
 # gated here; performance is judged by paired runs of the benchmark itself
-# (benchmark/README.md).
+# (benchmark/README.md). It ends by checking that no tracked file of the
+# benchmark differs from the index: `benchmark/` and BENCHMARK.json change
+# only in a PR whose subject is the benchmark (which stages its edits
+# first), and the usual way to break that by accident is a dependency edit
+# under crates/ that makes the build above rewrite benchmark/Cargo.lock.
 benchmark_smoke() {
-  cargo build --release --offline -q -p bench --bins
-  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- smoke
+  cargo build --release --offline -q -p bench --bins || return
+  cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- smoke || return
+  git diff --exit-code -- benchmark BENCHMARK.json
 }
 stage benchmark_smoke benchmark_smoke
 

@@ -76,9 +76,8 @@ fn sink_on_or_off_is_bitwise_invisible_to_training() {
         "engine.pool.worker_step/worker.ctx_switch_load",
         "engine.pool.worker_step/worker.ctx_switch_save",
         "engine.pool.spawns_total",
-        "engine.pool.spawns_avoided_total",
         "engine.global_step/engine.drain_wait",
-        "engine.global_step/merge/engine.drain_wait",
+        "engine.global_step/merge/comm.allreduce",
     ] {
         assert!(names.contains(&expected), "missing metric {expected}: {names:?}");
     }
