@@ -19,14 +19,17 @@
 //!    recognized safe), or *reassociation-prone* → a `float-reassoc`
 //!    finding with span witnesses. Reassociation-prone shapes: accumulator
 //!    chains merged inside the loop body, a lockstep array merged in
-//!    reverse lane order, iterator-order-dependent folds (`sum`/`fold`
+//!    reverse lane order or carried across an enclosing loop that reads it
+//!    (lanes surviving a block/tile boundary), iterator-order-dependent
+//!    folds (`sum`/`fold`
 //!    over `rev`/`chunks`/`flat_map`-reshaped iterators), and chunked
 //!    loops that fold each chunk — the remainder chunk then accumulates
 //!    through a different chain than full blocks.
 //! 2. **Oracle pairing.** Every pub fn matching the configured
 //!    vectorized-kernel name set must have a `<name>_scalar` sibling in
 //!    the workspace *and* one test (file or `#[cfg(test)]` region) calling
-//!    both — otherwise `oracle-unpaired`.
+//!    both — otherwise `oracle-unpaired`. A slice-level `<name>_into` form
+//!    answers to `<name>_scalar` too.
 //!
 //! Both finding kinds demote through `// detlint::allow(float-reassoc)` /
 //! `// detlint::allow(oracle-unpaired)` with the shared stale accounting
@@ -529,6 +532,30 @@ fn classify_file(mf: &ModelFile) -> (Vec<LoopClass>, Vec<Reassoc>) {
                     break;
                 }
             }
+            // An enclosing loop that reads the array without re-declaring
+            // it: the lanes survive that loop's iterations — a block/tile
+            // boundary — while being written out at each.
+            let outer = loops
+                .iter()
+                .filter(|ol| ol.body_contains(lp.kw) && !ol.body_contains(w.decl_idx))
+                .min_by_key(|ol| ol.body_close - ol.body_open);
+            let read = outer.and_then(|ol| {
+                (lp.body_close + 1..ol.body_close)
+                    .find(|&j| toks[j].kind == TokKind::Ident && &toks[j].text == arr)
+                    .map(|j| (ol.line, toks[j].line))
+            });
+            if let Some((outer_line, read_line)) = read {
+                class = "reassoc";
+                findings.push((
+                    lp.line,
+                    format!(
+                        "lockstep accumulator `{arr}` outlives the loop at line {outer_line} \
+                         that reads it every iteration, so its lanes keep accumulating \
+                         across that block boundary; declare it inside that loop"
+                    ),
+                    vec![span(lp.line, "loop"), span(read_line, "carried-read")],
+                ));
+            }
             // Post-loop merge order: scan the rest of the declaring scope.
             let scope_end = enclosing_block_close(toks, w.decl_idx);
             let mut j = lp.body_close + 1;
@@ -800,7 +827,7 @@ pub fn analyze(
         if !fn_is_pub(&mf.lexed.toks, f.line, &f.name) {
             continue;
         }
-        let sib = format!("{}_scalar", f.name);
+        let sib = format!("{}_scalar", f.name.strip_suffix("_into").unwrap_or(&f.name));
         let scalar_found = scalar_names.binary_search(&sib.as_str()).is_ok();
         let tested_together =
             contexts.iter().any(|c| c.iter().any(|n| n == &f.name) && c.iter().any(|n| n == &sib));
@@ -906,6 +933,30 @@ mod tests {
     }
 
     #[test]
+    fn lanes_surviving_a_block_boundary_are_caught() {
+        // The chunked tile loop with its accumulators hoisted out of the
+        // tile loop: every tile's store then holds a running total.
+        let body = |decl_outside: bool| {
+            let (outside, inside) = if decl_outside {
+                ("let mut acc = [0.0f32; 8];", "")
+            } else {
+                ("", "let mut acc = [0.0f32; 8];")
+            };
+            format!(
+                "fn s(b: &[f32], out: &mut [f32]) {{\n{outside}\nfor t in 0..4 {{\n{inside}\n\
+                 for p in t * 16..t * 16 + 16 {{\n\
+                 for (x, &bv) in acc.iter_mut().zip(&b[p * 8..][..8]) {{ *x += bv; }}\n}}\n\
+                 out[t * 8..][..8].copy_from_slice(&acc);\n}}\n}}\n"
+            )
+        };
+        let r = run(&body(false));
+        assert_eq!(reassoc_count(&r), 0, "{:?}", accum(&r));
+        assert!(r.loops.iter().any(|l| l.class == "lockstep"), "{:?}", r.loops);
+        let r = run(&body(true));
+        assert!(accum(&r).iter().any(|f| f.message.contains("block boundary")), "{:?}", accum(&r));
+    }
+
+    #[test]
     fn in_loop_merge_of_two_chains_is_caught() {
         let r = run("fn s(xs: &[f32]) -> f32 {\n\
              let mut a = 0.0f32;\n\
@@ -984,6 +1035,12 @@ mod tests {
         assert!(accum(&r).is_empty(), "{:?}", accum(&r));
         let o = r.oracles.iter().find(|o| o.kernel == "dot").unwrap();
         assert!(o.scalar_found && o.tested_together);
+        // A slice-level `_into` form answers to its base name's oracle.
+        let into = "pub fn matmul_into(o: &mut [f32]) { o[0] = 0.0; }\n\
+                    pub fn matmul_scalar() -> f32 { 0.0 }\n";
+        let r = run(into);
+        let o = r.oracles.iter().find(|o| o.kernel == "matmul_into").unwrap();
+        assert!(o.scalar_found && !o.tested_together);
     }
 
     #[test]

@@ -95,7 +95,7 @@ impl Policy {
             ],
             wall_clock_exempt: &["obs", "bench"],
             float_crates: &["tensor", "comm", "models"],
-            order_param_types: &["KernelProfile", "ExecCtx", "RingSpec"],
+            order_param_types: &["KernelProfile", "ExecCtx", "RingSpec", "ConvGeom"],
             total_order_helpers: &["total_cmp"],
             barrier_crates: &["obs", "esrng"],
             drain_fns: &["drain_sorted", "drain_deadline", "worker_main"],
@@ -135,6 +135,8 @@ impl Policy {
                 "leaf_partials",
                 "dot",
                 "matmul*",
+                "im2col*",
+                "col2im*",
                 "axpy_",
                 "ring_allreduce",
             ],

@@ -5,6 +5,11 @@
 //! from the `KernelProfile`, so the same weights on "different GPUs"
 //! (different vendor profiles) produce different bits unless the hardware-
 //! agnostic profile is pinned.
+//!
+//! Both passes work a sample at a time on `tensor::ops`' slice-level
+//! routines, over buffers made once per call and reused across the batch;
+//! the per-sample order in which `gw` and `gb` take their contributions is
+//! part of the accumulation tree and stays ascending.
 
 use crate::model::{ExecCtx, Layer};
 use esrng::EsRng;
@@ -25,7 +30,8 @@ pub struct Conv2d {
 }
 
 struct Cached {
-    cols: Vec<Tensor>,
+    /// The unfolded input of every sample, `[B, cin·k², oh·ow]`.
+    cols: Vec<f32>,
     in_h: usize,
     in_w: usize,
     batch: usize,
@@ -72,29 +78,23 @@ impl Layer for Conv2d {
         assert_eq!(s[1], self.cin, "channel mismatch");
         let (b, h, w) = (s[0], s[2], s[3]);
         let (oh, ow) = self.out_dims(h, w);
-        let plane = self.cin * h * w;
+        let (dims, spatial) = ((self.cin, h, w), oh * ow);
+        let (wd, fan_in) = (self.weight.data(), self.weight.shape()[1]);
+        let (col_len, mm_dims) = (fan_in * spatial, (self.cout, fan_in, spatial));
         let mut out = Tensor::zeros(&[b, self.cout, oh, ow]);
-        let mut cols = Vec::with_capacity(b);
-        {
-            let od = out.data_mut();
-            let out_plane = self.cout * oh * ow;
-            for i in 0..b {
-                let sample = Tensor::from_vec(
-                    x.data()[i * plane..(i + 1) * plane].to_vec(),
-                    &[self.cin, h, w],
-                );
-                let col = ops::im2col(&sample, self.geom);
-                let y = ops::matmul(&self.weight, &col, &ctx.profile);
-                let yd = y.data();
-                let dst = &mut od[i * out_plane..(i + 1) * out_plane];
-                let spatial = oh * ow;
-                for c in 0..self.cout {
-                    let bias = self.bias.data()[c];
-                    for p in 0..spatial {
-                        dst[c * spatial + p] = yd[c * spatial + p] + bias;
-                    }
-                }
-                cols.push(col);
+        // One unfold buffer for the batch (backward reads it) and one matmul
+        // scratch, reused sample by sample.
+        let mut cols = vec![0.0f32; b * col_len];
+        let mut scratch = Vec::new();
+        let samples = x.data().chunks_exact(self.cin * h * w);
+        let planes = out.data_mut().chunks_exact_mut(self.cout * spatial);
+        for ((sample, dst), col) in samples.zip(planes).zip(cols.chunks_exact_mut(col_len)) {
+            ops::im2col_into(sample, dims, self.geom, col);
+            ops::matmul_into(col, mm_dims, &ctx.profile, dst, &mut scratch, |i, p| {
+                wd[i * fan_in + p]
+            });
+            for (chan, &bias) in dst.chunks_exact_mut(spatial).zip(self.bias.data()) {
+                chan.iter_mut().for_each(|y| *y += bias);
             }
         }
         self.cached = Some(Cached { cols, in_h: h, in_w: w, batch: b });
@@ -105,32 +105,32 @@ impl Layer for Conv2d {
         let cached = self.cached.take().expect("backward before forward");
         let (b, h, w) = (cached.batch, cached.in_h, cached.in_w);
         let (oh, ow) = self.out_dims(h, w);
-        let spatial = oh * ow;
-        let out_plane = self.cout * spatial;
-        let in_plane = self.cin * h * w;
+        let (dims, spatial) = ((self.cin, h, w), oh * ow);
+        let (wd, fan_in, prof) = (self.weight.data(), self.weight.shape()[1], &ctx.profile);
+        let (dw_dims, dcol_dims) = ((self.cout, spatial, fan_in), (fan_in, self.cout, spatial));
         assert_eq!(grad.shape(), &[b, self.cout, oh, ow], "grad shape mismatch");
 
         let mut gx = Tensor::zeros(&[b, self.cin, h, w]);
-        for i in 0..b {
-            let g = Tensor::from_vec(
-                grad.data()[i * out_plane..(i + 1) * out_plane].to_vec(),
-                &[self.cout, spatial],
-            );
+        // Per-call buffers reused across the samples; `gw`/`gb` still take
+        // one sample's contribution at a time, in ascending sample order.
+        let mut dw = Tensor::zeros(&[self.cout, fan_in]);
+        let (mut dcol, mut bt, mut scratch) =
+            (vec![0.0f32; fan_in * spatial], Vec::new(), Vec::new());
+        let gs = grad.data().chunks_exact(self.cout * spatial);
+        let dxs = gx.data_mut().chunks_exact_mut(self.cin * h * w);
+        for ((g, dx), col) in gs.zip(dxs).zip(cached.cols.chunks_exact(fan_in * spatial)) {
             // dW += g · colᵀ   ([cout, spatial]·[spatial, cin·k²]).
-            let dw = ops::matmul_a_bt(&g, &cached.cols[i], &ctx.profile);
+            ops::matmul_a_bt_into(g, col, dw_dims, prof, dw.data_mut(), &mut bt, &mut scratch);
             self.gw.axpy_(1.0, &dw);
             // db += row sums of g.
-            {
-                let gbd = self.gb.data_mut();
-                let gd = g.data();
-                for c in 0..self.cout {
-                    gbd[c] += ops::blocked_sum(&gd[c * spatial..(c + 1) * spatial], &ctx.profile);
-                }
+            for (gb, row) in self.gb.data_mut().iter_mut().zip(g.chunks_exact(spatial)) {
+                *gb += ops::blocked_sum(row, prof);
             }
             // dcol = Wᵀ · g, then fold back with col2im.
-            let dcol = ops::matmul_at_b(&self.weight, &g, &ctx.profile);
-            let dx = ops::col2im(&dcol, self.cin, h, w, self.geom);
-            gx.data_mut()[i * in_plane..(i + 1) * in_plane].copy_from_slice(dx.data());
+            ops::matmul_into(g, dcol_dims, prof, &mut dcol, &mut scratch, |i, p| {
+                wd[p * fan_in + i]
+            });
+            ops::col2im_into(&dcol, dims, self.geom, dx);
         }
         gx
     }
@@ -285,6 +285,35 @@ mod tests {
         let y_agn1 = run(&mut conv, KernelProfile::hardware_agnostic());
         let y_agn2 = run(&mut conv, KernelProfile::hardware_agnostic());
         assert!(y_agn1.bitwise_eq(&y_agn2));
+    }
+
+    /// A bias-free conv with every weight 1.0, run on one sample.
+    fn ones_conv(x: &Tensor, kernel: usize, pad: usize) -> Tensor {
+        let mut rng = init_rng();
+        let mut conv = Conv2d::init(x.shape()[1], 1, kernel, 1, pad, &mut rng);
+        conv.params_mut()[0].data_mut().fill(1.0);
+        let mut drng = init_rng();
+        conv.forward(x, &mut mk_ctx(&mut drng))
+    }
+
+    #[test]
+    fn conv2d_matches_direct_computation() {
+        // 1 input channel, 4x4 image, 3x3 kernel of ones, no pad: each output
+        // is the sum of the 3x3 neighborhood.
+        let x = Tensor::from_vec((0..16).map(|i| i as f32).collect(), &[1, 1, 4, 4]);
+        let y = ones_conv(&x, 3, 0);
+        assert_eq!(y.shape(), &[1, 1, 2, 2]);
+        // Neighborhood sums: top-left window covers indices {0,1,2,4,5,6,8,9,10} = 45.
+        assert_eq!(y.data()[0], 45.0);
+        assert_eq!(y.data()[3], 45.0 + 9.0 * 5.0);
+    }
+
+    #[test]
+    fn conv_padding_zero_extends() {
+        let y = ones_conv(&Tensor::full(&[1, 1, 2, 2], 1.0), 3, 1);
+        assert_eq!(y.shape(), &[1, 1, 2, 2]);
+        // Every output sees exactly the 4 real pixels.
+        assert!(y.data().iter().all(|&v| v == 4.0));
     }
 
     #[test]

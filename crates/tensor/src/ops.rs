@@ -7,8 +7,17 @@
 //! deterministic. Convolution is implemented as im2col + matmul so its
 //! profile sensitivity is exactly the matmul's, and its backward scatter
 //! (col2im) uses a fixed loop order.
+//!
+//! The tree is the contract, the schedule is free (DESIGN.md "Same tree,
+//! faster schedule"): all three matmuls run through one row kernel that
+//! holds a K-tile of independent output columns in registers (`A·Bᵀ` gets
+//! there by transposing `B`, which moves data and adds nothing), and
+//! `im2col`/`col2im` move whole clamped rows. The `*_scalar` functions are
+//! the per-element references each is held to, bit for bit
+//! (`tests/vectorized_equiv.rs`); the `_into` forms work on slices the
+//! caller owns, so a layer reuses one set of buffers across a batch.
 
-use crate::kernels::{combine_partials, KernelProfile, ALGO_COUNT, SUM_LANES};
+use crate::kernels::{combine_partials, KernelProfile, ALGO_COUNT, LANE_SEG, SUM_LANES};
 use crate::Tensor;
 
 pub use crate::kernels::blocked_sum;
@@ -47,12 +56,19 @@ pub fn tiled_reduce(len: usize, profile: &KernelProfile, mut f: impl FnMut(usize
     combine_partials(&partials, profile)
 }
 
-/// Dot product with profile-controlled accumulation, vectorized: groups of
-/// [`SUM_LANES`] full K-tiles are evaluated in lockstep (one accumulator per
-/// tile, products formed in the same left-to-right order), then the tile
-/// partials are combined exactly as [`tiled_reduce`] combines them. Bit-
-/// identical to [`dot_scalar`].
+/// Dot product with profile-controlled accumulation, vectorized: up to
+/// [`SUM_LANES`] full K-tiles are evaluated in lockstep, [`LANE_SEG`] terms
+/// of each in turn (one accumulator per tile, products formed in the same
+/// left-to-right order), the ragged last tile as a single chain, then the
+/// tile partials are combined exactly as [`tiled_reduce`] combines them.
+/// Bit-identical to [`dot_scalar`].
 pub fn dot(a: &[f32], b: &[f32], profile: &KernelProfile) -> f32 {
+    dot_with(a, b, profile, &mut Vec::new())
+}
+
+/// [`dot`] with the tile partials in a buffer the caller keeps, so a loop of
+/// dots allocates nothing once it has grown.
+fn dot_with(a: &[f32], b: &[f32], profile: &KernelProfile, partials: &mut Vec<f32>) -> f32 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
     let len = a.len();
     let tile = profile.tile_k.max(1);
@@ -63,34 +79,32 @@ pub fn dot(a: &[f32], b: &[f32], profile: &KernelProfile) -> f32 {
         }
         return acc;
     }
-    let ntiles = len.div_ceil(tile);
+    partials.clear();
     let nfull = len / tile;
-    let mut partials = Vec::with_capacity(ntiles);
     let mut t = 0usize;
-    while t + SUM_LANES <= nfull {
-        let base = t * tile;
-        let ga = &a[base..base + SUM_LANES * tile];
-        let gb = &b[base..base + SUM_LANES * tile];
+    while t < nfull {
+        let lanes = SUM_LANES.min(nfull - t);
         let mut acc = [0.0f32; SUM_LANES];
-        for j in 0..tile {
-            for (l, x) in acc.iter_mut().enumerate() {
-                *x += ga[l * tile + j] * gb[l * tile + j];
+        for j0 in (0..tile).step_by(LANE_SEG) {
+            let j1 = (j0 + LANE_SEG).min(tile);
+            for (l, x) in acc.iter_mut().take(lanes).enumerate() {
+                let s = (t + l) * tile;
+                for (p, q) in a[s + j0..s + j1].iter().zip(&b[s + j0..s + j1]) {
+                    *x += p * q;
+                }
             }
         }
-        partials.extend_from_slice(&acc);
-        t += SUM_LANES;
+        partials.extend_from_slice(&acc[..lanes]);
+        t += lanes;
     }
-    while t < ntiles {
-        let s = t * tile;
-        let e = (s + tile).min(len);
+    if nfull * tile < len {
         let mut acc = 0.0;
-        for i in s..e {
+        for i in nfull * tile..len {
             acc += a[i] * b[i];
         }
         partials.push(acc);
-        t += 1;
     }
-    combine_partials(&partials, profile)
+    combine_partials(partials, profile)
 }
 
 /// Scalar reference dot product (per-element [`tiled_reduce`]); the oracle
@@ -113,60 +127,86 @@ pub fn mean(t: &Tensor, profile: &KernelProfile) -> f32 {
     sum(t, profile) / t.len() as f32
 }
 
-/// Row-vectorized matmul core shared by [`matmul`] and [`matmul_at_b`]:
-/// for each output row `i`, all `n` output columns advance together.
-/// Per output element `(i, j)` the addition chain is *identical* to
-/// `tiled_reduce(k, profile, |p| a_at(i, p) * bd[p*n + j])`: products are
+/// Widest column chunk of the row kernel: 32 f32 are eight SSE
+/// accumulators, which still leaves registers for the broadcast and loads.
+/// The cascade below it is 16, 8, 4, 2, 1. Interleaved in-process A/B
+/// against the parent's row update (a load and a store of the partial row
+/// per `p`), ns per call at `tile_k` 16, `(m, k, n)`: (8,72,64) 4078 → 2793,
+/// (8,27,64) 2104 → 1520, (16,72,16) 4116 → 2352, (8,64,10) 1999 → 1367,
+/// `Aᵀ·B` (72,8,64) 4983 → 2945 and (64,8,10) 2363 → 1269 — that last one
+/// read 1793 → 2224 while the cascade went from 4 straight to 1.
+const MAX_CHUNK: usize = 32;
+
+/// The row kernel behind all three matmuls: `out: [m,n] = A · b` for
+/// `b: [k,n]` and an `A` addressed by `a_at(i, p)`. Per output element
+/// `(i, j)` the addition chain is *identical* to
+/// `tiled_reduce(k, profile, |p| a_at(i, p) * b[p*n + j])`: products are
 /// formed for `p` ascending within each K-tile, tile partials start at 0.0,
 /// and the partials are combined in the profile's `algo_id` order. Only the
-/// interleaving across the (independent) columns changes, which makes the
-/// inner loops contiguous over `j` and auto-vectorizable.
-fn matmul_rows_into(
-    m: usize,
-    k: usize,
-    n: usize,
-    bd: &[f32],
+/// interleaving across the (independent) columns changes: they are cut into
+/// register-sized chunks, widest first, so n = 10, 16, 27, 72 are not left
+/// to a scalar tail. `scratch` (one widest chunk of partials per K-tile when
+/// there are several) is only ever resized: a caller that keeps it
+/// allocates nothing once it has grown.
+pub fn matmul_into(
+    b: &[f32],
+    dims @ (m, k, n): (usize, usize, usize),
     profile: &KernelProfile,
-    od: &mut [f32],
+    out: &mut [f32],
+    scratch: &mut Vec<f32>,
     a_at: impl Fn(usize, usize) -> f32,
 ) {
+    assert!(b.len() == k * n && out.len() == m * n, "matmul_into shapes");
+    let ntiles = k.div_ceil(profile.tile_k.max(1));
+    scratch.resize(if ntiles > 1 { ntiles * MAX_CHUNK } else { 0 }, 0.0);
+    let mut j = chunk_cols::<MAX_CHUNK>(0, b, dims, profile, out, scratch, &a_at);
+    j = chunk_cols::<16>(j, b, dims, profile, out, scratch, &a_at);
+    j = chunk_cols::<8>(j, b, dims, profile, out, scratch, &a_at);
+    j = chunk_cols::<4>(j, b, dims, profile, out, scratch, &a_at);
+    j = chunk_cols::<2>(j, b, dims, profile, out, scratch, &a_at);
+    chunk_cols::<1>(j, b, dims, profile, out, scratch, &a_at);
+}
+
+/// Every `W`-wide column chunk that still fits from column `j0` on, for all
+/// `m` rows; returns the first column not covered. A chunk's accumulators
+/// live in a fixed array for one K-tile and are stored once: per element the
+/// chain is `0.0 + a(p0)·b + …`, `p` ascending, and none outlives its tile.
+/// A single tile's partial *is* the result (`tiled_reduce`'s short-circuit:
+/// no combine step, `partials` empty); several go to `partials[t*W + l]`
+/// for `combine_rows`.
+#[inline(always)]
+fn chunk_cols<const W: usize>(
+    mut j0: usize,
+    b: &[f32],
+    (m, k, n): (usize, usize, usize),
+    profile: &KernelProfile,
+    out: &mut [f32],
+    partials: &mut [f32],
+    a_at: &impl Fn(usize, usize) -> f32,
+) -> usize {
     let tile = profile.tile_k.max(1);
-    if k <= tile {
-        // Single-tile fast path: mirrors tiled_reduce's short-circuit branch
-        // (no combine step, accumulators start at 0.0 — the zeros are
-        // already in `od`).
+    let ntiles = partials.len() / MAX_CHUNK;
+    while j0 + W <= n {
         for i in 0..m {
-            let orow = &mut od[i * n..(i + 1) * n];
-            for p in 0..k {
-                let av = a_at(i, p);
-                let brow = &bd[p * n..(p + 1) * n];
-                for (o, &bv) in orow.iter_mut().zip(brow) {
-                    *o += av * bv;
+            let orow = &mut out[i * n + j0..][..W];
+            for t in 0..ntiles.max(1) {
+                let mut acc = [0.0f32; W];
+                for p in t * tile..((t + 1) * tile).min(k) {
+                    let av = a_at(i, p);
+                    for (x, &bv) in acc.iter_mut().zip(&b[p * n + j0..][..W]) {
+                        *x += av * bv;
+                    }
                 }
+                let dst = if ntiles == 0 { &mut *orow } else { &mut partials[t * W..][..W] };
+                dst.copy_from_slice(&acc);
+            }
+            if ntiles > 0 {
+                combine_rows(&partials[..ntiles * W], ntiles, W, profile, orow);
             }
         }
-        return;
+        j0 += W;
     }
-    let ntiles = k.div_ceil(tile);
-    // partials[t*n + j] = tile t's partial for output column j of the
-    // current row (the row of the accumulation tree `combine_rows` walks).
-    let mut partials = vec![0.0f32; ntiles * n];
-    for i in 0..m {
-        partials.iter_mut().for_each(|x| *x = 0.0);
-        for t in 0..ntiles {
-            let p0 = t * tile;
-            let p1 = (p0 + tile).min(k);
-            let prow = &mut partials[t * n..(t + 1) * n];
-            for p in p0..p1 {
-                let av = a_at(i, p);
-                let brow = &bd[p * n..(p + 1) * n];
-                for (o, &bv) in prow.iter_mut().zip(brow) {
-                    *o += av * bv;
-                }
-            }
-        }
-        combine_rows(&partials, ntiles, n, profile, &mut od[i * n..(i + 1) * n]);
-    }
+    j0
 }
 
 /// Combine per-tile partial rows into the output row, walking tiles in the
@@ -233,8 +273,9 @@ pub fn matmul(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     assert_eq!(k, k2, "matmul inner-dimension mismatch: {k} vs {k2}");
     let mut out = Tensor::zeros(&[m, n]);
     let ad = a.data();
-    let bd = b.data();
-    matmul_rows_into(m, k, n, bd, profile, out.data_mut(), |i, p| ad[i * k + p]);
+    matmul_into(b.data(), (m, k, n), profile, out.data_mut(), &mut Vec::new(), |i, p| {
+        ad[i * k + p]
+    });
     out
 }
 
@@ -265,8 +306,9 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     assert_eq!(k, k2, "matmul_at_b inner-dimension mismatch");
     let mut out = Tensor::zeros(&[m, n]);
     let ad = a.data();
-    let bd = b.data();
-    matmul_rows_into(m, k, n, bd, profile, out.data_mut(), |i, p| ad[p * m + i]);
+    matmul_into(b.data(), (m, k, n), profile, out.data_mut(), &mut Vec::new(), |i, p| {
+        ad[p * m + i]
+    });
     out
 }
 
@@ -287,26 +329,58 @@ pub fn matmul_at_b_scalar(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Te
     out
 }
 
-/// `C = A · Bᵀ` for `A: [m,k]`, `B: [n,k]` (input-gradient shape). Both
-/// operands are row-contiguous over the reduction axis, so each output
-/// element is exactly a [`dot`] — which is itself the lockstep-tile
-/// vectorized kernel. Bit-identical to [`matmul_a_bt_scalar`].
+/// `C = A · Bᵀ` for `A: [m,k]`, `B: [n,k]` (input-gradient shape).
+/// Bit-identical to [`matmul_a_bt_scalar`].
 pub fn matmul_a_bt(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (m, k) = mat_dims(a);
     let (n, k2) = mat_dims(b);
     assert_eq!(k, k2, "matmul_a_bt inner-dimension mismatch");
     let mut out = Tensor::zeros(&[m, n]);
-    let ad = a.data();
-    let bd = b.data();
-    let od = out.data_mut();
-    for i in 0..m {
-        let arow = &ad[i * k..(i + 1) * k];
-        for j in 0..n {
-            let brow = &bd[j * k..(j + 1) * k];
-            od[i * n + j] = dot(arow, brow, profile);
+    let (bt, scratch) = (&mut Vec::new(), &mut Vec::new());
+    matmul_a_bt_into(a.data(), b.data(), (m, k, n), profile, out.data_mut(), bt, scratch);
+    out
+}
+
+/// Below this many rows of `A`, [`matmul_a_bt_into`] keeps the per-element
+/// form: transposing `B` costs `n·k` moves whatever `m` is, and one row
+/// cannot pay that back. Interleaved in-process A/B, ns per call at `tile_k`
+/// 16, parent / always transposed / always per element, `(m, k, n)`:
+/// (1,64,16) 1072 / 1025 / 748, (1,10,64) 460 / 660 / 438, (1,16,16)
+/// 143 / 261 / 141; (2,64,16) 1944 / 1059 / 1327, (2,10,64) 833 / 733 / 797,
+/// (8,64,72) 34 238 / 7082 / 25 390, (16,16,16) 2345 / 765 / 2085.
+const A_BT_MIN_ROWS: usize = 2;
+
+/// Slice-level [`matmul_a_bt`]: `out: [m,n] = a · bᵀ` for `a: [m,k]`,
+/// `b: [n,k]`; `bt` and `scratch` as `scratch` in [`matmul_into`]. `B` is
+/// transposed into `bt` — pure data movement — and the row kernel's
+/// per-element chain is exactly [`matmul_a_bt_scalar`]'s. With fewer than
+/// [`A_BT_MIN_ROWS`] rows each element is a [`dot`] with its partials in
+/// `scratch`.
+pub fn matmul_a_bt_into(
+    a: &[f32],
+    b: &[f32],
+    dims @ (m, k, n): (usize, usize, usize),
+    profile: &KernelProfile,
+    out: &mut [f32],
+    bt: &mut Vec<f32>,
+    scratch: &mut Vec<f32>,
+) {
+    assert!(a.len() == m * k && b.len() == n * k && out.len() == m * n, "matmul_a_bt_into shapes");
+    if m < A_BT_MIN_ROWS {
+        for (i, orow) in out.chunks_exact_mut(n.max(1)).enumerate() {
+            for (j, o) in orow.iter_mut().enumerate() {
+                *o = dot_with(&a[i * k..(i + 1) * k], &b[j * k..(j + 1) * k], profile, scratch);
+            }
+        }
+        return;
+    }
+    bt.resize(k * n, 0.0);
+    for j in 0..n {
+        for p in 0..k {
+            bt[p * n + j] = b[j * k + p];
         }
     }
-    out
+    matmul_into(bt, dims, profile, out, scratch, |i, p| a[i * k + p]);
 }
 
 /// Scalar reference `A · Bᵀ`; the oracle for [`matmul_a_bt`].
@@ -350,11 +424,97 @@ impl ConvGeom {
     pub fn out_size(&self, h: usize) -> usize {
         (h + 2 * self.pad - self.kernel) / self.stride + 1
     }
+
+    /// The output positions `lo..hi` (of `on`) at which kernel tap `k`
+    /// lands on a real pixel of an input axis `len` long — everywhere else
+    /// it reads padding. Empty ranges come back as `lo == hi`.
+    fn valid(&self, k: usize, len: usize, on: usize) -> (usize, usize) {
+        // Strides 1 and 2 are the ones the proxies use; a constant divisor
+        // is a shift, a variable one a division per tap and channel.
+        let steps = |x: usize| match self.stride {
+            1 => x,
+            2 => x.div_ceil(2),
+            s => x.div_ceil(s),
+        };
+        let hi = steps((len + self.pad).saturating_sub(k)).min(on);
+        (steps(self.pad.saturating_sub(k)).min(hi), hi)
+    }
+}
+
+/// `[cin, h, w]` → (`cin·k²`, `oh·ow`), the shape of the unfolded matrix.
+fn col_dims((cin, h, w): (usize, usize, usize), geom: ConvGeom) -> (usize, usize) {
+    (cin * geom.kernel * geom.kernel, geom.out_size(h) * geom.out_size(w))
+}
+
+/// The unfold's geometry, walked for both directions: for every
+/// `(c, ky, kx)` row of the col matrix and every `oy` whose tap lands inside
+/// the image, `f(col_at, img_at, len)` — `len` col elements from `col_at`
+/// pair with the pixels `img_at`, `img_at + stride`, … The valid `ox` range
+/// is computed once per `kx`; whatever is not visited is padding.
+fn clamped_rows(
+    (cin, h, w): (usize, usize, usize),
+    geom: ConvGeom,
+    mut f: impl FnMut(usize, usize, usize),
+) {
+    let (kk, s, pad) = (geom.kernel, geom.stride, geom.pad);
+    let (oh, ow) = (geom.out_size(h), geom.out_size(w));
+    for c in 0..cin {
+        for ky in 0..kk {
+            let (y0, y1) = geom.valid(ky, h, oh);
+            for kx in 0..kk {
+                let (x0, x1) = geom.valid(kx, w, ow);
+                if x0 == x1 {
+                    continue;
+                }
+                let row = ((c * kk + ky) * kk + kx) * oh;
+                for oy in y0..y1 {
+                    let img_at = (c * h + oy * s + ky - pad) * w + x0 * s + kx - pad;
+                    f((row + oy) * ow + x0, img_at, x1 - x0);
+                }
+            }
+        }
+    }
 }
 
 /// im2col: unfold `input: [cin, h, w]` into a `[cin*k*k, oh*ow]` matrix.
 /// Pure gather — no reductions, so no profile needed.
 pub fn im2col(input: &Tensor, geom: ConvGeom) -> Tensor {
+    let s = input.shape();
+    assert_eq!(s.len(), 3, "im2col expects [cin,h,w]");
+    let dims = (s[0], s[1], s[2]);
+    let (rows, cols) = col_dims(dims, geom);
+    let mut out = Tensor::zeros(&[rows, cols]);
+    im2col_into(input.data(), dims, geom, out.data_mut());
+    out
+}
+
+/// Slice-level [`im2col`]: everything is padding except the
+/// [`clamped_rows`], each one copy (strided when `stride > 1`). Same
+/// `(c, ky, kx, oy, ox)` order as [`im2col_scalar`], bit for bit.
+pub fn im2col_into(
+    input: &[f32],
+    dims @ (cin, h, w): (usize, usize, usize),
+    geom: ConvGeom,
+    out: &mut [f32],
+) {
+    let (rows, cols) = col_dims(dims, geom);
+    assert!(input.len() == cin * h * w && out.len() == rows * cols, "im2col_into shapes");
+    out.fill(0.0);
+    clamped_rows(dims, geom, |col_at, img_at, len| {
+        let (dst, src) = (&mut out[col_at..col_at + len], &input[img_at..]);
+        if geom.stride == 1 {
+            dst.copy_from_slice(&src[..len]);
+        } else {
+            for (x, o) in dst.iter_mut().enumerate() {
+                *o = src[x * geom.stride];
+            }
+        }
+    });
+}
+
+/// Scalar reference im2col: one bounds-tested element at a time. The oracle
+/// for [`im2col`] and [`im2col_into`].
+pub fn im2col_scalar(input: &Tensor, geom: ConvGeom) -> Tensor {
     let s = input.shape();
     assert_eq!(s.len(), 3, "im2col expects [cin,h,w]");
     let (cin, h, w) = (s[0], s[1], s[2]);
@@ -390,6 +550,42 @@ pub fn im2col(input: &Tensor, geom: ConvGeom) -> Tensor {
 /// accumulating overlaps in a fixed loop order (the deterministic-scatter
 /// alternative to atomic col2im kernels).
 pub fn col2im(cols: &Tensor, cin: usize, h: usize, w: usize, geom: ConvGeom) -> Tensor {
+    let (rows, ncols) = col_dims((cin, h, w), geom);
+    assert_eq!(cols.shape(), &[rows, ncols], "col2im shape mismatch");
+    let mut out = Tensor::zeros(&[cin, h, w]);
+    col2im_into(cols.data(), (cin, h, w), geom, out.data_mut());
+    out
+}
+
+/// Slice-level [`col2im`]: overwrites `out`. Whole [`clamped_rows`] are
+/// added in the same `(c, ky, kx, oy, ox)` order as [`col2im_scalar`], so
+/// every target pixel still receives its addends in that order.
+pub fn col2im_into(
+    cols: &[f32],
+    dims @ (cin, h, w): (usize, usize, usize),
+    geom: ConvGeom,
+    out: &mut [f32],
+) {
+    let (rows, ncols) = col_dims(dims, geom);
+    assert!(cols.len() == rows * ncols && out.len() == cin * h * w, "col2im_into shapes");
+    out.fill(0.0);
+    clamped_rows(dims, geom, |col_at, img_at, len| {
+        let (src, dst) = (&cols[col_at..col_at + len], &mut out[img_at..]);
+        if geom.stride == 1 {
+            for (o, &v) in dst.iter_mut().zip(src) {
+                *o += v;
+            }
+        } else {
+            for (x, &v) in src.iter().enumerate() {
+                dst[x * geom.stride] += v;
+            }
+        }
+    });
+}
+
+/// Scalar reference col2im: one bounds-tested element at a time. The oracle
+/// for [`col2im`] and [`col2im_into`].
+pub fn col2im_scalar(cols: &Tensor, cin: usize, h: usize, w: usize, geom: ConvGeom) -> Tensor {
     let (oh, ow) = (geom.out_size(h), geom.out_size(w));
     let ncols = oh * ow;
     assert_eq!(cols.shape(), &[cin * geom.kernel * geom.kernel, ncols], "col2im shape mismatch");
@@ -418,17 +614,6 @@ pub fn col2im(cols: &Tensor, cin: usize, h: usize, w: usize, geom: ConvGeom) -> 
         }
     }
     out
-}
-
-/// 2-D convolution of one sample: `input: [cin,h,w]`, `weight:
-/// [cout, cin*k*k]` (pre-flattened), producing `[cout, oh, ow]`.
-pub fn conv2d(input: &Tensor, weight: &Tensor, geom: ConvGeom, profile: &KernelProfile) -> Tensor {
-    let cols = im2col(input, geom);
-    let out = matmul(weight, &cols, profile);
-    let s = input.shape();
-    let (oh, ow) = (geom.out_size(s[1]), geom.out_size(s[2]));
-    let cout = weight.shape()[0];
-    out.reshape(&[cout, oh, ow])
 }
 
 /// ReLU into a fresh tensor.
@@ -576,31 +761,6 @@ mod tests {
         let cols = im2col(&x, geom);
         let back = col2im(&cols, 3, 3, 3, geom);
         assert!(back.bitwise_eq(&x));
-    }
-
-    #[test]
-    fn conv2d_matches_direct_computation() {
-        // 1 input channel, 4x4 image, 3x3 kernel of ones, no pad: each output
-        // is the sum of the 3x3 neighborhood.
-        let x = Tensor::from_vec((0..16).map(|i| i as f32).collect(), &[1, 4, 4]);
-        let w = Tensor::full(&[1, 9], 1.0);
-        let geom = ConvGeom { kernel: 3, stride: 1, pad: 0 };
-        let y = conv2d(&x, &w, geom, &profile());
-        assert_eq!(y.shape(), &[1, 2, 2]);
-        // Neighborhood sums: top-left window covers indices {0,1,2,4,5,6,8,9,10} = 45.
-        assert_eq!(y.data()[0], 45.0);
-        assert_eq!(y.data()[3], 45.0 + 9.0 * 5.0);
-    }
-
-    #[test]
-    fn conv_padding_zero_extends() {
-        let x = Tensor::full(&[1, 2, 2], 1.0);
-        let w = Tensor::full(&[1, 9], 1.0);
-        let geom = ConvGeom { kernel: 3, stride: 1, pad: 1 };
-        let y = conv2d(&x, &w, geom, &profile());
-        assert_eq!(y.shape(), &[1, 2, 2]);
-        // Every output sees exactly the 4 real pixels.
-        assert!(y.data().iter().all(|&v| v == 4.0));
     }
 
     #[test]

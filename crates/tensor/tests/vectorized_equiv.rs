@@ -1,22 +1,28 @@
 //! Randomized `scalar ≡ vectorized` bit-equality sweep.
 //!
 //! The vectorized kernels (lockstep leaf blocks in `blocked_sum`, lockstep
-//! K-tiles in `dot`, row-vectorized matmuls, chunked `axpy_`) claim to keep
+//! K-tiles in `dot`, the column-chunked row kernel behind all three
+//! matmuls, clamped-row `im2col`/`col2im`, chunked `axpy_`) claim to keep
 //! the profile-pinned accumulation tree *exactly* — same leaf boundaries,
 //! same left-to-right order inside a leaf, same `algo_id` traversal of the
 //! partials — and only interleave independent chains. These proptests hold
 //! them to that claim against the in-tree scalar oracles
-//! (`blocked_sum_scalar`, `dot_scalar`, `matmul*_scalar`), bit for bit,
-//! across randomized profiles (including `deterministic: false`), ragged
-//! lengths, and empty/one-element inputs.
+//! (`blocked_sum_scalar`, `dot_scalar`, `matmul*_scalar`, `im2col_scalar`,
+//! `col2im_scalar`), bit for bit, across randomized profiles (including
+//! `deterministic: false`), ragged lengths, and empty/one-element inputs.
+//! Shapes the kernels branch on are not left to 48 random draws: every case
+//! walks each lane count of the lockstep (1…9 full blocks plus a tail), each
+//! side of `tile_k`, every chunk width of the row kernel and both sides of
+//! the row-count switch in `matmul_a_bt`.
 
 use proptest::prelude::*;
 use tensor::kernels::{
     blocked_sum, blocked_sum_scalar, combine_partials_with_rot, leaf_partials, leaf_partials_scalar,
 };
 use tensor::ops::{
-    dot, dot_scalar, matmul, matmul_a_bt, matmul_a_bt_scalar, matmul_at_b, matmul_at_b_scalar,
-    matmul_scalar,
+    col2im, col2im_into, col2im_scalar, dot, dot_scalar, im2col, im2col_into, im2col_scalar,
+    matmul, matmul_a_bt, matmul_a_bt_into, matmul_a_bt_scalar, matmul_at_b, matmul_at_b_scalar,
+    matmul_into, matmul_scalar, ConvGeom,
 };
 use tensor::{KernelProfile, Tensor};
 
@@ -54,16 +60,78 @@ fn bits(v: &[f32]) -> Vec<u32> {
     v.iter().map(|x| x.to_bits()).collect()
 }
 
+/// `count` mixed-magnitude values that are a function of `(seed, salt)`,
+/// for the shapes a case derives from its profile instead of drawing.
+fn gen(count: usize, seed: u32, salt: u32) -> Vec<f32> {
+    (0..count)
+        .map(|i| {
+            let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed ^ salt);
+            (h % 1999) as f32 * 0.01 * 10f32.powi((h % 7) as i32 - 3)
+        })
+        .collect()
+}
+
+/// Lengths with exactly 1…9 full blocks of `block` and a ragged tail of
+/// `tail % block` elements: every lane count of the lockstep, the hand-over
+/// to a second group, and the single-chain last block.
+fn lane_lengths(block: usize, tail: usize) -> impl Iterator<Item = usize> {
+    (1..=9).map(move |full| full * block + tail % block)
+}
+
+/// All three matmuls (Tensor and slice forms) against their oracles on one
+/// shape. The `_into` forms write into a dirty buffer with dirty scratch.
+fn check_matmuls(m: usize, k: usize, n: usize, seed: u32, profile: &KernelProfile) {
+    let a = Tensor::from_vec(gen(m * k, seed, 1), &[m, k]);
+    let b = Tensor::from_vec(gen(k * n, seed, 2), &[k, n]);
+    let at = Tensor::from_vec(gen(k * m, seed, 3), &[k, m]);
+    let bt = Tensor::from_vec(gen(n * k, seed, 4), &[n, k]);
+    let dims = (m, k, n);
+    let (mut scratch, mut tr) = (vec![f32::NAN; 7], vec![f32::NAN; 3]);
+    let mut out = vec![f32::NAN; m * n];
+
+    let want = matmul_scalar(&a, &b, profile);
+    assert!(matmul(&a, &b, profile).bitwise_eq(&want), "matmul {dims:?} {profile:?}");
+    matmul_into(b.data(), dims, profile, &mut out, &mut scratch, |i, p| a.data()[i * k + p]);
+    assert_eq!(bits(&out), bits(want.data()), "matmul_into {dims:?} {profile:?}");
+
+    let want = matmul_at_b_scalar(&at, &b, profile);
+    assert!(matmul_at_b(&at, &b, profile).bitwise_eq(&want), "matmul_at_b {dims:?} {profile:?}");
+    matmul_into(b.data(), dims, profile, &mut out, &mut scratch, |i, p| at.data()[p * m + i]);
+    assert_eq!(bits(&out), bits(want.data()), "matmul_into, Aᵀ {dims:?} {profile:?}");
+
+    let want = matmul_a_bt_scalar(&a, &bt, profile);
+    assert!(matmul_a_bt(&a, &bt, profile).bitwise_eq(&want), "matmul_a_bt {dims:?} {profile:?}");
+    matmul_a_bt_into(a.data(), bt.data(), dims, profile, &mut out, &mut tr, &mut scratch);
+    assert_eq!(bits(&out), bits(want.data()), "matmul_a_bt_into {dims:?} {profile:?}");
+}
+
 proptest! {
     /// blocked_sum (vectorized) ≡ blocked_sum_scalar, bitwise, for every
     /// deterministic profile and every length (ragged tails included).
     #[test]
-    fn sum_vectorized_eq_scalar(data in rough_data(3000), profile in det_profile()) {
+    fn sum_vectorized_eq_scalar(
+        data in rough_data(3000),
+        profile in det_profile(),
+        seed in any::<u32>(),
+    ) {
         prop_assert_eq!(
             blocked_sum(&data, &profile).to_bits(),
             blocked_sum_scalar(&data, &profile).to_bits(),
             "len={} profile={:?}", data.len(), profile
         );
+        for len in lane_lengths(profile.reduce_block, seed as usize) {
+            let d = gen(len, seed, 5);
+            prop_assert_eq!(
+                blocked_sum(&d, &profile).to_bits(),
+                blocked_sum_scalar(&d, &profile).to_bits(),
+                "len={} profile={:?}", len, profile
+            );
+            prop_assert_eq!(
+                bits(&leaf_partials(&d, &profile)),
+                bits(&leaf_partials_scalar(&d, &profile)),
+                "partials len={} profile={:?}", len, profile
+            );
+        }
     }
 
     /// The same equivalence under `deterministic: false`, where a naive
@@ -93,44 +161,76 @@ proptest! {
 
     /// dot (lockstep K-tiles) ≡ dot_scalar, bitwise.
     #[test]
-    fn dot_vectorized_eq_scalar(data in rough_data(2000), profile in det_profile()) {
+    fn dot_vectorized_eq_scalar(
+        data in rough_data(2000),
+        profile in det_profile(),
+        seed in any::<u32>(),
+    ) {
         let b: Vec<f32> = data.iter().enumerate().map(|(i, x)| x * 0.5 + (i % 3) as f32).collect();
         prop_assert_eq!(
             dot(&data, &b, &profile).to_bits(),
             dot_scalar(&data, &b, &profile).to_bits(),
             "len={} profile={:?}", data.len(), profile
         );
+        for len in lane_lengths(profile.tile_k, seed as usize) {
+            let (x, y) = (gen(len, seed, 6), gen(len, seed, 7));
+            prop_assert_eq!(
+                dot(&x, &y, &profile).to_bits(),
+                dot_scalar(&x, &y, &profile).to_bits(),
+                "len={} profile={:?}", len, profile
+            );
+        }
     }
 
-    /// All three row-vectorized matmul kernels ≡ their scalar oracles,
-    /// bitwise, across random shapes (including K below, at, and far above
-    /// tile_k — the single-tile fast path and the combine path).
+    /// All three matmul kernels ≡ their scalar oracles, bitwise, across
+    /// random shapes: `m` on both sides of `matmul_a_bt`'s row-count switch,
+    /// `n` across every chunk width of the row kernel and a ragged tail, and
+    /// `k` as drawn plus one below, at and one above `tile_k` (the
+    /// single-tile store-once path and the first combine) and either side of
+    /// eight tiles.
     #[test]
     fn matmuls_vectorized_eq_scalar(
-        m in 1usize..6, k in 1usize..200, n in 1usize..8,
+        m in 1usize..12, k in 1usize..200, n in 1usize..100,
         seed in any::<u32>(),
         profile in det_profile(),
     ) {
-        let gen = |count: usize, salt: u32| -> Vec<f32> {
-            (0..count)
-                .map(|i| {
-                    let h = (i as u32).wrapping_mul(2654435761).wrapping_add(seed ^ salt);
-                    (h % 1999) as f32 * 0.01 * 10f32.powi((h % 7) as i32 - 3)
-                })
-                .collect()
-        };
-        let a = Tensor::from_vec(gen(m * k, 1), &[m, k]);
-        let b = Tensor::from_vec(gen(k * n, 2), &[k, n]);
-        let at = Tensor::from_vec(gen(k * m, 3), &[k, m]);
-        let bt = Tensor::from_vec(gen(n * k, 4), &[n, k]);
-        prop_assert!(matmul(&a, &b, &profile).bitwise_eq(&matmul_scalar(&a, &b, &profile)),
-            "matmul m={} k={} n={} profile={:?}", m, k, n, profile);
-        prop_assert!(
-            matmul_at_b(&at, &b, &profile).bitwise_eq(&matmul_at_b_scalar(&at, &b, &profile)),
-            "matmul_at_b m={} k={} n={} profile={:?}", m, k, n, profile);
-        prop_assert!(
-            matmul_a_bt(&a, &bt, &profile).bitwise_eq(&matmul_a_bt_scalar(&a, &bt, &profile)),
-            "matmul_a_bt m={} k={} n={} profile={:?}", m, k, n, profile);
+        let t = profile.tile_k;
+        for k in [k, t - 1, t, t + 1, 8 * t - 1, 8 * t + 1] {
+            check_matmuls(m, k, n, seed, &profile);
+        }
+    }
+
+    /// Clamped-row im2col/col2im ≡ the per-element walks, bitwise, for every
+    /// kernel 1–3 × stride 1–2 × pad 0–2 on a drawn `[c, h, w]` with h ≠ w
+    /// allowed, down to 1×1 — where whole taps see only padding and the
+    /// valid ranges are empty. The slice forms must overwrite what they find.
+    #[test]
+    fn im2col_col2im_rows_eq_scalar(
+        c in 1usize..4, h in 1usize..10, w in 1usize..10,
+        seed in any::<u32>(),
+    ) {
+        let x = Tensor::from_vec(gen(c * h * w, seed, 8), &[c, h, w]);
+        for (kernel, stride, pad) in
+            (1..=3).flat_map(|k| (1..=2).flat_map(move |s| (0..=2).map(move |p| (k, s, p))))
+        {
+            if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                continue;
+            }
+            let geom = ConvGeom { kernel, stride, pad };
+            let want = im2col_scalar(&x, geom);
+            prop_assert!(im2col(&x, geom).bitwise_eq(&want), "im2col {:?} h={} w={}", geom, h, w);
+            let mut col = vec![f32::NAN; want.len()];
+            im2col_into(x.data(), (c, h, w), geom, &mut col);
+            prop_assert_eq!(bits(&col), bits(want.data()), "im2col_into {:?} h={} w={}", geom, h, w);
+
+            let g = Tensor::from_vec(gen(want.len(), seed, 9), want.shape());
+            let want = col2im_scalar(&g, c, h, w, geom);
+            prop_assert!(
+                col2im(&g, c, h, w, geom).bitwise_eq(&want), "col2im {:?} h={} w={}", geom, h, w);
+            let mut img = vec![f32::NAN; c * h * w];
+            col2im_into(g.data(), (c, h, w), geom, &mut img);
+            prop_assert_eq!(bits(&img), bits(want.data()), "col2im_into {:?} h={} w={}", geom, h, w);
+        }
     }
 
     /// Chunked axpy_ ≡ the one-element-at-a-time reference. Elementwise, so

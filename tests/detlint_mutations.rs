@@ -59,8 +59,22 @@ fn reassociating_the_leaf_partials_lane_merge_is_float_reassoc() {
     let file = "crates/tensor/src/kernels.rs";
     let gained = mutate(
         file,
-        "partials.extend_from_slice(&acc);",
-        "partials.push(acc.iter().rev().sum::<f32>());",
+        "partials.extend_from_slice(&acc[..lanes]);",
+        "partials.push(acc[..lanes].iter().rev().sum::<f32>());",
+    );
+    assert_gains(&gained, "float-reassoc", file);
+}
+
+#[test]
+fn carrying_the_chunk_accumulators_across_a_tile_boundary_is_float_reassoc() {
+    // The live chunked tile loop of the row kernel with its register tile
+    // hoisted out of the tile loop: tile t's store then holds the running
+    // total of tiles 0..=t — every partial but the first is reassociated.
+    let file = "crates/tensor/src/ops.rs";
+    let gained = mutate(
+        file,
+        "for t in 0..ntiles.max(1) {\n                let mut acc = [0.0f32; W];\n",
+        "let mut acc = [0.0f32; W];\n            for t in 0..ntiles.max(1) {\n",
     );
     assert_gains(&gained, "float-reassoc", file);
 }
