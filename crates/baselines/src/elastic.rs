@@ -10,25 +10,53 @@ use data::Dataset;
 use models::Workload;
 use optim::{LrSchedule, StepLr};
 
-/// TorchElastic-style job: world = GPU count, per-GPU batch fixed, LR
-/// linearly rescaled with world size (Goyal et al.), full restart on scale.
-pub struct TorchElasticJob {
-    workload: Workload,
-    seed: u64,
-    base_workers: u32,
-    base_schedule: StepLr,
-    trainer: SpmdTrainer,
-    /// Fractional epochs completed (worlds of different sizes advance epochs
-    /// at different rates).
-    epochs: f64,
-    dataset_len: usize,
-    batch_size: usize,
+/// How a job re-tunes batch size and learning rate when its world size
+/// changes — the only thing the two elastic baselines disagree on.
+#[derive(Clone, Copy)]
+enum ScalingRule {
+    /// Per-GPU batch fixed, LR linear in the world size (Goyal et al.).
+    TorchElastic,
+    /// Batch size and LR co-adapted to the resource count for goodput.
+    Pollux,
 }
 
-impl TorchElasticJob {
-    /// Start with `initial_world` GPUs; hyper-parameters were tuned for
-    /// `base_workers`.
-    pub fn new(
+impl ScalingRule {
+    /// Per-GPU batch at world size `w`. Pollux's goodput model grows it on
+    /// small worlds to keep GPUs saturated and shrinks toward the base on
+    /// large worlds (statistical efficiency).
+    fn batch_at(self, base: &SpmdConfig, w: u32) -> usize {
+        match self {
+            ScalingRule::TorchElastic => base.batch_size,
+            ScalingRule::Pollux => {
+                let scale = (base.world as f64 / w as f64).sqrt().clamp(1.0, 4.0);
+                ((base.batch_size as f64 * scale) as usize).max(1)
+            }
+        }
+    }
+
+    /// The configuration a job tuned for `base` restarts with at `world`.
+    fn config_at(self, base: &SpmdConfig, world: u32) -> SpmdConfig {
+        SpmdConfig { world, batch_size: self.batch_at(base, world), ..base.clone() }
+    }
+}
+
+/// An elastic baseline job: world = GPU count, a full restart on every
+/// resource change, hyper-parameters re-tuned for the new world by the
+/// scaling rule its constructor picked.
+pub struct ElasticJob {
+    rule: ScalingRule,
+    /// What the hyper-parameters were tuned for (`world` = base workers).
+    base: SpmdConfig,
+    base_schedule: StepLr,
+    trainer: SpmdTrainer,
+    /// Fractional epochs completed (world sizes advance them at different rates).
+    epochs: f64,
+}
+
+impl ElasticJob {
+    /// TorchElastic-style job starting with `initial_world` GPUs: per-GPU
+    /// batch fixed at `batch_size`, LR scaled linearly from `base_workers`.
+    pub fn torch_elastic(
         workload: Workload,
         seed: u64,
         base_workers: u32,
@@ -37,50 +65,65 @@ impl TorchElasticJob {
         dataset_len: usize,
         batch_size: usize,
     ) -> Self {
-        let cfg = SpmdConfig::new(workload, seed, initial_world)
+        let base = SpmdConfig::new(workload, seed, base_workers)
             .with_dataset_len(dataset_len)
             .with_batch_size(batch_size);
-        TorchElasticJob {
-            workload,
-            seed,
-            base_workers,
-            base_schedule,
-            trainer: SpmdTrainer::new(cfg),
-            epochs: 0.0,
-            dataset_len,
-            batch_size,
+        Self::new(ScalingRule::TorchElastic, base, base_schedule, initial_world)
+    }
+
+    /// Pollux-style job starting with `initial_world` GPUs: per-GPU batch
+    /// and LR re-tuned from `base_batch` at `base_workers` on every scale.
+    pub fn pollux(
+        workload: Workload,
+        seed: u64,
+        base_workers: u32,
+        initial_world: u32,
+        base_schedule: StepLr,
+        dataset_len: usize,
+        base_batch: usize,
+    ) -> Self {
+        let base = SpmdConfig::new(workload, seed, base_workers)
+            .with_dataset_len(dataset_len)
+            .with_batch_size(base_batch);
+        Self::new(ScalingRule::Pollux, base, base_schedule, initial_world)
+    }
+
+    fn new(rule: ScalingRule, base: SpmdConfig, base_schedule: StepLr, world: u32) -> Self {
+        let trainer = SpmdTrainer::new(rule.config_at(&base, world));
+        ElasticJob { rule, base, base_schedule, trainer, epochs: 0.0 }
+    }
+
+    /// The per-GPU batch size the scaling rule picks at world size `w`.
+    pub fn tuned_batch(&self, w: u32) -> usize {
+        self.rule.batch_at(&self.base, w)
+    }
+
+    /// The LR at the current world size and epoch: the linear scaling rule,
+    /// or square-root scaling of the effective global batch (AdaScale-ish).
+    pub fn current_lr(&self) -> f32 {
+        let world = self.trainer.world();
+        let lr = self.base_schedule.lr(self.epochs as u64);
+        match self.rule {
+            ScalingRule::TorchElastic => lr * world as f32 / self.base.world as f32,
+            ScalingRule::Pollux => {
+                let global = world as f64 * self.tuned_batch(world) as f64;
+                let base_global = self.base.world as f64 * self.base.batch_size as f64;
+                lr * (global / base_global).sqrt() as f32
+            }
         }
     }
 
-    /// Current world size.
-    pub fn world(&self) -> u32 {
-        self.trainer.world()
-    }
-
-    /// Fractional epochs completed.
-    pub fn epochs(&self) -> f64 {
-        self.epochs
-    }
-
-    /// Resource change: restart with a new world size, carrying parameters
-    /// and optimizer state — and silently dropping sampler position, BN
-    /// stats, and bucket layout, as the real system does.
+    /// Resource change: restart re-tuned for the new world size, carrying
+    /// parameters and optimizer state — and silently dropping sampler
+    /// position, BN stats, and bucket layout, as the real systems do.
     pub fn set_world(&mut self, world: u32) {
         if world == self.trainer.world() {
             return;
         }
         let params = self.trainer.flat_params();
         let velocity = self.trainer.opt_velocity();
-        let cfg = SpmdConfig::new(self.workload, self.seed, world)
-            .with_dataset_len(self.dataset_len)
-            .with_batch_size(self.batch_size);
-        self.trainer = SpmdTrainer::restarted(cfg, &params, &velocity);
-    }
-
-    /// The linear scaling rule's LR at the current world size and epoch.
-    pub fn current_lr(&self) -> f32 {
-        self.base_schedule.lr(self.epochs as u64) * self.trainer.world() as f32
-            / self.base_workers as f32
+        self.trainer =
+            SpmdTrainer::restarted(self.rule.config_at(&self.base, world), &params, &velocity);
     }
 
     /// One global step; returns the mean loss.
@@ -91,128 +134,9 @@ impl TorchElasticJob {
         loss
     }
 
-    /// Run a whole epoch at the current world size.
+    /// Run a whole epoch at the current world size; returns the last loss.
     pub fn run_epoch(&mut self) -> f32 {
-        let steps = self.trainer.steps_per_epoch();
-        let mut last = 0.0;
-        for _ in 0..steps {
-            last = self.step();
-        }
-        last
-    }
-
-    /// Evaluate (overall, per-class) accuracy.
-    pub fn evaluate(&mut self, dataset: &dyn Dataset, batch: usize) -> (f64, Vec<f64>) {
-        self.trainer.evaluate(dataset, batch)
-    }
-
-    /// Flat parameters.
-    pub fn flat_params(&self) -> Vec<f32> {
-        self.trainer.flat_params()
-    }
-}
-
-/// Pollux-style job: co-adapts batch size and learning rate to the resource
-/// count for goodput, restarting with re-tuned hyper-parameters on scale.
-pub struct PolluxJob {
-    workload: Workload,
-    seed: u64,
-    base_workers: u32,
-    base_batch: usize,
-    base_schedule: StepLr,
-    trainer: SpmdTrainer,
-    epochs: f64,
-    dataset_len: usize,
-}
-
-impl PolluxJob {
-    /// Start with `initial_world` GPUs.
-    pub fn new(
-        workload: Workload,
-        seed: u64,
-        base_workers: u32,
-        initial_world: u32,
-        base_schedule: StepLr,
-        dataset_len: usize,
-        base_batch: usize,
-    ) -> Self {
-        let mut job = PolluxJob {
-            workload,
-            seed,
-            base_workers,
-            base_batch,
-            base_schedule,
-            trainer: SpmdTrainer::new(
-                SpmdConfig::new(workload, seed, initial_world)
-                    .with_dataset_len(dataset_len)
-                    .with_batch_size(base_batch),
-            ),
-            epochs: 0.0,
-            dataset_len,
-        };
-        job.retune(initial_world);
-        job
-    }
-
-    /// The per-GPU batch size Pollux's goodput model picks at world size
-    /// `w`: it grows the batch on small worlds to keep GPUs saturated and
-    /// shrinks toward the base on large worlds (statistical efficiency).
-    pub fn tuned_batch(&self, w: u32) -> usize {
-        let scale = (self.base_workers as f64 / w as f64).sqrt().clamp(1.0, 4.0);
-        ((self.base_batch as f64 * scale) as usize).max(1)
-    }
-
-    /// Square-root LR scaling for the effective global batch (AdaScale-ish).
-    pub fn current_lr(&self) -> f32 {
-        let global = self.trainer.world() as f64 * self.tuned_batch(self.trainer.world()) as f64;
-        let base_global = self.base_workers as f64 * self.base_batch as f64;
-        self.base_schedule.lr(self.epochs as u64) * (global / base_global).sqrt() as f32
-    }
-
-    fn retune(&mut self, world: u32) {
-        let batch = self.tuned_batch(world);
-        let params = self.trainer.flat_params();
-        let velocity = self.trainer.opt_velocity();
-        let cfg = SpmdConfig::new(self.workload, self.seed, world)
-            .with_dataset_len(self.dataset_len)
-            .with_batch_size(batch);
-        self.trainer = SpmdTrainer::restarted(cfg, &params, &velocity);
-    }
-
-    /// Current world size.
-    pub fn world(&self) -> u32 {
-        self.trainer.world()
-    }
-
-    /// Fractional epochs completed.
-    pub fn epochs(&self) -> f64 {
-        self.epochs
-    }
-
-    /// Resource change: re-tune batch/LR and restart.
-    pub fn set_world(&mut self, world: u32) {
-        if world == self.trainer.world() {
-            return;
-        }
-        self.retune(world);
-    }
-
-    /// One global step.
-    pub fn step(&mut self) -> f32 {
-        let lr = self.current_lr();
-        let loss = self.trainer.step(lr);
-        self.epochs += 1.0 / self.trainer.steps_per_epoch() as f64;
-        loss
-    }
-
-    /// Run one epoch.
-    pub fn run_epoch(&mut self) -> f32 {
-        let steps = self.trainer.steps_per_epoch();
-        let mut last = 0.0;
-        for _ in 0..steps {
-            last = self.step();
-        }
-        last
+        (0..self.trainer.steps_per_epoch()).map(|_| self.step()).last().unwrap_or(0.0)
     }
 
     /// Evaluate (overall, per-class) accuracy.
@@ -236,7 +160,7 @@ mod tests {
 
     #[test]
     fn torchelastic_scales_lr_linearly() {
-        let mut job = TorchElasticJob::new(Workload::ResNet18, 3, 4, 4, schedule(), 128, 8);
+        let mut job = ElasticJob::torch_elastic(Workload::ResNet18, 3, 4, 4, schedule(), 128, 8);
         assert!((job.current_lr() - 0.05).abs() < 1e-7);
         job.set_world(8);
         assert!((job.current_lr() - 0.10).abs() < 1e-7);
@@ -247,8 +171,8 @@ mod tests {
     #[test]
     fn torchelastic_resource_schedule_changes_accuracy() {
         // Same job, two different resource schedules ⇒ different parameters.
-        let mut stable = TorchElasticJob::new(Workload::ResNet18, 3, 4, 4, schedule(), 128, 8);
-        let mut bouncy = TorchElasticJob::new(Workload::ResNet18, 3, 4, 4, schedule(), 128, 8);
+        let mut stable = ElasticJob::torch_elastic(Workload::ResNet18, 3, 4, 4, schedule(), 128, 8);
+        let mut bouncy = ElasticJob::torch_elastic(Workload::ResNet18, 3, 4, 4, schedule(), 128, 8);
         for i in 0..12 {
             stable.step();
             if i == 4 {
@@ -264,15 +188,15 @@ mod tests {
 
     #[test]
     fn pollux_retunes_batch_on_scale() {
-        let job = PolluxJob::new(Workload::ResNet18, 3, 4, 4, schedule(), 256, 8);
+        let job = ElasticJob::pollux(Workload::ResNet18, 3, 4, 4, schedule(), 256, 8);
         assert_eq!(job.tuned_batch(4), 8, "base world keeps base batch");
         assert!(job.tuned_batch(1) > 8, "small worlds grow the per-GPU batch");
     }
 
     #[test]
     fn pollux_sqrt_scaling_is_gentler_than_linear() {
-        let mut p = PolluxJob::new(Workload::ResNet18, 3, 4, 4, schedule(), 256, 8);
-        let t = TorchElasticJob::new(Workload::ResNet18, 3, 4, 8, schedule(), 256, 8);
+        let mut p = ElasticJob::pollux(Workload::ResNet18, 3, 4, 4, schedule(), 256, 8);
+        let t = ElasticJob::torch_elastic(Workload::ResNet18, 3, 4, 8, schedule(), 256, 8);
         p.set_world(8);
         // Pollux at world 8: global = 8·8 = 64 vs base 32 ⇒ lr·√2.
         // TorchElastic at world 8: lr·2.
@@ -282,7 +206,7 @@ mod tests {
 
     #[test]
     fn elastic_baselines_train() {
-        let mut job = TorchElasticJob::new(Workload::ResNet18, 3, 2, 2, schedule(), 256, 8);
+        let mut job = ElasticJob::torch_elastic(Workload::ResNet18, 3, 2, 2, schedule(), 256, 8);
         let first = job.step();
         for _ in 0..20 {
             job.step();

@@ -31,11 +31,6 @@ impl PackingSim {
         }
     }
 
-    /// Peak GPU memory with `n` packed workers.
-    pub fn packed_memory(&self, n: u64) -> u64 {
-        self.footprint.packed_peak(n)
-    }
-
     /// Peak GPU memory with `n` ESTs in one EasyScale worker.
     pub fn easyscale_memory(&self, n: u64) -> u64 {
         self.footprint.easyscale_peak(n)
@@ -103,7 +98,7 @@ mod tests {
     fn easyscale_memory_is_flat() {
         let s = sim(Workload::ResNet50);
         assert_eq!(s.easyscale_memory(2), s.easyscale_memory(16));
-        assert!(s.easyscale_memory(16) < s.packed_memory(3));
+        assert!(s.easyscale_memory(16) < s.try_pack(3).unwrap());
     }
 
     #[test]

@@ -4,17 +4,17 @@
 #   scripts/ci.sh           full pipeline: fmt → clippy → detlint (one run of
 #                           all four analyses; its exit status is the gate,
 #                           SARIF lands in results/detlint.sarif) → build →
-#                           test → benchmark_smoke (builds every paper
-#                           binary under crates/bench/src/bin/, then runs
+#                           test → benchmark_smoke (builds the `figs`
+#                           binary of crates/bench, then runs
 #                           the repo benchmark's `smoke` pass: every
 #                           workload once, correctness checked, nothing
 #                           gated — see benchmark/README.md — and must
 #                           leave every tracked file under benchmark/ and
 #                           BENCHMARK.json as the index has it) → faultsim
 #                           chaos matrix → silent-fault detection matrix →
-#                           figs (regenerate the Fig 14/15/16 trace
-#                           simulations; the committed JSON must come out
-#                           byte for byte)
+#                           figs (`figs all`: regenerate every tracked
+#                           file under results/; the committed JSON must
+#                           come out byte for byte)
 #   scripts/ci.sh --quick   quick stages only (what scripts/check.sh runs):
 #                           fmt → clippy → detlint → build → test →
 #                           benchmark_smoke → thread_faults (hand-authored
@@ -78,9 +78,8 @@ stage clippy     cargo clippy --workspace --all-targets --offline -- -D warnings
 stage detlint    cargo run --offline -q -p detlint -- --quiet --sarif results/detlint.sarif
 stage build      cargo build --release --offline
 stage test       cargo test -q --offline --workspace --exclude faultsim
-# benchmark_smoke keeps the measured surfaces honest: compile every paper
-# binary (cargo's default `build` skips src/bin/* of non-default targets
-# only when filtered, so --bins is explicit), then run the repo benchmark's
+# benchmark_smoke keeps the measured surfaces honest: compile the `figs`
+# binary (one link step for all 18 experiments), then run the repo benchmark's
 # smoke pass — each workload once with its correctness checks (params hash
 # vs the SingleThread reference, one PoolRecovery per injected panic,
 # decomposed step == Engine::step). A compile+run check: no timings are
@@ -116,17 +115,16 @@ if [ "$MODE" = full ]; then
   # results/detect_report.json.
   stage detect     cargo run --release --offline -q -p faultsim -- \
                      --detect-matrix --out results/detect_report.json
-  # The committed trace figures are what the code produces: the scheduler
-  # simulations are deterministic, so regenerating them must leave the
-  # tracked JSON untouched. A diff here is a scheduling decision that moved
-  # (crates/sched/tests/sim_golden.rs says which trace), not noise.
+  # The committed figures are what the code produces: every tracked file
+  # under results/ is a pure function of the code (a value read from a
+  # clock is printed, never written there), so regenerating all of them
+  # must leave the tree untouched — and EXPERIMENTS.md quotes
+  # results/measured.json (tests/experiments_doc.rs). A diff here is a
+  # number that moved, not noise; for Figs 14–16
+  # crates/sched/tests/sim_golden.rs says which trace. ≈ 20 s.
   figs() {
-    local fig
-    for fig in fig14_trace_jct fig15_alloc_timeline fig16_colocation; do
-      cargo run --release --offline -q -p bench --bin "$fig" >/dev/null || return
-    done
-    git diff --exit-code -- results/fig14_trace_jct.json \
-      results/fig15_alloc_timeline.json results/fig16_colocation.json
+    cargo run --release --offline -q -p bench -- all >/dev/null || return
+    git diff --exit-code -- results
   }
   stage figs       figs
 fi

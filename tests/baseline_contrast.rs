@@ -2,7 +2,7 @@
 //! contrast with EasyScale holds end to end.
 
 use baselines::spmd::{SpmdConfig, SpmdTrainer};
-use baselines::{PolluxJob, TorchElasticJob};
+use baselines::ElasticJob;
 use data::SyntheticImageDataset;
 use device::GpuType;
 use easyscale::{Engine, JobConfig, Placement};
@@ -37,7 +37,7 @@ fn spmd_engine_cross_validation_all_families() {
 /// models AND different accuracies — the paper's core complaint.
 #[test]
 fn torchelastic_accuracy_depends_on_resource_schedule() {
-    let mk = || TorchElasticJob::new(Workload::ResNet18, 5, 4, 4, schedule(), 256, 8);
+    let mk = || ElasticJob::torch_elastic(Workload::ResNet18, 5, 4, 4, schedule(), 256, 8);
     let mut stable = mk();
     let mut elastic = mk();
     for epoch in 0..6 {
@@ -77,8 +77,8 @@ fn easyscale_accuracy_ignores_resource_schedule() {
 /// the trajectory) when resources change.
 #[test]
 fn pollux_adapts_batch_and_diverges() {
-    let mut fixed = PolluxJob::new(Workload::ResNet18, 5, 4, 4, schedule(), 256, 8);
-    let mut scaled = PolluxJob::new(Workload::ResNet18, 5, 4, 4, schedule(), 256, 8);
+    let mut fixed = ElasticJob::pollux(Workload::ResNet18, 5, 4, 4, schedule(), 256, 8);
+    let mut scaled = ElasticJob::pollux(Workload::ResNet18, 5, 4, 4, schedule(), 256, 8);
     scaled.set_world(1);
     assert!(scaled.tuned_batch(1) > fixed.tuned_batch(4));
     for _ in 0..10 {
