@@ -192,8 +192,7 @@ impl SpmdTrainer {
             let probs = softmax_rows(&logits, &self.profile);
             let (loss, grad_logits) = cross_entropy(&probs, &batch.labels, &self.profile);
             self.model.backward(&grad_logits, &mut ctx);
-            grads.push(self.model.flat_grads());
-            self.model.zero_grads();
+            grads.push(self.model.take_flat_grads());
             state.implicit = self.model.implicit_state();
             state.dropout = dropout.state();
             losses.push(loss);

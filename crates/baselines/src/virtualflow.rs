@@ -163,8 +163,7 @@ impl VirtualFlowJob {
                 let (loss, grad_logits) = cross_entropy(&probs, &batch.labels, &self.profile);
                 self.model.backward(&grad_logits, &mut ctx);
                 losses.push(loss);
-                let g = self.model.flat_grads();
-                self.model.zero_grads();
+                let g = self.model.take_flat_grads();
                 // Sequential accumulation (the VirtualFlow order).
                 match &mut acc {
                     None => acc = Some(g),

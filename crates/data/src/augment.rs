@@ -45,14 +45,20 @@ impl Augmenter {
         &self.config
     }
 
-    /// Augment one `[c,h,w]` image in place of a fresh tensor. The number of
-    /// RNG draws consumed is *constant* per call (draws happen even when the
-    /// flip doesn't trigger), so generator positions advance identically on
-    /// every path — a property the restore logic relies on.
+    /// Augment one `[c,h,w]` image into a fresh tensor.
     pub fn apply(&self, img: &Tensor, rng: &mut EsRng) -> Tensor {
-        let s = img.shape();
-        assert_eq!(s.len(), 3, "augmenter expects [c,h,w]");
-        let (c, h, w) = (s[0], s[1], s[2]);
+        let mut out = Tensor::uninit(img.shape());
+        self.apply_into(img.data(), img.shape(), rng, out.data_mut());
+        out
+    }
+
+    /// Augment the `[c,h,w]` image `id` over `od`. The number of RNG draws
+    /// consumed is *constant* per call (draws happen even when the flip
+    /// doesn't trigger), so generator positions advance identically on
+    /// every path — a property the restore logic relies on.
+    pub fn apply_into(&self, id: &[f32], shape: &[usize], rng: &mut EsRng, od: &mut [f32]) {
+        let &[c, h, w] = shape else { panic!("augmenter expects [c,h,w], got {shape:?}") };
+        assert!(id.len() == c * h * w && od.len() == id.len(), "apply_into shapes");
         let flip = rng.bernoulli(self.config.flip_prob);
         let span = 2 * self.config.max_shift as u32 + 1;
         let dy = rng.next_below(span) as isize - self.config.max_shift as isize;
@@ -63,9 +69,6 @@ impl Augmenter {
             0.0
         };
 
-        let id = img.data();
-        let mut out = Tensor::zeros(s);
-        let od = out.data_mut();
         for ch in 0..c {
             for y in 0..h {
                 let sy = y as isize + dy;
@@ -81,7 +84,6 @@ impl Augmenter {
                 }
             }
         }
-        out
     }
 }
 

@@ -21,9 +21,16 @@ pub trait Dataset: Send + Sync {
     fn feature_shape(&self) -> Vec<usize>;
     /// Number of label classes.
     fn num_classes(&self) -> u32;
-    /// Fetch sample `idx` (features, label). Must be pure: same `idx`, same
-    /// bits, forever.
-    fn sample(&self, idx: u32) -> (Tensor, u32);
+    /// Write the features of sample `idx` over `out` (one
+    /// [`Dataset::feature_shape`] worth of elements) and return its label.
+    /// Must be pure: same `idx`, same bits, forever.
+    fn sample_into(&self, idx: u32, out: &mut [f32]) -> u32;
+    /// Fetch sample `idx` (features, label) as a tensor of its own.
+    fn sample(&self, idx: u32) -> (Tensor, u32) {
+        let mut x = Tensor::uninit(&self.feature_shape());
+        let label = self.sample_into(idx, x.data_mut());
+        (x, label)
+    }
 }
 
 /// CIFAR-like synthetic image classification: `num_classes` Gaussian
@@ -117,7 +124,7 @@ impl Dataset for SyntheticImageDataset {
         self.classes
     }
 
-    fn sample(&self, idx: u32) -> (Tensor, u32) {
+    fn sample_into(&self, idx: u32, out: &mut [f32]) -> u32 {
         assert!((idx as usize) < self.len, "sample index {idx} out of range {}", self.len);
         let mut rng = EsRng::for_stream(
             self.seed,
@@ -125,9 +132,11 @@ impl Dataset for SyntheticImageDataset {
         );
         let label = rng.next_below(self.classes);
         let proto = &self.prototypes[label as usize];
-        let data: Vec<f32> =
-            proto.iter().map(|&p| p + self.noise_sigma * rng.normal_f32()).collect();
-        (Tensor::from_vec(data, &self.feature_shape()), label)
+        assert_eq!(out.len(), proto.len(), "sample_into: one image's worth of elements");
+        for (o, &p) in out.iter_mut().zip(proto) {
+            *o = p + self.noise_sigma * rng.normal_f32();
+        }
+        label
     }
 }
 
@@ -165,29 +174,6 @@ impl SyntheticSequenceDataset {
     pub fn seq_len(&self) -> usize {
         self.seq_len
     }
-
-    /// Token ids of sample `idx` (features are the embedded-token *indices*
-    /// encoded as f32 for transport; models embed them).
-    pub fn tokens(&self, idx: u32) -> (Vec<u32>, u32) {
-        let mut rng = EsRng::for_stream(
-            self.seed,
-            StreamKey::indexed(StreamKind::User, 2, (idx + self.offset) as u64),
-        );
-        let label = rng.next_below(self.classes);
-        // Bias token draws by label so the task is learnable: class c prefers
-        // the vocabulary band starting at c * vocab / classes.
-        let band = self.vocab / self.classes;
-        let tokens = (0..self.seq_len)
-            .map(|_| {
-                if rng.bernoulli(0.65) {
-                    label * band + rng.next_below(band.max(1))
-                } else {
-                    rng.next_below(self.vocab)
-                }
-            })
-            .collect();
-        (tokens, label)
-    }
 }
 
 impl Dataset for SyntheticSequenceDataset {
@@ -203,10 +189,25 @@ impl Dataset for SyntheticSequenceDataset {
         self.classes
     }
 
-    fn sample(&self, idx: u32) -> (Tensor, u32) {
-        let (tokens, label) = self.tokens(idx);
-        let data = tokens.into_iter().map(|t| t as f32).collect();
-        (Tensor::from_vec(data, &[self.seq_len]), label)
+    /// Token ids, encoded as f32 for transport; models embed them.
+    fn sample_into(&self, idx: u32, out: &mut [f32]) -> u32 {
+        assert_eq!(out.len(), self.seq_len, "sample_into: one sequence's worth of elements");
+        let mut rng = EsRng::for_stream(
+            self.seed,
+            StreamKey::indexed(StreamKind::User, 2, (idx + self.offset) as u64),
+        );
+        let label = rng.next_below(self.classes);
+        // Bias token draws by label so the task is learnable: class c prefers
+        // the vocabulary band starting at c * vocab / classes.
+        let band = self.vocab / self.classes;
+        for token in out {
+            *token = if rng.bernoulli(0.65) {
+                label * band + rng.next_below(band.max(1))
+            } else {
+                rng.next_below(self.vocab)
+            } as f32;
+        }
+        label
     }
 }
 
@@ -271,9 +272,9 @@ mod tests {
     fn sequence_dataset_tokens_in_vocab() {
         let d = SyntheticSequenceDataset::new(3, 100, 16, 1000, 10);
         for i in 0..100 {
-            let (tokens, label) = d.tokens(i);
+            let (tokens, label) = d.sample(i);
             assert_eq!(tokens.len(), 16);
-            assert!(tokens.iter().all(|&t| t < 1000));
+            assert!(tokens.data().iter().all(|&t| t < 1000.0 && t.fract() == 0.0));
             assert!(label < 10);
         }
     }

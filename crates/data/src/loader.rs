@@ -69,6 +69,8 @@ pub struct ShardedLoader {
     sampler: DistributedSampler,
     augmenter: Option<Augmenter>,
     batch_size: usize,
+    /// `[batch_size, …feature_shape]`.
+    batch_shape: Vec<usize>,
     seed: u64,
     cursors: Vec<Cursor>,
     /// Cached epoch permutations (different ranks may sit in different
@@ -96,11 +98,13 @@ impl ShardedLoader {
                 aug: RngStream::open(seed, StreamKey::indexed(StreamKind::Augmentation, r, 0)),
             })
             .collect();
+        let batch_shape = [vec![batch_size], dataset.feature_shape()].concat();
         ShardedLoader {
             dataset,
             sampler,
             augmenter,
             batch_size,
+            batch_shape,
             seed,
             cursors,
             perm_cache: Vec::new(),
@@ -155,21 +159,23 @@ impl ShardedLoader {
         let indices = self.sampler.batch_indices_in(perm, vrank, batch_idx, self.batch_size);
         let c = &mut self.cursors[vrank as usize];
 
-        let feat_shape = self.dataset.feature_shape();
-        let feat_len: usize = feat_shape.iter().product();
-        let mut features = Vec::with_capacity(self.batch_size * feat_len);
+        // Every sample is drawn straight into its slot of the batch — by way
+        // of one staging image when it is to be augmented on the way.
+        let feat_shape = &self.batch_shape[1..];
+        let mut features = Tensor::uninit(&self.batch_shape);
+        let mut raw = Tensor::uninit(feat_shape);
         let mut labels = Vec::with_capacity(self.batch_size);
-        for &idx in &indices {
-            let (x, y) = self.dataset.sample(idx);
-            let x = match &self.augmenter {
-                Some(a) => a.apply(&x, c.aug.rng()),
-                None => x,
-            };
-            features.extend_from_slice(x.data());
-            labels.push(y);
+        let slots = features.data_mut().chunks_exact_mut(raw.len().max(1));
+        for (&idx, slot) in indices.iter().zip(slots) {
+            labels.push(match &self.augmenter {
+                Some(a) => {
+                    let y = self.dataset.sample_into(idx, raw.data_mut());
+                    a.apply_into(raw.data(), feat_shape, c.aug.rng(), slot);
+                    y
+                }
+                None => self.dataset.sample_into(idx, slot),
+            });
         }
-        let mut shape = vec![self.batch_size];
-        shape.extend_from_slice(&feat_shape);
 
         // Advance the cursor; epoch rollover re-opens the augmentation
         // stream at the new epoch index so state is a pure function of
@@ -184,14 +190,7 @@ impl ShardedLoader {
             );
         }
 
-        Batch {
-            epoch,
-            batch_idx,
-            vrank,
-            features: Tensor::from_vec(features, &shape),
-            labels,
-            indices,
-        }
+        Batch { epoch, batch_idx, vrank, features, labels, indices }
     }
 
     /// Capture every rank's cursor.

@@ -5,10 +5,10 @@
 //! NeuMF, SwinTransformer): their reductions are all matmuls and softmax
 //! denominators, which stay cheap under the hardware-agnostic D2 profile.
 
-use crate::model::{ExecCtx, Layer};
+use crate::model::{drain, ExecCtx, Layer};
 use esrng::EsRng;
 use tensor::ops;
-use tensor::Tensor;
+use tensor::{Shape, Tensor};
 
 /// Token embedding: `[B, S]` of token ids (carried as f32) → `[B, S, D]`.
 pub struct Embedding {
@@ -16,9 +16,8 @@ pub struct Embedding {
     gtable: Tensor,
     vocab: usize,
     dim: usize,
-    cached_tokens: Option<Vec<usize>>,
-    cached_batch: usize,
-    cached_seq: usize,
+    /// The `[B, S]` input of the last forward pass.
+    cached_tokens: Option<Tensor>,
 }
 
 impl Embedding {
@@ -28,15 +27,7 @@ impl Embedding {
             (0..vocab * dim).map(|_| rng.normal_f32() * 0.02).collect(),
             &[vocab, dim],
         );
-        Embedding {
-            gtable: Tensor::zeros(&[vocab, dim]),
-            table,
-            vocab,
-            dim,
-            cached_tokens: None,
-            cached_batch: 0,
-            cached_seq: 0,
-        }
+        Embedding { gtable: Tensor::zeros(&[vocab, dim]), table, vocab, dim, cached_tokens: None }
     }
 }
 
@@ -44,42 +35,32 @@ impl Layer for Embedding {
     fn forward(&mut self, x: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
         let s = x.shape();
         assert_eq!(s.len(), 2, "Embedding expects [B,S] token ids");
-        let (b, seq) = (s[0], s[1]);
-        let tokens: Vec<usize> = x
-            .data()
-            .iter()
-            .map(|&t| {
-                let id = t as usize;
-                assert!(id < self.vocab, "token id {id} out of vocab {}", self.vocab);
-                id
-            })
-            .collect();
-        let mut out = Tensor::zeros(&[b, seq, self.dim]);
-        let od = out.data_mut();
+        let mut out = Tensor::uninit(&[s[0], s[1], self.dim]);
         let td = self.table.data();
-        for (i, &tok) in tokens.iter().enumerate() {
-            od[i * self.dim..(i + 1) * self.dim]
-                .copy_from_slice(&td[tok * self.dim..(tok + 1) * self.dim]);
+        for (row, &t) in out.data_mut().chunks_exact_mut(self.dim).zip(x.data()) {
+            let tok = t as usize;
+            assert!(tok < self.vocab, "token id {tok} out of vocab {}", self.vocab);
+            row.copy_from_slice(&td[tok * self.dim..(tok + 1) * self.dim]);
         }
-        self.cached_tokens = Some(tokens);
-        self.cached_batch = b;
-        self.cached_seq = seq;
+        self.cached_tokens = Some(x.clone());
         out
     }
 
     fn backward(&mut self, grad: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
         let tokens = self.cached_tokens.take().expect("backward before forward");
-        assert_eq!(grad.shape(), &[self.cached_batch, self.cached_seq, self.dim]);
+        let (b, seq) = (tokens.shape()[0], tokens.shape()[1]);
+        assert_eq!(grad.shape(), &[b, seq, self.dim]);
         let gd = grad.data();
         let gt = self.gtable.data_mut();
         // Fixed-order scatter-add (token occurrence order), deterministic.
-        for (i, &tok) in tokens.iter().enumerate() {
+        for (i, &t) in tokens.data().iter().enumerate() {
+            let tok = t as usize;
             for d in 0..self.dim {
                 gt[tok * self.dim + d] += gd[i * self.dim + d];
             }
         }
         // Token ids are not differentiable; return zeros of the input shape.
-        Tensor::zeros(&[self.cached_batch, self.cached_seq])
+        Tensor::zeros(&[b, seq])
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -94,8 +75,8 @@ impl Layer for Embedding {
         vec![&self.gtable]
     }
 
-    fn zero_grads(&mut self) {
-        self.gtable.zero_();
+    fn drain_grads(&mut self, out: &mut Vec<f32>) {
+        drain([&mut self.gtable], out);
     }
 
     fn name(&self) -> &'static str {
@@ -154,7 +135,7 @@ impl SelfAttention {
 
     fn sample(&self, x: &Tensor, i: usize, seq: usize) -> Tensor {
         let plane = seq * self.dim;
-        Tensor::from_vec(x.data()[i * plane..(i + 1) * plane].to_vec(), &[seq, self.dim])
+        Tensor::from_slice(&x.data()[i * plane..(i + 1) * plane]).reshape(&[seq, self.dim])
     }
 }
 
@@ -165,7 +146,7 @@ impl Layer for SelfAttention {
         assert_eq!(s[2], self.dim, "dim mismatch");
         let (b, seq) = (s[0], s[1]);
         let scale = 1.0 / (self.dim as f32).sqrt();
-        let mut out = Tensor::zeros(&[b, seq, self.dim]);
+        let mut out = Tensor::uninit(&[b, seq, self.dim]);
         let plane = seq * self.dim;
         let (mut qs, mut ks, mut vs, mut ps, mut os) = (
             Vec::with_capacity(b),
@@ -202,13 +183,10 @@ impl Layer for SelfAttention {
         let plane = seq * self.dim;
         assert_eq!(grad.shape(), &[b, seq, self.dim]);
         let scale = 1.0 / (self.dim as f32).sqrt();
-        let mut gx = Tensor::zeros(&[b, seq, self.dim]);
+        let mut gx = Tensor::uninit(&[b, seq, self.dim]);
 
         for i in 0..b {
-            let gy = Tensor::from_vec(
-                grad.data()[i * plane..(i + 1) * plane].to_vec(),
-                &[seq, self.dim],
-            );
+            let gy = self.sample(grad, i, seq);
             let xb = self.sample(&c.x, i, seq);
 
             // Output projection.
@@ -220,7 +198,7 @@ impl Layer for SelfAttention {
             let g_v = ops::matmul_at_b(&c.p[i], &g_o, &ctx.profile);
 
             // Softmax backward, row-wise: ds = (dp - <dp,p>) * p.
-            let mut g_s = Tensor::zeros(&[seq, seq]);
+            let mut g_s = Tensor::uninit(&[seq, seq]);
             {
                 let gpd = g_p.data();
                 let pd = c.p[i].data();
@@ -264,11 +242,8 @@ impl Layer for SelfAttention {
         vec![&self.gq, &self.gk, &self.gv, &self.go]
     }
 
-    fn zero_grads(&mut self) {
-        self.gq.zero_();
-        self.gk.zero_();
-        self.gv.zero_();
-        self.go.zero_();
+    fn drain_grads(&mut self, out: &mut Vec<f32>) {
+        drain([&mut self.gq, &mut self.gk, &mut self.gv, &mut self.go], out);
     }
 
     fn name(&self) -> &'static str {
@@ -278,7 +253,7 @@ impl Layer for SelfAttention {
 
 /// Mean pooling over the sequence axis: `[B, S, D]` → `[B, D]`.
 pub struct MeanPool {
-    cached_shape: Option<Vec<usize>>,
+    cached_shape: Option<Shape>,
 }
 
 impl MeanPool {
@@ -294,19 +269,20 @@ impl Layer for MeanPool {
         let s = x.shape();
         assert_eq!(s.len(), 3, "MeanPool expects [B,S,D]");
         let (b, seq, d) = (s[0], s[1], s[2]);
-        let mut out = Tensor::zeros(&[b, d]);
+        let mut out = Tensor::uninit(&[b, d]);
         let xd = x.data();
         let od = out.data_mut();
-        let mut col = vec![0.0f32; seq];
+        let mut col = Tensor::uninit(&[seq]);
+        let col = col.data_mut();
         for i in 0..b {
             for j in 0..d {
                 for t in 0..seq {
                     col[t] = xd[(i * seq + t) * d + j];
                 }
-                od[i * d + j] = ops::blocked_sum(&col, &ctx.profile) / seq as f32;
+                od[i * d + j] = ops::blocked_sum(col, &ctx.profile) / seq as f32;
             }
         }
-        self.cached_shape = Some(s.to_vec());
+        self.cached_shape = Some(Shape::new(s));
         out
     }
 
@@ -314,7 +290,7 @@ impl Layer for MeanPool {
         let s = self.cached_shape.take().expect("backward before forward");
         let (b, seq, d) = (s[0], s[1], s[2]);
         assert_eq!(grad.shape(), &[b, d]);
-        let mut gx = Tensor::zeros(&s);
+        let mut gx = Tensor::uninit(&s);
         let gd = grad.data();
         let gxd = gx.data_mut();
         let inv = 1.0 / seq as f32;

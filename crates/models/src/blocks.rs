@@ -1,7 +1,7 @@
 //! Composite blocks: residual connections, LayerNorm, and GELU — the pieces
 //! that turn the flat layer list into realistic ResNet/Transformer proxies.
 
-use crate::model::{ExecCtx, Layer};
+use crate::model::{backward_all, drain, forward_all, ExecCtx, Layer};
 use tensor::ops::blocked_sum;
 use tensor::Tensor;
 
@@ -22,20 +22,13 @@ impl Residual {
 
 impl Layer for Residual {
     fn forward(&mut self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        let mut cur = x.clone();
-        for layer in &mut self.inner {
-            cur = layer.forward(&cur, ctx);
-        }
-        assert_eq!(cur.shape(), x.shape(), "residual body must preserve shape");
-        cur.add(x)
+        let body = forward_all(&mut self.inner, x, ctx);
+        assert_eq!(body.shape(), x.shape(), "residual body must preserve shape");
+        body.add(x)
     }
 
     fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        let mut cur = grad.clone();
-        for layer in self.inner.iter_mut().rev() {
-            cur = layer.backward(&cur, ctx);
-        }
-        cur.add(grad)
+        backward_all(&mut self.inner, grad, ctx).add(grad)
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -50,27 +43,24 @@ impl Layer for Residual {
         self.inner.iter().flat_map(|l| l.grads()).collect()
     }
 
-    fn zero_grads(&mut self) {
+    fn drain_grads(&mut self, out: &mut Vec<f32>) {
         for l in &mut self.inner {
-            l.zero_grads();
+            l.drain_grads(out);
         }
     }
 
     fn implicit_state(&self) -> Vec<Tensor> {
-        // Concatenate inner implicit states with per-layer length prefixes
-        // encoded positionally: flatten in layer order (restore splits by
-        // the same per-layer counts).
+        // The inner states, flattened in layer order; restore hands the
+        // same sequence down the same order and each layer takes its own.
         self.inner.iter().flat_map(|l| l.implicit_state()).collect()
     }
 
-    fn set_implicit_state(&mut self, state: &[Tensor]) {
-        let mut off = 0;
-        for l in &mut self.inner {
-            let n = l.implicit_state().len();
-            l.set_implicit_state(&state[off..off + n]);
-            off += n;
-        }
-        assert_eq!(off, state.len(), "residual implicit-state length mismatch");
+    fn set_implicit_state<'a>(&mut self, state: &'a [Tensor]) -> &'a [Tensor] {
+        self.inner.iter_mut().fold(state, |rest, l| l.set_implicit_state(rest))
+    }
+
+    fn save_implicit_state<'a>(&self, state: &'a mut [Tensor]) -> &'a mut [Tensor] {
+        self.inner.iter().fold(state, |rest, l| l.save_implicit_state(rest))
     }
 
     fn name(&self) -> &'static str {
@@ -97,8 +87,7 @@ pub struct LayerNorm {
 
 struct LnCache {
     x_hat: Tensor,
-    inv_std: Vec<f32>,
-    shape: Vec<usize>,
+    inv_std: Tensor,
 }
 
 impl LayerNorm {
@@ -118,24 +107,28 @@ impl LayerNorm {
 
 impl Layer for LayerNorm {
     fn forward(&mut self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        let shape = x.shape().to_vec();
-        let d = *shape.last().expect("nonempty shape");
+        let d = *x.shape().last().expect("nonempty shape");
         assert_eq!(d, self.dim, "LayerNorm dim mismatch");
         let rows = x.len() / d;
         let xd = x.data();
-        let mut out = Tensor::zeros(&shape);
-        let mut x_hat = Tensor::zeros(&shape);
-        let mut inv_std = vec![0.0f32; rows];
+        let mut out = Tensor::uninit(x.shape());
+        let mut x_hat = Tensor::uninit(x.shape());
+        let mut inv_std = Tensor::uninit(&[rows]);
         {
             let od = out.data_mut();
             let xh = x_hat.data_mut();
             for r in 0..rows {
                 let row = &xd[r * d..(r + 1) * d];
                 let mean = blocked_sum(row, &ctx.profile) / d as f32;
-                let sq: Vec<f32> = row.iter().map(|&v| (v - mean) * (v - mean)).collect();
-                let var = blocked_sum(&sq, &ctx.profile) / d as f32;
+                // The row's squared deviations, staged in the output row
+                // that is about to be overwritten.
+                let sq = &mut od[r * d..(r + 1) * d];
+                for (s, &v) in sq.iter_mut().zip(row) {
+                    *s = (v - mean) * (v - mean);
+                }
+                let var = blocked_sum(sq, &ctx.profile) / d as f32;
                 let istd = 1.0 / (var + self.eps).sqrt();
-                inv_std[r] = istd;
+                inv_std.data_mut()[r] = istd;
                 for j in 0..d {
                     let h = (row[j] - mean) * istd;
                     xh[r * d + j] = h;
@@ -143,7 +136,7 @@ impl Layer for LayerNorm {
                 }
             }
         }
-        self.cached = Some(LnCache { x_hat, inv_std, shape });
+        self.cached = Some(LnCache { x_hat, inv_std });
         out
     }
 
@@ -151,14 +144,14 @@ impl Layer for LayerNorm {
         let cache = self.cached.take().expect("backward before forward");
         let d = self.dim;
         let rows = grad.len() / d;
-        assert_eq!(grad.shape(), &cache.shape[..]);
+        assert_eq!(grad.shape(), cache.x_hat.shape());
         let gd = grad.data();
         let xh = cache.x_hat.data();
-        let mut gx = Tensor::zeros(&cache.shape);
+        let mut gx = Tensor::uninit(grad.shape());
         {
             let gxd = gx.data_mut();
-            let mut gbuf = vec![0.0f32; d];
-            let mut ghbuf = vec![0.0f32; d];
+            let (mut gbuf, mut ghbuf) = (Tensor::uninit(&[d]), Tensor::uninit(&[d]));
+            let (gbuf, ghbuf) = (gbuf.data_mut(), ghbuf.data_mut());
             for r in 0..rows {
                 for j in 0..d {
                     gbuf[j] = gd[r * d + j] * self.gamma.data()[j];
@@ -167,9 +160,9 @@ impl Layer for LayerNorm {
                     self.gbeta.data_mut()[j] += gd[r * d + j];
                     self.ggamma.data_mut()[j] += gd[r * d + j] * xh[r * d + j];
                 }
-                let sum_g = blocked_sum(&gbuf, &ctx.profile);
-                let sum_gh = blocked_sum(&ghbuf, &ctx.profile);
-                let istd = cache.inv_std[r];
+                let sum_g = blocked_sum(gbuf, &ctx.profile);
+                let sum_gh = blocked_sum(ghbuf, &ctx.profile);
+                let istd = cache.inv_std.data()[r];
                 for j in 0..d {
                     gxd[r * d + j] =
                         istd * (gbuf[j] - sum_g / d as f32 - xh[r * d + j] * sum_gh / d as f32);
@@ -191,9 +184,8 @@ impl Layer for LayerNorm {
         vec![&self.ggamma, &self.gbeta]
     }
 
-    fn zero_grads(&mut self) {
-        self.ggamma.zero_();
-        self.gbeta.zero_();
+    fn drain_grads(&mut self, out: &mut Vec<f32>) {
+        drain([&mut self.ggamma, &mut self.gbeta], out);
     }
 
     fn name(&self) -> &'static str {
@@ -232,13 +224,12 @@ impl Gelu {
 impl Layer for Gelu {
     fn forward(&mut self, x: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
         self.cached = Some(x.clone());
-        Tensor::from_vec(x.data().iter().map(|&v| Self::gelu(v)).collect(), x.shape())
+        x.map(Self::gelu)
     }
 
     fn backward(&mut self, grad: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
         let x = self.cached.take().expect("backward before forward");
-        let data = grad.data().iter().zip(x.data()).map(|(&g, &v)| g * Self::dgelu(v)).collect();
-        Tensor::from_vec(data, grad.shape())
+        grad.zip_with(&x, |g, v| g * Self::dgelu(v))
     }
 
     fn name(&self) -> &'static str {

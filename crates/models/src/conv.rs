@@ -7,14 +7,14 @@
 //! agnostic profile is pinned.
 //!
 //! Both passes work a sample at a time on `tensor::ops`' slice-level
-//! routines, over buffers made once per call and reused across the batch;
+//! routines, over buffers taken once per call and reused across the batch;
 //! the per-sample order in which `gw` and `gb` take their contributions is
 //! part of the accumulation tree and stays ascending.
 
-use crate::model::{ExecCtx, Layer};
+use crate::model::{drain, ExecCtx, Layer};
 use esrng::EsRng;
 use tensor::ops::{self, ConvGeom};
-use tensor::Tensor;
+use tensor::{with_scratch, Tensor};
 
 /// Conv2d: input `[B, cin, h, w]` → output `[B, cout, oh, ow]`.
 pub struct Conv2d {
@@ -26,15 +26,10 @@ pub struct Conv2d {
     cin: usize,
     cout: usize,
     geom: ConvGeom,
-    cached: Option<Cached>,
-}
-
-struct Cached {
-    /// The unfolded input of every sample, `[B, cin·k², oh·ow]`.
-    cols: Vec<f32>,
-    in_h: usize,
-    in_w: usize,
-    batch: usize,
+    /// The input of the last forward pass. Its unfolded form is nine times
+    /// as large under a 3×3 kernel — over half of a ResNet18 step's working
+    /// set — so `backward` unfolds each sample again: the same bits.
+    cached: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -69,6 +64,52 @@ impl Conv2d {
     pub fn out_dims(&self, h: usize, w: usize) -> (usize, usize) {
         (self.geom.out_size(h), self.geom.out_size(w))
     }
+
+    /// The backward pass; dL/d(input) — `dcol = Wᵀ·g` folded back by col2im,
+    /// about half of the pass — only if `want_dx`.
+    fn backward_opt(&mut self, grad: &Tensor, ctx: &mut ExecCtx, want_dx: bool) -> Option<Tensor> {
+        let x = self.cached.take().expect("backward before forward");
+        let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
+        let (oh, ow) = self.out_dims(h, w);
+        let (dims, spatial) = ((self.cin, h, w), oh * ow);
+        let (wd, fan_in, prof) = (self.weight.data(), self.weight.shape()[1], &ctx.profile);
+        let (dw_dims, dcol_dims) = ((self.cout, spatial, fan_in), (fan_in, self.cout, spatial));
+        assert_eq!(grad.shape(), &[b, self.cout, oh, ow], "grad shape mismatch");
+
+        // Per-call buffers reused across the samples; `gw`/`gb` still take
+        // one sample's contribution at a time, in ascending sample order.
+        let mut dw = Tensor::uninit(&[self.cout, fan_in]);
+        let mut colt = Tensor::uninit(&[spatial, fan_in]);
+        let mut dx = want_dx
+            .then(|| (Tensor::uninit(&[b, self.cin, h, w]), Tensor::uninit(&[fan_in, spatial])));
+        let gs = grad.data().chunks_exact(self.cout * spatial);
+        let samples = x.data().chunks_exact(self.cin * h * w);
+        with_scratch(|_, scratch| {
+            for (n, (g, sample)) in gs.zip(samples).enumerate() {
+                // dW += g · colᵀ   ([cout, spatial]·[spatial, cin·k²]): the
+                // sample unfolded straight into colᵀ, then the row kernel —
+                // `matmul_a_bt_into` without its transpose.
+                ops::im2col_t_into(sample, dims, self.geom, colt.data_mut());
+                ops::matmul_into(colt.data(), dw_dims, prof, dw.data_mut(), scratch, |i, p| {
+                    g[i * spatial + p]
+                });
+                self.gw.axpy_(1.0, &dw);
+                // db += row sums of g.
+                for (gb, row) in self.gb.data_mut().iter_mut().zip(g.chunks_exact(spatial)) {
+                    *gb += ops::blocked_sum(row, prof);
+                }
+                // dcol = Wᵀ · g, then fold back with col2im.
+                if let Some((gx, dcol)) = &mut dx {
+                    ops::matmul_into(g, dcol_dims, prof, dcol.data_mut(), scratch, |i, p| {
+                        wd[p * fan_in + i]
+                    });
+                    let plane = &mut gx.data_mut()[n * self.cin * h * w..][..self.cin * h * w];
+                    ops::col2im_into(dcol.data(), dims, self.geom, plane);
+                }
+            }
+        });
+        dx.map(|(gx, _)| gx)
+    }
 }
 
 impl Layer for Conv2d {
@@ -80,59 +121,34 @@ impl Layer for Conv2d {
         let (oh, ow) = self.out_dims(h, w);
         let (dims, spatial) = ((self.cin, h, w), oh * ow);
         let (wd, fan_in) = (self.weight.data(), self.weight.shape()[1]);
-        let (col_len, mm_dims) = (fan_in * spatial, (self.cout, fan_in, spatial));
-        let mut out = Tensor::zeros(&[b, self.cout, oh, ow]);
-        // One unfold buffer for the batch (backward reads it) and one matmul
-        // scratch, reused sample by sample.
-        let mut cols = vec![0.0f32; b * col_len];
-        let mut scratch = Vec::new();
+        let mm_dims = (self.cout, fan_in, spatial);
+        let mut out = Tensor::uninit(&[b, self.cout, oh, ow]);
+        // One sample's unfolded form, which `im2col_into` fills whole,
+        // padding included.
+        let mut col = Tensor::uninit(&[fan_in, spatial]);
         let samples = x.data().chunks_exact(self.cin * h * w);
         let planes = out.data_mut().chunks_exact_mut(self.cout * spatial);
-        for ((sample, dst), col) in samples.zip(planes).zip(cols.chunks_exact_mut(col_len)) {
-            ops::im2col_into(sample, dims, self.geom, col);
-            ops::matmul_into(col, mm_dims, &ctx.profile, dst, &mut scratch, |i, p| {
-                wd[i * fan_in + p]
-            });
-            for (chan, &bias) in dst.chunks_exact_mut(spatial).zip(self.bias.data()) {
-                chan.iter_mut().for_each(|y| *y += bias);
+        with_scratch(|_, scratch| {
+            for (sample, dst) in samples.zip(planes) {
+                ops::im2col_into(sample, dims, self.geom, col.data_mut());
+                ops::matmul_into(col.data(), mm_dims, &ctx.profile, dst, scratch, |i, p| {
+                    wd[i * fan_in + p]
+                });
+                for (chan, &bias) in dst.chunks_exact_mut(spatial).zip(self.bias.data()) {
+                    chan.iter_mut().for_each(|y| *y += bias);
+                }
             }
-        }
-        self.cached = Some(Cached { cols, in_h: h, in_w: w, batch: b });
+        });
+        self.cached = Some(x.clone());
         out
     }
 
     fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        let cached = self.cached.take().expect("backward before forward");
-        let (b, h, w) = (cached.batch, cached.in_h, cached.in_w);
-        let (oh, ow) = self.out_dims(h, w);
-        let (dims, spatial) = ((self.cin, h, w), oh * ow);
-        let (wd, fan_in, prof) = (self.weight.data(), self.weight.shape()[1], &ctx.profile);
-        let (dw_dims, dcol_dims) = ((self.cout, spatial, fan_in), (fan_in, self.cout, spatial));
-        assert_eq!(grad.shape(), &[b, self.cout, oh, ow], "grad shape mismatch");
+        self.backward_opt(grad, ctx, true).expect("asked for")
+    }
 
-        let mut gx = Tensor::zeros(&[b, self.cin, h, w]);
-        // Per-call buffers reused across the samples; `gw`/`gb` still take
-        // one sample's contribution at a time, in ascending sample order.
-        let mut dw = Tensor::zeros(&[self.cout, fan_in]);
-        let (mut dcol, mut bt, mut scratch) =
-            (vec![0.0f32; fan_in * spatial], Vec::new(), Vec::new());
-        let gs = grad.data().chunks_exact(self.cout * spatial);
-        let dxs = gx.data_mut().chunks_exact_mut(self.cin * h * w);
-        for ((g, dx), col) in gs.zip(dxs).zip(cached.cols.chunks_exact(fan_in * spatial)) {
-            // dW += g · colᵀ   ([cout, spatial]·[spatial, cin·k²]).
-            ops::matmul_a_bt_into(g, col, dw_dims, prof, dw.data_mut(), &mut bt, &mut scratch);
-            self.gw.axpy_(1.0, &dw);
-            // db += row sums of g.
-            for (gb, row) in self.gb.data_mut().iter_mut().zip(g.chunks_exact(spatial)) {
-                *gb += ops::blocked_sum(row, prof);
-            }
-            // dcol = Wᵀ · g, then fold back with col2im.
-            ops::matmul_into(g, dcol_dims, prof, &mut dcol, &mut scratch, |i, p| {
-                wd[p * fan_in + i]
-            });
-            ops::col2im_into(&dcol, dims, self.geom, dx);
-        }
-        gx
+    fn backward_params(&mut self, grad: &Tensor, ctx: &mut ExecCtx) {
+        self.backward_opt(grad, ctx, false);
     }
 
     fn params(&self) -> Vec<&Tensor> {
@@ -147,9 +163,8 @@ impl Layer for Conv2d {
         vec![&self.gw, &self.gb]
     }
 
-    fn zero_grads(&mut self) {
-        self.gw.zero_();
-        self.gb.zero_();
+    fn drain_grads(&mut self, out: &mut Vec<f32>) {
+        drain([&mut self.gw, &mut self.gb], out);
     }
 
     fn name(&self) -> &'static str {

@@ -1,9 +1,9 @@
 //! Basic layers: Dense, ReLU, Dropout, Flatten.
 
-use crate::model::{ExecCtx, Layer};
+use crate::model::{drain, ExecCtx, Layer};
 use esrng::EsRng;
 use tensor::ops;
-use tensor::Tensor;
+use tensor::{Shape, Tensor};
 
 /// Fully-connected layer `y = x·W + b`, `W: [in, out]`.
 pub struct Dense {
@@ -59,21 +59,14 @@ impl Layer for Dense {
         self.gw.axpy_(1.0, &dw);
         let (n, out) = (grad.shape()[0], grad.shape()[1]);
         let gd = grad.data();
-        {
-            let gbd = self.gb.data_mut();
-            let mut col = vec![0.0f32; n];
-            for j in 0..out {
-                for i in 0..n {
-                    col[i] = gd[i * out + j];
-                }
-                gbd[j] += ops::blocked_sum(&col, &ctx.profile);
+        let mut col = Tensor::uninit(&[n]);
+        for (j, gb) in self.gb.data_mut().iter_mut().enumerate() {
+            for (i, c) in col.data_mut().iter_mut().enumerate() {
+                *c = gd[i * out + j];
             }
+            *gb += ops::blocked_sum(col.data(), &ctx.profile);
         }
-        // dx = g · Wᵀ, with W: [in, out] so Wᵀ rows are W columns: use a·bᵀ
-        // against W viewed as [in,out] — matmul_a_bt expects B:[n,k] with
-        // k = out, i.e. exactly W with rows=in; but we need B rows indexed
-        // by `in`. W is [in, out] and matmul_a_bt(grad [n,out], W [in,out])
-        // gives [n, in]: correct.
+        // dx = g · Wᵀ: grad [n, out] against W [in, out] gives [n, in].
         self.cached_x = None;
         ops::matmul_a_bt(grad, &self.w, &ctx.profile)
     }
@@ -90,9 +83,8 @@ impl Layer for Dense {
         vec![&self.gw, &self.gb]
     }
 
-    fn zero_grads(&mut self) {
-        self.gw.zero_();
-        self.gb.zero_();
+    fn drain_grads(&mut self, out: &mut Vec<f32>) {
+        drain([&mut self.gw, &mut self.gb], out);
     }
 
     fn name(&self) -> &'static str {
@@ -153,9 +145,10 @@ impl Layer for Dropout {
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
-        let mask_data: Vec<f32> =
-            (0..x.len()).map(|_| if ctx.dropout.bernoulli(keep) { scale } else { 0.0 }).collect();
-        let mask = Tensor::from_vec(mask_data, x.shape());
+        let mut mask = Tensor::uninit(x.shape());
+        for m in mask.data_mut() {
+            *m = if ctx.dropout.bernoulli(keep) { scale } else { 0.0 };
+        }
         let y = x.mul(&mask);
         self.mask = Some(mask);
         y
@@ -175,7 +168,7 @@ impl Layer for Dropout {
 
 /// Flatten `[B, …]` to `[B, prod(…)]`.
 pub struct Flatten {
-    cached_shape: Option<Vec<usize>>,
+    cached_shape: Option<Shape>,
 }
 
 impl Flatten {
@@ -188,11 +181,9 @@ impl Flatten {
 
 impl Layer for Flatten {
     fn forward(&mut self, x: &Tensor, _ctx: &mut ExecCtx) -> Tensor {
-        let s = x.shape().to_vec();
-        let b = s[0];
-        let rest: usize = s[1..].iter().product();
-        self.cached_shape = Some(s);
-        x.clone().reshape(&[b, rest])
+        let s = x.shape();
+        self.cached_shape = Some(Shape::new(s));
+        x.clone().reshape(&[s[0], s[1..].iter().product()])
     }
 
     fn backward(&mut self, grad: &Tensor, _ctx: &mut ExecCtx) -> Tensor {

@@ -20,13 +20,19 @@ pub struct ExecCtx<'a> {
 /// A differentiable layer. `forward` caches whatever `backward` needs; the
 /// pair must be called in strict alternation (standard tape-free reverse
 /// mode for a sequential network). Parameter gradients accumulate inside the
-/// layer until [`Layer::zero_grads`].
+/// layer until [`Layer::drain_grads`].
 pub trait Layer: Send {
     /// Forward pass.
     fn forward(&mut self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor;
     /// Backward pass: takes dL/d(output), returns dL/d(input), accumulates
     /// parameter gradients.
     fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor;
+    /// [`Layer::backward`] for a caller that reads no dL/d(input): the same
+    /// parameter gradients, bit for bit. A layer whose input gradient is
+    /// real work overrides this to skip it.
+    fn backward_params(&mut self, grad: &Tensor, ctx: &mut ExecCtx) {
+        self.backward(grad, ctx);
+    }
     /// Learnable parameters (possibly empty).
     fn params(&self) -> Vec<&Tensor> {
         Vec::new()
@@ -39,16 +45,23 @@ pub trait Layer: Send {
     fn grads(&self) -> Vec<&Tensor> {
         Vec::new()
     }
-    /// Reset accumulated gradients to zero.
-    fn zero_grads(&mut self) {}
+    /// Append the accumulated gradients to `out` ([`Layer::grads`] order)
+    /// and reset them to zero, in one pass over each.
+    fn drain_grads(&mut self, _out: &mut Vec<f32>) {}
     /// Implicit (non-learnable, per-replica) state — BatchNorm running
     /// stats. Part of the EST context, not of the shared parameters.
     fn implicit_state(&self) -> Vec<Tensor> {
         Vec::new()
     }
-    /// Restore implicit state captured by [`Layer::implicit_state`].
-    fn set_implicit_state(&mut self, state: &[Tensor]) {
-        assert!(state.is_empty(), "layer {} has no implicit state", self.name());
+    /// Copy this layer's implicit state in from the front of `state` (as
+    /// captured by [`Layer::implicit_state`]); returns what is left.
+    fn set_implicit_state<'a>(&mut self, state: &'a [Tensor]) -> &'a [Tensor] {
+        state
+    }
+    /// The inverse of [`Layer::set_implicit_state`]: copy this layer's
+    /// implicit state out over the front of `state`; returns what is left.
+    fn save_implicit_state<'a>(&self, state: &'a mut [Tensor]) -> &'a mut [Tensor] {
+        state
     }
     /// Human-readable layer kind.
     fn name(&self) -> &'static str;
@@ -70,12 +83,14 @@ pub struct ImplicitState {
 /// A sequential stack of layers.
 pub struct Model {
     layers: Vec<Box<dyn Layer>>,
+    num_params: usize,
 }
 
 impl Model {
     /// Build from layers.
     pub fn new(layers: Vec<Box<dyn Layer>>) -> Self {
-        Model { layers }
+        let num_params = layers.iter().flat_map(|l| l.params()).map(|p| p.len()).sum();
+        Model { layers, num_params }
     }
 
     /// Layer count.
@@ -85,32 +100,30 @@ impl Model {
 
     /// Forward through all layers.
     pub fn forward(&mut self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, ctx);
-        }
-        cur
+        forward_all(&mut self.layers, x, ctx)
     }
 
     /// Backward through all layers (reverse order), accumulating gradients.
     pub fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        let mut cur = grad.clone();
-        for layer in self.layers.iter_mut().rev() {
-            cur = layer.backward(&cur, ctx);
-        }
-        cur
+        backward_all(&mut self.layers, grad, ctx)
+    }
+
+    /// [`Model::backward`] for a training step, which has no use for
+    /// dL/d(batch): the first layer computes no input gradient, and
+    /// [`Model::flat_grads`] reads the same bits afterwards.
+    pub fn backward_params(&mut self, grad: &Tensor, ctx: &mut ExecCtx) {
+        let Some((first, rest)) = self.layers.split_first_mut() else { return };
+        first.backward_params(&backward_all(rest, grad, ctx), ctx);
     }
 
     /// Zero all parameter gradients.
     pub fn zero_grads(&mut self) {
-        for layer in &mut self.layers {
-            layer.zero_grads();
-        }
+        self.take_flat_grads();
     }
 
     /// Total parameter element count.
     pub fn num_params(&self) -> usize {
-        self.layers.iter().flat_map(|l| l.params()).map(|p| p.len()).sum()
+        self.num_params
     }
 
     /// Flatten all parameters into one vector. Order: **reverse layer order**
@@ -134,6 +147,15 @@ impl Model {
             for g in layer.grads() {
                 out.extend_from_slice(g.data());
             }
+        }
+        out
+    }
+
+    /// [`Model::flat_grads`], and the gradients reset to zero, in one pass.
+    pub fn take_flat_grads(&mut self) -> Vec<f32> {
+        let mut out = Vec::with_capacity(self.num_params());
+        for layer in self.layers.iter_mut().rev() {
+            layer.drain_grads(&mut out);
         }
         out
     }
@@ -184,7 +206,18 @@ impl Model {
     pub fn set_implicit_state(&mut self, state: &ImplicitState) {
         assert_eq!(state.per_layer.len(), self.layers.len(), "implicit state layer count mismatch");
         for (layer, s) in self.layers.iter_mut().zip(&state.per_layer) {
-            layer.set_implicit_state(s);
+            let rest = layer.set_implicit_state(s);
+            assert!(rest.is_empty(), "layer {} left implicit state unread", layer.name());
+        }
+    }
+
+    /// [`Model::implicit_state`] into a state captured from this model
+    /// before: the save half of an EST context switch, allocating nothing.
+    pub fn save_implicit_state(&self, state: &mut ImplicitState) {
+        assert_eq!(state.per_layer.len(), self.layers.len(), "implicit state layer count mismatch");
+        for (layer, s) in self.layers.iter().zip(&mut state.per_layer) {
+            let rest = layer.save_implicit_state(s);
+            assert!(rest.is_empty(), "layer {} left implicit state unwritten", layer.name());
         }
     }
 
@@ -198,6 +231,37 @@ impl Model {
     /// Layer kind names, for diagnostics.
     pub fn layer_names(&self) -> Vec<&'static str> {
         self.layers.iter().map(|l| l.name()).collect()
+    }
+}
+
+/// `x` through `layers` in order, each reading its predecessor's output in
+/// place. An empty stack is the identity.
+pub(crate) fn forward_all(layers: &mut [Box<dyn Layer>], x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
+    let mut cur: Option<Tensor> = None;
+    for layer in layers {
+        cur = Some(layer.forward(cur.as_ref().unwrap_or(x), ctx));
+    }
+    cur.unwrap_or_else(|| x.clone())
+}
+
+/// `grad` back through `layers` in reverse order; see [`forward_all`].
+pub(crate) fn backward_all(
+    layers: &mut [Box<dyn Layer>],
+    grad: &Tensor,
+    ctx: &mut ExecCtx,
+) -> Tensor {
+    let mut cur: Option<Tensor> = None;
+    for layer in layers.iter_mut().rev() {
+        cur = Some(layer.backward(cur.as_ref().unwrap_or(grad), ctx));
+    }
+    cur.unwrap_or_else(|| grad.clone())
+}
+
+/// [`Layer::drain_grads`] for a layer whose gradients are `grads`.
+pub(crate) fn drain<const N: usize>(grads: [&mut Tensor; N], out: &mut Vec<f32>) {
+    for g in grads {
+        out.extend_from_slice(g.data());
+        g.zero_();
     }
 }
 

@@ -4,7 +4,7 @@
 //! tracks its own), and therefore belong to the EST context, not to the
 //! shared parameters.
 
-use crate::model::{ExecCtx, Layer};
+use crate::model::{drain, ExecCtx, Layer};
 use tensor::ops::blocked_sum;
 use tensor::Tensor;
 
@@ -24,8 +24,7 @@ pub struct BatchNorm {
 
 struct Cached {
     x_hat: Tensor,
-    inv_std: Vec<f32>,
-    shape: Vec<usize>,
+    inv_std: Tensor,
 }
 
 impl BatchNorm {
@@ -64,8 +63,8 @@ impl BatchNorm {
 
 impl Layer for BatchNorm {
     fn forward(&mut self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
-        let shape = x.shape().to_vec();
-        let (outer, stride, inner) = Self::channel_slice(&shape);
+        let shape = x.shape();
+        let (outer, stride, inner) = Self::channel_slice(shape);
         assert_eq!(
             stride / inner.max(1),
             self.channels,
@@ -74,10 +73,13 @@ impl Layer for BatchNorm {
         );
         let m = (outer * inner) as f32;
         let xd = x.data();
-        let mut out = Tensor::zeros(&shape);
-        let mut x_hat = Tensor::zeros(&shape);
-        let mut inv_std = vec![0.0f32; self.channels];
-        let mut buf = vec![0.0f32; outer * inner];
+        let mut out = Tensor::uninit(shape);
+        let mut x_hat = Tensor::uninit(shape);
+        let mut inv_std = Tensor::uninit(&[self.channels]);
+        // One channel gathered across the batch, and its squared deviations.
+        let (mut buf, mut sq) =
+            (Tensor::uninit(&[outer * inner]), Tensor::uninit(&[outer * inner]));
+        let (buf, sq) = (buf.data_mut(), sq.data_mut());
 
         #[allow(clippy::needless_range_loop)] // c indexes several parallel arrays
         for c in 0..self.channels {
@@ -91,9 +93,11 @@ impl Layer for BatchNorm {
                 }
             }
             let (mean, var) = if ctx.training {
-                let mean = blocked_sum(&buf, &ctx.profile) / m;
-                let sq: Vec<f32> = buf.iter().map(|&v| (v - mean) * (v - mean)).collect();
-                let var = blocked_sum(&sq, &ctx.profile) / m;
+                let mean = blocked_sum(buf, &ctx.profile) / m;
+                for (s, &v) in sq.iter_mut().zip(buf.iter()) {
+                    *s = (v - mean) * (v - mean);
+                }
+                let var = blocked_sum(sq, &ctx.profile) / m;
                 // Update running stats (PyTorch: unbiased var for running).
                 let unbiased = if m > 1.0 { var * m / (m - 1.0) } else { var };
                 let rm = &mut self.running_mean.data_mut()[c];
@@ -105,7 +109,7 @@ impl Layer for BatchNorm {
                 (self.running_mean.data()[c], self.running_var.data()[c])
             };
             let istd = 1.0 / (var + self.eps).sqrt();
-            inv_std[c] = istd;
+            inv_std.data_mut()[c] = istd;
             let g = self.gamma.data()[c];
             let b = self.beta.data()[c];
             let od = out.data_mut();
@@ -121,21 +125,22 @@ impl Layer for BatchNorm {
                 }
             }
         }
-        self.cached = Some(Cached { x_hat, inv_std, shape });
+        self.cached = Some(Cached { x_hat, inv_std });
         out
     }
 
     fn backward(&mut self, grad: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         let cached = self.cached.take().expect("backward before forward");
-        let shape = cached.shape;
-        assert_eq!(grad.shape(), &shape[..], "grad shape mismatch");
-        let (outer, stride, inner) = Self::channel_slice(&shape);
+        let shape = cached.x_hat.shape();
+        assert_eq!(grad.shape(), shape, "grad shape mismatch");
+        let (outer, stride, inner) = Self::channel_slice(shape);
         let m = (outer * inner) as f32;
         let gd = grad.data();
         let xh = cached.x_hat.data();
-        let mut gx = Tensor::zeros(&shape);
-        let mut gbuf = vec![0.0f32; outer * inner];
-        let mut ghbuf = vec![0.0f32; outer * inner];
+        let mut gx = Tensor::uninit(shape);
+        let (mut gbuf, mut ghbuf) =
+            (Tensor::uninit(&[outer * inner]), Tensor::uninit(&[outer * inner]));
+        let (gbuf, ghbuf) = (gbuf.data_mut(), ghbuf.data_mut());
 
         for c in 0..self.channels {
             let mut k = 0;
@@ -147,13 +152,13 @@ impl Layer for BatchNorm {
                     k += 1;
                 }
             }
-            let dbeta = blocked_sum(&gbuf, &ctx.profile);
-            let dgamma = blocked_sum(&ghbuf, &ctx.profile);
+            let dbeta = blocked_sum(gbuf, &ctx.profile);
+            let dgamma = blocked_sum(ghbuf, &ctx.profile);
             self.gbeta.data_mut()[c] += dbeta;
             self.ggamma.data_mut()[c] += dgamma;
 
             let g = self.gamma.data()[c];
-            let istd = cached.inv_std[c];
+            let istd = cached.inv_std.data()[c];
             let gxd = gx.data_mut();
             let mut k = 0;
             for o in 0..outer {
@@ -180,19 +185,28 @@ impl Layer for BatchNorm {
         vec![&self.ggamma, &self.gbeta]
     }
 
-    fn zero_grads(&mut self) {
-        self.ggamma.zero_();
-        self.gbeta.zero_();
+    fn drain_grads(&mut self, out: &mut Vec<f32>) {
+        drain([&mut self.ggamma, &mut self.gbeta], out);
     }
 
     fn implicit_state(&self) -> Vec<Tensor> {
         vec![self.running_mean.clone(), self.running_var.clone()]
     }
 
-    fn set_implicit_state(&mut self, state: &[Tensor]) {
-        assert_eq!(state.len(), 2, "BatchNorm implicit state is (mean, var)");
-        self.running_mean = state[0].clone();
-        self.running_var = state[1].clone();
+    fn set_implicit_state<'a>(&mut self, state: &'a [Tensor]) -> &'a [Tensor] {
+        let ([mean, var], rest) =
+            state.split_first_chunk().expect("BatchNorm implicit state is (mean, var)");
+        self.running_mean.data_mut().copy_from_slice(mean.data());
+        self.running_var.data_mut().copy_from_slice(var.data());
+        rest
+    }
+
+    fn save_implicit_state<'a>(&self, state: &'a mut [Tensor]) -> &'a mut [Tensor] {
+        let ([mean, var], rest) =
+            state.split_first_chunk_mut().expect("BatchNorm implicit state is (mean, var)");
+        mean.data_mut().copy_from_slice(self.running_mean.data());
+        var.data_mut().copy_from_slice(self.running_var.data());
+        rest
     }
 
     fn name(&self) -> &'static str {

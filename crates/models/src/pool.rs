@@ -6,7 +6,7 @@
 //! small fixed-size window sums are done in index order.
 
 use crate::model::{ExecCtx, Layer};
-use tensor::Tensor;
+use tensor::{Shape, Tensor};
 
 /// 2×2 stride-2 max pooling over `[B, C, H, W]` (H, W even).
 pub struct MaxPool2 {
@@ -15,7 +15,7 @@ pub struct MaxPool2 {
 
 struct PoolCache {
     argmax: Vec<usize>,
-    in_shape: Vec<usize>,
+    in_shape: Shape,
 }
 
 impl MaxPool2 {
@@ -34,7 +34,7 @@ impl Layer for MaxPool2 {
         assert!(h % 2 == 0 && w % 2 == 0, "MaxPool2 needs even spatial dims, got {h}x{w}");
         let (oh, ow) = (h / 2, w / 2);
         let xd = x.data();
-        let mut out = Tensor::zeros(&[b, c, oh, ow]);
+        let mut out = Tensor::uninit(&[b, c, oh, ow]);
         let mut argmax = vec![0usize; b * c * oh * ow];
         {
             let od = out.data_mut();
@@ -65,7 +65,7 @@ impl Layer for MaxPool2 {
                 }
             }
         }
-        self.cached = Some(PoolCache { argmax, in_shape: s.to_vec() });
+        self.cached = Some(PoolCache { argmax, in_shape: Shape::new(s) });
         out
     }
 
@@ -86,7 +86,7 @@ impl Layer for MaxPool2 {
 
 /// Global average pooling: `[B, C, H, W]` → `[B, C]`.
 pub struct GlobalAvgPool {
-    cached_shape: Option<Vec<usize>>,
+    cached_shape: Option<Shape>,
 }
 
 impl GlobalAvgPool {
@@ -104,7 +104,7 @@ impl Layer for GlobalAvgPool {
         let (b, c, h, w) = (s[0], s[1], s[2], s[3]);
         let spatial = h * w;
         let xd = x.data();
-        let mut out = Tensor::zeros(&[b, c]);
+        let mut out = Tensor::uninit(&[b, c]);
         let od = out.data_mut();
         for bi in 0..b {
             for ci in 0..c {
@@ -114,7 +114,7 @@ impl Layer for GlobalAvgPool {
                         / spatial as f32;
             }
         }
-        self.cached_shape = Some(s.to_vec());
+        self.cached_shape = Some(Shape::new(s));
         out
     }
 
@@ -124,7 +124,7 @@ impl Layer for GlobalAvgPool {
         assert_eq!(grad.shape(), &[b, c]);
         let spatial = h * w;
         let inv = 1.0 / spatial as f32;
-        let mut gx = Tensor::zeros(&s);
+        let mut gx = Tensor::uninit(&s);
         let gxd = gx.data_mut();
         let gd = grad.data();
         for bi in 0..b {

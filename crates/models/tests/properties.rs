@@ -113,6 +113,63 @@ proptest! {
         let state = m.implicit_state();
         let mut fresh = build_proxy(w, 3);
         fresh.set_implicit_state(&state);
-        prop_assert_eq!(fresh.implicit_state(), state);
+        prop_assert_eq!(fresh.implicit_state(), state.clone());
+        // Saving over a stale capture (the context-switch path) reads the
+        // same values as capturing afresh.
+        let mut stale = build_proxy(w, 3).implicit_state();
+        m.save_implicit_state(&mut stale);
+        prop_assert_eq!(stale, state);
     }
+}
+
+/// The oracle for skipping the first layer's input gradient: on all nine
+/// proxies, under the V100, P100, T4 and D2 profiles, `backward_params`
+/// leaves `flat_grads()` bit-identical to `backward` on the same input —
+/// and `take_flat_grads` hands out those bits and leaves zeros.
+#[test]
+fn params_only_backward_leaves_the_gradients_of_the_full_backward() {
+    let profiles = [80, 56, 40]
+        .map(KernelProfile::vendor_optimized)
+        .into_iter()
+        .chain([KernelProfile::hardware_agnostic()]);
+    for profile in profiles {
+        for w in models::WORKLOADS {
+            let x = match zoo::input_kind(w) {
+                zoo::InputKind::Image => Tensor::from_vec(
+                    (0..4 * 3 * 64).map(|i| (i as f32 * 0.37).cos()).collect(),
+                    &[4, 3, 8, 8],
+                ),
+                zoo::InputKind::Sequence => Tensor::from_vec(
+                    (0..4 * zoo::SEQ_LEN).map(|i| (i * 7 % zoo::VOCAB) as f32).collect(),
+                    &[4, zoo::SEQ_LEN],
+                ),
+            };
+            let grads = |params_only: bool| {
+                let mut m = build_proxy(w, 3);
+                let mut d = EsRng::for_stream(0, StreamKey::ranked(StreamKind::Dropout, 0));
+                let mut ctx = ExecCtx { profile, training: true, dropout: &mut d };
+                let y = m.forward(&x, &mut ctx);
+                let g = Tensor::from_vec(
+                    (0..y.len()).map(|i| (i as f32 * 0.11).sin()).collect(),
+                    y.shape(),
+                );
+                if params_only {
+                    m.backward_params(&g, &mut ctx);
+                } else {
+                    m.backward(&g, &mut ctx);
+                }
+                let left = m.flat_grads();
+                assert_eq!(bits(&m.take_flat_grads()), bits(&left), "{} taken", w.name());
+                assert!(m.flat_grads().iter().all(|g| g.to_bits() == 0), "{} zeroed", w.name());
+                left
+            };
+            let (full, params_only) = (grads(false), grads(true));
+            assert!(full.iter().any(|&g| g != 0.0), "{}: a gradient flowed", w.name());
+            assert_eq!(bits(&full), bits(&params_only), "{} under {profile:?}", w.name());
+        }
+    }
+}
+
+fn bits(v: &[f32]) -> Vec<u32> {
+    v.iter().map(|x| x.to_bits()).collect()
 }

@@ -192,13 +192,16 @@ pub(crate) fn json_object(fields: Vec<(&str, Value)>) -> Value {
     Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
 }
 
+/// The registry is process-global: every unit test of this crate that
+/// enables, disables or resets it — here, in `span` and in `timer` — holds
+/// this one guard while it does.
+#[cfg(test)]
+pub(crate) static TEST_GUARD: Mutex<()> = Mutex::new(());
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sink::MemorySink;
-
-    /// The registry is global, so tests that toggle it serialize on this.
-    static TEST_GUARD: Mutex<()> = Mutex::new(());
 
     #[test]
     fn disabled_recording_is_a_no_op() {

@@ -56,10 +56,9 @@ mod tests {
     use crate::metrics::MetricSnapshot;
     use crate::sink::MemorySink;
 
-    // The registry is process-global, so exercise every span behavior in
-    // one test rather than racing enable/disable across test threads.
     #[test]
     fn spans_nest_into_paths_and_disabled_spans_are_inert() {
+        let _g = crate::TEST_GUARD.lock();
         // Disabled: no clock, no recording, guard is inert.
         crate::disable();
         crate::reset();

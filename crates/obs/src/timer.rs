@@ -60,6 +60,7 @@ mod tests {
 
     #[test]
     fn lap_observe_returns_duration_and_records_when_enabled() {
+        let _g = crate::TEST_GUARD.lock();
         // Disabled: returns a duration, records nothing.
         crate::disable();
         crate::reset();

@@ -142,8 +142,17 @@ pub fn blocked_sum(data: &[f32], profile: &KernelProfile) -> f32 {
     if data.len() <= block {
         return data.iter().sum();
     }
-    let partials = leaf_partials(data, profile);
-    combine_partials(&partials, profile)
+    // BatchNorm's 512-element channel is 7 to 13 blocks: its partials live
+    // on the stack. Only a long vector (the 64 Ki probe) needs the heap.
+    let nblocks = data.len().div_ceil(block);
+    let mut stack = [0.0f32; 32];
+    match stack.get_mut(..nblocks) {
+        Some(partials) => {
+            leaf_partials_into(data, profile, partials);
+            combine_partials(partials, profile)
+        }
+        None => combine_partials(&leaf_partials(data, profile), profile),
+    }
 }
 
 /// The scalar reference evaluator: one leaf block at a time, exactly the
@@ -182,9 +191,15 @@ pub(crate) const LANE_SEG: usize = 16;
 /// identical to [`leaf_partials_scalar`] by construction: no addition is
 /// reassociated, only interleaved across independent chains.
 pub fn leaf_partials(data: &[f32], profile: &KernelProfile) -> Vec<f32> {
+    let mut partials = vec![0.0; data.len().div_ceil(profile.reduce_block.max(1))];
+    leaf_partials_into(data, profile, &mut partials);
+    partials
+}
+
+/// [`leaf_partials`] over a slice the caller owns, one element per block.
+fn leaf_partials_into(data: &[f32], profile: &KernelProfile, partials: &mut [f32]) {
     let block = profile.reduce_block.max(1);
     let nfull = data.len() / block;
-    let mut partials = Vec::with_capacity(data.len().div_ceil(block));
     let mut b = 0usize;
     while b < nfull {
         let lanes = SUM_LANES.min(nfull - b);
@@ -197,13 +212,12 @@ pub fn leaf_partials(data: &[f32], profile: &KernelProfile) -> Vec<f32> {
                 }
             }
         }
-        partials.extend_from_slice(&acc[..lanes]);
+        partials[b..b + lanes].copy_from_slice(&acc[..lanes]);
         b += lanes;
     }
     if nfull * block < data.len() {
-        partials.push(data[nfull * block..].iter().sum::<f32>());
+        partials[nfull] = data[nfull * block..].iter().sum::<f32>();
     }
-    partials
 }
 
 /// Per-leaf-block partial sums, scalar reference (one block at a time,

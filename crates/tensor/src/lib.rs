@@ -32,13 +32,12 @@
 #![deny(missing_docs)]
 
 pub mod autotune;
+mod cache;
 pub mod kernels;
 pub mod ops;
 mod tensor_impl;
 
 pub use autotune::{AutotunePolicy, Autotuner};
+pub use cache::{cached_bytes, with_scratch};
 pub use kernels::{KernelProfile, NoiseSource};
-pub use tensor_impl::Tensor;
-
-/// Convenience alias for shapes.
-pub type Shape = Vec<usize>;
+pub use tensor_impl::{Shape, Tensor};

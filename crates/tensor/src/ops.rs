@@ -18,7 +18,7 @@
 //! caller owns, so a layer reuses one set of buffers across a batch.
 
 use crate::kernels::{combine_partials, KernelProfile, ALGO_COUNT, LANE_SEG, SUM_LANES};
-use crate::Tensor;
+use crate::{with_scratch, Tensor};
 
 pub use crate::kernels::blocked_sum;
 
@@ -63,7 +63,7 @@ pub fn tiled_reduce(len: usize, profile: &KernelProfile, mut f: impl FnMut(usize
 /// tile partials are combined exactly as [`tiled_reduce`] combines them.
 /// Bit-identical to [`dot_scalar`].
 pub fn dot(a: &[f32], b: &[f32], profile: &KernelProfile) -> f32 {
-    dot_with(a, b, profile, &mut Vec::new())
+    with_scratch(|_, partials| dot_with(a, b, profile, partials))
 }
 
 /// [`dot`] with the tile partials in a buffer the caller keeps, so a loop of
@@ -271,10 +271,10 @@ pub fn matmul(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (m, k) = mat_dims(a);
     let (k2, n) = mat_dims(b);
     assert_eq!(k, k2, "matmul inner-dimension mismatch: {k} vs {k2}");
-    let mut out = Tensor::zeros(&[m, n]);
+    let mut out = Tensor::uninit(&[m, n]);
     let ad = a.data();
-    matmul_into(b.data(), (m, k, n), profile, out.data_mut(), &mut Vec::new(), |i, p| {
-        ad[i * k + p]
+    with_scratch(|_, scratch| {
+        matmul_into(b.data(), (m, k, n), profile, out.data_mut(), scratch, |i, p| ad[i * k + p])
     });
     out
 }
@@ -304,10 +304,10 @@ pub fn matmul_at_b(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (k, m) = mat_dims(a);
     let (k2, n) = mat_dims(b);
     assert_eq!(k, k2, "matmul_at_b inner-dimension mismatch");
-    let mut out = Tensor::zeros(&[m, n]);
+    let mut out = Tensor::uninit(&[m, n]);
     let ad = a.data();
-    matmul_into(b.data(), (m, k, n), profile, out.data_mut(), &mut Vec::new(), |i, p| {
-        ad[p * m + i]
+    with_scratch(|_, scratch| {
+        matmul_into(b.data(), (m, k, n), profile, out.data_mut(), scratch, |i, p| ad[p * m + i])
     });
     out
 }
@@ -335,9 +335,10 @@ pub fn matmul_a_bt(a: &Tensor, b: &Tensor, profile: &KernelProfile) -> Tensor {
     let (m, k) = mat_dims(a);
     let (n, k2) = mat_dims(b);
     assert_eq!(k, k2, "matmul_a_bt inner-dimension mismatch");
-    let mut out = Tensor::zeros(&[m, n]);
-    let (bt, scratch) = (&mut Vec::new(), &mut Vec::new());
-    matmul_a_bt_into(a.data(), b.data(), (m, k, n), profile, out.data_mut(), bt, scratch);
+    let mut out = Tensor::uninit(&[m, n]);
+    with_scratch(|bt, scratch| {
+        matmul_a_bt_into(a.data(), b.data(), (m, k, n), profile, out.data_mut(), bt, scratch)
+    });
     out
 }
 
@@ -483,7 +484,7 @@ pub fn im2col(input: &Tensor, geom: ConvGeom) -> Tensor {
     assert_eq!(s.len(), 3, "im2col expects [cin,h,w]");
     let dims = (s[0], s[1], s[2]);
     let (rows, cols) = col_dims(dims, geom);
-    let mut out = Tensor::zeros(&[rows, cols]);
+    let mut out = Tensor::uninit(&[rows, cols]);
     im2col_into(input.data(), dims, geom, out.data_mut());
     out
 }
@@ -510,6 +511,38 @@ pub fn im2col_into(
             }
         }
     });
+}
+
+/// [`im2col_into`] transposed, `out: [oh·ow, cin·k²]` — the `bt` that
+/// [`matmul_a_bt_into`] would make of the unfolded sample for its row
+/// kernel. A weight gradient unfolds its input straight into it.
+pub fn im2col_t_into(
+    input: &[f32],
+    dims @ (cin, h, w): (usize, usize, usize),
+    geom: ConvGeom,
+    out: &mut [f32],
+) {
+    let (rows, cols) = col_dims(dims, geom);
+    assert!(input.len() == cin * h * w && out.len() == rows * cols, "im2col_t_into shapes");
+    out.fill(0.0);
+    clamped_rows(dims, geom, |col_at, img_at, len| {
+        let (row, col) = (col_at / cols, col_at % cols);
+        for x in 0..len {
+            out[(col + x) * rows + row] = input[img_at + x * geom.stride];
+        }
+    });
+}
+
+/// Scalar reference for [`im2col_t_into`]: [`im2col_scalar`], transposed one
+/// element at a time.
+pub fn im2col_t_scalar(input: &Tensor, geom: ConvGeom) -> Tensor {
+    let col = im2col_scalar(input, geom);
+    let (rows, cols) = mat_dims(&col);
+    let mut out = Tensor::uninit(&[cols, rows]);
+    for i in 0..rows * cols {
+        out.data_mut()[i % cols * rows + i / cols] = col.at(i);
+    }
+    out
 }
 
 /// Scalar reference im2col: one bounds-tested element at a time. The oracle
@@ -552,7 +585,7 @@ pub fn im2col_scalar(input: &Tensor, geom: ConvGeom) -> Tensor {
 pub fn col2im(cols: &Tensor, cin: usize, h: usize, w: usize, geom: ConvGeom) -> Tensor {
     let (rows, ncols) = col_dims((cin, h, w), geom);
     assert_eq!(cols.shape(), &[rows, ncols], "col2im shape mismatch");
-    let mut out = Tensor::zeros(&[cin, h, w]);
+    let mut out = Tensor::uninit(&[cin, h, w]);
     col2im_into(cols.data(), (cin, h, w), geom, out.data_mut());
     out
 }
@@ -618,36 +651,29 @@ pub fn col2im_scalar(cols: &Tensor, cin: usize, h: usize, w: usize, geom: ConvGe
 
 /// ReLU into a fresh tensor.
 pub fn relu(t: &Tensor) -> Tensor {
-    let data = t.data().iter().map(|&x| if x > 0.0 { x } else { 0.0 }).collect();
-    Tensor::from_vec(data, t.shape())
+    t.map(|x| if x > 0.0 { x } else { 0.0 })
 }
 
 /// ReLU gradient: `grad * (pre > 0)`.
 pub fn relu_backward(grad: &Tensor, pre: &Tensor) -> Tensor {
-    assert_eq!(grad.shape(), pre.shape());
-    let data =
-        grad.data().iter().zip(pre.data()).map(|(&g, &x)| if x > 0.0 { g } else { 0.0 }).collect();
-    Tensor::from_vec(data, grad.shape())
+    grad.zip_with(pre, |g, x| if x > 0.0 { g } else { 0.0 })
 }
 
 /// Row-wise softmax of a `[n, c]` tensor; denominator sums go through the
 /// profile (they are reductions too).
 pub fn softmax_rows(t: &Tensor, profile: &KernelProfile) -> Tensor {
     let (n, c) = mat_dims(t);
-    let mut out = Tensor::zeros(&[n, c]);
-    let id = t.data();
-    let od = out.data_mut();
-    let mut row_exp = vec![0.0f32; c];
-    for i in 0..n {
-        let row = &id[i * c..(i + 1) * c];
+    let mut out = Tensor::uninit(&[n, c]);
+    // Each output row holds its exponentials until their sum is known.
+    for (row, orow) in
+        t.data().chunks_exact(c.max(1)).zip(out.data_mut().chunks_exact_mut(c.max(1)))
+    {
         let max = row.iter().fold(f32::NEG_INFINITY, |a, &b| a.max(b));
-        for (e, &x) in row_exp.iter_mut().zip(row) {
+        for (e, &x) in orow.iter_mut().zip(row) {
             *e = (x - max).exp();
         }
-        let denom = blocked_sum(&row_exp, profile);
-        for j in 0..c {
-            od[i * c + j] = row_exp[j] / denom;
-        }
+        let denom = blocked_sum(orow, profile);
+        orow.iter_mut().for_each(|e| *e /= denom);
     }
     out
 }
@@ -658,9 +684,11 @@ pub fn cross_entropy(probs: &Tensor, labels: &[u32], profile: &KernelProfile) ->
     let (n, c) = mat_dims(probs);
     assert_eq!(labels.len(), n, "label count mismatch");
     let pd = probs.data();
-    let losses: Vec<f32> =
-        (0..n).map(|i| -(pd[i * c + labels[i] as usize].max(1e-12)).ln()).collect();
-    let loss = blocked_sum(&losses, profile) / n as f32;
+    let mut losses = Tensor::uninit(&[n]);
+    for (i, l) in losses.data_mut().iter_mut().enumerate() {
+        *l = -(pd[i * c + labels[i] as usize].max(1e-12)).ln();
+    }
+    let loss = blocked_sum(losses.data(), profile) / n as f32;
     let mut grad = probs.clone();
     {
         let gd = grad.data_mut();
@@ -761,6 +789,22 @@ mod tests {
         let cols = im2col(&x, geom);
         let back = col2im(&cols, 3, 3, 3, geom);
         assert!(back.bitwise_eq(&x));
+    }
+
+    /// The transposed unfold against the scalar oracle, over both strides,
+    /// with and without padding, on a dirty destination.
+    #[test]
+    fn im2col_t_is_the_scalar_unfold_transposed() {
+        for (kernel, stride, pad) in [(3, 1, 1), (3, 2, 1), (3, 1, 0), (1, 1, 0), (2, 2, 0)] {
+            let geom = ConvGeom { kernel, stride, pad };
+            let (c, h, w) = (3, 6, 5);
+            let x = Tensor::from_vec((0..c * h * w).map(|i| i as f32 + 1.0).collect(), &[c, h, w]);
+            let want = im2col_t_scalar(&x, geom);
+            let mut got = vec![f32::NAN; want.len()];
+            im2col_t_into(x.data(), (c, h, w), geom, &mut got);
+            assert!(Tensor::from_vec(got, want.shape()).bitwise_eq(&want), "{geom:?}");
+            assert_eq!(want.at(1), im2col_scalar(&x, geom).at(want.shape()[0]), "transposed");
+        }
     }
 
     #[test]

@@ -1,42 +1,114 @@
-//! The dense tensor type: row-major `Vec<f32>` plus a shape.
+//! The dense tensor type: row-major `f32` storage plus a shape.
 //!
 //! Deliberately minimal — no views, no broadcasting zoo. The training stack
 //! built on top only needs contiguous 1-D/2-D/4-D tensors, and keeping the
 //! representation flat keeps every kernel's accumulation order auditable.
+//! Storage is taken from the thread's buffer cache ([`crate::cache`]) and
+//! goes back to it on drop; the shape is stored inline, so making a tensor
+//! in steady state touches the system allocator not at all.
 
-use serde::{Deserialize, Serialize};
+use crate::cache;
+use serde::{DeError, Deserialize, Serialize, Value};
 use std::fmt;
 
+/// Highest rank a tensor can have (`[B, C, H, W]`).
+const MAX_RANK: usize = 4;
+
+/// A tensor shape stored inline (it derefs to `[usize]`): keeping one, in a
+/// tensor or in a layer between its passes, allocates nothing. Unused
+/// dimensions are 0, so derived equality is equality of shapes. Serialized
+/// as the sequence of its dimensions, like the `Vec<usize>` it replaces.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Shape {
+    rank: u8,
+    dims: [usize; MAX_RANK],
+}
+
+impl Shape {
+    /// The shape with these dimensions; panics beyond rank 4.
+    pub fn new(shape: &[usize]) -> Self {
+        assert!(shape.len() <= MAX_RANK, "tensor rank {} exceeds {MAX_RANK}", shape.len());
+        let mut dims = [0; MAX_RANK];
+        dims[..shape.len()].copy_from_slice(shape);
+        Shape { rank: shape.len() as u8, dims }
+    }
+}
+
+impl std::ops::Deref for Shape {
+    type Target = [usize];
+    fn deref(&self) -> &[usize] {
+        &self.dims[..self.rank as usize]
+    }
+}
+
+impl Serialize for Shape {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for Shape {
+    fn from_value(v: &Value) -> Result<Self, DeError> {
+        let shape: Vec<usize> = Deserialize::from_value(v)?;
+        if shape.len() > MAX_RANK {
+            return Err(DeError::new(format!("tensor rank {} exceeds {MAX_RANK}", shape.len())));
+        }
+        Ok(Shape::new(&shape))
+    }
+}
+
 /// A dense, row-major, f32 tensor.
-#[derive(Clone, PartialEq, Serialize, Deserialize)]
+#[derive(PartialEq, Serialize, Deserialize)]
 pub struct Tensor {
     data: Vec<f32>,
-    shape: Vec<usize>,
+    shape: Shape,
+}
+
+impl Drop for Tensor {
+    fn drop(&mut self) {
+        cache::give(std::mem::take(&mut self.data));
+    }
+}
+
+impl Clone for Tensor {
+    fn clone(&self) -> Self {
+        let mut data = cache::take(self.data.len());
+        data.copy_from_slice(&self.data);
+        Tensor { data, shape: self.shape }
+    }
 }
 
 impl Tensor {
+    /// Tensor of the given shape with unspecified elements (NaN in debug
+    /// builds), for a result about to be written whole.
+    pub fn uninit(shape: &[usize]) -> Self {
+        Tensor { data: cache::take(shape.iter().product()), shape: Shape::new(shape) }
+    }
+
     /// Zero-filled tensor of the given shape.
     pub fn zeros(shape: &[usize]) -> Self {
-        let n: usize = shape.iter().product();
-        Tensor { data: vec![0.0; n], shape: shape.to_vec() }
+        Self::full(shape, 0.0)
     }
 
     /// Tensor filled with a constant.
     pub fn full(shape: &[usize], value: f32) -> Self {
-        let n: usize = shape.iter().product();
-        Tensor { data: vec![value; n], shape: shape.to_vec() }
+        let mut t = Self::uninit(shape);
+        t.data.fill(value);
+        t
     }
 
     /// Build from existing data; panics if the element count mismatches.
     pub fn from_vec(data: Vec<f32>, shape: &[usize]) -> Self {
         let n: usize = shape.iter().product();
         assert_eq!(data.len(), n, "data length {} != shape product {}", data.len(), n);
-        Tensor { data, shape: shape.to_vec() }
+        Tensor { data, shape: Shape::new(shape) }
     }
 
     /// 1-D tensor from a slice.
     pub fn from_slice(data: &[f32]) -> Self {
-        Tensor { data: data.to_vec(), shape: vec![data.len()] }
+        let mut t = Self::uninit(&[data.len()]);
+        t.data.copy_from_slice(data);
+        t
     }
 
     /// The shape.
@@ -69,22 +141,22 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consume into the backing storage.
-    pub fn into_vec(self) -> Vec<f32> {
-        self.data
+    /// Consume into the backing storage (which leaves the cache for good).
+    pub fn into_vec(mut self) -> Vec<f32> {
+        std::mem::take(&mut self.data)
     }
 
     /// Reinterpret with a new shape of equal element count.
     pub fn reshape(mut self, shape: &[usize]) -> Self {
         let n: usize = shape.iter().product();
         assert_eq!(self.data.len(), n, "reshape to incompatible size");
-        self.shape = shape.to_vec();
+        self.shape = Shape::new(shape);
         self
     }
 
     /// Set every element to zero without reallocating (hot-loop friendly).
     pub fn zero_(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
+        self.data.fill(0.0);
     }
 
     /// Element at a flat index.
@@ -104,7 +176,7 @@ impl Tensor {
     /// Maximum absolute elementwise difference — used to *quantify* drift in
     /// the loss-difference experiments (Fig 9).
     pub fn max_abs_diff(&self, other: &Tensor) -> f32 {
-        assert_eq!(self.shape, other.shape);
+        assert_eq!(self.shape(), other.shape());
         self.data.iter().zip(&other.data).map(|(a, b)| (a - b).abs()).fold(0.0, f32::max)
     }
 
@@ -114,7 +186,7 @@ impl Tensor {
     /// exists, so the chunking is trivially bitwise-neutral.
     // detlint::allow(oracle-unpaired): elementwise update, no reduction tree to pair against a scalar oracle; bit behavior is pinned by the optimizer grad-step and checkpoint-replay equality tests
     pub fn axpy_(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy shape mismatch");
+        assert_eq!(self.shape(), other.shape(), "axpy shape mismatch");
         const LANES: usize = 8;
         let mut xs = self.data.chunks_exact_mut(LANES);
         let mut ys = other.data.chunks_exact(LANES);
@@ -138,16 +210,31 @@ impl Tensor {
 
     /// Elementwise addition into a fresh tensor.
     pub fn add(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "add shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a + b).collect();
-        Tensor { data, shape: self.shape.clone() }
+        self.zip_with(other, |a, b| a + b)
     }
 
     /// Elementwise product into a fresh tensor.
     pub fn mul(&self, other: &Tensor) -> Tensor {
-        assert_eq!(self.shape, other.shape, "mul shape mismatch");
-        let data = self.data.iter().zip(&other.data).map(|(a, b)| a * b).collect();
-        Tensor { data, shape: self.shape.clone() }
+        self.zip_with(other, |a, b| a * b)
+    }
+
+    /// `f(self[i], other[i])` into a fresh tensor of the same shape.
+    pub fn zip_with(&self, other: &Tensor, f: impl Fn(f32, f32) -> f32) -> Tensor {
+        assert_eq!(self.shape(), other.shape(), "elementwise shape mismatch");
+        let mut out = Tensor { data: cache::take(self.data.len()), shape: self.shape };
+        for ((o, &a), &b) in out.data.iter_mut().zip(&self.data).zip(&other.data) {
+            *o = f(a, b);
+        }
+        out
+    }
+
+    /// `f(self[i])` into a fresh tensor of the same shape.
+    pub fn map(&self, f: impl Fn(f32) -> f32) -> Tensor {
+        let mut out = Tensor { data: cache::take(self.data.len()), shape: self.shape };
+        for (o, &a) in out.data.iter_mut().zip(&self.data) {
+            *o = f(a);
+        }
+        out
     }
 
     /// Memory footprint in bytes (used by the device memory model).
@@ -158,7 +245,7 @@ impl Tensor {
 
 impl fmt::Debug for Tensor {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "Tensor{:?}", self.shape)?;
+        write!(f, "Tensor{:?}", self.shape())?;
         if self.data.len() <= 8 {
             write!(f, " {:?}", self.data)
         } else {

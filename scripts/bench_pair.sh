@@ -4,7 +4,7 @@
 # alternating which side runs first, medians and quartiles per side, wins
 # counted per pair).
 #
-#   scripts/bench_pair.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS [--same-bits]
+#   scripts/bench_pair.sh PARENT_DIR CHANGE_DIR WORKLOAD SEED PAIRS [--same-bits] [--out FILE]
 #
 # PARENT_DIR and CHANGE_DIR are two clean checkouts (git clone / git
 # archive, not this working tree: a run writes into its checkout's
@@ -22,18 +22,38 @@
 # check.params_fnv64 and check.loss_final of the two result files agree
 # (on elastic_churn check.step counts the cycles a run had time for, so it
 # can differ between two runs of one commit; that reads as a mismatch).
+#
+# --out FILE: also append everything printed to FILE, under a line naming
+# the arguments. A PR's paired tables are kept in docs/pairs/PR<n>.txt
+# (ROADMAP item 11a): they are clock readings, so never under results/.
 set -euo pipefail
 
-if [ $# -lt 5 ] || [ $# -gt 6 ] || { [ $# -eq 6 ] && [ "$6" != "--same-bits" ]; }; then
-  sed -n '2,25p' "$0" | sed 's/^# \{0,1\}//' >&2
+usage() {
+  sed -n '2,29p' "$0" | sed 's/^# \{0,1\}//' >&2
   exit 2
-fi
+}
+[ $# -ge 5 ] || usage
 PARENT=$(cd "$1" && pwd)
 CHANGE=$(cd "$2" && pwd)
 WORKLOAD=$3
 SEED=$4
 PAIRS=$5
-SAME_BITS=${6:-}
+shift 5
+SAME_BITS=
+while [ $# -gt 0 ]; do
+  case "$1" in
+    --same-bits) SAME_BITS=1 ;;
+    --out)
+      [ $# -ge 2 ] || usage
+      mkdir -p "$(dirname "$2")"
+      echo "== bench_pair $WORKLOAD seed $SEED, $PAIRS pairs${SAME_BITS:+ --same-bits}" >>"$2"
+      exec > >(tee -a "$2")
+      shift
+      ;;
+    *) usage ;;
+  esac
+  shift
+done
 TMP=$(mktemp -d)
 trap 'rm -rf "$TMP"' EXIT
 

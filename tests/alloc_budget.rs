@@ -126,17 +126,20 @@ fn measure_all() -> Vec<(Workload, (u64, u64, u64))> {
     .collect()
 }
 
-/// Per steady EST step: allocator calls, bytes requested, minor faults.
-/// Taken on the parent of the buffer-cache change (f234329), release and
-/// debug alike for the first two columns; the fault column is the release
-/// build's on the 2-core sandbox.
+/// Per steady EST step: allocator calls, bytes requested, minor faults;
+/// release and debug alike. On the parent of the buffer cache (f234329, the
+/// first version of this file) the rows read 381 / 824368 / 22 (32 on the
+/// spawned thread), 816 / 431776 / 0 and 71 / 36468 / 0. What is left is
+/// what leaves the worker — `LocalStep::grad` (a `Vec<f32>` of the
+/// parameter count: 23336 of NeuMF's bytes), a batch's labels and indices —
+/// MaxPool2's argmax and attention's five `Vec<Tensor>`.
 const PINNED: &[(&str, u64, u64, u64)] = &[
-    ("ResNet18 started-on thread", 381, 824368, 22),
-    ("Bert started-on thread", 816, 431776, 0),
-    ("NeuMF started-on thread", 71, 36468, 0),
-    ("ResNet18 spawned thread", 381, 824368, 32),
-    ("Bert spawned thread", 816, 431776, 0),
-    ("NeuMF spawned thread", 71, 36468, 0),
+    ("ResNet18 started-on thread", 5, 17144, 0),
+    ("Bert started-on thread", 9, 26904, 0),
+    ("NeuMF started-on thread", 4, 23392, 0),
+    ("ResNet18 spawned thread", 5, 17144, 0),
+    ("Bert spawned thread", 9, 26904, 0),
+    ("NeuMF spawned thread", 4, 23392, 0),
 ];
 
 #[test]

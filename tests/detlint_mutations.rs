@@ -59,8 +59,8 @@ fn reassociating_the_leaf_partials_lane_merge_is_float_reassoc() {
     let file = "crates/tensor/src/kernels.rs";
     let gained = mutate(
         file,
-        "partials.extend_from_slice(&acc[..lanes]);",
-        "partials.push(acc[..lanes].iter().rev().sum::<f32>());",
+        "partials[b..b + lanes].copy_from_slice(&acc[..lanes]);",
+        "partials[b] = acc[..lanes].iter().rev().sum::<f32>();",
     );
     assert_gains(&gained, "float-reassoc", file);
 }
