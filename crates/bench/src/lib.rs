@@ -91,6 +91,9 @@ fn render(v: &Value) -> String {
         Value::Str(s) => s.clone(),
         Value::Null => "-".to_string(),
         Value::Seq(items) => items.iter().map(render).collect::<Vec<_>>().join(" "),
+        Value::F32s(xs) => {
+            xs.iter().map(|&x| render(&Value::F64(x as f64))).collect::<Vec<_>>().join(" ")
+        }
         other => serde_json::to_string(other).unwrap_or_default(),
     }
 }
@@ -112,7 +115,7 @@ pub fn print_table<T: Serialize>(rows: &[T]) {
     for line in &lines {
         let cells =
             line.iter().zip(&widths).enumerate().map(|(i, (cell, &width))| match first[i].1 {
-                Value::Str(_) | Value::Seq(_) => format!("{cell:<width$}"),
+                Value::Str(_) | Value::Seq(_) | Value::F32s(_) => format!("{cell:<width$}"),
                 _ => format!("{cell:>width$}"),
             });
         println!("{}", cells.collect::<Vec<_>>().join("  ").trim_end());

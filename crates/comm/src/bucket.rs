@@ -104,11 +104,6 @@ impl BucketLayout {
         }
         pos
     }
-
-    /// Total element count.
-    pub fn total_elements(&self) -> usize {
-        self.param_sizes.iter().sum()
-    }
 }
 
 #[cfg(test)]

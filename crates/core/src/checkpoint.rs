@@ -52,6 +52,80 @@ impl JobCheckpoint {
     }
 }
 
+/// Why a checkpoint that loaded and verified cannot continue a job: it was
+/// taken of another one (`Engine::try_from_checkpoint_opts`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RestoreError {
+    /// The placement does not cover the job's ESTs exactly once each.
+    Placement(String),
+    /// The checkpoint describes another number of logical workers.
+    EstCount {
+        /// EST contexts in the checkpoint.
+        found: u32,
+        /// `JobConfig::n_ests`.
+        job: u32,
+    },
+    /// The flat parameter vector is not the model's length.
+    Params {
+        /// Parameters in the checkpoint (or mirror).
+        found: usize,
+        /// Parameters of the job's model.
+        model: usize,
+    },
+    /// The optimizer velocity is not the model's length.
+    Velocity {
+        /// Velocity elements in the checkpoint.
+        found: usize,
+        /// Parameters of the job's model.
+        model: usize,
+    },
+    /// An EST context's implicit state (BatchNorm running statistics) has
+    /// other layers or tensor shapes than the job's model.
+    ImplicitState {
+        /// The EST whose context does not fit.
+        vrank: u32,
+    },
+    /// The loader cursors are not one per EST of this job's seed.
+    Loader {
+        /// Cursors in the checkpoint.
+        cursors: usize,
+        /// Seed the cursors' streams were opened under.
+        seed: u64,
+    },
+    /// The recorded gradient-bucket layout is over other parameter tensors
+    /// or another virtual world size.
+    BucketLayout,
+}
+
+impl std::fmt::Display for RestoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RestoreError::Placement(e) => write!(f, "invalid placement: {e}"),
+            RestoreError::EstCount { found, job } => {
+                write!(f, "checkpoint EST count mismatch: {found} contexts for a job of {job} ESTs")
+            }
+            RestoreError::Params { found, model } => {
+                write!(f, "checkpoint holds {found} parameters, the job's model has {model}")
+            }
+            RestoreError::Velocity { found, model } => {
+                write!(f, "checkpoint holds {found} velocity elements, the model has {model}")
+            }
+            RestoreError::ImplicitState { vrank } => write!(
+                f,
+                "implicit state of EST {vrank} does not match the layers of the job's model"
+            ),
+            RestoreError::Loader { cursors, seed } => {
+                write!(f, "checkpoint holds {cursors} loader cursors opened under seed {seed}")
+            }
+            RestoreError::BucketLayout => {
+                f.write_str("checkpoint's bucket layout is over another model or EST count")
+            }
+        }
+    }
+}
+
+impl std::error::Error for RestoreError {}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -14,13 +14,12 @@
 //! 4 I64   i64                 9 F32s  count u64 | count × f32 bits as u32
 //! ```
 //!
-//! `F32s` is the one packed form: a non-empty sequence whose every element
-//! is an `F64` that survives `f64 → f32 → f64` bit for bit (which is what
-//! the shim makes of a `Vec<f32>`: parameters, optimizer velocity, every
-//! EST's BatchNorm tensors) is stored as raw `u32` bit patterns — 4 bytes
-//! per element, `-0.0`, subnormals and infinities included. It decodes to
-//! the same `Seq` of `F64` it was encoded from, so the packing is invisible
-//! above this module.
+//! Tags map to the tree's node kinds one to one. `F32s` is the node the
+//! shim makes of a `Vec<f32>` (parameters, optimizer velocity, every EST's
+//! BatchNorm tensors): raw `u32` bit patterns, 4 bytes per element, copied
+//! each way — NaN payloads, `-0.0`, subnormals and infinities included, and
+//! an empty buffer is a count of zero. A sequence of anything else, `f64`
+//! included, is a `Seq`.
 //!
 //! The decoder treats its input as hostile: every length is checked against
 //! the bytes that remain *before* anything is allocated for it (a value
@@ -58,37 +57,6 @@ pub(crate) fn put_str(s: &str, out: &mut Vec<u8>) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// `Some(bits)` when `v` is an `F64` that is exactly an `f32`.
-fn as_f32_bits(v: &Value) -> Option<u32> {
-    match v {
-        Value::F64(x) if ((*x as f32) as f64).to_bits() == x.to_bits() => {
-            Some((*x as f32).to_bits())
-        }
-        _ => None,
-    }
-}
-
-/// Append `items` in the packed form if every one of them is an `f32`;
-/// otherwise leave `out` as it was and return `false`.
-fn put_f32s(items: &[Value], out: &mut Vec<u8>) -> bool {
-    if items.is_empty() {
-        return false;
-    }
-    let start = out.len();
-    out.push(F32S);
-    put_len(items.len(), out);
-    for item in items {
-        match as_f32_bits(item) {
-            Some(bits) => out.extend_from_slice(&bits.to_le_bytes()),
-            None => {
-                out.truncate(start);
-                return false;
-            }
-        }
-    }
-    true
-}
-
 /// Append the encoding of `v`.
 pub(crate) fn put_value(v: &Value, out: &mut Vec<u8>) {
     match v {
@@ -111,12 +79,19 @@ pub(crate) fn put_value(v: &Value, out: &mut Vec<u8>) {
             put_str(s, out);
         }
         Value::Seq(items) => {
-            if !put_f32s(items, out) {
-                out.push(SEQ);
-                put_len(items.len(), out);
-                for item in items {
-                    put_value(item, out);
-                }
+            out.push(SEQ);
+            put_len(items.len(), out);
+            for item in items {
+                put_value(item, out);
+            }
+        }
+        Value::F32s(xs) => {
+            out.push(F32S);
+            put_len(xs.len(), out);
+            let start = out.len();
+            out.resize(start + xs.len() * 4, 0);
+            for (raw, x) in out[start..].chunks_exact_mut(4).zip(xs) {
+                raw.copy_from_slice(&x.to_bits().to_le_bytes());
             }
         }
         Value::Map(entries) => {
@@ -222,10 +197,9 @@ impl<'a> Reader<'a> {
                 let n = self.len(4)?;
                 let raw = self.take(n * 4)?;
                 let floats = raw.chunks_exact(4).map(|c| {
-                    let bits = u32::from_le_bytes(c.try_into().expect("chunks_exact(4)"));
-                    Value::F64(f32::from_bits(bits) as f64)
+                    f32::from_bits(u32::from_le_bytes(c.try_into().expect("chunks_exact(4)")))
                 });
-                Value::Seq(floats.collect())
+                Value::F32s(floats.collect())
             }
             tag => return Err(invalid(format!("unknown tag {tag}"))),
         })
@@ -256,28 +230,26 @@ mod tests {
             ("s".into(), Value::Str("héllo".into())),
             ("empty".into(), Value::Seq(vec![])),
             ("mixed".into(), Value::Seq(vec![Value::F64(1.5), Value::U64(2)])),
+            ("packed".into(), Value::F32s(vec![1.5, -0.0])),
+            ("none".into(), Value::F32s(vec![])),
         ]);
         assert_eq!(roundtrip(&v), v);
     }
 
     #[test]
-    fn f32_sequences_pack_to_four_bytes_and_keep_their_bits() {
-        let bits =
-            [0x8000_0000u32, 0x0000_0001, 0x7f7f_ffff, 0x3f80_0001, 0x7f80_0000, 0xff80_0000];
-        let v = Value::Seq(bits.iter().map(|&b| Value::F64(f32::from_bits(b) as f64)).collect());
+    fn a_packed_node_is_four_bytes_an_element_and_keeps_every_bit() {
+        let bits = [0x8000_0000u32, 1, 0x7f7f_ffff, 0x7f80_0000, 0xff80_0000, 0x7fc0_0001];
+        let v = Value::F32s(bits.iter().map(|&b| f32::from_bits(b)).collect());
         let mut out = Vec::new();
         put_value(&v, &mut out);
-        assert_eq!(out.len(), 1 + 8 + 4 * bits.len());
-        let Value::Seq(back) = Reader::new(&out).value().unwrap() else { panic!("not a seq") };
-        for (b, want) in back.iter().zip(bits) {
-            let Value::F64(x) = b else { panic!("not a float") };
-            assert_eq!((*x as f32).to_bits(), want);
-        }
+        assert_eq!((out[0], out.len()), (F32S, 1 + 8 + 4 * bits.len()));
+        let Value::F32s(back) = Reader::new(&out).value().unwrap() else { panic!("not packed") };
+        assert_eq!(back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), bits);
     }
 
     #[test]
-    fn a_float_that_is_not_an_f32_keeps_the_sequence_wide() {
-        let v = Value::Seq(vec![Value::F64(1.0), Value::F64(0.1)]);
+    fn a_sequence_of_floats_is_never_packed_whatever_its_values() {
+        let v = Value::Seq(vec![Value::F64(1.0), Value::F64(0.5)]);
         let mut out = Vec::new();
         put_value(&v, &mut out);
         assert_eq!(out[0], SEQ);

@@ -14,14 +14,14 @@
 //! already are: no proxy here has a gradient large enough for a second
 //! cross-thread round trip to pay for itself.
 
-use crate::checkpoint::JobCheckpoint;
+use crate::checkpoint::{JobCheckpoint, RestoreError};
 use crate::determinism::{fresh_ready_order, restart_ready_order};
 use crate::est::EstContext;
 use crate::placement::Placement;
 use crate::pool::{
     ExecMode, ExecOptions, PoolError, PoolStats, RespawnFn, ThreadFault, WorkerPool, WorkerSnapshot,
 };
-use crate::worker::{EasyScaleWorker, LocalStep};
+use crate::worker::{make_dataset, EasyScaleWorker, LocalStep};
 use crate::JobConfig;
 use comm::{CommError, ElasticDdp, FaultScript, RetryPolicy};
 use data::{Dataset, DistributedSampler};
@@ -184,31 +184,33 @@ impl PoolRecovery {
 }
 
 /// Build a bitwise-identical replacement for faulted worker slot `idx`:
-/// a fresh worker on the slot's placement seeded with the engine-held param
-/// mirror (proven bitwise-equal to every replica) and the slot's recovery
-/// snapshot (pre-interrupted-step EST contexts and loader cursors). This is
-/// the [`Engine::from_checkpoint`] restore recipe scoped to a single slot,
-/// which is why replaying the interrupted command lands on the fault-free
-/// bits.
+/// a worker on the slot's placement over the engine's dataset, continuing
+/// from the engine-held param mirror (proven bitwise-equal to every
+/// replica) and the slot's recovery snapshot (pre-interrupted-step EST
+/// contexts and loader cursors). This is the [`Engine::from_checkpoint`]
+/// restore recipe scoped to a single slot — the same constructor — which is
+/// why replaying the interrupted command lands on the fault-free bits.
 pub(crate) fn build_replacement(
     config: &JobConfig,
     placement: &Placement,
+    dataset: &Arc<dyn Dataset>,
     params: &[f32],
     idx: usize,
     snap: &WorkerSnapshot,
 ) -> Box<EasyScaleWorker> {
     let slot = &placement.slots[idx];
-    let mut w = EasyScaleWorker::new(config, slot);
-    w.load_flat_params(params);
-    w.restore_pool(&snap.loader);
-    w.set_contexts(snap.contexts.clone());
-    Box::new(w)
+    let (dataset, contexts) = (dataset.clone(), snap.contexts.clone());
+    let w = EasyScaleWorker::restored(config, slot, dataset, params, contexts, &snap.loader);
+    Box::new(w.expect("the engine's own mirror and snapshots fit its job"))
 }
 
 /// The EasyScale job engine.
 pub struct Engine {
     config: JobConfig,
     placement: Placement,
+    /// The training set: built once per engine, shared by its workers and
+    /// by every replacement a recovery builds.
+    dataset: Arc<dyn Dataset>,
     backend: Backend,
     /// Engine-side mirror of the flat parameters. Every replica applies the
     /// identical elementwise delta, so the mirror stays bitwise equal to
@@ -243,8 +245,12 @@ impl Engine {
     /// Start a fresh job on `placement` with explicit execution options.
     pub fn new_opts(config: JobConfig, placement: Placement, exec: ExecOptions) -> Self {
         placement.validate(config.n_ests).unwrap_or_else(|e| panic!("invalid placement: {e}"));
-        let workers: Vec<EasyScaleWorker> =
-            placement.slots.iter().map(|s| EasyScaleWorker::new(&config, s)).collect();
+        let dataset = make_dataset(&config);
+        let workers: Vec<EasyScaleWorker> = placement
+            .slots
+            .iter()
+            .map(|s| EasyScaleWorker::fresh(&config, s, dataset.clone()))
+            .collect();
         let param_sizes = workers[0].model().param_sizes();
         let n_params: usize = param_sizes.iter().sum();
         let params = workers[0].flat_params();
@@ -255,6 +261,7 @@ impl Engine {
         Engine {
             config,
             placement,
+            dataset,
             backend,
             params,
             n_param_tensors: param_sizes.len(),
@@ -275,25 +282,62 @@ impl Engine {
         Self::from_checkpoint_opts(config, placement, ckpt, ExecOptions::default())
     }
 
-    /// [`Engine::from_checkpoint`] with explicit execution options.
+    /// [`Engine::from_checkpoint`] with explicit execution options. Panics
+    /// where [`Engine::try_from_checkpoint_opts`] returns an error.
     pub fn from_checkpoint_opts(
         config: JobConfig,
         placement: Placement,
         ckpt: &JobCheckpoint,
         exec: ExecOptions,
     ) -> Self {
-        placement.validate(config.n_ests).unwrap_or_else(|e| panic!("invalid placement: {e}"));
-        assert_eq!(ckpt.n_ests(), config.n_ests, "checkpoint EST count mismatch");
-        let mut workers: Vec<EasyScaleWorker> =
-            placement.slots.iter().map(|s| EasyScaleWorker::new(&config, s)).collect();
-        for (w, slot) in workers.iter_mut().zip(&placement.slots) {
-            w.load_flat_params(&ckpt.params);
-            w.restore_pool(&ckpt.loader);
-            let contexts =
-                slot.vranks.iter().map(|&r| ckpt.est_contexts[r as usize].clone()).collect();
-            w.set_contexts(contexts);
+        Self::try_from_checkpoint_opts(config, placement, ckpt, exec)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Resume a job from `ckpt` on `placement`, or say why `ckpt` — which
+    /// may be any file that verified — is not a checkpoint of this job.
+    /// Builds one dataset and, per worker, a replica filled from the
+    /// checkpoint's parameters, holding the checkpoint's contexts of its
+    /// ESTs and resuming at its loader cursors
+    /// ([`EasyScaleWorker::restored`]); nothing is initialised first.
+    pub fn try_from_checkpoint_opts(
+        config: JobConfig,
+        placement: Placement,
+        ckpt: &JobCheckpoint,
+        exec: ExecOptions,
+    ) -> Result<Self, RestoreError> {
+        placement.validate(config.n_ests).map_err(RestoreError::Placement)?;
+        if ckpt.n_ests() != config.n_ests {
+            return Err(RestoreError::EstCount { found: ckpt.n_ests(), job: config.n_ests });
         }
+        let dataset = make_dataset(&config);
+        let workers = placement
+            .slots
+            .iter()
+            .map(|slot| {
+                let contexts =
+                    slot.vranks.iter().map(|&r| ckpt.est_contexts[r as usize].clone()).collect();
+                let dataset = dataset.clone();
+                EasyScaleWorker::restored(
+                    &config,
+                    slot,
+                    dataset,
+                    &ckpt.params,
+                    contexts,
+                    &ckpt.loader,
+                )
+            })
+            .collect::<Result<Vec<EasyScaleWorker>, RestoreError>>()?;
         let param_sizes = workers[0].model().param_sizes();
+        if ckpt.opt_velocity.len() != ckpt.params.len() {
+            return Err(RestoreError::Velocity {
+                found: ckpt.opt_velocity.len(),
+                model: ckpt.params.len(),
+            });
+        }
+        if ckpt.comm.layout.param_sizes() != param_sizes || ckpt.comm.vworld != config.n_ests {
+            return Err(RestoreError::BucketLayout);
+        }
         let (ddp, restarted_without_layout) = if config.determinism.pin_bucket_layout {
             // D1: reinstate the recorded gradient-bucket mapping and disable
             // reconstruction.
@@ -303,14 +347,15 @@ impl Engine {
             // bucket mapping will be re-derived from restart timing.
             (ElasticDdp::new(&param_sizes, config.n_ests, config.bucket_cap_bytes), true)
         };
-        let mut opt = Sgd::new(param_sizes.iter().sum(), config.momentum, config.weight_decay);
+        let mut opt = Sgd::new(ckpt.params.len(), config.momentum, config.weight_decay);
         opt.restore_state(&ckpt.opt_velocity);
         let steps_per_epoch = Self::compute_steps_per_epoch(&config);
         let n_param_tensors = param_sizes.len();
         let backend = Backend::build(workers, &exec);
-        Engine {
+        Ok(Engine {
             config,
             placement,
+            dataset,
             backend,
             params: ckpt.params.clone(),
             n_param_tensors,
@@ -322,7 +367,7 @@ impl Engine {
             comm_faults: FaultScript::none(),
             exec,
             pool_recoveries: Vec::new(),
-        }
+        })
     }
 
     fn compute_steps_per_epoch(config: &JobConfig) -> u64 {
@@ -392,9 +437,9 @@ impl Engine {
         phase: &'static str,
         op: impl FnOnce(&mut Backend, &mut RespawnFn<'_>) -> (R, Vec<PoolError>),
     ) -> R {
-        let Engine { config, placement, params, backend, .. } = self;
+        let Engine { config, placement, dataset, params, backend, .. } = self;
         let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
-            build_replacement(config, placement, params, err.worker(), snap)
+            build_replacement(config, placement, dataset, params, err.worker(), snap)
         };
         let (out, faults) = op(backend, &mut respawn);
         let step = self.global_step;

@@ -44,7 +44,7 @@ pub mod pool;
 pub mod store;
 pub mod worker;
 
-pub use checkpoint::JobCheckpoint;
+pub use checkpoint::{JobCheckpoint, RestoreError};
 pub use determinism::Determinism;
 pub use engine::{Engine, EvalResult, PoolRecovery, StepResult};
 pub use est::EstContext;

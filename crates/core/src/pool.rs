@@ -764,9 +764,10 @@ mod tests {
         mirror: &'a [f32],
         log: &'a mut Vec<PoolError>,
     ) -> impl FnMut(&PoolError, &WorkerSnapshot) -> Box<EasyScaleWorker> + 'a {
+        let dataset = crate::worker::make_dataset(cfg);
         move |err, snap| {
             log.push(err.clone());
-            crate::engine::build_replacement(cfg, placement, mirror, err.worker(), snap)
+            crate::engine::build_replacement(cfg, placement, &dataset, mirror, err.worker(), snap)
         }
     }
 

@@ -15,27 +15,42 @@
 //! offset  size  field
 //!      0     8  magic     "ESCKPT\r\n"
 //!      8     4  version   u32, FORMAT_VERSION
-//!     12     8  checksum  FNV-1a-64 of every byte from offset 20 to the end
+//!     12     8  checksum  of every byte from offset 20 to the end, see below
 //!     20     8  n         u64, length of the job name
 //!     28     n  job name  UTF-8
 //!   28+n     …  payload   the checkpoint's serde `Value` tree (see `codec`)
 //! ```
 //!
 //! The payload is the tree `#[derive(Serialize)]` makes of a
-//! [`JobCheckpoint`], written by [`crate::codec`]; `f32` buffers are raw
-//! bytes, so a file is 1.03–1.2 × [`JobCheckpoint::approx_bytes`]. A save
-//! is one encode pass and one checksum pass over the encoded bytes; a load
-//! reads, verifies the bytes as stored, then decodes. On-demand checkpoints
-//! are transient (keep-last-N), so there is one format and no reader for
-//! older ones: a file of another version fails to load like any damaged one.
+//! [`JobCheckpoint`], written by [`crate::codec`]; an `f32` buffer is one
+//! node of the tree and raw bytes in the file, so a file is 1.03–1.2 ×
+//! [`JobCheckpoint::approx_bytes`] and a save or a load touches each float
+//! a constant number of times. A save is one encode pass, one checksum pass
+//! over the encoded bytes and one listing of the directory; a load reads,
+//! verifies the bytes as stored, then decodes. On-demand checkpoints are
+//! transient (keep-last-N), so there is one format and no reader for older
+//! ones: a file of another version (v3 had this layout under a bytewise
+//! checksum and probed sequences for `f32`s) fails to load like any damaged
+//! one.
 //!
-//! # Torn-write detection
+//! # Checksum and torn-write detection
+//!
+//! [`payload_checksum`] is FNV-1a-64 taken eight bytes per multiply: the
+//! state is xored with each little-endian `u64` word of the body and
+//! multiplied by the FNV prime, then the same with the last 0–7 bytes
+//! zero-extended to a word, then with the body's length. Each step is a
+//! bijection on the state for a given word (xor with a constant is one, and
+//! so is multiplication by an odd constant modulo 2⁶⁴), so two bodies of
+//! one length that differ in a single word — a single flipped bit, in
+//! particular — leave that step in different states and every later step
+//! keeps them apart: *every* single-bit flip changes the sum, not merely
+//! all but 2⁻⁶⁴ of them (`tests/store_format.rs` sweeps them).
 //!
 //! Atomic rename protects against most interruption patterns, but shared
 //! filesystems (and machines dying between write and fsync) can still leave
 //! a truncated or bit-damaged file at the final path. The checksum is taken
 //! over the stored bytes and the magic and version are compared exactly, so
-//! truncation and *every* single-bit flip fail [`CheckpointStore::load`];
+//! truncation and every single-bit flip fail [`CheckpointStore::load`];
 //! [`CheckpointStore::load_latest_valid`] walks backwards past corrupt
 //! files to the newest checkpoint that verifies — the last-good fallback
 //! the fault-injection harness (`faultsim`) exercises. Because on-demand
@@ -51,25 +66,29 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// On-disk format version (bump on any change to the file layout, the
-/// codec's tags, or an incompatible `JobCheckpoint` change). v2 was a JSON
-/// envelope; v3 is the binary container described in the module docs.
-pub const FORMAT_VERSION: u32 = 3;
+/// checksum, the codec's tags, or an incompatible `JobCheckpoint` change).
+/// v2 was a JSON envelope, v3 the binary container under a bytewise
+/// checksum; v4 is described in the module docs.
+pub const FORMAT_VERSION: u32 = 4;
 
 const MAGIC: [u8; 8] = *b"ESCKPT\r\n";
 /// Magic, version and checksum; the checksum covers everything after them.
 const HEADER_LEN: usize = 20;
 const SUFFIX: &str = ".ckpt";
 
-/// FNV-1a 64-bit over the stored bytes of a checkpoint file's body. Chosen
-/// for being dependency-free and deterministic; this guards against torn
-/// writes and bit rot, not adversaries.
+/// Word-wise FNV-1a-64 over the stored bytes of a checkpoint file's body
+/// (module docs, "Checksum"). Chosen for being dependency-free and
+/// deterministic; this guards against torn writes and bit rot, not
+/// adversaries.
 pub fn payload_checksum(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    let fold = |h: u64, word: u64| (h ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+    let words = bytes.chunks_exact(8);
+    let mut tail = [0u8; 8];
+    tail[..words.remainder().len()].copy_from_slice(words.remainder());
+    let h = words.fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        fold(h, u64::from_le_bytes(w.try_into().expect("chunks_exact(8)")))
+    });
+    fold(fold(h, u64::from_le_bytes(tail)), bytes.len() as u64)
 }
 
 /// A directory of checkpoints for one job.
@@ -117,8 +136,10 @@ impl CheckpointStore {
         bytes
     }
 
-    /// Persist a checkpoint atomically; prunes old checkpoints beyond the
-    /// retention count.
+    /// Persist a checkpoint atomically. Then, from one listing of the
+    /// directory: enforce the retention count, and remove the `*.tmp` files
+    /// of writers of this job that died between their write and their
+    /// rename.
     pub fn save(&self, ckpt: &JobCheckpoint) -> io::Result<PathBuf> {
         let _t = obs::span("store.save");
         let bytes = self.encode_file(ckpt);
@@ -127,7 +148,21 @@ impl CheckpointStore {
         let tmp_path = final_path.with_extension("tmp");
         fs::write(&tmp_path, &bytes)?;
         fs::rename(&tmp_path, &final_path)?;
-        self.prune()?;
+        let mut steps = Vec::new();
+        for entry in fs::read_dir(&self.dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let name = name.to_string_lossy();
+            if let Some(step) = self.step_of(&name, SUFFIX) {
+                steps.push(step);
+            } else if self.step_of(&name, ".tmp").is_some() {
+                fs::remove_file(entry.path())?;
+            }
+        }
+        steps.sort_unstable();
+        for &step in &steps[..steps.len().saturating_sub(self.keep_last)] {
+            fs::remove_file(self.path_for(step))?;
+        }
         Ok(final_path)
     }
 
@@ -246,24 +281,6 @@ impl CheckpointStore {
             }
         }
         Ok(None)
-    }
-
-    /// Enforce the retention count, and remove the `*.tmp` files of writers
-    /// of this job that died between their write and their rename.
-    fn prune(&self) -> io::Result<()> {
-        let steps = self.list_steps()?;
-        if steps.len() > self.keep_last {
-            for &step in &steps[..steps.len() - self.keep_last] {
-                fs::remove_file(self.path_for(step))?;
-            }
-        }
-        for entry in fs::read_dir(&self.dir)? {
-            let entry = entry?;
-            if self.step_of(&entry.file_name().to_string_lossy(), ".tmp").is_some() {
-                fs::remove_file(entry.path())?;
-            }
-        }
-        Ok(())
     }
 }
 
@@ -416,9 +433,19 @@ mod tests {
     }
 
     #[test]
-    fn checksum_is_fnv1a() {
-        // Pin the reference vectors so the on-disk format stays stable.
-        assert_eq!(payload_checksum(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(payload_checksum(b"a"), 0xaf63_dc4c_8601_ec8c);
+    fn checksum_folds_words_then_the_tail_then_the_length() {
+        // Pin reference vectors so the on-disk format stays stable: the
+        // recipe of the module docs, by hand.
+        const BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+        const PRIME: u64 = 0x0000_0100_0000_01b3;
+        let fold = |h: u64, w: u64| (h ^ w).wrapping_mul(PRIME);
+        assert_eq!(payload_checksum(b""), fold(fold(BASIS, 0), 0));
+        assert_eq!(payload_checksum(b"a"), fold(fold(BASIS, 0x61), 1));
+        let word = u64::from_le_bytes(*b"abcdefgh");
+        assert_eq!(payload_checksum(b"abcdefghi"), fold(fold(fold(BASIS, word), 0x69), 9));
+        // Trailing zero bytes extend to the same tail word; the length
+        // tells them apart.
+        assert_ne!(payload_checksum(b"a"), payload_checksum(b"a\0"));
+        assert_ne!(payload_checksum(b"abcdefgh"), payload_checksum(b"abcdefgh\0"));
     }
 }

@@ -9,6 +9,7 @@
 //! stats, run forward/backward, swap the produced gradient out ("to CPU"),
 //! and capture the updated context.
 
+use crate::checkpoint::RestoreError;
 use crate::est::EstContext;
 use crate::placement::Slot;
 use crate::JobConfig;
@@ -18,7 +19,7 @@ use data::{
 };
 use device::GpuType;
 use models::model::ExecCtx;
-use models::zoo::{self, build_proxy, InputKind};
+use models::zoo::{self, build_proxy, build_proxy_undrawn, InputKind};
 use models::Model;
 use std::sync::Arc;
 use tensor::ops::{cross_entropy, softmax_rows};
@@ -85,34 +86,80 @@ pub struct EasyScaleWorker {
 }
 
 impl EasyScaleWorker {
-    /// Create a worker for `slot` with a freshly initialized model and fresh
-    /// EST contexts. (The engine overwrites params/contexts when restoring.)
+    /// Create a worker for `slot` with a freshly initialized model, fresh
+    /// EST contexts and a dataset of its own.
     pub fn new(config: &JobConfig, slot: &Slot) -> Self {
+        Self::fresh(config, slot, make_dataset(config))
+    }
+
+    /// [`EasyScaleWorker::new`] over the engine's shared `dataset`.
+    pub(crate) fn fresh(config: &JobConfig, slot: &Slot, dataset: Arc<dyn Dataset>) -> Self {
         let model = build_proxy(config.workload, config.seed);
-        let augmenter = if config.augment && zoo::input_kind(config.workload) == InputKind::Image {
-            Some(Augmenter::new(AugmentConfig::default()))
-        } else {
-            None
-        };
-        let loader = ShardedLoader::new(
-            make_dataset(config),
-            config.n_ests,
-            config.batch_size,
-            config.seed,
-            true,
-            augmenter,
-        );
-        let pool = DataWorkerPool::new(loader, config.data_workers, 2);
         let implicit = model.implicit_state();
         let contexts = slot
             .vranks
             .iter()
             .map(|&r| EstContext::fresh(config.seed, r, implicit.clone()))
             .collect();
+        Self::assemble(config, slot, model, dataset, contexts)
+    }
+
+    /// A worker for `slot` that continues from saved state — a checkpoint's,
+    /// or the engine's mirror and a recovery snapshot: the replica is built
+    /// undrawn and filled from `params`, the contexts are the saved ones and
+    /// the loader resumes at `loader`'s cursors, so nothing is initialised
+    /// only to be overwritten. Bit for bit the worker that
+    /// [`EasyScaleWorker::new`] followed by `load_flat_params`,
+    /// `restore_pool` and `set_contexts` gives (`restored_equals_overwritten`).
+    pub(crate) fn restored(
+        config: &JobConfig,
+        slot: &Slot,
+        dataset: Arc<dyn Dataset>,
+        params: &[f32],
+        contexts: Vec<EstContext>,
+        loader: &LoaderCheckpoint,
+    ) -> Result<Self, RestoreError> {
+        let mut model = build_proxy_undrawn(config.workload);
+        if params.len() != model.num_params() {
+            return Err(RestoreError::Params { found: params.len(), model: model.num_params() });
+        }
+        let implicit = model.implicit_state();
+        if let Some(c) = contexts.iter().find(|c| !implicit.same_shape(&c.implicit)) {
+            return Err(RestoreError::ImplicitState { vrank: c.vrank });
+        }
+        if loader.cursors.len() != config.n_ests as usize || loader.seed != config.seed {
+            return Err(RestoreError::Loader { cursors: loader.cursors.len(), seed: loader.seed });
+        }
+        model.load_flat_params(params);
+        let mut w = Self::assemble(config, slot, model, dataset, contexts);
+        w.pool.restore(loader);
+        Ok(w)
+    }
+
+    fn assemble(
+        config: &JobConfig,
+        slot: &Slot,
+        model: Model,
+        dataset: Arc<dyn Dataset>,
+        contexts: Vec<EstContext>,
+    ) -> Self {
+        let augmenter = if config.augment && zoo::input_kind(config.workload) == InputKind::Image {
+            Some(Augmenter::new(AugmentConfig::default()))
+        } else {
+            None
+        };
+        let loader = ShardedLoader::new(
+            dataset,
+            config.n_ests,
+            config.batch_size,
+            config.seed,
+            true,
+            augmenter,
+        );
         EasyScaleWorker {
             gpu: slot.gpu,
             model,
-            pool,
+            pool: DataWorkerPool::new(loader, config.data_workers, 2),
             contexts,
             base_profile: config.determinism.profile_for(slot.gpu),
             autotuner: Autotuner::new(config.determinism.autotune_policy()),

@@ -5,8 +5,7 @@
 //! NeuMF, SwinTransformer): their reductions are all matmuls and softmax
 //! denominators, which stay cheap under the hardware-agnostic D2 profile.
 
-use crate::model::{drain, ExecCtx, Layer};
-use esrng::EsRng;
+use crate::model::{drain, ExecCtx, Layer, ParamInit};
 use tensor::ops;
 use tensor::{Shape, Tensor};
 
@@ -22,11 +21,8 @@ pub struct Embedding {
 
 impl Embedding {
     /// Normal(0, 0.02) initialized embedding table.
-    pub fn init(vocab: usize, dim: usize, rng: &mut EsRng) -> Self {
-        let table = Tensor::from_vec(
-            (0..vocab * dim).map(|_| rng.normal_f32() * 0.02).collect(),
-            &[vocab, dim],
-        );
+    pub fn init(vocab: usize, dim: usize, rng: &mut dyn ParamInit) -> Self {
+        let table = rng.tensor(&[vocab, dim], &mut |r| r.normal_f32() * 0.02);
         Embedding { gtable: Tensor::zeros(&[vocab, dim]), table, vocab, dim, cached_tokens: None }
     }
 }
@@ -111,13 +107,10 @@ struct AttnCache {
 
 impl SelfAttention {
     /// Xavier-initialized attention block.
-    pub fn init(dim: usize, rng: &mut EsRng) -> Self {
-        let mk = |rng: &mut EsRng| {
+    pub fn init(dim: usize, rng: &mut dyn ParamInit) -> Self {
+        let mk = |rng: &mut dyn ParamInit| {
             let bound = (3.0 / dim as f32).sqrt();
-            Tensor::from_vec(
-                (0..dim * dim).map(|_| rng.uniform_range_f32(-bound, bound)).collect(),
-                &[dim, dim],
-            )
+            rng.tensor(&[dim, dim], &mut |r| r.uniform_range_f32(-bound, bound))
         };
         SelfAttention {
             wq: mk(rng),
@@ -312,7 +305,7 @@ impl Layer for MeanPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esrng::{StreamKey, StreamKind};
+    use esrng::{EsRng, StreamKey, StreamKind};
     use tensor::KernelProfile;
 
     fn mk_rng() -> EsRng {

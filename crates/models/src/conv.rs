@@ -11,8 +11,7 @@
 //! the per-sample order in which `gw` and `gb` take their contributions is
 //! part of the accumulation tree and stays ascending.
 
-use crate::model::{drain, ExecCtx, Layer};
-use esrng::EsRng;
+use crate::model::{drain, ExecCtx, Layer, ParamInit};
 use tensor::ops::{self, ConvGeom};
 use tensor::{with_scratch, Tensor};
 
@@ -40,14 +39,11 @@ impl Conv2d {
         kernel: usize,
         stride: usize,
         pad: usize,
-        rng: &mut EsRng,
+        rng: &mut dyn ParamInit,
     ) -> Self {
         let fan_in = cin * kernel * kernel;
         let bound = (6.0 / fan_in as f32).sqrt();
-        let weight = Tensor::from_vec(
-            (0..cout * fan_in).map(|_| rng.uniform_range_f32(-bound, bound)).collect(),
-            &[cout, fan_in],
-        );
+        let weight = rng.tensor(&[cout, fan_in], &mut |r| r.uniform_range_f32(-bound, bound));
         Conv2d {
             gw: Tensor::zeros(&[cout, fan_in]),
             gb: Tensor::zeros(&[cout]),
@@ -179,7 +175,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esrng::{StreamKey, StreamKind};
+    use esrng::{EsRng, StreamKey, StreamKind};
     use tensor::KernelProfile;
 
     fn init_rng() -> EsRng {

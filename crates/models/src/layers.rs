@@ -1,7 +1,6 @@
 //! Basic layers: Dense, ReLU, Dropout, Flatten.
 
-use crate::model::{drain, ExecCtx, Layer};
-use esrng::EsRng;
+use crate::model::{drain, ExecCtx, Layer, ParamInit};
 use tensor::ops;
 use tensor::{Shape, Tensor};
 
@@ -16,12 +15,9 @@ pub struct Dense {
 
 impl Dense {
     /// Kaiming-uniform initialization from the model-init stream.
-    pub fn init(inp: usize, out: usize, rng: &mut EsRng) -> Self {
+    pub fn init(inp: usize, out: usize, rng: &mut dyn ParamInit) -> Self {
         let bound = (6.0 / inp as f32).sqrt();
-        let w = Tensor::from_vec(
-            (0..inp * out).map(|_| rng.uniform_range_f32(-bound, bound)).collect(),
-            &[inp, out],
-        );
+        let w = rng.tensor(&[inp, out], &mut |r| r.uniform_range_f32(-bound, bound));
         let b = Tensor::zeros(&[out]);
         Dense { gw: Tensor::zeros(&[inp, out]), gb: Tensor::zeros(&[out]), w, b, cached_x: None }
     }
@@ -199,7 +195,7 @@ impl Layer for Flatten {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use esrng::{StreamKey, StreamKind};
+    use esrng::{EsRng, StreamKey, StreamKind};
     use tensor::KernelProfile;
 
     fn mk_ctx(rng: &mut EsRng, training: bool) -> ExecCtx<'_> {

@@ -17,6 +17,30 @@ pub struct ExecCtx<'a> {
     pub dropout: &'a mut EsRng,
 }
 
+/// Where a layer's initial parameter values come from: the job's model-init
+/// stream (an [`EsRng`] draws them), or nowhere ([`Undrawn`]).
+pub trait ParamInit {
+    /// A tensor of `shape` holding `draw` called once per element, in order.
+    fn tensor(&mut self, shape: &[usize], draw: &mut dyn FnMut(&mut EsRng) -> f32) -> Tensor;
+}
+
+impl ParamInit for EsRng {
+    fn tensor(&mut self, shape: &[usize], draw: &mut dyn FnMut(&mut EsRng) -> f32) -> Tensor {
+        Tensor::from_vec((0..shape.iter().product()).map(|_| draw(self)).collect(), shape)
+    }
+}
+
+/// [`ParamInit`] for a replica whose every parameter is about to be loaded
+/// ([`Model::load_flat_params`]): tensors of the right shape and unspecified
+/// content, and no draw that a restore would overwrite.
+pub struct Undrawn;
+
+impl ParamInit for Undrawn {
+    fn tensor(&mut self, shape: &[usize], _: &mut dyn FnMut(&mut EsRng) -> f32) -> Tensor {
+        Tensor::uninit(shape)
+    }
+}
+
 /// A differentiable layer. `forward` caches whatever `backward` needs; the
 /// pair must be called in strict alternation (standard tape-free reverse
 /// mode for a sequential network). Parameter gradients accumulate inside the
@@ -78,6 +102,18 @@ pub trait Layer: Send {
 pub struct ImplicitState {
     /// Per-layer captured tensors (empty vectors for stateless layers).
     pub per_layer: Vec<Vec<Tensor>>,
+}
+
+impl ImplicitState {
+    /// Whether `other` has this state's layers, tensors and tensor shapes —
+    /// what [`Model::set_implicit_state`] needs of a state it did not
+    /// capture itself.
+    pub fn same_shape(&self, other: &ImplicitState) -> bool {
+        let shapes = |s: &ImplicitState| -> Vec<Vec<Vec<usize>>> {
+            s.per_layer.iter().map(|l| l.iter().map(|t| t.shape().to_vec()).collect()).collect()
+        };
+        shapes(self) == shapes(other)
+    }
 }
 
 /// A sequential stack of layers.

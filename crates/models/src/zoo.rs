@@ -10,7 +10,7 @@ use crate::attention::{Embedding, MeanPool, SelfAttention};
 use crate::blocks::{Gelu, LayerNorm, Residual};
 use crate::conv::Conv2d;
 use crate::layers::{Dense, Dropout, Flatten, Relu};
-use crate::model::Model;
+use crate::model::{Model, ParamInit, Undrawn};
 use crate::norm::BatchNorm;
 use crate::pool::{GlobalAvgPool, MaxPool2};
 use crate::workloads::Workload;
@@ -53,26 +53,37 @@ pub fn input_kind(workload: Workload) -> InputKind {
 /// identical initial parameters, exactly like seeding PyTorch before
 /// `DistributedDataParallel` broadcasts.
 pub fn build_proxy(workload: Workload, seed: u64) -> Model {
-    let mut rng = EsRng::for_stream(seed, StreamKey::global(StreamKind::ModelInit));
+    build(workload, &mut EsRng::for_stream(seed, StreamKey::global(StreamKind::ModelInit)))
+}
+
+/// [`build_proxy`] for a replica about to be restored: the same layers and
+/// shapes, every parameter tensor undrawn (unspecified content) until
+/// [`Model::load_flat_params`] fills it. Everything else — gradients,
+/// biases' shapes, BatchNorm running stats — is what a fresh proxy has.
+pub fn build_proxy_undrawn(workload: Workload) -> Model {
+    build(workload, &mut Undrawn)
+}
+
+fn build(workload: Workload, rng: &mut dyn ParamInit) -> Model {
     match workload {
         // Residual conv family (true skip connections + pooling).
-        Workload::ResNet18 => resnet(&mut rng, 8, 16),
-        Workload::ResNet50 => resnet(&mut rng, 12, 24),
+        Workload::ResNet18 => resnet(rng, 8, 16),
+        Workload::ResNet50 => resnet(rng, 12, 24),
         // Lightweight conv stack.
-        Workload::ShuffleNetV2 => cnn(&mut rng, 6, 12),
+        Workload::ShuffleNetV2 => cnn(rng, 6, 12),
         // VGG: plain (no skips) deeper conv stack with max pooling.
-        Workload::Vgg19 => vgg(&mut rng, 16, 32),
-        Workload::YoloV3 => cnn(&mut rng, 12, 16),
+        Workload::Vgg19 => vgg(rng, 16, 32),
+        Workload::YoloV3 => cnn(rng, 12, 16),
         // Embedding + MLP for the recommender.
-        Workload::NeuMF => mlp(&mut rng),
+        Workload::NeuMF => mlp(rng),
         // Transformer block family (pre-LN residual attention).
-        Workload::Bert | Workload::Electra | Workload::SwinTransformer => attention(&mut rng),
+        Workload::Bert | Workload::Electra | Workload::SwinTransformer => attention(rng),
     }
 }
 
 /// ResNet-style: stem conv → residual block → maxpool → conv → GAP → head,
 /// for `[B,3,8,8]`.
-fn resnet(rng: &mut EsRng, c1: usize, c2: usize) -> Model {
+fn resnet(rng: &mut dyn ParamInit, c1: usize, c2: usize) -> Model {
     Model::new(vec![
         Box::new(Conv2d::init(3, c1, 3, 1, 1, rng)),
         Box::new(BatchNorm::new(c1)),
@@ -92,7 +103,7 @@ fn resnet(rng: &mut EsRng, c1: usize, c2: usize) -> Model {
 }
 
 /// Two conv-BN-ReLU blocks (second strided) + dense head, for `[B,3,8,8]`.
-fn cnn(rng: &mut EsRng, c1: usize, c2: usize) -> Model {
+fn cnn(rng: &mut dyn ParamInit, c1: usize, c2: usize) -> Model {
     Model::new(vec![
         Box::new(Conv2d::init(3, c1, 3, 1, 1, rng)),
         Box::new(BatchNorm::new(c1)),
@@ -106,7 +117,7 @@ fn cnn(rng: &mut EsRng, c1: usize, c2: usize) -> Model {
 }
 
 /// VGG-style plain stack: conv-conv-pool-conv + dense head, no skips.
-fn vgg(rng: &mut EsRng, c1: usize, c2: usize) -> Model {
+fn vgg(rng: &mut dyn ParamInit, c1: usize, c2: usize) -> Model {
     Model::new(vec![
         Box::new(Conv2d::init(3, c1, 3, 1, 1, rng)),
         Box::new(BatchNorm::new(c1)),
@@ -125,7 +136,7 @@ fn vgg(rng: &mut EsRng, c1: usize, c2: usize) -> Model {
 
 /// NeuMF-style recommender: embedding lookup + mean-pool + 2-layer MLP with
 /// dropout (neural collaborative filtering's embedding-then-MLP shape).
-fn mlp(rng: &mut EsRng) -> Model {
+fn mlp(rng: &mut dyn ParamInit) -> Model {
     let dim = 16;
     Model::new(vec![
         Box::new(Embedding::init(VOCAB, dim, rng)),
@@ -139,7 +150,7 @@ fn mlp(rng: &mut EsRng) -> Model {
 
 /// Transformer block: embedding → pre-LN residual attention → LayerNorm →
 /// mean-pool → GELU MLP head with dropout, for `[B,16]` token sequences.
-fn attention(rng: &mut EsRng) -> Model {
+fn attention(rng: &mut dyn ParamInit) -> Model {
     let dim = 16;
     Model::new(vec![
         Box::new(Embedding::init(VOCAB, dim, rng)),

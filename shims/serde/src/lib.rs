@@ -20,12 +20,32 @@ pub use serde_derive::{Deserialize, Serialize};
 pub trait Serialize {
     /// Convert `self` to a [`Value`].
     fn to_value(&self) -> Value;
+
+    /// Convert a slice of `Self` — what `Vec<Self>`, `[Self]` and
+    /// `[Self; N]` serialize through: one node per element, unless the
+    /// element type has a packed node (the `Hash::hash_slice` pattern; only
+    /// `f32` overrides it, with [`Value::F32s`]).
+    fn slice_to_value(items: &[Self]) -> Value
+    where
+        Self: Sized,
+    {
+        Value::Seq(items.iter().map(Serialize::to_value).collect())
+    }
 }
 
 /// Types that can be reconstructed from a [`Value`] tree.
 pub trait Deserialize: Sized {
     /// Reconstruct `Self` from a [`Value`].
     fn from_value(v: &Value) -> Result<Self, DeError>;
+
+    /// Reconstruct a `Vec<Self>`: the inverse of
+    /// [`Serialize::slice_to_value`].
+    fn vec_from_value(v: &Value) -> Result<Vec<Self>, DeError> {
+        match v {
+            Value::Seq(items) => items.iter().map(Self::from_value).collect(),
+            other => Err(DeError::unexpected("sequence", other)),
+        }
+    }
 }
 
 macro_rules! ser_de_uint {
@@ -79,6 +99,11 @@ impl Serialize for f32 {
         // f32 -> f64 is exact, so the JSON round trip is bit-preserving.
         Value::F64(*self as f64)
     }
+
+    /// One node for the whole buffer, every bit pattern kept as it is.
+    fn slice_to_value(items: &[f32]) -> Value {
+        Value::F32s(items.to_vec())
+    }
 }
 
 impl Deserialize for f32 {
@@ -86,6 +111,15 @@ impl Deserialize for f32 {
         // Like real serde_json: parse as f64, narrow. The f64 is the exact
         // widened f32, so the narrowing conversion restores the input bits.
         f64::from_value(v).map(|x| x as f32)
+    }
+
+    /// The packed node, or the sequence of numbers JSON text parses into.
+    fn vec_from_value(v: &Value) -> Result<Vec<f32>, DeError> {
+        match v {
+            Value::F32s(xs) => Ok(xs.clone()),
+            Value::Seq(items) => items.iter().map(f32::from_value).collect(),
+            other => Err(DeError::unexpected("sequence", other)),
+        }
     }
 }
 
@@ -177,28 +211,25 @@ impl<T: Deserialize> Deserialize for Box<T> {
 
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        T::slice_to_value(self)
     }
 }
 
 impl<T: Deserialize> Deserialize for Vec<T> {
     fn from_value(v: &Value) -> Result<Self, DeError> {
-        match v {
-            Value::Seq(items) => items.iter().map(T::from_value).collect(),
-            other => Err(DeError::unexpected("sequence", other)),
-        }
+        T::vec_from_value(v)
     }
 }
 
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        T::slice_to_value(self)
     }
 }
 
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn to_value(&self) -> Value {
-        Value::Seq(self.iter().map(Serialize::to_value).collect())
+        T::slice_to_value(self)
     }
 }
 

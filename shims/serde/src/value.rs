@@ -20,6 +20,11 @@ pub enum Value {
     Str(String),
     /// Array.
     Seq(Vec<Value>),
+    /// Array of `f32`, packed: what a `Vec<f32>` serializes to, so that a
+    /// parameter buffer crosses as one node and not as one `F64` per
+    /// element. JSON text prints it as the array of numbers it is and never
+    /// parses into it.
+    F32s(Vec<f32>),
     /// Object; insertion-ordered so derive output matches field order.
     Map(Vec<(String, Value)>),
 }
@@ -49,7 +54,7 @@ impl Value {
             Value::U64(_) | Value::I64(_) => "integer",
             Value::F64(_) => "number",
             Value::Str(_) => "string",
-            Value::Seq(_) => "array",
+            Value::Seq(_) | Value::F32s(_) => "array",
             Value::Map(_) => "object",
         }
     }

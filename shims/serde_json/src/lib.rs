@@ -85,33 +85,13 @@ fn write_value(
         Value::Bool(false) => out.push_str("false"),
         Value::U64(n) => out.push_str(&n.to_string()),
         Value::I64(n) => out.push_str(&n.to_string()),
-        Value::F64(x) => {
-            if !x.is_finite() {
-                return Err(Error::new("JSON cannot represent NaN or infinity"));
-            }
-            // Shortest round-trip representation; integral floats still get
-            // a ".0" so they re-parse as floats, matching real serde_json.
-            let s = x.to_string();
-            out.push_str(&s);
-            if !s.contains(['.', 'e', 'E']) {
-                out.push_str(".0");
-            }
-        }
+        Value::F64(x) => write_f64(*x, out)?,
         Value::Str(s) => write_escaped(s, out),
-        Value::Seq(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1)?;
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, depth);
-            }
-            out.push(']');
-        }
+        Value::Seq(items) => write_seq(items, out, indent, depth, |item, out| {
+            write_value(item, out, indent, depth + 1)
+        })?,
+        // The array of widened floats a `Vec<f32>` has always printed as.
+        Value::F32s(xs) => write_seq(xs, out, indent, depth, |x, out| write_f64(*x as f64, out))?,
         Value::Map(entries) => {
             out.push('{');
             for (i, (k, item)) in entries.iter().enumerate() {
@@ -132,6 +112,42 @@ fn write_value(
             out.push('}');
         }
     }
+    Ok(())
+}
+
+fn write_f64(x: f64, out: &mut String) -> Result<(), Error> {
+    if !x.is_finite() {
+        return Err(Error::new("JSON cannot represent NaN or infinity"));
+    }
+    // Shortest round-trip representation; integral floats still get a ".0"
+    // so they re-parse as floats, matching real serde_json.
+    let s = x.to_string();
+    out.push_str(&s);
+    if !s.contains(['.', 'e', 'E']) {
+        out.push_str(".0");
+    }
+    Ok(())
+}
+
+fn write_seq<T>(
+    items: &[T],
+    out: &mut String,
+    indent: Option<usize>,
+    depth: usize,
+    mut write_item: impl FnMut(&T, &mut String) -> Result<(), Error>,
+) -> Result<(), Error> {
+    out.push('[');
+    for (i, item) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        newline_indent(out, indent, depth + 1);
+        write_item(item, out)?;
+    }
+    if !items.is_empty() {
+        newline_indent(out, indent, depth);
+    }
+    out.push(']');
     Ok(())
 }
 

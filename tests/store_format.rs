@@ -1,4 +1,4 @@
-//! Integration: the checkpoint file format (`easyscale::store`, v3).
+//! Integration: the checkpoint file format (`easyscale::store`, v4).
 //!
 //! Two halves. The format must carry every kind of training state bit for
 //! bit in about as many bytes as the state itself; and `load` must treat a
@@ -8,6 +8,25 @@
 //!
 //! The layout is spelled out here on purpose (offsets, tags): these tests
 //! pin it, so a change to it fails until `FORMAT_VERSION` is bumped.
+//!
+//! ```text
+//! offset  size  field
+//!      0     8  magic     "ESCKPT\r\n"
+//!      8     4  version   u32, 4
+//!     12     8  checksum  of every byte from offset 20 to the end
+//!     20     8  n         u64, length of the job name
+//!     28     n  job name  UTF-8
+//!   28+n     …  payload   one tag byte per node of the serde `Value` tree
+//! ```
+//!
+//! v4 differs from v3 in two places. The checksum is FNV-1a-64 folded over
+//! little-endian `u64` words, then the zero-extended tail bytes, then the
+//! length; xor-then-multiply-by-an-odd-constant is a bijection on the
+//! state, so a single flipped bit changes the state at its word and every
+//! later step keeps the two states apart — the sweep below finds no flip
+//! that loads. And tag 9 is the tree's own `F32s` node (what the shim makes
+//! of a `Vec<f32>`, the empty one included), no longer a `Seq` the encoder
+//! found to hold only `f32`s: the bytes of a non-empty buffer are the same.
 
 use device::GpuType;
 use easyscale::store::{payload_checksum, FORMAT_VERSION};
@@ -87,7 +106,7 @@ fn restamp(mut bytes: Vec<u8>) -> Vec<u8> {
     bytes
 }
 
-/// A well-formed v3 file for [`JOB`] around an arbitrary payload.
+/// A well-formed v4 file for [`JOB`] around an arbitrary payload.
 fn file_around(payload: &[u8]) -> Vec<u8> {
     let mut bytes = b"ESCKPT\r\n".to_vec();
     bytes.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
@@ -190,7 +209,7 @@ fn golden_file_is_pinned() {
 }
 
 const GOLDEN_LEN: usize = 983;
-const GOLDEN_FNV64: u64 = 0x11d2_ed96_ff9b_5901;
+const GOLDEN_FNV64: u64 = 0x40f9_e701_32f6_3e05;
 
 // ------------------------------------------------------------ what it rejects
 
@@ -229,8 +248,8 @@ fn truncation_at_any_length_is_detected() {
 #[test]
 fn other_versions_are_rejected_not_migrated() {
     let v = Victim::new("version", &checkpoint_of(Workload::NeuMF, 2));
-    assert_eq!(FORMAT_VERSION, 3);
-    for version in [2u32, 4] {
+    assert_eq!(FORMAT_VERSION, 4);
+    for version in [2u32, 3, 5] {
         let mut bytes = v.good.clone();
         bytes[8..12].copy_from_slice(&version.to_le_bytes());
         v.assert_rejected(&restamp(bytes), &format!("version {version}"));
