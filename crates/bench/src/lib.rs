@@ -129,15 +129,22 @@ pub fn median(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Mean wall time of `f` in µs over `reps` calls. The one clock read of the
-/// crate outside the worker's own step timer; what it returns is printed,
-/// never written.
+/// Mean wall time of `f` in µs over `reps` calls. With [`timed_ms`], the
+/// clock reads of the crate outside the worker's own step timer; what they
+/// return is printed, never written.
 pub fn mean_us<R>(reps: u32, mut f: impl FnMut() -> R) -> f64 {
     let t0 = std::time::Instant::now();
     for _ in 0..reps {
         std::hint::black_box(f());
     }
     t0.elapsed().as_secs_f64() * 1e6 / reps as f64
+}
+
+/// What one call of `f` returns, and its wall time in ms.
+pub fn timed_ms<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t0 = std::time::Instant::now();
+    let out = f();
+    (out, t0.elapsed().as_secs_f64() * 1e3)
 }
 
 /// `max − min` of `values`.

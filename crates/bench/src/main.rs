@@ -30,6 +30,7 @@ const FIGS: &[Entry] = &[
     ("fig12_determinism_overhead", micro::fig12_determinism_overhead),
     ("fig13_grad_copy", micro::fig13_grad_copy),
     ("exp_data_sharing", micro::exp_data_sharing),
+    ("exp_rescale_split", micro::exp_rescale_split),
     ("fig14_trace_jct", cluster::fig14_trace_jct),
     ("fig15_alloc_timeline", cluster::fig15_alloc_timeline),
     ("exp_plan_model", cluster::exp_plan_model),

@@ -2,11 +2,13 @@
 //! experiment of §5.1.2.
 
 use baselines::PackingSim;
-use bench::{median, print_table, row, Fig};
+use bench::{median, print_table, row, timed_ms, Fig};
 use comm::ElasticDdp;
 use data::{AugmentConfig, Augmenter, DataWorkerPool, ShardedLoader, SyntheticImageDataset};
 use device::{GpuType, PerfModel};
-use easyscale::{Determinism, EasyScaleWorker, Engine, JobConfig, Placement, Slot};
+use easyscale::{
+    CheckpointStore, Determinism, EasyScaleWorker, Engine, JobConfig, Placement, Slot,
+};
 use models::{Workload, WORKLOADS};
 use serde::Serialize;
 use std::sync::Arc;
@@ -367,4 +369,69 @@ pub fn exp_data_sharing() -> Fig {
     let measured =
         format!("{at8}; 16 ESTs served by a 4-worker pool with bitwise-identical batches");
     Fig::tracked(&rows, measured)
+}
+
+/// Where a rescale through the durable store spends its stall (ROADMAP
+/// item 2), for the benchmark's three jobs: the benchmark's own sequence —
+/// `checkpoint`, `save`, `load_latest_valid`, `from_checkpoint_opts` on the
+/// other of two placements (2 ↔ 1 workers), drop of the old engine, first
+/// step on the new one — each part's p25 over 60 rescales beside the p25 of
+/// their sum and the median steady step.
+pub fn exp_rescale_split() -> Fig {
+    const RESCALES: usize = 60;
+    let p25 = |samples: &mut Vec<f64>| {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 4]
+    };
+    let jobs = [
+        ("train_sync", Workload::NeuMF, 1, 2048, Determinism::d1()),
+        ("elastic_churn", Workload::Bert, 8, 2048, Determinism::d1_d2()),
+        ("train_compute", Workload::ResNet18, 8, 4096, Determinism::d1()),
+    ];
+    let mut rows = Vec::new();
+    for (job, workload, batch, dataset, det) in jobs {
+        let cfg = JobConfig::new(workload, 7, 8)
+            .with_dataset_len(dataset)
+            .with_batch_size(batch)
+            .with_determinism(det);
+        let dir = std::env::temp_dir().join(format!("figs-rescale-{job}-{}", std::process::id()));
+        let store = CheckpointStore::open(&dir, job).expect("a temp directory can be made");
+        let placement = |i: usize| Placement::homogeneous(8, 2 - (i % 2) as u32, GpuType::V100);
+        let mut engine = Engine::new(cfg.clone(), placement(0));
+        let mut parts: [Vec<f64>; 7] = Default::default();
+        let mut steady = Vec::new();
+        for i in 1..=RESCALES {
+            for _ in 0..4 {
+                steady.push(timed_ms(|| engine.step()).1);
+            }
+            let (ckpt, checkpoint) = timed_ms(|| engine.checkpoint());
+            let (saved, save) = timed_ms(|| store.save(&ckpt));
+            saved.expect("the checkpoint is written");
+            let (loaded, load) = timed_ms(|| store.load_latest_valid());
+            let (loaded, _) = loaded.expect("the store is readable").expect("holds a checkpoint");
+            let (mut next, rebuild) =
+                timed_ms(|| Engine::from_checkpoint(cfg.clone(), placement(i), &loaded));
+            let ((), teardown) = timed_ms(|| drop(engine));
+            let (_, first_step) = timed_ms(|| next.step());
+            engine = next;
+            let split = [checkpoint, save, load, rebuild, teardown, first_step];
+            let total: f64 = split.iter().sum();
+            for (samples, ms) in parts.iter_mut().zip(split.into_iter().chain([total])) {
+                samples.push(ms);
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        let [checkpoint, save, load, rebuild, teardown, first_step, total] =
+            parts.each_mut().map(p25);
+        rows.push(row! {
+            job: job, checkpoint_ms: checkpoint, save_ms: save, load_ms: load,
+            rebuild_ms: rebuild, teardown_ms: teardown, first_step_ms: first_step,
+            stall_ms: total, steady_step_ms: median(&mut steady),
+        });
+    }
+    print_table(&rows);
+    Fig::timed(
+        "p25 over 60 rescales 2 ↔ 1 workers of checkpoint, save, load, rebuild, teardown and \
+         first step beside the steady step, the three benchmark jobs",
+    )
 }

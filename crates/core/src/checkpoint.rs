@@ -58,68 +58,43 @@ impl JobCheckpoint {
 pub enum RestoreError {
     /// The placement does not cover the job's ESTs exactly once each.
     Placement(String),
-    /// The checkpoint describes another number of logical workers.
-    EstCount {
-        /// EST contexts in the checkpoint.
-        found: u32,
-        /// `JobConfig::n_ests`.
-        job: u32,
-    },
-    /// The flat parameter vector is not the model's length.
-    Params {
-        /// Parameters in the checkpoint (or mirror).
-        found: usize,
-        /// Parameters of the job's model.
-        model: usize,
-    },
-    /// The optimizer velocity is not the model's length.
-    Velocity {
-        /// Velocity elements in the checkpoint.
-        found: usize,
-        /// Parameters of the job's model.
-        model: usize,
-    },
-    /// An EST context's implicit state (BatchNorm running statistics) has
-    /// other layers or tensor shapes than the job's model.
-    ImplicitState {
-        /// The EST whose context does not fit.
-        vrank: u32,
-    },
-    /// The loader cursors are not one per EST of this job's seed.
-    Loader {
-        /// Cursors in the checkpoint.
-        cursors: usize,
-        /// Seed the cursors' streams were opened under.
-        seed: u64,
-    },
+    /// The checkpoint holds `.1` of the named thing (`EST contexts`,
+    /// `parameters`, `velocity elements`, `loader cursors`); the job has `.2`.
+    Count(&'static str, usize, usize),
+    /// The context of the EST of this virtual rank carries implicit state
+    /// (BatchNorm running statistics) of other layers or tensor shapes than
+    /// the job's model has.
+    ImplicitState(u32),
+    /// The loader cursors were opened under this seed, not the job's.
+    Seed(u64),
     /// The recorded gradient-bucket layout is over other parameter tensors
     /// or another virtual world size.
     BucketLayout,
+}
+
+impl RestoreError {
+    /// `Ok` when the checkpoint's count of `what` is the job's.
+    pub(crate) fn count(what: &'static str, found: usize, job: usize) -> Result<(), Self> {
+        if found == job {
+            Ok(())
+        } else {
+            Err(RestoreError::Count(what, found, job))
+        }
+    }
 }
 
 impl std::fmt::Display for RestoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RestoreError::Placement(e) => write!(f, "invalid placement: {e}"),
-            RestoreError::EstCount { found, job } => {
-                write!(f, "checkpoint EST count mismatch: {found} contexts for a job of {job} ESTs")
+            RestoreError::Count(what, found, job) => {
+                write!(f, "checkpoint mismatch: {found} {what}, the job has {job}")
             }
-            RestoreError::Params { found, model } => {
-                write!(f, "checkpoint holds {found} parameters, the job's model has {model}")
+            RestoreError::ImplicitState(vrank) => {
+                write!(f, "checkpoint mismatch: implicit state of EST {vrank} is another model's")
             }
-            RestoreError::Velocity { found, model } => {
-                write!(f, "checkpoint holds {found} velocity elements, the model has {model}")
-            }
-            RestoreError::ImplicitState { vrank } => write!(
-                f,
-                "implicit state of EST {vrank} does not match the layers of the job's model"
-            ),
-            RestoreError::Loader { cursors, seed } => {
-                write!(f, "checkpoint holds {cursors} loader cursors opened under seed {seed}")
-            }
-            RestoreError::BucketLayout => {
-                f.write_str("checkpoint's bucket layout is over another model or EST count")
-            }
+            RestoreError::Seed(seed) => write!(f, "checkpoint mismatch: loader seed {seed}"),
+            RestoreError::BucketLayout => f.write_str("checkpoint mismatch: bucket layout"),
         }
     }
 }

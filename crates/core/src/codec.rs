@@ -209,6 +209,8 @@ impl<'a> Reader<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use serde::{Deserialize, Serialize};
 
     fn roundtrip(v: &Value) -> Value {
         let mut out = Vec::new();
@@ -236,24 +238,84 @@ mod tests {
         assert_eq!(roundtrip(&v), v);
     }
 
-    #[test]
-    fn a_packed_node_is_four_bytes_an_element_and_keeps_every_bit() {
-        let bits = [0x8000_0000u32, 1, 0x7f7f_ffff, 0x7f80_0000, 0xff80_0000, 0x7fc0_0001];
-        let v = Value::F32s(bits.iter().map(|&b| f32::from_bits(b)).collect());
+    /// Bit patterns `==` and a decimal rendering lose: quiet and signalling
+    /// NaNs with payloads, both zeros, the extreme subnormals, both
+    /// infinities.
+    const SPECIAL_BITS: [u32; 10] = [
+        0x7fc0_0001,
+        0xffc1_2345,
+        0x7f80_0001,
+        0x8000_0000,
+        0x0000_0000,
+        0x0000_0001,
+        0x807f_ffff,
+        0x7f80_0000,
+        0xff80_0000,
+        0x7f7f_ffff,
+    ];
+
+    /// `Vec<f32>` → `Value` → bytes → `Value` → `Vec<f32>`, as bit patterns.
+    fn f32s_through_the_file(bits: &[u32]) -> Vec<u32> {
+        let xs: Vec<f32> = bits.iter().map(|&b| f32::from_bits(b)).collect();
+        let v = xs.to_value();
+        assert!(matches!(v, Value::F32s(_)), "a Vec<f32> is one node");
         let mut out = Vec::new();
         put_value(&v, &mut out);
         assert_eq!((out[0], out.len()), (F32S, 1 + 8 + 4 * bits.len()));
-        let Value::F32s(back) = Reader::new(&out).value().unwrap() else { panic!("not packed") };
-        assert_eq!(back.iter().map(|x| x.to_bits()).collect::<Vec<_>>(), bits);
+        let mut r = Reader::new(&out);
+        let back: Vec<f32> =
+            Deserialize::from_value(&r.value().expect("decodes")).expect("is a Vec<f32>");
+        assert_eq!(r.remaining(), 0);
+        back.iter().map(|x| x.to_bits()).collect()
     }
 
     #[test]
-    fn a_sequence_of_floats_is_never_packed_whatever_its_values() {
-        let v = Value::Seq(vec![Value::F64(1.0), Value::F64(0.5)]);
-        let mut out = Vec::new();
-        put_value(&v, &mut out);
-        assert_eq!(out[0], SEQ);
-        assert_eq!(roundtrip(&v), v);
+    fn special_values_and_the_empty_buffer_cross_bit_for_bit() {
+        assert_eq!(f32s_through_the_file(&SPECIAL_BITS), SPECIAL_BITS);
+        assert_eq!(f32s_through_the_file(&[]), [0u32; 0]);
+    }
+
+    proptest! {
+        #[test]
+        fn any_f32_buffer_crosses_bit_for_bit(
+            random in prop::collection::vec(any::<u32>(), 0..48usize),
+            at in 0..48usize,
+        ) {
+            let mut bits = random;
+            bits.insert(at.min(bits.len()), SPECIAL_BITS[at % SPECIAL_BITS.len()]);
+            prop_assert_eq!(f32s_through_the_file(&bits), bits);
+        }
+
+        /// Values that are exactly `f32`s included — the sequences v3's
+        /// encoder probed for and packed.
+        #[test]
+        fn a_vec_of_f64_is_never_packed(
+            narrow in prop::collection::vec(any::<f32>(), 0..16usize),
+            wide in prop::collection::vec(any::<f64>(), 0..4usize),
+        ) {
+            let xs: Vec<f64> = narrow.iter().map(|&x| x as f64).chain(wide).collect();
+            let v = xs.to_value();
+            prop_assert!(matches!(v, Value::Seq(_)));
+            let mut out = Vec::new();
+            put_value(&v, &mut out);
+            prop_assert_eq!((out[0], out.len()), (SEQ, 1 + 8 + 9 * xs.len()));
+            let back: Vec<f64> =
+                Deserialize::from_value(&Reader::new(&out).value().unwrap()).unwrap();
+            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&back), bits(&xs));
+        }
+    }
+
+    #[test]
+    fn a_lying_packed_length_is_rejected_before_allocation() {
+        let mut good = Vec::new();
+        put_value(&Value::F32s(vec![1.0, 2.0, 3.0]), &mut good);
+        for lie in [4u64, u64::MAX, u64::MAX / 4 + 1, 1 << 40] {
+            let mut bytes = good.clone();
+            bytes[1..9].copy_from_slice(&lie.to_le_bytes());
+            let err = Reader::new(&bytes).value().unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "count 3 -> {lie}");
+        }
     }
 
     #[test]

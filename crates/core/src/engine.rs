@@ -199,8 +199,7 @@ pub(crate) fn build_replacement(
     snap: &WorkerSnapshot,
 ) -> Box<EasyScaleWorker> {
     let slot = &placement.slots[idx];
-    let (dataset, contexts) = (dataset.clone(), snap.contexts.clone());
-    let w = EasyScaleWorker::restored(config, slot, dataset, params, contexts, &snap.loader);
+    let w = EasyScaleWorker::restored(config, slot, dataset.clone(), params, snap.clone());
     Box::new(w.expect("the engine's own mirror and snapshots fit its job"))
 }
 
@@ -307,9 +306,9 @@ impl Engine {
         exec: ExecOptions,
     ) -> Result<Self, RestoreError> {
         placement.validate(config.n_ests).map_err(RestoreError::Placement)?;
-        if ckpt.n_ests() != config.n_ests {
-            return Err(RestoreError::EstCount { found: ckpt.n_ests(), job: config.n_ests });
-        }
+        let n_params = ckpt.params.len();
+        RestoreError::count("EST contexts", ckpt.est_contexts.len(), config.n_ests as usize)?;
+        RestoreError::count("velocity elements", ckpt.opt_velocity.len(), n_params)?;
         let dataset = make_dataset(&config);
         let workers = placement
             .slots
@@ -317,24 +316,11 @@ impl Engine {
             .map(|slot| {
                 let contexts =
                     slot.vranks.iter().map(|&r| ckpt.est_contexts[r as usize].clone()).collect();
-                let dataset = dataset.clone();
-                EasyScaleWorker::restored(
-                    &config,
-                    slot,
-                    dataset,
-                    &ckpt.params,
-                    contexts,
-                    &ckpt.loader,
-                )
+                let snap = WorkerSnapshot { contexts, loader: ckpt.loader.clone() };
+                EasyScaleWorker::restored(&config, slot, dataset.clone(), &ckpt.params, snap)
             })
             .collect::<Result<Vec<EasyScaleWorker>, RestoreError>>()?;
         let param_sizes = workers[0].model().param_sizes();
-        if ckpt.opt_velocity.len() != ckpt.params.len() {
-            return Err(RestoreError::Velocity {
-                found: ckpt.opt_velocity.len(),
-                model: ckpt.params.len(),
-            });
-        }
         if ckpt.comm.layout.param_sizes() != param_sizes || ckpt.comm.vworld != config.n_ests {
             return Err(RestoreError::BucketLayout);
         }
@@ -347,7 +333,7 @@ impl Engine {
             // bucket mapping will be re-derived from restart timing.
             (ElasticDdp::new(&param_sizes, config.n_ests, config.bucket_cap_bytes), true)
         };
-        let mut opt = Sgd::new(ckpt.params.len(), config.momentum, config.weight_decay);
+        let mut opt = Sgd::new(n_params, config.momentum, config.weight_decay);
         opt.restore_state(&ckpt.opt_velocity);
         let steps_per_epoch = Self::compute_steps_per_epoch(&config);
         let n_param_tensors = param_sizes.len();
@@ -881,5 +867,70 @@ mod tests {
             b.step();
         }
         assert_eq!(params_bits(&a), params_bits(&b));
+    }
+
+    /// A file that verifies is not thereby a checkpoint of *this* job: one
+    /// saved by another workload or another EST count comes back from the
+    /// store intact and is refused by name, not by a slice panic deep in
+    /// `load_flat_params`.
+    #[test]
+    fn a_verified_checkpoint_of_another_job_is_a_typed_error() {
+        let dir = std::env::temp_dir().join(format!("easyscale-misfit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let through_store = |cfg: JobConfig| {
+            let n = cfg.n_ests;
+            let mut e = Engine::new(cfg, Placement::homogeneous(n, 2, GpuType::V100));
+            e.run(2);
+            let store = crate::CheckpointStore::open(&dir, "misfit").unwrap();
+            store.save(&e.checkpoint()).unwrap();
+            store.load_latest_valid().unwrap().expect("just saved").0
+        };
+        let refusal = |ckpt: &JobCheckpoint| {
+            let placement = Placement::homogeneous(4, 1, GpuType::V100);
+            let exec = ExecOptions::default();
+            match Engine::try_from_checkpoint_opts(config(), placement, ckpt, exec) {
+                Ok(_) => panic!("restored a job from another job's checkpoint"),
+                Err(e) => e,
+            }
+        };
+        let own = through_store(config());
+        let n_params = own.params.len();
+
+        let bert = through_store(JobConfig::new(Workload::Bert, 21, 4).with_dataset_len(128));
+        let e = refusal(&bert);
+        assert_eq!(e, RestoreError::Count("parameters", bert.params.len(), n_params));
+        assert!(e.to_string().contains(&format!("{} parameters", bert.params.len())), "{e}");
+        // The same length and layers whose implicit state is another shape.
+        let mut grafted = own.clone();
+        grafted.est_contexts[2].implicit = bert.est_contexts[2].implicit.clone();
+        assert_eq!(refusal(&grafted), RestoreError::ImplicitState(2));
+
+        let eight = through_store(JobConfig::new(Workload::ResNet18, 21, 8).with_dataset_len(128));
+        assert_eq!(refusal(&eight), RestoreError::Count("EST contexts", 8, 4));
+        assert_eq!(
+            refusal(&eight).to_string(),
+            "checkpoint mismatch: 8 EST contexts, the job has 4"
+        );
+
+        let mut short = own.clone();
+        short.opt_velocity.pop();
+        assert_eq!(
+            refusal(&short),
+            RestoreError::Count("velocity elements", n_params - 1, n_params)
+        );
+        let mut cursors = own.clone();
+        cursors.loader.cursors.pop();
+        assert_eq!(refusal(&cursors), RestoreError::Count("loader cursors", 3, 4));
+        let mut seed = own.clone();
+        seed.loader.seed = 22;
+        assert_eq!(refusal(&seed), RestoreError::Seed(22));
+        let mut layout = own.clone();
+        layout.comm.vworld = 8;
+        assert_eq!(refusal(&layout), RestoreError::BucketLayout);
+
+        let gap = Placement::heterogeneous(&[(GpuType::V100, 3)]);
+        let e = Engine::try_from_checkpoint_opts(config(), gap, &own, ExecOptions::default());
+        assert!(matches!(e, Err(RestoreError::Placement(_))));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -12,6 +12,7 @@
 use crate::checkpoint::RestoreError;
 use crate::est::EstContext;
 use crate::placement::Slot;
+use crate::pool::WorkerSnapshot;
 use crate::JobConfig;
 use data::{
     AugmentConfig, Augmenter, DataWorkerPool, Dataset, LoaderCheckpoint, ShardedLoader,
@@ -106,33 +107,32 @@ impl EasyScaleWorker {
 
     /// A worker for `slot` that continues from saved state — a checkpoint's,
     /// or the engine's mirror and a recovery snapshot: the replica is built
-    /// undrawn and filled from `params`, the contexts are the saved ones and
-    /// the loader resumes at `loader`'s cursors, so nothing is initialised
-    /// only to be overwritten. Bit for bit the worker that
-    /// [`EasyScaleWorker::new`] followed by `load_flat_params`,
-    /// `restore_pool` and `set_contexts` gives (`restored_equals_overwritten`).
+    /// undrawn and filled from `params`, the contexts are `saved`'s and the
+    /// loader opens at its cursors, so nothing is initialised only to be
+    /// overwritten. Bit for bit what [`EasyScaleWorker::new`] followed by
+    /// `load_flat_params`, `restore_pool` and `set_contexts` gives
+    /// (`restored_equals_overwritten`).
     pub(crate) fn restored(
         config: &JobConfig,
         slot: &Slot,
         dataset: Arc<dyn Dataset>,
         params: &[f32],
-        contexts: Vec<EstContext>,
-        loader: &LoaderCheckpoint,
+        saved: WorkerSnapshot,
     ) -> Result<Self, RestoreError> {
+        let WorkerSnapshot { contexts, loader } = saved;
         let mut model = build_proxy_undrawn(config.workload);
-        if params.len() != model.num_params() {
-            return Err(RestoreError::Params { found: params.len(), model: model.num_params() });
+        RestoreError::count("parameters", params.len(), model.num_params())?;
+        RestoreError::count("loader cursors", loader.cursors.len(), config.n_ests as usize)?;
+        if loader.seed != config.seed {
+            return Err(RestoreError::Seed(loader.seed));
         }
         let implicit = model.implicit_state();
         if let Some(c) = contexts.iter().find(|c| !implicit.same_shape(&c.implicit)) {
-            return Err(RestoreError::ImplicitState { vrank: c.vrank });
-        }
-        if loader.cursors.len() != config.n_ests as usize || loader.seed != config.seed {
-            return Err(RestoreError::Loader { cursors: loader.cursors.len(), seed: loader.seed });
+            return Err(RestoreError::ImplicitState(c.vrank));
         }
         model.load_flat_params(params);
         let mut w = Self::assemble(config, slot, model, dataset, contexts);
-        w.pool.restore(loader);
+        w.pool.restore(&loader);
         Ok(w)
     }
 
@@ -449,6 +449,59 @@ mod tests {
             assert!(cached[1] > 0, "{}: the working set is cached", workload.name());
             assert!(flat(&cached[1..10]) && flat(&cached[10..]), "{}: {cached:?}", workload.name());
             assert!(cached[19] <= cached[1], "{}: {cached:?}", workload.name());
+        }
+    }
+
+    /// What restore and respawn did before [`EasyScaleWorker::restored`]:
+    /// initialise a whole worker, then overwrite what was initialised. Kept
+    /// as the reference.
+    fn overwritten(
+        cfg: &JobConfig,
+        slot: &Slot,
+        params: &[f32],
+        snap: &WorkerSnapshot,
+    ) -> EasyScaleWorker {
+        let mut w = EasyScaleWorker::new(cfg, slot);
+        w.load_flat_params(params);
+        w.restore_pool(&snap.loader);
+        w.set_contexts(snap.contexts.clone());
+        w
+    }
+
+    #[test]
+    fn restored_equals_overwritten() {
+        let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        let state = |w: &EasyScaleWorker| {
+            let s = WorkerSnapshot::capture(w);
+            (bits(&w.flat_params()), s.contexts, s.loader)
+        };
+        for workload in models::WORKLOADS {
+            for gpu in [GpuType::V100, GpuType::T4] {
+                let tag = format!("{} on {gpu:?}", workload.name());
+                let cfg = JobConfig::new(workload, 11, 4).with_dataset_len(128).with_batch_size(4);
+                let slot = Slot { gpu, vranks: vec![1, 3] };
+                // State worth restoring: two rounds in, parameters moved.
+                let mut donor = EasyScaleWorker::new(&cfg, &slot);
+                let grad = donor.run_local_steps().remove(0).grad;
+                donor.apply_update(&grad.iter().map(|g| -0.05 * g).collect::<Vec<f32>>());
+                donor.run_local_steps();
+                let (params, snap) = (donor.flat_params(), WorkerSnapshot::capture(&donor));
+
+                let dataset = make_dataset(&cfg);
+                let mut new =
+                    EasyScaleWorker::restored(&cfg, &slot, dataset, &params, snap.clone())
+                        .expect("a worker's own state fits its job");
+                let mut old = overwritten(&cfg, &slot, &params, &snap);
+                assert_eq!(bits(&new.flat_params()), bits(&params), "{tag}");
+                assert!(state(&new) == state(&old), "{tag}: as built");
+                for round in 0..3 {
+                    for (n, o) in new.run_local_steps().iter().zip(old.run_local_steps()) {
+                        assert_eq!((n.vrank, n.loss.to_bits()), (o.vrank, o.loss.to_bits()));
+                        assert_eq!(bits(&n.grad), bits(&o.grad), "{tag}: round {round}");
+                    }
+                    assert!(state(&new) == state(&old), "{tag}: after round {round}");
+                }
+            }
         }
     }
 

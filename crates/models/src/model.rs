@@ -26,13 +26,14 @@ pub trait ParamInit {
 
 impl ParamInit for EsRng {
     fn tensor(&mut self, shape: &[usize], draw: &mut dyn FnMut(&mut EsRng) -> f32) -> Tensor {
-        Tensor::from_vec((0..shape.iter().product()).map(|_| draw(self)).collect(), shape)
+        let mut t = Tensor::uninit(shape);
+        t.data_mut().iter_mut().for_each(|x| *x = draw(self));
+        t
     }
 }
 
-/// [`ParamInit`] for a replica whose every parameter is about to be loaded
-/// ([`Model::load_flat_params`]): tensors of the right shape and unspecified
-/// content, and no draw that a restore would overwrite.
+/// [`ParamInit`] for a replica about to be loaded whole
+/// ([`Model::load_flat_params`]): shaped tensors of unspecified content.
 pub struct Undrawn;
 
 impl ParamInit for Undrawn {
@@ -105,14 +106,13 @@ pub struct ImplicitState {
 }
 
 impl ImplicitState {
-    /// Whether `other` has this state's layers, tensors and tensor shapes —
-    /// what [`Model::set_implicit_state`] needs of a state it did not
-    /// capture itself.
+    /// Whether `other` has this state's layers, tensors and tensor shapes.
     pub fn same_shape(&self, other: &ImplicitState) -> bool {
-        let shapes = |s: &ImplicitState| -> Vec<Vec<Vec<usize>>> {
-            s.per_layer.iter().map(|l| l.iter().map(|t| t.shape().to_vec()).collect()).collect()
+        let same = |a: &Vec<Tensor>, b: &Vec<Tensor>| {
+            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.shape() == y.shape())
         };
-        shapes(self) == shapes(other)
+        self.per_layer.len() == other.per_layer.len()
+            && self.per_layer.iter().zip(&other.per_layer).all(|(a, b)| same(a, b))
     }
 }
 

@@ -57,9 +57,8 @@ pub fn build_proxy(workload: Workload, seed: u64) -> Model {
 }
 
 /// [`build_proxy`] for a replica about to be restored: the same layers and
-/// shapes, every parameter tensor undrawn (unspecified content) until
-/// [`Model::load_flat_params`] fills it. Everything else — gradients,
-/// biases' shapes, BatchNorm running stats — is what a fresh proxy has.
+/// a fresh proxy's implicit state, every parameter tensor undrawn
+/// (unspecified content) until [`Model::load_flat_params`] fills it.
 pub fn build_proxy_undrawn(workload: Workload) -> Model {
     build(workload, &mut Undrawn)
 }

@@ -8,7 +8,8 @@
 #                           binary of crates/bench, then runs
 #                           the repo benchmark's `smoke` pass: every
 #                           workload once, correctness checked, nothing
-#                           gated — see benchmark/README.md — and must
+#                           gated — see benchmark/README.md — then the
+#                           benchmark package's own tests, and must
 #                           leave every tracked file under benchmark/ and
 #                           BENCHMARK.json as the index has it) → faultsim
 #                           chaos matrix → silent-fault detection matrix →
@@ -79,12 +80,14 @@ stage detlint    cargo run --offline -q -p detlint -- --quiet --sarif results/de
 stage build      cargo build --release --offline
 stage test       cargo test -q --offline --workspace --exclude faultsim
 # benchmark_smoke keeps the measured surfaces honest: compile the `figs`
-# binary (one link step for all 18 experiments), then run the repo benchmark's
+# binary (one link step for all 19 experiments), then run the repo benchmark's
 # smoke pass — each workload once with its correctness checks (params hash
 # vs the SingleThread reference, one PoolRecovery per injected panic,
 # decomposed step == Engine::step). A compile+run check: no timings are
 # gated here; performance is judged by paired runs of the benchmark itself
-# (benchmark/README.md). It ends by checking that no tracked file of the
+# (benchmark/README.md). Then the benchmark package's own tests: it links
+# the shims and parses its child runs' JSON through them, and no other stage
+# compiles those tests. It ends by checking that no tracked file of the
 # benchmark differs from the index: `benchmark/` and BENCHMARK.json change
 # only in a PR whose subject is the benchmark (which stages its edits
 # first), and the usual way to break that by accident is a dependency edit
@@ -92,6 +95,7 @@ stage test       cargo test -q --offline --workspace --exclude faultsim
 benchmark_smoke() {
   cargo build --release --offline -q -p bench --bins || return
   cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- smoke || return
+  cargo test --offline -q --manifest-path benchmark/Cargo.toml || return
   git diff --exit-code -- benchmark BENCHMARK.json
 }
 stage benchmark_smoke benchmark_smoke

@@ -445,6 +445,38 @@ mod tests {
         assert_eq!(back, v);
     }
 
+    /// A `Vec<f32>` is one packed node in the tree and, in text, the array
+    /// of widened floats it was when it was a `Seq` of `F64` — compact and
+    /// indented, empty or not — so no tracked result file moves. Text never
+    /// parses back into the packed node.
+    #[test]
+    fn a_vec_of_f32_prints_as_the_sequence_of_numbers_it_used_to_be() {
+        struct Row(Vec<f32>, Vec<f32>);
+        impl Serialize for Row {
+            fn to_value(&self) -> Value {
+                let field = |k: &str, v: &Vec<f32>| (k.to_string(), v.to_value());
+                Value::Map(vec![field("loss", &self.0), field("none", &self.1)])
+            }
+        }
+        let row = Row(vec![0.1, -0.0, 2.0], vec![]);
+        let Value::Map(fields) = row.to_value() else { panic!("not a map") };
+        assert!(fields.iter().all(|(_, v)| matches!(v, Value::F32s(_))));
+        let widened = |xs: &[f32]| Value::Seq(xs.iter().map(|&x| Value::F64(x as f64)).collect());
+        let old = Value::Map(vec![
+            ("loss".to_string(), widened(&row.0)),
+            ("none".to_string(), widened(&row.1)),
+        ]);
+        let text = to_string(&row).unwrap();
+        assert_eq!(text, r#"{"loss":[0.10000000149011612,-0.0,2.0],"none":[]}"#);
+        assert_eq!(text, to_string(&old).unwrap());
+        let extremes = [f32::from_bits(1), f32::MAX, f32::MIN_POSITIVE];
+        assert_eq!(to_string(&extremes).unwrap(), to_string(&widened(&extremes)).unwrap());
+        assert_eq!(to_string_pretty(&row).unwrap(), to_string_pretty(&old).unwrap());
+        assert_eq!(from_str::<Value>(&text).unwrap(), old);
+        assert_eq!(from_str::<Vec<f32>>("[0.5,2,-1]").unwrap(), vec![0.5, 2.0, -1.0]);
+        assert!(to_string(&vec![f32::NAN]).is_err(), "as for a NaN among `F64`s");
+    }
+
     #[test]
     fn nesting_is_bounded_like_upstream() {
         let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
