@@ -108,11 +108,11 @@ pub struct ImplicitState {
 impl ImplicitState {
     /// Whether `other` has this state's layers, tensors and tensor shapes.
     pub fn same_shape(&self, other: &ImplicitState) -> bool {
-        let same = |a: &Vec<Tensor>, b: &Vec<Tensor>| {
-            a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.shape() == y.shape())
+        let same = |(a, b): (&Vec<Tensor>, &Vec<Tensor>)| {
+            a.iter().map(Tensor::shape).eq(b.iter().map(Tensor::shape))
         };
         self.per_layer.len() == other.per_layer.len()
-            && self.per_layer.iter().zip(&other.per_layer).all(|(a, b)| same(a, b))
+            && self.per_layer.iter().zip(&other.per_layer).all(same)
     }
 }
 

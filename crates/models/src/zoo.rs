@@ -56,9 +56,8 @@ pub fn build_proxy(workload: Workload, seed: u64) -> Model {
     build(workload, &mut EsRng::for_stream(seed, StreamKey::global(StreamKind::ModelInit)))
 }
 
-/// [`build_proxy`] for a replica about to be restored: the same layers and
-/// a fresh proxy's implicit state, every parameter tensor undrawn
-/// (unspecified content) until [`Model::load_flat_params`] fills it.
+/// [`build_proxy`] for a replica about to be restored: every parameter tensor
+/// undrawn (unspecified content) until [`Model::load_flat_params`] fills it.
 pub fn build_proxy_undrawn(workload: Workload) -> Model {
     build(workload, &mut Undrawn)
 }
