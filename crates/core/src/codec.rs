@@ -263,8 +263,7 @@ mod tests {
         put_value(&v, &mut out);
         assert_eq!((out[0], out.len()), (F32S, 1 + 8 + 4 * bits.len()));
         let mut r = Reader::new(&out);
-        let back: Vec<f32> =
-            Deserialize::from_value(&r.value().expect("decodes")).expect("is a Vec<f32>");
+        let back = Vec::<f32>::from_value(&r.value().expect("decodes")).expect("is a Vec<f32>");
         assert_eq!(r.remaining(), 0);
         back.iter().map(|x| x.to_bits()).collect()
     }
@@ -299,8 +298,7 @@ mod tests {
             let mut out = Vec::new();
             put_value(&v, &mut out);
             prop_assert_eq!((out[0], out.len()), (SEQ, 1 + 8 + 9 * xs.len()));
-            let back: Vec<f64> =
-                Deserialize::from_value(&Reader::new(&out).value().unwrap()).unwrap();
+            let back = Vec::<f64>::from_value(&Reader::new(&out).value().unwrap()).unwrap();
             let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             prop_assert_eq!(bits(&back), bits(&xs));
         }

@@ -448,8 +448,18 @@ fn classify_file(mf: &ModelFile) -> (Vec<LoopClass>, Vec<Reassoc>) {
             None => {
                 // Header-bound target: elementwise, unless it is a lane
                 // handle over a declared float array (`acc.iter_mut()`).
-                let Some(binder) = header_binder(toks, &loops, name, k) else { continue };
-                let Some(base) = iter_mut_base(toks, &loops[binder]) else { continue };
+                let Some(mut binder) = header_binder(toks, &loops, name, k) else { continue };
+                let Some(mut base) = iter_mut_base(toks, &loops[binder]) else { continue };
+                // A row handle of a 2-D array (`for lane in acc.iter_mut()
+                // { for a in lane.iter_mut() { *a += … } }`): on to the array.
+                while decl_before(&decls, &toks[base].text, base).is_none() {
+                    let row = header_binder(toks, &loops, &toks[base].text, base);
+                    let Some(outer) = row.and_then(|b| Some((b, iter_mut_base(toks, &loops[b])?)))
+                    else {
+                        break;
+                    };
+                    (binder, base) = outer;
+                }
                 let arr = toks[base].text.as_str();
                 let Some(d) = decl_before(&decls, arr, base) else { continue };
                 if !d.float || !d.array {
@@ -954,6 +964,29 @@ mod tests {
         assert!(r.loops.iter().any(|l| l.class == "lockstep"), "{:?}", r.loops);
         let r = run(&body(true));
         assert!(accum(&r).iter().any(|f| f.message.contains("block boundary")), "{:?}", accum(&r));
+    }
+
+    #[test]
+    fn lanes_of_a_two_level_array_are_followed_through_their_row_handle() {
+        let body = |decl_at_tile: bool| {
+            let (outside, inside) = if decl_at_tile {
+                ("", "let mut acc = [[0.0f32; 8]; 4];")
+            } else {
+                ("let mut acc = [[0.0f32; 8]; 4];", "")
+            };
+            format!(
+                "pub fn k(w: &[f32], x: &[f32], out: &mut [f32]) {{ {outside}\n\
+                 for t in 0..4 {{ {inside}\n\
+                 for p in 0..16 {{ for (r, lane) in acc.iter_mut().enumerate() {{\n\
+                 for (a, &xv) in lane.iter_mut().zip(x) {{ *a += w[p + r] * xv; }} }} }}\n\
+                 out[t * 8..][..8].copy_from_slice(&acc[0]); }} }}\n"
+            )
+        };
+        let r = run(&body(true));
+        assert!(accum(&r).is_empty(), "{:?}", accum(&r));
+        assert!(r.loops.iter().any(|l| l.class == "lockstep" && l.accumulators == ["acc"]));
+        let r = run(&body(false));
+        assert_eq!(reassoc_count(&r), 1, "carried across the tile loop: {:?}", accum(&r));
     }
 
     #[test]

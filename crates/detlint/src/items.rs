@@ -267,7 +267,13 @@ fn collect_calls(toks: &[Tok], a: usize, b: usize) -> Vec<CallSite> {
             if t.text.chars().next().is_some_and(|c| c.is_uppercase()) {
                 continue;
             }
-            out.push(CallSite { line: t.line, callee: CalleeRef::Path { segs } });
+            // `Vec::<f32>::from_value(…)`: the walk stops at the turbofish
+            // and no qualifier is left — an unqualified call.
+            let callee = match segs.len() {
+                1 => CalleeRef::Bare { name: t.text.clone() },
+                _ => CalleeRef::Path { segs },
+            };
+            out.push(CallSite { line: t.line, callee });
             continue;
         }
         // Bare call. Uppercase heads are tuple-struct constructors.

@@ -135,8 +135,7 @@ impl Policy {
                 "leaf_partials",
                 "dot",
                 "matmul*",
-                "im2col*",
-                "col2im*",
+                "conv2d*",
                 "axpy_",
                 "ring_allreduce",
             ],

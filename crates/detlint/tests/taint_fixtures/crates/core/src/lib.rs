@@ -20,3 +20,15 @@ pub fn save(x: u64) -> u64 {
 pub fn observe() -> u64 {
     obs::stopwatch() // no flow: obs is a barrier crate
 }
+
+pub struct Packed<T>(pub T);
+
+impl<T> Packed<T> {
+    pub fn wrap(x: T) -> Self {
+        Packed(x)
+    }
+}
+
+pub fn turbofish() -> Packed<u64> {
+    Packed::<u64>::wrap(3) // lexes to the one segment `wrap`: an unqualified call
+}

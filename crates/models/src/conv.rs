@@ -1,23 +1,25 @@
-//! 2-D convolution layer (im2col + matmul formulation).
+//! 2-D convolution layer (direct formulation over a zero-padded sample).
 //!
 //! This is the layer whose vendor-optimized kernels the paper's D2 analysis
-//! is about: its forward/backward matmuls inherit their accumulation order
+//! is about: its forward/backward products inherit their accumulation order
 //! from the `KernelProfile`, so the same weights on "different GPUs"
 //! (different vendor profiles) produce different bits unless the hardware-
 //! agnostic profile is pinned.
 //!
-//! Both passes work a sample at a time on `tensor::ops`' slice-level
-//! routines, over buffers taken once per call and reused across the batch;
-//! the per-sample order in which `gw` and `gb` take their contributions is
-//! part of the accumulation tree and stays ascending.
+//! Both passes work a sample at a time on `tensor::ops`' `conv2d_*_into`
+//! kernels, which read the sample's zero-padded copy where a matmul would
+//! read its unfolded matrix — same tree, no 9 × unfold — over buffers taken
+//! once per call and reused across the batch; the per-sample order in which
+//! `gw` and `gb` take their contributions is part of the accumulation tree
+//! and stays ascending.
 
 use crate::model::{drain, ExecCtx, Layer, ParamInit};
-use tensor::ops::{self, ConvGeom};
+use tensor::ops::{self, ConvGeom, ConvPlan};
 use tensor::{with_scratch, Tensor};
 
 /// Conv2d: input `[B, cin, h, w]` → output `[B, cout, oh, ow]`.
 pub struct Conv2d {
-    /// `[cout, cin*k*k]` (pre-flattened for the im2col matmul).
+    /// `[cout, cin*k*k]`, a row per output channel, taps `(c, ky, kx)`.
     weight: Tensor,
     bias: Tensor,
     gw: Tensor,
@@ -25,9 +27,11 @@ pub struct Conv2d {
     cin: usize,
     cout: usize,
     geom: ConvGeom,
-    /// The input of the last forward pass. Its unfolded form is nine times
-    /// as large under a 3×3 kernel — over half of a ResNet18 step's working
-    /// set — so `backward` unfolds each sample again: the same bits.
+    /// Tap and position offsets for the input size last seen; rebuilt when a
+    /// forward pass brings another `(h, w)`.
+    plan: Option<ConvPlan>,
+    /// The input of the last forward pass; `backward` pads each sample
+    /// again, a copy of 1.6 × its size where the unfolded form was 9 ×.
     cached: Option<Tensor>,
 }
 
@@ -52,6 +56,7 @@ impl Conv2d {
             cin,
             cout,
             geom: ConvGeom { kernel, stride, pad },
+            plan: None,
             cached: None,
         }
     }
@@ -61,50 +66,54 @@ impl Conv2d {
         (self.geom.out_size(h), self.geom.out_size(w))
     }
 
-    /// The backward pass; dL/d(input) — `dcol = Wᵀ·g` folded back by col2im,
-    /// about half of the pass — only if `want_dx`.
+    /// The backward pass; dL/d(input) — `dcol = Wᵀ·g` folded back onto the
+    /// plane, about half of the pass — only if `want_dx`.
     fn backward_opt(&mut self, grad: &Tensor, ctx: &mut ExecCtx, want_dx: bool) -> Option<Tensor> {
         let x = self.cached.take().expect("backward before forward");
+        let plan = self.plan.as_ref().expect("forward built it");
         let (b, h, w) = (x.shape()[0], x.shape()[2], x.shape()[3]);
-        let (oh, ow) = self.out_dims(h, w);
-        let (dims, spatial) = ((self.cin, h, w), oh * ow);
-        let (wd, fan_in, prof) = (self.weight.data(), self.weight.shape()[1], &ctx.profile);
-        let (dw_dims, dcol_dims) = ((self.cout, spatial, fan_in), (fan_in, self.cout, spatial));
+        let (oh, ow) = plan.out_dims();
+        let (spatial, prof) = (oh * ow, &ctx.profile);
         assert_eq!(grad.shape(), &[b, self.cout, oh, ow], "grad shape mismatch");
 
         // Per-call buffers reused across the samples; `gw`/`gb` still take
-        // one sample's contribution at a time, in ascending sample order.
-        let mut dw = Tensor::uninit(&[self.cout, fan_in]);
-        let mut colt = Tensor::uninit(&[spatial, fan_in]);
-        let mut dx = want_dx
-            .then(|| (Tensor::uninit(&[b, self.cin, h, w]), Tensor::uninit(&[fan_in, spatial])));
+        // one sample's contribution at a time, in ascending sample order —
+        // `gw` in the weight-gradient kernel's layout, transposed there and
+        // back once per call: data movement.
+        let (k, gwd) = (self.gw.shape()[1], self.gw.data_mut());
+        let mut gwt = Tensor::uninit(&[k, self.cout]);
+        transpose(gwd, k, gwt.data_mut());
+        let mut padded = Tensor::uninit(&[plan.padded_len()]);
+        let mut dx = want_dx.then(|| Tensor::uninit(&[b, self.cin, h, w]));
         let gs = grad.data().chunks_exact(self.cout * spatial);
         let samples = x.data().chunks_exact(self.cin * h * w);
-        with_scratch(|_, scratch| {
+        with_scratch(|work, scratch| {
             for (n, (g, sample)) in gs.zip(samples).enumerate() {
-                // dW += g · colᵀ   ([cout, spatial]·[spatial, cin·k²]): the
-                // sample unfolded straight into colᵀ, then the row kernel —
-                // `matmul_a_bt_into` without its transpose.
-                ops::im2col_t_into(sample, dims, self.geom, colt.data_mut());
-                ops::matmul_into(colt.data(), dw_dims, prof, dw.data_mut(), scratch, |i, p| {
-                    g[i * spatial + p]
-                });
-                self.gw.axpy_(1.0, &dw);
+                // dWᵀ += col · gᵀ, col read off the padded sample.
+                plan.pad_into(sample, padded.data_mut());
+                ops::conv2d_dw_into(plan, padded.data(), g, prof, gwt.data_mut(), work, scratch);
                 // db += row sums of g.
                 for (gb, row) in self.gb.data_mut().iter_mut().zip(g.chunks_exact(spatial)) {
                     *gb += ops::blocked_sum(row, prof);
                 }
-                // dcol = Wᵀ · g, then fold back with col2im.
-                if let Some((gx, dcol)) = &mut dx {
-                    ops::matmul_into(g, dcol_dims, prof, dcol.data_mut(), scratch, |i, p| {
-                        wd[p * fan_in + i]
-                    });
+                if let Some(gx) = &mut dx {
                     let plane = &mut gx.data_mut()[n * self.cin * h * w..][..self.cin * h * w];
-                    ops::col2im_into(dcol.data(), dims, self.geom, plane);
+                    ops::conv2d_dx_into(plan, self.weight.data(), g, prof, plane, work, scratch);
                 }
             }
         });
-        dx.map(|(gx, _)| gx)
+        transpose(gwt.data(), self.cout, gwd);
+        dx
+    }
+}
+
+/// `dst: [cols, rows] = srcᵀ` for `src: [rows, cols]`.
+fn transpose(src: &[f32], cols: usize, dst: &mut [f32]) {
+    let rows = src.len() / cols;
+    for (i, row) in src.chunks_exact(cols).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + i] = v;
+        }
     }
 }
 
@@ -113,24 +122,22 @@ impl Layer for Conv2d {
         let s = x.shape();
         assert_eq!(s.len(), 4, "Conv2d expects [B,cin,h,w], got {s:?}");
         assert_eq!(s[1], self.cin, "channel mismatch");
-        let (b, h, w) = (s[0], s[2], s[3]);
-        let (oh, ow) = self.out_dims(h, w);
-        let (dims, spatial) = ((self.cin, h, w), oh * ow);
-        let (wd, fan_in) = (self.weight.data(), self.weight.shape()[1]);
-        let mm_dims = (self.cout, fan_in, spatial);
-        let mut out = Tensor::uninit(&[b, self.cout, oh, ow]);
-        // One sample's unfolded form, which `im2col_into` fills whole,
-        // padding included.
-        let mut col = Tensor::uninit(&[fan_in, spatial]);
-        let samples = x.data().chunks_exact(self.cin * h * w);
-        let planes = out.data_mut().chunks_exact_mut(self.cout * spatial);
+        let dims = (self.cin, s[2], s[3]);
+        if self.plan.as_ref().map(ConvPlan::dims) != Some(dims) {
+            self.plan = Some(ConvPlan::new(dims, self.geom));
+        }
+        let plan = self.plan.as_ref().expect("just built");
+        let (oh, ow) = plan.out_dims();
+        let mut out = Tensor::uninit(&[s[0], self.cout, oh, ow]);
+        let mut padded = Tensor::uninit(&[plan.padded_len()]);
+        let samples = x.data().chunks_exact(self.cin * s[2] * s[3]);
+        let planes = out.data_mut().chunks_exact_mut(self.cout * oh * ow);
         with_scratch(|_, scratch| {
             for (sample, dst) in samples.zip(planes) {
-                ops::im2col_into(sample, dims, self.geom, col.data_mut());
-                ops::matmul_into(col.data(), mm_dims, &ctx.profile, dst, scratch, |i, p| {
-                    wd[i * fan_in + p]
-                });
-                for (chan, &bias) in dst.chunks_exact_mut(spatial).zip(self.bias.data()) {
+                plan.pad_into(sample, padded.data_mut());
+                let (wd, prof) = (self.weight.data(), &ctx.profile);
+                ops::conv2d_forward_into(plan, padded.data(), wd, prof, dst, scratch);
+                for (chan, &bias) in dst.chunks_exact_mut(oh * ow).zip(self.bias.data()) {
                     chan.iter_mut().for_each(|y| *y += bias);
                 }
             }

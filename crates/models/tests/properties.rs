@@ -2,11 +2,13 @@
 //! differences over random shapes/values, and bit-purity of forward passes.
 
 use esrng::{EsRng, StreamKey, StreamKind};
+use models::conv::Conv2d;
 use models::layers::Dense;
 use models::model::{ExecCtx, Layer};
 use models::zoo::{self, build_proxy};
 
 use proptest::prelude::*;
+use tensor::ops::{self, ConvGeom};
 use tensor::{KernelProfile, Tensor};
 
 fn rng(seed: u64) -> EsRng {
@@ -168,6 +170,109 @@ fn params_only_backward_leaves_the_gradients_of_the_full_backward() {
             assert_eq!(bits(&full), bits(&params_only), "{} under {profile:?}", w.name());
         }
     }
+}
+
+/// What `Conv2d` computed before it stopped unfolding, kept as its
+/// reference: per sample, unfold, `W · col` plus bias; `gw += g · colᵀ` and
+/// `gb += ` row sums of `g`, samples ascending; `dx` = fold of `Wᵀ · g`.
+/// Returns `(y, dx)` of one batch and adds to `gw`/`gb`.
+fn unfolded_conv(
+    (weight, bias): (&Tensor, &Tensor),
+    geom: ConvGeom,
+    (x, g): (&Tensor, &Tensor),
+    (gw, gb): (&mut Tensor, &mut Tensor),
+    profile: &KernelProfile,
+) -> (Vec<f32>, Vec<f32>) {
+    let (b, cin, h, w) = (x.shape()[0], x.shape()[1], x.shape()[2], x.shape()[3]);
+    let (cout, spatial) = (weight.shape()[0], geom.out_size(h) * geom.out_size(w));
+    let (mut y, mut dx) = (Vec::new(), Vec::new());
+    for n in 0..b {
+        let sample = Tensor::from_slice(&x.data()[n * cin * h * w..][..cin * h * w]);
+        let col = ops::im2col_scalar(&sample.reshape(&[cin, h, w]), geom);
+        let out = ops::matmul(weight, &col, profile);
+        y.extend(out.data().iter().enumerate().map(|(i, v)| v + bias.at(i / spatial)));
+        let gn = Tensor::from_slice(&g.data()[n * cout * spatial..][..cout * spatial]);
+        let gn = gn.reshape(&[cout, spatial]);
+        gw.axpy_(1.0, &ops::matmul_a_bt(&gn, &col, profile));
+        for (gb, row) in gb.data_mut().iter_mut().zip(gn.data().chunks_exact(spatial)) {
+            *gb += ops::blocked_sum(row, profile);
+        }
+        let dcol = ops::matmul_at_b(weight, &gn, profile);
+        dx.extend_from_slice(ops::col2im_scalar(&dcol, cin, h, w, geom).data());
+    }
+    (y, dx)
+}
+
+/// `Conv2d` ≡ the unfolded recipe, bit for bit, on everything it hands out:
+/// every conv geometry of the zoo (3×3, pad 1, strides 1 and 2, 8×8 and 4×4
+/// inputs) under the V100, P100, T4 and D2 profiles, two batches
+/// accumulated, through `backward` and through `backward_params`.
+#[test]
+fn conv2d_is_the_unfolded_recipe_bit_for_bit() {
+    let layers = [(3, 8, 8, 1), (8, 8, 8, 1), (8, 16, 4, 1), (6, 12, 8, 2), (16, 32, 4, 1)];
+    let profiles = [80, 56, 40]
+        .map(KernelProfile::vendor_optimized)
+        .into_iter()
+        .chain([KernelProfile::hardware_agnostic()]);
+    let rough = |count: usize, salt: usize| -> Vec<f32> {
+        (0..count)
+            .map(|i| ((i * 31 + salt) as f32).sin() * 10f32.powi((i % 7) as i32 - 3))
+            .collect()
+    };
+    for profile in profiles {
+        for (cin, cout, hw, stride) in layers {
+            let geom = ConvGeom { kernel: 3, stride, pad: 1 };
+            let tag = format!("{cin}->{cout} {hw}x{hw} {geom:?} {profile:?}");
+            let layer = || {
+                let mut conv = Conv2d::init(cin, cout, 3, stride, 1, &mut rng(11));
+                conv.params_mut()[1].data_mut().copy_from_slice(&rough(cout, 5));
+                conv
+            };
+            let (mut full, mut params_only) = (layer(), layer());
+            let (weight, bias) = (full.params()[0].clone(), full.params()[1].clone());
+            let (mut gw, mut gb) = (Tensor::zeros(weight.shape()), Tensor::zeros(&[cout]));
+            let mut d = rng(0);
+            let mut ctx = ExecCtx { profile, training: true, dropout: &mut d };
+            for batch in 0..2 {
+                let x = Tensor::from_vec(rough(2 * cin * hw * hw, batch), &[2, cin, hw, hw]);
+                let y = full.forward(&x, &mut ctx);
+                let g = Tensor::from_vec(rough(y.len(), batch + 2), y.shape());
+                let (want_y, want_dx) =
+                    unfolded_conv((&weight, &bias), geom, (&x, &g), (&mut gw, &mut gb), &profile);
+                assert_eq!(bits(y.data()), bits(&want_y), "y, batch {batch}, {tag}");
+                let dx = full.backward(&g, &mut ctx);
+                assert_eq!(bits(dx.data()), bits(&want_dx), "dx, batch {batch}, {tag}");
+                params_only.forward(&x, &mut ctx);
+                params_only.backward_params(&g, &mut ctx);
+            }
+            for conv in [&full, &params_only] {
+                assert_eq!(bits(conv.grads()[0].data()), bits(gw.data()), "gw {tag}");
+                assert_eq!(bits(conv.grads()[1].data()), bits(gb.data()), "gb {tag}");
+            }
+        }
+    }
+}
+
+/// The plan is a function of the input size: a forward pass at another
+/// `(h, w)` rebuilds it, and the backward pass that follows uses the new one.
+#[test]
+fn conv2d_rebuilds_its_plan_for_another_input_size() {
+    let (geom, profile) = (ConvGeom { kernel: 3, stride: 2, pad: 1 }, KernelProfile::default());
+    let mut conv = Conv2d::init(3, 4, 3, 2, 1, &mut rng(11));
+    let (weight, bias) = (conv.params()[0].clone(), conv.params()[1].clone());
+    let (mut gw, mut gb) = (Tensor::zeros(weight.shape()), Tensor::zeros(&[4]));
+    let mut d = rng(0);
+    let mut ctx = ExecCtx { profile, training: true, dropout: &mut d };
+    for (h, w) in [(8, 8), (9, 5), (8, 8)] {
+        let x = Tensor::from_vec((0..3 * h * w).map(|i| (i as f32).sin()).collect(), &[1, 3, h, w]);
+        let y = conv.forward(&x, &mut ctx);
+        let g = Tensor::from_vec((0..y.len()).map(|i| (i as f32).cos()).collect(), y.shape());
+        let (want_y, want_dx) =
+            unfolded_conv((&weight, &bias), geom, (&x, &g), (&mut gw, &mut gb), &profile);
+        assert_eq!(bits(y.data()), bits(&want_y), "y at {h}x{w}");
+        assert_eq!(bits(conv.backward(&g, &mut ctx).data()), bits(&want_dx), "dx at {h}x{w}");
+    }
+    assert_eq!(bits(conv.grads()[0].data()), bits(gw.data()), "gw over all three sizes");
 }
 
 fn bits(v: &[f32]) -> Vec<u32> {

@@ -13,9 +13,10 @@
 //! This crate reproduces that mechanism honestly on the CPU:
 //!
 //! * every reduction-bearing kernel ([`ops::blocked_sum`], [`ops::dot`],
-//!   [`ops::matmul`] — and through it convolution, which is
-//!   [`ops::im2col`] + matmul) takes a [`KernelProfile`] that fixes the
-//!   accumulation tree shape (block size / inner tile),
+//!   [`ops::matmul`] — and convolution, which walks the matmul's tree over
+//!   a zero-padded sample, [`ops::conv2d_forward_into`]) takes a
+//!   [`KernelProfile`] that fixes the accumulation tree shape (block size /
+//!   inner tile),
 //! * "vendor-optimized" profiles are derived from the simulated device's SM
 //!   count ([`KernelProfile::vendor_optimized`]), so two GPU types genuinely
 //!   produce different bits for the same op — exactly the D2 problem,
@@ -33,6 +34,7 @@
 
 pub mod autotune;
 mod cache;
+mod conv;
 pub mod kernels;
 pub mod ops;
 mod tensor_impl;

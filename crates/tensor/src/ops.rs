@@ -4,22 +4,26 @@
 //! Everything reduction-shaped (matmul, conv, sums, softmax denominators)
 //! routes its additions through the profile's tree shape; everything
 //! elementwise (relu, scaling) is order-free and therefore trivially
-//! deterministic. Convolution is implemented as im2col + matmul so its
-//! profile sensitivity is exactly the matmul's, and its backward scatter
-//! (col2im) uses a fixed loop order.
+//! deterministic. Convolution (`conv.rs`, re-exported here) reads a
+//! zero-padded sample through the matmul's tree, so its profile sensitivity
+//! is exactly the matmul's over the unfolded matrix, and its backward
+//! scatter uses col2im's fixed loop order.
 //!
 //! The tree is the contract, the schedule is free (DESIGN.md "Same tree,
 //! faster schedule"): all three matmuls run through one row kernel that
 //! holds a K-tile of independent output columns in registers (`A·Bᵀ` gets
-//! there by transposing `B`, which moves data and adds nothing), and
-//! `im2col`/`col2im` move whole clamped rows. The `*_scalar` functions are
-//! the per-element references each is held to, bit for bit
-//! (`tests/vectorized_equiv.rs`); the `_into` forms work on slices the
-//! caller owns, so a layer reuses one set of buffers across a batch.
+//! there by transposing `B`, which moves data and adds nothing). The
+//! `*_scalar` functions are the per-element references each is held to, bit
+//! for bit (`tests/vectorized_equiv.rs`); the `_into` forms work on slices
+//! the caller owns, so a layer reuses one set of buffers across a batch.
 
 use crate::kernels::{combine_partials, KernelProfile, ALGO_COUNT, LANE_SEG, SUM_LANES};
 use crate::{with_scratch, Tensor};
 
+pub use crate::conv::{
+    col2im_scalar, conv2d_dw_into, conv2d_dw_scalar, conv2d_dx_into, conv2d_dx_scalar,
+    conv2d_forward_into, conv2d_forward_scalar, im2col_scalar, ConvGeom, ConvPlan,
+};
 pub use crate::kernels::blocked_sum;
 
 /// Reduce `f(0) + f(1) + … + f(len-1)` using the profile's K-tiling: each
@@ -215,7 +219,7 @@ fn chunk_cols<const W: usize>(
 /// deterministic mode). Non-deterministic profiles fall back to a per-element
 /// combine so every output element draws its own noise rotation, matching
 /// the scalar evaluator's behavior.
-fn combine_rows(
+pub(crate) fn combine_rows(
     partials: &[f32],
     ntiles: usize,
     n: usize,
@@ -409,246 +413,6 @@ fn mat_dims(t: &Tensor) -> (usize, usize) {
     (s[0], s[1])
 }
 
-/// Geometry of a 2-D convolution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConvGeom {
-    /// Kernel height/width (square kernels only).
-    pub kernel: usize,
-    /// Stride in both dimensions.
-    pub stride: usize,
-    /// Zero padding on every side.
-    pub pad: usize,
-}
-
-impl ConvGeom {
-    /// Output spatial size for an input of `h` pixels.
-    pub fn out_size(&self, h: usize) -> usize {
-        (h + 2 * self.pad - self.kernel) / self.stride + 1
-    }
-
-    /// The output positions `lo..hi` (of `on`) at which kernel tap `k`
-    /// lands on a real pixel of an input axis `len` long — everywhere else
-    /// it reads padding. Empty ranges come back as `lo == hi`.
-    fn valid(&self, k: usize, len: usize, on: usize) -> (usize, usize) {
-        // Strides 1 and 2 are the ones the proxies use; a constant divisor
-        // is a shift, a variable one a division per tap and channel.
-        let steps = |x: usize| match self.stride {
-            1 => x,
-            2 => x.div_ceil(2),
-            s => x.div_ceil(s),
-        };
-        let hi = steps((len + self.pad).saturating_sub(k)).min(on);
-        (steps(self.pad.saturating_sub(k)).min(hi), hi)
-    }
-}
-
-/// `[cin, h, w]` → (`cin·k²`, `oh·ow`), the shape of the unfolded matrix.
-fn col_dims((cin, h, w): (usize, usize, usize), geom: ConvGeom) -> (usize, usize) {
-    (cin * geom.kernel * geom.kernel, geom.out_size(h) * geom.out_size(w))
-}
-
-/// The unfold's geometry, walked for both directions: for every
-/// `(c, ky, kx)` row of the col matrix and every `oy` whose tap lands inside
-/// the image, `f(col_at, img_at, len)` — `len` col elements from `col_at`
-/// pair with the pixels `img_at`, `img_at + stride`, … The valid `ox` range
-/// is computed once per `kx`; whatever is not visited is padding.
-fn clamped_rows(
-    (cin, h, w): (usize, usize, usize),
-    geom: ConvGeom,
-    mut f: impl FnMut(usize, usize, usize),
-) {
-    let (kk, s, pad) = (geom.kernel, geom.stride, geom.pad);
-    let (oh, ow) = (geom.out_size(h), geom.out_size(w));
-    for c in 0..cin {
-        for ky in 0..kk {
-            let (y0, y1) = geom.valid(ky, h, oh);
-            for kx in 0..kk {
-                let (x0, x1) = geom.valid(kx, w, ow);
-                if x0 == x1 {
-                    continue;
-                }
-                let row = ((c * kk + ky) * kk + kx) * oh;
-                for oy in y0..y1 {
-                    let img_at = (c * h + oy * s + ky - pad) * w + x0 * s + kx - pad;
-                    f((row + oy) * ow + x0, img_at, x1 - x0);
-                }
-            }
-        }
-    }
-}
-
-/// im2col: unfold `input: [cin, h, w]` into a `[cin*k*k, oh*ow]` matrix.
-/// Pure gather — no reductions, so no profile needed.
-pub fn im2col(input: &Tensor, geom: ConvGeom) -> Tensor {
-    let s = input.shape();
-    assert_eq!(s.len(), 3, "im2col expects [cin,h,w]");
-    let dims = (s[0], s[1], s[2]);
-    let (rows, cols) = col_dims(dims, geom);
-    let mut out = Tensor::uninit(&[rows, cols]);
-    im2col_into(input.data(), dims, geom, out.data_mut());
-    out
-}
-
-/// Slice-level [`im2col`]: everything is padding except the
-/// [`clamped_rows`], each one copy (strided when `stride > 1`). Same
-/// `(c, ky, kx, oy, ox)` order as [`im2col_scalar`], bit for bit.
-pub fn im2col_into(
-    input: &[f32],
-    dims @ (cin, h, w): (usize, usize, usize),
-    geom: ConvGeom,
-    out: &mut [f32],
-) {
-    let (rows, cols) = col_dims(dims, geom);
-    assert!(input.len() == cin * h * w && out.len() == rows * cols, "im2col_into shapes");
-    out.fill(0.0);
-    clamped_rows(dims, geom, |col_at, img_at, len| {
-        let (dst, src) = (&mut out[col_at..col_at + len], &input[img_at..]);
-        if geom.stride == 1 {
-            dst.copy_from_slice(&src[..len]);
-        } else {
-            for (x, o) in dst.iter_mut().enumerate() {
-                *o = src[x * geom.stride];
-            }
-        }
-    });
-}
-
-/// [`im2col_into`] transposed, `out: [oh·ow, cin·k²]` — the `bt` that
-/// [`matmul_a_bt_into`] would make of the unfolded sample for its row
-/// kernel. A weight gradient unfolds its input straight into it.
-pub fn im2col_t_into(
-    input: &[f32],
-    dims @ (cin, h, w): (usize, usize, usize),
-    geom: ConvGeom,
-    out: &mut [f32],
-) {
-    let (rows, cols) = col_dims(dims, geom);
-    assert!(input.len() == cin * h * w && out.len() == rows * cols, "im2col_t_into shapes");
-    out.fill(0.0);
-    clamped_rows(dims, geom, |col_at, img_at, len| {
-        let (row, col) = (col_at / cols, col_at % cols);
-        for x in 0..len {
-            out[(col + x) * rows + row] = input[img_at + x * geom.stride];
-        }
-    });
-}
-
-/// Scalar reference for [`im2col_t_into`]: [`im2col_scalar`], transposed one
-/// element at a time.
-pub fn im2col_t_scalar(input: &Tensor, geom: ConvGeom) -> Tensor {
-    let col = im2col_scalar(input, geom);
-    let (rows, cols) = mat_dims(&col);
-    let mut out = Tensor::uninit(&[cols, rows]);
-    for i in 0..rows * cols {
-        out.data_mut()[i % cols * rows + i / cols] = col.at(i);
-    }
-    out
-}
-
-/// Scalar reference im2col: one bounds-tested element at a time. The oracle
-/// for [`im2col`] and [`im2col_into`].
-pub fn im2col_scalar(input: &Tensor, geom: ConvGeom) -> Tensor {
-    let s = input.shape();
-    assert_eq!(s.len(), 3, "im2col expects [cin,h,w]");
-    let (cin, h, w) = (s[0], s[1], s[2]);
-    let (oh, ow) = (geom.out_size(h), geom.out_size(w));
-    let rows = cin * geom.kernel * geom.kernel;
-    let cols = oh * ow;
-    let mut out = Tensor::zeros(&[rows, cols]);
-    let id = input.data();
-    let od = out.data_mut();
-    for c in 0..cin {
-        for ky in 0..geom.kernel {
-            for kx in 0..geom.kernel {
-                let row = (c * geom.kernel + ky) * geom.kernel + kx;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        let v = if iy >= 0 && (iy as usize) < h && ix >= 0 && (ix as usize) < w {
-                            id[(c * h + iy as usize) * w + ix as usize]
-                        } else {
-                            0.0
-                        };
-                        od[row * cols + oy * ow + ox] = v;
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
-/// col2im: fold a `[cin*k*k, oh*ow]` gradient back onto `[cin, h, w]`,
-/// accumulating overlaps in a fixed loop order (the deterministic-scatter
-/// alternative to atomic col2im kernels).
-pub fn col2im(cols: &Tensor, cin: usize, h: usize, w: usize, geom: ConvGeom) -> Tensor {
-    let (rows, ncols) = col_dims((cin, h, w), geom);
-    assert_eq!(cols.shape(), &[rows, ncols], "col2im shape mismatch");
-    let mut out = Tensor::uninit(&[cin, h, w]);
-    col2im_into(cols.data(), (cin, h, w), geom, out.data_mut());
-    out
-}
-
-/// Slice-level [`col2im`]: overwrites `out`. Whole [`clamped_rows`] are
-/// added in the same `(c, ky, kx, oy, ox)` order as [`col2im_scalar`], so
-/// every target pixel still receives its addends in that order.
-pub fn col2im_into(
-    cols: &[f32],
-    dims @ (cin, h, w): (usize, usize, usize),
-    geom: ConvGeom,
-    out: &mut [f32],
-) {
-    let (rows, ncols) = col_dims(dims, geom);
-    assert!(cols.len() == rows * ncols && out.len() == cin * h * w, "col2im_into shapes");
-    out.fill(0.0);
-    clamped_rows(dims, geom, |col_at, img_at, len| {
-        let (src, dst) = (&cols[col_at..col_at + len], &mut out[img_at..]);
-        if geom.stride == 1 {
-            for (o, &v) in dst.iter_mut().zip(src) {
-                *o += v;
-            }
-        } else {
-            for (x, &v) in src.iter().enumerate() {
-                dst[x * geom.stride] += v;
-            }
-        }
-    });
-}
-
-/// Scalar reference col2im: one bounds-tested element at a time. The oracle
-/// for [`col2im`] and [`col2im_into`].
-pub fn col2im_scalar(cols: &Tensor, cin: usize, h: usize, w: usize, geom: ConvGeom) -> Tensor {
-    let (oh, ow) = (geom.out_size(h), geom.out_size(w));
-    let ncols = oh * ow;
-    assert_eq!(cols.shape(), &[cin * geom.kernel * geom.kernel, ncols], "col2im shape mismatch");
-    let mut out = Tensor::zeros(&[cin, h, w]);
-    let cd = cols.data();
-    let od = out.data_mut();
-    for c in 0..cin {
-        for ky in 0..geom.kernel {
-            for kx in 0..geom.kernel {
-                let row = (c * geom.kernel + ky) * geom.kernel + kx;
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    if iy < 0 || iy as usize >= h {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if ix < 0 || ix as usize >= w {
-                            continue;
-                        }
-                        od[(c * h + iy as usize) * w + ix as usize] +=
-                            cd[row * ncols + oy * ow + ox];
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// ReLU into a fresh tensor.
 pub fn relu(t: &Tensor) -> Tensor {
     t.map(|x| if x > 0.0 { x } else { 0.0 })
@@ -786,25 +550,9 @@ mod tests {
         // multiplicity; with kernel=1 stride=1 pad=0 it is the identity.
         let x = Tensor::from_vec((0..27).map(|i| i as f32).collect(), &[3, 3, 3]);
         let geom = ConvGeom { kernel: 1, stride: 1, pad: 0 };
-        let cols = im2col(&x, geom);
-        let back = col2im(&cols, 3, 3, 3, geom);
+        let cols = im2col_scalar(&x, geom);
+        let back = col2im_scalar(&cols, 3, 3, 3, geom);
         assert!(back.bitwise_eq(&x));
-    }
-
-    /// The transposed unfold against the scalar oracle, over both strides,
-    /// with and without padding, on a dirty destination.
-    #[test]
-    fn im2col_t_is_the_scalar_unfold_transposed() {
-        for (kernel, stride, pad) in [(3, 1, 1), (3, 2, 1), (3, 1, 0), (1, 1, 0), (2, 2, 0)] {
-            let geom = ConvGeom { kernel, stride, pad };
-            let (c, h, w) = (3, 6, 5);
-            let x = Tensor::from_vec((0..c * h * w).map(|i| i as f32 + 1.0).collect(), &[c, h, w]);
-            let want = im2col_t_scalar(&x, geom);
-            let mut got = vec![f32::NAN; want.len()];
-            im2col_t_into(x.data(), (c, h, w), geom, &mut got);
-            assert!(Tensor::from_vec(got, want.shape()).bitwise_eq(&want), "{geom:?}");
-            assert_eq!(want.at(1), im2col_scalar(&x, geom).at(want.shape()[0]), "transposed");
-        }
     }
 
     #[test]

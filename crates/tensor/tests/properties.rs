@@ -104,7 +104,7 @@ proptest! {
     fn im2col_identity_kernel(c in 1usize..4, h in 1usize..6, w in 1usize..6) {
         let x = Tensor::from_vec((0..c * h * w).map(|i| i as f32 * 0.1).collect(), &[c, h, w]);
         let geom = ops::ConvGeom { kernel: 1, stride: 1, pad: 0 };
-        let back = ops::col2im(&ops::im2col(&x, geom), c, h, w, geom);
+        let back = ops::col2im_scalar(&ops::im2col_scalar(&x, geom), c, h, w, geom);
         prop_assert!(back.bitwise_eq(&x));
     }
 

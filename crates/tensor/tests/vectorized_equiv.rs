@@ -2,12 +2,13 @@
 //!
 //! The vectorized kernels (lockstep leaf blocks in `blocked_sum`, lockstep
 //! K-tiles in `dot`, the column-chunked row kernel behind all three
-//! matmuls, clamped-row `im2col`/`col2im`, chunked `axpy_`) claim to keep
+//! matmuls, the direct convolution's three passes, chunked `axpy_`) claim to keep
 //! the profile-pinned accumulation tree *exactly* — same leaf boundaries,
 //! same left-to-right order inside a leaf, same `algo_id` traversal of the
 //! partials — and only interleave independent chains. These proptests hold
 //! them to that claim against the in-tree scalar oracles
-//! (`blocked_sum_scalar`, `dot_scalar`, `matmul*_scalar`, `im2col_scalar`,
+//! (`blocked_sum_scalar`, `dot_scalar`, `matmul*_scalar`, and
+//! `conv2d_*_scalar`, which are `im2col_scalar` + a scalar matmul +
 //! `col2im_scalar`), bit for bit, across randomized profiles (including
 //! `deterministic: false`), ragged lengths, and empty/one-element inputs.
 //! Shapes the kernels branch on are not left to 48 random draws: every case
@@ -20,9 +21,10 @@ use tensor::kernels::{
     blocked_sum, blocked_sum_scalar, combine_partials_with_rot, leaf_partials, leaf_partials_scalar,
 };
 use tensor::ops::{
-    col2im, col2im_into, col2im_scalar, dot, dot_scalar, im2col, im2col_into, im2col_scalar,
-    matmul, matmul_a_bt, matmul_a_bt_into, matmul_a_bt_scalar, matmul_at_b, matmul_at_b_scalar,
-    matmul_into, matmul_scalar, ConvGeom,
+    conv2d_dw_into, conv2d_dw_scalar, conv2d_dx_into, conv2d_dx_scalar, conv2d_forward_into,
+    conv2d_forward_scalar, dot, dot_scalar, matmul, matmul_a_bt, matmul_a_bt_into,
+    matmul_a_bt_scalar, matmul_at_b, matmul_at_b_scalar, matmul_into, matmul_scalar, ConvGeom,
+    ConvPlan,
 };
 use tensor::{KernelProfile, Tensor};
 
@@ -200,36 +202,78 @@ proptest! {
         }
     }
 
-    /// Clamped-row im2col/col2im ≡ the per-element walks, bitwise, for every
-    /// kernel 1–3 × stride 1–2 × pad 0–2 on a drawn `[c, h, w]` with h ≠ w
-    /// allowed, down to 1×1 — where whole taps see only padding and the
-    /// valid ranges are empty. The slice forms must overwrite what they find.
+    /// The direct convolution ≡ unfold + scalar matmul (+ fold), bitwise, all
+    /// three passes: for every kernel 1–5 × stride 1–3 × pad 0–2 that fits
+    /// a drawn `[cin, h, w]` (h ≠ w allowed, down to the smallest plane the
+    /// kernel fits — a single output position, whole taps in the padding)
+    /// and `cout` 1…40, which walks every chunk width and row-group
+    /// remainder of the weight gradient's blocks as `matmuls_vectorized_eq_scalar`
+    /// walks `chunk_cols`. Profiles tile at 1…32 under all three `algo_id`s.
+    /// Values include ±0, subnormals and ±∞, so padding zeros meet
+    /// infinities and a skipped `+ w·0.0` would show. The weight gradient
+    /// multiplies `col · g` where its oracle multiplies `g · col`: an IEEE
+    /// product commutes bit for bit unless both factors are NaN, and no
+    /// input here is (the NaNs that ∞·0 and ∞−∞ make on the way are all the
+    /// one default NaN). The kernels find dirty buffers everywhere.
     #[test]
-    fn im2col_col2im_rows_eq_scalar(
-        c in 1usize..4, h in 1usize..10, w in 1usize..10,
+    fn conv2d_direct_eq_scalar(
+        cin in 1usize..4, h in 1usize..10, w in 1usize..10, cout in 1usize..41,
+        tile_k in 1usize..33, algo_id in 0u8..3,
         seed in any::<u32>(),
     ) {
-        let x = Tensor::from_vec(gen(c * h * w, seed, 8), &[c, h, w]);
+        let profile = KernelProfile { reduce_block: 32, tile_k, algo_id, deterministic: true };
+        // One element in 101 is ±∞ — most sums stay finite and go on
+        // telling orders apart — eight are ±0 or subnormal, half negative.
+        let small = [0.0, -0.0, 1e-41, -3e-42];
+        let values = |count: usize, salt: u32| -> Vec<f32> {
+            let mut v = gen(count, seed, salt);
+            for (i, x) in v.iter_mut().enumerate() {
+                let h = (i as u32).wrapping_mul(40503).wrapping_add(seed ^ salt) / 7;
+                match h % 101 {
+                    0 => *x = if h % 2 == 0 { f32::INFINITY } else { f32::NEG_INFINITY },
+                    r @ 1..=8 => *x = small[r as usize % 4],
+                    9..=54 => *x = -*x,
+                    _ => {}
+                }
+            }
+            v
+        };
+        let x = Tensor::from_vec(values(cin * h * w, 8), &[cin, h, w]);
         for (kernel, stride, pad) in
-            (1..=3).flat_map(|k| (1..=2).flat_map(move |s| (0..=2).map(move |p| (k, s, p))))
+            (1..=5).flat_map(|k| (1..=3).flat_map(move |s| (0..=2).map(move |p| (k, s, p))))
         {
             if h + 2 * pad < kernel || w + 2 * pad < kernel {
                 continue;
             }
             let geom = ConvGeom { kernel, stride, pad };
-            let want = im2col_scalar(&x, geom);
-            prop_assert!(im2col(&x, geom).bitwise_eq(&want), "im2col {:?} h={} w={}", geom, h, w);
-            let mut col = vec![f32::NAN; want.len()];
-            im2col_into(x.data(), (c, h, w), geom, &mut col);
-            prop_assert_eq!(bits(&col), bits(want.data()), "im2col_into {:?} h={} w={}", geom, h, w);
+            let plan = ConvPlan::new((cin, h, w), geom);
+            let (k, (oh, ow)) = (cin * kernel * kernel, plan.out_dims());
+            let tag = format!("{geom:?} cin={cin} h={h} w={w} cout={cout} {profile:?}");
+            let weight = Tensor::from_vec(values(cout * k, 9), &[cout, k]);
+            let g = Tensor::from_vec(values(cout * oh * ow, 10), &[cout, oh * ow]);
+            let (mut work, mut scratch) = (vec![f32::NAN; 5], vec![f32::NAN; 3]);
+            let mut padded = vec![f32::NAN; plan.padded_len()];
+            plan.pad_into(x.data(), &mut padded);
 
-            let g = Tensor::from_vec(gen(want.len(), seed, 9), want.shape());
-            let want = col2im_scalar(&g, c, h, w, geom);
-            prop_assert!(
-                col2im(&g, c, h, w, geom).bitwise_eq(&want), "col2im {:?} h={} w={}", geom, h, w);
-            let mut img = vec![f32::NAN; c * h * w];
-            col2im_into(g.data(), (c, h, w), geom, &mut img);
-            prop_assert_eq!(bits(&img), bits(want.data()), "col2im_into {:?} h={} w={}", geom, h, w);
+            let want = conv2d_forward_scalar(&x, &weight, geom, &profile);
+            let mut out = vec![f32::NAN; want.len()];
+            conv2d_forward_into(&plan, &padded, weight.data(), &profile, &mut out, &mut scratch);
+            prop_assert_eq!(bits(&out), bits(want.data()), "forward {}", &tag);
+
+            // Added to what `gwt` holds, which is `gw` transposed.
+            let want = conv2d_dw_scalar(&x, &g, geom, &profile);
+            let before = values(k * cout, 11);
+            let mut gwt = before.clone();
+            conv2d_dw_into(&plan, &padded, g.data(), &profile, &mut gwt, &mut work, &mut scratch);
+            for (i, (got, was)) in gwt.iter().zip(&before).enumerate() {
+                let sum = was + want.at(i % cout * k + i / cout);
+                prop_assert_eq!(got.to_bits(), sum.to_bits(), "dW[{}] {}", i, &tag);
+            }
+
+            let want = conv2d_dx_scalar(&weight, &g, (cin, h, w), geom, &profile);
+            let mut dx = vec![f32::NAN; want.len()];
+            conv2d_dx_into(&plan, weight.data(), g.data(), &profile, &mut dx, &mut work, &mut scratch);
+            prop_assert_eq!(bits(&dx), bits(want.data()), "dx {}", &tag);
         }
     }
 

@@ -4,7 +4,8 @@
 #   scripts/ci.sh           full pipeline: fmt → clippy → detlint (one run of
 #                           all four analyses; its exit status is the gate,
 #                           SARIF lands in results/detlint.sarif) → build →
-#                           test → benchmark_smoke (builds the `figs`
+#                           golden_release (the bit-pinning tests, optimised)
+#                           → test → benchmark_smoke (builds the `figs`
 #                           binary of crates/bench, then runs
 #                           the repo benchmark's `smoke` pass: every
 #                           workload once, correctness checked, nothing
@@ -17,8 +18,9 @@
 #                           file under results/; the committed JSON must
 #                           come out byte for byte)
 #   scripts/ci.sh --quick   quick stages only (what scripts/check.sh runs):
-#                           fmt → clippy → detlint → build → test →
-#                           benchmark_smoke → thread_faults (hand-authored
+#                           fmt → clippy → detlint → build →
+#                           golden_release → test → benchmark_smoke →
+#                           thread_faults (hand-authored
 #                           supervised-pool schedules only)
 #
 # Per-stage wall-clock timings are written to results/ci_report.json whether
@@ -78,6 +80,16 @@ stage clippy     cargo clippy --workspace --all-targets --offline -- -D warnings
 # themselves are in the SARIF document.
 stage detlint    cargo run --offline -q -p detlint -- --quiet --sarif results/detlint.sarif
 stage build      cargo build --release --offline
+# The bit-pinning tests at the optimisation level that ships: `test` below
+# is a debug build, and a vectoriser that reorders a float chain is a
+# release-only failure. The whole-model pins, every kernel against its
+# scalar oracle, and Conv2d's per-geometry digests; a few seconds.
+golden_release() {
+  cargo test --release --offline -q --test kernel_golden --test restore_golden || return
+  cargo test --release --offline -q -p tensor --test vectorized_equiv || return
+  cargo test --release --offline -q -p models --test conv_golden
+}
+stage golden_release golden_release
 stage test       cargo test -q --offline --workspace --exclude faultsim
 # benchmark_smoke keeps the measured surfaces honest: compile the `figs`
 # binary (one link step for all 19 experiments), then run the repo benchmark's

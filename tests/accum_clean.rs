@@ -44,7 +44,10 @@ fn oracle_pairing_covers_the_declared_kernel_surface() {
     // asserted separately).
     let rep = run();
     let have = |k: &str| rep.oracles.iter().any(|o| o.kernel == k);
-    for kernel in ["blocked_sum", "leaf_partials", "dot", "matmul", "ring_allreduce"] {
+    let conv = ["conv2d_forward_into", "conv2d_dw_into", "conv2d_dx_into"];
+    for kernel in
+        ["blocked_sum", "leaf_partials", "dot", "matmul", "ring_allreduce"].into_iter().chain(conv)
+    {
         assert!(have(kernel), "oracle inventory lost `{kernel}`: {:?}", rep.oracles);
     }
     // Paired kernels really are exercised together by a test somewhere.

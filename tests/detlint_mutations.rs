@@ -80,6 +80,20 @@ fn carrying_the_chunk_accumulators_across_a_tile_boundary_is_float_reassoc() {
 }
 
 #[test]
+fn carrying_the_direct_convolutions_block_across_a_tile_boundary_is_float_reassoc() {
+    // The same edit on the forward convolution's `R × C` block: hoisted out
+    // of the tile loop, every tile after the first starts from the running
+    // total of the taps before it.
+    let file = "crates/tensor/src/conv.rs";
+    let gained = mutate(
+        file,
+        "for t in 0..(partials.len() / plane.len()).max(1) {\n                let mut acc = [[0.0f32; C]; R];\n",
+        "let mut acc = [[0.0f32; C]; R];\n            for t in 0..(partials.len() / plane.len()).max(1) {\n",
+    );
+    assert_gains(&gained, "float-reassoc", file);
+}
+
+#[test]
 fn hashing_the_supervised_drain_reorder_buffer_is_no_hash_iter() {
     // `round` collects replies into a BTreeMap and returns them in key
     // order via `into_values()`; a HashMap there hands hasher state the
