@@ -61,11 +61,6 @@ impl Conv2d {
         }
     }
 
-    /// Output spatial dims for an input of `(h, w)`.
-    pub fn out_dims(&self, h: usize, w: usize) -> (usize, usize) {
-        (self.geom.out_size(h), self.geom.out_size(w))
-    }
-
     /// The backward pass; dL/d(input) — `dcol = Wᵀ·g` folded back onto the
     /// plane, about half of the pass — only if `want_dx`.
     fn backward_opt(&mut self, grad: &Tensor, ctx: &mut ExecCtx, want_dx: bool) -> Option<Tensor> {
@@ -82,7 +77,7 @@ impl Conv2d {
         // back once per call: data movement.
         let (k, gwd) = (self.gw.shape()[1], self.gw.data_mut());
         let mut gwt = Tensor::uninit(&[k, self.cout]);
-        transpose(gwd, k, gwt.data_mut());
+        ops::transpose_into(gwd, k, gwt.data_mut());
         let mut padded = Tensor::uninit(&[plan.padded_len()]);
         let mut dx = want_dx.then(|| Tensor::uninit(&[b, self.cin, h, w]));
         let gs = grad.data().chunks_exact(self.cout * spatial);
@@ -91,7 +86,7 @@ impl Conv2d {
             for (n, (g, sample)) in gs.zip(samples).enumerate() {
                 // dWᵀ += col · gᵀ, col read off the padded sample.
                 plan.pad_into(sample, padded.data_mut());
-                ops::conv2d_dw_into(plan, padded.data(), g, prof, gwt.data_mut(), work, scratch);
+                ops::conv2d_dw_into(plan, padded.data(), g, prof, gwt.data_mut(), work);
                 // db += row sums of g.
                 for (gb, row) in self.gb.data_mut().iter_mut().zip(g.chunks_exact(spatial)) {
                     *gb += ops::blocked_sum(row, prof);
@@ -102,18 +97,8 @@ impl Conv2d {
                 }
             }
         });
-        transpose(gwt.data(), self.cout, gwd);
+        ops::transpose_into(gwt.data(), self.cout, gwd);
         dx
-    }
-}
-
-/// `dst: [cols, rows] = srcᵀ` for `src: [rows, cols]`.
-fn transpose(src: &[f32], cols: usize, dst: &mut [f32]) {
-    let rows = src.len() / cols;
-    for (i, row) in src.chunks_exact(cols).enumerate() {
-        for (j, &v) in row.iter().enumerate() {
-            dst[j * rows + i] = v;
-        }
     }
 }
 

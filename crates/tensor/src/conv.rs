@@ -11,6 +11,7 @@
 use crate::kernels::KernelProfile;
 use crate::ops::{
     combine_rows, matmul_a_bt_scalar, matmul_at_b_scalar, matmul_into, matmul_scalar,
+    transpose_into,
 };
 use crate::Tensor;
 
@@ -193,14 +194,27 @@ impl ConvPlan {
     }
 }
 
-/// Size `partials` for a reduction `len` long into `out` elements: nothing
-/// for a single tile, whose partial *is* the result (`tiled_reduce`'s
+/// The first `len` elements of `buf`, grown if it is shorter and never
+/// shrunk: a buffer two passes take turns with is zero-filled once.
+fn grown(buf: &mut Vec<f32>, len: usize) -> &mut [f32] {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+    &mut buf[..len]
+}
+
+/// Elements of partials a reduction `len` long into `out` elements needs:
+/// none for a single tile, whose partial *is* the result (`tiled_reduce`'s
 /// short-circuit) and is stored straight to the output; several tiles go to
 /// `partials[t]`, shaped like the output, for one [`combine_rows`] over all
 /// of it — elementwise, so per element exactly the row kernel's combine.
-fn size_partials(partials: &mut Vec<f32>, len: usize, out: usize, profile: &KernelProfile) {
+fn partials_len(len: usize, out: usize, profile: &KernelProfile) -> usize {
     let tile = profile.tile_k.max(1);
-    partials.resize(if len > tile { len.div_ceil(tile) * out } else { 0 }, 0.0);
+    if len > tile {
+        len.div_ceil(tile) * out
+    } else {
+        0
+    }
 }
 
 /// Where tile `t` of a pass stores: `out` itself when it is the only one.
@@ -215,7 +229,7 @@ fn tile_out<'o>(t: usize, out: &'o mut [f32], partials: &'o mut [f32]) -> &'o mu
 /// `weight: [cout, cin·k²]` and the `col` that `padded` (see
 /// [`ConvPlan::pad_into`]) stands for. Per output element the addition
 /// chain is [`matmul_into`]'s over the unfolded matrix, so the result is
-/// bit-identical to [`conv2d_forward_scalar`]; `scratch` as there.
+/// bit-identical to [`conv2d_forward_scalar`]; `scratch` is only ever grown.
 pub fn conv2d_forward_into(
     plan: &ConvPlan,
     padded: &[f32],
@@ -230,20 +244,20 @@ pub fn conv2d_forward_into(
         padded.len() == plan.len && weight.len() == cout * k && out.len() == cout * spatial,
         "conv2d_forward_into shapes"
     );
-    size_partials(scratch, k, spatial, profile);
+    let partials = grown(scratch, partials_len(k, spatial, profile));
     // Row groups of 4, then single rows; blocks of 8, 4, 2, 1 columns.
     let (src, oh, r4) = ((padded, profile), plan.out.0, plan.out.0 / 4 * 4);
     for (wrow, plane) in weight.chunks_exact(k).zip(out.chunks_exact_mut(spatial)) {
-        let ox = plan.forward_blocks::<4, 8>(src, (0, r4, 0), wrow, (plane, scratch));
-        let ox = plan.forward_blocks::<4, 4>(src, (0, r4, ox), wrow, (plane, scratch));
-        let ox = plan.forward_blocks::<4, 2>(src, (0, r4, ox), wrow, (plane, scratch));
-        plan.forward_blocks::<4, 1>(src, (0, r4, ox), wrow, (plane, scratch));
-        let ox = plan.forward_blocks::<1, 8>(src, (r4, oh, 0), wrow, (plane, scratch));
-        let ox = plan.forward_blocks::<1, 4>(src, (r4, oh, ox), wrow, (plane, scratch));
-        let ox = plan.forward_blocks::<1, 2>(src, (r4, oh, ox), wrow, (plane, scratch));
-        plan.forward_blocks::<1, 1>(src, (r4, oh, ox), wrow, (plane, scratch));
-        if !scratch.is_empty() {
-            combine_rows(scratch, scratch.len() / spatial, spatial, profile, plane);
+        let ox = plan.forward_blocks::<4, 8>(src, (0, r4, 0), wrow, (plane, partials));
+        let ox = plan.forward_blocks::<4, 4>(src, (0, r4, ox), wrow, (plane, partials));
+        let ox = plan.forward_blocks::<4, 2>(src, (0, r4, ox), wrow, (plane, partials));
+        plan.forward_blocks::<4, 1>(src, (0, r4, ox), wrow, (plane, partials));
+        let ox = plan.forward_blocks::<1, 8>(src, (r4, oh, 0), wrow, (plane, partials));
+        let ox = plan.forward_blocks::<1, 4>(src, (r4, oh, ox), wrow, (plane, partials));
+        let ox = plan.forward_blocks::<1, 2>(src, (r4, oh, ox), wrow, (plane, partials));
+        plan.forward_blocks::<1, 1>(src, (r4, oh, ox), wrow, (plane, partials));
+        if !partials.is_empty() {
+            combine_rows(partials, partials.len() / spatial, spatial, profile, plane);
         }
     }
 }
@@ -258,8 +272,10 @@ pub fn conv2d_forward_into(
 // Blocks of 2 taps × 16 channels or 4 × 8 (and narrower): one `gᵀ` row load
 // feeds several taps and eight add chains stay in flight, where the row
 // kernel's 1 × 8 chunk has two. In-process A/B, ns per sample, unfold +
-// `matmul_into` + add → this, `(cin·k², oh·ow, cout)`: (27,64,8) 4139 → 1803,
-// (72,64,8) 7225 → 4346, (72,16,16) 2602 → 1924, (144,16,32) 7282 → 6354.
+// `matmul_into` + add → this, `(cin·k², oh·ow, cout)`: (27,64,8) 4219 → 1945,
+// (72,64,8) 6658 → 4142, (72,16,16) 2486 → 1874; at 32 channels, where one
+// row already fills the registers, a wash — (144,16,32) 6890 → 6973 and
+// 7282 → 6354 in two runs — so there is no second path for wide layers.
 pub fn conv2d_dw_into(
     plan: &ConvPlan,
     padded: &[f32],
@@ -267,7 +283,6 @@ pub fn conv2d_dw_into(
     profile: &KernelProfile,
     gwt: &mut [f32],
     work: &mut Vec<f32>,
-    scratch: &mut Vec<f32>,
 ) {
     let (k, spatial) = (plan.tap.len(), plan.pos.len());
     let cout = gwt.len() / k;
@@ -275,22 +290,18 @@ pub fn conv2d_dw_into(
         padded.len() == plan.len && gwt.len() == cout * k && g.len() == cout * spatial,
         "conv2d_dw_into shapes"
     );
-    work.resize((spatial + k) * cout, 0.0);
-    let (gt, dwt) = work.split_at_mut(spatial * cout);
-    for (co, grow) in g.chunks_exact(spatial).enumerate() {
-        for (s, &v) in grow.iter().enumerate() {
-            gt[s * cout + co] = v;
-        }
-    }
-    size_partials(scratch, spatial, k * cout, profile);
+    let npartials = partials_len(spatial, k * cout, profile);
+    let (gt, rest) = grown(work, (spatial + k) * cout + npartials).split_at_mut(spatial * cout);
+    let (dwt, partials) = rest.split_at_mut(k * cout);
+    transpose_into(g, spatial, gt);
     let src = (padded, profile);
-    let mut j = plan.dw_cols::<2, 16>(src, 0, gt, (dwt, scratch));
-    j = plan.dw_cols::<4, 8>(src, j, gt, (dwt, scratch));
-    j = plan.dw_cols::<4, 4>(src, j, gt, (dwt, scratch));
-    j = plan.dw_cols::<4, 2>(src, j, gt, (dwt, scratch));
-    plan.dw_cols::<4, 1>(src, j, gt, (dwt, scratch));
-    if !scratch.is_empty() {
-        combine_rows(scratch, scratch.len() / dwt.len(), dwt.len(), profile, dwt);
+    let mut j = plan.dw_cols::<2, 16>(src, 0, gt, (dwt, partials));
+    j = plan.dw_cols::<4, 8>(src, j, gt, (dwt, partials));
+    j = plan.dw_cols::<4, 4>(src, j, gt, (dwt, partials));
+    j = plan.dw_cols::<4, 2>(src, j, gt, (dwt, partials));
+    plan.dw_cols::<4, 1>(src, j, gt, (dwt, partials));
+    if npartials > 0 {
+        combine_rows(partials, npartials / dwt.len(), dwt.len(), profile, dwt);
     }
     for (x, &v) in gwt.iter_mut().zip(&*dwt) {
         // One addend per element and call: the sample's contribution.
@@ -319,8 +330,7 @@ pub fn conv2d_dx_into(
         weight.len() == cout * k && g.len() == cout * spatial && dx.len() == plan.cell.len(),
         "conv2d_dx_into shapes"
     );
-    work.resize(k * spatial + plan.len, 0.0);
-    let (dcol, plane) = work.split_at_mut(k * spatial);
+    let (dcol, plane) = grown(work, k * spatial + plan.len).split_at_mut(k * spatial);
     matmul_into(g, (k, cout, spatial), profile, dcol, scratch, |p, co| weight[co * k + p]);
     plane.fill(0.0);
     for (&tap, rows) in plan.tap.iter().zip(dcol.chunks_exact(spatial)) {

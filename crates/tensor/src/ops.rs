@@ -380,12 +380,19 @@ pub fn matmul_a_bt_into(
         return;
     }
     bt.resize(k * n, 0.0);
-    for j in 0..n {
-        for p in 0..k {
-            bt[p * n + j] = b[j * k + p];
+    transpose_into(b, k, bt);
+    matmul_into(bt, dims, profile, out, scratch, |i, p| a[i * k + p]);
+}
+
+/// `dst: [cols, rows] = srcᵀ` for `src: [rows, cols]`: data movement.
+pub fn transpose_into(src: &[f32], cols: usize, dst: &mut [f32]) {
+    assert_eq!(src.len(), dst.len(), "transpose_into shapes");
+    let rows = src.len() / cols.max(1);
+    for (i, row) in src.chunks_exact(cols.max(1)).enumerate() {
+        for (j, &v) in row.iter().enumerate() {
+            dst[j * rows + i] = v;
         }
     }
-    matmul_into(bt, dims, profile, out, scratch, |i, p| a[i * k + p]);
 }
 
 /// Scalar reference `A · Bᵀ`; the oracle for [`matmul_a_bt`].

@@ -87,8 +87,8 @@ fn carrying_the_direct_convolutions_block_across_a_tile_boundary_is_float_reasso
     let file = "crates/tensor/src/conv.rs";
     let gained = mutate(
         file,
-        "for t in 0..(partials.len() / plane.len()).max(1) {\n                let mut acc = [[0.0f32; C]; R];\n",
-        "let mut acc = [[0.0f32; C]; R];\n            for t in 0..(partials.len() / plane.len()).max(1) {\n",
+        "for t in 0..(partials.len() / plane.len()).max(1) {\n                    let mut acc = [[0.0f32; C]; R];\n",
+        "let mut acc = [[0.0f32; C]; R];\n                for t in 0..(partials.len() / plane.len()).max(1) {\n",
     );
     assert_gains(&gained, "float-reassoc", file);
 }
