@@ -9,7 +9,8 @@
 //! `// detlint::allow(rule): reason` suppressions for the (rare, audited)
 //! sites that are deterministic for reasons the scanner cannot see.
 
-use crate::lexer::{match_delim, matches, statement_bounds, Tok, TokKind, INT_TYPES};
+use crate::items::FnDef;
+use crate::lexer::{match_delim, matches, statement_bounds, Tok, TokKind, FLOAT_TYPES, INT_TYPES};
 use crate::{Mode, ModelFile, Policy};
 
 /// Static description of one rule: the id doubles as the suppression token
@@ -137,163 +138,74 @@ pub fn rule(name: &str) -> Option<&'static Rule> {
     CATALOG.iter().find(|r| r.name == name)
 }
 
-/// One raw leaf hit before suppression handling: `(rule, line, message)`.
-pub type Hit = (&'static str, u32, String);
+/// One raw leaf hit before suppression handling: `(rule, token, message)`;
+/// the token's line is the report line.
+pub type Hit = (&'static str, usize, String);
 
 /// Per-file analysis context shared by all detectors.
 struct Ctx<'a> {
+    mf: &'a ModelFile,
     toks: &'a [Tok],
-    /// `(start_line, end_line)` of `#[cfg(test)] mod … { … }` regions.
-    test_regions: &'a [(u32, u32)],
-    /// For each token index: index into `fns` of the innermost enclosing
-    /// fn, or usize::MAX at module level.
-    fn_of: Vec<usize>,
-    /// For each fn: does its signature name an order-parameter type
-    /// (KernelProfile and friends) — i.e. accumulation order is explicit?
-    fn_exempt: Vec<bool>,
+    /// The workspace's fns, by graph id.
+    fns: &'a [FnDef],
+    policy: &'a Policy,
 }
 
 impl Ctx<'_> {
     fn in_test(&self, line: u32) -> bool {
-        crate::lexer::in_regions(self.test_regions, line)
+        crate::lexer::in_regions(&self.mf.test_regions, line)
     }
 
-    fn exempt_fn(&self, tok_idx: usize) -> bool {
-        let f = self.fn_of[tok_idx];
-        f != usize::MAX && self.fn_exempt[f]
+    /// Does the signature of the fn holding token `i` name one of `idents`?
+    fn sig_names(&self, i: usize, idents: &[&str]) -> bool {
+        self.mf.owner[i].is_some_and(|f| self.fns[f].sig_names(self.toks, idents))
+    }
+
+    /// Is token `i` in an order-parameterized kernel — a fn whose signature
+    /// names an order-parameter type (KernelProfile and friends), so its
+    /// accumulation order is explicit?
+    fn exempt_fn(&self, i: usize) -> bool {
+        self.sig_names(i, self.policy.order_param_types)
     }
 }
 
-/// Run the leaf detectors over one file — no suppression handling; the
-/// driver emits each hit through the shared allow ledger. `everywhere`
-/// lifts the crate scoping of the order/entropy rules: the taint pass
-/// harvests its sources that way, so a source is visible wherever it lives
-/// and the barrier/sink policy, not rule scoping, decides what matters.
-/// Float accumulation stays scoped to the numeric-contract crates even
-/// then: a sequential `+=` in single-threaded bookkeeping code is
-/// order-explicit by construction, and seeding taint from it would drown
-/// the report in deterministic accumulators.
-pub fn detect(mf: &ModelFile, policy: &Policy, everywhere: bool) -> Vec<Hit> {
-    let toks = &mf.lexed.toks;
-    let (fn_of, fn_exempt) = fn_scopes(toks, policy);
-    let ctx = Ctx { toks, test_regions: &mf.test_regions, fn_of, fn_exempt };
-
-    let krate = mf.crate_name.as_str();
-    let deterministic = everywhere || policy.deterministic_path.contains(&krate);
+/// Run the leaf detectors over one file, whatever its crate — no
+/// suppression handling; the driver emits the hits [`scoped`] admits
+/// through the shared allow ledger, and the taint pass seeds its sources
+/// from all of them, so a source is visible wherever it lives and the
+/// barrier/sink policy, not rule scoping, decides what matters. Float
+/// accumulation is detected in the numeric-contract crates only: a
+/// sequential `+=` in single-threaded bookkeeping code is order-explicit by
+/// construction, and seeding taint from it would drown the report in
+/// deterministic accumulators.
+pub fn detect(mf: &ModelFile, fns: &[FnDef], policy: &Policy) -> Vec<Hit> {
+    let ctx = Ctx { mf, toks: &mf.lexed.toks, fns, policy };
     let mut hits = Vec::new();
-    if deterministic {
-        no_hash_iter(&ctx, &mut hits);
-        no_adhoc_rng(&ctx, &mut hits);
-        no_thread_order(&ctx, &mut hits);
-    }
-    if everywhere || !policy.wall_clock_exempt.contains(&krate) {
-        no_wall_clock(&ctx, &mut hits);
-    }
-    if policy.float_crates.contains(&krate) {
+    no_hash_iter(&ctx, &mut hits);
+    no_adhoc_rng(&ctx, &mut hits);
+    no_thread_order(&ctx, &mut hits);
+    no_wall_clock(&ctx, &mut hits);
+    if policy.float_crates.contains(&mf.crate_name.as_str()) {
         no_raw_float_accum(&ctx, &mut hits);
     }
-    if deterministic {
-        no_float_key_sort(&ctx, policy, &mut hits);
-    }
+    no_float_key_sort(&ctx, &mut hits);
     hits
 }
 
-/// Annotate every token with its enclosing fn and whether that fn's
-/// signature names an order-parameter type (making ordered accumulation
-/// explicit and exempt from `no-raw-float-accum`).
-fn fn_scopes(toks: &[Tok], policy: &Policy) -> (Vec<usize>, Vec<bool>) {
-    let mut fn_of = vec![usize::MAX; toks.len()];
-    let mut fn_exempt: Vec<bool> = Vec::new();
-    // Stack of (fn index, brace depth at body open).
-    let mut stack: Vec<(usize, i32)> = Vec::new();
-    let mut depth = 0i32;
-    let mut i = 0;
-    while i < toks.len() {
-        let t = &toks[i];
-        match t.text.as_str() {
-            "{" => depth += 1,
-            "}" => {
-                depth -= 1;
-                while let Some(&(_, d)) = stack.last() {
-                    if depth < d {
-                        stack.pop();
-                    } else {
-                        break;
-                    }
-                }
-            }
-            "fn" if t.kind == TokKind::Ident => {
-                // Signature runs to the body `{` at paren depth 0 (or to a
-                // `;` for a trait method declaration).
-                let mut j = i + 1;
-                let mut parens = 0i32;
-                let mut exempt = false;
-                while j < toks.len() {
-                    match toks[j].text.as_str() {
-                        "(" => parens += 1,
-                        ")" => parens -= 1,
-                        ";" if parens == 0 => break, // no body
-                        "{" if parens == 0 => break,
-                        _ => {
-                            if toks[j].kind == TokKind::Ident
-                                && policy.order_param_types.contains(&toks[j].text.as_str())
-                            {
-                                exempt = true;
-                            }
-                        }
-                    }
-                    fn_of[j] = usize::MAX; // signature tokens stay unscoped
-                    j += 1;
-                }
-                if j < toks.len() && toks[j].text == "{" {
-                    let idx = fn_exempt.len();
-                    fn_exempt.push(exempt);
-                    // The body-open brace belongs to the fn scope.
-                    depth += 1;
-                    stack.push((idx, depth));
-                    if let Some(&(f, _)) = stack.last() {
-                        fn_of[j] = f;
-                    }
-                    i = j + 1;
-                    // Tag subsequent tokens in the main loop below.
-                    continue;
-                }
-                i = j + 1;
-                continue;
-            }
-            _ => {}
-        }
-        if let Some(&(f, _)) = stack.last() {
-            fn_of[i] = f;
-        }
-        i += 1;
+/// Does the leaf pass report `rule` in crate `krate`? The order and entropy
+/// rules apply on the deterministic path, the clock rule outside the crates
+/// that own the clock.
+pub fn scoped(policy: &Policy, krate: &str, rule: &str) -> bool {
+    match rule {
+        "no-wall-clock" => !policy.wall_clock_exempt.contains(&krate),
+        "no-raw-float-accum" => true, // detected in the float crates only
+
+        _ => policy.deterministic_path.contains(&krate),
     }
-    (fn_of, fn_exempt)
 }
 
 fn slice_has(toks: &[Tok], a: usize, b: usize, words: &[&str]) -> bool {
     toks[a..b].iter().any(|t| t.kind == TokKind::Ident && words.contains(&t.text.as_str()))
-}
-
-/// Does the signature of the fn enclosing token `i` mention f32/f64?
-/// (Signature tokens are the ones between the `fn` keyword and the body.)
-fn fn_sig_has_float(toks: &[Tok], i: usize, fn_of: &[usize]) -> bool {
-    let f = fn_of[i];
-    if f == usize::MAX {
-        return false;
-    }
-    // Walk back to this fn's `fn` keyword: the first token before the body
-    // whose scope differs. Simpler: scan backwards for `fn` at any point
-    // where the scope annotation transitions into `f`.
-    let mut body_open = i;
-    while body_open > 0 && !(toks[body_open].text == "{" && fn_of[body_open] == f) {
-        body_open -= 1;
-    }
-    let mut j = body_open;
-    while j > 0 && toks[j].text != "fn" {
-        j -= 1;
-    }
-    slice_has(toks, j, body_open, &["f32", "f64"])
 }
 
 // ---------------------------------------------------------------------------
@@ -370,7 +282,7 @@ fn no_hash_iter(ctx: &Ctx, out: &mut Vec<Hit>) {
         {
             out.push((
                 "no-hash-iter",
-                t.line,
+                i,
                 format!(
                     "`{}.{}()` iterates a hash table in a deterministic-path crate; use \
                      BTreeMap/BTreeSet or sort before iterating",
@@ -398,7 +310,7 @@ fn no_hash_iter(ctx: &Ctx, out: &mut Vec<Hit>) {
                 {
                     out.push((
                         "no-hash-iter",
-                        tk.line,
+                        k,
                         format!(
                             "`for … in {}` iterates a hash table in a deterministic-path \
                              crate; use BTreeMap/BTreeSet or sort before iterating",
@@ -426,7 +338,7 @@ fn no_wall_clock(ctx: &Ctx, out: &mut Vec<Hit>) {
         if t.text == "Instant" && matches(toks, i + 1, &["::", "now"]) {
             out.push((
                 "no-wall-clock",
-                t.line,
+                i,
                 "`Instant::now()` outside obs/bench; time through `obs::span` or \
                  `obs::Stopwatch` so the clock stays off the deterministic path"
                     .to_string(),
@@ -434,7 +346,7 @@ fn no_wall_clock(ctx: &Ctx, out: &mut Vec<Hit>) {
         } else if t.text == "SystemTime" {
             out.push((
                 "no-wall-clock",
-                t.line,
+                i,
                 "`SystemTime` outside obs/bench; wall-clock reads belong behind obs".to_string(),
             ));
         }
@@ -453,7 +365,7 @@ fn no_raw_float_accum(ctx: &Ctx, out: &mut Vec<Hit>) {
         }
         let (a, b) = statement_bounds(toks, i);
         let stmt_int = slice_has(toks, a, b, INT_TYPES);
-        let stmt_float = slice_has(toks, a, b, &["f32", "f64"]);
+        let stmt_float = slice_has(toks, a, b, FLOAT_TYPES);
 
         if t.text == "+=" {
             // `x += 1` (counter) is never a float reduction.
@@ -470,10 +382,10 @@ fn no_raw_float_accum(ctx: &Ctx, out: &mut Vec<Hit>) {
             if stmt_int {
                 continue;
             }
-            if stmt_float || fn_sig_has_float(toks, i, &ctx.fn_of) {
+            if stmt_float || ctx.sig_names(i, FLOAT_TYPES) {
                 out.push((
                     "no-raw-float-accum",
-                    t.line,
+                    i,
                     "float `+=` accumulation outside an order-parameterized kernel; route \
                      through KernelProfile-driven reduction (or suppress with the traversal \
                      order documented)"
@@ -490,13 +402,11 @@ fn no_raw_float_accum(ctx: &Ctx, out: &mut Vec<Hit>) {
                 && toks.get(i + 3).is_some_and(|x| x.text == "f32" || x.text == "f64");
             let plain_call = toks.get(i + 1).is_some_and(|x| x.text == "(");
             if turbo_float
-                || (plain_call
-                    && !stmt_int
-                    && (stmt_float || fn_sig_has_float(toks, i, &ctx.fn_of)))
+                || (plain_call && !stmt_int && (stmt_float || ctx.sig_names(i, FLOAT_TYPES)))
             {
                 out.push((
                     "no-raw-float-accum",
-                    t.line,
+                    i,
                     format!(
                         "float `.{}()` reduction outside an order-parameterized kernel; \
                          use tensor's blocked_sum/tiled_reduce with a KernelProfile",
@@ -535,7 +445,7 @@ fn no_adhoc_rng(ctx: &Ctx, out: &mut Vec<Hit>) {
         if hit {
             out.push((
                 "no-adhoc-rng",
-                t.line,
+                i,
                 format!(
                     "`{}` is ad-hoc randomness; draw from esrng Philox streams \
                      (EsRng::for_stream) so replays reproduce it",
@@ -562,7 +472,7 @@ fn no_thread_order(ctx: &Ctx, out: &mut Vec<Hit>) {
         if CHANNEL_IDENTS.contains(&t.text.as_str()) {
             out.push((
                 "no-thread-order",
-                t.line,
+                i,
                 format!(
                     "`{}` can surface thread completion order; collect results by joining \
                      handles in spawn order (see core::engine)",
@@ -572,7 +482,7 @@ fn no_thread_order(ctx: &Ctx, out: &mut Vec<Hit>) {
         } else if t.text == "thread" && matches(toks, i + 1, &["::", "spawn"]) {
             out.push((
                 "no-thread-order",
-                t.line,
+                i,
                 "detached `thread::spawn`; use a scoped spawn joined in spawn order so \
                  completion order cannot leak into results"
                     .to_string(),
@@ -584,7 +494,7 @@ fn no_thread_order(ctx: &Ctx, out: &mut Vec<Hit>) {
         {
             out.push((
                 "no-thread-order",
-                t.line,
+                i,
                 "`.recv()` consumes messages in completion order; join workers in spawn \
                  order instead"
                     .to_string(),
@@ -612,10 +522,10 @@ const SORT_LIKE: &[&str] = &[
     "binary_search_by_key",
 ];
 
-fn no_float_key_sort(ctx: &Ctx, policy: &Policy, out: &mut Vec<Hit>) {
+fn no_float_key_sort(ctx: &Ctx, out: &mut Vec<Hit>) {
     let toks = ctx.toks;
     let blessed = |a: usize, b: usize| {
-        toks[a..b].iter().any(|t| policy.total_order_helpers.contains(&t.text.as_str()))
+        toks[a..b].iter().any(|t| ctx.policy.total_order_helpers.contains(&t.text.as_str()))
     };
     for (i, t) in toks.iter().enumerate() {
         if t.kind != TokKind::Ident || ctx.in_test(t.line) || ctx.exempt_fn(i) {
@@ -629,7 +539,7 @@ fn no_float_key_sort(ctx: &Ctx, policy: &Policy, out: &mut Vec<Hit>) {
             if !blessed(a, b) {
                 out.push((
                     "no-float-key-sort",
-                    t.line,
+                    i,
                     "`.partial_cmp()` comparator in a deterministic-path crate; use \
                      `total_cmp` (a total order over all bit patterns) or an integer key"
                         .to_string(),
@@ -647,10 +557,10 @@ fn no_float_key_sort(ctx: &Ctx, policy: &Policy, out: &mut Vec<Hit>) {
             if span_has_partial || blessed(open, close) {
                 continue; // partial_cmp branch reports it / helper blesses it
             }
-            if slice_has(toks, open, close, &["f32", "f64"]) {
+            if slice_has(toks, open, close, FLOAT_TYPES) {
                 out.push((
                     "no-float-key-sort",
-                    t.line,
+                    i,
                     format!(
                         "`.{}()` orders by an f32/f64 key outside a blessed total-order \
                          helper; use `total_cmp` or quantize to an integer key",
