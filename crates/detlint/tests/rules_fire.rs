@@ -99,6 +99,16 @@ fn clean_fixture_stays_clean_under_the_harshest_crate() {
 #[test]
 fn test_modules_are_exempt() {
     assert!(findings(include_str!("fixtures/test_mod.rs"), "core").is_empty());
+    let visible = "#[cfg(test)]\npub(crate) mod support {\n    \
+                   pub fn t() { let _ = std::time::Instant::now(); }\n}\n";
+    assert!(findings(visible, "core").is_empty(), "{:?}", findings(visible, "core"));
+}
+
+#[test]
+fn an_order_parameterized_kernel_returning_an_array_is_exempt() {
+    // The `;` of `[f32; 1]` is inside the signature, not its end.
+    let src = "pub fn k(p: &KernelProfile, xs: &[f32]) -> [f32; 1] { [xs.iter().sum::<f32>()] }\n";
+    assert!(findings(src, "tensor").is_empty(), "{:?}", findings(src, "tensor"));
 }
 
 #[test]
