@@ -144,8 +144,9 @@ impl Backend {
 
 /// One supervised pool recovery, as recorded by the engine: which worker
 /// faulted, during which phase of which step, and the *deterministic*
-/// virtual-time detection latency charged for it (the drain policy's whole
-/// backoff budget — a pure function of the policy, never a wall clock).
+/// virtual-time detection latency charged for it (an upper bound: the drain
+/// policy's whole backoff budget — a pure function of the policy, never a
+/// wall clock).
 /// Consumers ([`Engine::take_pool_recoveries`]) feed these into health
 /// tracking and detection-latency accounting; none of it ever touches the
 /// bitwise outputs.
@@ -162,7 +163,9 @@ pub struct PoolRecovery {
     /// Panic payload harvested from a dead worker thread, if any.
     pub panic_msg: Option<String>,
     /// Deterministic detection latency in virtual microseconds: the drain
-    /// policy's total backoff budget ([`RetryPolicy::total_backoff_us`]).
+    /// policy's total backoff budget ([`RetryPolicy::total_backoff_us`]),
+    /// an upper bound — a silent live thread takes all of it, while an
+    /// exited one is reaped when the first window expires.
     pub virtual_latency_us: u64,
     /// Which pool interaction detected the fault (`step` / `checkpoint` /
     /// `evaluate`).
@@ -832,6 +835,24 @@ mod tests {
             ExecOptions { mode: ExecMode::SingleThread, ..ExecOptions::default() },
         );
         assert_eq!(inline.pool_stats(), None);
+    }
+
+    /// Under the default policy a panicked worker costs the first 25 ms
+    /// drain window, not the 6.4 s budget; the recovery still charges the
+    /// whole budget as its virtual latency.
+    #[test]
+    fn a_panicked_worker_is_replaced_after_the_first_drain_window() {
+        let mut e = Engine::new(config(), Placement::homogeneous(4, 2, GpuType::V100));
+        e.step();
+        assert_eq!(e.inject_thread_fault(1, crate::pool::ThreadFault::Panic), Some(1));
+        let started = std::time::Instant::now();
+        e.step();
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "the faulted step took {took:?}");
+        let recs = e.take_pool_recoveries();
+        assert_eq!(recs.len(), 1, "{recs:?}");
+        assert_eq!((recs[0].worker, recs[0].kind), (1, "worker-dead"));
+        assert_eq!(recs[0].virtual_latency_us, 6_375_000);
     }
 
     #[test]

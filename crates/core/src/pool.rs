@@ -23,8 +23,10 @@
 //! Supervision story (docs/HEALTH.md): step, snapshot and lend are three
 //! callers of one supervised round. A worker that panics, stalls past the
 //! drain deadline, or silently drops its reply surfaces as a typed
-//! [`PoolError`] naming the `esw-dev<id>` thread. The supervisor then reaps
-//! the thread (joining it if dead, quarantining it if merely unresponsive),
+//! [`PoolError`] naming the `esw-dev<id>` thread. The drain waits one policy
+//! window at a time: a silent slot whose thread has exited is reaped when a
+//! window expires, a live one only once the whole budget is spent. The
+//! supervisor reaps the thread (joining it if dead, quarantining it if live),
 //! asks the engine for a replacement worker seeded from the engine-held
 //! param mirror (proven bitwise-equal to every replica), reinstalls it on a
 //! fresh thread, and replays the interrupted command. Because replacements
@@ -62,13 +64,14 @@ pub struct ExecOptions {
     /// slot order. Purely diagnostic — ids never feed the math. When empty,
     /// slot indices are used.
     pub device_ids: Vec<u32>,
-    /// Deadline policy for supervised pool drains: each missing result is
-    /// waited for through `max_attempts` exponentially growing windows
-    /// before the worker is declared faulty (see
-    /// [`RetryPolicy::total_backoff_us`] for the resulting detection
-    /// budget). Real-time only — these waits never touch simulated time or
-    /// any deterministic output, so a too-aggressive policy costs spurious
-    /// respawns (counters), never bits.
+    /// Deadline policy for supervised pool drains, waited through one
+    /// exponentially growing window at a time. A missing result whose
+    /// thread has exited is reaped when a window expires (the first window
+    /// bounds finding a dead thread); a live silent worker is declared
+    /// faulty after `max_attempts` windows
+    /// ([`RetryPolicy::total_backoff_us`]). Real-time only — these waits
+    /// never touch simulated time or any deterministic output, so a
+    /// too-aggressive policy costs spurious respawns (counters), never bits.
     pub drain: RetryPolicy,
 }
 
@@ -78,8 +81,8 @@ impl Default for ExecOptions {
             mode: ExecMode::default(),
             device_ids: Vec::new(),
             // 25ms·(2^8−1) ≈ 6.4s total: generous enough that a healthy
-            // worker under worst-case CI scheduling never trips it, small
-            // enough that a dead worker is reaped within seconds.
+            // worker under worst-case CI scheduling never trips it; a dead
+            // thread is reaped after the first 25ms window.
             drain: RetryPolicy { max_attempts: 8, base_backoff_us: 25_000, backoff_multiplier: 2 },
         }
     }
@@ -395,8 +398,9 @@ impl WorkerPool {
     /// send `cmd(seq)` to each of `slots`, drain `exchange` under the
     /// deadline until every slot holds a message that passes the
     /// `seq`+`ThreadId` fence, and return the bodies in slot order. A slot
-    /// that cannot take its command, or has nothing in flight when the
-    /// deadline expires, is reaped, replaced via `respawn`, and re-commanded
+    /// that cannot take its command, or has nothing in flight when a window
+    /// expires and either its thread has exited or the policy's windows are
+    /// spent, is reaped, replaced via `respawn`, and re-commanded
     /// with the *same* round — so the bodies are bitwise identical to a
     /// fault-free round. Every recovery is reported in the second tuple
     /// element (empty when clean).
@@ -419,14 +423,23 @@ impl WorkerPool {
             }
         }
         let mut got: BTreeMap<u64, T> = BTreeMap::new();
-        let mut drains = 0usize;
+        // Empty windows since the last recovery: the next wait is window k+1.
+        let mut k = 0u32;
+        // A pass is one empty window or one drain that returned messages.
+        // At most `max_attempts` empty windows pass between recoveries (`k`
+        // restarts only at one, and at `max_attempts` every missing slot is
+        // reaped), so this allows 8·(n+1) recoveries and drains.
+        let bound = (8 * slots.len() + 8) * policy.max_attempts as usize;
+        let mut passes = 0usize;
         while got.len() < slots.len() {
-            drains += 1;
-            assert!(drains <= 8 * slots.len() + 8, "supervised drain did not converge");
+            passes += 1;
+            assert!(passes <= bound, "supervised drain did not converge");
             let need = slots.len() - got.len();
+            let wait = policy.backoff_us(k + 1);
+            let window = RetryPolicy { max_attempts: 1, base_backoff_us: wait, ..policy };
             let drained = {
                 let _drain_span = obs::span("engine.drain_wait");
-                exchange(self).drain_deadline(need, &policy)
+                exchange(self).drain_deadline(need, &window)
             };
             match drained {
                 Ok(batch) => {
@@ -440,16 +453,24 @@ impl WorkerPool {
                     }
                 }
                 Err(err) => {
-                    obs::counter_add("engine.drain_timeout", 1);
                     // Keys the drain did receive sit buffered in the
                     // exchange; only workers with nothing in flight at all
-                    // are faulted. (Buffered stale messages can mask a dead
-                    // worker for one drain; the next drain unmasks it.)
+                    // are faulted (a buffered stale message can mask one for
+                    // a drain). An exited thread can never answer: reap it
+                    // now. A live one is reaped once the budget is spent.
+                    k += 1;
+                    let before = errors.len();
                     for i in slots.clone() {
                         let key = i as u64;
-                        if !got.contains_key(&key) && !err.received().contains(&key) {
+                        let exited = self.threads[i].as_ref().is_some_and(JoinHandle::is_finished);
+                        let silent = !got.contains_key(&key) && !err.received().contains(&key);
+                        if silent && (exited || k >= policy.max_attempts) {
                             errors.push(self.recover(i, cmd(seq), respawn));
                         }
+                    }
+                    if errors.len() > before {
+                        obs::counter_add("engine.drain_timeout", 1);
+                        k = 0;
                     }
                 }
             }
@@ -935,9 +956,12 @@ mod tests {
     }
 
     /// Every injected [`ThreadFault`] is detected, the worker is replaced,
-    /// and the recovered round is bitwise identical to a fault-free one.
+    /// and the recovered round is bitwise identical to a fault-free one. A
+    /// dead thread is reaped when a drain window expires, well inside the
+    /// budget; a live silent one is waited for through the whole budget.
     #[test]
     fn supervised_steps_recover_every_fault_kind_bitwise() {
+        let budget = std::time::Duration::from_micros(fast_drain().total_backoff_us());
         for (fault, want_kind) in [
             (ThreadFault::Panic, "worker-dead"),
             (ThreadFault::Stall, "drain-timeout"),
@@ -947,7 +971,14 @@ mod tests {
             let (_, _, mut seq) = make_workers(4, 2);
             let armed = rig.pool.arm_fault(1, fault);
             assert_eq!(armed, 1);
+            let started = std::time::Instant::now();
             let (mut steps, errors) = rig.step_round();
+            let took = started.elapsed();
+            if fault == ThreadFault::Panic {
+                assert!(took < budget / 2, "a dead thread waited {took:?} of {budget:?}");
+            } else {
+                assert!(took >= budget, "{fault:?}: a live thread reaped after {took:?}");
+            }
             assert_eq!(errors.len(), 1, "{fault:?}: exactly one recovery");
             assert_eq!(errors[0].worker(), 1);
             assert_eq!(errors[0].kind(), want_kind, "{fault:?}");
@@ -963,6 +994,38 @@ mod tests {
             let next = rig.clean_steps();
             assert_steps_bitwise_eq(&next, &sequential_steps(&mut seq), &format!("{fault:?}"));
         }
+    }
+
+    /// A dead and a stalled worker in one round: the dead one is reaped at
+    /// an early window, the live one only once the budget is spent.
+    #[test]
+    fn a_dead_and_a_stalled_worker_are_reaped_in_turn() {
+        let mut rig = Rig::new(4, 2, &[], fast_drain());
+        let (_, _, mut seq) = make_workers(4, 2);
+        rig.pool.arm_fault(0, ThreadFault::Panic);
+        rig.pool.arm_fault(1, ThreadFault::Stall);
+        let (mut steps, errors) = rig.step_round();
+        let got: Vec<(usize, &str)> = errors.iter().map(|e| (e.worker(), e.kind())).collect();
+        assert_eq!(got, [(0, "worker-dead"), (1, "drain-timeout")], "{errors:?}");
+        steps.sort_by_key(|l| l.vrank);
+        assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), "panic + stall");
+    }
+
+    /// docs/HEALTH.md row 17: a fault armed while the worker is lent out
+    /// fires at the first step after its restore and is recovered bitwise.
+    #[test]
+    fn a_fault_armed_while_lent_out_is_recovered_after_the_restore() {
+        let mut rig = Rig::new(4, 2, &[], fast_drain());
+        let (_, _, mut seq) = make_workers(4, 2);
+        let (w, errors) = rig.lend_round(0);
+        assert!(errors.is_empty());
+        rig.pool.arm_fault(0, ThreadFault::Panic);
+        rig.pool.restore(0, w);
+        let (mut steps, errors) = rig.step_round();
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert!(matches!(errors[0], PoolError::WorkerDead { worker: 0, .. }), "{:?}", errors[0]);
+        steps.sort_by_key(|l| l.vrank);
+        assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), "lent");
     }
 
     /// Supervised snapshots replace a stalled worker and return the exact

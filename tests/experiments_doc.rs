@@ -2,7 +2,8 @@
 //! line of every experiment to `results/measured.json` (a tracked, pure
 //! function of the code — the `figs` CI stage regenerates it byte for byte),
 //! and each line must appear verbatim in the "Measured here" cell of the row
-//! whose ID cell names the experiment.
+//! whose ID cell names the experiment. CHANGES.md is held to its own
+//! convention the same way: each entry is a line plus a few short bullets.
 
 use serde_json::Value;
 use std::path::Path;
@@ -37,4 +38,48 @@ fn every_measured_line_is_quoted_verbatim_in_its_experiments_row() {
             cell.trim()
         );
     }
+}
+
+/// CHANGES.md's convention (its preamble): one `- PR <n> (<date>): …` line
+/// per PR plus at most five indented bullets, each at most 600 characters.
+/// Tables go to `docs/pairs/`, the rest to `git log`.
+#[test]
+fn every_changes_entry_is_one_line_and_at_most_five_short_bullets() {
+    const MAX_CHARS: usize = 600;
+    const MAX_BULLETS: usize = 5;
+    let doc = read("CHANGES.md");
+    let mut entry: Option<&str> = None;
+    let mut bullets = 0;
+    let mut entries = 0;
+    for line in doc.lines() {
+        let chars = line.chars().count();
+        if line.starts_with("- PR ") {
+            let name = line[2..].split(':').next().unwrap_or(line);
+            assert!(
+                chars <= MAX_CHARS,
+                "CHANGES.md {name}: entry line is {chars} characters, over {MAX_CHARS}"
+            );
+            entry = Some(name);
+            bullets = 0;
+            entries += 1;
+        } else if let Some(name) = entry {
+            if line.is_empty() {
+                continue;
+            }
+            assert!(
+                line.starts_with("  - "),
+                "CHANGES.md {name}: a line that is neither an entry nor a bullet: {line}"
+            );
+            bullets += 1;
+            assert!(
+                bullets <= MAX_BULLETS,
+                "CHANGES.md {name}: {bullets} bullets, over {MAX_BULLETS}"
+            );
+            assert!(
+                chars <= MAX_CHARS,
+                "CHANGES.md {name}: bullet {bullets} is {chars} characters, over {MAX_CHARS}"
+            );
+        }
+    }
+    assert!(entries >= 20, "CHANGES.md has {entries} entries");
 }
