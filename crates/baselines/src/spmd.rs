@@ -212,52 +212,9 @@ impl SpmdTrainer {
     /// Evaluate overall and per-class accuracy with rank 0's implicit state.
     pub fn evaluate(&mut self, dataset: &dyn Dataset, batch_size: usize) -> (f64, Vec<f64>) {
         self.model.set_implicit_state(&self.ranks[0].implicit.clone());
-        let classes = dataset.num_classes() as usize;
-        let mut correct = vec![0u64; classes];
-        let mut total = vec![0u64; classes];
-        let feat_shape = dataset.feature_shape();
-        let feat_len: usize = feat_shape.iter().product();
         let mut dropout = EsRng::restore(self.ranks[0].dropout);
-        let n = dataset.len();
-        let mut i = 0;
-        while i < n {
-            let end = (i + batch_size).min(n);
-            let b = end - i;
-            let mut features = Vec::with_capacity(b * feat_len);
-            let mut labels = Vec::with_capacity(b);
-            for idx in i..end {
-                let (x, y) = dataset.sample(idx as u32);
-                features.extend_from_slice(x.data());
-                labels.push(y);
-            }
-            let mut shape = vec![b];
-            shape.extend_from_slice(&feat_shape);
-            let x = tensor::Tensor::from_vec(features, &shape);
-            let mut ctx = ExecCtx { profile: self.profile, training: false, dropout: &mut dropout };
-            let logits = self.model.forward(&x, &mut ctx);
-            let ld = logits.data();
-            for (j, &label) in labels.iter().enumerate() {
-                let row = &ld[j * classes..(j + 1) * classes];
-                let pred = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.partial_cmp(b.1).unwrap())
-                    .map(|(k, _)| k)
-                    .unwrap();
-                total[label as usize] += 1;
-                if pred == label as usize {
-                    correct[label as usize] += 1;
-                }
-            }
-            i = end;
-        }
-        let overall = correct.iter().sum::<u64>() as f64 / total.iter().sum::<u64>().max(1) as f64;
-        let per_class = correct
-            .iter()
-            .zip(&total)
-            .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
-            .collect();
-        (overall, per_class)
+        let mut ctx = ExecCtx { profile: self.profile, training: false, dropout: &mut dropout };
+        easyscale::worker::accuracy(&mut self.model, dataset, batch_size, &mut ctx)
     }
 }
 
@@ -331,5 +288,16 @@ mod tests {
         let a = spmd.flat_params();
         let b = engine.flat_params();
         assert!(a.iter().zip(&b).all(|(x, y)| x.to_bits() == y.to_bits()));
+    }
+
+    #[test]
+    fn nan_parameters_evaluate_to_an_accuracy() {
+        let config = SpmdConfig::new(Workload::ResNet18, 5, 2).with_dataset_len(64);
+        let n = SpmdTrainer::new(config.clone()).flat_params().len();
+        let mut t = SpmdTrainer::restarted(config, &vec![f32::NAN; n], &vec![0.0; n]);
+        let eval = data::SyntheticImageDataset::eval_split(5, 64, 32);
+        let (overall, per_class) = t.evaluate(&eval, 16);
+        assert!((0.0..=1.0).contains(&overall), "{overall}");
+        assert!(per_class.iter().all(|a| (0.0..=1.0).contains(a)), "{per_class:?}");
     }
 }

@@ -291,62 +291,75 @@ impl EasyScaleWorker {
 
     /// Evaluate accuracy on a dataset using the given EST's implicit state
     /// (rank 0 by convention, like saving `module` from rank 0 in DDP).
-    /// Returns (overall accuracy, per-class accuracy, per-class counts).
+    /// Returns (overall accuracy, per-class accuracy).
     pub fn evaluate(
         &mut self,
         dataset: &dyn Dataset,
         batch_size: usize,
         est_index: usize,
     ) -> (f64, Vec<f64>) {
-        let profile = self.base_profile;
         self.model.set_implicit_state(&self.contexts[est_index].implicit.clone());
-        let classes = dataset.num_classes() as usize;
-        let mut correct = vec![0u64; classes];
-        let mut total = vec![0u64; classes];
-        let feat_shape = dataset.feature_shape();
-        let feat_len: usize = feat_shape.iter().product();
         let mut dropout = self.contexts[est_index].dropout_rng(); // unused in eval mode
-        let n = dataset.len();
-        let mut i = 0;
-        while i < n {
-            let end = (i + batch_size).min(n);
-            let b = end - i;
-            let mut features = Vec::with_capacity(b * feat_len);
-            let mut labels = Vec::with_capacity(b);
-            for idx in i..end {
-                let (x, y) = dataset.sample(idx as u32);
-                features.extend_from_slice(x.data());
-                labels.push(y);
-            }
-            let mut shape = vec![b];
-            shape.extend_from_slice(&feat_shape);
-            let x = Tensor::from_vec(features, &shape);
-            let mut ctx = ExecCtx { profile, training: false, dropout: &mut dropout };
-            let logits = self.model.forward(&x, &mut ctx);
-            let ld = logits.data();
-            for (j, &label) in labels.iter().enumerate() {
-                let row = &ld[j * classes..(j + 1) * classes];
-                let pred = row
-                    .iter()
-                    .enumerate()
-                    .max_by(|a, b| a.1.total_cmp(b.1))
-                    .map(|(k, _)| k)
-                    .unwrap();
-                total[label as usize] += 1;
-                if pred == label as usize {
-                    correct[label as usize] += 1;
-                }
-            }
-            i = end;
-        }
-        let overall = correct.iter().sum::<u64>() as f64 / total.iter().sum::<u64>().max(1) as f64;
-        let per_class = correct
-            .iter()
-            .zip(&total)
-            .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
-            .collect();
-        (overall, per_class)
+        let mut ctx =
+            ExecCtx { profile: self.base_profile, training: false, dropout: &mut dropout };
+        accuracy(&mut self.model, dataset, batch_size, &mut ctx)
     }
+}
+
+/// Overall and per-class accuracy of `model` on `dataset`, forwarded
+/// `batch_size` samples at a time under `ctx` (evaluation mode). A sample's
+/// prediction is its largest logit under `f32::total_cmp`, a total order, so
+/// NaN logits still predict a class. Every trainer that reports accuracy
+/// calls this one routine.
+pub fn accuracy(
+    model: &mut Model,
+    dataset: &dyn Dataset,
+    batch_size: usize,
+    ctx: &mut ExecCtx<'_>,
+) -> (f64, Vec<f64>) {
+    let classes = dataset.num_classes() as usize;
+    let mut correct = vec![0u64; classes];
+    let mut total = vec![0u64; classes];
+    let feat_shape = dataset.feature_shape();
+    let feat_len: usize = feat_shape.iter().product();
+    let n = dataset.len();
+    let mut i = 0;
+    while i < n {
+        let end = (i + batch_size).min(n);
+        let b = end - i;
+        let mut features = Vec::with_capacity(b * feat_len);
+        let mut labels = Vec::with_capacity(b);
+        for idx in i..end {
+            let (x, y) = dataset.sample(idx as u32);
+            features.extend_from_slice(x.data());
+            labels.push(y);
+        }
+        let mut shape = vec![b];
+        shape.extend_from_slice(&feat_shape);
+        let logits = model.forward(&Tensor::from_vec(features, &shape), ctx);
+        let ld = logits.data();
+        for (j, &label) in labels.iter().enumerate() {
+            let row = &ld[j * classes..(j + 1) * classes];
+            let pred = row
+                .iter()
+                .enumerate()
+                .max_by(|a, b| a.1.total_cmp(b.1))
+                .map(|(k, _)| k)
+                .expect("a dataset has at least one class");
+            total[label as usize] += 1;
+            if pred == label as usize {
+                correct[label as usize] += 1;
+            }
+        }
+        i = end;
+    }
+    let overall = correct.iter().sum::<u64>() as f64 / total.iter().sum::<u64>().max(1) as f64;
+    let per_class = correct
+        .iter()
+        .zip(&total)
+        .map(|(&c, &t)| if t == 0 { 0.0 } else { c as f64 / t as f64 })
+        .collect();
+    (overall, per_class)
 }
 
 #[cfg(test)]
