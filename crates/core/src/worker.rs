@@ -192,11 +192,6 @@ impl EasyScaleWorker {
         &self.model
     }
 
-    /// Mutable model replica (evaluation needs to set implicit state).
-    pub fn model_mut(&mut self) -> &mut Model {
-        &mut self.model
-    }
-
     /// Flat parameters of the replica.
     pub fn flat_params(&self) -> Vec<f32> {
         self.model.flat_params()

@@ -33,6 +33,9 @@ pub trait Dataset: Send + Sync {
     }
 }
 
+/// Standard deviation of the per-pixel noise added to a class prototype.
+const NOISE_SIGMA: f32 = 0.6;
+
 /// CIFAR-like synthetic image classification: `num_classes` Gaussian
 /// clusters in pixel space. Each class has a fixed prototype image; a sample
 /// is its class prototype plus per-sample noise. Linearly separable enough
@@ -46,7 +49,6 @@ pub struct SyntheticImageDataset {
     height: usize,
     width: usize,
     classes: u32,
-    noise_sigma: f32,
     prototypes: Vec<Vec<f32>>,
     /// Index offset: sample `i` is generated as underlying sample
     /// `i + offset`, letting train/eval splits share prototypes (same task)
@@ -72,29 +74,13 @@ impl SyntheticImageDataset {
                 (0..dim).map(|_| rng.normal_f32()).collect()
             })
             .collect();
-        SyntheticImageDataset {
-            seed,
-            len,
-            channels,
-            height,
-            width,
-            classes,
-            noise_sigma: 0.6,
-            prototypes,
-            offset: 0,
-        }
+        SyntheticImageDataset { seed, len, channels, height, width, classes, prototypes, offset: 0 }
     }
 
     /// The standard CIFAR10-like configuration used across the experiments:
     /// 3×8×8 images, 10 classes.
     pub fn cifar_like(seed: u64, len: usize) -> Self {
         Self::new(seed, len, 3, 8, 8, 10)
-    }
-
-    /// Override the per-sample noise level.
-    pub fn with_noise(mut self, sigma: f32) -> Self {
-        self.noise_sigma = sigma;
-        self
     }
 
     /// Shift the underlying sample indices by `offset` — the held-out split
@@ -134,7 +120,7 @@ impl Dataset for SyntheticImageDataset {
         let proto = &self.prototypes[label as usize];
         assert_eq!(out.len(), proto.len(), "sample_into: one image's worth of elements");
         for (o, &p) in out.iter_mut().zip(proto) {
-            *o = p + self.noise_sigma * rng.normal_f32();
+            *o = p + NOISE_SIGMA * rng.normal_f32();
         }
         label
     }

@@ -280,8 +280,6 @@ pub struct DataWorkerPool {
     queues: Vec<VecDeque<PreparedBatch>>,
     buffer: QueuingBuffer,
     rr_worker: u32,
-    prepared: u64,
-    consumed: u64,
 }
 
 impl DataWorkerPool {
@@ -295,8 +293,6 @@ impl DataWorkerPool {
             queues: (0..n).map(|_| VecDeque::new()).collect(),
             buffer: QueuingBuffer::default(),
             rr_worker: 0,
-            prepared: 0,
-            consumed: 0,
         }
     }
 
@@ -304,16 +300,6 @@ impl DataWorkerPool {
     /// `per_worker × n_ests` to `per_worker`, §5.1.2).
     pub fn n_workers(&self) -> u32 {
         self.n_workers
-    }
-
-    /// Batches prepared so far.
-    pub fn prepared_count(&self) -> u64 {
-        self.prepared
-    }
-
-    /// Batches consumed so far.
-    pub fn consumed_count(&self) -> u64 {
-        self.consumed
     }
 
     /// The queuing buffer (inspection/checkpoint).
@@ -332,7 +318,6 @@ impl DataWorkerPool {
             let batch = self.loader.next_batch(vrank);
             self.buffer.push(vrank, batch.epoch, batch.batch_idx, before.aug_state, self.rr_worker);
             self.rr_worker = (self.rr_worker + 1) % self.n_workers;
-            self.prepared += 1;
             self.queues[vrank as usize]
                 .push_back(PreparedBatch { batch, rng_before: before.aug_state });
         }
@@ -343,7 +328,6 @@ impl DataWorkerPool {
         self.fill(vrank);
         let prepared = self.queues[vrank as usize].pop_front().expect("fill guarantees a batch");
         self.buffer.consume(vrank, prepared.batch.epoch, prepared.batch.batch_idx);
-        self.consumed += 1;
         prepared.batch
     }
 
@@ -372,12 +356,6 @@ impl DataWorkerPool {
             q.clear();
         }
         self.buffer = QueuingBuffer::default();
-    }
-
-    /// Consume the inner loader back out (e.g. to rebuild with a different
-    /// worker count after re-scaling).
-    pub fn into_loader(self) -> ShardedLoader {
-        self.loader
     }
 }
 

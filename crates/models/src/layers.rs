@@ -21,16 +21,6 @@ impl Dense {
         let b = Tensor::zeros(&[out]);
         Dense { gw: Tensor::zeros(&[inp, out]), gb: Tensor::zeros(&[out]), w, b, cached_x: None }
     }
-
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.w.shape()[0]
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.w.shape()[1]
-    }
 }
 
 impl Layer for Dense {

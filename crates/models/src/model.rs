@@ -129,11 +129,6 @@ impl Model {
         Model { layers, num_params }
     }
 
-    /// Layer count.
-    pub fn num_layers(&self) -> usize {
-        self.layers.len()
-    }
-
     /// Forward through all layers.
     pub fn forward(&mut self, x: &Tensor, ctx: &mut ExecCtx) -> Tensor {
         forward_all(&mut self.layers, x, ctx)
@@ -262,11 +257,6 @@ impl Model {
     /// without vendor-kernel slowdown considerations (§3.3).
     pub fn uses_conv(&self) -> bool {
         self.layers.iter().any(|l| l.uses_conv())
-    }
-
-    /// Layer kind names, for diagnostics.
-    pub fn layer_names(&self) -> Vec<&'static str> {
-        self.layers.iter().map(|l| l.name()).collect()
     }
 }
 

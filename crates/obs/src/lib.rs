@@ -176,17 +176,6 @@ pub fn flush() {
     }
 }
 
-/// Render one snapshot set as a JSON-lines string (used by exporters and
-/// tests that want the serialized form without a sink).
-pub fn to_jsonl(snaps: &[MetricSnapshot]) -> String {
-    let mut out = String::new();
-    for snap in snaps {
-        out.push_str(&serde_json::to_string(&snap.to_json()).expect("metric line"));
-        out.push('\n');
-    }
-    out
-}
-
 /// Convenience used by snapshots: a JSON object from key/value pairs.
 pub(crate) fn json_object(fields: Vec<(&str, Value)>) -> Value {
     Value::Map(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())

@@ -109,13 +109,6 @@ impl SimOutcome {
     pub fn avg_training_gpus(&self) -> f64 {
         time_weighted_avg(&self.timeline, self.makespan, |p| p.training_gpus as f64)
     }
-
-    /// Time-averaged total allocation (training + serving).
-    pub fn avg_total_allocated(&self) -> f64 {
-        time_weighted_avg(&self.timeline, self.makespan, |p| {
-            (p.training_gpus + p.serving_gpus) as f64
-        })
-    }
 }
 
 fn time_weighted_avg(tl: &[TimePoint], end: f64, f: impl Fn(&TimePoint) -> f64) -> f64 {
