@@ -908,7 +908,9 @@ mod tests {
     /// lend that finds it, instead of panicking the engine thread.
     #[test]
     fn lend_recovers_a_worker_killed_by_apply() {
-        let mut rig = Rig::new(2, 1, &[], fast_drain());
+        // The whole default budget: a thread still printing its panic
+        // under load must be reaped as dead, not timed out as live.
+        let mut rig = Rig::new(2, 1, &[], ExecOptions::default().drain);
         // An empty delta slices out of bounds in `apply_flat_delta`: the
         // worker thread dies with nobody waiting on it.
         rig.pool.apply(&Arc::new(Vec::new()));
@@ -930,7 +932,9 @@ mod tests {
     /// `Apply` then `Step` row).
     #[test]
     fn step_after_a_fatal_apply_respawns_from_the_post_apply_mirror() {
-        let mut rig = Rig::new(4, 2, &[], fast_drain());
+        // The whole default budget: a thread still printing its panic
+        // under load must be reaped as dead, not timed out as live.
+        let mut rig = Rig::new(4, 2, &[], ExecOptions::default().drain);
         let (_, _, mut seq) = make_workers(4, 2);
         assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "before");
 
