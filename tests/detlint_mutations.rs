@@ -1,10 +1,21 @@
 //! Tier-1 mutation harness: detlint guards the *live* deterministic path,
-//! not just fixtures shaped like it. Each case edits one live source file
-//! in memory — the kind of edit a careless refactor would make — and the
-//! analysis must gain a blocking diagnostic of the named rule in that file.
-//! The `*_clean.rs` gates prove the tree is quiet; this proves the quiet
-//! means something. Needles are asserted to occur exactly once, so drift
-//! in the edited code fails loudly instead of silently testing nothing.
+//! not just fixtures shaped like it. Each case edits live source files in
+//! memory — the kind of edit a careless refactor would make — and the
+//! analysis must gain diagnostics of exactly the named rules. Needles are
+//! asserted to occur exactly once, so drift in the edited code fails loudly
+//! instead of silently testing nothing.
+//!
+//! Each rule in `rules::CATALOG` has one *evidence* case: an edit that the
+//! rule catches and every other check misses (docs/DETLINT.md, "Keeping a
+//! rule"). "Every other check passed" below means: the edit applied to a
+//! checkout, then `cargo clippy --workspace --all-targets -- -D warnings`
+//! (the clippy.toml deny-list), `cargo test --workspace` (tier-1
+//! included), the release goldens (`kernel_golden`, `restore_golden`,
+//! `vectorized_equiv`, `conv_golden`), `figs all` leaving `results/`
+//! unchanged, the benchmark's smoke pass and faultsim's detection matrix
+//! all passed, three runs each; the only failures were detlint's own gates.
+//! A taint flow of a leaf rule's source kind is not a second check: the
+//! leaf rule's detector is that flow's source.
 
 use detlint::{analyze, build_model, Diagnostic, Policy, Severity, SourceFile};
 use std::path::Path;
@@ -33,16 +44,22 @@ fn live() -> &'static Live {
     })
 }
 
-/// Replace the single occurrence of `needle` in `file` with `replacement`
-/// and return the blocking diagnostics the edit introduced.
-fn mutate(file: &str, needle: &str, replacement: &str) -> Vec<Diagnostic> {
+/// Replace the single occurrence of each `(needle, replacement)` in the
+/// source or test file `file` and return the blocking diagnostics the edit
+/// introduced.
+fn mutate(file: &str, edits: &[(&str, &str)]) -> Vec<Diagnostic> {
     let live = live();
-    let mut files = live.files.clone();
-    let target =
-        files.iter_mut().find(|f| f.file == file).unwrap_or_else(|| panic!("{file} moved"));
-    assert_eq!(target.src.matches(needle).count(), 1, "needle drifted in {file}: {needle:?}");
-    target.src = target.src.replace(needle, replacement);
-    let mut gained = blocking(&files, &live.test_files);
+    let (mut files, mut test_files) = (live.files.clone(), live.test_files.clone());
+    let target = files
+        .iter_mut()
+        .chain(&mut test_files)
+        .find(|f| f.file == file)
+        .unwrap_or_else(|| panic!("{file} moved"));
+    for (needle, replacement) in edits {
+        assert_eq!(target.src.matches(needle).count(), 1, "needle drifted in {file}: {needle:?}");
+        target.src = target.src.replace(needle, replacement);
+    }
+    let mut gained = blocking(&files, &test_files);
     gained.retain(|d| !live.baseline.contains(d));
     gained
 }
@@ -54,13 +71,231 @@ fn assert_gains(gained: &[Diagnostic], rule: &str, file: &str) {
     );
 }
 
+/// The distinct rules among `gained`, sorted.
+fn rules(gained: &[Diagnostic]) -> Vec<&'static str> {
+    let mut rules: Vec<&'static str> = gained.iter().map(|d| d.rule).collect();
+    rules.sort_unstable();
+    rules.dedup();
+    rules
+}
+
+// -- Evidence: one edit per rule that only that rule catches ---------------
+
+#[test]
+fn naming_a_bad_est_through_a_hash_map_is_no_hash_iter() {
+    // A restore refuses a checkpoint whose contexts hold another model's
+    // BatchNorm state, naming the first such EST. Indexing the contexts by
+    // vrank in a HashMap makes "first" hasher order: with two bad ESTs the
+    // error names a different one from run to run. The tests graft one.
+    // Every other check passed.
+    let file = "crates/core/src/worker.rs";
+    let gained = mutate(
+        file,
+        &[(
+            concat!(
+                "        if let Some(c) = contexts.iter().find(|c| !implicit.same_shape(&c.implicit)) {\n",
+                "            return Err(RestoreError::ImplicitState(c.vrank));\n",
+            ),
+            concat!(
+                "        let by_rank: std::collections::HashMap<u32, &EstContext> =\n",
+                "            contexts.iter().map(|c| (c.vrank, c)).collect();\n",
+                "        if let Some((&vrank, _)) = by_rank.iter().find(|(_, c)| !implicit.same_shape(&c.implicit)) {\n",
+                "            return Err(RestoreError::ImplicitState(vrank));\n",
+            ),
+        )],
+    );
+    assert_gains(&gained, "no-hash-iter", file);
+    assert_eq!(rules(&gained), ["no-hash-iter", "taint-flow"], "{gained:#?}");
+}
+
+#[test]
+fn launching_a_pool_thread_with_a_bare_spawn_is_no_thread_order() {
+    // clippy bans `std::thread::spawn`, but `launch` carries an
+    // `#[allow(clippy::disallowed_methods)]` for its raw command channel,
+    // and that allow covers the whole fn; detlint's allows cover one line.
+    // The thread also loses its `esw-dev<id>` name, by which the benchmark
+    // pins workers to cores. Every other check passed.
+    let file = "crates/core/src/pool.rs";
+    let gained = mutate(
+        file,
+        &[
+            (
+                concat!(
+                    "    let handle = std::thread::Builder::new()\n",
+                    "        .name(format!(\"esw-dev{dev}\"))\n",
+                    "        .spawn(move || worker_main(key as u64, worker, cmd_rx, out))\n",
+                    "        .expect(\"failed to spawn worker thread\");\n",
+                ),
+                "    let handle = std::thread::spawn(move || worker_main(key as u64, worker, cmd_rx, out));\n",
+            ),
+            ("    dev: u32,\n", "    _dev: u32,\n"),
+        ],
+    );
+    assert_gains(&gained, "no-thread-order", file);
+    assert_eq!(rules(&gained), ["no-thread-order", "taint-flow"], "{gained:#?}");
+}
+
+#[test]
+fn ranking_proposals_with_partial_cmp_is_no_float_key_sort() {
+    // `decide` ranks proposals by speedup per GPU. Through
+    // `partial_cmp().unwrap()` a NaN speedup panics the scheduler and
+    // -0.0 ties 0.0; no trace has either. clippy has no lint for it.
+    // Every other check passed.
+    let file = "crates/sched/src/inter.rs";
+    let gained = mutate(
+        file,
+        &[(
+            "b.speedup_per_gpu.total_cmp(&a.speedup_per_gpu)",
+            "b.speedup_per_gpu.partial_cmp(&a.speedup_per_gpu).unwrap()",
+        )],
+    );
+    assert_gains(&gained, "no-float-key-sort", file);
+    assert_eq!(rules(&gained), ["no-float-key-sort"], "{gained:#?}");
+}
+
+#[test]
+fn a_hash_ordered_sm_count_flows_into_the_vendor_kernel_profile() {
+    // `device` is off the deterministic path, so no leaf rule reports a
+    // hash iteration there, yet `GpuType::sm_count` picks the vendor
+    // kernels' tiles (`Determinism::profile_for`) and so the optimizer's
+    // input bits. Today's table has one key per type, so the scan's answer —
+    // and every check — is unchanged; only the taint flow sees the order
+    // dependence reach the parameter update. Every other check passed.
+    let file = "crates/device/src/lib.rs";
+    let gained = mutate(
+        file,
+        &[(
+            concat!(
+                "        match self {\n",
+                "            GpuType::V100 => 80,\n",
+                "            GpuType::P100 => 56,\n",
+                "            GpuType::T4 => 40,\n",
+                "        }\n",
+            ),
+            concat!(
+                "        let sms: std::collections::HashMap<GpuType, u32> =\n",
+                "            [(GpuType::V100, 80), (GpuType::P100, 56), (GpuType::T4, 40)].into();\n",
+                "        sms.iter().find(|(t, _)| **t == self).map_or(0, |(_, &n)| n)\n",
+            ),
+        )],
+    );
+    assert_eq!(rules(&gained), ["taint-flow"], "{gained:#?}");
+    assert!(
+        gained.iter().all(|d| d.file == file && d.message.starts_with("hash-iter -> ")),
+        "{gained:#?}"
+    );
+    assert!(gained.iter().any(|d| d.message.contains("(optim::Sgd::step)")), "{gained:#?}");
+}
+
+#[test]
+fn holding_matmul_a_bt_into_to_its_wrapper_is_oracle_unpaired() {
+    // A tidy-up of `vectorized_equiv` checks the slice kernel against the
+    // Tensor wrapper, which calls that same kernel, instead of against the
+    // scalar oracle: the assertion still passes and proves nothing, and no
+    // test holds `matmul_a_bt_into` to `matmul_a_bt_scalar` any more (the
+    // ops unit test checks the wrapper, on its own few shapes). Every other
+    // check passed.
+    let gained = mutate(
+        "crates/tensor/tests/vectorized_equiv.rs",
+        &[
+            ("    matmul_a_bt_scalar, matmul_at_b,", "    matmul_at_b,"),
+            (
+                concat!(
+                    "    let want = matmul_a_bt_scalar(&a, &bt, profile);\n",
+                    "    assert!(matmul_a_bt(&a, &bt, profile).bitwise_eq(&want), \"matmul_a_bt {dims:?} {profile:?}\");\n",
+                ),
+                "    let want = matmul_a_bt(&a, &bt, profile);\n",
+            ),
+        ],
+    );
+    assert_gains(&gained, "oracle-unpaired", "crates/tensor/src/ops.rs");
+    assert_eq!(rules(&gained), ["oracle-unpaired"], "{gained:#?}");
+    assert!(gained.iter().all(|d| d.message.contains("`matmul_a_bt_into`")), "{gained:#?}");
+}
+
+#[test]
+fn receiving_commands_through_an_iterator_leaves_a_stale_allow() {
+    // The refactor removes the `.recv()` the allow above it audits; the
+    // stale allow would silently cover whatever lands on that line next.
+    // Every other check passed.
+    let file = "crates/core/src/pool.rs";
+    let gained = mutate(
+        file,
+        &[
+            (
+                "        let cmd = match cmds.recv() {\n            Ok(cmd) => cmd,\n",
+                "        let cmd = match cmds.iter().next() {\n            Some(cmd) => cmd,\n",
+            ),
+            (
+                "            Err(_) => return,\n        };\n        match cmd {",
+                "            None => return,\n        };\n        match cmd {",
+            ),
+        ],
+    );
+    assert_gains(&gained, "unused-suppression", file);
+    assert_eq!(rules(&gained), ["unused-suppression"], "{gained:#?}");
+}
+
+#[test]
+fn a_wall_clock_read_in_proposal_construction_is_flagged_and_flows_to_the_sink() {
+    // clippy bans only `SystemTime::now`. Evidence for `no-wall-clock`:
+    // every other check passed.
+    let file = "crates/sched/src/intra.rs";
+    let needle = "let mut out: Vec<ResourceProposal> = Vec::new();";
+    let gained =
+        mutate(file, &[(needle, &format!("let _t = std::time::Instant::now(); {needle}"))]);
+    assert_gains(&gained, "no-wall-clock", file);
+    assert!(
+        gained.iter().any(|d| {
+            d.rule == "taint-flow"
+                && d.file == file
+                && d.message.starts_with("wall-clock -> sched-proposal")
+        }),
+        "the clock read sits in a proposal sink — a taint flow: {gained:#?}"
+    );
+}
+
+// -- Further edits the analyses must see -------------------------------------
+
+#[test]
+fn hashing_the_supervised_drain_reorder_buffer_is_no_hash_iter() {
+    // `round` collects replies into a BTreeMap and returns them in key
+    // order via `into_values()`; a HashMap there hands hasher state the
+    // reply order (which the pool and chaos tests also catch).
+    let file = "crates/core/src/pool.rs";
+    let gained = mutate(
+        file,
+        &[(
+            "let mut got: BTreeMap<u64, T> = BTreeMap::new();",
+            "let mut got: HashMap<u64, T> = HashMap::new();",
+        )],
+    );
+    assert_gains(&gained, "no-hash-iter", file);
+}
+
+#[test]
+fn a_wall_clock_read_in_a_turbofish_called_kernel_flows_to_the_sinks() {
+    // `chunk_cols` is only ever called as `chunk_cols::<W>(…)`: the clock
+    // read reaches the optimizer and the all-reduce only if the call graph
+    // has those calls.
+    let file = "crates/tensor/src/ops.rs";
+    let needle =
+        "    let tile = profile.tile_k.max(1);\n    let ntiles = partials.len() / MAX_CHUNK;\n";
+    let gained =
+        mutate(file, &[(needle, &format!("    let _t = std::time::Instant::now();\n{needle}"))]);
+    assert_gains(&gained, "no-wall-clock", file);
+    assert_gains(&gained, "taint-flow", file);
+}
+
 #[test]
 fn reassociating_the_leaf_partials_lane_merge_is_float_reassoc() {
     let file = "crates/tensor/src/kernels.rs";
     let gained = mutate(
         file,
-        "partials[b..b + lanes].copy_from_slice(&acc[..lanes]);",
-        "partials[b] = acc[..lanes].iter().rev().sum::<f32>();",
+        &[(
+            "partials[b..b + lanes].copy_from_slice(&acc[..lanes]);",
+            "partials[b] = acc[..lanes].iter().rev().sum::<f32>();",
+        )],
     );
     assert_gains(&gained, "float-reassoc", file);
 }
@@ -73,8 +308,10 @@ fn carrying_the_chunk_accumulators_across_a_tile_boundary_is_float_reassoc() {
     let file = "crates/tensor/src/ops.rs";
     let gained = mutate(
         file,
-        "for t in 0..ntiles.max(1) {\n                let mut acc = [0.0f32; W];\n",
-        "let mut acc = [0.0f32; W];\n            for t in 0..ntiles.max(1) {\n",
+        &[(
+            "for t in 0..ntiles.max(1) {\n                let mut acc = [0.0f32; W];\n",
+            "let mut acc = [0.0f32; W];\n            for t in 0..ntiles.max(1) {\n",
+        )],
     );
     assert_gains(&gained, "float-reassoc", file);
 }
@@ -87,54 +324,12 @@ fn carrying_the_direct_convolutions_block_across_a_tile_boundary_is_float_reasso
     let file = "crates/tensor/src/conv.rs";
     let gained = mutate(
         file,
-        "for t in 0..(partials.len() / plane.len()).max(1) {\n                    let mut acc = [[0.0f32; C]; R];\n",
-        "let mut acc = [[0.0f32; C]; R];\n                for t in 0..(partials.len() / plane.len()).max(1) {\n",
+        &[(
+            "for t in 0..(partials.len() / plane.len()).max(1) {\n                    let mut acc = [[0.0f32; C]; R];\n",
+            "let mut acc = [[0.0f32; C]; R];\n                for t in 0..(partials.len() / plane.len()).max(1) {\n",
+        )],
     );
     assert_gains(&gained, "float-reassoc", file);
-}
-
-#[test]
-fn hashing_the_supervised_drain_reorder_buffer_is_no_hash_iter() {
-    // `round` collects replies into a BTreeMap and returns them in key
-    // order via `into_values()`; a HashMap there hands hasher state the
-    // reply order.
-    let file = "crates/core/src/pool.rs";
-    let gained = mutate(
-        file,
-        "let mut got: BTreeMap<u64, T> = BTreeMap::new();",
-        "let mut got: HashMap<u64, T> = HashMap::new();",
-    );
-    assert_gains(&gained, "no-hash-iter", file);
-}
-
-#[test]
-fn a_wall_clock_read_in_proposal_construction_is_flagged_and_flows_to_the_sink() {
-    let file = "crates/sched/src/intra.rs";
-    let needle = "let mut out: Vec<ResourceProposal> = Vec::new();";
-    let gained = mutate(file, needle, &format!("let _t = std::time::Instant::now(); {needle}"));
-    assert_gains(&gained, "no-wall-clock", file);
-    assert!(
-        gained.iter().any(|d| {
-            d.rule == "taint-flow"
-                && d.file == file
-                && d.message.starts_with("wall-clock -> sched-proposal")
-        }),
-        "the clock read sits in a proposal sink — a taint flow: {gained:#?}"
-    );
-}
-
-#[test]
-fn a_wall_clock_read_in_a_turbofish_called_kernel_flows_to_the_sinks() {
-    // `chunk_cols` is only ever called as `chunk_cols::<W>(…)`: the clock
-    // read reaches the optimizer and the all-reduce only if the call graph
-    // has those calls.
-    let file = "crates/tensor/src/ops.rs";
-    let needle =
-        "    let tile = profile.tile_k.max(1);\n    let ntiles = partials.len() / MAX_CHUNK;\n";
-    let gained =
-        mutate(file, needle, &format!("    let _t = std::time::Instant::now();\n{needle}"));
-    assert_gains(&gained, "no-wall-clock", file);
-    assert_gains(&gained, "taint-flow", file);
 }
 
 // -- Known blind spots ---------------------------------------------------
@@ -147,7 +342,7 @@ fn blind_spot_dropping_a_pool_exchange_seal_is_not_seen_as_unsealed_drain() {
     // `unsealed-drain` keys on `binding.drain_sorted(…)` over a `let`-bound
     // exchange; the pool drains through `exchange(self).drain_deadline(…)`
     // on a struct field, which the token scan cannot tie back to `steps`.
-    let gained = mutate("crates/core/src/pool.rs", "        steps.seal();\n", "");
+    let gained = mutate("crates/core/src/pool.rs", &[("        steps.seal();\n", "")]);
     assert!(gained.is_empty(), "a detector learned this — promote the case: {gained:#?}");
 }
 
@@ -158,10 +353,12 @@ fn blind_spot_checksumming_before_the_payload_is_encoded_is_not_seen() {
     // `tests/store_format.rs`'s bit-flip sweep is what catches this edit.
     let gained = mutate(
         "crates/core/src/store.rs",
-        "        codec::put_value(&ckpt.to_value(), &mut bytes);\n        \
-         let checksum = payload_checksum(&bytes[HEADER_LEN..]);\n",
-        "        let checksum = payload_checksum(&bytes[HEADER_LEN..]);\n        \
-         codec::put_value(&ckpt.to_value(), &mut bytes);\n",
+        &[(
+            "        codec::put_value(&ckpt.to_value(), &mut bytes);\n        \
+             let checksum = payload_checksum(&bytes[HEADER_LEN..]);\n",
+            "        let checksum = payload_checksum(&bytes[HEADER_LEN..]);\n        \
+             codec::put_value(&ckpt.to_value(), &mut bytes);\n",
+        )],
     );
     assert!(gained.is_empty(), "a detector learned this — promote the case: {gained:#?}");
 }
