@@ -331,34 +331,3 @@ fn carrying_the_direct_convolutions_block_across_a_tile_boundary_is_float_reasso
     );
     assert_gains(&gained, "float-reassoc", file);
 }
-
-// -- Known blind spots ---------------------------------------------------
-// Edits that break the contract and that no analysis sees today. Pinned so
-// the list stays honest: when one of these starts failing, a detector has
-// learned the shape — move the case above and name its rule.
-
-#[test]
-fn blind_spot_dropping_a_pool_exchange_seal_is_not_seen_as_unsealed_drain() {
-    // `unsealed-drain` keys on `binding.drain_sorted(…)` over a `let`-bound
-    // exchange; the pool drains through `exchange(self).drain_deadline(…)`
-    // on a struct field, which the token scan cannot tie back to `steps`.
-    let gained = mutate("crates/core/src/pool.rs", &[("        steps.seal();\n", "")]);
-    assert!(gained.is_empty(), "a detector learned this — promote the case: {gained:#?}");
-}
-
-#[test]
-fn blind_spot_checksumming_before_the_payload_is_encoded_is_not_seen() {
-    // The header checksum then covers only the job name, so payload damage
-    // loads as valid. No rule models "checksum covers what is written";
-    // `tests/store_format.rs`'s bit-flip sweep is what catches this edit.
-    let gained = mutate(
-        "crates/core/src/store.rs",
-        &[(
-            "        codec::put_value(&ckpt.to_value(), &mut bytes);\n        \
-             let checksum = payload_checksum(&bytes[HEADER_LEN..]);\n",
-            "        let checksum = payload_checksum(&bytes[HEADER_LEN..]);\n        \
-             codec::put_value(&ckpt.to_value(), &mut bytes);\n",
-        )],
-    );
-    assert!(gained.is_empty(), "a detector learned this — promote the case: {gained:#?}");
-}
