@@ -1,10 +1,10 @@
 //! The accumulation pass's self-test: a planted mini-workspace under
 //! `tests/accum_fixtures/crates/` seeds every finding kind — four
 //! reassociation shapes (reversed lane merge, in-loop chain merge, chunked
-//! fold, reshaped-iterator fold), the safe lockstep shape, an unpaired
-//! kernel, a paired-but-untested kernel, a fully paired kernel, a used
-//! allow, and a stale allow. The report must match the planted set
-//! *exactly* — kind, file, line — with nothing extra.
+//! fold, reshaped-iterator fold), the safe lockstep shape, a used allow and
+//! a stale allow in `loops.rs`; an unpaired kernel, a paired-but-untested
+//! kernel and a fully paired kernel in `lib.rs`. The report must match the
+//! planted set *exactly* — kind, file, line — with nothing extra.
 //!
 //! (That the pass guards the *live* `tensor::kernels`, not just fixtures
 //! shaped like it, is the mutation harness's job:
@@ -24,6 +24,7 @@ fn findings(rep: &Report) -> Vec<&Diagnostic> {
 }
 
 const LIB: &str = "crates/tensor/src/lib.rs";
+const LOOPS: &str = "crates/tensor/src/loops.rs";
 
 #[test]
 fn planted_findings_are_reported_exactly() {
@@ -35,13 +36,13 @@ fn planted_findings_are_reported_exactly() {
     // fold itself (anchored at the fold line) are two independent lenses on
     // the same defect.
     let expected: Vec<(&str, &str, u32)> = vec![
-        ("float-reassoc", LIB, 37),
-        ("float-reassoc", LIB, 42),
-        ("float-reassoc", LIB, 50),
-        ("float-reassoc", LIB, 61),
-        ("float-reassoc", LIB, 70),
-        ("oracle-unpaired", LIB, 88),
-        ("oracle-unpaired", LIB, 98),
+        ("oracle-unpaired", LIB, 6),
+        ("oracle-unpaired", LIB, 16),
+        ("float-reassoc", LOOPS, 36),
+        ("float-reassoc", LOOPS, 41),
+        ("float-reassoc", LOOPS, 49),
+        ("float-reassoc", LOOPS, 60),
+        ("float-reassoc", LOOPS, 69),
     ];
     assert_eq!(got, expected, "full report:\n{}", detlint::report::human(&rep));
 }
@@ -50,39 +51,43 @@ fn planted_findings_are_reported_exactly() {
 fn messages_and_spans_witness_each_shape() {
     let rep = run();
     let found = findings(&rep);
-    let find = |line: u32| {
-        *found.iter().find(|f| f.line == line).unwrap_or_else(|| panic!("finding at {line}"))
+    let find = |file: &str, line: u32| {
+        *found
+            .iter()
+            .find(|f| f.file == file && f.line == line)
+            .unwrap_or_else(|| panic!("finding at {file}:{line}"))
     };
-    let reversed = find(37);
+    let reversed = find(LOOPS, 36);
     assert!(reversed.message.contains("reverse index order"), "{}", reversed.message);
     assert!(
-        reversed.related.iter().any(|s| s.label == "reversed-merge" && s.line == 42),
+        reversed.related.iter().any(|s| s.label == "reversed-merge" && s.line == 41),
         "{:?}",
         reversed.related
     );
-    let entangled = find(50);
+    let entangled = find(LOOPS, 49);
     assert!(entangled.message.contains("`a` and `b`"), "{}", entangled.message);
     assert!(
-        entangled.related.iter().any(|s| s.label == "merge-write" && s.line == 52),
+        entangled.related.iter().any(|s| s.label == "merge-write" && s.line == 51),
         "{:?}",
         entangled.related
     );
-    let chunked = find(61);
+    let chunked = find(LOOPS, 60);
     assert!(chunked.message.contains("remainder chunk"), "{}", chunked.message);
-    let reshaped = find(70);
+    let reshaped = find(LOOPS, 69);
     assert!(reshaped.message.contains("reshaped by `chunks`"), "{}", reshaped.message);
-    let unpaired = find(88);
+    let unpaired = find(LIB, 6);
     assert!(unpaired.message.contains("no `blocked_sum_scalar` oracle"), "{}", unpaired.message);
-    let untested = find(98);
+    let untested = find(LIB, 16);
     assert!(untested.message.contains("never exercised together"), "{}", untested.message);
 }
 
 #[test]
 fn loop_inventory_classifies_the_safe_shapes() {
     let rep = run();
-    let class_at = |line: u32| rep.loops.iter().find(|l| l.line == line).map(|l| l.class);
-    assert_eq!(class_at(10), Some("single-chain"), "{:?}", rep.loops);
-    assert_eq!(class_at(21), Some("lockstep"), "`lanes` must classify lockstep: {:?}", rep.loops);
+    let class_at =
+        |line: u32| rep.loops.iter().find(|l| l.file == LOOPS && l.line == line).map(|l| l.class);
+    assert_eq!(class_at(9), Some("single-chain"), "{:?}", rep.loops);
+    assert_eq!(class_at(20), Some("lockstep"), "`lanes` must classify lockstep: {:?}", rep.loops);
 }
 
 #[test]
@@ -101,5 +106,5 @@ fn oracle_inventory_and_suppression_accounting_are_exact() {
     // as used.
     let unused: Vec<_> = rep.mode(Mode::Accum).filter(|d| d.rule == "unused-suppression").collect();
     assert_eq!(unused.len(), 1, "{unused:?}");
-    assert_eq!(unused[0].line, 82);
+    assert_eq!((unused[0].file.as_str(), unused[0].line), (LOOPS, 81));
 }

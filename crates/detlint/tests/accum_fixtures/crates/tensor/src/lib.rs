@@ -1,88 +1,6 @@
-//! Planted accumulation fixtures: each fn seeds exactly one classifier or
-//! oracle-pairing outcome for the witness test
-//! (`crates/detlint/tests/accum_fixtures.rs`). Line numbers are pinned
-//! there — append new fixtures at the end or rebaseline the witnesses.
-
-/// Single chain: a deliberate sequential fold. Classified, never a
-/// finding — ordered accumulation is the workspace's reference semantics.
-pub fn chain(xs: &[f32]) -> f32 {
-    let mut acc = 0.0f32;
-    for x in xs {
-        acc += *x;
-    }
-    acc
-}
-
-/// Lockstep lanes merged in ascending index order after the loop: the
-/// blessed `leaf_partials` shape — same reduction tree at every worker
-/// count, so it must classify `lockstep` and stay clean.
-pub fn lanes(xs: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    for j in 0..xs.len() {
-        for (l, a) in acc.iter_mut().enumerate() {
-            *a += xs[j * 8 + l];
-        }
-    }
-    let mut total = 0.0f32;
-    for l in 0..8 {
-        total += acc[l];
-    }
-    total
-}
-
-/// Reassociation shape 1: lockstep lanes merged in *reverse* index order
-/// after the loop — a different tree than the ascending merge.
-pub fn reversed_merge(xs: &[f32]) -> f32 {
-    let mut acc = [0.0f32; 8];
-    for j in 0..xs.len() {
-        for (l, a) in acc.iter_mut().enumerate() {
-            *a += xs[j * 8 + l];
-        }
-    }
-    acc.iter().rev().sum::<f32>()
-}
-
-/// Reassociation shape 2: two chains merged inside the loop body — the
-/// partial of one chain feeds the other mid-stream.
-pub fn entangled(xs: &[f32]) -> f32 {
-    let mut a = 0.0f32;
-    let mut b = 0.0f32;
-    for x in xs {
-        a += *x;
-        b += a;
-    }
-    b
-}
-
-/// Reassociation shape 3: a chunked loop folding each chunk into a scalar
-/// — the tree depends on the chunk width and the remainder chunk.
-pub fn chunked(xs: &[f32]) -> f32 {
-    let mut total = 0.0f32;
-    for c in xs.chunks(8) {
-        total += c.iter().sum::<f32>();
-    }
-    total
-}
-
-/// Reassociation shape 4: an order-dependent fold over a reshaped
-/// iterator chain (no explicit loop at all).
-pub fn reshaped(xs: &[f32]) -> f32 {
-    xs.chunks(8).map(|c| c.iter().sum::<f32>()).sum::<f32>()
-}
-
-/// A demoted copy of shape 4: the audited allow (on the fold line the
-/// finding anchors to) absorbs the finding and must count as used.
-pub fn reshaped_audited(xs: &[f32]) -> f32 {
-    // detlint::allow(float-reassoc): audited fixture — input length is pinned to a multiple of 8
-    xs.chunks(8).map(|c| c.iter().sum::<f32>()).sum::<f32>()
-}
-
-/// A stale allow: nothing on this fn ever fires, so the suppression is a
-/// dead audit record and must be reported.
-// detlint::allow(float-reassoc): stale fixture — nothing here accumulates
-pub fn inert(x: f32) -> f32 {
-    x
-}
+//! Planted oracle-pairing fixtures: a kernel with no `_scalar` sibling, one
+//! whose sibling no test calls with it, and a fully paired one, for
+//! `crates/detlint/tests/accum_fixtures.rs`, which pins their lines.
 
 /// Oracle subject with no `_scalar` sibling anywhere: `oracle-unpaired`.
 pub fn blocked_sum(xs: &[f32]) -> f32 {

@@ -43,7 +43,7 @@ const CRATES: [&str; 15] = [
 /// model (bd6bdf5).
 #[rustfmt::skip]
 const TREES: &[(&str, &[u64])] = &[
-    ("accum_fixtures", &[0xa8cc0b600f409e83, 0x3c2e43d28aa072e1]),
+    ("accum_fixtures", &[0x9ca6a9d781b14d11, 0x8889a95f121e39b9]),
     ("concur_fixtures", &[0x18769262c0da6145, 0x5880d6403e151a7d]),
     ("taint_fixtures", &[0x4019be57a2ab12a9, 0x138eceed9a9ea376]),
 ];
