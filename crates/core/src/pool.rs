@@ -674,7 +674,6 @@ fn stall_forever() {
     // The park IS the injected fault: the supervisor must detect the silent
     // worker via its drain deadline. Quarantine unparks us, so this is not a
     // true engine<->worker deadlock — the engine-side wait is bounded.
-    // detlint::allow(blocking-cycle): injected stall; the supervisor's deadline drain bounds the engine-side wait and quarantine unparks this thread
     std::thread::park();
 }
 
@@ -684,9 +683,6 @@ fn stall_forever() {
 /// place scheduling-dependent arrival *timing* exists, and nothing here
 /// forwards arrival order — results are published under the worker's fixed
 /// key and consumed through canonical-order drains on the engine side.
-/// The conformance pass cannot see that from this body alone (the sort
-/// lives in the engine-side drains), hence the audited demotion below.
-// detlint::allow(barrier-unverified): FIFO single-producer command loop; results leave under fixed keys via canonical engine-side drains
 fn worker_main(key: u64, worker: Box<EasyScaleWorker>, cmds: Receiver<Cmd>, out: Publishers) {
     // `None` while the worker is lent to the engine thread for evaluation.
     let mut slot: Option<Box<EasyScaleWorker>> = Some(worker);

@@ -10,7 +10,7 @@
 //! a taint flow; the suppression mechanism is the audited escape valve.
 
 use crate::items::{CallSite, CalleeRef, FileItems, FnDef};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 /// One resolved edge: caller → callee, with the call-site line.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -97,42 +97,6 @@ impl Graph {
     /// Node ids of every fn named `name` (sorted order).
     pub fn named(&self, name: &str) -> Vec<usize> {
         self.fns.iter().enumerate().filter(|(_, d)| d.name == name).map(|(i, _)| i).collect()
-    }
-
-    /// Forward BFS from `roots`, never entering a node `cut` rejects
-    /// (roots themselves are visited unconditionally). Returns the visited
-    /// set and, per node, the `(caller, call-site line)` it was first
-    /// reached through — enough to rebuild a shortest call-path witness.
-    /// Deterministic: roots are sorted and edges are walked in build order.
-    pub fn reachable_from(
-        &self,
-        roots: &[usize],
-        cut: &dyn Fn(&FnDef) -> bool,
-    ) -> (Vec<bool>, Vec<Option<(usize, u32)>>) {
-        let mut visited = vec![false; self.fns.len()];
-        let mut parent: Vec<Option<(usize, u32)>> = vec![None; self.fns.len()];
-        let mut roots: Vec<usize> = roots.to_vec();
-        roots.sort_unstable();
-        roots.dedup();
-        let mut queue = VecDeque::new();
-        for r in roots {
-            if !visited[r] {
-                visited[r] = true;
-                queue.push_back(r);
-            }
-        }
-        while let Some(f) = queue.pop_front() {
-            for e in &self.edges[f] {
-                let c = e.callee;
-                if visited[c] || cut(&self.fns[c]) {
-                    continue;
-                }
-                visited[c] = true;
-                parent[c] = Some((f, e.line));
-                queue.push_back(c);
-            }
-        }
-        (visited, parent)
     }
 }
 

@@ -277,9 +277,6 @@ fn is_raw_string_start(b: &[char], i: usize) -> bool {
     j < b.len() && b[j] == '"'
 }
 
-/// Primitive integer type names (a statement naming one is integer math).
-pub const INT_TYPES: &[&str] =
-    &["usize", "u8", "u16", "u32", "u64", "u128", "isize", "i8", "i16", "i32", "i64", "i128"];
 /// Primitive float type names.
 pub const FLOAT_TYPES: &[&str] = &["f32", "f64"];
 
@@ -313,27 +310,7 @@ pub fn statement_bounds(toks: &[Tok], i: usize) -> (usize, usize) {
     (a, b)
 }
 
-/// The depth-aware forward walk from `from`: the first `}` closing the
-/// block around `from`, or — with `to_semicolon` — the first `;` ending the
-/// statement, whichever comes first at nesting depth 0. A `;` inside
-/// `[0.0; 8]` or a closure body does not end the statement. Returns
-/// `toks.len()` when nothing closes.
-pub fn scope_end(toks: &[Tok], from: usize, to_semicolon: bool) -> usize {
-    let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().skip(from) {
-        match t.text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" => depth -= 1,
-            "}" if depth == 0 => return j,
-            "}" => depth -= 1,
-            ";" if depth == 0 && to_semicolon => return j,
-            _ => {}
-        }
-    }
-    toks.len()
-}
-
-/// The `{` opening the body of the fn, impl or loop whose header starts at
+/// The `{` opening the body of the fn or impl whose header starts at
 /// `from`: the first `{` at bracket depth 0, or `None` when a `;` at that
 /// depth (a bodyless declaration) or the end of the file comes first. The
 /// `;` of `-> [f32; N]` is inside brackets and does not end the header.

@@ -2,24 +2,24 @@
 //!
 //! EasyScale's accuracy-consistency story (PAPER.md §3) only holds if the
 //! *whole* deterministic path is free of hidden order dependence: hash-table
-//! iteration, wall-clock reads, unordered float accumulation, ad-hoc RNG,
-//! and thread-completion order. The runtime tests (determinism_matrix,
-//! elastic_consistency) catch regressions after the fact; detlint enforces
-//! the contract *statically*, at the source level, so a violation is a
-//! lint failure before it is a flaky bitwise diff.
+//! iteration, wall-clock reads, thread-completion order, partial float
+//! orders. The runtime tests (`determinism_matrix`, `nthread_eq_single`,
+//! the goldens) catch a regression once an input exposes it; detlint flags
+//! the order dependence at the source level, before any input does. A rule
+//! stays only while it catches an edit those tests, clippy and the other
+//! rules all miss (`tests/detlint_mutations.rs`, docs/DETLINT.md).
 //!
 //! Design constraints mirror the shims philosophy: fully offline, no
-//! external parser — a hand-rolled token scanner ([`lexer`]) feeds four
+//! external parser — a hand-rolled token scanner ([`lexer`]) feeds three
 //! analyses that share one lex, one item model ([`items`]) and one call
 //! graph ([`callgraph`]): the leaf [`rules`], interprocedural [`taint`]
-//! flows, the [`concur`] protocol checks and the float-[`accum`] dataflow.
-//! [`analyze`] runs all four against one [`Policy`] and one suppression
-//! ledger ([`suppress`]) and returns one [`Report`] of [`Diagnostic`]s,
-//! rendered as human text ([`report`]) or SARIF 2.1.0 ([`sarif`]).
+//! flows and the kernel-oracle pairing of [`accum`]. [`analyze`] runs all
+//! three against one [`Policy`] and one suppression ledger ([`suppress`])
+//! and returns one [`Report`] of [`Diagnostic`]s, rendered as human text
+//! ([`report`]) or SARIF 2.1.0 ([`sarif`]).
 
 pub mod accum;
 pub mod callgraph;
-pub mod concur;
 pub mod items;
 pub mod lexer;
 pub mod report;
@@ -40,21 +40,20 @@ use std::path::{Path, PathBuf};
 #[derive(Debug, Clone)]
 pub struct Policy {
     /// Crates on the deterministic path — everything a training step's
-    /// bitwise result flows through. `no-hash-iter`, `no-adhoc-rng`,
-    /// `no-thread-order` and `no-float-key-sort` apply here, and only fns
-    /// here count as taint witnesses when a *tainted caller* invokes a
-    /// sink (keeps bench/test harness timing from fabricating flows).
+    /// bitwise result flows through. `no-hash-iter`, `no-thread-order` and
+    /// `no-float-key-sort` apply here, and only fns here count as taint
+    /// witnesses when a *tainted caller* invokes a sink (keeps bench/test
+    /// harness timing from fabricating flows).
     pub deterministic_path: &'static [&'static str],
     /// Crates allowed to read wall clocks (`no-wall-clock` applies in every
     /// other crate — observability and benches own the clock).
     pub wall_clock_exempt: &'static [&'static str],
-    /// Crates whose float math is numeric-contract-bearing:
-    /// `no-raw-float-accum`, loop classification and oracle pairing apply
-    /// here.
+    /// Crates whose float math is numeric-contract-bearing: oracle pairing
+    /// applies here.
     pub float_crates: &'static [&'static str],
     /// Type names that, appearing in a fn signature, mark the fn as an
-    /// order-parameterized kernel: its accumulation order is explicit
-    /// state, so `no-raw-float-accum` does not fire inside it.
+    /// order-parameterized kernel: its float order is explicit state, so
+    /// `no-float-key-sort` does not fire inside it.
     pub order_param_types: &'static [&'static str],
     /// Identifiers that bless a float ordering as total (`no-float-key-sort`
     /// stands down when one appears in the comparator/statement).
@@ -62,25 +61,14 @@ pub struct Policy {
     /// Crates that are taint barriers wholesale: every fn inside absorbs
     /// taint.
     pub barrier_crates: &'static [&'static str],
-    /// Fn names that are declared canonical drains, wherever they live.
-    /// One list with four readers: taint absorbs at these fns, and the
-    /// concurrency pass verifies exactly these fns show canonical-order
-    /// evidence, exempts receives inside them from `order-leak`, and
-    /// attributes their blocking to the caller — a fn trusted to absorb
-    /// taint is by construction a fn the conformance pass verifies.
+    /// Fn names that are declared canonical drains, wherever they live:
+    /// taint absorbs at these fns. `comm::exchange`'s unit tests prove its
+    /// drains sort, and `nthread_eq_single` that nothing past them depends
+    /// on thread order.
     pub drain_fns: &'static [&'static str],
     /// Taint sinks as `(crate, fn name, sink kind)`; the fn matches under
     /// any impl type. A flow is a source reaching one of these.
     pub sinks: &'static [(&'static str, &'static str, &'static str)],
-    /// File-path suffixes allowed to construct raw channels (the audited
-    /// fence modules).
-    pub audited_channel_files: &'static [&'static str],
-    /// Fn names that are thread bodies: forward reachability from them
-    /// defines the worker role, and their own blocking receive is the idle
-    /// wait, not a deadlock edge.
-    pub thread_entry_fns: &'static [&'static str],
-    /// `(impl type, method)` pairs that root the engine role.
-    pub engine_roots: &'static [(&'static str, &'static str)],
     /// Vectorized-kernel name set for oracle pairing. A trailing `*` is a
     /// prefix glob (`matmul*`); names ending `_scalar` are never subjects.
     pub oracle_kernels: &'static [&'static str],
@@ -112,24 +100,6 @@ impl Policy {
                 ("sched", "proposals", "sched-proposal"),
                 ("sched", "decide", "sched-proposal"),
             ],
-            audited_channel_files: &["comm/src/exchange.rs", "core/src/pool.rs"],
-            thread_entry_fns: &["worker_main"],
-            engine_roots: &[
-                ("Engine", "new"),
-                ("Engine", "new_opts"),
-                ("Engine", "from_checkpoint"),
-                ("Engine", "from_checkpoint_opts"),
-                ("Engine", "step"),
-                ("Engine", "try_step"),
-                ("Engine", "run"),
-                ("Engine", "checkpoint"),
-                ("Engine", "rescale"),
-                ("Engine", "rescale_opts"),
-                ("Engine", "evaluate"),
-                ("Engine", "eval_dataset"),
-                ("WorkerPool", "spawn"),
-                ("WorkerPool", "drop"),
-            ],
             oracle_kernels: &[
                 "blocked_sum",
                 "leaf_partials",
@@ -150,39 +120,26 @@ pub enum Mode {
     Leaf,
     /// Interprocedural source→sink flows ([`taint`]).
     Taint,
-    /// Channel lifecycle, blocking cycles, lock order, barrier conformance
-    /// ([`concur`]).
-    Concur,
-    /// Float-accumulation dataflow and oracle pairing ([`accum`]).
+    /// Kernel-oracle pairing ([`accum`]).
     Accum,
 }
 
 impl Mode {
     /// Every analysis, in report order.
-    pub const ALL: [Mode; 4] = [Mode::Leaf, Mode::Taint, Mode::Concur, Mode::Accum];
+    pub const ALL: [Mode; 3] = [Mode::Leaf, Mode::Taint, Mode::Accum];
 
     /// The short name used in summaries and SARIF `properties.mode`.
     pub fn name(self) -> &'static str {
         match self {
             Mode::Leaf => "leaf",
             Mode::Taint => "taint",
-            Mode::Concur => "concur",
             Mode::Accum => "accum",
         }
     }
 }
 
-/// Whether a diagnostic gates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub enum Severity {
-    /// Blocking: the run exits non-zero.
-    Error,
-    /// Reported, never gates (an audited demotion).
-    Warning,
-}
-
 /// One witness location attached to a diagnostic: a call-path hop (the
-/// label is the qualified fn) or a labelled span (`loop`, `merge-write`).
+/// label is the qualified fn) or a labelled span (`kernel`).
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Related {
     /// Workspace-relative file.
@@ -193,8 +150,8 @@ pub struct Related {
     pub label: String,
 }
 
-/// One finding of any analysis at a source location. Field order is sort
-/// order: by analysis, then location, then rule.
+/// One finding of any analysis at a source location; every one gates. Field
+/// order is sort order: by analysis, then location, then rule.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Diagnostic {
     /// The analysis that produced it.
@@ -205,8 +162,6 @@ pub struct Diagnostic {
     pub line: u32,
     /// Rule id from [`rules::CATALOG`]; doubles as the suppression token.
     pub rule: &'static str,
-    /// Does it gate?
-    pub severity: Severity,
     /// Determinism level the rule protects (`D0`/`D1`/`D2`, or `meta`).
     pub level: &'static str,
     /// What is wrong and what to use instead.
@@ -363,29 +318,18 @@ pub fn build_model(files: &[SourceFile], test_files: &[SourceFile]) -> Model {
     Model { files: model_files, test_files, graph: callgraph::Graph::build(file_items) }
 }
 
-/// Everything one run produced: the diagnostics of all four analyses, plus
+/// Everything one run produced: the diagnostics of all three analyses, plus
 /// the typed inventories that make a zero-finding result meaningful (what
-/// was classified, which roles were inferred, what flowed where).
+/// flowed where, which kernels were checked for an oracle).
 #[derive(Debug, PartialEq, Eq)]
 pub struct Report {
     /// Every diagnostic, sorted (see [`Diagnostic`]): leaf findings, lowered
-    /// taint flows, concurrency findings and audited warnings, accumulation
-    /// findings, and stale suppressions under the analysis that owns them.
+    /// taint flows, oracle-pairing findings, and stale suppressions under
+    /// the analysis that owns them.
     pub diagnostics: Vec<Diagnostic>,
     /// Taint flows with their typed source/sink/witness path, sorted by
     /// `(source_file, source_line, source_kind, sink_fn)`.
     pub flows: Vec<taint::Flow>,
-    /// Qualified names of every worker-role fn (reachable from a thread
-    /// entry).
-    pub worker_fns: Vec<String>,
-    /// Qualified names of every engine-role fn (reachable from an engine
-    /// root, minus the worker set — the roles are disjoint by
-    /// construction).
-    pub engine_fns: Vec<String>,
-    /// The role-tagged blocking-op inventory, sorted by `(file, line, op)`.
-    pub blocking: Vec<concur::BlockingOp>,
-    /// Classified-loop inventory, sorted by `(file, line)`.
-    pub loops: Vec<accum::LoopInfo>,
     /// Oracle-pairing inventory, sorted by `(file, line, kernel)`.
     pub oracles: Vec<accum::OracleCheck>,
 }
@@ -396,13 +340,13 @@ impl Report {
         self.diagnostics.iter().filter(move |d| d.mode == mode)
     }
 
-    /// No blocking diagnostic in any analysis?
+    /// No diagnostic in any analysis?
     pub fn is_clean(&self) -> bool {
-        self.diagnostics.iter().all(|d| d.severity != Severity::Error)
+        self.diagnostics.is_empty()
     }
 }
 
-/// Run all four analyses over one shared model against one suppression
+/// Run all three analyses over one shared model against one suppression
 /// ledger: scan every allow once, let each pass report through the shared
 /// [`suppress::Emitter`], then settle stale allows once — an allow is stale
 /// only when no analysis consumed it.
@@ -423,12 +367,11 @@ pub fn analyze(model: &Model, policy: &Policy) -> Report {
         }
     }
     let flows = taint::analyze(model, policy, &hits, &mut em);
-    let (worker_fns, engine_fns, blocking) = concur::analyze(model, policy, &mut em);
-    let (loops, oracles) = accum::analyze(model, policy, &mut em);
+    let oracles = accum::analyze(model, policy, &mut em);
     em.settle_stale();
     let mut diagnostics = em.out;
     diagnostics.sort();
-    Report { diagnostics, flows, worker_fns, engine_fns, blocking, loops, oracles }
+    Report { diagnostics, flows, oracles }
 }
 
 /// [`analyze`] over the workspace at `root` with the workspace policy.
@@ -451,17 +394,14 @@ pub(crate) mod testutil {
         }
     }
 
-    /// All four analyses over `files` (+ `test_files` as oracle evidence).
+    /// All three analyses over `files` (+ `test_files` as oracle evidence).
     pub fn run(files: &[SourceFile], test_files: &[SourceFile]) -> Report {
         analyze(&build_model(files, test_files), &Policy::workspace_default())
     }
 
-    /// `report`'s blocking diagnostics in `mode`, stale allows excluded.
+    /// `report`'s diagnostics in `mode`, stale allows excluded.
     pub fn findings(report: &Report, mode: Mode) -> Vec<&Diagnostic> {
-        report
-            .mode(mode)
-            .filter(|d| d.severity == Severity::Error && d.rule != "unused-suppression")
-            .collect()
+        report.mode(mode).filter(|d| d.rule != "unused-suppression").collect()
     }
 
     /// `report`'s stale-allow diagnostics in `mode`.

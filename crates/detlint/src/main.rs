@@ -1,7 +1,7 @@
 //! `cargo run -p detlint [-- [--root PATH] [--sarif PATH] [--quiet]]`
 //!
-//! Runs all four determinism analyses over every `crates/*/src/**/*.rs` in
-//! the workspace and exits 1 on any blocking diagnostic, so it can gate CI
+//! Runs all three determinism analyses over every `crates/*/src/**/*.rs` in
+//! the workspace and exits 1 on any diagnostic, so it can gate CI
 //! (scripts/ci.sh) exactly like clippy does. Exit 2 is a usage or IO error:
 //! an argument the tool does not know is never silently ignored.
 
@@ -11,21 +11,21 @@ use std::process::ExitCode;
 
 const USAGE: &str = "USAGE: detlint [--root PATH] [--sarif PATH] [--quiet]";
 
-const HELP: &str = "Runs the leaf rules, the interprocedural taint analysis, the concurrency
-passes and the float-accumulation passes off one shared workspace model,
-prints every diagnostic with its witnesses, and ends with one
-`leaf|taint|concur|accum: clean / N finding(s)` line per analysis.
+const HELP: &str = "Runs the leaf rules, the interprocedural taint analysis and the kernel-oracle
+pairing off one shared workspace model, prints every diagnostic with its
+witnesses, and ends with one `leaf|taint|accum: clean / N finding(s)` line
+per analysis.
 
 --root PATH   workspace root (default: the enclosing workspace)
 --sarif PATH  also write the diagnostics as a SARIF 2.1.0 document (one
               run per analysis)
 --quiet       print only the per-analysis summary lines
 
-Exits 1 when a blocking diagnostic exists, 2 on a usage or IO error.
-Suppress a site with `// detlint::allow(rule): reason` on the line or the
-line above; the token is the diagnostic's rule id (`no-wall-clock`,
-`order-leak`, `float-reassoc`, …), or `taint` / `taint-<kind>` to block
-taint propagation through the site.";
+Exits 1 when a diagnostic exists, 2 on a usage or IO error. Suppress a
+site with `// detlint::allow(rule): reason` on the line or the line above;
+the token is the diagnostic's rule id (`no-wall-clock`, `oracle-unpaired`,
+…), or `taint` / `taint-<kind>` to block taint propagation through the
+site.";
 
 struct Opts {
     root: Option<PathBuf>,

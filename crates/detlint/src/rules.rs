@@ -10,13 +10,13 @@
 //! sites that are deterministic for reasons the scanner cannot see.
 
 use crate::items::FnDef;
-use crate::lexer::{match_delim, matches, statement_bounds, Tok, TokKind, FLOAT_TYPES, INT_TYPES};
+use crate::lexer::{match_delim, matches, statement_bounds, Tok, TokKind, FLOAT_TYPES};
 use crate::{Mode, ModelFile, Policy};
 
 /// Static description of one rule: the id doubles as the suppression token
 /// (`// detlint::allow(<name>): reason`).
 pub struct Rule {
-    /// Rule id (`no-hash-iter`, `order-leak`, …).
+    /// Rule id (`no-hash-iter`, `taint-flow`, …).
     pub name: &'static str,
     /// The analysis that emits it (and owns its suppression token).
     pub mode: Mode,
@@ -41,18 +41,6 @@ pub const CATALOG: &[Rule] = &[
         summary: "raw Instant/SystemTime reads outside obs leak wall time into behavior",
     },
     Rule {
-        name: "no-raw-float-accum",
-        mode: Mode::Leaf,
-        level: "D1",
-        summary: "float accumulation outside order-parameterized kernels hides reduction order",
-    },
-    Rule {
-        name: "no-adhoc-rng",
-        mode: Mode::Leaf,
-        level: "D0",
-        summary: "randomness not drawn from esrng Philox streams is unreplayable",
-    },
-    Rule {
         name: "no-thread-order",
         mode: Mode::Leaf,
         level: "D0",
@@ -75,55 +63,6 @@ pub const CATALOG: &[Rule] = &[
         mode: Mode::Taint,
         level: "D0",
         summary: "a nondeterministic source value reaches a decision or output sink",
-    },
-    Rule {
-        name: "unsealed-drain",
-        mode: Mode::Concur,
-        level: "D0",
-        summary: "a drain on an exchange nothing seals hangs forever when a publisher dies",
-    },
-    Rule {
-        name: "send-after-seal",
-        mode: Mode::Concur,
-        level: "D0",
-        summary: "a publisher handle minted after seal() panics at runtime",
-    },
-    Rule {
-        name: "raw-channel",
-        mode: Mode::Concur,
-        level: "D0",
-        summary: "raw channel construction outside the audited fence modules",
-    },
-    Rule {
-        name: "order-leak",
-        mode: Mode::Concur,
-        level: "D0",
-        summary: "a receive outside a declared drain consumes in thread-completion order",
-    },
-    Rule {
-        name: "blocking-cycle",
-        mode: Mode::Concur,
-        level: "D0",
-        summary: "engine and worker roles can each block waiting on the other",
-    },
-    Rule {
-        name: "lock-inversion",
-        mode: Mode::Concur,
-        level: "D0",
-        summary: "two locks are acquired in both orders on different paths",
-    },
-    Rule {
-        name: "barrier-unverified",
-        mode: Mode::Concur,
-        level: "D0",
-        summary: "a declared taint barrier shows no canonical-order evidence",
-    },
-    Rule {
-        name: "float-reassoc",
-        mode: Mode::Accum,
-        level: "D1",
-        summary:
-            "a loop-carried float accumulation whose reduction tree depends on iteration shape",
     },
     Rule {
         name: "oracle-unpaired",
@@ -156,16 +95,12 @@ impl Ctx<'_> {
         crate::lexer::in_regions(&self.mf.test_regions, line)
     }
 
-    /// Does the signature of the fn holding token `i` name one of `idents`?
-    fn sig_names(&self, i: usize, idents: &[&str]) -> bool {
-        self.mf.owner[i].is_some_and(|f| self.fns[f].sig_names(self.toks, idents))
-    }
-
     /// Is token `i` in an order-parameterized kernel — a fn whose signature
     /// names an order-parameter type (KernelProfile and friends), so its
-    /// accumulation order is explicit?
+    /// float order is explicit?
     fn exempt_fn(&self, i: usize) -> bool {
-        self.sig_names(i, self.policy.order_param_types)
+        self.mf.owner[i]
+            .is_some_and(|f| self.fns[f].sig_names(self.toks, self.policy.order_param_types))
     }
 }
 
@@ -173,33 +108,23 @@ impl Ctx<'_> {
 /// suppression handling; the driver emits the hits [`scoped`] admits
 /// through the shared allow ledger, and the taint pass seeds its sources
 /// from all of them, so a source is visible wherever it lives and the
-/// barrier/sink policy, not rule scoping, decides what matters. Float
-/// accumulation is detected in the numeric-contract crates only: a
-/// sequential `+=` in single-threaded bookkeeping code is order-explicit by
-/// construction, and seeding taint from it would drown the report in
-/// deterministic accumulators.
+/// barrier/sink policy, not rule scoping, decides what matters.
 pub fn detect(mf: &ModelFile, fns: &[FnDef], policy: &Policy) -> Vec<Hit> {
     let ctx = Ctx { mf, toks: &mf.lexed.toks, fns, policy };
     let mut hits = Vec::new();
     no_hash_iter(&ctx, &mut hits);
-    no_adhoc_rng(&ctx, &mut hits);
     no_thread_order(&ctx, &mut hits);
     no_wall_clock(&ctx, &mut hits);
-    if policy.float_crates.contains(&mf.crate_name.as_str()) {
-        no_raw_float_accum(&ctx, &mut hits);
-    }
     no_float_key_sort(&ctx, &mut hits);
     hits
 }
 
-/// Does the leaf pass report `rule` in crate `krate`? The order and entropy
-/// rules apply on the deterministic path, the clock rule outside the crates
-/// that own the clock.
+/// Does the leaf pass report `rule` in crate `krate`? The order rules apply
+/// on the deterministic path, the clock rule outside the crates that own
+/// the clock.
 pub fn scoped(policy: &Policy, krate: &str, rule: &str) -> bool {
     match rule {
         "no-wall-clock" => !policy.wall_clock_exempt.contains(&krate),
-        "no-raw-float-accum" => true, // detected in the float crates only
-
         _ => policy.deterministic_path.contains(&krate),
     }
 }
@@ -348,109 +273,6 @@ fn no_wall_clock(ctx: &Ctx, out: &mut Vec<Hit>) {
                 "no-wall-clock",
                 i,
                 "`SystemTime` outside obs/bench; wall-clock reads belong behind obs".to_string(),
-            ));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: no-raw-float-accum (D1)
-// ---------------------------------------------------------------------------
-
-fn no_raw_float_accum(ctx: &Ctx, out: &mut Vec<Hit>) {
-    let toks = ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if ctx.in_test(t.line) || ctx.exempt_fn(i) {
-            continue;
-        }
-        let (a, b) = statement_bounds(toks, i);
-        let stmt_int = slice_has(toks, a, b, INT_TYPES);
-        let stmt_float = slice_has(toks, a, b, FLOAT_TYPES);
-
-        if t.text == "+=" {
-            // `x += 1` (counter) is never a float reduction.
-            if toks.get(i + 1).is_some_and(|n| n.kind == TokKind::Int)
-                && toks.get(i + 2).is_some_and(|n| n.text == ";")
-            {
-                continue;
-            }
-            // `off += n` — bare-ident += bare-ident is the offset-advance
-            // idiom; reductions accumulate an expression.
-            if i == a + 1 && b == i + 2 && toks[a].kind == TokKind::Ident {
-                continue;
-            }
-            if stmt_int {
-                continue;
-            }
-            if stmt_float || ctx.sig_names(i, FLOAT_TYPES) {
-                out.push((
-                    "no-raw-float-accum",
-                    i,
-                    "float `+=` accumulation outside an order-parameterized kernel; route \
-                     through KernelProfile-driven reduction (or suppress with the traversal \
-                     order documented)"
-                        .to_string(),
-                ));
-            }
-        } else if t.kind == TokKind::Ident
-            && (t.text == "sum" || t.text == "product")
-            && i > 0
-            && toks[i - 1].text == "."
-        {
-            // Explicit float turbofish: `.sum::<f32>()`.
-            let turbo_float = matches(toks, i + 1, &["::", "<"])
-                && toks.get(i + 3).is_some_and(|x| x.text == "f32" || x.text == "f64");
-            let plain_call = toks.get(i + 1).is_some_and(|x| x.text == "(");
-            if turbo_float
-                || (plain_call && !stmt_int && (stmt_float || ctx.sig_names(i, FLOAT_TYPES)))
-            {
-                out.push((
-                    "no-raw-float-accum",
-                    i,
-                    format!(
-                        "float `.{}()` reduction outside an order-parameterized kernel; \
-                         use tensor's blocked_sum/tiled_reduce with a KernelProfile",
-                        t.text
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Rule: no-adhoc-rng (D0)
-// ---------------------------------------------------------------------------
-
-const RNG_IDENTS: &[&str] = &[
-    "thread_rng",
-    "from_entropy",
-    "StdRng",
-    "SmallRng",
-    "OsRng",
-    "getrandom",
-    "fastrand",
-    "RandomState",
-    "DefaultHasher",
-];
-
-fn no_adhoc_rng(ctx: &Ctx, out: &mut Vec<Hit>) {
-    let toks = ctx.toks;
-    for (i, t) in toks.iter().enumerate() {
-        if t.kind != TokKind::Ident || ctx.in_test(t.line) {
-            continue;
-        }
-        let hit = RNG_IDENTS.contains(&t.text.as_str())
-            || (t.text == "rand" && matches(toks, i + 1, &["::"]));
-        if hit {
-            out.push((
-                "no-adhoc-rng",
-                i,
-                format!(
-                    "`{}` is ad-hoc randomness; draw from esrng Philox streams \
-                     (EsRng::for_stream) so replays reproduce it",
-                    t.text
-                ),
             ));
         }
     }

@@ -5,11 +5,11 @@
 //! shuffled-order runs emit identical bytes; pinned by a proptest).
 //!
 //! Layout: one `run` per analysis (`properties.mode` = `leaf` / `taint` /
-//! `concur` / `accum`), always all four, each declaring its slice of the
-//! rule catalog under `tool.driver.rules`; results carry a
-//! physical-location region, and witness paths/spans as `relatedLocations`.
+//! `accum`), always all three, each declaring its slice of the rule catalog
+//! under `tool.driver.rules`; results carry a physical-location region, and
+//! witness paths/spans as `relatedLocations`.
 
-use crate::{Diagnostic, Mode, Severity};
+use crate::{Diagnostic, Mode};
 use serde::Value;
 
 const SCHEMA: &str = "https://json.schemastore.org/sarif-2.1.0.json";
@@ -33,14 +33,13 @@ fn physical_location(file: &str, line: u32) -> (&'static str, Value) {
     )
 }
 
-/// Blocking diagnostics are `error`s — except stale allows, which are
-/// `note`s (hygiene, not a determinism leak); audited demotions are
-/// `warning`s.
+/// Diagnostics are `error`s — except stale allows, which are `note`s
+/// (hygiene, not a determinism leak).
 fn sarif_level(d: &Diagnostic) -> &'static str {
-    match d.severity {
-        Severity::Warning => "warning",
-        Severity::Error if d.level == "meta" => "note",
-        Severity::Error => "error",
+    if d.level == "meta" {
+        "note"
+    } else {
+        "error"
     }
 }
 
@@ -127,7 +126,7 @@ mod tests {
             .iter()
             .map(|r| r.get_field("properties").unwrap().get_field("mode").unwrap().clone())
             .collect();
-        assert_eq!(modes, vec![s("leaf"), s("taint"), s("concur"), s("accum")]);
+        assert_eq!(modes, vec![s("leaf"), s("taint"), s("accum")]);
         for r in &runs {
             let driver = r.get_field("tool").unwrap().get_field("driver").unwrap();
             assert_eq!(driver.get_field("name"), Some(&s("detlint")));

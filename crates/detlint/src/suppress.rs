@@ -2,12 +2,12 @@
 //! `// detlint::allow(token[, token…]): reason` comments through this
 //! module. A single [`AllowSet`] is scanned once per file, consumption is
 //! recorded in place by whichever analysis a finding belongs to, and
-//! staleness is settled once, after all four have run — so an allow
+//! staleness is settled once, after all three have run — so an allow
 //! consumed by one analysis can never be reported stale by another.
 //! [`Emitter`] is the one place a finding meets the ledger.
 
 use crate::lexer::{in_regions, Lexed};
-use crate::{Diagnostic, Mode, Related, Severity};
+use crate::{Diagnostic, Mode, Related};
 
 /// The analysis that owns a suppression token, or `None` for a token no
 /// analysis recognizes (typo'd rule, future kind).
@@ -129,9 +129,9 @@ pub struct Emitter {
 }
 
 impl Emitter {
-    /// Report a blocking finding of catalog rule `rule` at `(file, line)`
-    /// unless an allow naming the rule covers the site (the allow is then
-    /// marked used). Returns whether the finding was recorded.
+    /// Report a finding of catalog rule `rule` at `(file, line)` unless an
+    /// allow naming the rule covers the site (the allow is then marked
+    /// used). Returns whether the finding was recorded.
     pub fn emit(
         &mut self,
         rule: &'static str,
@@ -143,16 +143,15 @@ impl Emitter {
         if self.allows.consume(file, line, rule) {
             return false;
         }
-        self.push(rule, Severity::Error, file, line, message, related);
+        self.push(rule, file, line, message, related);
         true
     }
 
-    /// Record a diagnostic without consulting the ledger (audited
-    /// demotions, lowered taint flows, stale allows).
+    /// Record a diagnostic without consulting the ledger (lowered taint
+    /// flows, whose allows taint consumed hop by hop).
     pub fn push(
         &mut self,
         rule: &'static str,
-        severity: Severity,
         file: &str,
         line: u32,
         message: String,
@@ -164,7 +163,6 @@ impl Emitter {
             file: file.to_string(),
             line,
             rule: r.name,
-            severity,
             level: r.level,
             message,
             related,
@@ -185,7 +183,6 @@ impl Emitter {
                 file: a.file.clone(),
                 line: a.line,
                 rule: "unused-suppression",
-                severity: Severity::Error,
                 level: "meta",
                 message: format!(
                     "`detlint::allow({})` matched no finding in any mode; delete the stale \
@@ -216,8 +213,6 @@ mod tests {
         assert_eq!(domain_of("no-wall-clock"), Some(Mode::Leaf));
         assert_eq!(domain_of("taint"), Some(Mode::Taint));
         assert_eq!(domain_of("taint-hash-iter"), Some(Mode::Taint));
-        assert_eq!(domain_of("raw-channel"), Some(Mode::Concur));
-        assert_eq!(domain_of("float-reassoc"), Some(Mode::Accum));
         assert_eq!(domain_of("oracle-unpaired"), Some(Mode::Accum));
         assert_eq!(domain_of("no-such-rule"), None);
     }
@@ -227,7 +222,7 @@ mod tests {
         // A mixed allow consumed by the leaf pass is used, full stop: the
         // one ledger never reports it stale on the accum token's behalf.
         let mut em =
-            scanned("// detlint::allow(no-wall-clock, float-reassoc): both audited\nfn f(){}");
+            scanned("// detlint::allow(no-wall-clock, oracle-unpaired): both audited\nfn f(){}");
         assert!(!em.emit("no-wall-clock", "x.rs", 2, "clock".to_string(), Vec::new()));
         em.settle_stale();
         assert!(em.out.is_empty(), "{:?}", em.out);

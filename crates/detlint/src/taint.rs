@@ -1,7 +1,7 @@
 //! Interprocedural determinism-taint analysis.
 //!
 //! The leaf rules ([`crate::rules`]) say *where* non-determinism enters —
-//! a wall-clock read, a hash-table iteration, an ad-hoc RNG draw. This
+//! a wall-clock read, a hash-table iteration, a thread-order receive. This
 //! module answers the question that actually decides whether a training
 //! run replays bitwise: does that non-determinism **reach state that
 //! matters**? Sources are the leaf detectors' hits in every crate (the
@@ -26,7 +26,7 @@
 
 use crate::rules::Hit;
 use crate::suppress::Emitter;
-use crate::{Model, Policy, Related, Severity};
+use crate::{Model, Policy, Related};
 use std::collections::VecDeque;
 
 /// Which leaf rules seed taint, and the source kind each maps to.
@@ -36,9 +36,7 @@ pub fn source_kind(rule: &str) -> Option<&'static str> {
     match rule {
         "no-hash-iter" => Some("hash-iter"),
         "no-wall-clock" => Some("wall-clock"),
-        "no-adhoc-rng" => Some("adhoc-rng"),
         "no-thread-order" => Some("thread-order"),
-        "no-raw-float-accum" => Some("float-accum"),
         _ => None,
     }
 }
@@ -88,7 +86,6 @@ impl Flow {
         related.push(hop(&self.sink_file, self.sink_line, format!("sink: {}", self.sink_fn)));
         em.push(
             "taint-flow",
-            Severity::Error,
             &self.source_file,
             self.source_line,
             format!("{} -> {} ({})", self.source_kind, self.sink_kind, self.sink_fn),

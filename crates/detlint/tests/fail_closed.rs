@@ -41,17 +41,20 @@ fn a_flag_missing_its_value_is_a_usage_error() {
 
 #[test]
 fn the_three_flags_work_together_and_findings_exit_one() {
-    let root = scratch_workspace("fail_closed_dirty", b"pub fn f() { let _ = rx.recv(); }\n");
+    let root = scratch_workspace(
+        "fail_closed_dirty",
+        b"pub fn f() { let _ = std::time::Instant::now(); }\n",
+    );
     let sarif = root.join("out.sarif");
     let out =
         detlint(&["--root", root.to_str().unwrap(), "--sarif", sarif.to_str().unwrap(), "--quiet"]);
-    assert_eq!(out.status.code(), Some(1), "an order leak is a blocking diagnostic");
+    assert_eq!(out.status.code(), Some(1), "a clock read outside obs is a diagnostic");
     assert_eq!(
         String::from_utf8_lossy(&out.stdout),
-        "leaf: clean\ntaint: clean\nconcur: 1 finding(s)\naccum: clean\n",
+        "leaf: 1 finding(s)\ntaint: clean\naccum: clean\n",
         "--quiet prints exactly the per-analysis summary"
     );
-    assert!(std::fs::read_to_string(&sarif).expect("sarif written").contains("\"order-leak\""));
+    assert!(std::fs::read_to_string(&sarif).expect("sarif written").contains("\"no-wall-clock\""));
 }
 
 #[test]

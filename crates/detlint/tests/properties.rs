@@ -1,6 +1,6 @@
-//! Property-based tests: the report — diagnostics, typed flows, role /
-//! blocking / loop / oracle inventories — and the SARIF bytes rendered from
-//! it are a pure function of the file *set*, never the file *visit order*.
+//! Property-based tests: the report — diagnostics, typed flows, the oracle
+//! inventory — and the SARIF bytes rendered from it are a pure function of
+//! the file *set*, never the file *visit order*.
 //! The walker feeds files in sorted order, but nothing may depend on that —
 //! graph node ids, BFS frontiers, and witness selection all have explicit
 //! tie-breaks, and these properties pin them byte-for-byte.
@@ -49,15 +49,8 @@ proptest! {
         assert_order_invariant("taint_fixtures", seed);
     }
 
-    /// All seven concurrency finding classes, a warning, a stale allow,
-    /// witness paths, role sets, and the blocking inventory.
-    #[test]
-    fn concur_fixture_report_is_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
-        assert_order_invariant("concur_fixtures", seed);
-    }
-
-    /// Every reassociation shape, both oracle-pairing failures, a used and
-    /// a stale allow, the loop inventory and the oracle checks.
+    /// Both oracle-pairing failures, a paired kernel, its test file, and
+    /// the oracle checks.
     #[test]
     fn accum_fixture_report_is_identical_under_any_file_visit_order(seed in 0u64..u64::MAX) {
         assert_order_invariant("accum_fixtures", seed);

@@ -64,16 +64,6 @@ fn no_wall_clock_fires_on_marked_lines_only() {
 }
 
 #[test]
-fn no_raw_float_accum_fires_on_marked_lines_only() {
-    assert_exact(include_str!("fixtures/float_accum.rs"), "tensor", "no-raw-float-accum");
-}
-
-#[test]
-fn no_adhoc_rng_fires_on_marked_lines_only() {
-    assert_exact(include_str!("fixtures/adhoc_rng.rs"), "esrng", "no-adhoc-rng");
-}
-
-#[test]
 fn no_thread_order_fires_on_marked_lines_only() {
     assert_exact(include_str!("fixtures/thread_order.rs"), "comm", "no-thread-order");
 }
@@ -90,8 +80,8 @@ fn unused_suppression_fires_on_marked_lines_only() {
 
 #[test]
 fn clean_fixture_stays_clean_under_the_harshest_crate() {
-    // `tensor` activates deterministic-path, wall-clock, and float-accum
-    // rules at once; the canary fixture must survive all of them.
+    // `tensor` activates the deterministic-path and wall-clock rules at
+    // once; the canary fixture must survive all of them.
     let found = findings(include_str!("fixtures/clean.rs"), "tensor");
     assert!(found.is_empty(), "false positives: {found:?}");
 }
@@ -115,14 +105,14 @@ fn an_order_parameterized_kernel_returning_an_array_is_exempt() {
 fn allow_comment_suppresses_only_its_own_rule() {
     // Two different violations on the same line; the allow names one rule.
     let src = "// detlint::allow(no-wall-clock): timing only\n\
-               fn f() { let t = std::time::Instant::now(); let r = rand::random(); }\n";
+               fn f() { let t = std::time::Instant::now(); let r = rx.recv(); }\n";
     let found = findings(src, "core");
     assert_eq!(found.len(), 1, "{found:?}");
-    assert_eq!(found[0].rule, "no-adhoc-rng");
+    assert_eq!(found[0].rule, "no-thread-order");
 
     // Naming both rules in one allow suppresses both.
-    let src2 = "// detlint::allow(no-wall-clock, no-adhoc-rng): audited\n\
-                fn f() { let t = std::time::Instant::now(); let r = rand::random(); }\n";
+    let src2 = "// detlint::allow(no-wall-clock, no-thread-order): audited\n\
+                fn f() { let t = std::time::Instant::now(); let r = rx.recv(); }\n";
     assert!(findings(src2, "core").is_empty());
 }
 
@@ -131,8 +121,6 @@ fn every_catalog_rule_has_a_fixture_exercising_it() {
     let all: std::collections::BTreeSet<&str> = [
         findings(include_str!("fixtures/hash_iter.rs"), "sched"),
         findings(include_str!("fixtures/wall_clock.rs"), "core"),
-        findings(include_str!("fixtures/float_accum.rs"), "tensor"),
-        findings(include_str!("fixtures/adhoc_rng.rs"), "esrng"),
         findings(include_str!("fixtures/thread_order.rs"), "comm"),
         findings(include_str!("fixtures/float_key_sort.rs"), "sched"),
         findings(include_str!("fixtures/unused_allow.rs"), "core"),

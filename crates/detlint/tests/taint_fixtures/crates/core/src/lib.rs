@@ -1,10 +1,10 @@
-//! Taint fixture: an ad-hoc RNG source whose tainted caller invokes two
-//! sinks (`core::save` and, cross-crate, `optim::Sgd::step`) — the
-//! tainted-caller (case 2) flow shape — plus a clock read absorbed by the
-//! `obs` barrier crate. Never compiled.
+//! Taint fixture: `train_loop` calls two sinks (`core::save` and,
+//! cross-crate, `optim::Sgd::step`, which is tainted) — the tainted-caller
+//! (case 2) flow shape; an RNG draw that is no source (no RNG crate builds
+//! here, clippy bans the seeded hashers); a clock read absorbed by `obs`.
 
 fn jitter() -> u64 {
-    rand::random() // FLOW: adhoc-rng source
+    rand::random() // no flow: ad-hoc randomness is not a taint source
 }
 
 pub fn train_loop(opt: &mut Sgd, lr: f64) -> u64 {

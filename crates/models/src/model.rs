@@ -219,7 +219,6 @@ impl Model {
                 let n = p.len();
                 for (x, d) in p.data_mut().iter_mut().zip(&delta[off..off + n]) {
                     // Elementwise update, one addend per element.
-                    // detlint::allow(no-raw-float-accum): no reduction order
                     *x += d;
                 }
                 off += n;

@@ -193,12 +193,10 @@ impl Tensor {
         for (x, y) in xs.by_ref().zip(ys.by_ref()) {
             for l in 0..LANES {
                 // Elementwise, not a reduction: each x[l] sees one addend.
-                // detlint::allow(no-raw-float-accum): no accumulation order exists
                 x[l] += alpha * y[l];
             }
         }
         for (x, y) in xs.into_remainder().iter_mut().zip(ys.remainder()) {
-            // detlint::allow(no-raw-float-accum): no accumulation order exists
             *x += alpha * y;
         }
     }

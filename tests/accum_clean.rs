@@ -23,20 +23,6 @@ fn workspace_has_no_accumulation_findings() {
 }
 
 #[test]
-fn the_lockstep_kernels_are_recognized_as_safe() {
-    // The D1 contract's centerpiece: `leaf_partials`-style SUM_LANES loops
-    // classify as `lockstep`, not `reassoc` — the analysis must understand
-    // the workspace's own blessed shape, not merely stay quiet about it.
-    let rep = run();
-    let lockstep: Vec<_> = rep.loops.iter().filter(|l| l.class == "lockstep").collect();
-    assert!(
-        lockstep.iter().any(|l| l.file == "crates/tensor/src/kernels.rs"),
-        "kernels.rs must contribute at least one lockstep loop: {:?}",
-        rep.loops
-    );
-}
-
-#[test]
 fn oracle_pairing_covers_the_declared_kernel_surface() {
     // Structural pin, not line numbers: every name family from the config
     // that exists as a pub fn in an accum crate shows up in the oracle

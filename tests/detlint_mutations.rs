@@ -17,20 +17,19 @@
 //! A taint flow of a leaf rule's source kind is not a second check: the
 //! leaf rule's detector is that flow's source.
 
-use detlint::{analyze, build_model, Diagnostic, Policy, Severity, SourceFile};
+use detlint::{analyze, build_model, Diagnostic, Policy, SourceFile};
 use std::path::Path;
 use std::sync::OnceLock;
 
 struct Live {
     files: Vec<SourceFile>,
     test_files: Vec<SourceFile>,
-    /// Blocking diagnostics of the unedited tree (none, per the clean gates).
+    /// Diagnostics of the unedited tree (none, per the clean gate).
     baseline: Vec<Diagnostic>,
 }
 
-fn blocking(files: &[SourceFile], test_files: &[SourceFile]) -> Vec<Diagnostic> {
-    let report = analyze(&build_model(files, test_files), &Policy::workspace_default());
-    report.diagnostics.into_iter().filter(|d| d.severity == Severity::Error).collect()
+fn diagnostics(files: &[SourceFile], test_files: &[SourceFile]) -> Vec<Diagnostic> {
+    analyze(&build_model(files, test_files), &Policy::workspace_default()).diagnostics
 }
 
 /// The live workspace, read once for every case.
@@ -39,13 +38,13 @@ fn live() -> &'static Live {
     LIVE.get_or_init(|| {
         let root = Path::new(env!("CARGO_MANIFEST_DIR"));
         let (files, test_files) = detlint::workspace_sources(root).expect("workspace walks");
-        let baseline = blocking(&files, &test_files);
+        let baseline = diagnostics(&files, &test_files);
         Live { files, test_files, baseline }
     })
 }
 
 /// Replace the single occurrence of each `(needle, replacement)` in the
-/// source or test file `file` and return the blocking diagnostics the edit
+/// source or test file `file` and return the diagnostics the edit
 /// introduced.
 fn mutate(file: &str, edits: &[(&str, &str)]) -> Vec<Diagnostic> {
     let live = live();
@@ -59,7 +58,7 @@ fn mutate(file: &str, edits: &[(&str, &str)]) -> Vec<Diagnostic> {
         assert_eq!(target.src.matches(needle).count(), 1, "needle drifted in {file}: {needle:?}");
         target.src = target.src.replace(needle, replacement);
     }
-    let mut gained = blocking(&files, &test_files);
+    let mut gained = diagnostics(&files, &test_files);
     gained.retain(|d| !live.baseline.contains(d));
     gained
 }
@@ -285,49 +284,4 @@ fn a_wall_clock_read_in_a_turbofish_called_kernel_flows_to_the_sinks() {
         mutate(file, &[(needle, &format!("    let _t = std::time::Instant::now();\n{needle}"))]);
     assert_gains(&gained, "no-wall-clock", file);
     assert_gains(&gained, "taint-flow", file);
-}
-
-#[test]
-fn reassociating_the_leaf_partials_lane_merge_is_float_reassoc() {
-    let file = "crates/tensor/src/kernels.rs";
-    let gained = mutate(
-        file,
-        &[(
-            "partials[b..b + lanes].copy_from_slice(&acc[..lanes]);",
-            "partials[b] = acc[..lanes].iter().rev().sum::<f32>();",
-        )],
-    );
-    assert_gains(&gained, "float-reassoc", file);
-}
-
-#[test]
-fn carrying_the_chunk_accumulators_across_a_tile_boundary_is_float_reassoc() {
-    // The live chunked tile loop of the row kernel with its register tile
-    // hoisted out of the tile loop: tile t's store then holds the running
-    // total of tiles 0..=t — every partial but the first is reassociated.
-    let file = "crates/tensor/src/ops.rs";
-    let gained = mutate(
-        file,
-        &[(
-            "for t in 0..ntiles.max(1) {\n                let mut acc = [0.0f32; W];\n",
-            "let mut acc = [0.0f32; W];\n            for t in 0..ntiles.max(1) {\n",
-        )],
-    );
-    assert_gains(&gained, "float-reassoc", file);
-}
-
-#[test]
-fn carrying_the_direct_convolutions_block_across_a_tile_boundary_is_float_reassoc() {
-    // The same edit on the forward convolution's `R × C` block: hoisted out
-    // of the tile loop, every tile after the first starts from the running
-    // total of the taps before it.
-    let file = "crates/tensor/src/conv.rs";
-    let gained = mutate(
-        file,
-        &[(
-            "for t in 0..(partials.len() / plane.len()).max(1) {\n                    let mut acc = [[0.0f32; C]; R];\n",
-            "let mut acc = [[0.0f32; C]; R];\n                for t in 0..(partials.len() / plane.len()).max(1) {\n",
-        )],
-    );
-    assert_gains(&gained, "float-reassoc", file);
 }
