@@ -1,26 +1,35 @@
-//! Tier-1 gate: the live workspace is detlint-clean. Any new hash-map
-//! iteration, wall-clock read, raw float accumulation, ad-hoc RNG, or
-//! thread-order leak on the deterministic path fails this test with a
-//! `file:line` span — the determinism contract is enforced at the source
-//! level, not just observed at the bitwise-comparison level.
+//! Tier-1 gate: the live workspace is detlint-clean — no leaf finding, no
+//! taint flow, no unpaired kernel, no stale suppression — from one analysis
+//! of the workspace that every check below shares. The other checks show a
+//! clean report means something: the walk saw every crate, the call graph
+//! has the edges taint needs, and the oracle inventory covers the declared
+//! kernel surface.
 
-use detlint::{analyze_workspace, report, Mode};
+use detlint::{analyze_workspace, report, Report};
 use std::path::Path;
+use std::sync::OnceLock;
+
+fn root() -> &'static Path {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+}
+
+/// The live workspace, analysed once for every check.
+fn live() -> &'static Report {
+    static LIVE: OnceLock<Report> = OnceLock::new();
+    LIVE.get_or_init(|| analyze_workspace(root()).expect("workspace walks"))
+}
 
 #[test]
 fn workspace_is_detlint_clean() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let rep = analyze_workspace(root).expect("workspace walks");
-    let findings: Vec<_> = rep.mode(Mode::Leaf).collect();
-    assert!(findings.is_empty(), "determinism lint violations:\n{}", report::human(&rep));
+    let rep = live();
+    assert!(rep.is_clean(), "determinism lint diagnostics:\n{}", report::human(rep));
 }
 
 #[test]
 fn workspace_walk_covers_every_crate() {
     // Guard against the walker silently skipping crates (e.g. after a
     // layout change): every crates/* directory with a src/ must be seen.
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let crates: Vec<String> = std::fs::read_dir(root.join("crates"))
+    let crates: Vec<String> = std::fs::read_dir(root().join("crates"))
         .expect("crates dir")
         .filter_map(|e| e.ok())
         .filter(|e| e.path().join("src").is_dir())
@@ -29,6 +38,50 @@ fn workspace_walk_covers_every_crate() {
     assert!(crates.len() >= 10, "expected a full workspace, saw {crates:?}");
     // A deliberately-planted violation in any crate must surface: prove the
     // machinery end-to-end by checking a known-hot source really is walked.
-    let sample = root.join("crates/sched/src/intra.rs");
+    let sample = root().join("crates/sched/src/intra.rs");
     assert!(sample.exists(), "walker coverage sample moved; update this test");
+}
+
+#[test]
+fn taint_machinery_sees_the_live_call_graph() {
+    // A zero-flow result is only meaningful if the graph really connects
+    // the workspace: spot-check that known hot paths resolved to edges.
+    let (files, _) = detlint::workspace_sources(root()).expect("workspace walks");
+    let g = detlint::build_model(&files, &[]).graph;
+    assert!(g.fns.len() > 300, "item model collapsed: only {} fns", g.fns.len());
+    let step_sinks = g.named("step");
+    assert!(!step_sinks.is_empty(), "optimizer step fns must be modeled");
+    // The engine's step path must arrive at the optimizer sink: the sink
+    // has at least one caller edge from the core crate.
+    let has_core_caller = step_sinks.iter().any(|&s| {
+        g.fns[s].crate_name == "optim"
+            && g.callers[s].iter().any(|e| g.fns[e.caller].crate_name == "core")
+    });
+    assert!(has_core_caller, "core -> optim::step edge missing from the call graph");
+}
+
+#[test]
+fn oracle_pairing_covers_the_declared_kernel_surface() {
+    // Structural pin, not line numbers: every name family from the config
+    // that exists as a pub fn in an accum crate shows up in the oracle
+    // inventory, and each check either passed or is audited (no-findings is
+    // asserted separately).
+    let rep = live();
+    let have = |k: &str| rep.oracles.iter().any(|o| o.kernel == k);
+    let conv = ["conv2d_forward_into", "conv2d_dw_into", "conv2d_dx_into"];
+    for kernel in
+        ["blocked_sum", "leaf_partials", "dot", "matmul", "ring_allreduce"].into_iter().chain(conv)
+    {
+        assert!(have(kernel), "oracle inventory lost `{kernel}`: {:?}", rep.oracles);
+    }
+    // Paired kernels really are exercised together by a test somewhere.
+    for o in &rep.oracles {
+        if o.scalar_found {
+            assert!(
+                o.tested_together,
+                "`{}` has a scalar sibling but no test calls both (and no finding fired?)",
+                o.kernel
+            );
+        }
+    }
 }
