@@ -2,7 +2,7 @@
 # Staged CI pipeline (see docs/CI.md). Runs entirely offline.
 #
 #   scripts/ci.sh           full pipeline: fmt → clippy → detlint (one run of
-#                           all four analyses; its exit status is the gate,
+#                           all three analyses; its exit status is the gate,
 #                           SARIF lands in results/detlint.sarif) → build →
 #                           golden_release (the bit-pinning tests, optimised)
 #                           → test → benchmark_smoke (builds the `figs`
@@ -72,12 +72,12 @@ stage() {
 stage fmt        cargo fmt --all --check
 stage clippy     cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# detlint always runs all four analyses — leaf rules, taint flows,
-# concurrency checks, accumulation dataflow — off one lex + one call graph
-# (docs/DETLINT.md) and exits 1 on any blocking diagnostic. `--quiet` keeps
-# the log to one `leaf|taint|concur|accum: clean / N finding(s)` line per
-# analysis, so a red stage still says which one is dirty; the diagnostics
-# themselves are in the SARIF document.
+# detlint always runs all three analyses — leaf rules, taint flows,
+# kernel-oracle pairing — off one lex + one call graph (docs/DETLINT.md)
+# and exits 1 on any diagnostic. `--quiet` keeps the log to one
+# `leaf|taint|accum: clean / N finding(s)` line per analysis, so a red
+# stage still says which one is dirty; the diagnostics themselves are in
+# the SARIF document.
 stage detlint    cargo run --offline -q -p detlint -- --quiet --sarif results/detlint.sarif
 stage build      cargo build --release --offline
 # The bit-pinning tests at the optimisation level that ships: `test` below
