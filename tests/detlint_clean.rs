@@ -1,11 +1,13 @@
 //! Tier-1 gate: the live workspace is detlint-clean — no leaf finding, no
 //! taint flow, no unpaired kernel, no stale suppression — from one analysis
-//! of the workspace that every check below shares. The other checks show a
+//! of the workspace that every check below shares. The taint and accum
+//! checks repeat the gate for one analysis each, so a failure names it.
+//! The other checks show a
 //! clean report means something: the walk saw every crate, the call graph
 //! has the edges taint needs, and the oracle inventory covers the declared
 //! kernel surface.
 
-use detlint::{analyze_workspace, report, Report};
+use detlint::{analyze_workspace, report, Mode, Report};
 use std::path::Path;
 use std::sync::OnceLock;
 
@@ -23,6 +25,26 @@ fn live() -> &'static Report {
 fn workspace_is_detlint_clean() {
     let rep = live();
     assert!(rep.is_clean(), "determinism lint diagnostics:\n{}", report::human(rep));
+}
+
+#[test]
+fn workspace_has_no_taint_flows() {
+    let rep = live();
+    assert!(
+        rep.flows.is_empty() && rep.mode(Mode::Taint).next().is_none(),
+        "determinism taint flows reached state sinks:\n{}",
+        report::human(rep)
+    );
+}
+
+#[test]
+fn workspace_has_no_accumulation_findings() {
+    let rep = live();
+    assert!(
+        rep.mode(Mode::Accum).next().is_none(),
+        "accumulation findings in the live workspace:\n{}",
+        report::human(rep)
+    );
 }
 
 #[test]
