@@ -26,6 +26,7 @@ use crate::JobConfig;
 use comm::{CommError, ElasticDdp, FaultScript, RetryPolicy};
 use data::{Dataset, DistributedSampler};
 use optim::{LrSchedule, Sgd};
+use std::borrow::Cow;
 use std::sync::Arc;
 
 /// Outcome of one global step.
@@ -70,7 +71,7 @@ enum Backend {
     /// thread. Cannot fault independently: every error list is empty.
     SingleThread(Vec<EasyScaleWorker>),
     /// Workers moved onto persistent pool threads. A faulted worker is
-    /// replaced via `respawn` and the interaction replayed, reported in the
+    /// replaced via `respawn` and the step round replayed, reported in the
     /// error list.
     Pool(Box<WorkerPool>),
 }
@@ -112,38 +113,21 @@ impl Backend {
         }
     }
 
-    /// Checkpoint-relevant state of every worker, in worker order.
-    fn snapshots(&mut self, respawn: &mut RespawnFn<'_>) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
+    /// Every worker's EST contexts and loader cursors as of the last step,
+    /// in worker order (for the pool, the recovery seeds its step round
+    /// stored: `WorkerPool::seeds`).
+    fn seeds(&self) -> Cow<'_, [WorkerSnapshot]> {
         match self {
             Backend::SingleThread(workers) => {
-                (workers.iter().map(WorkerSnapshot::capture).collect(), Vec::new())
+                Cow::Owned(workers.iter().map(WorkerSnapshot::capture).collect())
             }
-            Backend::Pool(pool) => pool.snapshots_supervised(respawn),
-        }
-    }
-
-    /// Run `f` with mutable access to worker `index` on the calling thread
-    /// (pool workers are lent across and restored afterwards).
-    fn with_worker_mut<R>(
-        &mut self,
-        index: usize,
-        f: impl FnOnce(&mut EasyScaleWorker) -> R,
-        respawn: &mut RespawnFn<'_>,
-    ) -> (R, Vec<PoolError>) {
-        match self {
-            Backend::SingleThread(workers) => (f(&mut workers[index]), Vec::new()),
-            Backend::Pool(pool) => {
-                let (mut w, faults) = pool.lend(index, respawn);
-                let r = f(&mut w);
-                pool.restore(index, w);
-                (r, faults)
-            }
+            Backend::Pool(pool) => Cow::Borrowed(pool.seeds()),
         }
     }
 }
 
 /// One supervised pool recovery, as recorded by the engine: which worker
-/// faulted, during which phase of which step, and the *deterministic*
+/// faulted during which step's round, and the *deterministic*
 /// virtual-time detection latency charged for it (an upper bound: the drain
 /// policy's whole backoff budget — a pure function of the policy, never a
 /// wall clock).
@@ -167,32 +151,16 @@ pub struct PoolRecovery {
     /// an upper bound — a silent live thread takes all of it, while an
     /// exited one is reaped when the first window expires.
     pub virtual_latency_us: u64,
-    /// Which pool interaction detected the fault (`step` / `checkpoint` /
-    /// `evaluate`).
-    pub phase: &'static str,
 }
 
-impl PoolRecovery {
-    fn record(step: u64, err: &PoolError, virtual_latency_us: u64, phase: &'static str) -> Self {
-        PoolRecovery {
-            step,
-            worker: err.worker(),
-            device: err.device(),
-            kind: err.kind(),
-            panic_msg: err.panic_msg().map(str::to_owned),
-            virtual_latency_us,
-            phase,
-        }
-    }
-}
-
-/// Build a bitwise-identical replacement for faulted worker slot `idx`:
-/// a worker on the slot's placement over the engine's dataset, continuing
-/// from the engine-held param mirror (proven bitwise-equal to every
-/// replica) and the slot's recovery snapshot (pre-interrupted-step EST
-/// contexts and loader cursors). This is the [`Engine::from_checkpoint`]
-/// restore recipe scoped to a single slot — the same constructor — which is
-/// why replaying the interrupted command lands on the fault-free bits.
+/// Build a bitwise-identical copy of worker slot `idx` — a faulted slot's
+/// replacement, or the replica [`Engine::evaluate`] runs on: a worker on
+/// the slot's placement over the engine's dataset, continuing from the
+/// engine-held param mirror (proven bitwise-equal to every replica) and the
+/// slot's recovery snapshot (pre-interrupted-step EST contexts and loader
+/// cursors). This is the [`Engine::from_checkpoint`] restore recipe scoped
+/// to a single slot — the same constructor — which is why replaying the
+/// interrupted step lands on the fault-free bits.
 pub(crate) fn build_replacement(
     config: &JobConfig,
     placement: &Placement,
@@ -210,8 +178,8 @@ pub(crate) fn build_replacement(
 pub struct Engine {
     config: JobConfig,
     placement: Placement,
-    /// The training set: built once per engine, shared by its workers and
-    /// by every replacement a recovery builds.
+    /// The training set: built once per engine, shared by its workers, by
+    /// every replacement a recovery builds and by evaluation's replica.
     dataset: Arc<dyn Dataset>,
     backend: Backend,
     /// Engine-side mirror of the flat parameters. Every replica applies the
@@ -416,28 +384,6 @@ impl Engine {
         }
     }
 
-    /// Run one supervised backend interaction: `op` gets the backend and the
-    /// respawn recipe (a bitwise-identical rebuild from the param mirror and
-    /// the slot's last recovery snapshot — see [`build_replacement`]), and
-    /// every fault it recovered from is logged as a [`PoolRecovery`] of
-    /// `phase` at the current step.
-    fn supervised<R>(
-        &mut self,
-        phase: &'static str,
-        op: impl FnOnce(&mut Backend, &mut RespawnFn<'_>) -> (R, Vec<PoolError>),
-    ) -> R {
-        let Engine { config, placement, dataset, params, backend, .. } = self;
-        let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
-            build_replacement(config, placement, dataset, params, err.worker(), snap)
-        };
-        let (out, faults) = op(backend, &mut respawn);
-        let step = self.global_step;
-        let latency_us = self.exec.drain.total_backoff_us();
-        self.pool_recoveries
-            .extend(faults.iter().map(|e| PoolRecovery::record(step, e, latency_us, phase)));
-        out
-    }
-
     /// Arm transient comm faults for upcoming all-reduces (fault injection;
     /// see `comm::retry`). Production callers never touch this.
     pub fn inject_comm_faults(&mut self, script: FaultScript) {
@@ -472,11 +418,25 @@ impl Engine {
         // Local steps. Workers run in parallel (persistent pool threads by
         // default); each owns its model replica, pool, and contexts, so no
         // synchronization is needed until merge. Pool execution is
-        // supervised: a worker that dies or goes silent is replaced and the
-        // round is replayed — so `locals` is the same set of bits whether or
-        // not a fault happened.
-        let mut locals =
-            self.supervised("step", |backend, respawn| backend.run_steps(epoch, lr, respawn));
+        // supervised: a worker that dies or goes silent is replaced by a
+        // bitwise-identical rebuild from the param mirror and the slot's
+        // last recovery seed (`build_replacement`) and the round is
+        // replayed — so `locals` is the same set of bits whether or not a
+        // fault happened. Each recovery is logged as a `PoolRecovery`.
+        let Engine { config, placement, dataset, params, backend, .. } = self;
+        let mut respawn = |err: &PoolError, snap: &WorkerSnapshot| {
+            build_replacement(config, placement, dataset, params, err.worker(), snap)
+        };
+        let (mut locals, faults) = backend.run_steps(epoch, lr, &mut respawn);
+        let virtual_latency_us = self.exec.drain.total_backoff_us();
+        self.pool_recoveries.extend(faults.iter().map(|e| PoolRecovery {
+            step,
+            worker: e.worker(),
+            device: e.device(),
+            kind: e.kind(),
+            panic_msg: e.panic_msg().map(str::to_owned),
+            virtual_latency_us,
+        }));
         // Deterministic merge: virtual-rank order, independent of thread
         // completion order.
         let merge_span = obs::span("merge");
@@ -529,16 +489,16 @@ impl Engine {
         (0..n).map(|_| self.step()).collect()
     }
 
-    /// Take an on-demand checkpoint (paper Figure 6). `&mut` since PR 9:
-    /// the snapshot gather is supervised, so a worker faulting mid-
-    /// checkpoint is replaced (mutating the pool) and re-asked instead of
-    /// panicking the engine.
+    /// Take an on-demand checkpoint (paper Figure 6) from the parameter
+    /// mirror and the contexts and cursors the last step returned — no
+    /// worker is asked, so no thread fault can strike here. The `&mut`
+    /// receiver is kept for the callers written against it.
     pub fn checkpoint(&mut self) -> JobCheckpoint {
         let _ckpt_span = obs::span("engine.checkpoint");
-        let snaps = self.supervised("checkpoint", |backend, respawn| backend.snapshots(respawn));
+        let snaps = self.backend.seeds();
         // EST contexts gathered from their current owners, in vrank order.
         let mut contexts: Vec<Option<EstContext>> = vec![None; self.config.n_ests as usize];
-        for s in &snaps {
+        for s in snaps.iter() {
             for c in &s.contexts {
                 contexts[c.vrank as usize] = Some(c.clone());
             }
@@ -604,10 +564,15 @@ impl Engine {
         std::mem::take(&mut self.pool_recoveries)
     }
 
-    /// Evaluate on `dataset` using virtual rank 0's implicit state. The
-    /// forward passes run on the calling thread (pool workers are lent
-    /// across for the duration — eval datasets are borrowed, not `'static`).
-    pub fn evaluate(&mut self, dataset: &dyn Dataset, batch_size: usize) -> EvalResult {
+    /// Evaluate on `dataset` using virtual rank 0's implicit state, on the
+    /// calling thread. The forward passes run on a replica of the worker
+    /// hosting rank 0, built from the parameter mirror and that worker's
+    /// last step seed: bit for bit the worker itself, since the mirror
+    /// equals every replica (`mirror_matches_replica_bitwise`) and `Apply`,
+    /// which follows the seed, changes only parameters. The replica is then
+    /// dropped, which loses nothing: evaluation changes neither contexts
+    /// nor cursors.
+    pub fn evaluate(&self, dataset: &dyn Dataset, batch_size: usize) -> EvalResult {
         let (wi, ci) = self
             .placement
             .slots
@@ -615,9 +580,10 @@ impl Engine {
             .enumerate()
             .find_map(|(wi, s)| s.vranks.iter().position(|&r| r == 0).map(|ci| (wi, ci)))
             .expect("rank 0 is always placed");
-        let (overall, per_class) = self.supervised("evaluate", |backend, respawn| {
-            backend.with_worker_mut(wi, |w| w.evaluate(dataset, batch_size, ci), respawn)
-        });
+        let seed = &self.backend.seeds()[wi];
+        let mut replica =
+            build_replacement(&self.config, &self.placement, &self.dataset, &self.params, wi, seed);
+        let (overall, per_class) = replica.evaluate(dataset, batch_size, ci);
         EvalResult { overall, per_class }
     }
 

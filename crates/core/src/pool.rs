@@ -8,31 +8,33 @@
 //!
 //! Determinism story (docs/PARALLELISM.md): worker threads run local steps
 //! concurrently, so *completion* order is up to the OS scheduler — classic
-//! D1 entropy. Every worker→engine message (step batches, snapshot and lend
-//! replies) crosses back through one kind of fence: an [`Exchange`] keyed by
-//! worker index, drained with [`Exchange::drain_deadline`] (a declared
-//! detlint taint barrier) so the engine consumes results in canonical worker
-//! order, each stamped with the round's `seq` and the publisher's `ThreadId`
-//! so a late message from an earlier round or a reaped thread is discarded,
-//! never consumed. Past that fence no bit depends on scheduling, which is
-//! what the `nthread_eq_single` proptest checks end to end. The merge (sort
-//! by virtual rank, all-reduce, optimizer) runs on the engine thread behind
+//! D1 entropy. `Step` is the one command a worker answers, and its answer
+//! crosses back through one fence: an [`Exchange`] keyed by worker index,
+//! drained with [`Exchange::drain_deadline`] (a declared detlint taint
+//! barrier) so the engine consumes results in canonical worker order, each
+//! stamped with the round's `seq` and the publisher's `ThreadId` so a late
+//! message from an earlier round or a reaped thread is discarded, never
+//! consumed. Past that fence no bit depends on scheduling, which is what the
+//! `nthread_eq_single` proptest checks end to end. The merge (sort by
+//! virtual rank, all-reduce, optimizer) runs on the engine thread behind
 //! that fence, so a global step is one fan-out (`Step`), one drain and one
-//! fire-and-forget (`Apply`).
+//! fire-and-forget (`Apply`). Each answer also carries the worker's EST
+//! contexts and loader cursors; checkpoint and evaluation read those
+//! (`WorkerPool::seeds`) instead of asking the worker again.
 //!
-//! Supervision story (docs/HEALTH.md): step, snapshot and lend are three
-//! callers of one supervised round. A worker that panics, stalls past the
-//! drain deadline, or silently drops its reply surfaces as a typed
-//! [`PoolError`] naming the `esw-dev<id>` thread. The drain waits one policy
-//! window at a time: a silent slot whose thread has exited is reaped when a
-//! window expires, a live one only once the whole budget is spent. The
-//! supervisor reaps the thread (joining it if dead, quarantining it if live),
-//! asks the engine for a replacement worker seeded from the engine-held
-//! param mirror (proven bitwise-equal to every replica), reinstalls it on a
-//! fresh thread, and replays the interrupted command. Because replacements
-//! are rebuilt from pre-step state and results still cross the canonical
-//! fence, recovery is invisible in the deterministic outputs: post-recovery
-//! params are byte-identical to a fault-free run.
+//! Supervision story (docs/HEALTH.md): the step round is the one supervised
+//! round, so it is the one place a thread fault surfaces. A worker that
+//! panics, stalls past the drain deadline, or silently drops its reply
+//! surfaces as a typed [`PoolError`] naming the `esw-dev<id>` thread. The
+//! drain waits one policy window at a time: a silent slot whose thread has
+//! exited is reaped when a window expires, a live one only once the whole
+//! budget is spent. The supervisor reaps the thread (joining it if dead,
+//! quarantining it if live), asks the engine for a replacement worker seeded
+//! from the engine-held param mirror (proven bitwise-equal to every
+//! replica), reinstalls it on a fresh thread, and replays the step. Because
+//! replacements are rebuilt from pre-step state and results still cross the
+//! canonical fence, recovery is invisible in the deterministic outputs:
+//! post-recovery params are byte-identical to a fault-free run.
 
 use crate::est::EstContext;
 use crate::worker::{EasyScaleWorker, LocalStep};
@@ -100,9 +102,10 @@ pub struct PoolStats {
     pub steps_served: u64,
 }
 
-/// Everything the engine needs from one worker to assemble a checkpoint —
-/// and, since PR 9, to seed a bitwise-identical replacement after a fault.
-#[derive(Debug, Clone)]
+/// Everything the engine needs from one worker, besides the parameters it
+/// mirrors, to assemble a checkpoint, to evaluate, and to seed a
+/// bitwise-identical replacement after a fault.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerSnapshot {
     /// The worker's EST contexts, in slot order.
     pub contexts: Vec<EstContext>,
@@ -218,79 +221,46 @@ impl std::error::Error for PoolError {}
 
 /// Builds a replacement worker for a faulted slot. The engine seeds it from
 /// its param mirror plus the slot's last [`WorkerSnapshot`] (pre-interrupted-
-/// step state), which is exactly what replaying the interrupted command
-/// needs for bitwise-identical recovery.
+/// step state), which is exactly what replaying the interrupted step needs
+/// for bitwise-identical recovery.
 pub type RespawnFn<'a> = dyn FnMut(&PoolError, &WorkerSnapshot) -> Box<EasyScaleWorker> + 'a;
 
 /// One engine→worker command. Per-worker channels are FIFO, so a worker
 /// observes commands in exactly the engine's program order — `Apply` always
-/// lands before the next `Step`, no acknowledgement needed. Every command
-/// that owes an answer carries its round's `seq`, echoed back in the
-/// [`Fenced`] envelope for stale-result filtering after a recovery.
+/// lands before the next `Step`, no acknowledgement needed. `Step` is the
+/// one command answered: it carries its round's `seq`, echoed back in the
+/// [`StepBatch`] for stale-result filtering after a recovery.
 enum Cmd {
     /// Run one local step per hosted EST and publish the batch.
     Step { seq: u64 },
     /// Apply the (identical-everywhere) optimizer delta to the replica.
     Apply(Arc<Vec<f32>>),
-    /// Publish a [`WorkerSnapshot`].
-    Snapshot { seq: u64 },
-    /// Publish the owned worker itself (evaluation runs on the engine
-    /// thread because eval datasets are borrowed, not `'static`).
-    Lend { seq: u64 },
-    /// Return a previously lent worker.
-    Restore(Box<EasyScaleWorker>),
     /// Arm a [`ThreadFault`], consumed at the next `Step` (faultsim chaos).
     Arm(ThreadFault),
     /// Shut down the thread.
     Exit,
 }
 
-/// The envelope every worker→engine message travels in: the commanding
-/// round's `seq` and the publishing thread's id. The supervised round
-/// consumes a message only if both match the slot's current round and
+/// What a worker publishes after a `Step` command: its local steps plus a
+/// post-step snapshot, the slot's recovery seed for the *next* step, stamped
+/// with the commanding round's `seq` and the publishing thread's id. The
+/// round consumes a batch only if both match the slot's current round and
 /// thread — a publish from an earlier round or a reaped thread is stale.
-struct Fenced<T> {
+struct StepBatch {
     seq: u64,
     thread: ThreadId,
-    body: T,
-}
-
-impl<T> Fenced<T> {
-    /// Stamp `body` as the calling thread's answer to round `seq`.
-    fn new(seq: u64, body: T) -> Self {
-        Fenced { seq, thread: std::thread::current().id(), body }
-    }
-}
-
-/// What a worker publishes after a `Step` command: its local steps plus a
-/// post-step snapshot the supervisor holds as the slot's recovery seed for
-/// the *next* step.
-struct StepBatch {
     steps: Vec<LocalStep>,
     recovery: WorkerSnapshot,
 }
 
-/// What a worker publishes after a `Snapshot` or `Lend` command.
-enum Reply {
-    Snapshot(Box<WorkerSnapshot>),
-    Worker(Box<EasyScaleWorker>),
-}
-
-/// The publish handles one worker thread holds, one per exchange.
-struct Publishers {
-    steps: ExchangeTx<Fenced<StepBatch>>,
-    replies: ExchangeTx<Fenced<Reply>>,
-}
-
-/// The persistent pool: command senders and the two keyed exchanges the
-/// worker threads publish into.
+/// The persistent pool: command senders and the keyed exchange the worker
+/// threads publish their step batches into.
 pub struct WorkerPool {
     cmds: Vec<Sender<Cmd>>,
-    steps: Exchange<Fenced<StepBatch>>,
-    replies: Exchange<Fenced<Reply>>,
+    steps: Exchange<StepBatch>,
     /// Live thread handles; `None` only transiently inside a recovery. A
     /// slot's current `ThreadId` is read off its handle: every drained
-    /// message must match it or it is a stale publish from a reaped thread.
+    /// batch must match it or it is a stale publish from a reaped thread.
     threads: Vec<Option<JoinHandle<()>>>,
     /// Unresponsive threads the supervisor gave up on: unparked and written
     /// off, joined best-effort at shutdown (they exit once their old command
@@ -317,7 +287,7 @@ fn launch(
     key: usize,
     dev: u32,
     worker: Box<EasyScaleWorker>,
-    out: Publishers,
+    out: ExchangeTx<StepBatch>,
 ) -> (Sender<Cmd>, JoinHandle<()>) {
     let (cmd_tx, cmd_rx) = channel();
     let handle = std::thread::Builder::new()
@@ -337,14 +307,12 @@ impl WorkerPool {
         assert!(n > 0, "pool needs at least one worker");
         let recovery: Vec<WorkerSnapshot> = workers.iter().map(WorkerSnapshot::capture).collect();
         let mut steps = Exchange::new();
-        let mut replies = Exchange::new();
         let mut cmds = Vec::with_capacity(n);
         let mut threads = Vec::with_capacity(n);
         let mut devices = Vec::with_capacity(n);
         for (i, worker) in workers.into_iter().enumerate() {
             let dev = device_ids.get(i).copied().unwrap_or(i as u32);
-            let out = Publishers { steps: steps.handle(), replies: replies.handle() };
-            let (cmd_tx, handle) = launch(i, dev, Box::new(worker), out);
+            let (cmd_tx, handle) = launch(i, dev, Box::new(worker), steps.handle());
             threads.push(Some(handle));
             cmds.push(cmd_tx);
             devices.push(dev);
@@ -353,12 +321,10 @@ impl WorkerPool {
         // replacement handles through the post-seal recovery door when it
         // respawns a faulted worker.
         steps.seal();
-        replies.seal();
         obs::counter_add("engine.pool.spawns_total", n as u64);
         WorkerPool {
             cmds,
             steps,
-            replies,
             threads,
             quarantined: Vec::new(),
             devices,
@@ -384,71 +350,73 @@ impl WorkerPool {
         PoolStats { workers: self.cmds.len(), steps_served: self.steps_served }
     }
 
+    /// Every worker's EST contexts and loader cursors as of the last step
+    /// round (as spawned, before the first), in worker order: the recovery
+    /// seeds each [`StepBatch`] carried. They are also what a checkpoint or
+    /// an evaluation needs from the workers — `Apply` changes only the
+    /// parameters, which a snapshot does not hold.
+    pub(crate) fn seeds(&self) -> &[WorkerSnapshot] {
+        &self.recovery
+    }
+
     /// Arm a [`ThreadFault`] on worker `worker % len` (faultsim chaos); the
     /// worker consumes it at its next `Step`. Returns the armed slot index.
     pub fn arm_fault(&self, worker: usize, fault: ThreadFault) -> usize {
         let i = worker % self.len();
         // A slot whose thread already died can't receive the arm; its next
-        // supervised drain will reap it regardless.
+        // step round will reap it regardless.
         let _ = self.cmds[i].send(Cmd::Arm(fault));
         i
     }
 
-    /// The one supervised round every request/response interaction runs:
-    /// send `cmd(seq)` to each of `slots`, drain `exchange` under the
-    /// deadline until every slot holds a message that passes the
-    /// `seq`+`ThreadId` fence, and return the bodies in slot order. A slot
-    /// that cannot take its command, or has nothing in flight when a window
-    /// expires and either its thread has exited or the policy's windows are
-    /// spent, is reaped, replaced via `respawn`, and re-commanded
-    /// with the *same* round — so the bodies are bitwise identical to a
-    /// fault-free round. Every recovery is reported in the second tuple
-    /// element (empty when clean).
-    fn round<T>(
-        &mut self,
-        exchange: fn(&mut WorkerPool) -> &mut Exchange<Fenced<T>>,
-        slots: std::ops::Range<usize>,
-        cmd: &dyn Fn(u64) -> Cmd,
-        respawn: &mut RespawnFn<'_>,
-    ) -> (Vec<T>, Vec<PoolError>) {
+    /// The supervised step round: send `Step { seq }` to every slot, drain
+    /// the exchange under the deadline until every slot holds a batch that
+    /// passes the `seq`+`ThreadId` fence, and return the batches in slot
+    /// order. A slot that cannot take its command, or has nothing in flight
+    /// when a window expires and either its thread has exited or the
+    /// policy's windows are spent, is reaped, replaced via `respawn`, and
+    /// re-commanded with the *same* round — so the batches are bitwise
+    /// identical to a fault-free round. Every recovery is reported in the
+    /// second tuple element (empty when clean).
+    fn round(&mut self, respawn: &mut RespawnFn<'_>) -> (Vec<StepBatch>, Vec<PoolError>) {
         self.seq += 1;
         let seq = self.seq;
         let policy = self.drain;
+        let n = self.len();
         let mut errors: Vec<PoolError> = Vec::new();
-        for i in slots.clone() {
-            if self.cmds[i].send(cmd(seq)).is_err() {
+        for i in 0..n {
+            if self.cmds[i].send(Cmd::Step { seq }).is_err() {
                 // Dead before the round even started: recover eagerly so the
                 // drain below only waits on workers that might answer.
-                errors.push(self.recover(i, cmd(seq), respawn));
+                errors.push(self.recover(i, seq, respawn));
             }
         }
-        let mut got: BTreeMap<u64, T> = BTreeMap::new();
+        let mut got: BTreeMap<u64, StepBatch> = BTreeMap::new();
         // Empty windows since the last recovery: the next wait is window k+1.
         let mut k = 0u32;
         // A pass is one empty window or one drain that returned messages.
         // At most `max_attempts` empty windows pass between recoveries (`k`
         // restarts only at one, and at `max_attempts` every missing slot is
         // reaped), so this allows 8·(n+1) recoveries and drains.
-        let bound = (8 * slots.len() + 8) * policy.max_attempts as usize;
+        let bound = (8 * n + 8) * policy.max_attempts as usize;
         let mut passes = 0usize;
-        while got.len() < slots.len() {
+        while got.len() < n {
             passes += 1;
             assert!(passes <= bound, "supervised drain did not converge");
-            let need = slots.len() - got.len();
             let wait = policy.backoff_us(k + 1);
             let window = RetryPolicy { max_attempts: 1, base_backoff_us: wait, ..policy };
             let drained = {
                 let _drain_span = obs::span("engine.drain_wait");
-                exchange(self).drain_deadline(need, &window)
+                self.steps.drain_deadline(n - got.len(), &window)
             };
             match drained {
-                Ok(batch) => {
-                    for (key, msg) in batch {
+                Ok(batches) => {
+                    for (key, batch) in batches {
                         // Stale fence: publishes from reaped threads or
                         // earlier rounds are discarded, never consumed.
                         let current = self.threads[key as usize].as_ref().map(|h| h.thread().id());
-                        if msg.seq == seq && Some(msg.thread) == current {
-                            got.insert(key, msg.body);
+                        if batch.seq == seq && Some(batch.thread) == current {
+                            got.insert(key, batch);
                         }
                     }
                 }
@@ -460,12 +428,12 @@ impl WorkerPool {
                     // now. A live one is reaped once the budget is spent.
                     k += 1;
                     let before = errors.len();
-                    for i in slots.clone() {
+                    for i in 0..n {
                         let key = i as u64;
                         let exited = self.threads[i].as_ref().is_some_and(JoinHandle::is_finished);
                         let silent = !got.contains_key(&key) && !err.received().contains(&key);
                         if silent && (exited || k >= policy.max_attempts) {
-                            errors.push(self.recover(i, cmd(seq), respawn));
+                            errors.push(self.recover(i, seq, respawn));
                         }
                     }
                     if errors.len() > before {
@@ -489,9 +457,7 @@ impl WorkerPool {
         _lr: f32,
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<LocalStep>, Vec<PoolError>) {
-        let n = self.len();
-        let (batches, errors) =
-            self.round(|p| &mut p.steps, 0..n, &|seq| Cmd::Step { seq }, respawn);
+        let (batches, errors) = self.round(respawn);
         self.steps_served += 1;
         let mut out = Vec::new();
         for (slot, batch) in batches.into_iter().enumerate() {
@@ -517,67 +483,22 @@ impl WorkerPool {
     }
 
     /// Broadcast the optimizer delta. Fire-and-forget: per-worker FIFO
-    /// ordering guarantees it is applied before any later command. A dead
-    /// worker misses the send harmlessly — its replacement is reseeded from
-    /// the engine's post-apply mirror at the next supervised round.
+    /// ordering guarantees it is applied before the next `Step`. A worker
+    /// that dies applying it is found by the next step round, and its
+    /// replacement is seeded from the engine's post-apply mirror; with no
+    /// step after it, `Drop` joins the dead thread and panics naming it.
     pub fn apply(&self, delta: &Arc<Vec<f32>>) {
         for tx in &self.cmds {
             let _ = tx.send(Cmd::Apply(Arc::clone(delta)));
         }
     }
 
-    /// Snapshot every worker's checkpoint-relevant state, in worker order,
-    /// supervised: a worker that cannot answer is reaped, replaced, and
-    /// re-asked — and because replacements are rebuilt from exactly the
-    /// state a snapshot reports, the recovered snapshot is bitwise identical
-    /// to what the faulty worker owed.
-    pub fn snapshots_supervised(
-        &mut self,
-        respawn: &mut RespawnFn<'_>,
-    ) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
-        let n = self.len();
-        let (replies, errors) =
-            self.round(|p| &mut p.replies, 0..n, &|seq| Cmd::Snapshot { seq }, respawn);
-        let snaps = replies
-            .into_iter()
-            .map(|r| match r {
-                Reply::Snapshot(s) => *s,
-                Reply::Worker(_) => unreachable!("snapshot round returned a lent worker"),
-            })
-            .collect();
-        (snaps, errors)
-    }
-
-    /// Borrow worker `index` onto the calling thread (for evaluation, which
-    /// takes non-`'static` datasets). Must be paired with
-    /// [`WorkerPool::restore`]. Supervised like every other round: a slot
-    /// whose thread died (say, inside a fire-and-forget `Apply`) lends its
-    /// replacement instead of panicking the engine. Once lent, the worker
-    /// lives on the engine thread where it cannot fault independently.
-    pub fn lend(
-        &mut self,
-        index: usize,
-        respawn: &mut RespawnFn<'_>,
-    ) -> (Box<EasyScaleWorker>, Vec<PoolError>) {
-        let (mut replies, errors) =
-            self.round(|p| &mut p.replies, index..index + 1, &|seq| Cmd::Lend { seq }, respawn);
-        match replies.pop().expect("one reply") {
-            Reply::Worker(w) => (w, errors),
-            Reply::Snapshot(_) => unreachable!("lend round returned a snapshot"),
-        }
-    }
-
-    /// Return a worker borrowed with [`WorkerPool::lend`].
-    pub fn restore(&self, index: usize, worker: Box<EasyScaleWorker>) {
-        self.cmds[index].send(Cmd::Restore(worker)).expect("worker thread died");
-    }
-
     /// Reap faulty worker slot `i`, install the replacement `respawn` builds
-    /// from the slot's recovery seed on a fresh thread, and hand it `replay`
-    /// (the interrupted command). Classifies the fault first: a finished
-    /// thread is joined and its panic payload harvested; an unresponsive one
-    /// is unparked and quarantined — joining it could hang forever.
-    fn recover(&mut self, i: usize, replay: Cmd, respawn: &mut RespawnFn<'_>) -> PoolError {
+    /// from the slot's recovery seed on a fresh thread, and replay round
+    /// `seq`'s `Step` on it. Classifies the fault first: a finished thread
+    /// is joined and its panic payload harvested; an unresponsive one is
+    /// unparked and quarantined — joining it could hang forever.
+    fn recover(&mut self, i: usize, seq: u64, respawn: &mut RespawnFn<'_>) -> PoolError {
         let device = self.devices[i];
         let handle = self.threads[i].take().expect("slot already under recovery");
         obs::counter_add("engine.pool.quarantines_total", 1);
@@ -597,18 +518,15 @@ impl WorkerPool {
             PoolError::DrainTimeout { worker: i, device }
         };
         let replacement = respawn(&err, &self.recovery[i]);
-        // Replacement publish handles on the sealed exchanges, a fresh
+        // A replacement publish handle on the sealed exchange, a fresh
         // command channel (dropping the old sender tells a quarantined
         // thread to exit), a new thread under the slot's stable device id.
-        let out = Publishers {
-            steps: self.steps.replacement_handle(),
-            replies: self.replies.replacement_handle(),
-        };
+        let out = self.steps.replacement_handle();
         let (cmd_tx, handle) = launch(i, device, replacement, out);
         self.threads[i] = Some(handle);
         self.cmds[i] = cmd_tx;
         obs::counter_add("engine.pool.respawns_total", 1);
-        self.cmds[i].send(replay).expect("respawned worker died");
+        self.cmds[i].send(Cmd::Step { seq }).expect("respawned worker died");
         err
     }
 }
@@ -683,9 +601,12 @@ fn stall_forever() {
 /// place scheduling-dependent arrival *timing* exists, and nothing here
 /// forwards arrival order — results are published under the worker's fixed
 /// key and consumed through canonical-order drains on the engine side.
-fn worker_main(key: u64, worker: Box<EasyScaleWorker>, cmds: Receiver<Cmd>, out: Publishers) {
-    // `None` while the worker is lent to the engine thread for evaluation.
-    let mut slot: Option<Box<EasyScaleWorker>> = Some(worker);
+fn worker_main(
+    key: u64,
+    mut worker: Box<EasyScaleWorker>,
+    cmds: Receiver<Cmd>,
+    out: ExchangeTx<StepBatch>,
+) {
     // Injected fault waiting for the next Step (faultsim chaos).
     let mut armed: Option<ThreadFault> = None;
     loop {
@@ -711,38 +632,19 @@ fn worker_main(key: u64, worker: Box<EasyScaleWorker>, cmds: Receiver<Cmd>, out:
                     Some(ThreadFault::ReplyDrop) => {
                         // Run the step but drop the publish: the thread
                         // stays alive and keeps serving, its result gone.
-                        let w = slot.as_mut().expect("step commanded while worker is lent out");
-                        let _ = w.run_local_steps();
+                        let _ = worker.run_local_steps();
                         continue;
                     }
                     None => {}
                 }
-                let w = slot.as_mut().expect("step commanded while worker is lent out");
                 let step_span = obs::span("engine.pool.worker_step");
-                let local = w.run_local_steps();
+                let steps = worker.run_local_steps();
                 drop(step_span);
-                let recovery = WorkerSnapshot::capture(w);
-                let batch = StepBatch { steps: local, recovery };
-                out.steps.publish(key, Fenced::new(seq, batch));
+                let recovery = WorkerSnapshot::capture(&worker);
+                let thread = std::thread::current().id();
+                out.publish(key, StepBatch { seq, thread, steps, recovery });
             }
-            Cmd::Apply(delta) => {
-                slot.as_mut()
-                    .expect("apply commanded while worker is lent out")
-                    .apply_update(&delta);
-            }
-            Cmd::Snapshot { seq } => {
-                let w = slot.as_ref().expect("snapshot commanded while worker is lent out");
-                let snap = Box::new(WorkerSnapshot::capture(w));
-                out.replies.publish(key, Fenced::new(seq, Reply::Snapshot(snap)));
-            }
-            Cmd::Lend { seq } => {
-                let w = slot.take().expect("worker lent twice");
-                out.replies.publish(key, Fenced::new(seq, Reply::Worker(w)));
-            }
-            Cmd::Restore(w) => {
-                assert!(slot.is_none(), "restore without a lend");
-                slot = Some(w);
-            }
+            Cmd::Apply(delta) => worker.apply_update(&delta),
             Cmd::Arm(fault) => armed = Some(fault),
             Cmd::Exit => return,
         }
@@ -818,16 +720,6 @@ mod tests {
             steps.sort_by_key(|l| l.vrank);
             steps
         }
-
-        fn snapshot_round(&mut self) -> (Vec<WorkerSnapshot>, Vec<PoolError>) {
-            let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
-            self.pool.snapshots_supervised(&mut respawn)
-        }
-
-        fn lend_round(&mut self, index: usize) -> (Box<EasyScaleWorker>, Vec<PoolError>) {
-            let mut respawn = respawner(&self.cfg, &self.placement, &self.mirror, &mut self.log);
-            self.pool.lend(index, &mut respawn)
-        }
     }
 
     fn assert_steps_bitwise_eq(a: &[LocalStep], b: &[LocalStep], what: &str) {
@@ -869,57 +761,26 @@ mod tests {
     }
 
     #[test]
-    fn lend_and_restore_round_trip() {
-        let mut rig = Rig::new(2, 2, &[], ExecOptions::default().drain);
-        let (w, errors) = rig.lend_round(1);
-        assert!(errors.is_empty());
-        assert!(!w.flat_params().is_empty());
-        rig.pool.restore(1, w);
-        // The restored worker still steps: the next round must include its
-        // ESTs.
-        assert_eq!(rig.clean_steps().len(), 2);
-        let (snaps, errors) = rig.snapshot_round();
-        assert!(errors.is_empty());
-        assert_eq!(snaps.len(), 2);
-        assert_eq!(snaps[1].contexts.len(), 1);
-    }
-
-    #[test]
     fn apply_lands_before_later_commands() {
         let mut rig = Rig::new(2, 1, &[], ExecOptions::default().drain);
-        let (w, errors) = rig.lend_round(0);
-        assert!(errors.is_empty());
-        let before = w.flat_params();
-        rig.pool.restore(0, w);
-        let delta = Arc::new(vec![0.5f32; before.len()]);
-        rig.pool.apply(&delta);
-        // FIFO command ordering: the lend behind the apply must observe it.
-        let (after, errors) = rig.lend_round(0);
-        assert!(errors.is_empty());
-        assert!(after.flat_params().iter().zip(&before).all(|(a, b)| (a - b - 0.5).abs() < 1e-6));
-        rig.pool.restore(0, after);
+        let (_, _, mut seq) = make_workers(2, 1);
+        let delta = vec![1e-3f32; rig.mirror.len()];
+        rig.pool.apply(&Arc::new(delta.clone()));
+        seq[0].apply_update(&delta);
+        // FIFO command ordering: the step behind the apply must observe it.
+        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "applied");
     }
 
-    /// A worker that died inside fire-and-forget `Apply` is replaced by the
-    /// lend that finds it, instead of panicking the engine thread.
+    /// docs/HEALTH.md row 14: a worker that dies inside fire-and-forget
+    /// `Apply` with no step after it is found at `Drop`, which joins the
+    /// thread and panics with its name and payload.
     #[test]
-    fn lend_recovers_a_worker_killed_by_apply() {
-        // The whole default budget: a thread still printing its panic
-        // under load must be reaped as dead, not timed out as live.
-        let mut rig = Rig::new(2, 1, &[], ExecOptions::default().drain);
-        // An empty delta slices out of bounds in `apply_flat_delta`: the
-        // worker thread dies with nobody waiting on it.
+    #[should_panic(expected = "1 worker thread(s) panicked during shutdown: [esw-dev7: ")]
+    fn a_pool_dropped_after_a_fatal_apply_names_the_dead_worker() {
+        let rig = Rig::new(2, 1, &[7], ExecOptions::default().drain);
+        // An empty delta slices out of bounds in `apply_flat_delta`.
         rig.pool.apply(&Arc::new(Vec::new()));
-        let (w, errors) = rig.lend_round(0);
-        assert_eq!(errors.len(), 1, "exactly one recovery: {errors:?}");
-        assert!(matches!(errors[0], PoolError::WorkerDead { worker: 0, .. }), "{:?}", errors[0]);
-        assert_eq!(rig.log, errors);
-        let params = w.flat_params();
-        assert_eq!(params.len(), rig.mirror.len());
-        assert!(params.iter().zip(&rig.mirror).all(|(a, b)| a.to_bits() == b.to_bits()));
-        rig.pool.restore(0, w);
-        // The replacement is in service.
-        assert_eq!(rig.clean_steps().len(), 2);
+        drop(rig);
     }
 
     /// Workers that die inside fire-and-forget `Apply` are found by the next
@@ -1011,43 +872,19 @@ mod tests {
         assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), "panic + stall");
     }
 
-    /// docs/HEALTH.md row 17: a fault armed while the worker is lent out
-    /// fires at the first step after its restore and is recovered bitwise.
+    /// The seeds a checkpoint and an evaluation read hold every slot's
+    /// post-step state, a respawned slot's included.
     #[test]
-    fn a_fault_armed_while_lent_out_is_recovered_after_the_restore() {
+    fn seeds_hold_the_post_step_state_after_a_recovery() {
         let mut rig = Rig::new(4, 2, &[], fast_drain());
         let (_, _, mut seq) = make_workers(4, 2);
-        let (w, errors) = rig.lend_round(0);
-        assert!(errors.is_empty());
-        rig.pool.arm_fault(0, ThreadFault::Panic);
-        rig.pool.restore(0, w);
-        let (mut steps, errors) = rig.step_round();
-        assert_eq!(errors.len(), 1, "{errors:?}");
-        assert!(matches!(errors[0], PoolError::WorkerDead { worker: 0, .. }), "{:?}", errors[0]);
-        steps.sort_by_key(|l| l.vrank);
-        assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), "lent");
-    }
-
-    /// Supervised snapshots replace a stalled worker and return the exact
-    /// state it owed.
-    #[test]
-    fn supervised_snapshots_recover_a_stalled_worker() {
-        let mut rig = Rig::new(2, 2, &[], fast_drain());
-
-        // Reference snapshots from a clean round.
-        let (clean, clean_errors) = rig.snapshot_round();
-        assert!(clean_errors.is_empty());
-
-        // Stall worker 0 (consumed at the next Step), then snapshot through
-        // the supervisor: the Step round recovers it, snapshots are clean.
-        rig.pool.arm_fault(0, ThreadFault::Stall);
-        let (_, step_errors) = rig.step_round();
-        assert_eq!(step_errors.len(), 1);
-        let (snaps, snap_errors) = rig.snapshot_round();
-        assert!(snap_errors.is_empty());
-        assert_eq!(snaps.len(), clean.len());
-        for (s, c) in snaps.iter().zip(&clean) {
-            assert_eq!(s.contexts.len(), c.contexts.len());
-        }
+        let spawned: Vec<WorkerSnapshot> = seq.iter().map(WorkerSnapshot::capture).collect();
+        assert_eq!(rig.pool.seeds(), spawned);
+        rig.pool.arm_fault(1, ThreadFault::Panic);
+        assert_eq!(rig.step_round().1.len(), 1);
+        sequential_steps(&mut seq);
+        let stepped: Vec<WorkerSnapshot> = seq.iter().map(WorkerSnapshot::capture).collect();
+        assert_eq!(rig.pool.seeds(), stepped);
+        assert_ne!(stepped, spawned);
     }
 }

@@ -265,8 +265,8 @@ fn hashing_the_supervised_drain_reorder_buffer_is_no_hash_iter() {
     let gained = mutate(
         file,
         &[(
-            "let mut got: BTreeMap<u64, T> = BTreeMap::new();",
-            "let mut got: HashMap<u64, T> = HashMap::new();",
+            "let mut got: BTreeMap<u64, StepBatch> = BTreeMap::new();",
+            "let mut got: HashMap<u64, StepBatch> = HashMap::new();",
         )],
     );
     assert_gains(&gained, "no-hash-iter", file);
