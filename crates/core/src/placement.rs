@@ -82,11 +82,6 @@ impl Placement {
         }
         Ok(())
     }
-
-    /// Whether all slots use one GPU type.
-    pub fn is_homogeneous(&self) -> bool {
-        self.slots.windows(2).all(|w| w[0].gpu == w[1].gpu)
-    }
 }
 
 #[cfg(test)]
@@ -122,7 +117,6 @@ mod tests {
             Placement::heterogeneous(&[(GpuType::V100, 2), (GpuType::P100, 1), (GpuType::P100, 1)]);
         assert_eq!(p.slots[0].vranks, vec![0, 1]);
         assert_eq!(p.slots[2].vranks, vec![3]);
-        assert!(!p.is_homogeneous());
         p.validate(4).unwrap();
     }
 

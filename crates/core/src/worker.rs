@@ -18,7 +18,6 @@ use data::{
     AugmentConfig, Augmenter, DataWorkerPool, Dataset, LoaderCheckpoint, ShardedLoader,
     SyntheticImageDataset, SyntheticSequenceDataset,
 };
-use device::GpuType;
 use models::model::ExecCtx;
 use models::zoo::{self, build_proxy, build_proxy_undrawn, InputKind};
 use models::Model;
@@ -77,7 +76,6 @@ pub fn make_eval_dataset(config: &JobConfig, len: usize) -> Arc<dyn Dataset> {
 
 /// One physical worker.
 pub struct EasyScaleWorker {
-    gpu: GpuType,
     model: Model,
     pool: DataWorkerPool,
     contexts: Vec<EstContext>,
@@ -157,7 +155,6 @@ impl EasyScaleWorker {
             augmenter,
         );
         EasyScaleWorker {
-            gpu: slot.gpu,
             model,
             pool: DataWorkerPool::new(loader, config.data_workers, 2),
             contexts,
@@ -165,11 +162,6 @@ impl EasyScaleWorker {
             autotuner: Autotuner::new(config.determinism.autotune_policy()),
             op_key: config.seed ^ (config.workload.name().len() as u64) << 32,
         }
-    }
-
-    /// The GPU type this worker occupies.
-    pub fn gpu(&self) -> GpuType {
-        self.gpu
     }
 
     /// Assigned EST contexts (slot order).
@@ -361,6 +353,7 @@ pub fn accuracy(
 mod tests {
     use super::*;
     use crate::Determinism;
+    use device::GpuType;
     use models::Workload;
 
     fn config() -> JobConfig {

@@ -150,16 +150,6 @@ impl SyntheticSequenceDataset {
         self.offset = offset;
         self
     }
-
-    /// Vocabulary size.
-    pub fn vocab(&self) -> u32 {
-        self.vocab
-    }
-
-    /// Sequence length.
-    pub fn seq_len(&self) -> usize {
-        self.seq_len
-    }
 }
 
 impl Dataset for SyntheticSequenceDataset {

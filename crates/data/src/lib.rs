@@ -6,9 +6,9 @@
 //! workers ahead of the trainer; those workers consume RNG (augmentation),
 //! which makes their *progress* part of the training state. EasyScale (a)
 //! shares one data-worker pool among all ESTs of a worker instead of scaling
-//! workers with ESTs, and (b) tracks the RNG state of every prepared-but-
-//! unconsumed mini-batch in a queuing buffer so elastic restarts reproduce
-//! the exact same augmented batches.
+//! workers with ESTs, and (b) queues every prepared-but-unconsumed
+//! mini-batch with the RNG state it started from (the queuing buffer), so
+//! elastic restarts reproduce the exact same augmented batches.
 //!
 //! Determinism contract: the content of mini-batch `b` of virtual rank `r`
 //! in epoch `e` is a pure function of `(seed, dataset, e, r, b)` — never of
@@ -23,5 +23,5 @@ pub mod sampler;
 
 pub use augment::{AugmentConfig, Augmenter};
 pub use dataset::{Dataset, SyntheticImageDataset, SyntheticSequenceDataset};
-pub use loader::{Batch, DataWorkerPool, LoaderCheckpoint, QueuingBuffer, ShardedLoader};
+pub use loader::{Batch, DataWorkerPool, LoaderCheckpoint, ShardedLoader};
 pub use sampler::DistributedSampler;

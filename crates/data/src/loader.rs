@@ -1,15 +1,14 @@
-//! The data-loading pipeline: sharded loader, shared data-worker pool, and
-//! the queuing buffer of RNG states.
+//! The data-loading pipeline: sharded loader and shared data-worker pool.
 //!
 //! Layout mirrors the paper's Figure 7. A [`ShardedLoader`] produces the
 //! mini-batches of each virtual rank in order, consuming a per-rank
 //! augmentation RNG stream. A [`DataWorkerPool`] shares `n_workers` workers
 //! among *all* ESTs of one EasyScale worker (instead of `n_workers × n_ests`
 //! as naive scaling would), prefetching batches ahead of training. Because
-//! workers run ahead, the generator state each prepared batch *started from*
-//! is parked in a [`QueuingBuffer`]; checkpoints cut at the *consumption*
-//! frontier, so a restore regenerates the exact same batches the ESTs had
-//! not yet consumed.
+//! workers run ahead, each prefetched batch is queued with the generator
+//! state it *started from*: the prefetch queue is Figure 7's queuing buffer.
+//! Checkpoints cut at the queue fronts, the *consumption* frontier, so a
+//! restore regenerates the exact same batches the ESTs had not yet consumed.
 
 use crate::{Augmenter, Dataset, DistributedSampler};
 use esrng::{RngState, RngStream, StreamKey, StreamKind};
@@ -124,11 +123,6 @@ impl ShardedLoader {
         }
     }
 
-    /// Per-replica batch size.
-    pub fn batch_size(&self) -> usize {
-        self.batch_size
-    }
-
     /// Number of virtual ranks.
     pub fn n_replicas(&self) -> u32 {
         self.sampler.n_replicas()
@@ -217,55 +211,6 @@ impl ShardedLoader {
     }
 }
 
-/// The queuing buffer of Figure 7: generator states (Ri-j) for mini-batches
-/// that have been prepared by data workers but not yet consumed by ESTs.
-#[derive(Debug, Clone, Default)]
-pub struct QueuingBuffer {
-    entries: Vec<BufferEntry>,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct BufferEntry {
-    vrank: u32,
-    epoch: u64,
-    batch: usize,
-    state: RngState,
-    /// Which data worker prepared it (round-robin attribution — the paper's
-    /// "data workers take turns").
-    worker: u32,
-}
-
-impl QueuingBuffer {
-    /// Record a prepared batch's starting RNG state.
-    fn push(&mut self, vrank: u32, epoch: u64, batch: usize, state: RngState, worker: u32) {
-        self.entries.push(BufferEntry { vrank, epoch, batch, state, worker });
-    }
-
-    /// Drop the entry for a consumed batch.
-    fn consume(&mut self, vrank: u32, epoch: u64, batch: usize) {
-        self.entries.retain(|e| !(e.vrank == vrank && e.epoch == epoch && e.batch == batch));
-    }
-
-    /// Number of prepared-but-unconsumed batches tracked.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// True if nothing is in flight.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// The earliest (consumption-frontier) entry for a rank, if any.
-    pub fn frontier(&self, vrank: u32) -> Option<(u64, usize, RngState)> {
-        self.entries
-            .iter()
-            .filter(|e| e.vrank == vrank)
-            .min_by_key(|e| (e.epoch, e.batch))
-            .map(|e| (e.epoch, e.batch, e.state))
-    }
-}
-
 struct PreparedBatch {
     batch: Batch,
     rng_before: RngState,
@@ -277,9 +222,9 @@ pub struct DataWorkerPool {
     loader: ShardedLoader,
     n_workers: u32,
     prefetch_depth: usize,
+    /// Per rank, the prepared-but-unconsumed batches with the generator
+    /// state (Ri-j) each started from — Figure 7's queuing buffer.
     queues: Vec<VecDeque<PreparedBatch>>,
-    buffer: QueuingBuffer,
-    rr_worker: u32,
 }
 
 impl DataWorkerPool {
@@ -291,8 +236,6 @@ impl DataWorkerPool {
             n_workers: n_workers.max(1),
             prefetch_depth: prefetch_depth.max(1),
             queues: (0..n).map(|_| VecDeque::new()).collect(),
-            buffer: QueuingBuffer::default(),
-            rr_worker: 0,
         }
     }
 
@@ -300,11 +243,6 @@ impl DataWorkerPool {
     /// `per_worker × n_ests` to `per_worker`, §5.1.2).
     pub fn n_workers(&self) -> u32 {
         self.n_workers
-    }
-
-    /// The queuing buffer (inspection/checkpoint).
-    pub fn buffer(&self) -> &QueuingBuffer {
-        &self.buffer
     }
 
     /// Mini-batches per epoch per rank.
@@ -316,8 +254,6 @@ impl DataWorkerPool {
         while self.queues[vrank as usize].len() < self.prefetch_depth {
             let before = self.loader.cursor(vrank);
             let batch = self.loader.next_batch(vrank);
-            self.buffer.push(vrank, batch.epoch, batch.batch_idx, before.aug_state, self.rr_worker);
-            self.rr_worker = (self.rr_worker + 1) % self.n_workers;
             self.queues[vrank as usize]
                 .push_back(PreparedBatch { batch, rng_before: before.aug_state });
         }
@@ -326,9 +262,7 @@ impl DataWorkerPool {
     /// Deliver the next batch for `vrank` (prefetching as needed).
     pub fn next_batch(&mut self, vrank: u32) -> Batch {
         self.fill(vrank);
-        let prepared = self.queues[vrank as usize].pop_front().expect("fill guarantees a batch");
-        self.buffer.consume(vrank, prepared.batch.epoch, prepared.batch.batch_idx);
-        prepared.batch
+        self.queues[vrank as usize].pop_front().expect("fill guarantees a batch").batch
     }
 
     /// Checkpoint at the *consumption* frontier: prefetched-but-unconsumed
@@ -355,7 +289,6 @@ impl DataWorkerPool {
         for q in &mut self.queues {
             q.clear();
         }
-        self.buffer = QueuingBuffer::default();
     }
 }
 
@@ -452,16 +385,6 @@ mod tests {
                 assert!(a.features.bitwise_eq(&b.features), "prefetching must not change contents");
             }
         }
-    }
-
-    #[test]
-    fn pool_tracks_inflight_states() {
-        let mut pool = DataWorkerPool::new(loader(2), 3, 4);
-        pool.next_batch(0);
-        // Depth 4: after one consume, 3 batches for rank 0 remain in flight.
-        assert_eq!(pool.buffer().len(), 3);
-        assert!(pool.buffer().frontier(0).is_some());
-        assert!(pool.buffer().frontier(1).is_none(), "rank 1 never requested");
     }
 
     #[test]
