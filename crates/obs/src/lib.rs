@@ -118,17 +118,19 @@ pub fn counter_add(name: &str, delta: u64) {
         .add(delta);
 }
 
-/// Set the named gauge to `value` (last write wins).
+/// Set the named gauge to `value` (last write wins). A non-finite value is
+/// skipped, as a kind mismatch is: JSON cannot export it.
 pub fn gauge_set(name: &str, value: f64) {
-    if !is_enabled() {
+    if !is_enabled() || !value.is_finite() {
         return;
     }
     REGISTRY.state.lock().metrics.entry(name.to_string()).or_insert_with(Metric::gauge).set(value);
 }
 
-/// Record one observation into the named histogram.
+/// Record one observation into the named histogram. A non-finite value is
+/// skipped, as a kind mismatch is: it would poison the sum and the export.
 pub fn observe(name: &str, value: f64) {
-    if !is_enabled() {
+    if !is_enabled() || !value.is_finite() {
         return;
     }
     REGISTRY
@@ -237,6 +239,25 @@ mod tests {
         assert_eq!(counter_value("t.level"), None, "gauges are not counters");
         assert_eq!(counter_value("t.missing"), None);
         disable();
+    }
+
+    /// One NaN must not break every later export: it is skipped, and the
+    /// flush still writes the finite observation.
+    #[test]
+    fn non_finite_values_are_skipped_not_fatal() {
+        let _g = TEST_GUARD.lock();
+        let sink = MemorySink::shared();
+        enable(Box::new(sink.clone()));
+        reset();
+        observe("t.lat_us", 1.0);
+        observe("t.lat_us", f64::NAN);
+        gauge_set("t.level", f64::NAN);
+        gauge_set("t.inf", f64::INFINITY);
+        flush();
+        disable();
+        let lines = sink.lines();
+        assert_eq!(lines.len(), 1, "{lines:?}");
+        assert!(lines[0].contains("\"count\":1") && lines[0].contains("\"p99\":1"), "{lines:?}");
     }
 
     #[test]

@@ -124,7 +124,7 @@ impl Histogram {
             return 0.0;
         }
         let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("non-NaN samples"));
+        sorted.sort_by(f64::total_cmp);
         let rank = ((q * sorted.len() as f64).ceil() as usize).max(1);
         sorted[rank.min(sorted.len()) - 1]
     }
