@@ -6,9 +6,9 @@
 //! *virtual* ranks, and one optimizer update is applied to every worker's
 //! parameter replica. Physical workers run on **persistent OS threads**
 //! (`core::pool`) that live for the engine's lifetime and are respawned
-//! only on rescale; the engine drives them over per-worker command channels
-//! and consumes their results through canonical-order exchange drains, so
-//! thread interleaving cannot influence a single output bit (the N-thread
+//! only on rescale; the engine drives each over its own command channel and
+//! reads their replies one channel at a time in worker order, so thread
+//! interleaving cannot influence a single output bit (the N-thread
 //! ≡ 1-thread invariant — docs/PARALLELISM.md). The merge — all-reduce and
 //! optimizer — runs once, on the engine thread, where the drained gradients
 //! already are: no proxy here has a gradient large enough for a second
@@ -101,7 +101,8 @@ impl Backend {
         }
     }
 
-    /// Apply the optimizer delta to every replica.
+    /// Apply the optimizer delta to every replica (the pool's workers apply
+    /// it at the start of their next step).
     fn apply(&mut self, delta: &Arc<Vec<f32>>) {
         match self {
             Backend::SingleThread(workers) => {
@@ -116,12 +117,12 @@ impl Backend {
     /// Every worker's EST contexts and loader cursors as of the last step,
     /// in worker order (for the pool, the recovery seeds its step round
     /// stored: `WorkerPool::seeds`).
-    fn seeds(&self) -> Cow<'_, [WorkerSnapshot]> {
+    fn seeds(&self) -> Vec<Cow<'_, WorkerSnapshot>> {
         match self {
             Backend::SingleThread(workers) => {
-                Cow::Owned(workers.iter().map(WorkerSnapshot::capture).collect())
+                workers.iter().map(|w| Cow::Owned(WorkerSnapshot::capture(w))).collect()
             }
-            Backend::Pool(pool) => Cow::Borrowed(pool.seeds()),
+            Backend::Pool(pool) => pool.seeds().map(Cow::Borrowed).collect(),
         }
     }
 }
@@ -148,8 +149,8 @@ pub struct PoolRecovery {
     pub panic_msg: Option<String>,
     /// Deterministic detection latency in virtual microseconds: the drain
     /// policy's total backoff budget ([`RetryPolicy::total_backoff_us`]),
-    /// an upper bound — a silent live thread takes all of it, while an
-    /// exited one is reaped when the first window expires.
+    /// an upper bound — a silent live thread takes all of it, while a dead
+    /// one is found as soon as its reply channel disconnects.
     pub virtual_latency_us: u64,
 }
 
@@ -568,7 +569,7 @@ impl Engine {
     /// calling thread. The forward passes run on a replica of the worker
     /// hosting rank 0, built from the parameter mirror and that worker's
     /// last step seed: bit for bit the worker itself, since the mirror
-    /// equals every replica (`mirror_matches_replica_bitwise`) and `Apply`,
+    /// equals every replica (`mirror_matches_replica_bitwise`) and the delta,
     /// which follows the seed, changes only parameters. The replica is then
     /// dropped, which loses nothing: evaluation changes neither contexts
     /// nor cursors.
@@ -803,11 +804,11 @@ mod tests {
         assert_eq!(inline.pool_stats(), None);
     }
 
-    /// Under the default policy a panicked worker costs the first 25 ms
-    /// drain window, not the 6.4 s budget; the recovery still charges the
-    /// whole budget as its virtual latency.
+    /// Under the default policy a panicked worker is found when its reply
+    /// channel disconnects, not after the 6.4 s budget; the recovery still
+    /// charges the whole budget as its virtual latency.
     #[test]
-    fn a_panicked_worker_is_replaced_after_the_first_drain_window() {
+    fn a_panicked_worker_is_replaced_without_waiting_out_the_budget() {
         let mut e = Engine::new(config(), Placement::homogeneous(4, 2, GpuType::V100));
         e.step();
         assert_eq!(e.inject_thread_fault(1, crate::pool::ThreadFault::Panic), Some(1));

@@ -2,48 +2,45 @@
 //! thread for the engine's lifetime, supervised against real faults.
 //!
 //! The engine spawns one named thread per physical worker when it is built,
-//! drives the threads over per-worker command channels, and respawns them
-//! only on `rescale` (where the worker set itself changes) or when a worker
+//! drives each over its slot's command channel, and respawns them only on
+//! `rescale` (where the worker set itself changes) or when a worker
 //! *faults* and the supervisor replaces it.
 //!
 //! Determinism story (docs/PARALLELISM.md): worker threads run local steps
 //! concurrently, so *completion* order is up to the OS scheduler — classic
-//! D1 entropy. `Step` is the one command a worker answers, and its answer
-//! crosses back through one fence: an [`Exchange`] keyed by worker index,
-//! drained with [`Exchange::drain_deadline`] (a declared detlint taint
-//! barrier) so the engine consumes results in canonical worker order, each
-//! stamped with the round's `seq` and the publisher's `ThreadId` so a late
-//! message from an earlier round or a reaped thread is discarded, never
-//! consumed. Past that fence no bit depends on scheduling, which is what the
-//! `nthread_eq_single` proptest checks end to end. The merge (sort by
-//! virtual rank, all-reduce, optimizer) runs on the engine thread behind
-//! that fence, so a global step is one fan-out (`Step`), one drain and one
-//! fire-and-forget (`Apply`). Each answer also carries the worker's EST
-//! contexts and loader cursors; checkpoint and evaluation read those
-//! (`WorkerPool::seeds`) instead of asking the worker again.
+//! D1 entropy. A global step is one message each way per worker: `Step` out,
+//! carrying the optimizer delta of the step before, and one [`StepBatch`]
+//! back on the slot's own reply channel. The round reads those channels in
+//! slot order, so completion order never reaches a result, and a reaped
+//! thread's reply cannot be read at all: its channel goes with it. Past the
+//! round no bit depends on scheduling, which is what the `nthread_eq_single`
+//! proptest checks end to end. The merge (sort by virtual rank, all-reduce,
+//! optimizer) runs on the engine thread. Each reply also carries the
+//! worker's EST contexts and loader cursors; checkpoint and evaluation read
+//! those (`WorkerPool::seeds`) instead of asking the worker again.
 //!
 //! Supervision story (docs/HEALTH.md): the step round is the one supervised
 //! round, so it is the one place a thread fault surfaces. A worker that
-//! panics, stalls past the drain deadline, or silently drops its reply
+//! panics drops its reply sender while it unwinds, so the round finds it at
+//! once; one that stalls or silently drops its reply is found when the
+//! drain policy's whole budget passes with nothing on its channel. Either
 //! surfaces as a typed [`PoolError`] naming the `esw-dev<id>` thread. The
-//! drain waits one policy window at a time: a silent slot whose thread has
-//! exited is reaped when a window expires, a live one only once the whole
-//! budget is spent. The supervisor reaps the thread (joining it if dead,
-//! quarantining it if live), asks the engine for a replacement worker seeded
-//! from the engine-held param mirror (proven bitwise-equal to every
-//! replica), reinstalls it on a fresh thread, and replays the step. Because
-//! replacements are rebuilt from pre-step state and results still cross the
-//! canonical fence, recovery is invisible in the deterministic outputs:
+//! supervisor reaps the thread (joining it if dead, quarantining it if
+//! live), asks the engine for a replacement worker seeded from the
+//! engine-held param mirror (proven bitwise-equal to every replica),
+//! reinstalls it on a fresh thread, and replays the step. Because
+//! replacements are rebuilt from pre-step state and results are read in
+//! slot order, recovery is invisible in the deterministic outputs:
 //! post-recovery params are byte-identical to a fault-free run.
 
 use crate::est::EstContext;
 use crate::worker::{EasyScaleWorker, LocalStep};
-use comm::exchange::{channel, Receiver, Sender};
-use comm::{ElasticDdp, Exchange, ExchangeTx, RetryPolicy};
+use comm::exchange::{channel, Receiver, RecvTimeoutError, Sender};
+use comm::{ElasticDdp, RetryPolicy};
 use data::LoaderCheckpoint;
-use std::collections::BTreeMap;
 use std::sync::Arc;
-use std::thread::{JoinHandle, ThreadId};
+use std::thread::JoinHandle;
+use std::time::Duration;
 
 /// How the engine executes its physical workers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -66,14 +63,13 @@ pub struct ExecOptions {
     /// slot order. Purely diagnostic — ids never feed the math. When empty,
     /// slot indices are used.
     pub device_ids: Vec<u32>,
-    /// Deadline policy for supervised pool drains, waited through one
-    /// exponentially growing window at a time. A missing result whose
-    /// thread has exited is reaped when a window expires (the first window
-    /// bounds finding a dead thread); a live silent worker is declared
-    /// faulty after `max_attempts` windows
-    /// ([`RetryPolicy::total_backoff_us`]). Real-time only — these waits
-    /// never touch simulated time or any deterministic output, so a
-    /// too-aggressive policy costs spurious respawns (counters), never bits.
+    /// Deadline policy for a supervised step round: a live worker whose
+    /// reply channel stays empty for the policy's whole backoff budget
+    /// ([`RetryPolicy::total_backoff_us`]) is declared faulty. A dead one
+    /// is found as soon as its channel disconnects, whatever the policy.
+    /// Real-time only — these waits never touch simulated time or any
+    /// deterministic output, so a too-aggressive policy costs spurious
+    /// respawns (counters), never bits.
     pub drain: RetryPolicy,
 }
 
@@ -83,8 +79,7 @@ impl Default for ExecOptions {
             mode: ExecMode::default(),
             device_ids: Vec::new(),
             // 25ms·(2^8−1) ≈ 6.4s total: generous enough that a healthy
-            // worker under worst-case CI scheduling never trips it; a dead
-            // thread is reaped after the first 25ms window.
+            // worker under worst-case CI scheduling never trips it.
             drain: RetryPolicy { max_attempts: 8, base_backoff_us: 25_000, backoff_multiplier: 2 },
         }
     }
@@ -225,138 +220,114 @@ impl std::error::Error for PoolError {}
 /// for bitwise-identical recovery.
 pub type RespawnFn<'a> = dyn FnMut(&PoolError, &WorkerSnapshot) -> Box<EasyScaleWorker> + 'a;
 
-/// One engine→worker command. Per-worker channels are FIFO, so a worker
-/// observes commands in exactly the engine's program order — `Apply` always
-/// lands before the next `Step`, no acknowledgement needed. `Step` is the
-/// one command answered: it carries its round's `seq`, echoed back in the
-/// [`StepBatch`] for stale-result filtering after a recovery.
+/// One engine→worker command. A slot's channel is FIFO, so its worker
+/// observes commands in exactly the engine's program order.
 enum Cmd {
-    /// Run one local step per hosted EST and publish the batch.
-    Step { seq: u64 },
-    /// Apply the (identical-everywhere) optimizer delta to the replica.
-    Apply(Arc<Vec<f32>>),
+    /// Apply the optimizer delta of the step before, if any, then run one
+    /// local step per hosted EST and reply. A step replayed on a
+    /// replacement carries `None`: the replacement is built from the
+    /// engine's mirror, which already holds the delta.
+    Step(Option<Arc<Vec<f32>>>),
     /// Arm a [`ThreadFault`], consumed at the next `Step` (faultsim chaos).
     Arm(ThreadFault),
     /// Shut down the thread.
     Exit,
 }
 
-/// What a worker publishes after a `Step` command: its local steps plus a
-/// post-step snapshot, the slot's recovery seed for the *next* step, stamped
-/// with the commanding round's `seq` and the publishing thread's id. The
-/// round consumes a batch only if both match the slot's current round and
-/// thread — a publish from an earlier round or a reaped thread is stale.
+/// A worker's reply to `Step`: its local steps plus a post-step snapshot,
+/// the slot's recovery seed for the *next* step.
 struct StepBatch {
-    seq: u64,
-    thread: ThreadId,
     steps: Vec<LocalStep>,
     recovery: WorkerSnapshot,
 }
 
-/// The persistent pool: command senders and the keyed exchange the worker
-/// threads publish their step batches into.
+/// One physical worker: its thread, the channel each way, and what a
+/// replacement needs.
+struct Slot {
+    cmd: Sender<Cmd>,
+    /// Created with the thread and dropped when the slot is reaped, so no
+    /// reply of a reaped thread can be read.
+    reply: Receiver<StepBatch>,
+    thread: JoinHandle<()>,
+    /// Device id (thread naming + fault attribution).
+    device: u32,
+    /// The snapshot a replacement replays the interrupted step from:
+    /// captured at spawn, refreshed from every reply, so it always holds
+    /// pre-current-step state.
+    seed: WorkerSnapshot,
+}
+
+/// The persistent pool: one [`Slot`] per worker.
 pub struct WorkerPool {
-    cmds: Vec<Sender<Cmd>>,
-    steps: Exchange<StepBatch>,
-    /// Live thread handles; `None` only transiently inside a recovery. A
-    /// slot's current `ThreadId` is read off its handle: every drained
-    /// batch must match it or it is a stale publish from a reaped thread.
-    threads: Vec<Option<JoinHandle<()>>>,
+    slots: Vec<Slot>,
     /// Unresponsive threads the supervisor gave up on: unparked and written
-    /// off, joined best-effort at shutdown (they exit once their old command
-    /// channel drops, so the join cannot hang).
+    /// off, joined at shutdown (they exit once their old command channel
+    /// drops, so the join cannot hang).
     quarantined: Vec<JoinHandle<()>>,
-    /// Device id per slot (thread naming + fault attribution).
-    devices: Vec<u32>,
-    /// Per-slot recovery seed: the snapshot a replacement worker replays
-    /// the interrupted step from. Captured at spawn, refreshed from every
-    /// drained [`StepBatch`], so it always holds pre-current-step state.
-    recovery: Vec<WorkerSnapshot>,
-    /// Deadline policy for the supervised drains.
+    /// The delta [`WorkerPool::apply`] stored, sent with the next `Step`.
+    pending: Option<Arc<Vec<f32>>>,
+    /// How long a round waits on one silent slot.
     drain: RetryPolicy,
-    seq: u64,
     steps_served: u64,
 }
 
-/// Start slot `key`'s `esw-dev<dev>` thread around `worker`, returning its
-/// command sender and join handle.
-// Audited fence: the per-worker command channel is raw mpsc by design
-// (single-producer FIFO), hence the workspace-ban allow.
+/// Start slot `esw-dev<dev>`'s thread around `worker`, with `seed` its
+/// recovery seed.
+// Audited fence: the per-slot channels are raw mpsc by design (one
+// producer, one consumer, FIFO), hence the workspace-ban allow.
 #[allow(clippy::disallowed_methods)]
-fn launch(
-    key: usize,
-    dev: u32,
-    worker: Box<EasyScaleWorker>,
-    out: ExchangeTx<StepBatch>,
-) -> (Sender<Cmd>, JoinHandle<()>) {
-    let (cmd_tx, cmd_rx) = channel();
-    let handle = std::thread::Builder::new()
+fn launch(dev: u32, worker: Box<EasyScaleWorker>, seed: WorkerSnapshot) -> Slot {
+    let (cmd, cmd_rx) = channel();
+    let (reply_tx, reply) = channel();
+    let thread = std::thread::Builder::new()
         .name(format!("esw-dev{dev}"))
-        .spawn(move || worker_main(key as u64, worker, cmd_rx, out))
+        .spawn(move || worker_main(worker, cmd_rx, reply_tx))
         .expect("failed to spawn worker thread");
-    (cmd_tx, handle)
+    Slot { cmd, reply, thread, device: dev, seed }
 }
 
 impl WorkerPool {
     /// Spawn one named persistent thread per worker, moving each worker onto
     /// its thread. `device_ids` (slot order) name the threads `esw-dev{id}`;
     /// missing entries fall back to the slot index. `drain` bounds how long
-    /// the supervised drains wait for a silent worker.
+    /// a step round waits for a silent worker.
     pub fn spawn(workers: Vec<EasyScaleWorker>, device_ids: &[u32], drain: RetryPolicy) -> Self {
         let n = workers.len();
         assert!(n > 0, "pool needs at least one worker");
-        let recovery: Vec<WorkerSnapshot> = workers.iter().map(WorkerSnapshot::capture).collect();
-        let mut steps = Exchange::new();
-        let mut cmds = Vec::with_capacity(n);
-        let mut threads = Vec::with_capacity(n);
-        let mut devices = Vec::with_capacity(n);
-        for (i, worker) in workers.into_iter().enumerate() {
-            let dev = device_ids.get(i).copied().unwrap_or(i as u32);
-            let (cmd_tx, handle) = launch(i, dev, Box::new(worker), steps.handle());
-            threads.push(Some(handle));
-            cmds.push(cmd_tx);
-            devices.push(dev);
-        }
-        // Seal: ordinary handle minting is closed. The supervisor mints
-        // replacement handles through the post-seal recovery door when it
-        // respawns a faulted worker.
-        steps.seal();
+        let slots = workers
+            .into_iter()
+            .enumerate()
+            .map(|(i, worker)| {
+                let seed = WorkerSnapshot::capture(&worker);
+                launch(device_ids.get(i).copied().unwrap_or(i as u32), Box::new(worker), seed)
+            })
+            .collect();
         obs::counter_add("engine.pool.spawns_total", n as u64);
-        WorkerPool {
-            cmds,
-            steps,
-            threads,
-            quarantined: Vec::new(),
-            devices,
-            recovery,
-            drain,
-            seq: 0,
-            steps_served: 0,
-        }
+        WorkerPool { slots, quarantined: Vec::new(), pending: None, drain, steps_served: 0 }
     }
 
     /// Number of pooled workers.
     pub fn len(&self) -> usize {
-        self.cmds.len()
+        self.slots.len()
     }
 
     /// Whether the pool is empty (never true; spawn requires ≥ 1 worker).
     pub fn is_empty(&self) -> bool {
-        self.cmds.is_empty()
+        self.slots.is_empty()
     }
 
     /// Pool self-counters.
     pub fn stats(&self) -> PoolStats {
-        PoolStats { workers: self.cmds.len(), steps_served: self.steps_served }
+        PoolStats { workers: self.slots.len(), steps_served: self.steps_served }
     }
 
     /// Every worker's EST contexts and loader cursors as of the last step
     /// round (as spawned, before the first), in worker order: the recovery
     /// seeds each [`StepBatch`] carried. They are also what a checkpoint or
-    /// an evaluation needs from the workers — `Apply` changes only the
+    /// an evaluation needs from the workers — a delta changes only the
     /// parameters, which a snapshot does not hold.
-    pub(crate) fn seeds(&self) -> &[WorkerSnapshot] {
-        &self.recovery
+    pub(crate) fn seeds(&self) -> impl Iterator<Item = &WorkerSnapshot> {
+        self.slots.iter().map(|s| &s.seed)
     }
 
     /// Arm a [`ThreadFault`] on worker `worker % len` (faultsim chaos); the
@@ -365,106 +336,57 @@ impl WorkerPool {
         let i = worker % self.len();
         // A slot whose thread already died can't receive the arm; its next
         // step round will reap it regardless.
-        let _ = self.cmds[i].send(Cmd::Arm(fault));
+        let _ = self.slots[i].cmd.send(Cmd::Arm(fault));
         i
     }
 
-    /// The supervised step round: send `Step { seq }` to every slot, drain
-    /// the exchange under the deadline until every slot holds a batch that
-    /// passes the `seq`+`ThreadId` fence, and return the batches in slot
-    /// order. A slot that cannot take its command, or has nothing in flight
-    /// when a window expires and either its thread has exited or the
-    /// policy's windows are spent, is reaped, replaced via `respawn`, and
-    /// re-commanded with the *same* round — so the batches are bitwise
-    /// identical to a fault-free round. Every recovery is reported in the
-    /// second tuple element (empty when clean).
-    fn round(&mut self, respawn: &mut RespawnFn<'_>) -> (Vec<StepBatch>, Vec<PoolError>) {
-        self.seq += 1;
-        let seq = self.seq;
-        let policy = self.drain;
-        let n = self.len();
-        let mut errors: Vec<PoolError> = Vec::new();
-        for i in 0..n {
-            if self.cmds[i].send(Cmd::Step { seq }).is_err() {
-                // Dead before the round even started: recover eagerly so the
-                // drain below only waits on workers that might answer.
-                errors.push(self.recover(i, seq, respawn));
-            }
-        }
-        let mut got: BTreeMap<u64, StepBatch> = BTreeMap::new();
-        // Empty windows since the last recovery: the next wait is window k+1.
-        let mut k = 0u32;
-        // A pass is one empty window or one drain that returned messages.
-        // At most `max_attempts` empty windows pass between recoveries (`k`
-        // restarts only at one, and at `max_attempts` every missing slot is
-        // reaped), so this allows 8·(n+1) recoveries and drains.
-        let bound = (8 * n + 8) * policy.max_attempts as usize;
-        let mut passes = 0usize;
-        while got.len() < n {
-            passes += 1;
-            assert!(passes <= bound, "supervised drain did not converge");
-            let wait = policy.backoff_us(k + 1);
-            let window = RetryPolicy { max_attempts: 1, base_backoff_us: wait, ..policy };
-            let drained = {
-                let _drain_span = obs::span("engine.drain_wait");
-                self.steps.drain_deadline(n - got.len(), &window)
-            };
-            match drained {
-                Ok(batches) => {
-                    for (key, batch) in batches {
-                        // Stale fence: publishes from reaped threads or
-                        // earlier rounds are discarded, never consumed.
-                        let current = self.threads[key as usize].as_ref().map(|h| h.thread().id());
-                        if batch.seq == seq && Some(batch.thread) == current {
-                            got.insert(key, batch);
-                        }
-                    }
-                }
-                Err(err) => {
-                    // Keys the drain did receive sit buffered in the
-                    // exchange; only workers with nothing in flight at all
-                    // are faulted (a buffered stale message can mask one for
-                    // a drain). An exited thread can never answer: reap it
-                    // now. A live one is reaped once the budget is spent.
-                    k += 1;
-                    let before = errors.len();
-                    for i in 0..n {
-                        let key = i as u64;
-                        let exited = self.threads[i].as_ref().is_some_and(JoinHandle::is_finished);
-                        let silent = !got.contains_key(&key) && !err.received().contains(&key);
-                        if silent && (exited || k >= policy.max_attempts) {
-                            errors.push(self.recover(i, seq, respawn));
-                        }
-                    }
-                    if errors.len() > before {
-                        obs::counter_add("engine.drain_timeout", 1);
-                        k = 0;
-                    }
-                }
-            }
-        }
-        (got.into_values().collect(), errors)
-    }
-
     /// One concurrent local-step round, supervised (see the module docs):
-    /// the returned steps are in worker order (callers still sort by vrank)
-    /// and bitwise identical whether or not a worker faulted. Local steps
-    /// use neither `_epoch` nor `_lr`: the two parameters are kept only
-    /// because `benchmark/` passes them (ROADMAP item 7 deletes them).
+    /// send `Step` with the pending delta to every slot, then read each
+    /// slot's reply channel in slot order. A slot whose channel disconnects,
+    /// or stays empty for the policy's whole budget, is reaped, replaced via
+    /// `respawn` and sent the step again, so the returned steps (in worker
+    /// order; callers still sort by vrank) are bitwise identical whether or
+    /// not a worker faulted. Every recovery is reported in the second tuple
+    /// element (empty when clean). Local steps use neither `_epoch` nor
+    /// `_lr`: the two parameters are kept only because `benchmark/` passes
+    /// them (ROADMAP item 7 deletes them).
     pub fn run_steps_supervised(
         &mut self,
         _epoch: u64,
         _lr: f32,
         respawn: &mut RespawnFn<'_>,
     ) -> (Vec<LocalStep>, Vec<PoolError>) {
-        let (batches, errors) = self.round(respawn);
-        self.steps_served += 1;
-        let mut out = Vec::new();
-        for (slot, batch) in batches.into_iter().enumerate() {
-            self.recovery[slot] = batch.recovery;
-            out.extend(batch.steps);
+        let delta = self.pending.take();
+        for slot in &self.slots {
+            // A dead thread cannot take the step; its reply channel says so.
+            let _ = slot.cmd.send(Cmd::Step(delta.clone()));
         }
-        (out, errors)
+        let budget = Duration::from_micros(self.drain.total_backoff_us());
+        let (mut steps, mut errors) = (Vec::new(), Vec::new());
+        for i in 0..self.slots.len() {
+            let mut lost = 0;
+            let batch = loop {
+                let got = {
+                    let _drain_span = obs::span("engine.drain_wait");
+                    // detlint::allow(no-thread-order): one channel per slot, read in slot order
+                    self.slots[i].reply.recv_timeout(budget)
+                };
+                match got {
+                    Ok(batch) => break batch,
+                    Err(cause) => {
+                        // A replacement may fault too and is replaced the
+                        // same way; one that can never step is a bug.
+                        lost += 1;
+                        assert!(lost <= self.drain.max_attempts, "slot {i} lost {lost} workers");
+                        errors.push(self.recover(i, cause, respawn));
+                    }
+                }
+            };
+            self.slots[i].seed = batch.recovery;
+            steps.extend(batch.steps);
+        }
+        self.steps_served += 1;
+        (steps, errors)
     }
 
     /// The all-reduce on the calling thread: exactly
@@ -482,51 +404,43 @@ impl WorkerPool {
         (ddp.allreduce_avg(grads), Vec::new())
     }
 
-    /// Broadcast the optimizer delta. Fire-and-forget: per-worker FIFO
-    /// ordering guarantees it is applied before the next `Step`. A worker
-    /// that dies applying it is found by the next step round, and its
-    /// replacement is seeded from the engine's post-apply mirror; with no
-    /// step after it, `Drop` joins the dead thread and panics naming it.
-    pub fn apply(&self, delta: &Arc<Vec<f32>>) {
-        for tx in &self.cmds {
-            let _ = tx.send(Cmd::Apply(Arc::clone(delta)));
-        }
+    /// Store the optimizer delta for the next round's `Step` to carry: a
+    /// step is one message each way. The engine applies once per step.
+    pub fn apply(&mut self, delta: &Arc<Vec<f32>>) {
+        self.pending = Some(Arc::clone(delta));
     }
 
-    /// Reap faulty worker slot `i`, install the replacement `respawn` builds
-    /// from the slot's recovery seed on a fresh thread, and replay round
-    /// `seq`'s `Step` on it. Classifies the fault first: a finished thread
-    /// is joined and its panic payload harvested; an unresponsive one is
-    /// unparked and quarantined — joining it could hang forever.
-    fn recover(&mut self, i: usize, seq: u64, respawn: &mut RespawnFn<'_>) -> PoolError {
-        let device = self.devices[i];
-        let handle = self.threads[i].take().expect("slot already under recovery");
+    /// Reap faulty slot `i`, install the replacement `respawn` builds from
+    /// the slot's recovery seed on a fresh thread, and send it the step
+    /// again. A disconnected channel means the thread is exiting: it is
+    /// joined and its panic payload harvested. A silent one is alive: it is
+    /// unparked and quarantined — joining it could hang forever. Dropping
+    /// the old channels tells it to exit and makes its late reply unreadable.
+    fn recover(
+        &mut self,
+        i: usize,
+        cause: RecvTimeoutError,
+        respawn: &mut RespawnFn<'_>,
+    ) -> PoolError {
+        let Slot { thread, device, seed, .. } = self.slots.remove(i);
         obs::counter_add("engine.pool.quarantines_total", 1);
-        let err = if handle.is_finished() {
-            let panic_msg = match handle.join() {
-                Ok(()) => None,
-                Err(payload) => Some(payload_to_string(payload.as_ref())),
-            };
-            PoolError::WorkerDead { worker: i, device, panic_msg }
-        } else {
-            // Alive but silent. Unpark in case it is stall-parked (lets it
-            // exit), quarantine the handle, and move on — the old command
-            // sender is dropped below, so a merely-slow thread also exits
-            // once it next polls its channel.
-            handle.thread().unpark();
-            self.quarantined.push(handle);
-            PoolError::DrainTimeout { worker: i, device }
+        let err = match cause {
+            RecvTimeoutError::Disconnected => {
+                let panic_msg = thread.join().err().map(|p| payload_to_string(p.as_ref()));
+                PoolError::WorkerDead { worker: i, device, panic_msg }
+            }
+            RecvTimeoutError::Timeout => {
+                thread.thread().unpark();
+                self.quarantined.push(thread);
+                PoolError::DrainTimeout { worker: i, device }
+            }
         };
-        let replacement = respawn(&err, &self.recovery[i]);
-        // A replacement publish handle on the sealed exchange, a fresh
-        // command channel (dropping the old sender tells a quarantined
-        // thread to exit), a new thread under the slot's stable device id.
-        let out = self.steps.replacement_handle();
-        let (cmd_tx, handle) = launch(i, device, replacement, out);
-        self.threads[i] = Some(handle);
-        self.cmds[i] = cmd_tx;
+        let slot = launch(device, respawn(&err, &seed), seed);
+        // A replacement that dies at once is found on its reply channel.
+        let _ = slot.cmd.send(Cmd::Step(None));
+        self.slots.insert(i, slot);
         obs::counter_add("engine.pool.respawns_total", 1);
-        self.cmds[i].send(Cmd::Step { seq }).expect("respawned worker died");
+        obs::counter_add("engine.drain_timeout", 1);
         err
     }
 }
@@ -541,45 +455,24 @@ fn payload_to_string(payload: &(dyn std::any::Any + Send)) -> String {
 }
 
 impl Drop for WorkerPool {
+    /// Send `Exit`, join every thread, report a panicked join. No worker
+    /// can be dead here outside an unwind: a fault surfaces only in a step
+    /// round, which replaces the worker before it returns.
     fn drop(&mut self) {
-        let name_of = |h: &JoinHandle<()>| h.thread().name().unwrap_or("esw-?").to_owned();
-        for tx in &self.cmds {
-            // A worker that already died can't receive Exit; join below
-            // still reaps it.
-            let _ = tx.send(Cmd::Exit);
+        for slot in &self.slots {
+            let _ = slot.cmd.send(Cmd::Exit);
         }
-        // Reap every live thread, collecting ALL panic payloads before
-        // deciding to panic: a second faulty worker must not hide behind the
-        // first (double-fault shutdown reports every dying esw-dev<id>).
-        let mut failures: Vec<String> = Vec::new();
-        for handle in self.threads.drain(..).flatten() {
-            let name = name_of(&handle);
-            if let Err(payload) = handle.join() {
-                let msg = payload_to_string(payload.as_ref());
-                eprintln!("WorkerPool: worker thread {name} panicked during shutdown: {msg}");
-                failures.push(format!("{name}: {msg}"));
-            }
-        }
-        // Quarantined threads are already written off: their command senders
-        // are long dropped (they exit on their next channel poll) and any
-        // stall-park was unparked at quarantine, so these joins terminate.
-        // Report their payloads but never re-panic over them.
-        for handle in self.quarantined.drain(..) {
-            let name = name_of(&handle);
-            handle.thread().unpark();
+        let live = self.slots.drain(..).map(|s| s.thread);
+        // Quarantined threads exit on their next channel poll (their senders
+        // are long dropped, a stall was unparked), so these joins terminate.
+        for handle in live.chain(self.quarantined.drain(..)) {
+            let name = handle.thread().name().unwrap_or("esw-?").to_owned();
             if let Err(payload) = handle.join() {
                 eprintln!(
-                    "WorkerPool: quarantined thread {name} panicked: {}",
+                    "WorkerPool: thread {name} panicked: {}",
                     payload_to_string(payload.as_ref())
                 );
             }
-        }
-        if !failures.is_empty() && !std::thread::panicking() {
-            panic!(
-                "{} worker thread(s) panicked during shutdown: [{}]",
-                failures.len(),
-                failures.join("; ")
-            );
         }
     }
 }
@@ -596,17 +489,13 @@ fn stall_forever() {
 }
 
 /// The persistent worker thread body: block on the command channel, execute,
-/// publish. Runs until `Exit` (or until the engine is dropped mid-teardown).
-/// Declared as a detlint taint barrier: the blocking receive is the one
-/// place scheduling-dependent arrival *timing* exists, and nothing here
-/// forwards arrival order — results are published under the worker's fixed
-/// key and consumed through canonical-order drains on the engine side.
-fn worker_main(
-    key: u64,
-    mut worker: Box<EasyScaleWorker>,
-    cmds: Receiver<Cmd>,
-    out: ExchangeTx<StepBatch>,
-) {
+/// reply. Runs until `Exit` (or until its slot is reaped or the engine is
+/// dropped mid-teardown). Declared as a detlint taint barrier: the blocking
+/// receive is the one place scheduling-dependent arrival *timing* exists,
+/// and nothing here forwards arrival order — each reply goes on the slot's
+/// own channel, read in slot order on the engine side. A panic drops
+/// `replies` while unwinding: that disconnect is the death notice.
+fn worker_main(mut worker: Box<EasyScaleWorker>, cmds: Receiver<Cmd>, replies: Sender<StepBatch>) {
     // Injected fault waiting for the next Step (faultsim chaos).
     let mut armed: Option<ThreadFault> = None;
     loop {
@@ -616,11 +505,14 @@ fn worker_main(
         let cmd = match cmds.recv() {
             Ok(cmd) => cmd,
             // Engine dropped without Exit (poisoned teardown), or this
-            // thread was quarantined and its channel replaced: just leave.
+            // thread was reaped and its channel replaced: just leave.
             Err(_) => return,
         };
         match cmd {
-            Cmd::Step { seq } => {
+            Cmd::Step(delta) => {
+                if let Some(delta) = delta {
+                    worker.apply_update(&delta);
+                }
                 match armed.take() {
                     Some(ThreadFault::Panic) => {
                         panic!("injected ThreadPanic fault (faultsim chaos)")
@@ -630,7 +522,7 @@ fn worker_main(
                         return;
                     }
                     Some(ThreadFault::ReplyDrop) => {
-                        // Run the step but drop the publish: the thread
+                        // Run the step but drop the reply: the thread
                         // stays alive and keeps serving, its result gone.
                         let _ = worker.run_local_steps();
                         continue;
@@ -641,10 +533,9 @@ fn worker_main(
                 let steps = worker.run_local_steps();
                 drop(step_span);
                 let recovery = WorkerSnapshot::capture(&worker);
-                let thread = std::thread::current().id();
-                out.publish(key, StepBatch { seq, thread, steps, recovery });
+                // A reaped slot's receiver is gone: the reply is dropped.
+                let _ = replies.send(StepBatch { steps, recovery });
             }
-            Cmd::Apply(delta) => worker.apply_update(&delta),
             Cmd::Arm(fault) => armed = Some(fault),
             Cmd::Exit => return,
         }
@@ -761,41 +652,29 @@ mod tests {
     }
 
     #[test]
-    fn apply_lands_before_later_commands() {
+    fn apply_rides_the_next_step() {
         let mut rig = Rig::new(2, 1, &[], ExecOptions::default().drain);
         let (_, _, mut seq) = make_workers(2, 1);
         let delta = vec![1e-3f32; rig.mirror.len()];
         rig.pool.apply(&Arc::new(delta.clone()));
         seq[0].apply_update(&delta);
-        // FIFO command ordering: the step behind the apply must observe it.
+        // The step carries the delta and applies it before stepping.
         assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "applied");
+        // Once: the step after it carries none.
+        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "after");
     }
 
-    /// docs/HEALTH.md row 14: a worker that dies inside fire-and-forget
-    /// `Apply` with no step after it is found at `Drop`, which joins the
-    /// thread and panics with its name and payload.
+    /// Workers that die applying the delta their `Step` carries are found
+    /// in that round, and their replacements are seeded from a mirror that
+    /// already holds the delta, so the replayed step carries none
+    /// (docs/HEALTH.md, row 14).
     #[test]
-    #[should_panic(expected = "1 worker thread(s) panicked during shutdown: [esw-dev7: ")]
-    fn a_pool_dropped_after_a_fatal_apply_names_the_dead_worker() {
-        let rig = Rig::new(2, 1, &[7], ExecOptions::default().drain);
-        // An empty delta slices out of bounds in `apply_flat_delta`.
-        rig.pool.apply(&Arc::new(Vec::new()));
-        drop(rig);
-    }
-
-    /// Workers that die inside fire-and-forget `Apply` are found by the next
-    /// `Step`, and their replacements are seeded from a mirror that already
-    /// holds the delta the dead workers never applied (docs/HEALTH.md, the
-    /// `Apply` then `Step` row).
-    #[test]
-    fn step_after_a_fatal_apply_respawns_from_the_post_apply_mirror() {
-        // The whole default budget: a thread still printing its panic
-        // under load must be reaped as dead, not timed out as live.
-        let mut rig = Rig::new(4, 2, &[], ExecOptions::default().drain);
+    fn a_fatal_delta_respawns_from_the_post_apply_mirror() {
+        let mut rig = Rig::new(4, 2, &[], fast_drain());
         let (_, _, mut seq) = make_workers(4, 2);
         assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "before");
 
-        // The engine's order: update the mirror, then broadcast.
+        // The engine's order: update the mirror, then hand the pool the delta.
         let delta: Vec<f32> = (0..rig.mirror.len()).map(|i| (i % 7) as f32 * 1e-3 - 3e-3).collect();
         for (p, d) in rig.mirror.iter_mut().zip(&delta) {
             *p += d;
@@ -804,7 +683,7 @@ mod tests {
             w.apply_update(&delta);
         }
         // What reaches the pool is an empty delta: both workers die slicing
-        // it, having applied nothing, with nobody waiting on them.
+        // it (out of bounds in `apply_flat_delta`), having applied nothing.
         rig.pool.apply(&Arc::new(Vec::new()));
 
         let (mut steps, errors) = rig.step_round();
@@ -818,8 +697,8 @@ mod tests {
 
     /// Every injected [`ThreadFault`] is detected, the worker is replaced,
     /// and the recovered round is bitwise identical to a fault-free one. A
-    /// dead thread is reaped when a drain window expires, well inside the
-    /// budget; a live silent one is waited for through the whole budget.
+    /// dead thread is found when its reply channel disconnects, well inside
+    /// the budget; a live silent one is waited for through the whole budget.
     #[test]
     fn supervised_steps_recover_every_fault_kind_bitwise() {
         let budget = std::time::Duration::from_micros(fast_drain().total_backoff_us());
@@ -857,8 +736,27 @@ mod tests {
         }
     }
 
+    /// A dead worker is found when its reply channel disconnects, not when
+    /// a wait expires: with a first window of 2 s, a panic still comes back
+    /// as `WorkerDead`, payload attached, well inside one second.
+    #[test]
+    fn a_panicked_worker_is_found_before_the_first_window_expires() {
+        let slow =
+            RetryPolicy { max_attempts: 2, base_backoff_us: 2_000_000, backoff_multiplier: 2 };
+        let mut rig = Rig::new(2, 2, &[], slow);
+        rig.pool.arm_fault(1, ThreadFault::Panic);
+        let started = std::time::Instant::now();
+        let (_, errors) = rig.step_round();
+        let took = started.elapsed();
+        assert!(took < std::time::Duration::from_secs(1), "a dead thread was found after {took:?}");
+        assert_eq!(errors.len(), 1, "{errors:?}");
+        assert_eq!((errors[0].worker(), errors[0].kind()), (1, "worker-dead"));
+        let msg = errors[0].panic_msg().expect("panic payload harvested");
+        assert!(msg.contains("injected ThreadPanic"), "payload: {msg}");
+    }
+
     /// A dead and a stalled worker in one round: the dead one is reaped at
-    /// an early window, the live one only once the budget is spent.
+    /// once, the live one only once the budget is spent.
     #[test]
     fn a_dead_and_a_stalled_worker_are_reaped_in_turn() {
         let mut rig = Rig::new(4, 2, &[], fast_drain());
@@ -878,13 +776,14 @@ mod tests {
     fn seeds_hold_the_post_step_state_after_a_recovery() {
         let mut rig = Rig::new(4, 2, &[], fast_drain());
         let (_, _, mut seq) = make_workers(4, 2);
+        let seeds = |pool: &WorkerPool| pool.seeds().cloned().collect::<Vec<_>>();
         let spawned: Vec<WorkerSnapshot> = seq.iter().map(WorkerSnapshot::capture).collect();
-        assert_eq!(rig.pool.seeds(), spawned);
+        assert_eq!(seeds(&rig.pool), spawned);
         rig.pool.arm_fault(1, ThreadFault::Panic);
         assert_eq!(rig.step_round().1.len(), 1);
         sequential_steps(&mut seq);
         let stepped: Vec<WorkerSnapshot> = seq.iter().map(WorkerSnapshot::capture).collect();
-        assert_eq!(rig.pool.seeds(), stepped);
+        assert_eq!(seeds(&rig.pool), stepped);
         assert_ne!(stepped, spawned);
     }
 }

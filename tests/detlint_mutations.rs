@@ -110,25 +110,22 @@ fn naming_a_bad_est_through_a_hash_map_is_no_hash_iter() {
 #[test]
 fn launching_a_pool_thread_with_a_bare_spawn_is_no_thread_order() {
     // clippy bans `std::thread::spawn`, but `launch` carries an
-    // `#[allow(clippy::disallowed_methods)]` for its raw command channel,
-    // and that allow covers the whole fn; detlint's allows cover one line.
-    // The thread also loses its `esw-dev<id>` name, by which the benchmark
-    // pins workers to cores. Every other check passed.
+    // `#[allow(clippy::disallowed_methods)]` for its raw channels, and that
+    // allow covers the whole fn; detlint's allows cover one line. The
+    // thread also loses its `esw-dev<id>` name, by which the benchmark pins
+    // workers to cores. Every other check passed.
     let file = "crates/core/src/pool.rs";
     let gained = mutate(
         file,
-        &[
-            (
-                concat!(
-                    "    let handle = std::thread::Builder::new()\n",
-                    "        .name(format!(\"esw-dev{dev}\"))\n",
-                    "        .spawn(move || worker_main(key as u64, worker, cmd_rx, out))\n",
-                    "        .expect(\"failed to spawn worker thread\");\n",
-                ),
-                "    let handle = std::thread::spawn(move || worker_main(key as u64, worker, cmd_rx, out));\n",
+        &[(
+            concat!(
+                "    let thread = std::thread::Builder::new()\n",
+                "        .name(format!(\"esw-dev{dev}\"))\n",
+                "        .spawn(move || worker_main(worker, cmd_rx, reply_tx))\n",
+                "        .expect(\"failed to spawn worker thread\");\n",
             ),
-            ("    dev: u32,\n", "    _dev: u32,\n"),
-        ],
+            "    let thread = std::thread::spawn(move || worker_main(worker, cmd_rx, reply_tx));\n",
+        )],
     );
     assert_gains(&gained, "no-thread-order", file);
     assert_eq!(rules(&gained), ["no-thread-order", "taint-flow"], "{gained:#?}");
@@ -257,19 +254,26 @@ fn a_wall_clock_read_in_proposal_construction_is_flagged_and_flows_to_the_sink()
 // -- Further edits the analyses must see -------------------------------------
 
 #[test]
-fn hashing_the_supervised_drain_reorder_buffer_is_no_hash_iter() {
-    // `round` collects replies into a BTreeMap and returns them in key
-    // order via `into_values()`; a HashMap there hands hasher state the
-    // reply order (which the pool and chaos tests also catch).
-    let file = "crates/core/src/pool.rs";
+fn hashing_the_chaos_step_times_is_no_hash_iter() {
+    // A chaos round collects each device's step time into a BTreeMap, takes
+    // the slowest as the round's length and beats in device order; a
+    // HashMap there hands hasher state the order a round is read in.
+    let file = "crates/faultsim/src/harness.rs";
     let gained = mutate(
         file,
-        &[(
-            "let mut got: BTreeMap<u64, StepBatch> = BTreeMap::new();",
-            "let mut got: HashMap<u64, StepBatch> = HashMap::new();",
-        )],
+        &[
+            (
+                "let mut times: BTreeMap<u32, u64> = BTreeMap::new();",
+                "let mut times: std::collections::HashMap<u32, u64> = Default::default();",
+            ),
+            (
+                "times: Option<&BTreeMap<u32, u64>>",
+                "times: Option<&std::collections::HashMap<u32, u64>>",
+            ),
+        ],
     );
     assert_gains(&gained, "no-hash-iter", file);
+    assert_eq!(rules(&gained), ["no-hash-iter", "taint-flow"], "{gained:#?}");
 }
 
 #[test]
