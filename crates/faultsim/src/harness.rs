@@ -52,6 +52,7 @@ use easyscale::{
     ThreadFault,
 };
 use models::Workload;
+use sched::health::{QUARANTINE_MISSES, SUSPECT_WINDOWS};
 use sched::{
     Companion, FreePool, HealthEvent, HealthPolicy, HealthState, InterJobScheduler,
     IntraJobScheduler, Supervisor, SupervisorAction,
@@ -626,12 +627,12 @@ impl FaultHarness {
     /// so they are a legitimate test oracle. Terms (all SimClock µs,
     /// saturating):
     ///
-    /// * crash: `quarantine_misses` full leases must lapse, plus detection
+    /// * crash: [`QUARANTINE_MISSES`] full leases must lapse, plus detection
     ///   rounds on either side;
     /// * heartbeat drop: detected at the first *suspect* transition — one
     ///   lapsed lease plus round slack;
     /// * creeping straggler: ramp rounds until the dilation crosses
-    ///   [`STRAGGLER_FIRE_RATIO_MILLI`], then `suspect_windows` slow
+    ///   [`STRAGGLER_FIRE_RATIO_MILLI`], then [`SUSPECT_WINDOWS`] slow
     ///   rounds, each at most a worst-case step at the final dilation;
     /// * every bound adds an *interference allowance* per scheduled event:
     ///   other faults (and the supervisor's own recoveries/rescales) spend
@@ -642,8 +643,7 @@ impl FaultHarness {
         let p = self.supervisor.tracker().policy();
         let worst = step_us(&self.cfg.job, self.cfg.job.n_ests);
         let restart = restart_us(&self.cfg.job);
-        let per_event = p
-            .quarantine_misses
+        let per_event = QUARANTINE_MISSES
             .saturating_mul(p.lease_us)
             .saturating_add(worst.saturating_mul(4))
             .saturating_add(restart.saturating_mul(8));
@@ -654,13 +654,13 @@ impl FaultHarness {
                 let start = start_milli.max(DILATION_ONE);
                 let cross_rounds =
                     STRAGGLER_FIRE_RATIO_MILLI.saturating_sub(start).div_ceil(ramp_milli.max(1));
-                let rounds = cross_rounds + p.suspect_windows as u64 + 2;
+                let rounds = cross_rounds + SUSPECT_WINDOWS as u64 + 2;
                 let final_factor = start.saturating_add(ramp_milli.saturating_mul(rounds));
                 rounds
                     .saturating_mul(worst.saturating_mul(final_factor) / DILATION_ONE)
                     .saturating_add(p.lease_us)
             }
-            _ => p.quarantine_misses.saturating_mul(p.lease_us).saturating_add(worst * 4),
+            _ => QUARANTINE_MISSES.saturating_mul(p.lease_us).saturating_add(worst * 4),
         };
         own.saturating_add(interference)
     }

@@ -18,27 +18,27 @@
 //! *allocations*, which bitwise placement-invariance makes invisible to
 //! the learned parameters (see `DESIGN.md`).
 //!
-//! State machine (policy knobs in [`HealthPolicy`]):
+//! State machine (thresholds are the constants below, e.g. [`SUSPECT_MISSES`]):
 //!
 //! ```text
-//!            ≥ suspect_misses leases missed, or
-//!            ≥ suspect_windows consecutive slow rounds
+//!            ≥ SUSPECT_MISSES leases missed, or
+//!            ≥ SUSPECT_WINDOWS consecutive slow rounds
 //!   Healthy ────────────────────────────────────────▶ Suspect
 //!      ▲  ▲     clean round (beat on time, not slow)     │
 //!      │  └──────────────────────────────────────────────┘
-//!      │         ≥ quarantine_misses leases missed, or
-//!      │         ≥ quarantine_windows consecutive slow rounds
+//!      │         ≥ QUARANTINE_MISSES leases missed, or
+//!      │         ≥ QUARANTINE_WINDOWS consecutive slow rounds
 //!      │    (from Healthy/Suspect/Probation) ──▶ Quarantined
 //!      │                                             │ beat received AND
-//!      │        probation_rounds clean rounds        │ backoff elapsed
+//!      │        PROBATION_ROUNDS clean rounds        │ backoff elapsed
 //!      └──────────────── Probation ◀─────────────────┘
 //!                            │ miss or slow round → requarantine,
 //!                            │ flaps += 1, backoff ×= 2;
-//!                            └ flaps ≥ max_flaps → permanent quarantine
+//!                            └ flaps ≥ MAX_FLAPS → permanent quarantine
 //! ```
 //!
 //! Flap damping: every failed probation doubles the readmission backoff,
-//! and after `max_flaps` failed probations the device is quarantined
+//! and after `MAX_FLAPS` failed probations the device is quarantined
 //! permanently — a flapping GPU cannot oscillate the allocation forever.
 
 use comm::Heartbeat;
@@ -93,7 +93,7 @@ pub enum TransitionCause {
     ProbationPassed,
     /// A probation device missed a lease or scored slow again.
     ProbationFailed,
-    /// The device flapped `max_flaps` times: quarantined permanently.
+    /// The device flapped `MAX_FLAPS` times: quarantined permanently.
     FlapLimit,
 }
 
@@ -127,50 +127,44 @@ pub struct HealthEvent {
     pub cause: TransitionCause,
 }
 
-/// Tunable thresholds of the detector. All durations are virtual
-/// microseconds; all scores are integer milli-units.
+/// Full missed leases that turn Healthy into Suspect.
+pub const SUSPECT_MISSES: u64 = 1;
+/// Full missed leases that quarantine a device (crash assumed).
+pub const QUARANTINE_MISSES: u64 = 3;
+/// Straggler score (milli-σ) at or above which a round counts as slow.
+pub const STRAGGLER_Z_MILLI: i64 = 2000;
+/// Consecutive slow rounds that turn Healthy into Suspect.
+pub const SUSPECT_WINDOWS: u32 = 2;
+/// Consecutive slow rounds that quarantine a device (persistent
+/// degradation; transient stragglers stop short of this).
+pub const QUARANTINE_WINDOWS: u32 = 4;
+/// Clean probation rounds required to return to Healthy.
+pub const PROBATION_ROUNDS: u32 = 2;
+/// First readmission backoff, in leases; doubles on every failed probation.
+pub const BACKOFF_LEASES: u64 = 4;
+/// Failed probations before the quarantine becomes permanent.
+pub const MAX_FLAPS: u32 = 2;
+
+/// The detector's one tunable: the heartbeat lease period, in virtual
+/// microseconds. Every threshold is a constant above, scaled by the lease
+/// where it is a duration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HealthPolicy {
     /// Heartbeat lease period. Sized by the caller to a small multiple of
     /// the worst-case step time, so a healthy-but-busy worker never misses.
     pub lease_us: u64,
-    /// Full missed leases that turn Healthy into Suspect.
-    pub suspect_misses: u64,
-    /// Full missed leases that quarantine a device (crash assumed).
-    pub quarantine_misses: u64,
-    /// Straggler score (milli-σ) at or above which a round counts as slow.
-    pub straggler_z_milli: i64,
-    /// Consecutive slow rounds that turn Healthy into Suspect.
-    pub suspect_windows: u32,
-    /// Consecutive slow rounds that quarantine a device (persistent
-    /// degradation; transient stragglers stop short of this).
-    pub quarantine_windows: u32,
-    /// Clean probation rounds required to return to Healthy.
-    pub probation_rounds: u32,
-    /// First readmission backoff; doubles on every failed probation.
-    pub backoff_base_us: u64,
-    /// Failed probations before the quarantine becomes permanent.
-    pub max_flaps: u32,
 }
 
 impl HealthPolicy {
-    /// Default thresholds around a given lease period: suspect after one
-    /// missed lease or two slow rounds, quarantine after three missed
-    /// leases or four slow rounds, two clean rounds to pass probation,
-    /// backoff starting at four leases, two flaps allowed.
+    /// The detector around a given lease period.
     pub fn with_lease(lease_us: u64) -> Self {
         assert!(lease_us >= 1);
-        HealthPolicy {
-            lease_us,
-            suspect_misses: 1,
-            quarantine_misses: 3,
-            straggler_z_milli: 2000,
-            suspect_windows: 2,
-            quarantine_windows: 4,
-            probation_rounds: 2,
-            backoff_base_us: lease_us.saturating_mul(4),
-            max_flaps: 2,
-        }
+        HealthPolicy { lease_us }
+    }
+
+    /// First readmission backoff: [`BACKOFF_LEASES`] leases.
+    pub fn backoff_base_us(&self) -> u64 {
+        self.lease_us.saturating_mul(BACKOFF_LEASES)
     }
 }
 
@@ -350,10 +344,10 @@ impl HealthTracker {
     }
 
     /// Quarantine a device, with flap accounting when it falls from
-    /// probation: the backoff doubles, and past `max_flaps` the quarantine
+    /// probation: the backoff doubles, and past [`MAX_FLAPS`] the quarantine
     /// is permanent.
     fn quarantine(&mut self, device: u32, now_us: u64, cause: TransitionCause) {
-        let policy = self.policy;
+        let backoff_base_us = self.policy.backoff_base_us();
         let d = self.devices.get_mut(&device).expect("quarantine on registered device");
         let from_probation = d.state == HealthState::Probation;
         d.quarantined_at_us = now_us;
@@ -362,25 +356,24 @@ impl HealthTracker {
         let mut cause = cause;
         if from_probation {
             d.flaps += 1;
-            d.backoff_us = d.backoff_us.max(policy.backoff_base_us).saturating_mul(2);
-            if d.flaps >= policy.max_flaps {
+            d.backoff_us = d.backoff_us.max(backoff_base_us).saturating_mul(2);
+            if d.flaps >= MAX_FLAPS {
                 d.permanent = true;
                 cause = TransitionCause::FlapLimit;
             }
         } else if d.backoff_us == 0 {
-            d.backoff_us = policy.backoff_base_us;
+            d.backoff_us = backoff_base_us;
         }
         self.transition(device, HealthState::Quarantined, cause, now_us);
     }
 
     fn tick_device(&mut self, id: u32, now_us: u64, score: i64) {
-        let policy = self.policy;
         // Snapshot the per-device facts, then decide; `transition` /
         // `quarantine` re-borrow mutably.
         let (state, missed, beat, permanent, quarantined_at, backoff) = {
             let d = self.devices.get_mut(&id).expect("tick on registered device");
             let missed = d.lease.missed_periods(now_us);
-            let slow = score >= policy.straggler_z_milli;
+            let slow = score >= STRAGGLER_Z_MILLI;
             if slow {
                 d.slow_rounds += 1;
             } else if d.timed_this_round.is_some() {
@@ -391,7 +384,7 @@ impl HealthTracker {
         if missed > 0 {
             obs::counter_add("health.heartbeat_misses", missed);
         }
-        let slow = score >= policy.straggler_z_milli;
+        let slow = score >= STRAGGLER_Z_MILLI;
         let slow_rounds = self.devices[&id].slow_rounds;
 
         match state {
@@ -412,21 +405,21 @@ impl HealthTracker {
                 }
             }
             HealthState::Healthy | HealthState::Suspect | HealthState::Probation => {
-                if missed >= policy.quarantine_misses {
+                if missed >= QUARANTINE_MISSES {
                     self.quarantine(id, now_us, TransitionCause::LeaseMiss { missed });
-                } else if slow_rounds >= policy.quarantine_windows {
+                } else if slow_rounds >= QUARANTINE_WINDOWS {
                     self.quarantine(
                         id,
                         now_us,
                         TransitionCause::StragglerScore { score_milli: score },
                     );
                 } else if state == HealthState::Probation {
-                    if missed >= policy.suspect_misses || slow {
+                    if missed >= SUSPECT_MISSES || slow {
                         self.quarantine(id, now_us, TransitionCause::ProbationFailed);
                     } else if beat {
                         let d = self.devices.get_mut(&id).expect("registered");
                         d.clean_rounds += 1;
-                        if d.clean_rounds >= policy.probation_rounds {
+                        if d.clean_rounds >= PROBATION_ROUNDS {
                             self.transition(
                                 id,
                                 HealthState::Healthy,
@@ -436,14 +429,14 @@ impl HealthTracker {
                         }
                     }
                 } else if state == HealthState::Healthy {
-                    if missed >= policy.suspect_misses {
+                    if missed >= SUSPECT_MISSES {
                         self.transition(
                             id,
                             HealthState::Suspect,
                             TransitionCause::LeaseMiss { missed },
                             now_us,
                         );
-                    } else if slow_rounds >= policy.suspect_windows {
+                    } else if slow_rounds >= SUSPECT_WINDOWS {
                         self.transition(
                             id,
                             HealthState::Suspect,
@@ -534,7 +527,7 @@ mod tests {
 
     #[test]
     fn persistent_straggler_is_quarantined_transient_is_not() {
-        // Persistent: 4 consecutive slow rounds cross quarantine_windows.
+        // Persistent: 4 consecutive slow rounds cross QUARANTINE_WINDOWS.
         let mut t = tracker(3);
         let all = [(0, Some(250u64)), (1, Some(100)), (2, Some(100))];
         let evs = run_rounds(&mut t, 0, 500, 4, &all);
@@ -556,7 +549,7 @@ mod tests {
         let mut t = tracker(2);
         let evs = run_rounds(&mut t, 0, LEASE, 4, &[(1, Some(100))]);
         let q_at = evs.iter().find(|e| e.to == HealthState::Quarantined).unwrap().at_us;
-        let backoff = t.policy().backoff_base_us;
+        let backoff = t.policy().backoff_base_us();
         // Beating again before the backoff elapses: still quarantined.
         run_rounds(&mut t, 4 * LEASE, LEASE, 2, &[(0, None), (1, Some(100))]);
         assert_eq!(t.state(0), Some(HealthState::Quarantined));
@@ -585,7 +578,7 @@ mod tests {
         let mut now = 0u64;
         // Quarantine device 0 (silent), then let it flap: readmit, fail
         // probation by going silent again, repeat.
-        for flaps_seen in 0..t.policy().max_flaps + 1 {
+        for flaps_seen in 0..MAX_FLAPS + 1 {
             // Silent rounds until quarantined.
             while t.state(0) != Some(HealthState::Quarantined) {
                 now += LEASE;

@@ -132,15 +132,17 @@ pub struct ClusterSim {
     capacity: BTreeMap<GpuType, u32>,
     jobs: Vec<JobSpec>,
     policy: Policy,
-    /// Seconds a job makes no progress after its allocation changes
-    /// (checkpoint + restore + data-worker restart).
-    pub restart_penalty: f64,
     /// Serving occupancy as a function of time (co-location). None = the
     /// whole cluster belongs to training.
     serving: Option<ServingCurve>,
-    /// Interval at which the serving curve is re-sampled.
-    pub serving_tick: f64,
 }
+
+/// Seconds a job makes no progress after its allocation changes
+/// (checkpoint + restore + data-worker restart).
+const RESTART_PENALTY: f64 = 10.0;
+
+/// Seconds between two samples of the serving curve.
+const SERVING_TICK: f64 = 300.0;
 
 /// Events one run may take before it is declared not to converge.
 const EVENT_BUDGET: u64 = 2_000_000;
@@ -206,14 +208,7 @@ impl ClusterSim {
         for g in cluster.gpus() {
             *capacity.entry(g.gpu_type).or_insert(0) += 1;
         }
-        ClusterSim {
-            capacity,
-            jobs,
-            policy,
-            restart_penalty: 10.0,
-            serving: None,
-            serving_tick: 300.0,
-        }
+        ClusterSim { capacity, jobs, policy, serving: None }
     }
 
     /// Attach a serving-occupancy curve (co-location experiment).
@@ -314,7 +309,7 @@ impl ClusterSim {
                         if changed {
                             alloc.retain(|&(_, n)| n > 0);
                             s.intra.apply_allocation(alloc);
-                            s.stall_until = t + self.restart_penalty;
+                            s.stall_until = t + RESTART_PENALTY;
                         }
                     }
                     if released_now > 0 {
@@ -388,7 +383,7 @@ impl ClusterSim {
                     for (&i, old) in active.iter().zip(&prev) {
                         let s = &mut states[i];
                         if s.intra.current() != old {
-                            s.stall_until = s.stall_until.max(t + self.restart_penalty);
+                            s.stall_until = s.stall_until.max(t + RESTART_PENALTY);
                         }
                     }
                 }
@@ -427,7 +422,7 @@ impl ClusterSim {
             let mut next = states.get(arrived).map_or(f64::INFINITY, |s| s.spec.arrival);
             // ... the serving curve's tick, ...
             if self.serving.is_some() {
-                let tick = (t / self.serving_tick).floor() * self.serving_tick + self.serving_tick;
+                let tick = (t / SERVING_TICK).floor() * SERVING_TICK + SERVING_TICK;
                 next = next.min(tick);
             }
             // ... a stall expiry or a completion.
