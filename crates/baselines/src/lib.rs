@@ -14,18 +14,13 @@
 //!   for throughput (the Fig 4 oscillations).
 //! * [`packing`] — Gandiva-style worker packing: N full training processes
 //!   multiplexed on one GPU (the Fig 10 memory/throughput comparison).
-//! * [`VirtualFlowJob`] — VirtualFlow-style gradient-accumulation
-//!   elasticity: mathematically faithful but not bit-faithful (the ~0.4%
-//!   accuracy deviation the paper cites).
 
 #![deny(missing_docs)]
 
 pub mod elastic;
 pub mod packing;
 pub mod spmd;
-pub mod virtualflow;
 
 pub use elastic::ElasticJob;
 pub use packing::PackingSim;
 pub use spmd::SpmdTrainer;
-pub use virtualflow::VirtualFlowJob;

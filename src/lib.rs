@@ -30,7 +30,7 @@ pub use trace;
 
 /// One-stop imports for experiments and examples.
 pub mod prelude {
-    pub use baselines::{ElasticJob, SpmdTrainer, VirtualFlowJob};
+    pub use baselines::{ElasticJob, SpmdTrainer};
     pub use comm::ElasticDdp;
     pub use data::{Dataset, SyntheticImageDataset, SyntheticSequenceDataset};
     pub use device::{ClusterSpec, GpuType, MemoryModel, PerfModel};
