@@ -1,9 +1,13 @@
 //! A generic gradient/result exchange with a **canonical drain order**.
 //!
-//! Persistent worker threads (see `core::pool`) publish their per-step
-//! results concurrently; the engine must consume them in an order that does
-//! not depend on thread completion timing, or D1 (thread-order
-//! nondeterminism) leaks straight into the merged gradient. The
+//! Benchmark-only until ROADMAP item 7a deletes it: `core::pool` reads one
+//! reply channel per worker slot, in slot order, and calls nothing here but
+//! the re-exported `mpsc` names below; the only non-test caller of
+//! [`Exchange`] is the benchmark's exchange round-trip and deadline probes.
+//!
+//! Concurrent publishers must be consumed in an order that does not depend
+//! on thread completion timing, or D1 (thread-order nondeterminism) leaks
+//! straight into a merged result. The
 //! [`Exchange`] is the channel-shaped sibling of
 //! [`HeartbeatBus::drain_sorted`](crate::HeartbeatBus::drain_sorted): any
 //! number of [`ExchangeTx`] handles publish `(key, payload)` pairs in
@@ -18,10 +22,9 @@
 //!   right call only when every publisher is known to deliver (tests).
 //! - [`Exchange::drain_deadline`] blocks for at most the backoff budget of
 //!   a [`RetryPolicy`](crate::RetryPolicy) and returns a typed
-//!   [`DrainError`] naming the keys that *did* arrive — the supervised
-//!   pool's fault boundary, and the only drain `core::pool` calls. Messages received by a failed drain are
-//!   buffered and handed to the next drain call, so a recovery retry never
-//!   loses a survivor's result.
+//!   [`DrainError`] naming the keys that *did* arrive. Messages received
+//!   by a failed drain are buffered and handed to the next drain call, so
+//!   a recovery retry never loses a survivor's result.
 //!
 //! The channel itself is `std::sync::mpsc`; its arrival order is exactly
 //! the thread-order entropy the barrier exists to absorb, which is why the
@@ -31,8 +34,9 @@
 //! workers; dead publishers therefore surface as drain *deadline* errors,
 //! not disconnects.
 
-// The one audited channel import — arrival order never escapes; every
-// consumer goes through the drains below.
+// The one audited channel import — arrival order never escapes: the drains
+// below sort, and `core::pool` reads one single-message channel per slot in
+// slot order.
 // detlint::allow(no-thread-order): canonical-drain exchange, see module doc
 pub use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 

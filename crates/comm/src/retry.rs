@@ -71,9 +71,10 @@ impl RetryPolicy {
     /// Total backoff the policy can ever spend: the sum of every window,
     /// `Σ backoff_us(r)` for `r` in `1..=max_attempts`. This is the
     /// worst-case blocking budget of a deadline drain built on this policy
-    /// (`Exchange::drain_deadline`), and therefore the deterministic
+    /// (`Exchange::drain_deadline`) and how long the pool's step round
+    /// waits on one silent worker, and therefore the deterministic
     /// virtual-time detection latency charged for a thread fault — once the
-    /// budget is spent, the drain *must* have returned an error.
+    /// budget is spent, the wait *must* have returned an error.
     pub fn total_backoff_us(&self) -> u64 {
         (1..=self.max_attempts).fold(0u64, |acc, r| acc.saturating_add(self.backoff_us(r)))
     }

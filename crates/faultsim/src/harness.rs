@@ -74,11 +74,11 @@ const GPU: GpuType = GpuType::V100;
 /// Durable-checkpoint cadence (every N completed global steps).
 const CHECKPOINT_EVERY: u64 = 2;
 
-/// Deadline policy for the pool's supervised drains (real wall-clock
-/// windows, since thread faults are real). Sized far past a worker's actual
-/// step latency so fault-free rounds never time out, yet small enough that
-/// injected-thread-fault tests stay quick: 6 windows of 10ms..320ms = 630ms
-/// worst case per reap, ~100× a NeuMF step round.
+/// Deadline policy for the pool's supervised step round (real wall-clock
+/// time, since thread faults are real). Its budget is sized far past a
+/// worker's actual step latency so fault-free rounds never time out, yet
+/// small enough that injected-thread-fault tests stay quick: 6 windows of
+/// 10ms..320ms = 630ms per silent worker, ~100× a NeuMF step round.
 const DRAIN: RetryPolicy =
     RetryPolicy { max_attempts: 6, base_backoff_us: 10_000, backoff_multiplier: 2 };
 

@@ -30,6 +30,15 @@ md() {
 echo "prose: *.md lines, KiB"
 for f in *.md; do echo "$(md "$f")  $f"; done | sort -rn
 for d in docs benchmark .; do echo "$(md "$d")  $d/"; done
+# ROADMAP item 3(c): panic sites left on the pool's control path — every
+# `expect(`, `unwrap(`, `assert!`, `panic!` and `unreachable!` outside tests
+# and comments.
+echo "non-test panic sites:"
+for f in crates/core/src/pool.rs crates/core/src/engine.rs; do
+  n=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/{exit} !/^[[:space:]]*\/\//' "$f" |
+    { grep -oE 'expect\(|unwrap\(|assert!|panic!|unreachable!' || true; } | wc -l)
+  printf '%6d  %s\n' "$n" "$f"
+done
 echo "largest files:"
 rs crates tests shims benchmark/src | xargs wc -l | grep -v ' total$' | sort -rn | head -5 |
   while read -r _ f; do row "$f" "$f"; done

@@ -255,23 +255,11 @@ fn a_wall_clock_read_in_proposal_construction_is_flagged_and_flows_to_the_sink()
 
 #[test]
 fn hashing_the_chaos_step_times_is_no_hash_iter() {
-    // A chaos round collects each device's step time into a BTreeMap, takes
-    // the slowest as the round's length and beats in device order; a
-    // HashMap there hands hasher state the order a round is read in.
+    // A chaos round lasts as long as the slowest entry of a BTreeMap of
+    // device step times; a HashMap there hands hasher state its read order.
     let file = "crates/faultsim/src/harness.rs";
-    let gained = mutate(
-        file,
-        &[
-            (
-                "let mut times: BTreeMap<u32, u64> = BTreeMap::new();",
-                "let mut times: std::collections::HashMap<u32, u64> = Default::default();",
-            ),
-            (
-                "times: Option<&BTreeMap<u32, u64>>",
-                "times: Option<&std::collections::HashMap<u32, u64>>",
-            ),
-        ],
-    );
+    let needle = "let mut times: BTreeMap<u32, u64> = BTreeMap::new();";
+    let gained = mutate(file, &[(needle, &needle.replace("BTreeMap", "HashMap"))]);
     assert_gains(&gained, "no-hash-iter", file);
     assert_eq!(rules(&gained), ["no-hash-iter", "taint-flow"], "{gained:#?}");
 }
