@@ -632,9 +632,9 @@ mod tests {
     #[test]
     fn pool_steps_match_sequential_workers_bitwise() {
         let mut rig = Rig::new(4, 2, &[], ExecOptions::default().drain);
-        let (_, _, mut seq) = make_workers(4, 2);
+        let (_, _, mut twins) = make_workers(4, 2);
         for _ in 0..3 {
-            assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "clean");
+            assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut twins), "clean");
         }
     }
 
@@ -654,14 +654,14 @@ mod tests {
     #[test]
     fn apply_rides_the_next_step() {
         let mut rig = Rig::new(2, 1, &[], ExecOptions::default().drain);
-        let (_, _, mut seq) = make_workers(2, 1);
+        let (_, _, mut twins) = make_workers(2, 1);
         let delta = vec![1e-3f32; rig.mirror.len()];
         rig.pool.apply(&Arc::new(delta.clone()));
-        seq[0].apply_update(&delta);
+        twins[0].apply_update(&delta);
         // The step carries the delta and applies it before stepping.
-        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "applied");
+        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut twins), "applied");
         // Once: the step after it carries none.
-        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "after");
+        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut twins), "after");
     }
 
     /// Workers that die applying the delta their `Step` carries are found
@@ -671,15 +671,15 @@ mod tests {
     #[test]
     fn a_fatal_delta_respawns_from_the_post_apply_mirror() {
         let mut rig = Rig::new(4, 2, &[], fast_drain());
-        let (_, _, mut seq) = make_workers(4, 2);
-        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "before");
+        let (_, _, mut twins) = make_workers(4, 2);
+        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut twins), "before");
 
         // The engine's order: update the mirror, then hand the pool the delta.
         let delta: Vec<f32> = (0..rig.mirror.len()).map(|i| (i % 7) as f32 * 1e-3 - 3e-3).collect();
         for (p, d) in rig.mirror.iter_mut().zip(&delta) {
             *p += d;
         }
-        for w in &mut seq {
+        for w in &mut twins {
             w.apply_update(&delta);
         }
         // What reaches the pool is an empty delta: both workers die slicing
@@ -691,8 +691,8 @@ mod tests {
         assert!(errors.iter().all(|e| matches!(e, PoolError::WorkerDead { .. })), "{errors:?}");
         assert_eq!(rig.log, errors);
         steps.sort_by_key(|l| l.vrank);
-        assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), "respawned");
-        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut seq), "after");
+        assert_steps_bitwise_eq(&steps, &sequential_steps(&mut twins), "respawned");
+        assert_steps_bitwise_eq(&rig.clean_steps(), &sequential_steps(&mut twins), "after");
     }
 
     /// Every injected [`ThreadFault`] is detected, the worker is replaced,
@@ -708,7 +708,7 @@ mod tests {
             (ThreadFault::ReplyDrop, "drain-timeout"),
         ] {
             let mut rig = Rig::new(4, 2, &[], fast_drain());
-            let (_, _, mut seq) = make_workers(4, 2);
+            let (_, _, mut twins) = make_workers(4, 2);
             let armed = rig.pool.arm_fault(1, fault);
             assert_eq!(armed, 1);
             let started = std::time::Instant::now();
@@ -730,9 +730,9 @@ mod tests {
             // Bitwise identity with the sequential reference, this round
             // and (replacement in service) the next.
             steps.sort_by_key(|l| l.vrank);
-            assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), &format!("{fault:?}"));
+            assert_steps_bitwise_eq(&steps, &sequential_steps(&mut twins), &format!("{fault:?}"));
             let next = rig.clean_steps();
-            assert_steps_bitwise_eq(&next, &sequential_steps(&mut seq), &format!("{fault:?}"));
+            assert_steps_bitwise_eq(&next, &sequential_steps(&mut twins), &format!("{fault:?}"));
         }
     }
 
@@ -760,14 +760,14 @@ mod tests {
     #[test]
     fn a_dead_and_a_stalled_worker_are_reaped_in_turn() {
         let mut rig = Rig::new(4, 2, &[], fast_drain());
-        let (_, _, mut seq) = make_workers(4, 2);
+        let (_, _, mut twins) = make_workers(4, 2);
         rig.pool.arm_fault(0, ThreadFault::Panic);
         rig.pool.arm_fault(1, ThreadFault::Stall);
         let (mut steps, errors) = rig.step_round();
         let got: Vec<(usize, &str)> = errors.iter().map(|e| (e.worker(), e.kind())).collect();
         assert_eq!(got, [(0, "worker-dead"), (1, "drain-timeout")], "{errors:?}");
         steps.sort_by_key(|l| l.vrank);
-        assert_steps_bitwise_eq(&steps, &sequential_steps(&mut seq), "panic + stall");
+        assert_steps_bitwise_eq(&steps, &sequential_steps(&mut twins), "panic + stall");
     }
 
     /// The seeds a checkpoint and an evaluation read hold every slot's
@@ -775,14 +775,14 @@ mod tests {
     #[test]
     fn seeds_hold_the_post_step_state_after_a_recovery() {
         let mut rig = Rig::new(4, 2, &[], fast_drain());
-        let (_, _, mut seq) = make_workers(4, 2);
+        let (_, _, mut twins) = make_workers(4, 2);
         let seeds = |pool: &WorkerPool| pool.seeds().cloned().collect::<Vec<_>>();
-        let spawned: Vec<WorkerSnapshot> = seq.iter().map(WorkerSnapshot::capture).collect();
+        let spawned: Vec<WorkerSnapshot> = twins.iter().map(WorkerSnapshot::capture).collect();
         assert_eq!(seeds(&rig.pool), spawned);
         rig.pool.arm_fault(1, ThreadFault::Panic);
         assert_eq!(rig.step_round().1.len(), 1);
-        sequential_steps(&mut seq);
-        let stepped: Vec<WorkerSnapshot> = seq.iter().map(WorkerSnapshot::capture).collect();
+        sequential_steps(&mut twins);
+        let stepped: Vec<WorkerSnapshot> = twins.iter().map(WorkerSnapshot::capture).collect();
         assert_eq!(seeds(&rig.pool), stepped);
         assert_ne!(stepped, spawned);
     }
