@@ -10,7 +10,7 @@
 //! reads their replies one channel at a time in worker order, so thread
 //! interleaving cannot influence a single output bit (the N-thread
 //! ≡ 1-thread invariant — docs/PARALLELISM.md). The merge — all-reduce and
-//! optimizer — runs once, on the engine thread, where the drained gradients
+//! optimizer — runs once, on the engine thread, where the returned gradients
 //! already are: no proxy here has a gradient large enough for a second
 //! cross-thread round trip to pay for itself.
 
